@@ -30,17 +30,13 @@ from .seifert import (
     sfs_equal,
     torus_knot_surgery,
 )
-from .slopes import Slope, make_slope
+from .slopes import InconsistentCrossCheckError, Slope, make_slope
 from .tangles import MontesinosTangle, NormalForm, normalize
 from .wrapped import WrappedKnot, make_wrapped, pretzel_slope, winding_number
 
 
 class DegenerateKnotError(ValueError):
     """The knot is equivalent to a 0 or 1/q entry and is not hyperbolic."""
-
-
-class InconsistentCrossCheckError(AssertionError):
-    """Two independent computations of the same manifold disagreed."""
 
 
 class SurgeryType(Enum):

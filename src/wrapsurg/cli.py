@@ -72,9 +72,12 @@ def parse(argv: list[str]) -> Request:
         raise CommandError(f"unknown command {command!r} (at position 0)", 2)
     request = Request(command=command)
     positionals: list[str] = []
+    flags: list[str] = []
     i = 1
     while i < len(argv):
         arg = argv[i]
+        if arg in ("--format", "--moves", "--n", "--range"):
+            flags.append(arg)
         if arg == "--format":
             i += 1
             if i >= len(argv) or argv[i] not in ("text", "json"):
@@ -101,6 +104,10 @@ def parse(argv: list[str]) -> Request:
     needs_slope = command in ("classify", "predict")
     expected = int(needs_knot) + int(needs_slope)
     if command == "batch":
+        if flags:
+            raise CommandError(
+                f"batch does not take {flags[0]}; put flags on each request line", 2
+            )
         if len(positionals) > 1:
             raise CommandError("batch takes at most one file argument", 2)
         request.batch_file = positionals[0] if positionals else None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .slopes import ParseError, Slope, make_slope, parse_slope
+from .slopes import InconsistentCrossCheckError, ParseError, Slope, make_slope, parse_slope
 
 
 class NotATorusKnotError(ValueError):
@@ -127,7 +127,10 @@ def torus_knot_surgery(p: int, q: int, r: Slope) -> SFSClass:
     invariants = SeifertInvariants.from_fractions(
         [Fraction(b1, pp), Fraction(b2, qq), Fraction(v, sigma)]
     )
-    assert invariants.indices() == tuple(sorted((pp, qq, d)))
+    if invariants.indices() != tuple(sorted((pp, qq, d))):
+        raise InconsistentCrossCheckError(
+            f"fiber indices of {r}-surgery on T({p},{q}) are not {{{pp},{qq},{d}}}"
+        )
     return SFSClass(SFSKind.SMALL_SEIFERT, invariants)
 
 

@@ -19,6 +19,10 @@ class InfinityInputError(ValueError):
     """Raised when a continued-fraction expansion of 1/0 is requested."""
 
 
+class InconsistentCrossCheckError(AssertionError):
+    """Two independent computations of the same fact disagreed."""
+
+
 class ParseError(ValueError):
     """Syntax error in a textual expression, with a 0-based position."""
 
@@ -184,4 +188,7 @@ def _parse_int(text: str, offset: int, allow_sign: bool) -> int:
     body = s[1:] if (allow_sign and s.startswith("-")) else s
     if not body or not body.isdigit():
         raise ParseError(f"expected an integer, got {text!r}", offset)
-    return int(s)
+    try:
+        return int(s)
+    except ValueError:  # more digits than int() converts from text
+        raise ParseError(f"integer with {len(body)} digits is too long", offset) from None

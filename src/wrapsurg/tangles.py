@@ -11,19 +11,10 @@ diagram, never from a hard-coded parity formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
-from . import tracing
 from .slopes import ParseError, Slope, parse_slope
-
-
-class Pairing(Enum):
-    """Which pairs of the four tangle endpoints are joined inside."""
-
-    TOP_TO_TOP = "top-to-top"      # NW-NE and SW-SE
-    LEFT_TO_LEFT = "left-to-left"  # NW-SW and NE-SE
-    CROSS = "cross"                # NW-SE and NE-SW
+from .tracing import Pairing, trace_closure
 
 
 @dataclass(frozen=True)
@@ -272,36 +263,17 @@ def _reduction_moves(tangle: MontesinosTangle) -> list[Move]:
 
 def pairing(tangle: RationalTangle) -> Pairing:
     """Endpoint pairing of a rational tangle, traced from its twist word."""
-    diagram = tracing.Diagram()
-    box = tracing.build_rational_tangle(diagram, tangle.slope)
-    return _pairing_from_ports(diagram, box)
+    return trace_closure((tangle.slope,), 0).pairing
 
 
 def montesinos_pairing(tangle: MontesinosTangle) -> Pairing:
     """Endpoint pairing of the horizontal sum, traced left to right."""
-    diagram, box = _montesinos_diagram(tangle)
-    return _pairing_from_ports(diagram, box)
+    return trace_closure(tangle.slopes(), 0).pairing
 
 
 def montesinos_loops(tangle: MontesinosTangle) -> int:
     """Closed circles created inside the horizontal sum."""
-    diagram, box = _montesinos_diagram(tangle)
-    return tracing.closed_loop_count(diagram, box)
-
-
-def _montesinos_diagram(tangle: MontesinosTangle):
-    diagram = tracing.Diagram()
-    boxes = [tracing.build_rational_tangle(diagram, e.slope) for e in tangle.entries]
-    return diagram, tracing.glue_horizontally(diagram, boxes)
-
-
-def _pairing_from_ports(diagram: tracing.Diagram, box: tracing.TangleBox) -> Pairing:
-    partner = tracing.tangle_pairing_ports(diagram, box)
-    if partner[box.nw] == box.ne:
-        return Pairing.TOP_TO_TOP
-    if partner[box.nw] == box.sw:
-        return Pairing.LEFT_TO_LEFT
-    return Pairing.CROSS
+    return trace_closure(tangle.slopes(), 0).loops
 
 
 def parse_tangle(text: str, offset: int = 0) -> MontesinosTangle:

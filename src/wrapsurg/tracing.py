@@ -3,17 +3,23 @@
 This is the connectivity oracle for the whole package: rational tangles are
 built as port graphs from their continued-fraction twist word, Montesinos
 tangles by horizontal gluing, and wrapped knots by adding the two wrap arcs
-around the solid torus.  Walking the resulting 1-manifold answers every
-question we ask of a diagram:
+around the solid torus.  `trace_closure` builds that closure and walks it
+once; the one walk answers every connectivity question asked of a wrapped
+knot or of its tangle:
 
-* which of the four tangle endpoints are joined inside (the pairing),
 * how many components the wrapped closure has (knot detection),
-* the winding number (signed passes through the wrap region), and
-* the framing of the evident spanning surface of a pretzel-shaped knot,
-  via the push-off rule: a twist region whose two strands are traversed
-  in parallel contributes twice its signed crossing count to the linking
-  number of the knot with its surface push-off, and an antiparallel
-  region contributes nothing.
+* the winding number (signed passes through the wrap region),
+* which of the four tangle endpoints are joined inside (the pairing): two
+  endpoints are partners when a stretch of the walk joins them without
+  passing the wrap region, so the pairing does not depend on the closure,
+* how many closed loops the tangle hides (components that never pass the
+  wrap region).
+
+A second, literal diagram backs the framing of the evident spanning surface
+of a pretzel-shaped knot, via the push-off rule: a twist region whose two
+strands are traversed in parallel contributes twice its signed crossing
+count to the linking number of the knot with its surface push-off, and an
+antiparallel region contributes nothing.
 
 Port conventions: every twist region has two "in" ports and two "out"
 ports.  Horizontal regions are entered from the left and exited right,
@@ -27,13 +33,23 @@ is the exact connectivity of the twist region.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
-from .slopes import Slope
+from .slopes import InconsistentCrossCheckError, Slope, expand
 
 HORIZONTAL = "h"
 VERTICAL = "v"
 WRAP = "wrap"
+
+
+class Pairing(Enum):
+    """Which pairs of the four tangle endpoints are joined inside."""
+
+    TOP_TO_TOP = "top-to-top"      # NW-NE and SW-SE
+    LEFT_TO_LEFT = "left-to-left"  # NW-SW and NE-SE
+    CROSS = "cross"                # NW-SE and NE-SW
 
 
 @dataclass(eq=False)
@@ -114,21 +130,22 @@ class Diagram:
         Each component is the traversal order of its edges; the int is +1
         when a region edge is crossed from its in port to its out port.
         """
-        seen: set[int] = set()
+        seen: set[Edge] = set()
         components = []
+        incident = self._incident
         for edge in self.edges:
-            if id(edge) in seen:
+            if edge in seen:
                 continue
             walk: list[tuple[Edge, int]] = []
             current, port = edge, edge.v
-            while id(current) not in seen:
-                seen.add(id(current))
-                sense = 1 if port == current.v else -1
-                walk.append((current, sense))
-                nxt = self._next_edge(port, current)
-                assert nxt is not None, "closed diagram has a dangling port"
-                current = nxt
-                port = current.other(port)
+            while current not in seen:
+                seen.add(current)
+                walk.append((current, 1 if port == current.v else -1))
+                # Every port of a closed diagram has exactly two edges; the
+                # unpacking fails on a dangling one.
+                first, second = incident[port]
+                current = second if first is current else first
+                port = current.v if port == current.u else current.u
             components.append(walk)
         return components
 
@@ -142,26 +159,15 @@ def twist_word(slope: Slope) -> list[tuple[str, int]]:
     """
     if slope.q == 0:
         raise ValueError("no twist word for the infinite tangle")
-    terms = _floor_terms(slope)
+    terms = expand(slope)
     if (len(terms) - 1) % 2 == 1:
         last = terms.pop()
         terms.extend([last - 1, 1])
     kinds = [HORIZONTAL if i % 2 == 0 else VERTICAL for i in range(len(terms))]
     word = [(kinds[i], terms[i]) for i in range(len(terms) - 1, -1, -1)]
-    assert _word_fraction(word) == Fraction(slope.p, slope.q)
+    if _word_fraction(word) != Fraction(slope.p, slope.q):
+        raise InconsistentCrossCheckError(f"twist word does not rebuild {slope}")
     return word
-
-
-def _floor_terms(slope: Slope) -> list[int]:
-    terms = []
-    p, q = slope.p, slope.q
-    while True:
-        a = p // q
-        terms.append(a)
-        r = p - a * q
-        if r == 0:
-            return terms
-        p, q = q, r
 
 
 def _word_fraction(word: list[tuple[str, int]]) -> Fraction | None:
@@ -217,62 +223,67 @@ def glue_horizontally(diagram: Diagram, boxes: list[TangleBox]) -> TangleBox:
     return TangleBox(boxes[0].nw, boxes[-1].ne, boxes[0].sw, boxes[-1].se)
 
 
-def close_wrapped(diagram: Diagram, box: TangleBox, crossings: int) -> None:
+def close_wrapped(
+    diagram: Diagram, box: TangleBox, crossings: int
+) -> list[tuple[Edge, int]]:
     """Join the top endpoints to the bottom ones around the solid torus.
 
     The wrap arcs cross each other `crossings` times; with no crossing they
-    join NW-SW and NE-SE, and an odd count joins NW-SE and NE-SW.
+    join NW-SW and NE-SE, and an odd count joins NW-SE and NE-SW.  Returns
+    each wrap-region edge (entered at a top endpoint) with the bottom
+    endpoint its arc reaches.
     """
     out1, out2 = diagram.add_region(WRAP, crossings, box.nw, box.ne)
+    bottom = {out1: box.sw, out2: box.se}
+    wraps = [(edge, bottom[edge.v]) for edge in diagram.edges[-2:]]
     diagram.add_edge(out1, box.sw)
     diagram.add_edge(out2, box.se)
+    return wraps
 
 
-# -- derived quantities ----------------------------------------------------
+class Closure(NamedTuple):
+    """What one walk of a wrapped closure shows.
+
+    `winding` is the absolute signed pass count through the wrap region,
+    which is the winding number when `components` is 1.  `pairing` is the
+    endpoint pairing of the tangle and `loops` the number of components
+    that never pass the wrap region; neither depends on the closure.
+    """
+
+    components: int
+    winding: int
+    pairing: Pairing
+    loops: int
 
 
-def tangle_pairing_ports(diagram: Diagram, box: TangleBox) -> dict[int, int]:
-    return diagram.open_strands([box.nw, box.ne, box.sw, box.se])
-
-
-def closed_loop_count(diagram: Diagram, box: TangleBox) -> int:
-    """Closed components hiding inside an open tangle diagram."""
-    boundary = {box.nw, box.ne, box.sw, box.se}
-    closed = 0
-    for component in _open_aware_components(diagram):
-        if not (component & boundary):
-            closed += 1
-    return closed
-
-
-def _open_aware_components(diagram: Diagram) -> list[set[int]]:
-    # Union-find over ports; enough to count closed circles.
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for edge in diagram.edges:
-        ru, rv = find(edge.u), find(edge.v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, set[int]] = {}
-    for port in parent:
-        groups.setdefault(find(port), set()).add(port)
-    return list(groups.values())
-
-
-def closure_component_count(diagram: Diagram) -> int:
-    return len(diagram.closed_walk())
-
-
-def winding_from_walk(walk: list[tuple[Edge, int]]) -> int:
-    total = sum(sense for edge, sense in walk if edge.region and edge.region.kind == WRAP)
-    return abs(total)
+def trace_closure(slopes: tuple[Slope, ...], a: int) -> Closure:
+    """Build the Montesinos tangle of `slopes`, close it with `a` wrap
+    crossings, and walk the closure once."""
+    diagram = Diagram()
+    box = glue_horizontally(
+        diagram, [build_rational_tangle(diagram, s) for s in slopes]
+    )
+    wraps = close_wrapped(diagram, box, a)
+    components = diagram.closed_walk()
+    winding = loops = 0
+    partner: dict[int, int] = {}
+    for walk in components:
+        # (port before, port after) of each pass through the wrap region.
+        senses = dict(walk)
+        passes = []
+        for edge, bottom in wraps:
+            sense = senses.get(edge)
+            if sense is not None:
+                winding += sense
+                passes.append((edge.u, bottom) if sense > 0 else (bottom, edge.u))
+        if not passes:
+            loops += 1
+        # A tangle stretch runs from one pass to the next; with at most two
+        # passes in a component their cyclic order does not matter.
+        for (_, start), (end, _) in zip(passes, passes[::-1]):
+            partner[start], partner[end] = end, start
+    by_partner = {box.ne: Pairing.TOP_TO_TOP, box.sw: Pairing.LEFT_TO_LEFT, box.se: Pairing.CROSS}
+    return Closure(len(components), abs(winding), by_partner[partner[box.nw]], loops)
 
 
 def surface_framing_from_walk(walk: list[tuple[Edge, int]]) -> int:
@@ -290,7 +301,10 @@ def surface_framing_from_walk(walk: list[tuple[Edge, int]]) -> int:
     framing = 0
     regions = {id(e.region): e.region for e, _ in walk if e.region is not None}
     for key, senses in passes.items():
-        assert len(senses) == 2, "each region is traversed by exactly two strands"
+        if len(senses) != 2:
+            raise InconsistentCrossCheckError(
+                "each region is traversed by exactly two strands"
+            )
         if senses[0] == senses[1]:
             framing += 2 * regions[key].crossings
     return framing

@@ -9,16 +9,14 @@ entry 1/(a + 2n), and transports a slope r to r + n * wind(K)^2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import tracing
-from .slopes import ParseError, Slope, make_slope
+from .slopes import InconsistentCrossCheckError, ParseError, Slope, make_slope
 from .tangles import (
     MontesinosTangle,
     NormalForm,
-    Pairing,
     mirror_tangle,
-    montesinos_pairing,
     normalize,
     parse_tangle,
     reverse_tangle,
@@ -39,12 +37,25 @@ class NoPretzelSurfaceError(ValueError):
 
 @dataclass(frozen=True)
 class WrappedKnot:
+    """The closure must be a knot; construction traces it once and keeps
+    its winding number."""
+
     a: int
     tangle: MontesinosTangle
+    winding: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.a not in (0, 1):
             raise ValueError("the wrap parameter a must be 0 or 1")
+        closure = tracing.trace_closure(self.tangle.slopes(), self.a)
+        if closure.components != 1:
+            raise NotAKnotError(f"K{self.a}{self.tangle} closes to a link, not a knot")
+        expected = 0 if closure.pairing is tracing.Pairing.TOP_TO_TOP else 2
+        if closure.winding != expected:
+            raise InconsistentCrossCheckError(
+                f"traced winding {closure.winding} of {self} disagrees with the pairing"
+            )
+        object.__setattr__(self, "winding", closure.winding)
 
     def normal_form(self) -> NormalForm:
         return normalize(self.tangle)
@@ -54,36 +65,13 @@ class WrappedKnot:
 
 
 def make_wrapped(a: int, tangle: MontesinosTangle) -> WrappedKnot:
-    """Close the tangle with two wrap arcs; reject multi-component closures."""
-    knot = WrappedKnot(a, tangle)
-    diagram = _closure_diagram(knot)
-    if tracing.closure_component_count(diagram) != 1:
-        raise NotAKnotError(
-            f"K{a}{tangle} closes to a link, not a knot"
-        )
-    return knot
-
-
-def _closure_diagram(knot: WrappedKnot) -> tracing.Diagram:
-    diagram = tracing.Diagram()
-    boxes = [
-        tracing.build_rational_tangle(diagram, e.slope) for e in knot.tangle.entries
-    ]
-    box = tracing.glue_horizontally(diagram, boxes)
-    tracing.close_wrapped(diagram, box, knot.a)
-    return diagram
+    """Close the tangle with two wrap arcs; the same as `WrappedKnot(a, tangle)`."""
+    return WrappedKnot(a, tangle)
 
 
 def winding_number(knot: WrappedKnot) -> int:
     """Algebraic intersection with a meridian disk, from oriented tracing."""
-    diagram = _closure_diagram(knot)
-    walks = diagram.closed_walk()
-    if len(walks) != 1:
-        raise NotAKnotError("winding number is defined for knots only")
-    wind = tracing.winding_from_walk(walks[0])
-    expected = 0 if montesinos_pairing(knot.tangle) == Pairing.TOP_TO_TOP else 2
-    assert wind == expected, "traced winding disagrees with the pairing"
-    return wind
+    return knot.winding
 
 
 def wrapping_number(knot: WrappedKnot) -> int:
@@ -92,7 +80,7 @@ def wrapping_number(knot: WrappedKnot) -> int:
     2 for every knot in the classified family except the degenerate ones
     whose winding number vanishes; those are isotopic into a ball.
     """
-    if normalize(knot.tangle).degenerate and winding_number(knot) == 0:
+    if normalize(knot.tangle).degenerate and knot.winding == 0:
         return 0
     return 2
 
@@ -134,8 +122,7 @@ def transport_slope(knot: WrappedKnot, r: Slope, n: int) -> Slope:
     """Slope correspondence under n twists: r + n * wind^2; meridian is fixed."""
     if r.is_meridian():
         return r
-    wind = winding_number(knot)
-    return r + n * wind * wind
+    return r + n * knot.winding * knot.winding
 
 
 def two_bridge_fraction(knot: WrappedKnot, n: int) -> Slope:

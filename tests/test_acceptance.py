@@ -15,6 +15,7 @@ from wrapsurg import (
     SurgeryType,
     analysis_of,
     classify,
+    distance,
     double_branched_cover,
     exceptional_slopes,
     make_slope,
@@ -174,8 +175,22 @@ def test_criterion_7_oracles():
     assert len(by_class) == 3
 
 
-@_criterion(8, "generic hyperbolicity accepted on authority; see criteria 5-6")
+@_criterion(
+    8,
+    "exceptional sets obey the Lackenby-Meyerhoff bounds on the k<=2 grid; "
+    "generic hyperbolicity accepted on authority",
+)
 def test_criterion_8_exclusion_note():
     # No geometric verification is attempted; the completeness of the
-    # classification is exercised structurally by criteria 5 and 6.
-    assert True
+    # classification is exercised structurally by criteria 5 and 6.  What
+    # is checked is the bound every hyperbolic knot exterior obeys
+    # (Lackenby-Meyerhoff, arXiv:0808.1176): at most 10 exceptional slopes,
+    # pairwise at distance at most 8.
+    for knot in GRID:
+        if analysis_of(knot).knot_class is KnotClass.DEGENERATE:
+            continue
+        slopes = [r for r, _ in exceptional_slopes(knot)]
+        assert len(slopes) <= 10, str(knot)
+        for i, r in enumerate(slopes):
+            for other in slopes[i + 1:]:
+                assert distance(r, other) <= 8, (str(knot), str(r), str(other))

@@ -20,6 +20,7 @@ from wrapsurg import (
     make_slope,
     make_wrapped,
     mirror_tangle,
+    montesinos_loops,
     montesinos_pairing,
     normalize,
     parse_knot,
@@ -32,6 +33,7 @@ from wrapsurg import (
     twist_tangle,
     winding_number,
 )
+from wrapsurg.tracing import trace_closure
 
 K = parse_knot
 T = parse_tangle
@@ -352,3 +354,12 @@ def test_winding_consistent_on_grid():
         assert (wind == 0) == (
             montesinos_pairing(knot.tangle) is Pairing.TOP_TO_TOP
         )
+        # Pairing and internal loops are read off the walk outside the wrap
+        # region, so both closures of the tangle must report the same ones.
+        loops = montesinos_loops(knot.tangle)
+        for a in (0, 1):
+            closure = trace_closure(knot.tangle.slopes(), a)
+            assert closure.loops == loops == 0
+            assert closure.pairing is montesinos_pairing(knot.tangle)
+            if a == knot.a:
+                assert closure.components == 1 and closure.winding == wind

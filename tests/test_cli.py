@@ -156,3 +156,36 @@ def test_no_panic_on_large_denominators(capsys):
     big = make_slope(123456789012345678901234567890, 7)
     code, out, _ = run_cli(capsys, "classify", "K0[2]", str(big))
     assert code == 0 and "hyperbolic" in out
+
+
+HUGE = "1" * 4400  # more digits than int() converts from text
+
+
+def test_oversized_entry_exits_2_with_position(capsys):
+    code, out, err = run_cli(capsys, "classify", f"K0[{HUGE}]", "1")
+    assert code == 2 and not out
+    assert "at position 3" in err and "Traceback" not in err
+    code, out, err = run_cli(capsys, "classify", "K0[2]", f"{HUGE}/7")
+    assert code == 2 and not out and "at position 0" in err
+
+
+def test_batch_survives_an_oversized_entry(tmp_path, capsys):
+    script = tmp_path / "requests.txt"
+    script.write_text(
+        f"classify K0[2] 1\nclassify K0[{HUGE}] 1\nslopes K0[2]\n",
+        encoding="utf-8",
+    )
+    code = main(["batch", str(script)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "line 2: error" in captured.err and "at position" in captured.err
+    assert captured.out.count("knot:") == 2  # lines 1 and 3 still answered
+
+
+def test_batch_rejects_the_flags_it_would_ignore(tmp_path, capsys):
+    script = tmp_path / "requests.txt"
+    script.write_text("slopes K0[2]\n", encoding="utf-8")
+    for flags in (["--format", "json"], ["--moves"], ["--n", "1"], ["--range", "0..3"]):
+        code, out, err = run_cli(capsys, "batch", str(script), *flags)
+        assert code == 2 and not out
+        assert flags[0] in err and "each request line" in err

@@ -120,3 +120,10 @@ def test_parse_errors_carry_position():
     except ParseError as caught:
         err = caught
     assert err is not None and err.position == 0
+
+
+def test_oversized_integer_is_a_parse_error():
+    # More digits than int() converts from text must not escape as ValueError.
+    with pytest.raises(ParseError) as caught:
+        parse_slope("5/" + "1" * 4400, 10)
+    assert caught.value.position == 12

@@ -1,15 +1,23 @@
+import importlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import random_knot, random_tangle
 from wrapsurg import (
     MERIDIAN,
+    KnotClass,
     NoPretzelSurfaceError,
     NotAKnotError,
     NotLengthOneError,
     Pairing,
+    WrappedKnot,
+    analysis_of,
     make_slope,
     make_wrapped,
     montesinos_loops,
@@ -23,6 +31,7 @@ from wrapsurg import (
     winding_number,
     wrapping_number,
 )
+from wrapsurg import tracing
 
 K = parse_knot
 T = parse_tangle
@@ -45,6 +54,56 @@ def test_make_wrapped_rejects_internal_loops():
     for a in (0, 1):
         with pytest.raises(NotAKnotError):
             make_wrapped(a, T("[1/2,1/2]"))
+
+
+def test_bare_constructor_rejects_links():
+    with pytest.raises(NotAKnotError):
+        WrappedKnot(0, T("[-1/2]"))
+    for a in (0, 1):
+        with pytest.raises(NotAKnotError):
+            WrappedKnot(a, T("[1/2,1/2]"))
+    assert WrappedKnot(1, T("[-1/2]")) == make_wrapped(1, T("[-1/2]"))
+
+
+def test_cold_parse_and_analysis_trace_one_diagram(monkeypatch):
+    analysis_of(K("K0[2]"))  # anchors the push-off oracle beforehand
+    importlib.import_module("wrapsurg.classify")._analyze.cache_clear()
+    glued = []
+    original = tracing.glue_horizontally
+
+    def counting(diagram, boxes):
+        glued.append(len(boxes))
+        return original(diagram, boxes)
+
+    monkeypatch.setattr(tracing, "glue_horizontally", counting)
+    analysis = analysis_of(K("K1[2/7,-3/11,5/13]"))
+    assert analysis.knot_class is KnotClass.GENERIC
+    assert glued == [3]
+
+
+_SABOTAGED_WORD = """
+import sys
+from wrapsurg import InconsistentCrossCheckError, parse_knot, tracing
+if not sys.flags.optimize:
+    sys.exit(3)
+tracing._word_fraction = lambda word: None
+try:
+    parse_knot("K1[-1/2,1/3]")
+except InconsistentCrossCheckError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_cross_checks_survive_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _SABOTAGED_WORD],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_valid_closure_parameter_matches_pairing():
