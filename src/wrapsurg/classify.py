@@ -150,7 +150,10 @@ def _find_pretzel_pair(nf: NormalForm) -> tuple[int, int] | None:
         for q2 in _unit_fraction_shifts(nf.fracs[1]):
             if Fraction(1, q1) + Fraction(1, q2) == total:
                 pair = (q1, q2)
-                assert found is None or sorted(found) == sorted(pair)
+                if found is not None and sorted(found) != sorted(pair):
+                    raise InconsistentCrossCheckError(
+                        f"pretzel pairs {found} and {pair} both sum to {total}"
+                    )
                 found = pair
     return found
 
@@ -171,7 +174,13 @@ def _oracle_self_check() -> None:
             )
 
 
-@lru_cache(maxsize=None)
+# Large enough for every knot of the k<=2 grid (4512 candidates, links
+# included), so that neither a sweep of the grid nor the test suite analyses
+# a knot twice; bounded, so that a long batch run uses bounded memory.
+_ANALYSIS_CACHE_SIZE = 8192
+
+
+@lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
 def _analyze(knot: WrappedKnot) -> Analysis:
     _oracle_self_check()
     nf = normalize(knot.tangle)

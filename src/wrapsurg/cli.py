@@ -2,7 +2,8 @@
 
 Commands: classify, slopes, normalize, twist, predict, table, batch.
 Knots are written as `K0[...]`/`K1[...]`, slopes as `p/q`, `p`, or `inf`.
-Exit codes: 0 success, 2 parse error, 3 invalid or degenerate knot.
+Exit codes: 0 success, 2 parse error (or an answer too long to write as
+text), 3 invalid or degenerate knot.
 """
 from __future__ import annotations
 
@@ -160,13 +161,23 @@ def run(request: Request, out=None) -> int:
             raise CommandError(f"bad slope expression: {err}", 2)
     try:
         payload = _dispatch(request, knot, slope)
+        if request.fmt == "json":
+            text = json.dumps(payload, indent=2, sort_keys=True)
+        else:
+            text = "\n".join(_render_text(request, payload))
     except DegenerateKnotError as err:
         raise CommandError(str(err), 3)
-    if request.fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-    else:
-        for line in _render_text(request, payload):
-            print(line, file=out)
+    except ValueError as err:
+        # str() of an integer past the interpreter's digit limit; the answer
+        # is exact but cannot be written out.
+        if type(err) is not ValueError or "integer string conversion" not in str(err):
+            raise
+        raise CommandError(
+            f"the answer has an integer of more than {sys.get_int_max_str_digits()}"
+            " digits, the limit for writing an integer as text",
+            2,
+        ) from None
+    print(text, file=out)
     return 0
 
 

@@ -15,11 +15,17 @@ knot or of its tangle:
 * how many closed loops the tangle hides (components that never pass the
   wrap region).
 
-A second, literal diagram backs the framing of the evident spanning surface
-of a pretzel-shaped knot, via the push-off rule: a twist region whose two
-strands are traversed in parallel contributes twice its signed crossing
-count to the linking number of the knot with its surface push-off, and an
-antiparallel region contributes nothing.
+A diagram keeps its port graph in flat integer lists (edge ends, two
+incident edge ids per port, kind and crossing count per region), so building
+and walking a closure creates no object per edge or per region.  Every twist
+word is checked to rebuild its slope on every call; the check is an exact
+integer recurrence on the pair (p, q) and needs no gcd.
+
+A second, literal diagram of the same class backs the framing of the
+evident spanning surface of a pretzel-shaped knot, via the push-off rule: a
+twist region whose two strands are traversed in parallel contributes twice
+its signed crossing count to the linking number of the knot with its
+surface push-off, and an antiparallel region contributes nothing.
 
 Port conventions: every twist region has two "in" ports and two "out"
 ports.  Horizontal regions are entered from the left and exited right,
@@ -32,9 +38,9 @@ is the exact connectivity of the twist region.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from itertools import cycle
 from typing import NamedTuple
 
 from .slopes import InconsistentCrossCheckError, Slope, expand
@@ -52,43 +58,53 @@ class Pairing(Enum):
     CROSS = "cross"                # NW-SE and NE-SW
 
 
-@dataclass(eq=False)
-class Region:
-    kind: str
-    crossings: int  # signed half-twist count; sign = handedness
-
-
-@dataclass(eq=False)
-class Edge:
-    u: int
-    v: int
-    region: Region | None = None  # set on region-internal edges, in -> out
-
-    def other(self, port: int) -> int:
-        return self.v if port == self.u else self.u
-
-
-@dataclass
 class Diagram:
-    edges: list[Edge] = field(default_factory=list)
-    _ports: int = 0
-    _incident: dict[int, list[Edge]] = field(default_factory=dict)
+    """A port graph kept in flat integer lists.
+
+    Edge e joins ports `u[e]` and `v[e]`; `region[e]` is the twist region it
+    runs through from its in port to its out port, or -1 for a plain arc.
+    Port p meets the edges `first[p]` and `second[p]` (-1 while free).
+    Region r has `kind[r]` and the signed half-twist count `crossings[r]`,
+    whose sign is the handedness.
+    """
+
+    __slots__ = ("u", "v", "region", "first", "second", "kind", "crossings")
+
+    def __init__(self) -> None:
+        self.u: list[int] = []
+        self.v: list[int] = []
+        self.region: list[int] = []
+        self.first: list[int] = []
+        self.second: list[int] = []
+        self.kind: list[str] = []
+        self.crossings: list[int] = []
 
     def new_port(self) -> int:
-        self._ports += 1
-        return self._ports - 1
+        self.first.append(-1)
+        self.second.append(-1)
+        return len(self.first) - 1
 
-    def add_edge(self, u: int, v: int, region: Region | None = None) -> Edge:
-        edge = Edge(u, v, region)
-        self.edges.append(edge)
-        self._incident.setdefault(u, []).append(edge)
-        self._incident.setdefault(v, []).append(edge)
+    def add_edge(self, u: int, v: int, region: int = -1) -> int:
+        edge = len(self.u)
+        self.u.append(u)
+        self.v.append(v)
+        self.region.append(region)
+        first, second = self.first, self.second
+        for port in (u, v):
+            if first[port] < 0:
+                first[port] = edge
+            elif second[port] < 0:
+                second[port] = edge
+            else:
+                raise ValueError(f"port {port} already meets two edges")
         return edge
 
     def add_region(self, kind: str, crossings: int, in1: int, in2: int) -> tuple[int, int]:
         """Attach a twist region to two existing ports; returns its out ports."""
         out1, out2 = self.new_port(), self.new_port()
-        region = Region(kind, crossings)
+        region = len(self.kind)
+        self.kind.append(kind)
+        self.crossings.append(crossings)
         if crossings % 2 == 0:
             self.add_edge(in1, out1, region)
             self.add_edge(in2, out2, region)
@@ -97,55 +113,29 @@ class Diagram:
             self.add_edge(in2, out1, region)
         return out1, out2
 
-    # -- walking ----------------------------------------------------------
-
-    def _next_edge(self, port: int, arrived: Edge) -> Edge | None:
-        incident = self._incident.get(port, [])
-        for edge in incident:
-            if edge is not arrived:
-                return edge
-        return None
-
-    def open_strands(self, boundary: list[int]) -> dict[int, int]:
-        """Trace from each boundary port to its partner.  Ports of degree 1."""
-        partner: dict[int, int] = {}
-        for start in boundary:
-            if start in partner:
-                continue
-            edge = self._incident[start][0]
-            port = edge.other(start)
-            while True:
-                nxt = self._next_edge(port, edge)
-                if nxt is None:
-                    break
-                edge = nxt
-                port = edge.other(port)
-            partner[start] = port
-            partner[port] = start
-        return partner
-
-    def closed_walk(self) -> list[list[tuple[Edge, int]]]:
+    def closed_walk(self) -> list[list[tuple[int, int]]]:
         """Decompose a closed diagram into components.
 
-        Each component is the traversal order of its edges; the int is +1
-        when a region edge is crossed from its in port to its out port.
+        Each component is the traversal order of its edge ids; the second
+        int is +1 when the edge is crossed from `u` to `v` (for a region
+        edge, from its in port to its out port) and -1 otherwise.
         """
-        seen: set[Edge] = set()
+        u, v, first, second = self.u, self.v, self.first, self.second
+        if -1 in second:
+            raise ValueError("a closed diagram has two edges at every port")
+        seen = bytearray(len(u))
         components = []
-        incident = self._incident
-        for edge in self.edges:
-            if edge in seen:
+        for start in range(len(u)):
+            if seen[start]:
                 continue
-            walk: list[tuple[Edge, int]] = []
-            current, port = edge, edge.v
-            while current not in seen:
-                seen.add(current)
-                walk.append((current, 1 if port == current.v else -1))
-                # Every port of a closed diagram has exactly two edges; the
-                # unpacking fails on a dangling one.
-                first, second = incident[port]
-                current = second if first is current else first
-                port = current.v if port == current.u else current.u
+            walk: list[tuple[int, int]] = []
+            edge, port = start, v[start]
+            while not seen[edge]:
+                seen[edge] = 1
+                walk.append((edge, 1 if port == v[edge] else -1))
+                # Leave the port by its other edge, for its far end.
+                edge = first[port] + second[port] - edge
+                port = u[edge] + v[edge] - port
             components.append(walk)
         return components
 
@@ -155,34 +145,37 @@ def twist_word(slope: Slope) -> list[tuple[str, int]]:
 
     Terms come from the canonical floor-based continued fraction; the list is
     padded so that the innermost block is horizontal (a vertical twist on the
-    trivial tangle is a kink and builds nothing).
+    trivial tangle is a kink and builds nothing).  Every word is checked to
+    rebuild its slope before it is returned.
     """
     if slope.q == 0:
         raise ValueError("no twist word for the infinite tangle")
     terms = expand(slope)
-    if (len(terms) - 1) % 2 == 1:
+    if len(terms) % 2 == 0:
         last = terms.pop()
         terms.extend([last - 1, 1])
-    kinds = [HORIZONTAL if i % 2 == 0 else VERTICAL for i in range(len(terms))]
-    word = [(kinds[i], terms[i]) for i in range(len(terms) - 1, -1, -1)]
-    if _word_fraction(word) != Fraction(slope.p, slope.q):
+    # An odd number of terms, so the outermost one is horizontal as well.
+    word = list(zip(cycle((HORIZONTAL, VERTICAL)), reversed(terms)))
+    if _word_fraction(word) != (slope.p, slope.q):
         raise InconsistentCrossCheckError(f"twist word does not rebuild {slope}")
     return word
 
 
-def _word_fraction(word: list[tuple[str, int]]) -> Fraction | None:
-    value: Fraction | None = Fraction(0)  # None encodes the infinite tangle
+def _word_fraction(word: list[tuple[str, int]]) -> tuple[int, int]:
+    """The fraction p/q that the word builds on the trivial tangle 0/1.
+
+    A horizontal twist adds its count, p/q -> (p + count*q)/q, and a
+    vertical one adds it to the reciprocal, p/q -> p/(q + count*p).  Both
+    steps are unimodular, so the pair stays in lowest terms, the infinite
+    tangle is (+-1, 0) and a kink on the trivial tangle leaves (0, 1).
+    """
+    p, q = 0, 1
     for kind, count in word:
         if kind == HORIZONTAL:
-            value = None if value is None else value + count
+            p += count * q
         else:
-            if value is None:
-                value = Fraction(1, count)
-            elif value == 0:
-                value = Fraction(0)  # kink on the trivial tangle
-            else:
-                value = 1 / (count + 1 / value)
-    return value
+            q += count * p
+    return (-p, -q) if q < 0 else (p, q)
 
 
 @dataclass
@@ -225,7 +218,7 @@ def glue_horizontally(diagram: Diagram, boxes: list[TangleBox]) -> TangleBox:
 
 def close_wrapped(
     diagram: Diagram, box: TangleBox, crossings: int
-) -> list[tuple[Edge, int]]:
+) -> list[tuple[int, int]]:
     """Join the top endpoints to the bottom ones around the solid torus.
 
     The wrap arcs cross each other `crossings` times; with no crossing they
@@ -235,7 +228,8 @@ def close_wrapped(
     """
     out1, out2 = diagram.add_region(WRAP, crossings, box.nw, box.ne)
     bottom = {out1: box.sw, out2: box.se}
-    wraps = [(edge, bottom[edge.v]) for edge in diagram.edges[-2:]]
+    edges = len(diagram.u)
+    wraps = [(edge, bottom[diagram.v[edge]]) for edge in (edges - 2, edges - 1)]
     diagram.add_edge(out1, box.sw)
     diagram.add_edge(out2, box.se)
     return wraps
@@ -265,6 +259,7 @@ def trace_closure(slopes: tuple[Slope, ...], a: int) -> Closure:
     )
     wraps = close_wrapped(diagram, box, a)
     components = diagram.closed_walk()
+    u = diagram.u
     winding = loops = 0
     partner: dict[int, int] = {}
     for walk in components:
@@ -275,7 +270,7 @@ def trace_closure(slopes: tuple[Slope, ...], a: int) -> Closure:
             sense = senses.get(edge)
             if sense is not None:
                 winding += sense
-                passes.append((edge.u, bottom) if sense > 0 else (bottom, edge.u))
+                passes.append((u[edge], bottom) if sense > 0 else (bottom, u[edge]))
         if not passes:
             loops += 1
         # A tangle stretch runs from one pass to the next; with at most two
@@ -286,7 +281,7 @@ def trace_closure(slopes: tuple[Slope, ...], a: int) -> Closure:
     return Closure(len(components), abs(winding), by_partner[partner[box.nw]], loops)
 
 
-def surface_framing_from_walk(walk: list[tuple[Edge, int]]) -> int:
+def surface_framing_from_walk(diagram: Diagram, walk: list[tuple[int, int]]) -> int:
     """Linking number of the knot with its push-off along the band surface.
 
     Valid when every diagram crossing lives in a twist region of the evident
@@ -296,15 +291,15 @@ def surface_framing_from_walk(walk: list[tuple[Edge, int]]) -> int:
     """
     passes: dict[int, list[int]] = {}
     for edge, sense in walk:
-        if edge.region is not None:
-            passes.setdefault(id(edge.region), []).append(sense)
+        region = diagram.region[edge]
+        if region >= 0:
+            passes.setdefault(region, []).append(sense)
     framing = 0
-    regions = {id(e.region): e.region for e, _ in walk if e.region is not None}
-    for key, senses in passes.items():
+    for region, senses in passes.items():
         if len(senses) != 2:
             raise InconsistentCrossCheckError(
                 "each region is traversed by exactly two strands"
             )
         if senses[0] == senses[1]:
-            framing += 2 * regions[key].crossings
+            framing += 2 * diagram.crossings[region]
     return framing

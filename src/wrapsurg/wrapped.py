@@ -169,7 +169,7 @@ def pretzel_slope(knot: WrappedKnot) -> Slope:
     walks = diagram.closed_walk()
     if len(walks) != 1:
         raise NotAKnotError("pretzel slope is defined for knots only")
-    return make_slope(tracing.surface_framing_from_walk(walks[0]), 1)
+    return make_slope(tracing.surface_framing_from_walk(diagram, walks[0]), 1)
 
 
 def mirror_knot(knot: WrappedKnot) -> WrappedKnot:

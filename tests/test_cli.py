@@ -182,6 +182,33 @@ def test_batch_survives_an_oversized_entry(tmp_path, capsys):
     assert captured.out.count("knot:") == 2  # lines 1 and 3 still answered
 
 
+SEVENS = "7" * 4000  # fits the parser; the twisted images do not fit str()
+
+
+def test_oversized_answer_exits_2_naming_the_limit(capsys):
+    code, out, err = run_cli(capsys, "twist", f"K0[{SEVENS}/3]", "--n", SEVENS)
+    assert code == 2 and not out
+    assert "4300 digits" in err and "Traceback" not in err
+    code, _, err = run_cli(capsys, "classify", "K0[0]", "1")
+    assert code == 3 and "not hyperbolic" in err  # DegenerateKnotError keeps 3
+
+
+def test_batch_survives_an_oversized_answer(tmp_path, capsys):
+    script = tmp_path / "requests.txt"
+    script.write_text(
+        f"slopes K0[2]\ntwist K0[{SEVENS}/3] --n {SEVENS} --format json\n"
+        "classify K0[0] 1\nnormalize K0[2]\n",
+        encoding="utf-8",
+    )
+    code = main(["batch", str(script)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "line 2: error" in captured.err and "4300 digits" in captured.err
+    assert "line 3: error" in captured.err
+    assert captured.out.count("knot:") == 2  # lines 1 and 4 still answered
+    assert SEVENS not in captured.out  # no partial record of line 2
+
+
 def test_batch_rejects_the_flags_it_would_ignore(tmp_path, capsys):
     script = tmp_path / "requests.txt"
     script.write_text("slopes K0[2]\n", encoding="utf-8")

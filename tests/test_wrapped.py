@@ -1,14 +1,10 @@
 import importlib
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from conftest import random_knot, random_tangle
+from conftest import random_knot, random_tangle, run_python
 from wrapsurg import (
     MERIDIAN,
     KnotClass,
@@ -94,15 +90,28 @@ except InconsistentCrossCheckError:
 sys.exit(1)
 """
 
+# 1/3 + 1/6 = 1/4 + 1/4: two different pretzel pairs for the sum 1/2.
+_SABOTAGED_PRETZEL_PAIR = """
+import importlib
+import sys
+from wrapsurg import InconsistentCrossCheckError, parse_knot
+if not sys.flags.optimize:
+    sys.exit(3)
+classify = importlib.import_module("wrapsurg.classify")
+classify._unit_fraction_shifts = lambda frac: [3, 4, 6]
+try:
+    classify.analysis_of(parse_knot("K1[1/3,1/6]"))
+except InconsistentCrossCheckError:
+    sys.exit(0)
+sys.exit(1)
+"""
 
-def test_cross_checks_survive_python_O():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", _SABOTAGED_WORD],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+
+@pytest.mark.parametrize(
+    "script", [_SABOTAGED_WORD, _SABOTAGED_PRETZEL_PAIR], ids=["word", "pretzel_pair"]
+)
+def test_cross_checks_survive_python_O(script):
+    done = run_python(script, "-O")
     assert done.returncode == 0, done.stderr
 
 
