@@ -15,6 +15,11 @@ surgeries then fall into four families:
   with fiber indices {3, 5} at 7 and toroidal at 6 and 8.
 
 Everything else, including every non-integral slope, is hyperbolic.
+
+Each knot's `Analysis` (cached) holds its exceptional table once and answers
+every slope from it; the module functions look the analysis up and ask it.
+A sweep over integral slopes therefore reads each row off the exceptional
+set: the exceptional type at that slope, else hyperbolic.
 """
 from __future__ import annotations
 
@@ -32,7 +37,13 @@ from .seifert import (
 )
 from .slopes import InconsistentCrossCheckError, Slope, make_slope
 from .tangles import MontesinosTangle, NormalForm, normalize
-from .wrapped import WrappedKnot, make_wrapped, pretzel_slope, winding_number
+from .wrapped import (
+    _KNOT_CACHE_SIZE,
+    WrappedKnot,
+    make_wrapped,
+    pretzel_slope,
+    winding_number,
+)
 
 
 class DegenerateKnotError(ValueError):
@@ -54,7 +65,7 @@ class ToroidalSource(Enum):
     TORUS_PIECE = "torus-piece"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ToroidalCertificate:
     """Why the surgered manifold contains an essential torus.
 
@@ -68,7 +79,7 @@ class ToroidalCertificate:
     piece: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurgeryClassification:
     type: SurgeryType
     slope: Slope
@@ -94,7 +105,31 @@ class KnotClass(Enum):
     GENERIC = "generic"
 
 
-@dataclass(frozen=True)
+class FamilyKind(Enum):
+    TOROIDAL_COFINITE = "toroidal-cofinite"
+    SEIFERT_OR_REDUCIBLE = "seifert-or-reducible"
+    HYPERBOLIC_INTERIOR = "hyperbolic-interior"
+
+
+@dataclass(frozen=True, slots=True)
+class FamilyPrediction:
+    """Behaviour of the surgeries on every re-embedding of the solid torus.
+
+    Toroidal surgeries stay toroidal outside a window of at most three
+    consecutive twist parameters centered at n0 (None when not pinned);
+    small Seifert surgeries make every member reducible or small Seifert
+    with the two recorded fiber indices.
+    """
+
+    kind: FamilyKind
+    n0: int | None = None
+    fiber_indices: tuple[int, int] | None = None
+
+
+_TORUS_KNOT_MEMBERS = {0: (2, 5), 1: (3, 4), 2: (3, 5)}
+
+
+@dataclass(frozen=True, slots=True)
 class _TableEntry:
     type: SurgeryType
     certificate: ToroidalCertificate | None = None
@@ -102,7 +137,7 @@ class _TableEntry:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Analysis:
     knot: WrappedKnot
     nf: NormalForm
@@ -127,6 +162,76 @@ class Analysis:
             return rc
         shifted = rc + (-self.slope_offset)
         return -shifted if self.sigma < 0 else shifted
+
+    def classify(self, r: Slope) -> SurgeryClassification:
+        """Classify r-surgery: the table entry at r's canonical slope, if any."""
+        if r.is_meridian():
+            return SurgeryClassification(SurgeryType.TRIVIAL_FILLING, r)
+        if self.knot_class is KnotClass.DEGENERATE:
+            return SurgeryClassification(SurgeryType.NON_HYPERBOLIC_KNOT, r)
+        rc = self.to_canonical(r)
+        entry = self.table.get(rc.p) if rc.is_integral() else None
+        if entry is None:
+            return SurgeryClassification(SurgeryType.HYPERBOLIC, r, notes=self.notes)
+        return SurgeryClassification(
+            entry.type,
+            r,
+            certificate=entry.certificate,
+            seifert_indices=entry.indices,
+            notes=entry.notes + self.notes,
+        )
+
+    def exceptional_slopes(self) -> list[tuple[Slope, SurgeryClassification]]:
+        """The table entries at the input knot's own slopes, in increasing
+        order; every slope is integral."""
+        self._require_hyperbolic()
+        out = []
+        for rc in self.table:
+            r = self.from_canonical(make_slope(rc, 1))
+            out.append((r, self.classify(r)))
+        out.sort(key=lambda pair: pair[0])
+        return out
+
+    def predict(self, r: Slope) -> FamilyPrediction:
+        if r.is_meridian():
+            raise ValueError("the meridian filling is trivial for every embedding")
+        self._require_hyperbolic()
+        result = self.classify(r)
+        if result.type is SurgeryType.SMALL_SEIFERT:
+            return FamilyPrediction(
+                FamilyKind.SEIFERT_OR_REDUCIBLE, fiber_indices=result.seifert_indices
+            )
+        if result.type is SurgeryType.TOROIDAL:
+            n0 = None
+            if self.knot_class is KnotClass.PRETZEL_2_3 and self.to_canonical(r).p == 8:
+                # The three torus-knot members are the non-toroidal window.
+                n0 = self.sigma * (1 + self.twists)
+            return FamilyPrediction(FamilyKind.TOROIDAL_COFINITE, n0=n0)
+        return FamilyPrediction(FamilyKind.HYPERBOLIC_INTERIOR)
+
+    def surgery_in_s3(self, r: Slope, n: int) -> SFSClass | None:
+        if self.knot_class is not KnotClass.PRETZEL_2_3:
+            return None
+        rc = self.to_canonical(r)
+        if not rc.is_integral() or rc.p not in (6, 7):
+            return None
+        nc = self.sigma * n - self.twists
+        result = double_branched_cover(pretzel_surgery_link(nc, rc.p))
+        if nc in _TORUS_KNOT_MEMBERS:
+            p, q = _TORUS_KNOT_MEMBERS[nc]
+            check = torus_knot_surgery(p, q, make_slope(rc.p + 4 * nc, 1))
+            if not sfs_equal(result, check):
+                raise InconsistentCrossCheckError(
+                    f"branch-locus cover {result} disagrees with torus-knot "
+                    f"surgery {check} at twist {nc}"
+                )
+        return result
+
+    def _require_hyperbolic(self) -> None:
+        if self.knot_class is KnotClass.DEGENERATE:
+            raise DegenerateKnotError(
+                f"{self.knot} is not hyperbolic in the solid torus"
+            )
 
 
 def _unit_fraction_shifts(frac: Slope) -> list[int]:
@@ -174,13 +279,7 @@ def _oracle_self_check() -> None:
             )
 
 
-# Large enough for every knot of the k<=2 grid (4512 candidates, links
-# included), so that neither a sweep of the grid nor the test suite analyses
-# a knot twice; bounded, so that a long batch run uses bounded memory.
-_ANALYSIS_CACHE_SIZE = 8192
-
-
-@lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
+@lru_cache(maxsize=_KNOT_CACHE_SIZE)
 def _analyze(knot: WrappedKnot) -> Analysis:
     _oracle_self_check()
     nf = normalize(knot.tangle)
@@ -316,85 +415,19 @@ def _pretzel_2_3_table() -> dict[int, _TableEntry]:
 
 def classify(knot: WrappedKnot, r: Slope) -> SurgeryClassification:
     """Classify r-surgery on the wrapped knot in its solid torus."""
-    if r.is_meridian():
-        return SurgeryClassification(SurgeryType.TRIVIAL_FILLING, r)
-    analysis = _analyze(knot)
-    if analysis.knot_class is KnotClass.DEGENERATE:
-        return SurgeryClassification(SurgeryType.NON_HYPERBOLIC_KNOT, r)
-    rc = analysis.to_canonical(r)
-    entry = analysis.table.get(rc.p) if rc.is_integral() else None
-    if entry is None:
-        return SurgeryClassification(
-            SurgeryType.HYPERBOLIC, r, notes=analysis.notes
-        )
-    return SurgeryClassification(
-        entry.type,
-        r,
-        certificate=entry.certificate,
-        seifert_indices=entry.indices,
-        notes=entry.notes + analysis.notes,
-    )
+    return _analyze(knot).classify(r)
 
 
 def exceptional_slopes(
     knot: WrappedKnot,
 ) -> list[tuple[Slope, SurgeryClassification]]:
     """The complete finite set of exceptional slopes, in increasing order."""
-    analysis = _analyze(knot)
-    if analysis.knot_class is KnotClass.DEGENERATE:
-        raise DegenerateKnotError(f"{knot} is not hyperbolic in the solid torus")
-    out = []
-    for rc in analysis.table:
-        r = analysis.from_canonical(make_slope(rc, 1))
-        out.append((r, classify(knot, r)))
-    out.sort(key=lambda pair: pair[0])
-    return out
-
-
-class FamilyKind(Enum):
-    TOROIDAL_COFINITE = "toroidal-cofinite"
-    SEIFERT_OR_REDUCIBLE = "seifert-or-reducible"
-    HYPERBOLIC_INTERIOR = "hyperbolic-interior"
-
-
-@dataclass(frozen=True)
-class FamilyPrediction:
-    """Behaviour of the surgeries on every re-embedding of the solid torus.
-
-    Toroidal surgeries stay toroidal outside a window of at most three
-    consecutive twist parameters centered at n0 (None when not pinned);
-    small Seifert surgeries make every member reducible or small Seifert
-    with the two recorded fiber indices.
-    """
-
-    kind: FamilyKind
-    n0: int | None = None
-    fiber_indices: tuple[int, int] | None = None
-
-
-_TORUS_KNOT_MEMBERS = {0: (2, 5), 1: (3, 4), 2: (3, 5)}
+    return _analyze(knot).exceptional_slopes()
 
 
 def predict_s3_family(knot: WrappedKnot, r: Slope) -> FamilyPrediction:
     """Dichotomy satisfied by the surgeries on all twisted embeddings."""
-    if r.is_meridian():
-        raise ValueError("the meridian filling is trivial for every embedding")
-    analysis = _analyze(knot)
-    if analysis.knot_class is KnotClass.DEGENERATE:
-        raise DegenerateKnotError(f"{knot} is not hyperbolic in the solid torus")
-    result = classify(knot, r)
-    if result.type is SurgeryType.SMALL_SEIFERT:
-        return FamilyPrediction(
-            FamilyKind.SEIFERT_OR_REDUCIBLE, fiber_indices=result.seifert_indices
-        )
-    if result.type is SurgeryType.TOROIDAL:
-        n0 = None
-        rc = analysis.to_canonical(r)
-        if analysis.knot_class is KnotClass.PRETZEL_2_3 and rc.p == 8:
-            # The three torus-knot members are the non-toroidal window.
-            n0 = analysis.sigma * (1 + analysis.twists)
-        return FamilyPrediction(FamilyKind.TOROIDAL_COFINITE, n0=n0)
-    return FamilyPrediction(FamilyKind.HYPERBOLIC_INTERIOR)
+    return _analyze(knot).predict(r)
 
 
 def surgery_in_s3(knot: WrappedKnot, r: Slope, n: int) -> SFSClass | None:
@@ -405,23 +438,7 @@ def surgery_in_s3(knot: WrappedKnot, r: Slope, n: int) -> SFSClass | None:
     explicit Montesinos link; members that are torus knots are cross-checked
     against the independent torus-knot surgery classification.
     """
-    analysis = _analyze(knot)
-    if analysis.knot_class is not KnotClass.PRETZEL_2_3:
-        return None
-    rc = analysis.to_canonical(r)
-    if not rc.is_integral() or rc.p not in (6, 7):
-        return None
-    nc = analysis.sigma * n - analysis.twists
-    result = double_branched_cover(pretzel_surgery_link(nc, rc.p))
-    if nc in _TORUS_KNOT_MEMBERS:
-        p, q = _TORUS_KNOT_MEMBERS[nc]
-        check = torus_knot_surgery(p, q, make_slope(rc.p + 4 * nc, 1))
-        if not sfs_equal(result, check):
-            raise InconsistentCrossCheckError(
-                f"branch-locus cover {result} disagrees with torus-knot "
-                f"surgery {check} at twist {nc}"
-            )
-    return result
+    return _analyze(knot).surgery_in_s3(r, n)
 
 
 def analysis_of(knot: WrappedKnot) -> Analysis:

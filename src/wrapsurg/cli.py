@@ -13,17 +13,14 @@ import sys
 from dataclasses import dataclass
 
 from .classify import (
+    Analysis,
     DegenerateKnotError,
     FamilyPrediction,
     SurgeryClassification,
     SurgeryType,
     analysis_of,
-    classify,
-    exceptional_slopes,
-    predict_s3_family,
-    surgery_in_s3,
 )
-from .slopes import ParseError, Slope, make_slope, parse_slope
+from .slopes import ParseError, Slope, parse_slope
 from .tangles import NormalForm
 from .wrapped import (
     NotAKnotError,
@@ -195,21 +192,24 @@ def _dispatch(request: Request, knot: WrappedKnot, slope: Slope | None) -> dict:
         )
     if command == "classify":
         assert slope is not None
-        result = classify(knot, slope)
+        result = analysis.classify(slope)
         payload["classification"] = _classification_json(result)
-        payload["family_prediction"] = _prediction_json_or_none(knot, slope, result)
+        payload["family_prediction"] = _prediction_json_or_none(analysis, slope, result)
         return payload
     if command == "slopes":
-        payload["exceptional_slopes"] = _exceptional_json(knot)
+        payload["exceptional_slopes"] = _exceptional_json(analysis.exceptional_slopes())
         return payload
     if command == "table":
-        payload["exceptional_slopes"] = _exceptional_json(knot)
+        exceptional = analysis.exceptional_slopes()
+        payload["exceptional_slopes"] = _exceptional_json(exceptional)
+        # Exceptional slopes are integral, and every other slope is hyperbolic.
+        types = {r.p: result.type.value for r, result in exceptional}
+        hyperbolic = SurgeryType.HYPERBOLIC.value
         lo, hi = request.slope_range or (0, 0)
-        sweep = []
-        for value in range(lo, hi + 1):
-            result = classify(knot, make_slope(value, 1))
-            sweep.append({"slope": str(value), "type": result.type.value})
-        payload["sweep"] = sweep
+        payload["sweep"] = [
+            {"slope": str(value), "type": types.get(value, hyperbolic)}
+            for value in range(lo, hi + 1)
+        ]
         return payload
     if command == "twist":
         lo, hi = request.n_range or (0, 0)
@@ -229,18 +229,17 @@ def _dispatch(request: Request, knot: WrappedKnot, slope: Slope | None) -> dict:
         return payload
     if command == "predict":
         assert slope is not None
-        result = classify(knot, slope)
+        result = analysis.classify(slope)
         payload["classification"] = _classification_json(result)
         if slope.is_meridian():
             payload["family_prediction"] = None
             return payload
-        prediction = predict_s3_family(knot, slope)
-        payload["family_prediction"] = _prediction_json(prediction)
+        payload["family_prediction"] = _prediction_json(analysis.predict(slope))
         if request.n_range is not None:
             lo, hi = request.n_range
             surgeries = []
             for n in range(lo, hi + 1):
-                known = surgery_in_s3(knot, slope, n)
+                known = analysis.surgery_in_s3(slope, n)
                 surgeries.append(
                     {"n": n, "result": str(known) if known else None}
                 )
@@ -254,7 +253,9 @@ def _run_batch(request: Request, out) -> int:
         lines = sys.stdin.read().splitlines()
     else:
         try:
-            with open(request.batch_file, encoding="utf-8") as handle:
+            with open(
+                request.batch_file, encoding="utf-8", errors="surrogateescape"
+            ) as handle:
                 lines = handle.read().splitlines()
         except OSError as err:
             raise CommandError(f"cannot read batch file: {err}", 2)
@@ -338,17 +339,19 @@ def _prediction_json(prediction: FamilyPrediction) -> dict:
 
 
 def _prediction_json_or_none(
-    knot: WrappedKnot, slope: Slope, result: SurgeryClassification
+    analysis: Analysis, slope: Slope, result: SurgeryClassification
 ) -> dict | None:
     if slope.is_meridian() or result.type is SurgeryType.NON_HYPERBOLIC_KNOT:
         return None
-    return _prediction_json(predict_s3_family(knot, slope))
+    return _prediction_json(analysis.predict(slope))
 
 
-def _exceptional_json(knot: WrappedKnot) -> list[dict]:
+def _exceptional_json(
+    exceptional: list[tuple[Slope, SurgeryClassification]],
+) -> list[dict]:
     return [
         {"slope": str(r), "classification": _classification_json(c)}
-        for r, c in exceptional_slopes(knot)
+        for r, c in exceptional
     ]
 
 

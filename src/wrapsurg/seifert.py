@@ -23,7 +23,7 @@ class NotATorusKnotError(ValueError):
     """Raised when torus-knot surgery is requested with |p| or |q| < 2."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MontesinosLink:
     entries: tuple[Slope, ...]
 
@@ -31,7 +31,7 @@ class MontesinosLink:
         return "M[" + ",".join(str(s) for s in self.entries) + "]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeifertInvariants:
     """Normalized data: integer Euler part plus fibers (alpha, beta).
 
@@ -74,7 +74,7 @@ class SFSKind(Enum):
     S3 = "s3"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SFSClass:
     kind: SFSKind
     invariants: SeifertInvariants | None = None
@@ -144,7 +144,8 @@ def _bezout(x: int, y: int) -> tuple[int, int]:
         old_r, r = r, old_r - quotient * r
         old_s, s = s, old_s - quotient * s
         old_t, t = t, old_t - quotient * t
-    assert old_r == 1
+    if old_r != 1:
+        raise InconsistentCrossCheckError(f"{x} and {y} are not coprime")
     return old_s, old_t
 
 

@@ -31,7 +31,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slope:
     """A normalized extended rational p/q.
 

@@ -17,7 +17,7 @@ from .slopes import ParseError, Slope, parse_slope
 from .tracing import Pairing, trace_closure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalTangle:
     """A rational tangle of finite slope (the slope 1/0 is not a tangle)."""
 
@@ -31,7 +31,7 @@ class RationalTangle:
         return str(self.slope)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MontesinosTangle:
     """An ordered horizontal sum of rational tangles."""
 
@@ -55,7 +55,7 @@ class MontesinosTangle:
         return "[" + ",".join(str(e) for e in self.entries) + "]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LengthOneCanonical:
     """Canonical representative of a tangle reducible to a single entry.
 
@@ -69,7 +69,7 @@ class LengthOneCanonical:
     twists: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalForm:
     """Shift-reduced form: integer part e0 plus fractional entries in (0, 1).
 
@@ -168,7 +168,7 @@ def twist_tangle(tangle: MontesinosTangle, m: int) -> MontesinosTangle:
     return MontesinosTangle.from_slopes([Slope.from_fraction(1 / (2 * m + 1 / t))])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     kind: str  # "shift" | "reverse" | "mirror" | "twist"
     amount: int = 0

@@ -10,6 +10,7 @@ entry 1/(a + 2n), and transports a slope r to r + n * wind(K)^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import tracing
 from .slopes import InconsistentCrossCheckError, ParseError, Slope, make_slope
@@ -35,7 +36,14 @@ class NoPretzelSurfaceError(ValueError):
     """The knot has no evident pretzel spanning surface."""
 
 
-@dataclass(frozen=True)
+# Large enough for every knot of the k<=2 grid (4512 candidates, links
+# included), so that neither a sweep of the grid nor the test suite parses or
+# analyses a knot twice; bounded, so that a long batch run uses bounded
+# memory.  The parse cache here and the analysis cache in `classify` share it.
+_KNOT_CACHE_SIZE = 8192
+
+
+@dataclass(frozen=True, slots=True)
 class WrappedKnot:
     """The closure must be a knot; construction traces it once and keeps
     its winding number."""
@@ -85,7 +93,7 @@ def wrapping_number(knot: WrappedKnot) -> int:
     return 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwistedImage:
     """Image of the knot after n full twists of the solid torus in S^3.
 
@@ -180,8 +188,14 @@ def reverse_knot(knot: WrappedKnot) -> WrappedKnot:
     return make_wrapped(knot.a, reverse_tangle(knot.tangle))
 
 
+@lru_cache(maxsize=_KNOT_CACHE_SIZE)
 def parse_knot(text: str, offset: int = 0) -> WrappedKnot:
-    """Parse `K0[...]` / `K1[...]` in the tangle syntax."""
+    """Parse `K0[...]` / `K1[...]` in the tangle syntax.
+
+    Knots are immutable, so each distinct (text, offset) is parsed and traced
+    once and the same object is returned again; a failed parse is not cached
+    and raises anew on every call.
+    """
     s = text.strip()
     if not s.startswith(("K0[", "K1[")):
         raise ParseError("knot syntax is K0[...] or K1[...]", offset)

@@ -216,3 +216,13 @@ def test_batch_rejects_the_flags_it_would_ignore(tmp_path, capsys):
         code, out, err = run_cli(capsys, "batch", str(script), *flags)
         assert code == 2 and not out
         assert flags[0] in err and "each request line" in err
+
+
+def test_batch_file_that_is_not_utf8_fails_only_that_line(tmp_path, capsys):
+    script = tmp_path / "requests.txt"
+    script.write_bytes(b"classify K0[2] 4\n\xff\nslopes K0[2]\n")
+    code = main(["batch", str(script)])
+    captured = capsys.readouterr()
+    assert code == 2  # as for the same bytes on stdin
+    assert "line 2: error" in captured.err and "Traceback" not in captured.err
+    assert captured.out.count("knot:") == 2  # lines 1 and 3 still answered

@@ -12,6 +12,7 @@ from wrapsurg import (
     NotAKnotError,
     NotLengthOneError,
     Pairing,
+    ParseError,
     WrappedKnot,
     analysis_of,
     make_slope,
@@ -64,6 +65,7 @@ def test_bare_constructor_rejects_links():
 def test_cold_parse_and_analysis_trace_one_diagram(monkeypatch):
     analysis_of(K("K0[2]"))  # anchors the push-off oracle beforehand
     importlib.import_module("wrapsurg.classify")._analyze.cache_clear()
+    K.cache_clear()  # a cold parse: nothing traced before the count starts
     glued = []
     original = tracing.glue_horizontally
 
@@ -107,8 +109,25 @@ sys.exit(1)
 """
 
 
+_NON_COPRIME_BEZOUT = """
+import importlib
+import sys
+from wrapsurg import InconsistentCrossCheckError
+if not sys.flags.optimize:
+    sys.exit(3)
+seifert = importlib.import_module("wrapsurg.seifert")
+try:
+    seifert._bezout(4, 6)
+except InconsistentCrossCheckError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
 @pytest.mark.parametrize(
-    "script", [_SABOTAGED_WORD, _SABOTAGED_PRETZEL_PAIR], ids=["word", "pretzel_pair"]
+    "script",
+    [_SABOTAGED_WORD, _SABOTAGED_PRETZEL_PAIR, _NON_COPRIME_BEZOUT],
+    ids=["word", "pretzel_pair", "bezout"],
 )
 def test_cross_checks_survive_python_O(script):
     done = run_python(script, "-O")
@@ -244,6 +263,40 @@ def test_pretzel_slope_shape_errors():
         pretzel_slope(K("K1[-1/2,2/5]"))
     with pytest.raises(NoPretzelSurfaceError):
         pretzel_slope(K("K1[7/2]"))
+
+
+def test_parse_knot_returns_the_same_knot_for_the_same_text():
+    text = "K1[-1/2,1/3]"
+    assert K(text) is K(text)
+    assert K(text) == make_wrapped(1, T("[-1/2,1/3]"))
+
+
+def test_failed_parses_are_not_cached():
+    before = K.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ParseError) as caught:
+            K("K0[1/2,x/3]")
+        assert caught.value.position == 7
+        with pytest.raises(NotAKnotError):
+            K("K0[-1/2]")
+    assert K.cache_info().currsize == before
+
+
+_FILL_THE_PARSE_CACHE = """
+from wrapsurg import parse_knot
+bound = parse_knot.cache_info().maxsize
+assert bound is not None
+for m in range(bound + 100):  # K0[m] is a knot for every integer m
+    parse_knot(f"K0[{m}]")
+    assert parse_knot.cache_info().currsize <= bound
+assert parse_knot.cache_info().currsize == bound
+"""
+
+
+def test_parse_cache_is_bounded():
+    # In a child process, so that this suite's own cache keeps its knots.
+    done = run_python(_FILL_THE_PARSE_CACHE)
+    assert done.returncode == 0, done.stderr
 
 
 def test_parse_knot_round_trip():
