@@ -2,24 +2,17 @@
 
 Every knot is first reduced to a canonical representative under the
 equivalence moves, tracking how surgery slopes transport (mirror negates a
-slope, a meridional twist by m shifts it by m * wind^2).  Exceptional
-surgeries then fall into four families:
+slope, a meridional twist by m shifts it by m * wind^2).  `_decide` names the
+knot's class, and the class's table lists its exceptional surgeries at
+canonical slopes: `_WHITEHEAD_TABLE`, `_PRETZEL_2_3_TABLE`, or the one
+spanning-surface slope of `_spanning_surface_table` for a single integer
+entry or a genuine pretzel.  Every other slope, including every non-integral
+one, is hyperbolic.
 
-* the Whitehead closure K^0(2): slopes 0..4, toroidal at the ends and small
-  Seifert fibered in between;
-* a single integer entry K^a(m) with m > 2: one toroidal surgery along the
-  boundary of the evident spanning surface;
-* a genuine two-column pretzel K^a(1/q1, 1/q2), |q_i| >= 2, other than the
-  (-2, 3) pair: one toroidal surgery at the pretzel slope;
-* the wrapped (-2, 3) pretzel K^1(-1/2, 1/3): slopes 6, 7, 8, small Seifert
-  with fiber indices {3, 5} at 7 and toroidal at 6 and 8.
-
-Everything else, including every non-integral slope, is hyperbolic.
-
-Each knot's `Analysis` (cached) holds its exceptional table once and answers
-every slope from it; the module functions look the analysis up and ask it.
-A sweep over integral slopes therefore reads each row off the exceptional
-set: the exceptional type at that slope, else hyperbolic.
+Each knot's `Analysis` (cached) holds its table and answers every slope from
+it; the module functions look the analysis up and ask it.  A sweep over
+integral slopes therefore reads each row off the exceptional set: the
+exceptional type at that slope, else hyperbolic.
 """
 from __future__ import annotations
 
@@ -27,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .seifert import (
     SFSClass,
@@ -126,15 +120,57 @@ class FamilyPrediction:
     fiber_indices: tuple[int, int] | None = None
 
 
-_TORUS_KNOT_MEMBERS = {0: (2, 5), 1: (3, 4), 2: (3, 5)}
-
-
 @dataclass(frozen=True, slots=True)
 class _TableEntry:
     type: SurgeryType
     certificate: ToroidalCertificate | None = None
     indices: tuple[int, int] | None = None
     notes: tuple[str, ...] = ()
+    n0: int | None = None     # canonical center of the non-toroidal window
+    s3_cover: bool = False    # S^3 surgeries known from the branch-locus cover
+
+
+def _toroidal(source, r, piece_indices=None, piece=None, **extra) -> _TableEntry:
+    certificate = ToroidalCertificate(source, make_slope(r, 1), piece_indices, piece)
+    return _TableEntry(SurgeryType.TOROIDAL, certificate, **extra)
+
+
+_UNSPECIFIED = _TableEntry(SurgeryType.SMALL_SEIFERT, notes=("fiber indices unspecified",))
+
+# The exceptional surgeries of each class with a table, at canonical slopes.
+_WHITEHEAD_TABLE = MappingProxyType({
+    0: _toroidal(ToroidalSource.WHITEHEAD_SLOPE, 0),
+    1: _UNSPECIFIED,
+    2: _UNSPECIFIED,
+    3: _UNSPECIFIED,
+    4: _toroidal(ToroidalSource.WHITEHEAD_SLOPE, 4),
+})
+_PRETZEL_2_3_TABLE = MappingProxyType({
+    6: _toroidal(
+        ToroidalSource.TORUS_PIECE, 6, (2, 4),
+        "essential torus bounding a small Seifert piece with fiber indices {2,4}",
+        s3_cover=True,
+    ),
+    7: _TableEntry(SurgeryType.SMALL_SEIFERT, indices=(3, 5), s3_cover=True),
+    8: _toroidal(
+        ToroidalSource.TORUS_PIECE, 8, None,
+        "essential torus bounding a twisted I-bundle over the Klein bottle",
+        n0=1,  # the torus-knot members n = 0, 1, 2 are the non-toroidal window
+    ),
+})
+# An integer entry or a pretzel gets `_spanning_surface_table`; any other
+# class without a table here has no exceptional slope.
+_TABLES = {KnotClass.WHITEHEAD: _WHITEHEAD_TABLE, KnotClass.PRETZEL_2_3: _PRETZEL_2_3_TABLE}
+_NO_TABLE: MappingProxyType[int, _TableEntry] = MappingProxyType({})
+# Notes carried by every answer for a knot of the class.
+_NOTES = {
+    KnotClass.WHITEHEAD_MATE: (
+        "single entry 2 closed with a = 1; the implemented moves "
+        "do not identify it with the Whitehead closure",
+    ),
+}
+# The twisted images of the (-2, 3) pretzel that are torus knots T(p, q).
+_TORUS_KNOT_MEMBERS = {0: (2, 5), 1: (3, 4), 2: (3, 5)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,7 +183,7 @@ class Analysis:
     twists: int         # meridional twist moves applied after mirroring
     slope_offset: int   # twists * wind^2
     canonical_knot: WrappedKnot | None
-    table: dict[int, _TableEntry]
+    table: MappingProxyType[int, _TableEntry]
     notes: tuple[str, ...]
     moves: tuple[str, ...]
 
@@ -163,14 +199,18 @@ class Analysis:
         shifted = rc + (-self.slope_offset)
         return -shifted if self.sigma < 0 else shifted
 
+    def _lookup(self, r: Slope) -> tuple[Slope, _TableEntry | None]:
+        """r's canonical slope and the table entry there, if any."""
+        rc = self.to_canonical(r)
+        return rc, self.table.get(rc.p) if rc.is_integral() else None
+
     def classify(self, r: Slope) -> SurgeryClassification:
         """Classify r-surgery: the table entry at r's canonical slope, if any."""
         if r.is_meridian():
             return SurgeryClassification(SurgeryType.TRIVIAL_FILLING, r)
         if self.knot_class is KnotClass.DEGENERATE:
             return SurgeryClassification(SurgeryType.NON_HYPERBOLIC_KNOT, r)
-        rc = self.to_canonical(r)
-        entry = self.table.get(rc.p) if rc.is_integral() else None
+        entry = self._lookup(r)[1]
         if entry is None:
             return SurgeryClassification(SurgeryType.HYPERBOLIC, r, notes=self.notes)
         return SurgeryClassification(
@@ -184,7 +224,7 @@ class Analysis:
     def exceptional_slopes(self) -> list[tuple[Slope, SurgeryClassification]]:
         """The table entries at the input knot's own slopes, in increasing
         order; every slope is integral."""
-        self._require_hyperbolic()
+        self.require_hyperbolic()
         out = []
         for rc in self.table:
             r = self.from_canonical(make_slope(rc, 1))
@@ -195,25 +235,20 @@ class Analysis:
     def predict(self, r: Slope) -> FamilyPrediction:
         if r.is_meridian():
             raise ValueError("the meridian filling is trivial for every embedding")
-        self._require_hyperbolic()
-        result = self.classify(r)
-        if result.type is SurgeryType.SMALL_SEIFERT:
+        self.require_hyperbolic()
+        entry = self._lookup(r)[1]
+        if entry is None:
+            return FamilyPrediction(FamilyKind.HYPERBOLIC_INTERIOR)
+        if entry.type is SurgeryType.SMALL_SEIFERT:
             return FamilyPrediction(
-                FamilyKind.SEIFERT_OR_REDUCIBLE, fiber_indices=result.seifert_indices
+                FamilyKind.SEIFERT_OR_REDUCIBLE, fiber_indices=entry.indices
             )
-        if result.type is SurgeryType.TOROIDAL:
-            n0 = None
-            if self.knot_class is KnotClass.PRETZEL_2_3 and self.to_canonical(r).p == 8:
-                # The three torus-knot members are the non-toroidal window.
-                n0 = self.sigma * (1 + self.twists)
-            return FamilyPrediction(FamilyKind.TOROIDAL_COFINITE, n0=n0)
-        return FamilyPrediction(FamilyKind.HYPERBOLIC_INTERIOR)
+        n0 = None if entry.n0 is None else self.sigma * (entry.n0 + self.twists)
+        return FamilyPrediction(FamilyKind.TOROIDAL_COFINITE, n0=n0)
 
     def surgery_in_s3(self, r: Slope, n: int) -> SFSClass | None:
-        if self.knot_class is not KnotClass.PRETZEL_2_3:
-            return None
-        rc = self.to_canonical(r)
-        if not rc.is_integral() or rc.p not in (6, 7):
+        rc, entry = self._lookup(r)
+        if entry is None or not entry.s3_cover:
             return None
         nc = self.sigma * n - self.twists
         result = double_branched_cover(pretzel_surgery_link(nc, rc.p))
@@ -227,10 +262,11 @@ class Analysis:
                 )
         return result
 
-    def _require_hyperbolic(self) -> None:
+    def require_hyperbolic(self) -> None:
+        """Raise `DegenerateKnotError` for a degenerate knot, never hyperbolic."""
         if self.knot_class is KnotClass.DEGENERATE:
             raise DegenerateKnotError(
-                f"{self.knot} is not hyperbolic in the solid torus"
+                f"{self.knot} reduces to a trivial wrapped pattern and is not hyperbolic"
             )
 
 
@@ -279,65 +315,44 @@ def _oracle_self_check() -> None:
             )
 
 
+def _decide(a: int, nf: NormalForm) -> tuple[KnotClass, int, int, tuple[Slope, ...]]:
+    """The knot class, the mirror sign, the meridional twists and the entries
+    of the canonical knot (none for a degenerate or generic knot)."""
+    if nf.degenerate:
+        return KnotClass.DEGENERATE, 1, 0, ()
+    if nf.k1 is not None:
+        t = nf.k1.t
+        if not t.is_integral():
+            knot_class = KnotClass.SINGLE_FRACTION
+        elif t.p != 2:
+            knot_class = KnotClass.INTEGER_TANGLE
+        else:
+            knot_class = KnotClass.WHITEHEAD if a == 0 else KnotClass.WHITEHEAD_MATE
+        return knot_class, -1 if nf.k1.mirrored else 1, nf.k1.twists, (t,)
+    pair = _find_pretzel_pair(nf)
+    if pair is None:
+        return KnotClass.GENERIC, 1, 0, ()
+    if sorted(pair) not in ([-2, 3], [-3, 2]):
+        return KnotClass.PRETZEL, 1, 0, tuple(make_slope(1, q) for q in pair)
+    sigma = -1 if sorted(pair) == [-3, 2] else 1  # mirror (-3, 2) to (-2, 3)
+    return KnotClass.PRETZEL_2_3, sigma, 0, tuple(make_slope(1, sigma * q) for q in pair)
+
+
 @lru_cache(maxsize=_KNOT_CACHE_SIZE)
 def _analyze(knot: WrappedKnot) -> Analysis:
     _oracle_self_check()
     nf = normalize(knot.tangle)
     wind = winding_number(knot)
-    notes: list[str] = []
+    knot_class, sigma, twists, entries = _decide(knot.a, nf)
+    canonical = make_wrapped(knot.a, MontesinosTangle.from_slopes(entries)) if entries else None
+    if knot_class in (KnotClass.INTEGER_TANGLE, KnotClass.PRETZEL):
+        table = _spanning_surface_table(canonical)
+    else:
+        table = _TABLES.get(knot_class, _NO_TABLE)
+
     moves: list[str] = []
     if knot.tangle.slopes() != nf.as_tangle().slopes():
         moves.append("integer shifts (sum preserved, zero entries dropped)")
-
-    sigma, twists = 1, 0
-    knot_class = KnotClass.GENERIC
-    canonical: WrappedKnot | None = None
-    table: dict[int, _TableEntry] = {}
-
-    if nf.degenerate:
-        knot_class = KnotClass.DEGENERATE
-    elif nf.k1 is not None:
-        sigma = -1 if nf.k1.mirrored else 1
-        twists = nf.k1.twists
-        t = nf.k1.t
-        canonical = make_wrapped(knot.a, MontesinosTangle.from_slopes([t]))
-        if t.is_integral():
-            if t.p == 2 and knot.a == 0:
-                knot_class = KnotClass.WHITEHEAD
-                table = _whitehead_table()
-            elif t.p == 2:
-                knot_class = KnotClass.WHITEHEAD_MATE
-                notes.append(
-                    "single entry 2 closed with a = 1; the implemented moves "
-                    "do not identify it with the Whitehead closure"
-                )
-            else:
-                knot_class = KnotClass.INTEGER_TANGLE
-                table = _integer_tangle_table(canonical)
-        else:
-            knot_class = KnotClass.SINGLE_FRACTION
-    else:
-        pair = _find_pretzel_pair(nf)
-        if pair is None:
-            knot_class = KnotClass.GENERIC
-        elif sorted(pair) == [-2, 3] or sorted(pair) == [-3, 2]:
-            knot_class = KnotClass.PRETZEL_2_3
-            if sorted(pair) == [-3, 2]:
-                sigma = -1
-                pair = (-pair[0], -pair[1])
-            canonical = make_wrapped(
-                knot.a,
-                MontesinosTangle.from_slopes([make_slope(1, q) for q in pair]),
-            )
-            table = _pretzel_2_3_table()
-        else:
-            knot_class = KnotClass.PRETZEL
-            canonical = make_wrapped(
-                knot.a,
-                MontesinosTangle.from_slopes([make_slope(1, q) for q in pair]),
-            )
-            table = _pretzel_table(canonical)
-
     if sigma < 0:
         moves.append("mirror (surgery slopes negate)")
     if twists:
@@ -354,63 +369,24 @@ def _analyze(knot: WrappedKnot) -> Analysis:
         slope_offset=twists * wind * wind,
         canonical_knot=canonical,
         table=table,
-        notes=tuple(notes),
+        notes=_NOTES.get(knot_class, ()),
         moves=tuple(moves),
     )
 
 
-def _whitehead_table() -> dict[int, _TableEntry]:
-    table: dict[int, _TableEntry] = {}
-    for r in (0, 4):
-        certificate = ToroidalCertificate(
-            ToroidalSource.WHITEHEAD_SLOPE, make_slope(r, 1)
-        )
-        table[r] = _TableEntry(SurgeryType.TOROIDAL, certificate)
-    for r in (1, 2, 3):
-        table[r] = _TableEntry(
-            SurgeryType.SMALL_SEIFERT,
-            indices=None,
-            notes=("fiber indices unspecified",),
-        )
-    return table
-
-
-def _integer_tangle_table(canonical: WrappedKnot) -> dict[int, _TableEntry]:
+def _spanning_surface_table(canonical: WrappedKnot) -> MappingProxyType[int, _TableEntry]:
+    """One toroidal slope, along the boundary of the evident spanning surface;
+    for a single integer entry m it must be 0 when a = 0, else 2m."""
     framing = pretzel_slope(canonical)
-    m = canonical.tangle.entries[0].slope.p
-    expected = 0 if canonical.a == 0 else 2 * m
-    if framing.p != expected:
-        raise InconsistentCrossCheckError(
-            f"spanning-surface slope {framing} of {canonical} does not match "
-            f"the classified value {expected}"
-        )
-    certificate = ToroidalCertificate(ToroidalSource.PRETZEL_SURFACE, framing)
-    return {framing.p: _TableEntry(SurgeryType.TOROIDAL, certificate)}
-
-
-def _pretzel_table(canonical: WrappedKnot) -> dict[int, _TableEntry]:
-    framing = pretzel_slope(canonical)
-    certificate = ToroidalCertificate(ToroidalSource.PRETZEL_SURFACE, framing)
-    return {framing.p: _TableEntry(SurgeryType.TOROIDAL, certificate)}
-
-
-def _pretzel_2_3_table() -> dict[int, _TableEntry]:
-    six = ToroidalCertificate(
-        ToroidalSource.TORUS_PIECE,
-        make_slope(6, 1),
-        piece_indices=(2, 4),
-        piece="essential torus bounding a small Seifert piece with fiber indices {2,4}",
-    )
-    eight = ToroidalCertificate(
-        ToroidalSource.TORUS_PIECE,
-        make_slope(8, 1),
-        piece="essential torus bounding a twisted I-bundle over the Klein bottle",
-    )
-    return {
-        6: _TableEntry(SurgeryType.TOROIDAL, six),
-        7: _TableEntry(SurgeryType.SMALL_SEIFERT, indices=(3, 5)),
-        8: _TableEntry(SurgeryType.TOROIDAL, eight),
-    }
+    if len(canonical.tangle.entries) == 1:
+        m = canonical.tangle.entries[0].slope.p
+        expected = 0 if canonical.a == 0 else 2 * m
+        if framing.p != expected:
+            raise InconsistentCrossCheckError(
+                f"spanning-surface slope {framing} of {canonical} does not match "
+                f"the classified value {expected}"
+            )
+    return MappingProxyType({framing.p: _toroidal(ToroidalSource.PRETZEL_SURFACE, framing.p)})
 
 
 def classify(knot: WrappedKnot, r: Slope) -> SurgeryClassification:

@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass
 
 from .classify import (
-    Analysis,
     DegenerateKnotError,
     FamilyPrediction,
     SurgeryClassification,
@@ -186,15 +185,23 @@ def _dispatch(request: Request, knot: WrappedKnot, slope: Slope | None) -> dict:
     payload["equivalence_moves"] = list(analysis.moves)
     if command == "normalize":
         return payload
-    if analysis.nf.degenerate:
-        raise DegenerateKnotError(
-            f"{knot} reduces to a trivial wrapped pattern and is not hyperbolic"
-        )
-    if command == "classify":
+    analysis.require_hyperbolic()
+    if command in ("classify", "predict"):
         assert slope is not None
-        result = analysis.classify(slope)
-        payload["classification"] = _classification_json(result)
-        payload["family_prediction"] = _prediction_json_or_none(analysis, slope, result)
+        payload["classification"] = _classification_json(analysis.classify(slope))
+        if slope.is_meridian():
+            payload["family_prediction"] = None
+            return payload
+        payload["family_prediction"] = _prediction_json(analysis.predict(slope))
+        if command == "predict" and request.n_range is not None:
+            lo, hi = request.n_range
+            surgeries = []
+            for n in range(lo, hi + 1):
+                known = analysis.surgery_in_s3(slope, n)
+                surgeries.append(
+                    {"n": n, "result": str(known) if known else None}
+                )
+            payload["surgeries"] = surgeries
         return payload
     if command == "slopes":
         payload["exceptional_slopes"] = _exceptional_json(analysis.exceptional_slopes())
@@ -227,24 +234,6 @@ def _dispatch(request: Request, knot: WrappedKnot, slope: Slope | None) -> dict:
             images.append(record)
         payload["images"] = images
         return payload
-    if command == "predict":
-        assert slope is not None
-        result = analysis.classify(slope)
-        payload["classification"] = _classification_json(result)
-        if slope.is_meridian():
-            payload["family_prediction"] = None
-            return payload
-        payload["family_prediction"] = _prediction_json(analysis.predict(slope))
-        if request.n_range is not None:
-            lo, hi = request.n_range
-            surgeries = []
-            for n in range(lo, hi + 1):
-                known = analysis.surgery_in_s3(slope, n)
-                surgeries.append(
-                    {"n": n, "result": str(known) if known else None}
-                )
-            payload["surgeries"] = surgeries
-        return payload
     raise CommandError(f"unhandled command {command!r}", 2)
 
 
@@ -265,7 +254,11 @@ def _run_batch(request: Request, out) -> int:
         if not text or text.startswith("#"):
             continue
         try:
-            sub = parse(shlex.split(text))
+            try:
+                words = shlex.split(text)
+            except ValueError as err:  # an unclosed quote or a trailing escape
+                raise CommandError(f"bad request line: {err}", 2)
+            sub = parse(words)
             if sub.command == "batch":
                 raise CommandError("batch lines cannot nest batch", 2)
             run(sub, out=out)
@@ -336,14 +329,6 @@ def _prediction_json(prediction: FamilyPrediction) -> dict:
         if prediction.fiber_indices
         else None,
     }
-
-
-def _prediction_json_or_none(
-    analysis: Analysis, slope: Slope, result: SurgeryClassification
-) -> dict | None:
-    if slope.is_meridian() or result.type is SurgeryType.NON_HYPERBOLIC_KNOT:
-        return None
-    return _prediction_json(analysis.predict(slope))
 
 
 def _exceptional_json(

@@ -190,10 +190,7 @@ def _signature(tangle: MontesinosTangle):
         return ("degenerate", int(v) % 2)
     if nf.k1 is not None:
         return ("single", (nf.k1.t.p, nf.k1.t.q))
-    variants = []
-    for fracs, e0 in _nf_variants(nf):
-        variants.append((e0, tuple((f.p, f.q) for f in fracs)))
-    return ("multi", min(variants))
+    return ("multi", _least_variant(nf)[1])
 
 
 def _nf_variants(nf: NormalForm):
@@ -205,6 +202,14 @@ def _nf_variants(nf: NormalForm):
     yield tuple(reversed(fracs)), e0
     yield mirrored, mirrored_e0
     yield tuple(reversed(mirrored)), mirrored_e0
+
+
+def _least_variant(nf: NormalForm) -> tuple[int, tuple]:
+    """The index in `_nf_variants` (0 as is, 1 reversed, 2 mirrored, 3 both)
+    and the key of the least of the four images."""
+    keys = [(e0, tuple((f.p, f.q) for f in fracs)) for fracs, e0 in _nf_variants(nf)]
+    key = min(keys)
+    return keys.index(key), key
 
 
 def equivalent(t1: MontesinosTangle, t2: MontesinosTangle) -> list[Move] | None:
@@ -245,9 +250,7 @@ def _reduction_moves(tangle: MontesinosTangle) -> list[Move]:
         return moves
     if nf.degenerate:
         return moves
-    best = min(_nf_variants(nf), key=lambda fr: (fr[1], tuple((f.p, f.q) for f in fr[0])))
-    variants = list(_nf_variants(nf))
-    index = variants.index(best)
+    index = _least_variant(nf)[0]
     if index == 1:
         moves.append(Move("reverse"))
     elif index == 2:

@@ -292,8 +292,10 @@ GRID = _grid_knots()
 
 
 def test_exceptional_count_law_on_grid():
+    seen = set()
     for knot in GRID:
         analysis = analysis_of(knot)
+        seen.add(analysis.knot_class)
         if analysis.knot_class is KnotClass.DEGENERATE:
             assert classify(knot, s(1)).type is SurgeryType.NON_HYPERBOLIC_KNOT
             continue
@@ -308,6 +310,19 @@ def test_exceptional_count_law_on_grid():
             r, result = table[0]
             assert result.type is SurgeryType.TOROIDAL
             assert r.is_integral()
+    assert seen == set(KnotClass)
+    # The tables are read-only: no caller can change the answers of a class.
+    for text, knot_class in (
+        ("K0[2]", KnotClass.WHITEHEAD),
+        ("K1[-1/2,1/3]", KnotClass.PRETZEL_2_3),
+        ("K0[5]", KnotClass.INTEGER_TANGLE),
+        ("K1[1/3,1/5]", KnotClass.PRETZEL),
+    ):
+        analysis = analysis_of(K(text))
+        assert analysis.knot_class is knot_class
+        rc = next(iter(analysis.table))
+        with pytest.raises(TypeError):
+            analysis.table[rc] = analysis.table[rc]
 
 
 def test_case_disjointness_on_grid():

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -226,3 +227,18 @@ def test_batch_file_that_is_not_utf8_fails_only_that_line(tmp_path, capsys):
     assert code == 2  # as for the same bytes on stdin
     assert "line 2: error" in captured.err and "Traceback" not in captured.err
     assert captured.out.count("knot:") == 2  # lines 1 and 3 still answered
+
+
+def test_batch_line_with_an_unclosed_quote_fails_only_that_line(
+    tmp_path, monkeypatch, capsys
+):
+    lines = 'classify K0[2] 4\nclassify "K0[2] 1\nslopes K0[2]\n'
+    script = tmp_path / "requests.txt"
+    script.write_text(lines, encoding="utf-8")
+    for argv, stdin in ((["batch", str(script)], ""), (["batch"], lines)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert "line 2: error" in captured.err and "Traceback" not in captured.err
+        assert captured.out.count("knot:") == 2  # lines 1 and 3 still answered

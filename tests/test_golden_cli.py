@@ -1,10 +1,13 @@
 """Golden guard: CLI answers over the exhaustive k<=2 grid, links included.
 
-For each of five commands, every grid candidate's knot text, exit code,
+For each of eight commands, every grid candidate's knot text, exit code,
 stdout and stderr are folded into one sha256 digest.  The first three were
-recorded before the closure trace was unified, the `table` and `predict`
-ones before sweeps were read off the exceptional set, so any refactor that
-changes a single byte of any answer (or of any error message) fails here.
+recorded before the closure trace was unified, the `table` and `predict 7`
+ones before sweeps were read off the exceptional set, and the `classify 8`,
+`classify -8` and `predict -7` ones (the (-2, 3) pretzel's n0 window and S^3
+covers, plain and mirrored) before each knot class's table was stated once,
+so any refactor that changes a single byte of any answer (or of any error
+message) fails here.
 """
 import contextlib
 import hashlib
@@ -19,6 +22,9 @@ GOLDEN = {
     ("slopes", "--moves"): "467dcee5dafe6ce4f32fe8290c3d83eb61d184a62161dbfccc824e457ef76ba1",
     ("table", "--range", "-12..12", "--format", "json"): "98167b877c0b199434f8c74fbead7e7aafec773b198446cfb9f1dc035d9a4c52",
     ("predict", "7", "--n", "-3..3", "--format", "json"): "6174d5c4b55a47ad0ed42816b695448511f4b3657db90dafa68e52067758d31f",
+    ("classify", "8", "--format", "json"): "e8c79cf3dfc5d326709ff600560bb7d085b09d7e1a14b8885c9c93c0d462d539",
+    ("classify", "-8", "--format", "json"): "2b815118fad16246403e414a3399008106d4b25004db2331bbb193ea95e72097",
+    ("predict", "-7", "--n", "-3..3", "--format", "json"): "83174c945bef2bee65611bcce07f44a6eec1cd69c116656a186c0a20ffae0440",
 }
 
 

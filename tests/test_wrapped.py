@@ -124,10 +124,52 @@ sys.exit(1)
 """
 
 
+# A push-off oracle that is wrong before the first analysis: the anchors
+# catch it.
+_SABOTAGED_ORACLE = """
+import importlib
+import sys
+from wrapsurg import InconsistentCrossCheckError, make_slope, parse_knot
+if not sys.flags.optimize:
+    sys.exit(3)
+classify = importlib.import_module("wrapsurg.classify")
+classify.pretzel_slope = lambda knot: make_slope(1, 1)
+try:
+    classify.analysis_of(parse_knot("K0[5]"))
+except InconsistentCrossCheckError as err:
+    sys.exit(0 if "push-off oracle" in str(err) else 4)
+sys.exit(1)
+"""
+
+# An oracle that goes wrong after the anchors passed: the closed form of a
+# single integer entry (0 for a = 0, else 2m) catches it.
+_SABOTAGED_SPANNING_SURFACE = """
+import importlib
+import sys
+from wrapsurg import InconsistentCrossCheckError, make_slope, parse_knot
+if not sys.flags.optimize:
+    sys.exit(3)
+classify = importlib.import_module("wrapsurg.classify")
+classify._oracle_self_check()
+classify.pretzel_slope = lambda knot: make_slope(1, 1)
+try:
+    classify.analysis_of(parse_knot("K0[5]"))
+except InconsistentCrossCheckError as err:
+    sys.exit(0 if "classified value" in str(err) else 4)
+sys.exit(1)
+"""
+
+
 @pytest.mark.parametrize(
     "script",
-    [_SABOTAGED_WORD, _SABOTAGED_PRETZEL_PAIR, _NON_COPRIME_BEZOUT],
-    ids=["word", "pretzel_pair", "bezout"],
+    [
+        _SABOTAGED_WORD,
+        _SABOTAGED_PRETZEL_PAIR,
+        _NON_COPRIME_BEZOUT,
+        _SABOTAGED_ORACLE,
+        _SABOTAGED_SPANNING_SURFACE,
+    ],
+    ids=["word", "pretzel_pair", "bezout", "oracle", "spanning_surface"],
 )
 def test_cross_checks_survive_python_O(script):
     done = run_python(script, "-O")
