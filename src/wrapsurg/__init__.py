@@ -56,19 +56,15 @@ from .tangles import (
     MontesinosTangle,
     Move,
     NormalForm,
-    Pairing,
-    RationalTangle,
     equivalent,
     mirror_tangle,
-    montesinos_loops,
-    montesinos_pairing,
     normalize,
-    pairing,
     parse_tangle,
     reverse_tangle,
     shift_tangle,
     twist_tangle,
 )
+from .tracing import Pairing, trace_closure
 from .wrapped import (
     NoPretzelSurfaceError,
     NotAKnotError,
@@ -76,14 +72,11 @@ from .wrapped import (
     TwistedImage,
     WrappedKnot,
     make_wrapped,
-    mirror_knot,
     parse_knot,
     pretzel_slope,
-    reverse_knot,
     transport_slope,
     twist,
     two_bridge_fraction,
-    winding_number,
     wrapping_number,
 )
 

@@ -31,13 +31,7 @@ from .seifert import (
 )
 from .slopes import InconsistentCrossCheckError, Slope, make_slope
 from .tangles import MontesinosTangle, NormalForm, normalize
-from .wrapped import (
-    _KNOT_CACHE_SIZE,
-    WrappedKnot,
-    make_wrapped,
-    pretzel_slope,
-    winding_number,
-)
+from .wrapped import _KNOT_CACHE_SIZE, WrappedKnot, make_wrapped, pretzel_slope
 
 
 class DegenerateKnotError(ValueError):
@@ -342,7 +336,7 @@ def _decide(a: int, nf: NormalForm) -> tuple[KnotClass, int, int, tuple[Slope, .
 def _analyze(knot: WrappedKnot) -> Analysis:
     _oracle_self_check()
     nf = normalize(knot.tangle)
-    wind = winding_number(knot)
+    wind = knot.winding
     knot_class, sigma, twists, entries = _decide(knot.a, nf)
     canonical = make_wrapped(knot.a, MontesinosTangle.from_slopes(entries)) if entries else None
     if knot_class in (KnotClass.INTEGER_TANGLE, KnotClass.PRETZEL):
@@ -351,7 +345,7 @@ def _analyze(knot: WrappedKnot) -> Analysis:
         table = _TABLES.get(knot_class, _NO_TABLE)
 
     moves: list[str] = []
-    if knot.tangle.slopes() != nf.as_tangle().slopes():
+    if knot.tangle.entries != nf.as_tangle().entries:
         moves.append("integer shifts (sum preserved, zero entries dropped)")
     if sigma < 0:
         moves.append("mirror (surgery slopes negate)")
@@ -379,7 +373,7 @@ def _spanning_surface_table(canonical: WrappedKnot) -> MappingProxyType[int, _Ta
     for a single integer entry m it must be 0 when a = 0, else 2m."""
     framing = pretzel_slope(canonical)
     if len(canonical.tangle.entries) == 1:
-        m = canonical.tangle.entries[0].slope.p
+        m = canonical.tangle.entries[0].p
         expected = 0 if canonical.a == 0 else 2 * m
         if framing.p != expected:
             raise InconsistentCrossCheckError(

@@ -2,12 +2,15 @@
 
 Commands: classify, slopes, normalize, twist, predict, table, batch.
 Knots are written as `K0[...]`/`K1[...]`, slopes as `p/q`, `p`, or `inf`.
-Exit codes: 0 success, 2 parse error (or an answer too long to write as
-text), 3 invalid or degenerate knot.
+Exit codes: 0 success, 1 stdout closed before the answer was written
+(`wrapsurg ... | head`; a batch stops there), 2 parse error (a flag the
+command does not take, or an answer too long to write as text), 3 invalid
+or degenerate knot.
 """
 from __future__ import annotations
 
 import json
+import os
 import shlex
 import sys
 from dataclasses import dataclass
@@ -29,7 +32,17 @@ from .wrapped import (
     two_bridge_fraction,
 )
 
-COMMANDS = ("classify", "slopes", "normalize", "twist", "predict", "table", "batch")
+# The flags each command takes; any other word starting "--" exits 2.  A batch takes none,
+# its request lines carry their own.
+FLAGS = {
+    "classify": ("--format", "--moves"),
+    "slopes": ("--format", "--moves"),
+    "normalize": ("--format", "--moves"),
+    "twist": ("--format", "--moves", "--n"),
+    "predict": ("--format", "--moves", "--n"),
+    "table": ("--format", "--moves", "--range"),
+    "batch": (),
+}
 USAGE = """\
 usage: wrapsurg COMMAND [ARGS] [--format text|json] [--moves]
   classify  KNOT SLOPE        classify one surgery
@@ -65,16 +78,16 @@ def parse(argv: list[str]) -> Request:
     if not argv:
         raise CommandError(USAGE.rstrip(), 2)
     command = argv[0]
-    if command not in COMMANDS:
+    if command not in FLAGS:
         raise CommandError(f"unknown command {command!r} (at position 0)", 2)
     request = Request(command=command)
     positionals: list[str] = []
-    flags: list[str] = []
     i = 1
     while i < len(argv):
         arg = argv[i]
-        if arg in ("--format", "--moves", "--n", "--range"):
-            flags.append(arg)
+        if arg.startswith("--") and arg not in FLAGS[command]:
+            takes = " ".join(FLAGS[command]) or "no flags; put flags on each request line"
+            raise CommandError(f"{command} does not take {arg}; it takes {takes}", 2)
         if arg == "--format":
             i += 1
             if i >= len(argv) or argv[i] not in ("text", "json"):
@@ -91,8 +104,6 @@ def parse(argv: list[str]) -> Request:
                 request.n_range = span
             else:
                 request.slope_range = span
-        elif arg.startswith("--"):
-            raise CommandError(f"unknown flag {arg!r}", 2)
         else:
             positionals.append(arg)
         i += 1
@@ -101,10 +112,6 @@ def parse(argv: list[str]) -> Request:
     needs_slope = command in ("classify", "predict")
     expected = int(needs_knot) + int(needs_slope)
     if command == "batch":
-        if flags:
-            raise CommandError(
-                f"batch does not take {flags[0]}; put flags on each request line", 2
-            )
         if len(positionals) > 1:
             raise CommandError("batch takes at most one file argument", 2)
         request.batch_file = positionals[0] if positionals else None
@@ -414,10 +421,18 @@ def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         request = parse(args)
-        return run(request)
+        code = run(request)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except CommandError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, as the SIGPIPE note
+        # in the `signal` docs shows, so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

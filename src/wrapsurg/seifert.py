@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .slopes import InconsistentCrossCheckError, ParseError, Slope, make_slope, parse_slope
+from .slopes import (
+    InconsistentCrossCheckError,
+    ParseError,
+    Slope,
+    make_slope,
+    parse_slope,
+    split_integer_parts,
+)
 
 
 class NotATorusKnotError(ValueError):
@@ -45,15 +52,8 @@ class SeifertInvariants:
 
     @classmethod
     def from_fractions(cls, fractions: list[Fraction]) -> "SeifertInvariants":
-        e = 0
-        fibers = []
-        for value in fractions:
-            floor = value.numerator // value.denominator
-            e += floor
-            frac = value - floor
-            if frac:
-                fibers.append((frac.denominator, frac.numerator))
-        return cls(e, tuple(sorted(fibers)))
+        e, parts = split_integer_parts((f.numerator, f.denominator) for f in fractions)
+        return cls(e, tuple(sorted((q, p) for p, q in parts)))
 
     def reversed_orientation(self) -> "SeifertInvariants":
         fibers = tuple(sorted((a, a - b) for a, b in self.fibers))

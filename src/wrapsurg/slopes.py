@@ -6,6 +6,7 @@ arbitrary-precision integers.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -130,6 +131,22 @@ def make_slope(p: int, q: int) -> Slope:
 def distance(r: Slope, s: Slope) -> int:
     """Geometric intersection number |p_r q_s - p_s q_r| of two slopes."""
     return abs(r.p * s.q - s.p * r.q)
+
+
+def split_integer_parts(
+    fractions: Iterable[tuple[int, int]],
+) -> tuple[int, list[tuple[int, int]]]:
+    """Split fractions p/q (lowest terms, q > 0) into the sum of their floors
+    and, in order, their nonzero fractional parts (p mod q)/q in (0, 1),
+    which stay in lowest terms."""
+    e = 0
+    parts = []
+    for p, q in fractions:
+        floor, rest = divmod(p, q)
+        e += floor
+        if rest:
+            parts.append((rest, q))
+    return e, parts
 
 
 def evaluate_continued_fraction(terms: list[int]) -> Slope:

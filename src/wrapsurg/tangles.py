@@ -1,58 +1,44 @@
-"""Rational and Montesinos tangles: normal forms, equivalence, connectivity.
+"""Montesinos tangles: normal forms and equivalence with witnesses.
 
-Two Montesinos tangles are equivalent when one is carried to the other by a
-composition of four moves: entrywise integer shifts with fixed total sum
-(zero entries may be added or deleted), reversal of the entry order, the
-mirror image (entrywise negation), and, for tangles reducible to a single
-rational entry, the meridional twist t -> 1/(2m + 1/t).  Connectivity of the
-four endpoints is always computed by strand tracing over a twist-region
-diagram, never from a hard-coded parity formula.
+A Montesinos tangle is the ordered horizontal sum of rational tangles, and
+a rational tangle is its finite slope, so a tangle is its tuple of entry
+slopes.  Two Montesinos tangles are equivalent when one is carried to the
+other by a composition of four moves: entrywise integer shifts with fixed
+total sum (zero entries may be added or deleted), reversal of the entry
+order, the mirror image (entrywise negation), and, for tangles reducible to
+a single rational entry, the meridional twist t -> 1/(2m + 1/t).  The
+connectivity of a tangle's four endpoints comes from strand tracing, by
+`tracing.trace_closure`, never from a hard-coded parity formula.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .slopes import ParseError, Slope, parse_slope
-from .tracing import Pairing, trace_closure
-
-
-@dataclass(frozen=True, slots=True)
-class RationalTangle:
-    """A rational tangle of finite slope (the slope 1/0 is not a tangle)."""
-
-    slope: Slope
-
-    def __post_init__(self) -> None:
-        if self.slope.is_meridian():
-            raise ValueError("a rational tangle must have finite slope")
-
-    def __str__(self) -> str:
-        return str(self.slope)
+from .slopes import ParseError, Slope, parse_slope, split_integer_parts
 
 
 @dataclass(frozen=True, slots=True)
 class MontesinosTangle:
-    """An ordered horizontal sum of rational tangles."""
+    """An ordered horizontal sum of rational tangles, given by their slopes."""
 
-    entries: tuple[RationalTangle, ...]
+    entries: tuple[Slope, ...]
 
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("a Montesinos tangle needs at least one entry")
+        if any(s.q == 0 for s in self.entries):
+            raise ValueError("a rational tangle must have finite slope")
 
     @classmethod
     def from_slopes(cls, slopes: list[Slope] | tuple[Slope, ...]) -> "MontesinosTangle":
-        return cls(tuple(RationalTangle(s) for s in slopes))
-
-    def slopes(self) -> tuple[Slope, ...]:
-        return tuple(entry.slope for entry in self.entries)
+        return cls(tuple(slopes))
 
     def entry_sum(self) -> Fraction:
-        return sum((e.slope.as_fraction() for e in self.entries), Fraction(0))
+        return sum((s.as_fraction() for s in self.entries), Fraction(0))
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(e) for e in self.entries) + "]"
+        return "[" + ",".join(str(s) for s in self.entries) + "]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,15 +91,8 @@ def normalize(tangle: MontesinosTangle) -> NormalForm:
     mirror use and twist count, so the stored representative has t > 1.
     Tangles with v integral (t = 0 or t = 1/q) are flagged degenerate.
     """
-    e0 = 0
-    fracs: list[Slope] = []
-    for entry in tangle.entries:
-        value = entry.slope.as_fraction()
-        floor = value.numerator // value.denominator
-        e0 += floor
-        frac = value - floor
-        if frac:
-            fracs.append(Slope.from_fraction(frac))
+    e0, parts = split_integer_parts((s.p, s.q) for s in tangle.entries)
+    fracs = [Slope(p, q) for p, q in parts]
     if len(fracs) > 1:
         return NormalForm(e0, tuple(fracs), degenerate=False, k1=None)
 
@@ -142,23 +121,21 @@ def reverse_tangle(tangle: MontesinosTangle) -> MontesinosTangle:
 
 
 def mirror_tangle(tangle: MontesinosTangle) -> MontesinosTangle:
-    return MontesinosTangle.from_slopes([-s for s in tangle.slopes()])
+    return MontesinosTangle(tuple(-s for s in tangle.entries))
 
 
 def shift_tangle(tangle: MontesinosTangle, deltas: list[int]) -> MontesinosTangle:
     """Entrywise integer shifts; the deltas must sum to zero."""
     if len(deltas) != len(tangle.entries) or sum(deltas) != 0:
         raise ValueError("shifts must match the entries and preserve the sum")
-    return MontesinosTangle.from_slopes(
-        [s + d for s, d in zip(tangle.slopes(), deltas)]
-    )
+    return MontesinosTangle(tuple(s + d for s, d in zip(tangle.entries, deltas)))
 
 
 def twist_tangle(tangle: MontesinosTangle, m: int) -> MontesinosTangle:
     """The meridional twist move t -> 1/(2m + 1/t) on a single-entry tangle."""
     if len(tangle.entries) != 1:
         raise ValueError("the twist move applies to single-entry tangles")
-    t = tangle.entries[0].slope.as_fraction()
+    t = tangle.entries[0].as_fraction()
     if t == 0:
         return tangle
     if 2 * m + 1 / t == 0:
@@ -240,7 +217,7 @@ def _witness(t1: MontesinosTangle, t2: MontesinosTangle) -> list[Move]:
 def _reduction_moves(tangle: MontesinosTangle) -> list[Move]:
     nf = normalize(tangle)
     moves: list[Move] = []
-    if tangle.slopes() != nf.as_tangle().slopes():
+    if tangle.entries != nf.as_tangle().entries:
         moves.append(Move("shift"))
     if nf.k1 is not None:
         if nf.k1.mirrored:
@@ -259,24 +236,6 @@ def _reduction_moves(tangle: MontesinosTangle) -> list[Move]:
         moves.append(Move("mirror"))
         moves.append(Move("reverse"))
     return moves
-
-
-# -- connectivity by strand tracing ------------------------------------------
-
-
-def pairing(tangle: RationalTangle) -> Pairing:
-    """Endpoint pairing of a rational tangle, traced from its twist word."""
-    return trace_closure((tangle.slope,), 0).pairing
-
-
-def montesinos_pairing(tangle: MontesinosTangle) -> Pairing:
-    """Endpoint pairing of the horizontal sum, traced left to right."""
-    return trace_closure(tangle.slopes(), 0).pairing
-
-
-def montesinos_loops(tangle: MontesinosTangle) -> int:
-    """Closed circles created inside the horizontal sum."""
-    return trace_closure(tangle.slopes(), 0).loops
 
 
 def parse_tangle(text: str, offset: int = 0) -> MontesinosTangle:

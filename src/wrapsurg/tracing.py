@@ -38,7 +38,6 @@ is the exact connectivity of the twist region.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import cycle
 from typing import NamedTuple
@@ -178,8 +177,7 @@ def _word_fraction(word: list[tuple[str, int]]) -> tuple[int, int]:
     return (-p, -q) if q < 0 else (p, q)
 
 
-@dataclass
-class TangleBox:
+class TangleBox(NamedTuple):
     nw: int
     ne: int
     sw: int

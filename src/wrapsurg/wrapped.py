@@ -14,14 +14,7 @@ from functools import lru_cache
 
 from . import tracing
 from .slopes import InconsistentCrossCheckError, ParseError, Slope, make_slope
-from .tangles import (
-    MontesinosTangle,
-    NormalForm,
-    mirror_tangle,
-    normalize,
-    parse_tangle,
-    reverse_tangle,
-)
+from .tangles import MontesinosTangle, NormalForm, normalize, parse_tangle
 
 
 class NotAKnotError(ValueError):
@@ -55,7 +48,7 @@ class WrappedKnot:
     def __post_init__(self) -> None:
         if self.a not in (0, 1):
             raise ValueError("the wrap parameter a must be 0 or 1")
-        closure = tracing.trace_closure(self.tangle.slopes(), self.a)
+        closure = tracing.trace_closure(self.tangle.entries, self.a)
         if closure.components != 1:
             raise NotAKnotError(f"K{self.a}{self.tangle} closes to a link, not a knot")
         expected = 0 if closure.pairing is tracing.Pairing.TOP_TO_TOP else 2
@@ -75,11 +68,6 @@ class WrappedKnot:
 def make_wrapped(a: int, tangle: MontesinosTangle) -> WrappedKnot:
     """Close the tangle with two wrap arcs; the same as `WrappedKnot(a, tangle)`."""
     return WrappedKnot(a, tangle)
-
-
-def winding_number(knot: WrappedKnot) -> int:
-    """Algebraic intersection with a meridian disk, from oriented tracing."""
-    return knot.winding
 
 
 def wrapping_number(knot: WrappedKnot) -> int:
@@ -117,7 +105,7 @@ class TwistedImage:
 
 def twist(knot: WrappedKnot, n: int) -> TwistedImage:
     c = knot.a + 2 * n
-    slopes = knot.tangle.slopes()
+    slopes = knot.tangle.entries
     if c == 0:
         fraction = None
         if len(slopes) == 1:
@@ -141,7 +129,7 @@ def two_bridge_fraction(knot: WrappedKnot, n: int) -> Slope:
     """
     if len(knot.tangle.entries) != 1:
         raise NotLengthOneError("two-bridge fractions need a single entry")
-    t = knot.tangle.entries[0].slope
+    t = knot.tangle.entries[0]
     c = knot.a + 2 * n
     return make_slope(t.p, c * t.p + t.q)
 
@@ -154,7 +142,7 @@ def pretzel_slope(knot: WrappedKnot) -> Slope:
     diagram.  Defined for K^a(1/q1, 1/q2) with |q_i| >= 2 and for K^a(m)
     with m an integer.
     """
-    slopes = knot.tangle.slopes()
+    slopes = knot.tangle.entries
     diagram = tracing.Diagram()
     if len(slopes) == 2 and all(abs(s.p) == 1 and s.q >= 2 for s in slopes):
         columns = [s.q if s.p > 0 else -s.q for s in slopes]
@@ -178,14 +166,6 @@ def pretzel_slope(knot: WrappedKnot) -> Slope:
     if len(walks) != 1:
         raise NotAKnotError("pretzel slope is defined for knots only")
     return make_slope(tracing.surface_framing_from_walk(diagram, walks[0]), 1)
-
-
-def mirror_knot(knot: WrappedKnot) -> WrappedKnot:
-    return make_wrapped(knot.a, mirror_tangle(knot.tangle))
-
-
-def reverse_knot(knot: WrappedKnot) -> WrappedKnot:
-    return make_wrapped(knot.a, reverse_tangle(knot.tangle))
 
 
 @lru_cache(maxsize=_KNOT_CACHE_SIZE)

@@ -57,13 +57,18 @@ def random_knot(
             continue
 
 
-def run_python(script: str, *options: str) -> subprocess.CompletedProcess:
-    """Run `script` in a fresh interpreter with this checkout's src/ first on
-    PYTHONPATH, for checks that need their own process state."""
+def python_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(script: str, *options: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter under `python_env()`, for checks
+    that need their own process state."""
     return subprocess.run(
         [sys.executable, *options, "-c", script],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=python_env(), capture_output=True, text=True, timeout=60,
     )

@@ -10,7 +10,6 @@ from wrapsurg import (
     KnotClass,
     NotAKnotError,
     Pairing,
-    RationalTangle,
     SFSKind,
     SurgeryType,
     analysis_of,
@@ -20,14 +19,13 @@ from wrapsurg import (
     exceptional_slopes,
     make_slope,
     make_wrapped,
-    pairing,
     parse_knot,
     parse_tangle,
     pretzel_slope,
     pretzel_surgery_link,
     sfs_equal,
     torus_knot_surgery,
-    winding_number,
+    trace_closure,
 )
 from test_classify import GRID, _comparable, _moved
 
@@ -157,8 +155,8 @@ def test_criterion_6_structural_laws():
 
 @_criterion(7, "strand-tracing oracles match the anchors and parity classes")
 def test_criterion_7_oracles():
-    assert winding_number(parse_knot("K0[2]")) == 0
-    assert winding_number(parse_knot("K1[-1/2,1/3]")) == 2
+    assert parse_knot("K0[2]").winding == 0
+    assert parse_knot("K1[-1/2,1/3]").winding == 2
     assert pretzel_slope(parse_knot("K1[-1/2,1/3]")) == make_slope(8, 1)
     rng = random.Random(161803)
     by_class = {}
@@ -168,7 +166,7 @@ def test_criterion_7_oracles():
         if p == 0 and q == 0:
             continue
         slope = make_slope(p, q)
-        result = pairing(RationalTangle(slope))
+        result = trace_closure((slope,), 0).pairing
         key = (slope.p % 2, slope.q % 2)
         by_class.setdefault(key, result)
         assert by_class[key] is result

@@ -20,8 +20,6 @@ from wrapsurg import (
     make_slope,
     make_wrapped,
     mirror_tangle,
-    montesinos_loops,
-    montesinos_pairing,
     normalize,
     parse_knot,
     parse_tangle,
@@ -29,11 +27,10 @@ from wrapsurg import (
     reverse_tangle,
     shift_tangle,
     surgery_in_s3,
+    trace_closure,
     transport_slope,
     twist_tangle,
-    winding_number,
 )
-from wrapsurg.tracing import trace_closure
 
 K = parse_knot
 T = parse_tangle
@@ -225,7 +222,7 @@ def _comparable(result):
 
 
 def _moved(rng, knot, r):
-    wind = winding_number(knot)
+    wind = knot.winding
     choice = rng.randint(0, 3)
     tangle = knot.tangle
     if choice == 0 and len(tangle.entries) > 1:
@@ -236,9 +233,9 @@ def _moved(rng, knot, r):
         return make_wrapped(knot.a, reverse_tangle(tangle)), r
     if choice == 2:
         return make_wrapped(knot.a, mirror_tangle(tangle)), -r
-    if len(tangle.entries) == 1 and tangle.entries[0].slope.p != 0:
+    if len(tangle.entries) == 1 and tangle.entries[0].p != 0:
         m = rng.randint(-3, 3)
-        t = tangle.entries[0].slope.as_fraction()
+        t = tangle.entries[0].as_fraction()
         if 2 * m + 1 / t != 0:
             moved = make_wrapped(knot.a, twist_tangle(tangle, m))
             shift = 0 if r.is_meridian() else m * wind * wind
@@ -364,18 +361,16 @@ def test_grid_sweep_agrees_with_exceptional_tables():
 
 def test_winding_consistent_on_grid():
     for knot in GRID:
-        wind = winding_number(knot)
+        wind = knot.winding
         assert wind in (0, 2)
-        assert (wind == 0) == (
-            montesinos_pairing(knot.tangle) is Pairing.TOP_TO_TOP
-        )
         # Pairing and internal loops are read off the walk outside the wrap
         # region, so both closures of the tangle must report the same ones.
-        loops = montesinos_loops(knot.tangle)
+        tangle_pairing = trace_closure(knot.tangle.entries, 0).pairing
+        assert (wind == 0) == (tangle_pairing is Pairing.TOP_TO_TOP)
         for a in (0, 1):
-            closure = trace_closure(knot.tangle.slopes(), a)
-            assert closure.loops == loops == 0
-            assert closure.pairing is montesinos_pairing(knot.tangle)
+            closure = trace_closure(knot.tangle.entries, a)
+            assert closure.loops == 0
+            assert closure.pairing is tangle_pairing
             if a == knot.a:
                 assert closure.components == 1 and closure.winding == wind
 

@@ -1,7 +1,10 @@
 import io
 import json
 import random
+import subprocess
+import sys
 
+from conftest import python_env
 from wrapsurg import make_slope, parse_knot, parse_slope
 from wrapsurg.cli import main
 
@@ -242,3 +245,38 @@ def test_batch_line_with_an_unclosed_quote_fails_only_that_line(
         assert code == 2, argv
         assert "line 2: error" in captured.err and "Traceback" not in captured.err
         assert captured.out.count("knot:") == 2  # lines 1 and 3 still answered
+
+
+def test_commands_refuse_the_flags_they_would_ignore(capsys):
+    refused = [
+        ("--n", ["classify", "K0[2]", "1", "--n", "3", "--range", "0..2"]),
+        ("--range", ["classify", "K0[2]", "1", "--range", "0..2"]),
+        ("--n", ["slopes", "K0[2]", "--n", "3"]),
+        ("--range", ["normalize", "K0[2]", "--range", "0..2"]),
+        ("--range", ["twist", "K0[2]", "--n", "0..1", "--range", "0..3"]),
+        ("--range", ["predict", "K0[2]", "1", "--range", "0..3"]),
+        ("--n", ["table", "K0[2]", "--range", "0..3", "--n", "1"]),
+    ]
+    for flag, args in refused:
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and not out, args
+        assert f"{args[0]} does not take {flag}" in err, args
+    for args in (["predict", "K0[2]", "1", "--n", "0..1"], ["twist", "K0[2]", "--n", "1"]):
+        assert run_cli(capsys, *args)[0] == 0, args
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    batch = "slopes K0[2]\n" * 5000
+    for args, stdin in ((["table", "K0[3]", "--range", "0..200000"], ""), (["batch"], batch)):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "wrapsurg.cli", *args], env=python_env(),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        child.stdin.write(stdin)
+        child.stdin.close()
+        assert child.stdout.readline().startswith("knot: K0["), args
+        child.stdout.close()  # the reader goes away, as `| head -1` does
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 1, (args, err)
+        assert "Traceback" not in err and "Exception" not in err, args

@@ -15,6 +15,7 @@ from wrapsurg import (
     make_slope,
     parse_slope,
 )
+from wrapsurg.slopes import split_integer_parts
 
 
 def test_make_slope_normalizes():
@@ -127,3 +128,12 @@ def test_oversized_integer_is_a_parse_error():
     with pytest.raises(ParseError) as caught:
         parse_slope("5/" + "1" * 4400, 10)
     assert caught.value.position == 12
+
+
+def test_split_integer_parts_keeps_nonzero_fractional_parts_in_order():
+    pairs = [(-1, 2), (3, 1), (7, 3), (0, 1), (-5, 2), (-10**40 - 1, 10**40)]
+    e, parts = split_integer_parts(pairs)
+    assert e == -1 + 3 + 2 + 0 - 3 - 2
+    assert parts == [(1, 2), (1, 3), (1, 2), (10**40 - 1, 10**40)]
+    assert e + sum(Fraction(p, q) for p, q in parts) == sum(Fraction(p, q) for p, q in pairs)
+    assert split_integer_parts([]) == (0, [])

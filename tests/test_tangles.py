@@ -7,17 +7,14 @@ from conftest import random_slope, random_tangle
 from wrapsurg import (
     MontesinosTangle,
     Pairing,
-    RationalTangle,
     equivalent,
     make_slope,
     mirror_tangle,
-    montesinos_loops,
-    montesinos_pairing,
     normalize,
-    pairing,
     parse_tangle,
     reverse_tangle,
     shift_tangle,
+    trace_closure,
     twist_tangle,
 )
 
@@ -25,8 +22,17 @@ T = parse_tangle
 
 
 def test_rational_tangle_rejects_infinity():
+    for entries in [(make_slope(1, 0),), (make_slope(1, 2), make_slope(1, 0))]:
+        with pytest.raises(ValueError, match="must have finite slope"):
+            MontesinosTangle(entries)
+        with pytest.raises(ValueError, match="must have finite slope"):
+            MontesinosTangle.from_slopes(list(entries))
     with pytest.raises(ValueError):
-        RationalTangle(make_slope(1, 0))
+        MontesinosTangle(())
+
+
+def _pairing(entries):
+    return trace_closure(tuple(entries), 0).pairing
 
 
 def test_normalize_splits_integer_parts():
@@ -127,18 +133,18 @@ def _random_equivalent(rng, tangle):
         return reverse_tangle(tangle)
     if choice == 2:
         return mirror_tangle(tangle)
-    if len(tangle.entries) == 1 and tangle.entries[0].slope.p != 0:
+    if len(tangle.entries) == 1 and tangle.entries[0].p != 0:
         return twist_tangle(tangle, rng.randint(-2, 2))
     return reverse_tangle(tangle)
 
 
 def test_pairing_small_tangles():
-    assert pairing(RationalTangle(make_slope(0, 1))) is Pairing.TOP_TO_TOP
-    assert pairing(RationalTangle(make_slope(1, 1))) is Pairing.CROSS
-    assert pairing(RationalTangle(make_slope(1, 2))) is Pairing.LEFT_TO_LEFT
+    assert _pairing([make_slope(0, 1)]) is Pairing.TOP_TO_TOP
+    assert _pairing([make_slope(1, 1)]) is Pairing.CROSS
+    assert _pairing([make_slope(1, 2)]) is Pairing.LEFT_TO_LEFT
     # Three vertical half-twists swap the strand ends an odd number of times,
     # so 1/3 traces to the same class as the single crossing.
-    assert pairing(RationalTangle(make_slope(1, 3))) is Pairing.CROSS
+    assert _pairing([make_slope(1, 3)]) is Pairing.CROSS
 
 
 def test_pairing_depends_only_on_parity():
@@ -147,7 +153,7 @@ def test_pairing_depends_only_on_parity():
     for _ in range(200):
         slope = random_slope(rng, 60, 60)
         key = (slope.p % 2, slope.q % 2)
-        result = pairing(RationalTangle(slope))
+        result = _pairing([slope])
         by_class.setdefault(key, result)
         assert by_class[key] is result
     assert by_class[(0, 1)] is Pairing.TOP_TO_TOP
@@ -160,33 +166,33 @@ def test_even_shift_preserves_entry_pairing():
     for _ in range(100):
         slope = random_slope(rng, 20, 20)
         shifted = slope + 2 * rng.randint(-5, 5)
-        assert pairing(RationalTangle(slope)) is pairing(RationalTangle(shifted))
+        assert _pairing([slope]) is _pairing([shifted])
 
 
-def test_montesinos_pairing_composes_left_to_right():
-    assert montesinos_pairing(T("[-1/2,1/3]")) is Pairing.LEFT_TO_LEFT
-    assert montesinos_pairing(T("[-1/2,2/5]")) is Pairing.LEFT_TO_LEFT
-    assert montesinos_pairing(T("[1/3,1/3]")) is Pairing.TOP_TO_TOP
-    assert montesinos_pairing(T("[2]")) is Pairing.TOP_TO_TOP
+def test_closure_pairing_composes_left_to_right():
+    assert _pairing(T("[-1/2,1/3]").entries) is Pairing.LEFT_TO_LEFT
+    assert _pairing(T("[-1/2,2/5]").entries) is Pairing.LEFT_TO_LEFT
+    assert _pairing(T("[1/3,1/3]").entries) is Pairing.TOP_TO_TOP
+    assert _pairing(T("[2]").entries) is Pairing.TOP_TO_TOP
 
 
-def test_montesinos_pairing_invariant_under_normalize_and_shifts():
+def test_closure_pairing_invariant_under_normalize_and_shifts():
     rng = random.Random(43)
     for _ in range(150):
         tangle = random_tangle(rng)
         nf = normalize(tangle)
-        assert montesinos_pairing(nf.as_tangle()) is montesinos_pairing(tangle)
+        assert _pairing(nf.as_tangle().entries) is _pairing(tangle.entries)
         k = len(tangle.entries)
         if k > 1:
             deltas = [rng.randint(-4, 4) for _ in range(k - 1)]
             deltas.append(-sum(deltas))
             shifted = shift_tangle(tangle, deltas)
-            assert montesinos_pairing(shifted) is montesinos_pairing(tangle)
+            assert _pairing(shifted.entries) is _pairing(tangle.entries)
 
 
-def test_montesinos_loops():
-    assert montesinos_loops(T("[1/2,1/2]")) == 1
-    assert montesinos_loops(T("[-1/2,1/3]")) == 0
+def test_closure_loops():
+    assert trace_closure(T("[1/2,1/2]").entries, 0).loops == 1
+    assert trace_closure(T("[-1/2,1/3]").entries, 0).loops == 0
 
 
 def test_parse_tangle_round_trip():

@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import random_knot, random_tangle, run_python
 from wrapsurg import (
     MERIDIAN,
     KnotClass,
+    MontesinosTangle,
     NoPretzelSurfaceError,
     NotAKnotError,
     NotLengthOneError,
@@ -17,15 +20,14 @@ from wrapsurg import (
     analysis_of,
     make_slope,
     make_wrapped,
-    montesinos_loops,
-    montesinos_pairing,
+    normalize,
     parse_knot,
     parse_tangle,
     pretzel_slope,
+    trace_closure,
     transport_slope,
     twist,
     two_bridge_fraction,
-    winding_number,
     wrapping_number,
 )
 from wrapsurg import tracing
@@ -41,7 +43,7 @@ def test_make_wrapped_accepts_the_known_knots():
 
 def test_make_wrapped_rejects_two_component_closures():
     # A left-to-left tangle closes to a link when the wrap arcs are parallel.
-    assert montesinos_pairing(T("[-1/2]")) is Pairing.LEFT_TO_LEFT
+    assert trace_closure(T("[-1/2]").entries, 0).pairing is Pairing.LEFT_TO_LEFT
     with pytest.raises(NotAKnotError):
         make_wrapped(0, T("[-1/2]"))
     make_wrapped(1, T("[-1/2]"))  # the crossed closure is a knot
@@ -181,7 +183,8 @@ def test_valid_closure_parameter_matches_pairing():
     seen = set()
     for _ in range(200):
         tangle = random_tangle(rng, max_entries=2, bound=12)
-        if montesinos_loops(tangle):
+        closure = trace_closure(tangle.entries, 0)
+        if closure.loops:
             continue
         valid = set()
         for a in (0, 1):
@@ -190,7 +193,7 @@ def test_valid_closure_parameter_matches_pairing():
                 valid.add(a)
             except NotAKnotError:
                 pass
-        kind = montesinos_pairing(tangle)
+        kind = closure.pairing
         expected = {
             Pairing.TOP_TO_TOP: {0, 1},
             Pairing.LEFT_TO_LEFT: {1},
@@ -201,16 +204,37 @@ def test_valid_closure_parameter_matches_pairing():
     assert seen == set(Pairing)
 
 
-def test_winding_numbers():
-    assert winding_number(K("K0[2]")) == 0
-    assert winding_number(K("K1[-1/2,1/3]")) == 2
-    assert winding_number(K("K0[1/3]")) == 2  # three vertical half-twists
+BIG = 10**200
+_numerators = st.one_of(st.just(0), st.integers(-20, 20), st.integers(-BIG, BIG))
+_denominators = st.one_of(st.integers(1, 20), st.integers(1, BIG))
+_tangles = st.lists(
+    st.builds(make_slope, _numerators, _denominators), min_size=1, max_size=3
+).map(MontesinosTangle.from_slopes)
+
+
+@given(_tangles, st.sampled_from([0, 1]))
+def test_knot_text_and_normal_form_round_trip(tangle, a):
+    nf = normalize(tangle)
+    assert normalize(nf.as_tangle()) == nf
+    try:
+        knot = WrappedKnot(a, tangle)
+    except NotAKnotError:
+        assume(False)
+    text = str(knot)
+    assert parse_knot(text) == knot
+    assert str(parse_knot(text)) == text
+
+
+def test_winding_field():
+    assert K("K0[2]").winding == 0
+    assert K("K1[-1/2,1/3]").winding == 2
+    assert K("K0[1/3]").winding == 2  # three vertical half-twists
     rng = random.Random(59)
     for _ in range(100):
         knot = random_knot(rng, max_entries=2, bound=12)
-        wind = winding_number(knot)
+        wind = knot.winding
         assert wind in (0, 2)
-        expected = montesinos_pairing(knot.tangle) is Pairing.TOP_TO_TOP
+        expected = trace_closure(knot.tangle.entries, 0).pairing is Pairing.TOP_TO_TOP
         assert (wind == 0) == expected
 
 
@@ -247,7 +271,7 @@ def test_twist_entry_multiset_property():
         if c == 0:
             assert image.degenerate
         else:
-            assert image.entries == knot.tangle.slopes() + (make_slope(1, c),)
+            assert image.entries == knot.tangle.entries + (make_slope(1, c),)
 
 
 def test_transport_slope():
