@@ -64,9 +64,8 @@ from .tangles import (
     shift_tangle,
     twist_tangle,
 )
-from .tracing import Pairing, trace_closure
+from .tracing import NoPretzelSurfaceError, Pairing, trace_closure
 from .wrapped import (
-    NoPretzelSurfaceError,
     NotAKnotError,
     NotLengthOneError,
     TwistedImage,

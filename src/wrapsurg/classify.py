@@ -3,11 +3,13 @@
 Every knot is first reduced to a canonical representative under the
 equivalence moves, tracking how surgery slopes transport (mirror negates a
 slope, a meridional twist by m shifts it by m * wind^2).  `_decide` names the
-knot's class, and the class's table lists its exceptional surgeries at
-canonical slopes: `_WHITEHEAD_TABLE`, `_PRETZEL_2_3_TABLE`, or the one
-spanning-surface slope of `_spanning_surface_table` for a single integer
-entry or a genuine pretzel.  Every other slope, including every non-integral
-one, is hyperbolic.
+knot's class from its normal form and returns the class's table, which lists
+its exceptional surgeries at canonical slopes: `_WHITEHEAD_TABLE`,
+`_PRETZEL_2_3_TABLE`, or the one spanning-surface slope of
+`_spanning_surface_table` for a single integer entry or a genuine pretzel.
+Every other slope, including every non-integral one, is hyperbolic.  The
+canonical representative is never built as a knot: the knot's own closure is
+the only one traced, and the push-off oracle reads the canonical entries.
 
 Each knot's `Analysis` (cached) holds its table and answers every slope from
 it; the module functions look the analysis up and ask it.  A sweep over
@@ -30,8 +32,9 @@ from .seifert import (
     torus_knot_surgery,
 )
 from .slopes import InconsistentCrossCheckError, Slope, make_slope
-from .tangles import MontesinosTangle, NormalForm, normalize
-from .wrapped import _KNOT_CACHE_SIZE, WrappedKnot, make_wrapped, pretzel_slope
+from .tangles import NormalForm, normalize
+from .tracing import pretzel_framing
+from .wrapped import _KNOT_CACHE_SIZE, WrappedKnot
 
 
 class DegenerateKnotError(ValueError):
@@ -74,12 +77,6 @@ class SurgeryClassification:
     certificate: ToroidalCertificate | None = None
     seifert_indices: tuple[int, int] | None = None
     notes: tuple[str, ...] = ()
-
-    def __str__(self) -> str:
-        if self.type is SurgeryType.SMALL_SEIFERT and self.seifert_indices:
-            q1, q2 = self.seifert_indices
-            return f"small Seifert fibered (fiber indices {q1},{q2})"
-        return self.type.value
 
 
 class KnotClass(Enum):
@@ -154,7 +151,6 @@ _PRETZEL_2_3_TABLE = MappingProxyType({
 })
 # An integer entry or a pretzel gets `_spanning_surface_table`; any other
 # class without a table here has no exceptional slope.
-_TABLES = {KnotClass.WHITEHEAD: _WHITEHEAD_TABLE, KnotClass.PRETZEL_2_3: _PRETZEL_2_3_TABLE}
 _NO_TABLE: MappingProxyType[int, _TableEntry] = MappingProxyType({})
 # Notes carried by every answer for a knot of the class.
 _NOTES = {
@@ -171,12 +167,9 @@ _TORUS_KNOT_MEMBERS = {0: (2, 5), 1: (3, 4), 2: (3, 5)}
 class Analysis:
     knot: WrappedKnot
     nf: NormalForm
-    wind: int
     knot_class: KnotClass
     sigma: int          # -1 when the reduction mirrors the knot
     twists: int         # meridional twist moves applied after mirroring
-    slope_offset: int   # twists * wind^2
-    canonical_knot: WrappedKnot | None
     table: MappingProxyType[int, _TableEntry]
     notes: tuple[str, ...]
     moves: tuple[str, ...]
@@ -185,12 +178,12 @@ class Analysis:
         if r.is_meridian():
             return r
         mirrored = -r if self.sigma < 0 else r
-        return mirrored + self.slope_offset
+        return mirrored + self.twists * self.knot.winding ** 2
 
     def from_canonical(self, rc: Slope) -> Slope:
         if rc.is_meridian():
             return rc
-        shifted = rc + (-self.slope_offset)
+        shifted = rc + -self.twists * self.knot.winding ** 2
         return -shifted if self.sigma < 0 else shifted
 
     def _lookup(self, r: Slope) -> tuple[Slope, _TableEntry | None]:
@@ -204,7 +197,10 @@ class Analysis:
             return SurgeryClassification(SurgeryType.TRIVIAL_FILLING, r)
         if self.knot_class is KnotClass.DEGENERATE:
             return SurgeryClassification(SurgeryType.NON_HYPERBOLIC_KNOT, r)
-        entry = self._lookup(r)[1]
+        return self._answer(r, self._lookup(r)[1])
+
+    def _answer(self, r: Slope, entry: _TableEntry | None) -> SurgeryClassification:
+        """r-surgery as the table entry at its canonical slope states it."""
         if entry is None:
             return SurgeryClassification(SurgeryType.HYPERBOLIC, r, notes=self.notes)
         return SurgeryClassification(
@@ -219,12 +215,11 @@ class Analysis:
         """The table entries at the input knot's own slopes, in increasing
         order; every slope is integral."""
         self.require_hyperbolic()
-        out = []
-        for rc in self.table:
-            r = self.from_canonical(make_slope(rc, 1))
-            out.append((r, self.classify(r)))
-        out.sort(key=lambda pair: pair[0])
-        return out
+        found = [
+            (self.from_canonical(make_slope(rc, 1)), entry) for rc, entry in self.table.items()
+        ]
+        found.sort(key=lambda pair: pair[0])
+        return [(r, self._answer(r, entry)) for r, entry in found]
 
     def predict(self, r: Slope) -> FamilyPrediction:
         if r.is_meridian():
@@ -297,52 +292,55 @@ def _find_pretzel_pair(nf: NormalForm) -> tuple[int, int] | None:
 def _oracle_self_check() -> None:
     """Anchor the push-off linking oracle before the classifier trusts it."""
     anchors = [
-        (make_wrapped(1, MontesinosTangle.from_slopes([make_slope(-1, 2), make_slope(1, 3)])), 8),
-        (make_wrapped(0, MontesinosTangle.from_slopes([make_slope(3, 1)])), 0),
-        (make_wrapped(1, MontesinosTangle.from_slopes([make_slope(4, 1)])), 8),
+        ((make_slope(-1, 2), make_slope(1, 3)), 1, 8),
+        ((make_slope(3, 1),), 0, 0),
+        ((make_slope(4, 1),), 1, 8),
     ]
-    for knot, expected in anchors:
-        framing = pretzel_slope(knot)
-        if framing != make_slope(expected, 1):
+    for entries, a, expected in anchors:
+        framing = pretzel_framing(entries, a)
+        if framing != expected:
             raise InconsistentCrossCheckError(
-                f"push-off oracle gives {framing} for {knot}, expected {expected}"
+                f"push-off oracle gives {framing} for {_knot_text(a, entries)}, "
+                f"expected {expected}"
             )
 
 
-def _decide(a: int, nf: NormalForm) -> tuple[KnotClass, int, int, tuple[Slope, ...]]:
-    """The knot class, the mirror sign, the meridional twists and the entries
-    of the canonical knot (none for a degenerate or generic knot)."""
+def _knot_text(a: int, entries: tuple[Slope, ...]) -> str:
+    return f"K{a}[{','.join(map(str, entries))}]"
+
+
+def _decide(
+    a: int, nf: NormalForm
+) -> tuple[KnotClass, int, int, MappingProxyType[int, _TableEntry]]:
+    """The knot class, the mirror sign, the meridional twists and the
+    class's table of exceptional surgeries at canonical slopes."""
     if nf.degenerate:
-        return KnotClass.DEGENERATE, 1, 0, ()
+        return KnotClass.DEGENERATE, 1, 0, _NO_TABLE
     if nf.k1 is not None:
         t = nf.k1.t
+        sigma, twists = -1 if nf.k1.mirrored else 1, nf.k1.twists
         if not t.is_integral():
-            knot_class = KnotClass.SINGLE_FRACTION
-        elif t.p != 2:
-            knot_class = KnotClass.INTEGER_TANGLE
-        else:
-            knot_class = KnotClass.WHITEHEAD if a == 0 else KnotClass.WHITEHEAD_MATE
-        return knot_class, -1 if nf.k1.mirrored else 1, nf.k1.twists, (t,)
+            return KnotClass.SINGLE_FRACTION, sigma, twists, _NO_TABLE
+        if t.p != 2:
+            return KnotClass.INTEGER_TANGLE, sigma, twists, _spanning_surface_table(a, (t,))
+        if a == 0:
+            return KnotClass.WHITEHEAD, sigma, twists, _WHITEHEAD_TABLE
+        return KnotClass.WHITEHEAD_MATE, sigma, twists, _NO_TABLE
     pair = _find_pretzel_pair(nf)
     if pair is None:
-        return KnotClass.GENERIC, 1, 0, ()
+        return KnotClass.GENERIC, 1, 0, _NO_TABLE
     if sorted(pair) not in ([-2, 3], [-3, 2]):
-        return KnotClass.PRETZEL, 1, 0, tuple(make_slope(1, q) for q in pair)
+        entries = tuple(make_slope(1, q) for q in pair)
+        return KnotClass.PRETZEL, 1, 0, _spanning_surface_table(a, entries)
     sigma = -1 if sorted(pair) == [-3, 2] else 1  # mirror (-3, 2) to (-2, 3)
-    return KnotClass.PRETZEL_2_3, sigma, 0, tuple(make_slope(1, sigma * q) for q in pair)
+    return KnotClass.PRETZEL_2_3, sigma, 0, _PRETZEL_2_3_TABLE
 
 
 @lru_cache(maxsize=_KNOT_CACHE_SIZE)
 def _analyze(knot: WrappedKnot) -> Analysis:
     _oracle_self_check()
     nf = normalize(knot.tangle)
-    wind = knot.winding
-    knot_class, sigma, twists, entries = _decide(knot.a, nf)
-    canonical = make_wrapped(knot.a, MontesinosTangle.from_slopes(entries)) if entries else None
-    if knot_class in (KnotClass.INTEGER_TANGLE, KnotClass.PRETZEL):
-        table = _spanning_surface_table(canonical)
-    else:
-        table = _TABLES.get(knot_class, _NO_TABLE)
+    knot_class, sigma, twists, table = _decide(knot.a, nf)
 
     moves: list[str] = []
     if knot.tangle.entries != nf.as_tangle().entries:
@@ -350,37 +348,39 @@ def _analyze(knot: WrappedKnot) -> Analysis:
     if sigma < 0:
         moves.append("mirror (surgery slopes negate)")
     if twists:
-        effect = f"slopes shift by {4 * twists}" if wind == 2 else "slopes unchanged, winding 0"
+        if knot.winding == 2:
+            effect = f"slopes shift by {4 * twists}"
+        else:
+            effect = "slopes unchanged, winding 0"
         moves.append(f"meridional twist m={twists} ({effect})")
 
     return Analysis(
         knot=knot,
         nf=nf,
-        wind=wind,
         knot_class=knot_class,
         sigma=sigma,
         twists=twists,
-        slope_offset=twists * wind * wind,
-        canonical_knot=canonical,
         table=table,
         notes=_NOTES.get(knot_class, ()),
         moves=tuple(moves),
     )
 
 
-def _spanning_surface_table(canonical: WrappedKnot) -> MappingProxyType[int, _TableEntry]:
-    """One toroidal slope, along the boundary of the evident spanning surface;
-    for a single integer entry m it must be 0 when a = 0, else 2m."""
-    framing = pretzel_slope(canonical)
-    if len(canonical.tangle.entries) == 1:
-        m = canonical.tangle.entries[0].p
-        expected = 0 if canonical.a == 0 else 2 * m
-        if framing.p != expected:
+def _spanning_surface_table(
+    a: int, entries: tuple[Slope, ...]
+) -> MappingProxyType[int, _TableEntry]:
+    """One toroidal slope, along the boundary of the evident spanning surface
+    of the canonical knot with these entries; for a single integer entry m it
+    must be 0 when a = 0, else 2m."""
+    framing = pretzel_framing(entries, a)
+    if len(entries) == 1:
+        expected = 0 if a == 0 else 2 * entries[0].p
+        if framing != expected:
             raise InconsistentCrossCheckError(
-                f"spanning-surface slope {framing} of {canonical} does not match "
-                f"the classified value {expected}"
+                f"spanning-surface slope {framing} of {_knot_text(a, entries)} "
+                f"does not match the classified value {expected}"
             )
-    return MappingProxyType({framing.p: _toroidal(ToroidalSource.PRETZEL_SURFACE, framing.p)})
+    return MappingProxyType({framing: _toroidal(ToroidalSource.PRETZEL_SURFACE, framing)})
 
 
 def classify(knot: WrappedKnot, r: Slope) -> SurgeryClassification:

@@ -22,7 +22,7 @@ from .classify import (
     SurgeryType,
     analysis_of,
 )
-from .slopes import ParseError, Slope, parse_slope
+from .slopes import ParseError, Slope, _parse_int, parse_slope
 from .tangles import NormalForm
 from .wrapped import (
     NotAKnotError,
@@ -132,14 +132,11 @@ def parse(argv: list[str]) -> Request:
 
 
 def _parse_span(text: str, flag: str) -> tuple[int, int]:
-    body = text.strip()
+    lo_text, dots, hi_text = text.partition("..")
     try:
-        if ".." in body:
-            lo_text, _, hi_text = body.partition("..")
-            lo, hi = int(lo_text), int(hi_text)
-        else:
-            lo = hi = int(body)
-    except ValueError:
+        lo = _parse_int(lo_text, 0, allow_sign=True)
+        hi = _parse_int(hi_text, 0, allow_sign=True) if dots else lo
+    except ParseError:
         raise CommandError(f"{flag} expects integers like -2..5, got {text!r}", 2)
     if lo > hi:
         raise CommandError(f"{flag} range is empty: {text!r}", 2)

@@ -201,9 +201,10 @@ def parse_slope(text: str, offset: int = 0) -> Slope:
 
 
 def _parse_int(text: str, offset: int, allow_sign: bool) -> int:
+    """ASCII digits, with a leading '-' when `allow_sign`; no '+', no '_'."""
     s = text.strip()
     body = s[1:] if (allow_sign and s.startswith("-")) else s
-    if not body or not body.isdigit():
+    if not (body.isascii() and body.isdigit()):
         raise ParseError(f"expected an integer, got {text!r}", offset)
     try:
         return int(s)

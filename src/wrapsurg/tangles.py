@@ -158,18 +158,6 @@ class Move:
         return self.kind
 
 
-def _signature(tangle: MontesinosTangle):
-    nf = normalize(tangle)
-    if nf.degenerate:
-        if nf.entry_sum() == 0 and not nf.fracs:
-            return ("degenerate", "zero")
-        v = 1 / nf.entry_sum()
-        return ("degenerate", int(v) % 2)
-    if nf.k1 is not None:
-        return ("single", (nf.k1.t.p, nf.k1.t.q))
-    return ("multi", _least_variant(nf)[1])
-
-
 def _nf_variants(nf: NormalForm):
     """Normal forms of the four reverse/mirror images of a multi-entry tangle."""
     fracs, e0 = nf.fracs, nf.e0
@@ -181,12 +169,31 @@ def _nf_variants(nf: NormalForm):
     yield tuple(reversed(mirrored)), mirrored_e0
 
 
-def _least_variant(nf: NormalForm) -> tuple[int, tuple]:
-    """The index in `_nf_variants` (0 as is, 1 reversed, 2 mirrored, 3 both)
-    and the key of the least of the four images."""
+# The moves taking a tangle to each of its images in `_nf_variants`.
+_VARIANT_MOVES = ((), (Move("reverse"),), (Move("mirror"),), (Move("mirror"), Move("reverse")))
+
+
+def _reduce(tangle: MontesinosTangle) -> tuple[tuple, list[Move]]:
+    """The tangle's canonical signature, which two tangles share exactly when
+    they are equivalent, and the moves that reduce it to canonical form."""
+    nf = normalize(tangle)
+    moves: list[Move] = []
+    if tangle.entries != nf.as_tangle().entries:
+        moves.append(Move("shift"))
+    if nf.degenerate:
+        if nf.entry_sum() == 0 and not nf.fracs:
+            return ("degenerate", "zero"), moves
+        return ("degenerate", int(1 / nf.entry_sum()) % 2), moves
+    if nf.k1 is not None:
+        if nf.k1.mirrored:
+            moves.append(Move("mirror"))
+        if nf.k1.twists:
+            moves.append(Move("twist", nf.k1.twists))
+        return ("single", (nf.k1.t.p, nf.k1.t.q)), moves
     keys = [(e0, tuple((f.p, f.q) for f in fracs)) for fracs, e0 in _nf_variants(nf)]
     key = min(keys)
-    return keys.index(key), key
+    moves.extend(_VARIANT_MOVES[keys.index(key)])
+    return ("multi", key), moves
 
 
 def equivalent(t1: MontesinosTangle, t2: MontesinosTangle) -> list[Move] | None:
@@ -196,46 +203,17 @@ def equivalent(t1: MontesinosTangle, t2: MontesinosTangle) -> list[Move] | None:
     witness search never has to explore deep move sequences: it is assembled
     from each side's reduction to canonical form.
     """
-    if _signature(t1) != _signature(t2):
+    signature, left = _reduce(t1)
+    other, right = _reduce(t2)
+    if signature != other:
         return None
-    return _witness(t1, t2)
-
-
-def _witness(t1: MontesinosTangle, t2: MontesinosTangle) -> list[Move]:
-    left = _reduction_moves(t1)
-    right = _reduction_moves(t2)
-    # Moves from t1 down to canonical form, then t2's reduction undone.
-    moves = list(left)
-    for move in reversed(right):
-        if move.kind == "twist":
-            moves.append(Move("twist", -move.amount))
-        else:
-            moves.append(move)  # shift, reverse, and mirror are involutions
-    return moves
-
-
-def _reduction_moves(tangle: MontesinosTangle) -> list[Move]:
-    nf = normalize(tangle)
-    moves: list[Move] = []
-    if tangle.entries != nf.as_tangle().entries:
-        moves.append(Move("shift"))
-    if nf.k1 is not None:
-        if nf.k1.mirrored:
-            moves.append(Move("mirror"))
-        if nf.k1.twists:
-            moves.append(Move("twist", nf.k1.twists))
-        return moves
-    if nf.degenerate:
-        return moves
-    index = _least_variant(nf)[0]
-    if index == 1:
-        moves.append(Move("reverse"))
-    elif index == 2:
-        moves.append(Move("mirror"))
-    elif index == 3:
-        moves.append(Move("mirror"))
-        moves.append(Move("reverse"))
-    return moves
+    # Moves from t1 down to canonical form, then t2's reduction undone:
+    # shift, reverse and mirror are involutions, a twist is undone by its
+    # negative.
+    return left + [
+        Move("twist", -move.amount) if move.kind == "twist" else move
+        for move in reversed(right)
+    ]
 
 
 def parse_tangle(text: str, offset: int = 0) -> MontesinosTangle:

@@ -15,6 +15,9 @@ knot or of its tangle:
 * how many closed loops the tangle hides (components that never pass the
   wrap region).
 
+A knot is traced once, when it is constructed; its analysis traces no
+further closure.
+
 A diagram keeps its port graph in flat integer lists (edge ends, two
 incident edge ids per port, kind and crossing count per region), so building
 and walking a closure creates no object per edge or per region.  Every twist
@@ -22,9 +25,11 @@ word is checked to rebuild its slope on every call; the check is an exact
 integer recurrence on the pair (p, q) and needs no gcd.
 
 A second, literal diagram of the same class backs the framing of the
-evident spanning surface of a pretzel-shaped knot, via the push-off rule: a
-twist region whose two strands are traversed in parallel contributes twice
-its signed crossing count to the linking number of the knot with its
+evident spanning surface of a pretzel-shaped knot: `pretzel_framing` reads
+the entries and the wrap crossings, as `trace_closure` does, builds one
+twist region per pretzel column and walks it once.  By the push-off rule,
+a twist region whose two strands are traversed in parallel contributes
+twice its signed crossing count to the linking number of the knot with its
 surface push-off, and an antiparallel region contributes nothing.
 
 Port conventions: every twist region has two "in" ports and two "out"
@@ -55,6 +60,10 @@ class Pairing(Enum):
     TOP_TO_TOP = "top-to-top"      # NW-NE and SW-SE
     LEFT_TO_LEFT = "left-to-left"  # NW-SW and NE-SE
     CROSS = "cross"                # NW-SE and NE-SW
+
+
+class NoPretzelSurfaceError(ValueError):
+    """The knot has no evident pretzel spanning surface."""
 
 
 class Diagram:
@@ -301,3 +310,33 @@ def surface_framing_from_walk(diagram: Diagram, walk: list[tuple[int, int]]) -> 
         if senses[0] == senses[1]:
             framing += 2 * diagram.crossings[region]
     return framing
+
+
+def pretzel_framing(slopes: tuple[Slope, ...], a: int) -> int:
+    """Boundary slope of the evident pretzel spanning surface of the knot
+    closing `slopes` with `a` wrap crossings.
+
+    The linking number of the knot with its push-off along the surface, by
+    a signed crossing count over the literal twist-region diagram.  Defined
+    for K^a(1/q1, 1/q2) with |q_i| >= 2 and for K^a(m) with m an integer.
+    The knot is one already traced, so a literal diagram with more than one
+    component means that two diagrams of it disagree.
+    """
+    diagram = Diagram()
+    if len(slopes) == 2 and all(abs(s.p) == 1 and s.q >= 2 for s in slopes):
+        boxes = [build_single_region_tangle(diagram, VERTICAL, s.p * s.q) for s in slopes]
+    elif len(slopes) == 1 and slopes[0].is_integral():
+        boxes = [build_single_region_tangle(diagram, HORIZONTAL, slopes[0].p)]
+    else:
+        raise NoPretzelSurfaceError(
+            f"K{a}[{','.join(map(str, slopes))}] is not of pretzel shape "
+            "K^a(1/q1,1/q2) or K^a(m)"
+        )
+    close_wrapped(diagram, glue_horizontally(diagram, boxes), a)
+    walks = diagram.closed_walk()
+    if len(walks) != 1:
+        raise InconsistentCrossCheckError(
+            f"the literal pretzel diagram has {len(walks)} components, "
+            "the traced closure one"
+        )
+    return surface_framing_from_walk(diagram, walks[0])

@@ -25,10 +25,6 @@ class NotLengthOneError(ValueError):
     """The operation needs a tangle with a single rational entry."""
 
 
-class NoPretzelSurfaceError(ValueError):
-    """The knot has no evident pretzel spanning surface."""
-
-
 # Large enough for every knot of the k<=2 grid (4512 candidates, links
 # included), so that neither a sweep of the grid nor the test suite parses or
 # analyses a knot twice; bounded, so that a long batch run uses bounded
@@ -135,37 +131,9 @@ def two_bridge_fraction(knot: WrappedKnot, n: int) -> Slope:
 
 
 def pretzel_slope(knot: WrappedKnot) -> Slope:
-    """Boundary slope of the evident pretzel spanning surface.
-
-    Computed as the linking number of the knot with its push-off along the
-    surface, by a signed crossing count over the literal twist-region
-    diagram.  Defined for K^a(1/q1, 1/q2) with |q_i| >= 2 and for K^a(m)
-    with m an integer.
-    """
-    slopes = knot.tangle.entries
-    diagram = tracing.Diagram()
-    if len(slopes) == 2 and all(abs(s.p) == 1 and s.q >= 2 for s in slopes):
-        columns = [s.q if s.p > 0 else -s.q for s in slopes]
-        boxes = [
-            tracing.build_single_region_tangle(diagram, tracing.VERTICAL, q)
-            for q in columns
-        ]
-    elif len(slopes) == 1 and slopes[0].is_integral():
-        boxes = [
-            tracing.build_single_region_tangle(
-                diagram, tracing.HORIZONTAL, slopes[0].p
-            )
-        ]
-    else:
-        raise NoPretzelSurfaceError(
-            f"{knot} is not of pretzel shape K^a(1/q1,1/q2) or K^a(m)"
-        )
-    box = tracing.glue_horizontally(diagram, boxes)
-    tracing.close_wrapped(diagram, box, knot.a)
-    walks = diagram.closed_walk()
-    if len(walks) != 1:
-        raise NotAKnotError("pretzel slope is defined for knots only")
-    return make_slope(tracing.surface_framing_from_walk(diagram, walks[0]), 1)
+    """Boundary slope of the evident pretzel spanning surface, by
+    `tracing.pretzel_framing` on the knot's entries."""
+    return make_slope(tracing.pretzel_framing(knot.tangle.entries, knot.a), 1)
 
 
 @lru_cache(maxsize=_KNOT_CACHE_SIZE)

@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import random_knot, run_python
 from wrapsurg import (
@@ -9,6 +11,7 @@ from wrapsurg import (
     DegenerateKnotError,
     FamilyKind,
     KnotClass,
+    MontesinosTangle,
     NotAKnotError,
     Pairing,
     SFSKind,
@@ -256,6 +259,62 @@ def test_classification_invariant_under_moves():
             str(knot), str(r), str(moved_knot), str(moved_r)
         )
         checked += 1
+
+
+# Unit fractions and small integers are drawn often, so that pretzels, the
+# (-2, 3) pretzel and the Whitehead closure come up among the random knots.
+_entries = st.one_of(
+    st.builds(make_slope, st.sampled_from([-1, 1]), st.integers(2, 4)),
+    st.builds(make_slope, st.integers(-3, 3), st.just(1)),
+    st.builds(make_slope, st.integers(-12, 12), st.integers(1, 12)),
+)
+
+
+@st.composite
+def _knots(draw):
+    tangle = MontesinosTangle.from_slopes(draw(st.lists(_entries, min_size=1, max_size=3)))
+    for a in draw(st.permutations([0, 1])):
+        try:
+            return make_wrapped(a, tangle)
+        except NotAKnotError:
+            continue
+    assume(False)
+
+
+def _exceptional(knot, transport=lambda r: r):
+    """The knot's exceptional set with each slope transported, or None for a
+    degenerate knot.  Certificates are left out: they state canonical slopes,
+    and a pretzel is not reduced to one side of its mirror pair."""
+    analysis = analysis_of(knot)
+    if analysis.knot_class is KnotClass.DEGENERATE:
+        return None
+    return {
+        transport(r): (result.type, result.seifert_indices)
+        for r, result in analysis.exceptional_slopes()
+    }
+
+
+@given(_knots(), st.lists(st.integers(-3, 3), min_size=2, max_size=2), st.integers(-3, 3))
+def test_moves_keep_the_class_and_transport_the_exceptional_set(knot, deltas, m):
+    tangle, a = knot.tangle, knot.a
+    knot_class = analysis_of(knot).knot_class
+    deltas = deltas[: len(tangle.entries) - 1]
+    deltas.append(-sum(deltas))
+    images = [
+        (reverse_tangle(tangle), lambda r: r),
+        (shift_tangle(tangle, deltas), lambda r: r),
+        # Under a = 1 and winding 2 the mirror also flips the wrap crossing,
+        # so the true map is r -> -r + 4, which the classifier does not
+        # apply yet; that case is left out here.
+        (mirror_tangle(tangle), (lambda r: -r) if a == 0 or knot.winding == 0 else None),
+    ]
+    if len(tangle.entries) == 1 and knot_class is not KnotClass.DEGENERATE:
+        images.append((twist_tangle(tangle, m), lambda r: r + m * knot.winding**2))
+    for image, transport in images:
+        moved = make_wrapped(a, image)
+        assert analysis_of(moved).knot_class is knot_class, (str(knot), str(moved))
+        if transport is not None:
+            assert _exceptional(moved) == _exceptional(knot, transport), (str(knot), str(moved))
 
 
 # -- structural laws over an exhaustive grid ----------------------------------

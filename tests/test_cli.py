@@ -118,6 +118,25 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
 
 
+def test_integers_are_ascii_digits(capsys):
+    # Any other Unicode digit, a '+' sign or a '_' separator is a parse error,
+    # in knot entries and in --n and --range spans alike.
+    for knot in ("K0[\u0663]", "K0[\uff12/\uff13]", "K0[2/\u0663]", "K0[\u00b2]"):
+        code, out, err = run_cli(capsys, "classify", knot, "1")
+        assert code == 2 and not out, knot
+        assert "expected an integer" in err, knot
+    for flag, args in (
+        ("--range", ["table", "K0[3]", "--range", "1_0..1_1"]),
+        ("--n", ["predict", "K1[-1/2,1/3]", "7", "--n", "+2..\u0663"]),
+        ("--n", ["twist", "K0[3]", "--n", "\u0663"]),
+        ("--n", ["twist", "K0[3]", "--n", "-1..+1"]),
+    ):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and not out, args
+        assert f"{flag} expects integers like -2..5" in err, args
+    assert run_cli(capsys, "twist", "K0[3]", "--n", " -1..1 ")[0] == 0
+
+
 def test_invalid_and_degenerate_exit_code(capsys):
     code, _, err = run_cli(capsys, "classify", "K0[-1/2]", "7")
     assert code == 3 and "link" in err

@@ -1,12 +1,14 @@
 """Golden guard: CLI answers over the exhaustive k<=2 grid, links included.
 
-For each of eight commands, every grid candidate's knot text, exit code,
+For each of ten commands, every grid candidate's knot text, exit code,
 stdout and stderr are folded into one sha256 digest.  The first three were
 recorded before the closure trace was unified, the `table` and `predict 7`
 ones before sweeps were read off the exceptional set, and the `classify 8`,
 `classify -8` and `predict -7` ones (the (-2, 3) pretzel's n0 window and S^3
 covers, plain and mirrored) before each knot class's table was stated once,
-so any refactor that changes a single byte of any answer (or of any error
+and the `predict 6` and `predict -6` ones (the pretzel's S^3 covers at its
+torus-piece slope) before the canonical knot stopped being built, so any
+refactor that changes a single byte of any answer (or of any error
 message) fails here.
 """
 import contextlib
@@ -25,6 +27,8 @@ GOLDEN = {
     ("classify", "8", "--format", "json"): "e8c79cf3dfc5d326709ff600560bb7d085b09d7e1a14b8885c9c93c0d462d539",
     ("classify", "-8", "--format", "json"): "2b815118fad16246403e414a3399008106d4b25004db2331bbb193ea95e72097",
     ("predict", "-7", "--n", "-3..3", "--format", "json"): "83174c945bef2bee65611bcce07f44a6eec1cd69c116656a186c0a20ffae0440",
+    ("predict", "6", "--n", "-3..3", "--format", "json"): "ceb5b157db253dd1ade8cb91a806e334f19665dd9c3fbda3b2e527119929ef3e",
+    ("predict", "-6", "--n", "-3..3", "--format", "json"): "8fc1f32b7e486f2326451326ff065eb1d3a5dd6c54317b5a14f28d58c225a34c",
 }
 
 

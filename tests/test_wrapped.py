@@ -64,21 +64,35 @@ def test_bare_constructor_rejects_links():
     assert WrappedKnot(1, T("[-1/2]")) == make_wrapped(1, T("[-1/2]"))
 
 
-def test_cold_parse_and_analysis_trace_one_diagram(monkeypatch):
+# One knot of each class, most of them reached through a move.
+_ONE_PER_CLASS = {
+    KnotClass.DEGENERATE: "K0[1/3]",
+    KnotClass.WHITEHEAD: "K0[-2/3]",
+    KnotClass.WHITEHEAD_MATE: "K1[3,-1]",
+    KnotClass.INTEGER_TANGLE: "K0[-5/9]",
+    KnotClass.SINGLE_FRACTION: "K0[-5/7]",
+    KnotClass.PRETZEL: "K0[2/3,-4/5]",
+    KnotClass.PRETZEL_2_3: "K1[1/2,-1/3]",
+    KnotClass.GENERIC: "K1[2/7,-3/11,5/13]",
+}
+
+
+@pytest.mark.parametrize("knot_class", list(KnotClass), ids=lambda c: c.value)
+def test_cold_parse_and_analysis_trace_one_diagram(monkeypatch, knot_class):
     analysis_of(K("K0[2]"))  # anchors the push-off oracle beforehand
     importlib.import_module("wrapsurg.classify")._analyze.cache_clear()
     K.cache_clear()  # a cold parse: nothing traced before the count starts
-    glued = []
-    original = tracing.glue_horizontally
+    traced = []
+    original = tracing.trace_closure
 
-    def counting(diagram, boxes):
-        glued.append(len(boxes))
-        return original(diagram, boxes)
+    def counting(slopes, a):
+        traced.append(slopes)
+        return original(slopes, a)
 
-    monkeypatch.setattr(tracing, "glue_horizontally", counting)
-    analysis = analysis_of(K("K1[2/7,-3/11,5/13]"))
-    assert analysis.knot_class is KnotClass.GENERIC
-    assert glued == [3]
+    monkeypatch.setattr(tracing, "trace_closure", counting)
+    analysis = analysis_of(K(_ONE_PER_CLASS[knot_class]))
+    assert analysis.knot_class is knot_class
+    assert len(traced) == 1
 
 
 _SABOTAGED_WORD = """
@@ -131,11 +145,11 @@ sys.exit(1)
 _SABOTAGED_ORACLE = """
 import importlib
 import sys
-from wrapsurg import InconsistentCrossCheckError, make_slope, parse_knot
+from wrapsurg import InconsistentCrossCheckError, parse_knot
 if not sys.flags.optimize:
     sys.exit(3)
 classify = importlib.import_module("wrapsurg.classify")
-classify.pretzel_slope = lambda knot: make_slope(1, 1)
+classify.pretzel_framing = lambda slopes, a: 1
 try:
     classify.analysis_of(parse_knot("K0[5]"))
 except InconsistentCrossCheckError as err:
@@ -148,12 +162,12 @@ sys.exit(1)
 _SABOTAGED_SPANNING_SURFACE = """
 import importlib
 import sys
-from wrapsurg import InconsistentCrossCheckError, make_slope, parse_knot
+from wrapsurg import InconsistentCrossCheckError, parse_knot
 if not sys.flags.optimize:
     sys.exit(3)
 classify = importlib.import_module("wrapsurg.classify")
 classify._oracle_self_check()
-classify.pretzel_slope = lambda knot: make_slope(1, 1)
+classify.pretzel_framing = lambda slopes, a: 1
 try:
     classify.analysis_of(parse_knot("K0[5]"))
 except InconsistentCrossCheckError as err:
