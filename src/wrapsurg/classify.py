@@ -1,20 +1,21 @@
 """Classification of Dehn surgeries on wrapped Montesinos knots.
 
-Every knot is first reduced to a canonical representative under the
-equivalence moves, tracking how surgery slopes transport (mirror negates a
-slope, a meridional twist by m shifts it by m * wind^2).  `_decide` names the
-knot's class from its normal form and returns the class's table, which lists
-its exceptional surgeries at canonical slopes: `_WHITEHEAD_TABLE`,
-`_PRETZEL_2_3_TABLE`, or the one spanning-surface slope of
-`_spanning_surface_table` for a single integer entry or a genuine pretzel.
-Every other slope, including every non-integral one, is hyperbolic.  The
-canonical representative is never built as a knot: the knot's own closure is
-the only one traced, and the push-off oracle reads the canonical entries.
+Every knot is reduced to a canonical representative under the equivalence
+moves (a mirror negates a slope, a meridional twist by m shifts it by
+m * wind^2).  `_decide` names the knot's class from its normal form and
+returns the class's table, which lists its exceptional surgeries at
+canonical slopes: `_WHITEHEAD_TABLE`, `_PRETZEL_2_3_TABLE`, or the one
+spanning-surface slope of `_spanning_surface_table` for a single integer
+entry or a genuine pretzel.  Every other slope, including every
+non-integral one, is hyperbolic.  The canonical representative is never
+built as a knot: the knot's own closure is the only one traced, and the
+push-off oracle reads the canonical entries.
 
-Each knot's `Analysis` (cached) holds its table and answers every slope from
-it; the module functions look the analysis up and ask it.  A sweep over
-integral slopes therefore reads each row off the exceptional set: the
-exceptional type at that slope, else hyperbolic.
+Each knot's `Analysis` (cached) holds its class's table restated at the
+knot's own slopes: the slope map r = sigma * (rc - twists * wind^2) is
+applied once, when the analysis is built, and every answer is read off that
+mapping.  A sweep over integral slopes therefore reads each row off the
+exceptional set: the exceptional type at that slope, else hyperbolic.
 """
 from __future__ import annotations
 
@@ -60,8 +61,9 @@ class ToroidalSource(Enum):
 class ToroidalCertificate:
     """Why the surgered manifold contains an essential torus.
 
-    Slopes are stated for the canonical representative of the knot; when the
-    reduction used the mirror move the input slope is the negative.
+    `slope` is the table entry's slope at the reduced knot of the class; the
+    knot's own slope is sigma * (slope - twists * wind^2), with the mirror
+    sign and meridional twists of its reduction (`--moves` prints them).
     """
 
     source: ToroidalSource
@@ -150,8 +152,9 @@ _PRETZEL_2_3_TABLE = MappingProxyType({
     ),
 })
 # An integer entry or a pretzel gets `_spanning_surface_table`; any other
-# class without a table here has no exceptional slope.
-_NO_TABLE: MappingProxyType[int, _TableEntry] = MappingProxyType({})
+# class without a table here has no exceptional slope, and its analysis holds
+# this same empty mapping.
+_NO_TABLE: MappingProxyType = MappingProxyType({})
 # Notes carried by every answer for a knot of the class.
 _NOTES = {
     KnotClass.WHITEHEAD_MATE: (
@@ -170,37 +173,22 @@ class Analysis:
     knot_class: KnotClass
     sigma: int          # -1 when the reduction mirrors the knot
     twists: int         # meridional twist moves applied after mirroring
-    table: MappingProxyType[int, _TableEntry]
+    # The class's table at the knot's own slopes, ascending: each exceptional
+    # slope to its canonical slope and the table entry there.
+    table: MappingProxyType[Slope, tuple[int, _TableEntry]]
     notes: tuple[str, ...]
     moves: tuple[str, ...]
 
-    def to_canonical(self, r: Slope) -> Slope:
-        if r.is_meridian():
-            return r
-        mirrored = -r if self.sigma < 0 else r
-        return mirrored + self.twists * self.knot.winding ** 2
-
-    def from_canonical(self, rc: Slope) -> Slope:
-        if rc.is_meridian():
-            return rc
-        shifted = rc + -self.twists * self.knot.winding ** 2
-        return -shifted if self.sigma < 0 else shifted
-
-    def _lookup(self, r: Slope) -> tuple[Slope, _TableEntry | None]:
-        """r's canonical slope and the table entry there, if any."""
-        rc = self.to_canonical(r)
-        return rc, self.table.get(rc.p) if rc.is_integral() else None
-
     def classify(self, r: Slope) -> SurgeryClassification:
-        """Classify r-surgery: the table entry at r's canonical slope, if any."""
+        """Classify r-surgery: the table entry at r, if any."""
         if r.is_meridian():
             return SurgeryClassification(SurgeryType.TRIVIAL_FILLING, r)
         if self.knot_class is KnotClass.DEGENERATE:
             return SurgeryClassification(SurgeryType.NON_HYPERBOLIC_KNOT, r)
-        return self._answer(r, self._lookup(r)[1])
+        return self._answer(r, self.table.get(r, (None, None))[1])
 
     def _answer(self, r: Slope, entry: _TableEntry | None) -> SurgeryClassification:
-        """r-surgery as the table entry at its canonical slope states it."""
+        """r-surgery as the table entry at r states it."""
         if entry is None:
             return SurgeryClassification(SurgeryType.HYPERBOLIC, r, notes=self.notes)
         return SurgeryClassification(
@@ -215,17 +203,13 @@ class Analysis:
         """The table entries at the input knot's own slopes, in increasing
         order; every slope is integral."""
         self.require_hyperbolic()
-        found = [
-            (self.from_canonical(make_slope(rc, 1)), entry) for rc, entry in self.table.items()
-        ]
-        found.sort(key=lambda pair: pair[0])
-        return [(r, self._answer(r, entry)) for r, entry in found]
+        return [(r, self._answer(r, entry)) for r, (_, entry) in self.table.items()]
 
     def predict(self, r: Slope) -> FamilyPrediction:
         if r.is_meridian():
             raise ValueError("the meridian filling is trivial for every embedding")
         self.require_hyperbolic()
-        entry = self._lookup(r)[1]
+        entry = self.table.get(r, (None, None))[1]
         if entry is None:
             return FamilyPrediction(FamilyKind.HYPERBOLIC_INTERIOR)
         if entry.type is SurgeryType.SMALL_SEIFERT:
@@ -236,14 +220,14 @@ class Analysis:
         return FamilyPrediction(FamilyKind.TOROIDAL_COFINITE, n0=n0)
 
     def surgery_in_s3(self, r: Slope, n: int) -> SFSClass | None:
-        rc, entry = self._lookup(r)
+        rc, entry = self.table.get(r, (None, None))
         if entry is None or not entry.s3_cover:
             return None
         nc = self.sigma * n - self.twists
-        result = double_branched_cover(pretzel_surgery_link(nc, rc.p))
+        result = double_branched_cover(pretzel_surgery_link(nc, rc))
         if nc in _TORUS_KNOT_MEMBERS:
             p, q = _TORUS_KNOT_MEMBERS[nc]
-            check = torus_knot_surgery(p, q, make_slope(rc.p + 4 * nc, 1))
+            check = torus_knot_surgery(p, q, make_slope(rc + 4 * nc, 1))
             if not sfs_equal(result, check):
                 raise InconsistentCrossCheckError(
                     f"branch-locus cover {result} disagrees with torus-knot "
@@ -341,6 +325,11 @@ def _analyze(knot: WrappedKnot) -> Analysis:
     _oracle_self_check()
     nf = normalize(knot.tangle)
     knot_class, sigma, twists, table = _decide(knot.a, nf)
+    if table:
+        shift = twists * knot.winding ** 2
+        table = MappingProxyType(dict(sorted(
+            (make_slope(sigma * (rc - shift), 1), (rc, entry)) for rc, entry in table.items()
+        )))
 
     moves: list[str] = []
     if knot.tangle.entries != nf.as_tangle().entries:
@@ -412,5 +401,5 @@ def surgery_in_s3(knot: WrappedKnot, r: Slope, n: int) -> SFSClass | None:
 
 
 def analysis_of(knot: WrappedKnot) -> Analysis:
-    """Cached canonical analysis of a knot (moves, class, slope transform)."""
+    """Cached analysis of a knot (moves, class, exceptional table at its slopes)."""
     return _analyze(knot)

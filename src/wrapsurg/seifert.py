@@ -71,7 +71,6 @@ class SFSKind(Enum):
     SMALL_SEIFERT = "small-seifert"
     LENS = "lens"
     REDUCIBLE = "reducible"
-    S3 = "s3"
 
 
 @dataclass(frozen=True, slots=True)

@@ -62,9 +62,6 @@ class Slope:
     def is_meridian(self) -> bool:
         return self.q == 0
 
-    def is_finite(self) -> bool:
-        return self.q != 0
-
     def is_integral(self) -> bool:
         return self.q == 1
 

@@ -83,14 +83,13 @@ class TwistedImage:
 
     For a + 2n != 0 the image is the Montesinos knot whose entries extend the
     tangle by 1/(a + 2n).  For a + 2n = 0 the wrap arcs close the tangle
-    directly; `closure_fraction` then carries the two-bridge fraction of the
-    collapsed closure when the tangle has a single entry.
+    directly; for a single entry, `two_bridge_fraction` gives the fraction of
+    that collapsed closure.
     """
 
     entries: tuple[Slope, ...]
     n: int
     degenerate: bool
-    closure_fraction: Slope | None = None
 
     def __str__(self) -> str:
         inner = ",".join(str(s) for s in self.entries)
@@ -103,10 +102,7 @@ def twist(knot: WrappedKnot, n: int) -> TwistedImage:
     c = knot.a + 2 * n
     slopes = knot.tangle.entries
     if c == 0:
-        fraction = None
-        if len(slopes) == 1:
-            fraction = slopes[0].reciprocal()
-        return TwistedImage(slopes, n, degenerate=True, closure_fraction=fraction)
+        return TwistedImage(slopes, n, degenerate=True)
     return TwistedImage(slopes + (make_slope(1, c),), n, degenerate=False)
 
 

@@ -376,9 +376,24 @@ def test_exceptional_count_law_on_grid():
     ):
         analysis = analysis_of(K(text))
         assert analysis.knot_class is knot_class
-        rc = next(iter(analysis.table))
+        r = next(iter(analysis.table))
         with pytest.raises(TypeError):
-            analysis.table[rc] = analysis.table[rc]
+            analysis.table[r] = analysis.table[r]
+
+
+def test_analysis_table_is_the_exceptional_set_at_the_knots_slopes():
+    from wrapsurg.classify import _NO_TABLE
+
+    for knot in GRID:
+        analysis = analysis_of(knot)
+        found = [] if analysis.knot_class is KnotClass.DEGENERATE else exceptional_slopes(knot)
+        if not found:
+            # No shift and no sort for a knot without exceptional slopes.
+            assert analysis.table is _NO_TABLE, str(knot)
+            continue
+        assert list(analysis.table) == [r for r, _ in found], str(knot)
+        for r, result in found:
+            assert classify(knot, r) == result, (str(knot), str(r))
 
 
 def test_case_disjointness_on_grid():

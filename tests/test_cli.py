@@ -3,9 +3,21 @@ import json
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import python_env
-from wrapsurg import make_slope, parse_knot, parse_slope
+from wrapsurg import (
+    KnotClass,
+    NotAKnotError,
+    analysis_of,
+    make_slope,
+    normalize,
+    parse_knot,
+    parse_slope,
+)
 from wrapsurg.cli import main
 
 
@@ -287,15 +299,60 @@ def test_commands_refuse_the_flags_they_would_ignore(capsys):
 def test_closed_stdout_exits_1_without_a_traceback():
     batch = "slopes K0[2]\n" * 5000
     for args, stdin in ((["table", "K0[3]", "--range", "0..200000"], ""), (["batch"], batch)):
-        child = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "wrapsurg.cli", *args], env=python_env(),
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True,
-        )
-        child.stdin.write(stdin)
-        child.stdin.close()
-        assert child.stdout.readline().startswith("knot: K0["), args
-        child.stdout.close()  # the reader goes away, as `| head -1` does
-        err = child.stderr.read()
-        assert child.wait(timeout=60) == 1, (args, err)
+        ) as child:
+            child.stdin.write(stdin)
+            child.stdin.close()
+            assert child.stdout.readline().startswith("knot: K0["), args
+            child.stdout.close()  # the reader goes away, as `| head -1` does
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == 1, (args, err)
         assert "Traceback" not in err and "Exception" not in err, args
+
+
+# 0, +-1, and integers of up to about three hundred digits, well inside the
+# 4300-digit text limit.
+_integers = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10**300, 10**300))
+_denominators = st.one_of(st.just(1), st.integers(1, 10**300))
+_entries = st.builds(lambda p, q: f"{p}/{q}", _integers, _denominators)
+# Denominator 0 is the meridian, which is written `inf`.
+_slopes = st.one_of(st.just("inf"), _entries)
+
+
+def _main_out(*args):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(args))
+    return code, out.getvalue()
+
+
+@given(st.integers(0, 1), st.lists(_entries, min_size=1, max_size=2), _slopes)
+def test_cli_renders_huge_and_tiny_integers_as_the_library_holds_them(a, entries, slope_text):
+    knot_text = f"K{a}[{','.join(entries)}]"
+    code, out = _main_out("classify", knot_text, slope_text, "--format", "json")
+    text_code, text = _main_out("classify", knot_text, slope_text)
+    assert code == text_code
+    try:
+        knot = parse_knot(knot_text)
+    except NotAKnotError:
+        assert code == 3
+        return
+    if analysis_of(knot).knot_class is KnotClass.DEGENERATE:
+        assert code == 3
+        return
+    assert code == 0
+    slope, nf = parse_slope(slope_text), normalize(knot.tangle)
+    payload = json.loads(out)
+    assert payload["input"] == {"knot": str(knot), "slope": str(slope)}
+    assert payload["classification"]["slope"] == str(slope)
+    assert type(payload["normal_form"]["e0"]) is int
+    assert payload["normal_form"]["e0"] == nf.e0
+    assert payload["normal_form"]["fracs"] == [str(f) for f in nf.fracs]
+    lines = text.splitlines()
+    assert lines[0] == f"knot: {knot}"
+    [line] = [line for line in lines if line.startswith("classification: ")]
+    assert line.startswith(f"classification: {payload['classification']['type']}")
+    assert line.endswith(f" at slope {slope}")

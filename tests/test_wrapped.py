@@ -270,9 +270,9 @@ def test_twist_appends_wrap_entry():
 def test_twist_degenerate_closure():
     image = twist(K("K0[2]"), 0)
     assert image.degenerate
-    # The collapsed closure is the two-bridge closure of fraction 1/2, whose
-    # numerator 1 is the determinant of an unknot.
-    assert image.closure_fraction == make_slope(1, 2)
+    # The collapsed closure is the two-bridge closure of fraction 2, whose
+    # denominator 1 is the determinant of an unknot.
+    assert two_bridge_fraction(K("K0[2]"), 0) == make_slope(2, 1)
 
 
 def test_twist_entry_multiset_property():
