@@ -5,15 +5,18 @@ Knots are written as `K0[...]`/`K1[...]`, slopes as `p/q`, `p`, or `inf`.
 Exit codes: 0 success, 1 stdout closed before the answer was written
 (`wrapsurg ... | head`; a batch stops there), 2 parse error (a flag the
 command does not take, or an answer too long to write as text), 3 invalid
-or degenerate knot.
+or degenerate knot.  JSON output is the text of json.dumps(payload, indent=2,
+sort_keys=True).  A batch file or stdin decodes as UTF-8 with surrogateescape,
+its lines end at LF, CRLF or CR only, and shlex.split splits each into words.
 """
 from __future__ import annotations
 
-import json
 import os
+import re
 import shlex
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .classify import (
     DegenerateKnotError,
@@ -162,7 +165,7 @@ def run(request: Request, out=None) -> int:
     try:
         payload = _dispatch(request, knot, slope)
         if request.fmt == "json":
-            text = json.dumps(payload, indent=2, sort_keys=True)
+            text = _json(payload, "")
         else:
             text = "\n".join(_render_text(request, payload))
     except DegenerateKnotError as err:
@@ -243,15 +246,15 @@ def _dispatch(request: Request, knot: WrappedKnot, slope: Slope | None) -> dict:
 
 def _run_batch(request: Request, out) -> int:
     if request.batch_file is None:
-        lines = sys.stdin.read().splitlines()
+        data = sys.stdin.buffer.read()
     else:
         try:
-            with open(
-                request.batch_file, encoding="utf-8", errors="surrogateescape"
-            ) as handle:
-                lines = handle.read().splitlines()
+            with open(request.batch_file, "rb") as handle:
+                data = handle.read()
         except OSError as err:
             raise CommandError(f"cannot read batch file: {err}", 2)
+    # Not str.splitlines(), which also ends lines at \x0b, \x0c, \x1c-\x1e, \x85...
+    lines = re.split(r"\r\n?|\n", data.decode("utf-8", "surrogateescape"))
     exit_code = 0
     for number, line in enumerate(lines, start=1):
         text = line.strip()
@@ -259,7 +262,7 @@ def _run_batch(request: Request, out) -> int:
             continue
         try:
             try:
-                words = shlex.split(text)
+                words = _split(text)
             except ValueError as err:  # an unclosed quote or a trailing escape
                 raise CommandError(f"bad request line: {err}", 2)
             sub = parse(words)
@@ -271,6 +274,43 @@ def _run_batch(request: Request, out) -> int:
             if exit_code == 0:
                 exit_code = err.code
     return exit_code
+
+
+# A word of a line with no " or \: a run of non-whitespace, with '...' stretches.
+_WORD = re.compile(r"(?:[^ \t\r\n']+|'[^']*')+")
+
+
+def _split(text: str) -> list[str]:
+    """The words shlex.split(text) gives, or its ValueError."""
+    if '"' in text or "\\" in text or text.count("'") % 2:
+        return shlex.split(text)
+    return [word.replace("'", "") for word in _WORD.findall(text)]
+
+
+def _json(value, indent: str) -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True), nested at `indent`."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = (f"{inner}{_quote(k)}: {_json(value[k], inner)}" for k in sorted(value))
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = (inner + _json(item, inner) for item in value)
+        return "[\n" + ",\n".join(items) + f"\n{indent}]"
+    if kind is int:
+        return int.__repr__(value)  # ValueError past the digit limit
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # -- JSON payload builders ---------------------------------------------------

@@ -1,10 +1,12 @@
 import io
 import json
 import random
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,6 +20,7 @@ from wrapsurg import (
     parse_knot,
     parse_slope,
 )
+from wrapsurg import cli
 from wrapsurg.cli import main
 
 
@@ -263,6 +266,30 @@ def test_batch_file_that_is_not_utf8_fails_only_that_line(tmp_path, capsys):
     assert captured.out.count("knot:") == 2  # lines 1 and 3 still answered
 
 
+def test_batch_on_stdin_that_is_not_utf8_fails_only_that_line():
+    # PYTHONIOENCODING=utf-8 makes sys.stdin decode strictly.
+    env = dict(python_env(), PYTHONIOENCODING="utf-8")
+    child = subprocess.run(
+        [sys.executable, "-m", "wrapsurg.cli", "batch"], env=env, capture_output=True,
+        input=b"classify K0[2] 1\n\xff\nclassify K0[3] 1\n", timeout=60,
+    )
+    err = child.stderr.decode()
+    assert child.returncode == 2, err
+    assert "line 2: error" in err and "Traceback" not in err
+    assert child.stdout.decode().count("knot:") == 2  # lines 1 and 3 still answered
+
+
+def test_batch_lines_end_at_newlines_only(tmp_path, capsys):
+    script = tmp_path / "requests.txt"
+    for end in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        for newline in ("\n", "\r\n", "\r"):
+            script.write_bytes(f"classify K0[2] 1{end}{newline}bogus{newline}".encode())
+            code = main(["batch", str(script)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out.count("knot:") == 1, (end, newline)
+            assert captured.err == "line 2: error: unknown command 'bogus' (at position 0)\n"
+
+
 def test_batch_line_with_an_unclosed_quote_fails_only_that_line(
     tmp_path, monkeypatch, capsys
 ):
@@ -270,7 +297,7 @@ def test_batch_line_with_an_unclosed_quote_fails_only_that_line(
     script = tmp_path / "requests.txt"
     script.write_text(lines, encoding="utf-8")
     for argv, stdin in ((["batch", str(script)], ""), (["batch"], lines)):
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2, argv
@@ -356,3 +383,48 @@ def test_cli_renders_huge_and_tiny_integers_as_the_library_holds_them(a, entries
     [line] = [line for line in lines if line.startswith("classification: ")]
     assert line.startswith(f"classification: {payload['classification']['type']}")
     assert line.endswith(f" at slope {slope}")
+
+
+# The characters on which a shell tokenizer can go wrong: quotes, escapes,
+# shlex's whitespace and the control and Unicode spaces that are not.
+_LINE_CHARS = "'\"\\ \t\r\x0b\x0c\x1c\x1d\x1e\x1f\xa0\u2003#[]/-0123456789abcKinf"
+
+
+def _words_or_error(split, line):
+    try:
+        return split(line)
+    except ValueError as err:
+        return str(err)
+
+
+@given(st.text(st.sampled_from(_LINE_CHARS), max_size=40))
+def test_split_gives_the_words_or_the_error_of_shlex(line):
+    assert _words_or_error(cli._split, line) == _words_or_error(shlex.split, line)
+
+
+# Keys include non-ASCII text and lone surrogates; integers reach about 4000
+# digits, inside the interpreter's text limit.
+_keys = st.text(st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr)), max_size=6)
+_scalars = st.one_of(
+    _keys, st.none(), st.booleans(), st.sampled_from([0, 1, -1]),
+    st.integers(-(10**4000), 10**4000),
+)
+_trees = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_keys, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(_trees)
+def test_json_emitter_gives_the_text_of_indented_sorted_dumps(value):
+    assert cli._json(value, "") == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_emitter_fails_past_the_digit_limit_as_dumps_does():
+    value = {"n": [10 ** sys.get_int_max_str_digits()]}
+    with pytest.raises(ValueError) as ours:
+        cli._json(value, "")
+    with pytest.raises(ValueError) as theirs:
+        json.dumps(value, indent=2, sort_keys=True)
+    assert str(ours.value) == str(theirs.value)

@@ -1,19 +1,23 @@
 """Golden guard: CLI answers over the exhaustive k<=2 grid, links included.
 
-For each of ten commands, every grid candidate's knot text, exit code,
+For each of eleven commands, every grid candidate's knot text, exit code,
 stdout and stderr are folded into one sha256 digest.  The first three were
 recorded before the closure trace was unified, the `table` and `predict 7`
 ones before sweeps were read off the exceptional set, and the `classify 8`,
 `classify -8` and `predict -7` ones (the (-2, 3) pretzel's n0 window and S^3
 covers, plain and mirrored) before each knot class's table was stated once,
 and the `predict 6` and `predict -6` ones (the pretzel's S^3 covers at its
-torus-piece slope) before the canonical knot stopped being built, so any
-refactor that changes a single byte of any answer (or of any error
-message) fails here.
+torus-piece slope) before the canonical knot stopped being built, and the
+`twist` one before the JSON emitter replaced json.dumps, so any refactor that
+changes a single byte of any answer (or of any error message) fails here.
+One more digest folds a batch run over every command, quoting style, comment,
+blank and error line (`_batch_text`), recorded before the batch tokenizer
+took a fast path in front of shlex.split.
 """
 import contextlib
 import hashlib
 import io
+import itertools
 
 from test_classify import _grid_slopes
 from wrapsurg.cli import main
@@ -29,7 +33,9 @@ GOLDEN = {
     ("predict", "-7", "--n", "-3..3", "--format", "json"): "83174c945bef2bee65611bcce07f44a6eec1cd69c116656a186c0a20ffae0440",
     ("predict", "6", "--n", "-3..3", "--format", "json"): "ceb5b157db253dd1ade8cb91a806e334f19665dd9c3fbda3b2e527119929ef3e",
     ("predict", "-6", "--n", "-3..3", "--format", "json"): "8fc1f32b7e486f2326451326ff065eb1d3a5dd6c54317b5a14f28d58c225a34c",
+    ("twist", "--n", "-2..2", "--format", "json"): "d11f24c861b877910d3cffcfafcf9596294cce66da86cd470131ae22c7536b9f",
 }
+BATCH_GOLDEN = "1c907c14ce20aabbdc44a07feaa2c9f18dc6378f7ad8416f54f0910192f41244"
 
 
 def _candidates():
@@ -60,3 +66,44 @@ def test_grid_has_all_candidates():
 def test_golden_cli_digests_on_grid():
     for (command, *flags), expected in GOLDEN.items():
         assert _digest(command, *flags) == expected, (command, flags)
+
+
+def _batch_text():
+    """Every command in text and JSON, with and without --moves, on knot words
+    written bare, single-quoted, double-quoted and backslash-escaped, among
+    comment, blank and failing lines."""
+    knots = ["K1[-1/2,1/3]", "K1[1/2,-1/3]", "K0[2]", "K0[5/3,-2/3]", "K0[-1/3,-1/3]",
+             "K1[2]", "K0[0]", "K1[-1/2]", "K2[1]"]
+    quotings = itertools.cycle([
+        lambda k: k, lambda k: f"'{k}'", lambda k: f'"{k}"',
+        lambda k: k.replace("[", "\\[").replace(",", "\\,"),
+        lambda k: f"K'{k[1:]}'", lambda k: f"'{k[:3]}'{k[3:]}",
+    ])
+    commands = ["classify {} 7", "classify {} -6", "slopes {}", "normalize {}",
+                "twist {} --n -1..1", "predict {} 6 --n -2..2", "table {} --range -2..9"]
+    lines = ["# every command, format and quoting", ""]
+    for knot, command, fmt, moves in itertools.product(
+        knots, commands, ("", " --format json"), ("", " --moves")
+    ):
+        lines.append(command.format(next(quotings)(knot)) + fmt + moves)
+    lines += [
+        "   ", "\t# an indented comment", "classify\tK0[2]\t\t1", "bogus",
+        "classify", "classify 'K0[2] 1", 'classify "K0[2] 1', "classify K0[2] 1 \\",
+        "classify K0[2] '' 1", "classify K0[2] 1 --range 0..1", "table K0[2]",
+        "batch other.txt", "slopes K0[2] --format yaml", "classify K0[2] 1/0",
+        "twist 'K0[2]' --n 3..1", "classify K0[2]\xa01",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_golden_batch_digest(tmp_path):
+    script = tmp_path / "requests.txt"
+    script.write_text(_batch_text(), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["batch", str(script)])
+    sha = hashlib.sha256()
+    for part in (str(code), out.getvalue(), err.getvalue()):
+        sha.update(part.encode())
+        sha.update(b"\0")
+    assert sha.hexdigest() == BATCH_GOLDEN
