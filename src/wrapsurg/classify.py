@@ -19,7 +19,6 @@ exceptional set: the exceptional type at that slope, else hyperbolic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +31,7 @@ from .seifert import (
     sfs_equal,
     torus_knot_surgery,
 )
-from .slopes import InconsistentCrossCheckError, Slope, make_slope
+from .slopes import InconsistentCrossCheckError, Record, Slope, make_slope
 from .tangles import NormalForm, normalize
 from .tracing import pretzel_framing
 from .wrapped import _KNOT_CACHE_SIZE, WrappedKnot
@@ -57,8 +56,7 @@ class ToroidalSource(Enum):
     TORUS_PIECE = "torus-piece"
 
 
-@dataclass(frozen=True, slots=True)
-class ToroidalCertificate:
+class ToroidalCertificate(Record):
     """Why the surgered manifold contains an essential torus.
 
     `slope` is the table entry's slope at the reduced knot of the class; the
@@ -66,19 +64,28 @@ class ToroidalCertificate:
     sign and meridional twists of its reduction (`--moves` prints them).
     """
 
-    source: ToroidalSource
-    slope: Slope
-    piece_indices: tuple[int, int] | None = None
-    piece: str | None = None
+    __slots__ = ("source", "slope", "piece_indices", "piece")
+
+    def __init__(self, source: ToroidalSource, slope: Slope,
+                 piece_indices: tuple[int, int] | None = None, piece: str | None = None) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "piece_indices", piece_indices)
+        object.__setattr__(self, "piece", piece)
 
 
-@dataclass(frozen=True, slots=True)
-class SurgeryClassification:
-    type: SurgeryType
-    slope: Slope
-    certificate: ToroidalCertificate | None = None
-    seifert_indices: tuple[int, int] | None = None
-    notes: tuple[str, ...] = ()
+class SurgeryClassification(Record):
+    __slots__ = ("type", "slope", "certificate", "seifert_indices", "notes")
+
+    def __init__(self, type: SurgeryType, slope: Slope,
+                 certificate: ToroidalCertificate | None = None,
+                 seifert_indices: tuple[int, int] | None = None,
+                 notes: tuple[str, ...] = ()) -> None:
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "seifert_indices", seifert_indices)
+        object.__setattr__(self, "notes", notes)
 
 
 class KnotClass(Enum):
@@ -98,8 +105,7 @@ class FamilyKind(Enum):
     HYPERBOLIC_INTERIOR = "hyperbolic-interior"
 
 
-@dataclass(frozen=True, slots=True)
-class FamilyPrediction:
+class FamilyPrediction(Record):
     """Behaviour of the surgeries on every re-embedding of the solid torus.
 
     Toroidal surgeries stay toroidal outside a window of at most three
@@ -108,19 +114,27 @@ class FamilyPrediction:
     with the two recorded fiber indices.
     """
 
-    kind: FamilyKind
-    n0: int | None = None
-    fiber_indices: tuple[int, int] | None = None
+    __slots__ = ("kind", "n0", "fiber_indices")
+
+    def __init__(self, kind: FamilyKind, n0: int | None = None,
+                 fiber_indices: tuple[int, int] | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "fiber_indices", fiber_indices)
 
 
-@dataclass(frozen=True, slots=True)
-class _TableEntry:
-    type: SurgeryType
-    certificate: ToroidalCertificate | None = None
-    indices: tuple[int, int] | None = None
-    notes: tuple[str, ...] = ()
-    n0: int | None = None     # canonical center of the non-toroidal window
-    s3_cover: bool = False    # S^3 surgeries known from the branch-locus cover
+class _TableEntry(Record):
+    __slots__ = ("type", "certificate", "indices", "notes", "n0", "s3_cover")
+
+    def __init__(self, type: SurgeryType, certificate: ToroidalCertificate | None = None,
+                 indices: tuple[int, int] | None = None, notes: tuple[str, ...] = (),
+                 n0: int | None = None, s3_cover: bool = False) -> None:
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "n0", n0)  # canonical center of the non-toroidal window
+        object.__setattr__(self, "s3_cover", s3_cover)  # S^3 surgeries by the branch locus
 
 
 def _toroidal(source, r, piece_indices=None, piece=None, **extra) -> _TableEntry:
@@ -166,18 +180,22 @@ _NOTES = {
 _TORUS_KNOT_MEMBERS = {0: (2, 5), 1: (3, 4), 2: (3, 5)}
 
 
-@dataclass(frozen=True, slots=True)
-class Analysis:
-    knot: WrappedKnot
-    nf: NormalForm
-    knot_class: KnotClass
-    sigma: int          # -1 when the reduction mirrors the knot
-    twists: int         # meridional twist moves applied after mirroring
-    # The class's table at the knot's own slopes, ascending: each exceptional
-    # slope to its canonical slope and the table entry there.
-    table: MappingProxyType[Slope, tuple[int, _TableEntry]]
-    notes: tuple[str, ...]
-    moves: tuple[str, ...]
+class Analysis(Record):
+    __slots__ = ("knot", "nf", "knot_class", "sigma", "twists", "table", "notes", "moves")
+
+    def __init__(self, knot: WrappedKnot, nf: NormalForm, knot_class: KnotClass, sigma: int,
+                 twists: int, table: MappingProxyType[Slope, tuple[int, _TableEntry]],
+                 notes: tuple[str, ...], moves: tuple[str, ...]) -> None:
+        object.__setattr__(self, "knot", knot)
+        object.__setattr__(self, "nf", nf)
+        object.__setattr__(self, "knot_class", knot_class)
+        object.__setattr__(self, "sigma", sigma)  # -1 when the reduction mirrors the knot
+        object.__setattr__(self, "twists", twists)  # meridional twists after mirroring
+        # The class's table at the knot's own slopes, ascending: each exceptional
+        # slope to its canonical slope and the table entry there.
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "moves", moves)
 
     def classify(self, r: Slope) -> SurgeryClassification:
         """Classify r-surgery: the table entry at r, if any."""

@@ -8,15 +8,15 @@ command does not take, or an answer too long to write as text), 3 invalid
 or degenerate knot.  JSON output is the text of json.dumps(payload, indent=2,
 sort_keys=True).  A batch file or stdin decodes as UTF-8 with surrogateescape,
 its lines end at LF, CRLF or CR only, and shlex.split splits each into words.
+No request loads `json` (strings are quoted by its C helper `_json`), and only
+a batch line with a `"`, a backslash or an odd number of `'` loads `shlex`.
 """
 from __future__ import annotations
 
 import os
 import re
-import shlex
 import sys
-from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _quote
+from _json import encode_basestring_ascii as _quote
 
 from .classify import (
     DegenerateKnotError,
@@ -65,9 +65,7 @@ class CommandError(Exception):
         self.code = code
 
 
-@dataclass
 class Request:
-    command: str
     knot_text: str | None = None
     slope_text: str | None = None
     n_range: tuple[int, int] | None = None
@@ -75,6 +73,9 @@ class Request:
     fmt: str = "text"
     show_moves: bool = False
     batch_file: str | None = None
+
+    def __init__(self, command: str) -> None:
+        self.command = command
 
 
 def parse(argv: list[str]) -> Request:
@@ -257,7 +258,7 @@ def _run_batch(request: Request, out) -> int:
     lines = re.split(r"\r\n?|\n", data.decode("utf-8", "surrogateescape"))
     exit_code = 0
     for number, line in enumerate(lines, start=1):
-        text = line.strip()
+        text = line.strip(" \t\r\n")  # shlex's whitespace, not str.strip()'s
         if not text or text.startswith("#"):
             continue
         try:
@@ -283,6 +284,7 @@ _WORD = re.compile(r"(?:[^ \t\r\n']+|'[^']*')+")
 def _split(text: str) -> list[str]:
     """The words shlex.split(text) gives, or its ValueError."""
     if '"' in text or "\\" in text or text.count("'") % 2:
+        import shlex
         return shlex.split(text)
     return [word.replace("'", "") for word in _WORD.findall(text)]
 

@@ -12,13 +12,13 @@ extending the fibration of the exterior across the filling torus.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .slopes import (
     InconsistentCrossCheckError,
     ParseError,
+    Record,
     Slope,
     make_slope,
     parse_slope,
@@ -30,16 +30,17 @@ class NotATorusKnotError(ValueError):
     """Raised when torus-knot surgery is requested with |p| or |q| < 2."""
 
 
-@dataclass(frozen=True, slots=True)
-class MontesinosLink:
-    entries: tuple[Slope, ...]
+class MontesinosLink(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[Slope, ...]) -> None:
+        object.__setattr__(self, "entries", entries)
 
     def __str__(self) -> str:
         return "M[" + ",".join(str(s) for s in self.entries) + "]"
 
 
-@dataclass(frozen=True, slots=True)
-class SeifertInvariants:
+class SeifertInvariants(Record):
     """Normalized data: integer Euler part plus fibers (alpha, beta).
 
     Every fiber fraction beta/alpha lies strictly in (0, 1); index-1 fibers
@@ -47,8 +48,11 @@ class SeifertInvariants:
     multisets.
     """
 
-    e: int
-    fibers: tuple[tuple[int, int], ...]
+    __slots__ = ("e", "fibers")
+
+    def __init__(self, e: int, fibers: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "fibers", fibers)
 
     @classmethod
     def from_fractions(cls, fractions: list[Fraction]) -> "SeifertInvariants":
@@ -73,10 +77,12 @@ class SFSKind(Enum):
     REDUCIBLE = "reducible"
 
 
-@dataclass(frozen=True, slots=True)
-class SFSClass:
-    kind: SFSKind
-    invariants: SeifertInvariants | None = None
+class SFSClass(Record):
+    __slots__ = ("kind", "invariants")
+
+    def __init__(self, kind: SFSKind, invariants: SeifertInvariants | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "invariants", invariants)
 
     def __str__(self) -> str:
         if self.kind is SFSKind.SMALL_SEIFERT:

@@ -1,15 +1,20 @@
-"""Exact arithmetic for surgery slopes on a torus boundary.
+"""Exact arithmetic for surgery slopes on a torus boundary, and `Record`.
 
 A slope is an extended rational p/q with gcd(|p|, q) = 1 and q >= 0; the
 meridian 1/0 is the unique infinite slope.  All arithmetic is exact over
 arbitrary-precision integers.
+
+`Record` is the base of the package's value types.  A record's fields are
+its `__slots__`, which its `__init__` sets once.  Records are immutable
+(assigning or deleting a field raises `AttributeError`), equal when of one
+class with equal fields, hashable by their fields, picklable and copyable.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 
 class ZeroZeroError(ValueError):
@@ -32,28 +37,57 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
-class Slope:
+class Record:
+    """A subclass names its fields in `__slots__`; its `__init__` sets each
+    once by `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__qualname__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _restore, (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+
+def _restore(cls: type, values: tuple) -> Record:
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(record, name, value)
+    return record
+
+
+class Slope(Record):
     """A normalized extended rational p/q.
 
     Invariants: gcd(|p|, q) = 1, q >= 0, and (1, 0) is the unique
     representation of the meridian.  The sign is carried on p.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        p, q = self.p, self.q
+    def __init__(self, p: int, q: int) -> None:
         if p == 0 and q == 0:
             raise ZeroZeroError("slope 0/0 is undefined")
-        g = gcd(abs(p), abs(q))
-        p //= g
-        q //= g
-        if q < 0:
-            p, q = -p, -q
-        if q == 0:
-            p = 1
+        g = -gcd(p, q) if q < 0 else gcd(p, q)  # so that q // g >= 0
+        p, q = (p // g, q // g) if q else (1, 0)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 

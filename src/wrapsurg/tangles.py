@@ -12,23 +12,22 @@ connectivity of a tangle's four endpoints comes from strand tracing, by
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .slopes import ParseError, Slope, parse_slope, split_integer_parts
+from .slopes import ParseError, Record, Slope, parse_slope, split_integer_parts
 
 
-@dataclass(frozen=True, slots=True)
-class MontesinosTangle:
+class MontesinosTangle(Record):
     """An ordered horizontal sum of rational tangles, given by their slopes."""
 
-    entries: tuple[Slope, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __init__(self, entries: tuple[Slope, ...]) -> None:
+        if not entries:
             raise ValueError("a Montesinos tangle needs at least one entry")
-        if any(s.q == 0 for s in self.entries):
+        if any(s.q == 0 for s in entries):
             raise ValueError("a rational tangle must have finite slope")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_slopes(cls, slopes: list[Slope] | tuple[Slope, ...]) -> "MontesinosTangle":
@@ -41,8 +40,7 @@ class MontesinosTangle:
         return "[" + ",".join(str(s) for s in self.entries) + "]"
 
 
-@dataclass(frozen=True, slots=True)
-class LengthOneCanonical:
+class LengthOneCanonical(Record):
     """Canonical representative of a tangle reducible to a single entry.
 
     The representative satisfies t > 1; `mirrored` records whether the mirror
@@ -50,13 +48,15 @@ class LengthOneCanonical:
     number of meridional twist moves applied after mirroring.
     """
 
-    t: Slope
-    mirrored: bool
-    twists: int
+    __slots__ = ("t", "mirrored", "twists")
+
+    def __init__(self, t: Slope, mirrored: bool, twists: int) -> None:
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "mirrored", mirrored)
+        object.__setattr__(self, "twists", twists)
 
 
-@dataclass(frozen=True, slots=True)
-class NormalForm:
+class NormalForm(Record):
     """Shift-reduced form: integer part e0 plus fractional entries in (0, 1).
 
     e0 + sum(fracs) equals the original entry sum exactly.  `degenerate`
@@ -65,10 +65,14 @@ class NormalForm:
     dedicated canonical representative is stored in `k1`.
     """
 
-    e0: int
-    fracs: tuple[Slope, ...]
-    degenerate: bool
-    k1: LengthOneCanonical | None
+    __slots__ = ("e0", "fracs", "degenerate", "k1")
+
+    def __init__(self, e0: int, fracs: tuple[Slope, ...], degenerate: bool,
+                 k1: LengthOneCanonical | None) -> None:
+        object.__setattr__(self, "e0", e0)
+        object.__setattr__(self, "fracs", fracs)
+        object.__setattr__(self, "degenerate", degenerate)
+        object.__setattr__(self, "k1", k1)
 
     def entry_sum(self) -> Fraction:
         return self.e0 + sum((f.as_fraction() for f in self.fracs), Fraction(0))
@@ -145,10 +149,12 @@ def twist_tangle(tangle: MontesinosTangle, m: int) -> MontesinosTangle:
     return MontesinosTangle.from_slopes([Slope.from_fraction(1 / (2 * m + 1 / t))])
 
 
-@dataclass(frozen=True, slots=True)
-class Move:
-    kind: str  # "shift" | "reverse" | "mirror" | "twist"
-    amount: int = 0
+class Move(Record):
+    __slots__ = ("kind", "amount")
+
+    def __init__(self, kind: str, amount: int = 0) -> None:
+        object.__setattr__(self, "kind", kind)  # "shift" | "reverse" | "mirror" | "twist"
+        object.__setattr__(self, "amount", amount)
 
     def __str__(self) -> str:
         if self.kind == "twist":

@@ -9,11 +9,10 @@ entry 1/(a + 2n), and transports a slope r to r + n * wind(K)^2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import tracing
-from .slopes import InconsistentCrossCheckError, ParseError, Slope, make_slope
+from .slopes import InconsistentCrossCheckError, ParseError, Record, Slope, make_slope
 from .tangles import MontesinosTangle, NormalForm, normalize, parse_tangle
 
 
@@ -32,26 +31,25 @@ class NotLengthOneError(ValueError):
 _KNOT_CACHE_SIZE = 8192
 
 
-@dataclass(frozen=True, slots=True)
-class WrappedKnot:
+class WrappedKnot(Record):
     """The closure must be a knot; construction traces it once and keeps
-    its winding number."""
+    its winding number, which (a, tangle) determine."""
 
-    a: int
-    tangle: MontesinosTangle
-    winding: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "tangle", "winding")
 
-    def __post_init__(self) -> None:
-        if self.a not in (0, 1):
+    def __init__(self, a: int, tangle: MontesinosTangle) -> None:
+        if a not in (0, 1):
             raise ValueError("the wrap parameter a must be 0 or 1")
-        closure = tracing.trace_closure(self.tangle.entries, self.a)
+        closure = tracing.trace_closure(tangle.entries, a)
         if closure.components != 1:
-            raise NotAKnotError(f"K{self.a}{self.tangle} closes to a link, not a knot")
+            raise NotAKnotError(f"K{a}{tangle} closes to a link, not a knot")
         expected = 0 if closure.pairing is tracing.Pairing.TOP_TO_TOP else 2
         if closure.winding != expected:
             raise InconsistentCrossCheckError(
-                f"traced winding {closure.winding} of {self} disagrees with the pairing"
+                f"traced winding {closure.winding} of K{a}{tangle} disagrees with the pairing"
             )
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "tangle", tangle)
         object.__setattr__(self, "winding", closure.winding)
 
     def normal_form(self) -> NormalForm:
@@ -77,8 +75,7 @@ def wrapping_number(knot: WrappedKnot) -> int:
     return 2
 
 
-@dataclass(frozen=True, slots=True)
-class TwistedImage:
+class TwistedImage(Record):
     """Image of the knot after n full twists of the solid torus in S^3.
 
     For a + 2n != 0 the image is the Montesinos knot whose entries extend the
@@ -87,9 +84,12 @@ class TwistedImage:
     that collapsed closure.
     """
 
-    entries: tuple[Slope, ...]
-    n: int
-    degenerate: bool
+    __slots__ = ("entries", "n", "degenerate")
+
+    def __init__(self, entries: tuple[Slope, ...], n: int, degenerate: bool) -> None:
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degenerate", degenerate)
 
     def __str__(self) -> str:
         inner = ",".join(str(s) for s in self.entries)

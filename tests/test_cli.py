@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import python_env
+from conftest import python_env, run_python
 from wrapsurg import (
     KnotClass,
     NotAKnotError,
@@ -288,6 +288,43 @@ def test_batch_lines_end_at_newlines_only(tmp_path, capsys):
             captured = capsys.readouterr()
             assert code == 2 and captured.out.count("knot:") == 1, (end, newline)
             assert captured.err == "line 2: error: unknown command 'bogus' (at position 0)\n"
+
+
+def _as_shlex_splits(line):
+    """Exit code, stdout and stderr of `line` as one batch line, answered by
+    parsing shlex.split(line)."""
+    out = io.StringIO()
+    try:
+        return cli.run(cli.parse(shlex.split(line)), out=out), out.getvalue(), ""
+    except cli.CommandError as err:
+        return err.code, "", f"line 1: error: {err}\n"
+
+
+def test_batch_lines_are_trimmed_of_shlex_whitespace_only(tmp_path, capsys):
+    script = tmp_path / "requests.txt"
+    for space in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0"):
+        for line in (f"{space}classify K0[2] 1", f"classify{space}K0[2] 1",
+                     f"classify K0[2] 1{space}", f" \t{space}classify K0[2] 1{space}\t "):
+            script.write_bytes(line.encode() + b"\n")
+            code = main(["batch", str(script)])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == _as_shlex_splits(line), repr(line)
+
+
+def test_text_requests_import_neither_json_nor_shlex():
+    # -S: no site module, so only the package's own imports count.
+    child = run_python(
+        "import sys\n"
+        "import wrapsurg.cli\n"
+        "names = ('dataclasses', 'inspect', 'json', 'json.encoder', 'shlex')\n"
+        "loaded = lambda: [name for name in names if name in sys.modules]\n"
+        "after_import = loaded()\n"
+        "code = wrapsurg.cli.main(['classify', 'K1[-1/2,1/3]', '7'])\n"
+        "print(code, after_import, loaded())\n",
+        "-S",
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "0 [] []"
 
 
 def test_batch_line_with_an_unclosed_quote_fails_only_that_line(

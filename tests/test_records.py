@@ -1,0 +1,142 @@
+"""The `Record` contract, checked on one instance of every record class the
+package defines, and the equality and hashing that the caches key on."""
+import copy
+import pickle
+from fractions import Fraction
+from types import MappingProxyType
+
+import pytest
+from hypothesis import example, given, reject
+from hypothesis import strategies as st
+
+from wrapsurg import (
+    NotAKnotError,
+    Slope,
+    ZeroZeroError,
+    analysis_of,
+    equivalent,
+    normalize,
+    parse_knot,
+    parse_tangle,
+    pretzel_surgery_link,
+    twist,
+)
+from wrapsurg.slopes import Record
+
+
+def _record_classes(cls=Record):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("wrapsurg."):
+            yield sub
+        yield from _record_classes(sub)
+
+
+def _first_instances():
+    """The first record of each class reached from a few answers, by walking
+    record fields, tuples, lists and mappings."""
+    knot = parse_knot("K1[-1/2,1/3]")
+    analysis = analysis_of(knot)
+    roots = [
+        analysis,
+        analysis.classify(Slope(6, 1)),
+        analysis.predict(Slope(6, 1)),
+        analysis.surgery_in_s3(Slope(7, 1), 4),
+        normalize(parse_tangle("[3/7]")),
+        equivalent(parse_tangle("[1/3,1/2]"), parse_tangle("[-1/2,4/3]")),
+        twist(knot, 1),
+        pretzel_surgery_link(4, 7),
+    ]
+    found = {}
+    while roots:
+        value = roots.pop()
+        if isinstance(value, Record):
+            found.setdefault(type(value), value)
+            roots.extend(getattr(value, name) for name in type(value).__slots__)
+        elif isinstance(value, (tuple, list)):
+            roots.extend(value)
+        elif isinstance(value, MappingProxyType):
+            roots.extend(value.items())
+    return found
+
+
+RECORDS = _first_instances()
+
+
+def test_every_record_class_has_an_instance():
+    missing = {cls.__qualname__ for cls in _record_classes()} - {
+        cls.__qualname__ for cls in RECORDS
+    }
+    assert not missing, f"add an answer that holds {sorted(missing)} to _first_instances"
+
+
+@pytest.mark.parametrize("record", list(RECORDS.values()), ids=lambda r: type(r).__qualname__)
+def test_record_contract(record):
+    cls = type(record)
+    values = [getattr(record, name) for name in cls.__slots__]
+    # A mappingproxy (an analysis's table) neither hashes nor pickles.
+    proxied = any(isinstance(value, MappingProxyType) for value in values)
+    assert repr(record).startswith(f"{cls.__qualname__}(")
+    for name, value in zip(cls.__slots__, values):
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert [getattr(record, name) for name in cls.__slots__] == values
+
+    assert copy.copy(record) == record
+    if proxied:
+        for fails in (hash, pickle.dumps, copy.deepcopy):
+            with pytest.raises(TypeError, match="mappingproxy"):
+                fails(record)
+    else:
+        assert isinstance(hash(record), int)
+        for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert twin == record and hash(twin) == hash(record)
+
+    # A record of another class with the same fields is a different value.
+    other = type("Other", (Record,), {"__slots__": cls.__slots__})
+    stranger = object.__new__(other)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(stranger, name, value)
+    assert record != stranger and stranger != record
+
+
+_big = st.integers(-(10**30), 10**30)
+
+
+@given(_big, _big)
+@example(5, 0)
+@example(-7, 0)
+@example(0, -3)
+@example(0, 0)
+def test_slope_is_the_fraction_in_lowest_terms(p, q):
+    if q:
+        f = Fraction(p, q)
+        s, t = Slope(p, q), Slope(f.numerator, f.denominator)
+        assert (s.p, s.q) == (f.numerator, f.denominator)
+        assert s == t and hash(s) == hash(t)
+    elif p:
+        assert Slope(p, q) == Slope(1, 0)
+        assert (Slope(p, q).p, Slope(p, q).q) == (1, 0)
+    else:
+        with pytest.raises(ZeroZeroError):
+            Slope(p, q)
+
+
+@given(
+    st.integers(0, 1),
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 30), st.integers(1, 5)),
+             min_size=1, max_size=3),
+)
+@example(0, [(2, 1, 2)])  # K0[2] and K0[4/2]
+@example(1, [(-1, 2, 2), (1, 3, 1)])  # K1[-1/2,1/3] and K1[-2/4,1/3]
+def test_knots_of_equal_value_are_one_cache_key(a, entries):
+    reduced = ",".join(str(Slope(p, q)) for p, q, _ in entries)
+    scaled = ",".join(f"{p * m}/{q * m}" for p, q, m in entries)
+    try:
+        knot = parse_knot(f"K{a}[{reduced}]")
+    except NotAKnotError:
+        reject()
+    same = parse_knot(f"K{a}[{scaled}]")
+    assert same == knot and hash(same) == hash(knot)
+    assert analysis_of(same) is analysis_of(knot)
