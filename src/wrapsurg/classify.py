@@ -20,7 +20,6 @@ exceptional set: the exceptional type at that slope, else hyperbolic.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -59,9 +58,14 @@ class ToroidalSource(Enum):
 class ToroidalCertificate(Record):
     """Why the surgered manifold contains an essential torus.
 
-    `slope` is the table entry's slope at the reduced knot of the class; the
-    knot's own slope is sigma * (slope - twists * wind^2), with the mirror
-    sign and meridional twists of its reduction (`--moves` prints them).
+    For the Whitehead, integer-entry and (-2, 3)-pretzel classes, `slope` is
+    the table entry's slope at the reduced knot of the class; the knot's own
+    slope is sigma * (slope - twists * wind^2), with the mirror sign and
+    meridional twists of its reduction (`--moves` prints them).  A genuine
+    pretzel is not reduced to one side of its mirror pair: its `slope` is
+    taken at the knot's own pretzel entries 1/q1, 1/q2 and is the knot's own
+    slope, so `K0[-1/3,-1/3]` has certificate slope -12 and its mirror
+    `K0[1/3,1/3]` has 12.
     """
 
     __slots__ = ("source", "slope", "piece_indices", "piece")
@@ -262,29 +266,29 @@ class Analysis(Record):
 
 
 def _unit_fraction_shifts(frac: Slope) -> list[int]:
-    """Integers q with 1/q congruent to the given fraction mod 1."""
-    value = frac.as_fraction()
+    """Integers q with 1/q congruent mod 1 to the given fraction in (0, 1)."""
     out = []
-    if value.numerator == 1:
-        out.append(value.denominator)
-    below = value - 1
-    if below.numerator == -1:
-        out.append(-below.denominator)
+    if frac.p == 1:
+        out.append(frac.q)
+    if frac.p == frac.q - 1:
+        out.append(-frac.q)
     return out
 
 
 def _find_pretzel_pair(nf: NormalForm) -> tuple[int, int] | None:
+    """Integers (q1, q2) with 1/q1 + 1/q2 the entry sum and each 1/qi
+    congruent to its fraction; 1/qi is the fraction less 1 when qi < 0."""
     if len(nf.fracs) != 2:
         return None
-    total = nf.entry_sum()
     found = None
     for q1 in _unit_fraction_shifts(nf.fracs[0]):
         for q2 in _unit_fraction_shifts(nf.fracs[1]):
-            if Fraction(1, q1) + Fraction(1, q2) == total:
+            if (q1 < 0) + (q2 < 0) == -nf.e0:
                 pair = (q1, q2)
                 if found is not None and sorted(found) != sorted(pair):
                     raise InconsistentCrossCheckError(
-                        f"pretzel pairs {found} and {pair} both sum to {total}"
+                        f"pretzel pairs {found} and {pair} both sum to "
+                        f"{make_slope(q1 + q2, q1 * q2)}"
                     )
                 found = pair
     return found

@@ -10,6 +10,8 @@ sort_keys=True).  A batch file or stdin decodes as UTF-8 with surrogateescape,
 its lines end at LF, CRLF or CR only, and shlex.split splits each into words.
 No request loads `json` (strings are quoted by its C helper `_json`), and only
 a batch line with a `"`, a backslash or an odd number of `'` loads `shlex`.
+A `--range` or `--n` span holds at most MAX_SPAN_ROWS (1,000,000) rows; a
+longer one exits 2.
 """
 from __future__ import annotations
 
@@ -46,6 +48,8 @@ FLAGS = {
     "table": ("--format", "--moves", "--range"),
     "batch": (),
 }
+# The most rows a --range or --n span may ask for.
+MAX_SPAN_ROWS = 1_000_000
 USAGE = """\
 usage: wrapsurg COMMAND [ARGS] [--format text|json] [--moves]
   classify  KNOT SLOPE        classify one surgery
@@ -144,6 +148,8 @@ def _parse_span(text: str, flag: str) -> tuple[int, int]:
         raise CommandError(f"{flag} expects integers like -2..5, got {text!r}", 2)
     if lo > hi:
         raise CommandError(f"{flag} range is empty: {text!r}", 2)
+    if hi - lo >= MAX_SPAN_ROWS:
+        raise CommandError(f"{flag} range has more than {MAX_SPAN_ROWS} rows: {text!r}", 2)
     return lo, hi
 
 

@@ -12,8 +12,8 @@ extending the fibration of the exterior across the filling torus.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
-from fractions import Fraction
 
 from .slopes import (
     InconsistentCrossCheckError,
@@ -55,9 +55,13 @@ class SeifertInvariants(Record):
         object.__setattr__(self, "fibers", fibers)
 
     @classmethod
-    def from_fractions(cls, fractions: list[Fraction]) -> "SeifertInvariants":
-        e, parts = split_integer_parts((f.numerator, f.denominator) for f in fractions)
+    def from_slopes(cls, slopes: Iterable[Slope]) -> "SeifertInvariants":
+        e, parts = split_integer_parts((s.p, s.q) for s in slopes)
         return cls(e, tuple(sorted((q, p) for p, q in parts)))
+
+    @classmethod
+    def from_fractions(cls, fractions: list[Fraction]) -> "SeifertInvariants":
+        return cls.from_slopes(map(Slope.from_fraction, fractions))
 
     def reversed_orientation(self) -> "SeifertInvariants":
         fibers = tuple(sorted((a, a - b) for a, b in self.fibers))
@@ -98,9 +102,7 @@ def double_branched_cover(link: MontesinosLink) -> SFSClass:
     """Seifert class of the double cover of S^3 branched over the link."""
     if any(s.is_meridian() for s in link.entries):
         return REDUCIBLE
-    invariants = SeifertInvariants.from_fractions(
-        [s.as_fraction() for s in link.entries]
-    )
+    invariants = SeifertInvariants.from_slopes(link.entries)
     if len(invariants.fibers) <= 2:
         return LENS
     return SFSClass(SFSKind.SMALL_SEIFERT, invariants)
@@ -129,8 +131,8 @@ def torus_knot_surgery(p: int, q: int, r: Slope) -> SFSClass:
     if d == 1:
         return LENS
     b1, b2 = _bezout(qq, pp)
-    invariants = SeifertInvariants.from_fractions(
-        [Fraction(b1, pp), Fraction(b2, qq), Fraction(v, sigma)]
+    invariants = SeifertInvariants.from_slopes(
+        (Slope(b1, pp), Slope(b2, qq), Slope(v, sigma))
     )
     if invariants.indices() != tuple(sorted((pp, qq, d))):
         raise InconsistentCrossCheckError(

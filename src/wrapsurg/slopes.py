@@ -2,7 +2,11 @@
 
 A slope is an extended rational p/q with gcd(|p|, q) = 1 and q >= 0; the
 meridian 1/0 is the unique infinite slope.  All arithmetic is exact over
-arbitrary-precision integers.
+arbitrary-precision integers.  `Slope` is the package's one rational type:
+its reciprocal, integer shifts, negation and order are all the arithmetic
+the package does, and `fractions` loads only in the conversion functions
+(`as_fraction`, `from_fraction`, the tangles' `entry_sum` and
+`SeifertInvariants.from_fractions`).
 
 `Record` is the base of the package's value types.  A record's fields are
 its `__slots__`, which its `__init__` sets once.  Records are immutable
@@ -12,7 +16,6 @@ class with equal fields, hashable by their fields, picklable and copyable.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
 from math import gcd
 from operator import attrgetter
 
@@ -105,12 +108,16 @@ class Slope(Record):
     # -- conversions -----------------------------------------------------
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         if self.q == 0:
             raise InfinityInputError("meridian has no finite value")
         return Fraction(self.p, self.q)
 
     @classmethod
     def from_fraction(cls, value: Fraction | int) -> "Slope":
+        from fractions import Fraction
+
         f = Fraction(value)
         return cls(f.numerator, f.denominator)
 

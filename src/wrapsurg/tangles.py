@@ -12,8 +12,6 @@ connectivity of a tangle's four endpoints comes from strand tracing, by
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .slopes import ParseError, Record, Slope, parse_slope, split_integer_parts
 
 
@@ -34,6 +32,8 @@ class MontesinosTangle(Record):
         return cls(tuple(slopes))
 
     def entry_sum(self) -> Fraction:
+        from fractions import Fraction
+
         return sum((s.as_fraction() for s in self.entries), Fraction(0))
 
     def __str__(self) -> str:
@@ -75,6 +75,8 @@ class NormalForm(Record):
         object.__setattr__(self, "k1", k1)
 
     def entry_sum(self) -> Fraction:
+        from fractions import Fraction
+
         return self.e0 + sum((f.as_fraction() for f in self.fracs), Fraction(0))
 
     def as_tangle(self) -> MontesinosTangle:
@@ -100,20 +102,15 @@ def normalize(tangle: MontesinosTangle) -> NormalForm:
     if len(fracs) > 1:
         return NormalForm(e0, tuple(fracs), degenerate=False, k1=None)
 
-    t = Fraction(e0) if not fracs else e0 + fracs[0].as_fraction()
-    if t == 0:
+    v = (fracs[0] + e0 if fracs else Slope(e0, 1)).reciprocal()
+    if v.q <= 1:  # t = 0 makes v the meridian, t = 1/q makes it integral
         return NormalForm(e0, tuple(fracs), degenerate=True, k1=None)
-    v = 1 / t
-    if v.denominator == 1:
-        return NormalForm(e0, tuple(fracs), degenerate=True, k1=None)
-    k = v // 2
-    folded = v - 2 * k
-    if folded < 1:
-        canonical = LengthOneCanonical(Slope.from_fraction(1 / folded), mirrored=False, twists=-k)
+    k = v.p // (2 * v.q)
+    folded = v + -2 * k  # in (0, 2), not 1
+    if folded.p < folded.q:
+        canonical = LengthOneCanonical(folded.reciprocal(), mirrored=False, twists=-k)
     else:
-        canonical = LengthOneCanonical(
-            Slope.from_fraction(1 / (2 - folded)), mirrored=True, twists=k + 1
-        )
+        canonical = LengthOneCanonical((-folded + 2).reciprocal(), mirrored=True, twists=k + 1)
     return NormalForm(e0, tuple(fracs), degenerate=False, k1=canonical)
 
 
@@ -139,14 +136,12 @@ def twist_tangle(tangle: MontesinosTangle, m: int) -> MontesinosTangle:
     """The meridional twist move t -> 1/(2m + 1/t) on a single-entry tangle."""
     if len(tangle.entries) != 1:
         raise ValueError("the twist move applies to single-entry tangles")
-    t = tangle.entries[0].as_fraction()
-    if t == 0:
-        return tangle
-    if 2 * m + 1 / t == 0:
+    image = (tangle.entries[0].reciprocal() + 2 * m).reciprocal()
+    if image.q == 0:
         # Only degenerate entries t = -1/(2m) reach this; the image is the
         # infinite tangle, which is not a Montesinos entry.
         raise ValueError("the twist move lands on the infinite tangle")
-    return MontesinosTangle.from_slopes([Slope.from_fraction(1 / (2 * m + 1 / t))])
+    return MontesinosTangle((image,))
 
 
 class Move(Record):
@@ -167,7 +162,7 @@ class Move(Record):
 def _nf_variants(nf: NormalForm):
     """Normal forms of the four reverse/mirror images of a multi-entry tangle."""
     fracs, e0 = nf.fracs, nf.e0
-    mirrored = tuple(Slope.from_fraction(1 - f.as_fraction()) for f in fracs)
+    mirrored = tuple(-f + 1 for f in fracs)
     mirrored_e0 = -e0 - len(fracs)
     yield fracs, e0
     yield tuple(reversed(fracs)), e0
@@ -183,13 +178,13 @@ def _reduce(tangle: MontesinosTangle) -> tuple[tuple, list[Move]]:
     """The tangle's canonical signature, which two tangles share exactly when
     they are equivalent, and the moves that reduce it to canonical form."""
     nf = normalize(tangle)
+    entries = nf.as_tangle().entries
     moves: list[Move] = []
-    if tangle.entries != nf.as_tangle().entries:
+    if tangle.entries != entries:
         moves.append(Move("shift"))
     if nf.degenerate:
-        if nf.entry_sum() == 0 and not nf.fracs:
-            return ("degenerate", "zero"), moves
-        return ("degenerate", int(1 / nf.entry_sum()) % 2), moves
+        t = entries[0]  # 0 or 1/q; the signature is q's parity
+        return ("degenerate", t.q % 2 if t.p else "zero"), moves
     if nf.k1 is not None:
         if nf.k1.mirrored:
             moves.append(Move("mirror"))

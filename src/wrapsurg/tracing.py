@@ -45,9 +45,8 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import cycle
-from typing import NamedTuple
 
-from .slopes import InconsistentCrossCheckError, Slope, expand
+from .slopes import InconsistentCrossCheckError, Record, Slope, expand
 
 HORIZONTAL = "h"
 VERTICAL = "v"
@@ -186,11 +185,8 @@ def _word_fraction(word: list[tuple[str, int]]) -> tuple[int, int]:
     return (-p, -q) if q < 0 else (p, q)
 
 
-class TangleBox(NamedTuple):
-    nw: int
-    ne: int
-    sw: int
-    se: int
+# A tangle's four endpoint ports (nw, ne, sw, se).
+TangleBox = tuple[int, int, int, int]
 
 
 def build_rational_tangle(diagram: Diagram, slope: Slope) -> TangleBox:
@@ -203,7 +199,7 @@ def build_rational_tangle(diagram: Diagram, slope: Slope) -> TangleBox:
             ne, se = diagram.add_region(HORIZONTAL, count, ne, se)
         else:
             sw, se = diagram.add_region(VERTICAL, count, sw, se)
-    return TangleBox(nw, ne, sw, se)
+    return nw, ne, sw, se
 
 
 def build_single_region_tangle(diagram: Diagram, kind: str, crossings: int) -> TangleBox:
@@ -211,16 +207,18 @@ def build_single_region_tangle(diagram: Diagram, kind: str, crossings: int) -> T
     a, b = diagram.new_port(), diagram.new_port()
     if kind == VERTICAL:
         sw, se = diagram.add_region(VERTICAL, crossings, a, b)
-        return TangleBox(nw=a, ne=b, sw=sw, se=se)
+        return a, b, sw, se
     ne, se = diagram.add_region(HORIZONTAL, crossings, a, b)
-    return TangleBox(nw=a, ne=ne, sw=b, se=se)
+    return a, ne, b, se
 
 
 def glue_horizontally(diagram: Diagram, boxes: list[TangleBox]) -> TangleBox:
-    for left, right in zip(boxes, boxes[1:]):
-        diagram.add_edge(left.ne, right.nw)
-        diagram.add_edge(left.se, right.sw)
-    return TangleBox(boxes[0].nw, boxes[-1].ne, boxes[0].sw, boxes[-1].se)
+    for (_, left_ne, _, left_se), (right_nw, _, right_sw, _) in zip(boxes, boxes[1:]):
+        diagram.add_edge(left_ne, right_nw)
+        diagram.add_edge(left_se, right_sw)
+    nw, _, sw, _ = boxes[0]
+    _, ne, _, se = boxes[-1]
+    return nw, ne, sw, se
 
 
 def close_wrapped(
@@ -233,16 +231,17 @@ def close_wrapped(
     each wrap-region edge (entered at a top endpoint) with the bottom
     endpoint its arc reaches.
     """
-    out1, out2 = diagram.add_region(WRAP, crossings, box.nw, box.ne)
-    bottom = {out1: box.sw, out2: box.se}
+    nw, ne, sw, se = box
+    out1, out2 = diagram.add_region(WRAP, crossings, nw, ne)
+    bottom = {out1: sw, out2: se}
     edges = len(diagram.u)
     wraps = [(edge, bottom[diagram.v[edge]]) for edge in (edges - 2, edges - 1)]
-    diagram.add_edge(out1, box.sw)
-    diagram.add_edge(out2, box.se)
+    diagram.add_edge(out1, sw)
+    diagram.add_edge(out2, se)
     return wraps
 
 
-class Closure(NamedTuple):
+class Closure(Record):
     """What one walk of a wrapped closure shows.
 
     `winding` is the absolute signed pass count through the wrap region,
@@ -251,10 +250,13 @@ class Closure(NamedTuple):
     that never pass the wrap region; neither depends on the closure.
     """
 
-    components: int
-    winding: int
-    pairing: Pairing
-    loops: int
+    __slots__ = ("components", "winding", "pairing", "loops")
+
+    def __init__(self, components: int, winding: int, pairing: Pairing, loops: int) -> None:
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "winding", winding)
+        object.__setattr__(self, "pairing", pairing)
+        object.__setattr__(self, "loops", loops)
 
 
 def trace_closure(slopes: tuple[Slope, ...], a: int) -> Closure:
@@ -284,8 +286,9 @@ def trace_closure(slopes: tuple[Slope, ...], a: int) -> Closure:
         # passes in a component their cyclic order does not matter.
         for (_, start), (end, _) in zip(passes, passes[::-1]):
             partner[start], partner[end] = end, start
-    by_partner = {box.ne: Pairing.TOP_TO_TOP, box.sw: Pairing.LEFT_TO_LEFT, box.se: Pairing.CROSS}
-    return Closure(len(components), abs(winding), by_partner[partner[box.nw]], loops)
+    nw, ne, sw, se = box
+    by_partner = {ne: Pairing.TOP_TO_TOP, sw: Pairing.LEFT_TO_LEFT, se: Pairing.CROSS}
+    return Closure(len(components), abs(winding), by_partner[partner[nw]], loops)
 
 
 def surface_framing_from_walk(diagram: Diagram, walk: list[tuple[int, int]]) -> int:

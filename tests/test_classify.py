@@ -1,11 +1,11 @@
 import random
-from math import gcd
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import random_knot, run_python
+from test_golden_cli import _grid_slopes
 from wrapsurg import (
     MERIDIAN,
     DegenerateKnotError,
@@ -318,15 +318,6 @@ def test_moves_keep_the_class_and_transport_the_exceptional_set(knot, deltas, m)
 
 
 # -- structural laws over an exhaustive grid ----------------------------------
-
-
-def _grid_slopes(bound=6):
-    out = []
-    for q in range(1, bound + 1):
-        for p in range(-bound, bound + 1):
-            if gcd(abs(p), q) == 1:
-                out.append(make_slope(p, q))
-    return out
 
 
 def _grid_knots():

@@ -316,7 +316,8 @@ def test_text_requests_import_neither_json_nor_shlex():
     child = run_python(
         "import sys\n"
         "import wrapsurg.cli\n"
-        "names = ('dataclasses', 'inspect', 'json', 'json.encoder', 'shlex')\n"
+        "names = ('dataclasses', 'inspect', 'json', 'json.encoder', 'shlex',\n"
+        "         'fractions', 'decimal', 'numbers')\n"
         "loaded = lambda: [name for name in names if name in sys.modules]\n"
         "after_import = loaded()\n"
         "code = wrapsurg.cli.main(['classify', 'K1[-1/2,1/3]', '7'])\n"
@@ -325,6 +326,19 @@ def test_text_requests_import_neither_json_nor_shlex():
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "0 [] []"
+
+
+def test_spans_longer_than_the_cap_exit_2_at_once(capsys):
+    for argv in (["table", "K0[3]", "--range", "0..99999999999999"],
+                 ["twist", "K0[3]", "--n", "-99999999999..99999999999"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert f"more than {cli.MAX_SPAN_ROWS} rows" in err, argv
+    assert cli.MAX_SPAN_ROWS == 1_000_000
+    assert cli.parse(["table", "K0[3]", "--range", "0..999999"]).slope_range == (0, 999999)
+    assert cli.parse(["twist", "K0[3]", "--n", "-500000..499999"]).n_range == (-500000, 499999)
+    with pytest.raises(cli.CommandError, match="more than 1000000 rows"):
+        cli.parse(["table", "K0[3]", "--range", "0..1000000"])
 
 
 def test_batch_line_with_an_unclosed_quote_fails_only_that_line(

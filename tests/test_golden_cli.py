@@ -13,13 +13,21 @@ changes a single byte of any answer (or of any error message) fails here.
 One more digest folds a batch run over every command, quoting style, comment,
 blank and error line (`_batch_text`), recorded before the batch tokenizer
 took a fast path in front of shlex.split.
+
+The module imports neither pytest nor hypothesis, so the digests can be checked
+on an interpreter without them: `PYTHONPATH=src python tests/test_golden_cli.py`
+recomputes all twelve and exits 1 on a mismatch.
 """
 import contextlib
 import hashlib
 import io
 import itertools
+import sys
+import tempfile
+from math import gcd
+from pathlib import Path
 
-from test_classify import _grid_slopes
+from wrapsurg import make_slope
 from wrapsurg.cli import main
 
 GOLDEN = {
@@ -36,6 +44,16 @@ GOLDEN = {
     ("twist", "--n", "-2..2", "--format", "json"): "d11f24c861b877910d3cffcfafcf9596294cce66da86cd470131ae22c7536b9f",
 }
 BATCH_GOLDEN = "1c907c14ce20aabbdc44a07feaa2c9f18dc6378f7ad8416f54f0910192f41244"
+
+
+def _grid_slopes(bound=6):
+    """Every p/q in lowest terms with |p| <= bound and 1 <= q <= bound."""
+    out = []
+    for q in range(1, bound + 1):
+        for p in range(-bound, bound + 1):
+            if gcd(abs(p), q) == 1:
+                out.append(make_slope(p, q))
+    return out
 
 
 def _candidates():
@@ -96,8 +114,8 @@ def _batch_text():
     return "\n".join(lines) + "\n"
 
 
-def test_golden_batch_digest(tmp_path):
-    script = tmp_path / "requests.txt"
+def _batch_digest(directory):
+    script = Path(directory) / "requests.txt"
     script.write_text(_batch_text(), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -106,4 +124,20 @@ def test_golden_batch_digest(tmp_path):
     for part in (str(code), out.getvalue(), err.getvalue()):
         sha.update(part.encode())
         sha.update(b"\0")
-    assert sha.hexdigest() == BATCH_GOLDEN
+    return sha.hexdigest()
+
+
+def test_golden_batch_digest(tmp_path):
+    assert _batch_digest(tmp_path) == BATCH_GOLDEN
+
+
+if __name__ == "__main__":
+    mismatches = [
+        " ".join(command) for command, expected in GOLDEN.items() if _digest(*command) != expected
+    ]
+    with tempfile.TemporaryDirectory() as directory:
+        if _batch_digest(directory) != BATCH_GOLDEN:
+            mismatches.append("batch")
+    print(f"{len(GOLDEN) + 1 - len(mismatches)} of {len(GOLDEN) + 1} golden digests match"
+          + "".join(f"\nmismatch: {name}" for name in mismatches))
+    sys.exit(1 if mismatches else 0)

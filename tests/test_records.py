@@ -19,6 +19,7 @@ from wrapsurg import (
     parse_knot,
     parse_tangle,
     pretzel_surgery_link,
+    trace_closure,
     twist,
 )
 from wrapsurg.slopes import Record
@@ -45,6 +46,7 @@ def _first_instances():
         equivalent(parse_tangle("[1/3,1/2]"), parse_tangle("[-1/2,4/3]")),
         twist(knot, 1),
         pretzel_surgery_link(4, 7),
+        trace_closure(knot.tangle.entries, knot.a),
     ]
     found = {}
     while roots:
