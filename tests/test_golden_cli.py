@@ -12,11 +12,15 @@ torus-piece slope) before the canonical knot stopped being built, and the
 changes a single byte of any answer (or of any error message) fails here.
 One more digest folds a batch run over every command, quoting style, comment,
 blank and error line (`_batch_text`), recorded before the batch tokenizer
-took a fast path in front of shlex.split.
+took a fast path in front of shlex.split.  One more folds `predict KNOT r --n
+-3..3 --format json` at every exceptional slope r of every hyperbolic grid knot
+(`_exceptional_digest`): each answer, its notes, its family and its S^3 rows,
+for every class with a table, recorded before each table entry stated its
+family.
 
 The module imports neither pytest nor hypothesis, so the digests can be checked
 on an interpreter without them: `PYTHONPATH=src python tests/test_golden_cli.py`
-recomputes all twelve and exits 1 on a mismatch.
+recomputes all thirteen and exits 1 on a mismatch.
 """
 import contextlib
 import hashlib
@@ -27,7 +31,7 @@ import tempfile
 from math import gcd
 from pathlib import Path
 
-from wrapsurg import make_slope
+from wrapsurg import KnotClass, NotAKnotError, analysis_of, make_slope, parse_knot
 from wrapsurg.cli import main
 
 GOLDEN = {
@@ -44,6 +48,7 @@ GOLDEN = {
     ("twist", "--n", "-2..2", "--format", "json"): "d11f24c861b877910d3cffcfafcf9596294cce66da86cd470131ae22c7536b9f",
 }
 BATCH_GOLDEN = "1c907c14ce20aabbdc44a07feaa2c9f18dc6378f7ad8416f54f0910192f41244"
+EXCEPTIONAL_GOLDEN = "fded5ceab67238c846974e0aae1701a1934394145bc6cb8ce5d8f35239b31199"
 
 
 def _grid_slopes(bound=6):
@@ -65,15 +70,36 @@ def _candidates():
                 yield f"K{a}[{t1},{t2}]"
 
 
+def _fold(sha, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    for part in (argv[1], str(code), out.getvalue(), err.getvalue()):
+        sha.update(part.encode())
+        sha.update(b"\0")
+
+
 def _digest(command, *flags):
     sha = hashlib.sha256()
     for knot in _candidates():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, knot, *flags])
-        for part in (knot, str(code), out.getvalue(), err.getvalue()):
-            sha.update(part.encode())
-            sha.update(b"\0")
+        _fold(sha, [command, knot, *flags])
+    return sha.hexdigest()
+
+
+def _exceptional_digest():
+    """`predict KNOT r --n -3..3 --format json` at each exceptional slope r of
+    each grid knot, links and degenerate knots skipped."""
+    sha = hashlib.sha256()
+    for knot in _candidates():
+        try:
+            analysis = analysis_of(parse_knot(knot))
+        except NotAKnotError:
+            continue
+        if analysis.knot_class is KnotClass.DEGENERATE:
+            continue
+        for r, _ in analysis.exceptional_slopes():
+            sha.update(f"{r}\0".encode())
+            _fold(sha, ["predict", knot, str(r), "--n", "-3..3", "--format", "json"])
     return sha.hexdigest()
 
 
@@ -84,6 +110,10 @@ def test_grid_has_all_candidates():
 def test_golden_cli_digests_on_grid():
     for (command, *flags), expected in GOLDEN.items():
         assert _digest(command, *flags) == expected, (command, flags)
+
+
+def test_golden_predict_digest_at_every_exceptional_slope():
+    assert _exceptional_digest() == EXCEPTIONAL_GOLDEN
 
 
 def _batch_text():
@@ -138,6 +168,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as directory:
         if _batch_digest(directory) != BATCH_GOLDEN:
             mismatches.append("batch")
-    print(f"{len(GOLDEN) + 1 - len(mismatches)} of {len(GOLDEN) + 1} golden digests match"
+    if _exceptional_digest() != EXCEPTIONAL_GOLDEN:
+        mismatches.append("predict at every exceptional slope")
+    print(f"{len(GOLDEN) + 2 - len(mismatches)} of {len(GOLDEN) + 2} golden digests match"
           + "".join(f"\nmismatch: {name}" for name in mismatches))
     sys.exit(1 if mismatches else 0)
