@@ -127,33 +127,28 @@ class FamilyPrediction(Record):
         object.__setattr__(self, "fiber_indices", fiber_indices)
 
 
-class _TableEntry(Record):
-    __slots__ = ("type", "certificate", "indices", "notes", "n0", "s3_cover")
-
-    def __init__(self, type: SurgeryType, certificate: ToroidalCertificate | None = None,
-                 indices: tuple[int, int] | None = None, notes: tuple[str, ...] = (),
-                 n0: int | None = None, s3_cover: bool = False) -> None:
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "notes", notes)
-        object.__setattr__(self, "n0", n0)  # canonical center of the non-toroidal window
-        object.__setattr__(self, "s3_cover", s3_cover)  # S^3 surgeries by the branch locus
+def _toroidal(source, r, piece_indices=None, piece=None,
+              family=FamilyPrediction(FamilyKind.TOROIDAL_COFINITE), s3_cover=False):
+    """A table entry (answer, family, s3_cover) for a toroidal slope r."""
+    slope = make_slope(r, 1)
+    certificate = ToroidalCertificate(source, slope, piece_indices, piece)
+    return SurgeryClassification(SurgeryType.TOROIDAL, slope, certificate), family, s3_cover
 
 
-def _toroidal(source, r, piece_indices=None, piece=None, **extra) -> _TableEntry:
-    certificate = ToroidalCertificate(source, make_slope(r, 1), piece_indices, piece)
-    return _TableEntry(SurgeryType.TOROIDAL, certificate, **extra)
+def _small_seifert(r, indices=None, notes=(), family=None, s3_cover=False):
+    """A table entry (answer, family, s3_cover) for a small Seifert slope r;
+    the family defaults to reducible or small Seifert with the same indices."""
+    answer = SurgeryClassification(SurgeryType.SMALL_SEIFERT, make_slope(r, 1),
+                                   seifert_indices=indices, notes=notes)
+    if family is None:
+        family = FamilyPrediction(FamilyKind.SEIFERT_OR_REDUCIBLE, fiber_indices=indices)
+    return answer, family, s3_cover
 
-
-_UNSPECIFIED = _TableEntry(SurgeryType.SMALL_SEIFERT, notes=("fiber indices unspecified",))
 
 # The exceptional surgeries of each class with a table, at canonical slopes.
 _WHITEHEAD_TABLE = MappingProxyType({
     0: _toroidal(ToroidalSource.WHITEHEAD_SLOPE, 0),
-    1: _UNSPECIFIED,
-    2: _UNSPECIFIED,
-    3: _UNSPECIFIED,
+    **{r: _small_seifert(r, notes=("fiber indices unspecified",)) for r in (1, 2, 3)},
     4: _toroidal(ToroidalSource.WHITEHEAD_SLOPE, 4),
 })
 _PRETZEL_2_3_TABLE = MappingProxyType({
@@ -162,11 +157,12 @@ _PRETZEL_2_3_TABLE = MappingProxyType({
         "essential torus bounding a small Seifert piece with fiber indices {2,4}",
         s3_cover=True,
     ),
-    7: _TableEntry(SurgeryType.SMALL_SEIFERT, indices=(3, 5), s3_cover=True),
+    7: _small_seifert(7, (3, 5), s3_cover=True),
     8: _toroidal(
         ToroidalSource.TORUS_PIECE, 8, None,
         "essential torus bounding a twisted I-bundle over the Klein bottle",
-        n0=1,  # the torus-knot members n = 0, 1, 2 are the non-toroidal window
+        # the torus-knot members n = 0, 1, 2 are the non-toroidal window
+        family=FamilyPrediction(FamilyKind.TOROIDAL_COFINITE, n0=1),
     ),
 })
 # An integer entry or a pretzel gets `_spanning_surface_table`; any other
@@ -188,7 +184,7 @@ class Analysis(Record):
     __slots__ = ("knot", "nf", "knot_class", "sigma", "twists", "table", "notes", "moves")
 
     def __init__(self, knot: WrappedKnot, nf: NormalForm, knot_class: KnotClass, sigma: int,
-                 twists: int, table: MappingProxyType[Slope, tuple[int, _TableEntry]],
+                 twists: int, table: MappingProxyType[Slope, tuple],
                  notes: tuple[str, ...], moves: tuple[str, ...]) -> None:
         object.__setattr__(self, "knot", knot)
         object.__setattr__(self, "nf", nf)
@@ -196,54 +192,41 @@ class Analysis(Record):
         object.__setattr__(self, "sigma", sigma)  # -1 when the reduction mirrors the knot
         object.__setattr__(self, "twists", twists)  # meridional twists after mirroring
         # The class's table at the knot's own slopes, ascending: each exceptional
-        # slope to its canonical slope and the table entry there.
+        # slope to its answer, its family and its canonical slope when the S^3
+        # surgeries of its twisted images are known (else None).
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "notes", notes)
         object.__setattr__(self, "moves", moves)
 
     def classify(self, r: Slope) -> SurgeryClassification:
-        """Classify r-surgery: the table entry at r, if any."""
+        """Classify r-surgery: the table's answer at r, if any."""
         if r.is_meridian():
             return SurgeryClassification(SurgeryType.TRIVIAL_FILLING, r)
         if self.knot_class is KnotClass.DEGENERATE:
             return SurgeryClassification(SurgeryType.NON_HYPERBOLIC_KNOT, r)
-        return self._answer(r, self.table.get(r, (None, None))[1])
-
-    def _answer(self, r: Slope, entry: _TableEntry | None) -> SurgeryClassification:
-        """r-surgery as the table entry at r states it."""
-        if entry is None:
+        found = self.table.get(r)
+        if found is None:
             return SurgeryClassification(SurgeryType.HYPERBOLIC, r, notes=self.notes)
-        return SurgeryClassification(
-            entry.type,
-            r,
-            certificate=entry.certificate,
-            seifert_indices=entry.indices,
-            notes=entry.notes + self.notes,
-        )
+        return found[0]
 
     def exceptional_slopes(self) -> list[tuple[Slope, SurgeryClassification]]:
-        """The table entries at the input knot's own slopes, in increasing
+        """The table's answers at the input knot's own slopes, in increasing
         order; every slope is integral."""
         self.require_hyperbolic()
-        return [(r, self._answer(r, entry)) for r, (_, entry) in self.table.items()]
+        return [(r, answer) for r, (answer, _, _) in self.table.items()]
 
     def predict(self, r: Slope) -> FamilyPrediction:
         if r.is_meridian():
             raise ValueError("the meridian filling is trivial for every embedding")
         self.require_hyperbolic()
-        entry = self.table.get(r, (None, None))[1]
-        if entry is None:
+        found = self.table.get(r)
+        if found is None:
             return FamilyPrediction(FamilyKind.HYPERBOLIC_INTERIOR)
-        if entry.type is SurgeryType.SMALL_SEIFERT:
-            return FamilyPrediction(
-                FamilyKind.SEIFERT_OR_REDUCIBLE, fiber_indices=entry.indices
-            )
-        n0 = None if entry.n0 is None else self.sigma * (entry.n0 + self.twists)
-        return FamilyPrediction(FamilyKind.TOROIDAL_COFINITE, n0=n0)
+        return found[1]
 
     def surgery_in_s3(self, r: Slope, n: int) -> SFSClass | None:
-        rc, entry = self.table.get(r, (None, None))
-        if entry is None or not entry.s3_cover:
+        rc = self.table.get(r, (None, None, None))[2]
+        if rc is None:
             return None
         nc = self.sigma * n - self.twists
         result = double_branched_cover(pretzel_surgery_link(nc, rc))
@@ -315,9 +298,7 @@ def _knot_text(a: int, entries: tuple[Slope, ...]) -> str:
     return f"K{a}[{','.join(map(str, entries))}]"
 
 
-def _decide(
-    a: int, nf: NormalForm
-) -> tuple[KnotClass, int, int, MappingProxyType[int, _TableEntry]]:
+def _decide(a: int, nf: NormalForm) -> tuple[KnotClass, int, int, MappingProxyType[int, tuple]]:
     """The knot class, the mirror sign, the meridional twists and the
     class's table of exceptional surgeries at canonical slopes."""
     if nf.degenerate:
@@ -347,11 +328,19 @@ def _analyze(knot: WrappedKnot) -> Analysis:
     _oracle_self_check()
     nf = normalize(knot.tangle)
     knot_class, sigma, twists, table = _decide(knot.a, nf)
+    notes = _NOTES.get(knot_class, ())
+    shift = twists * knot.winding ** 2
     if table:
-        shift = twists * knot.winding ** 2
-        table = MappingProxyType(dict(sorted(
-            (make_slope(sigma * (rc - shift), 1), (rc, entry)) for rc, entry in table.items()
-        )))
+        restated = {}
+        for rc, (answer, family, s3_cover) in table.items():
+            r = make_slope(sigma * (rc - shift), 1)
+            answer = SurgeryClassification(answer.type, r, answer.certificate,
+                                           answer.seifert_indices, answer.notes + notes)
+            if family.n0 is not None:
+                family = FamilyPrediction(family.kind, sigma * (family.n0 + twists),
+                                          family.fiber_indices)
+            restated[r] = answer, family, rc if s3_cover else None
+        table = MappingProxyType(dict(sorted(restated.items())))
 
     moves: list[str] = []
     if knot.tangle.entries != nf.as_tangle().entries:
@@ -359,10 +348,7 @@ def _analyze(knot: WrappedKnot) -> Analysis:
     if sigma < 0:
         moves.append("mirror (surgery slopes negate)")
     if twists:
-        if knot.winding == 2:
-            effect = f"slopes shift by {4 * twists}"
-        else:
-            effect = "slopes unchanged, winding 0"
+        effect = f"slopes shift by {shift}" if shift else "slopes unchanged, winding 0"
         moves.append(f"meridional twist m={twists} ({effect})")
 
     return Analysis(
@@ -372,14 +358,12 @@ def _analyze(knot: WrappedKnot) -> Analysis:
         sigma=sigma,
         twists=twists,
         table=table,
-        notes=_NOTES.get(knot_class, ()),
+        notes=notes,
         moves=tuple(moves),
     )
 
 
-def _spanning_surface_table(
-    a: int, entries: tuple[Slope, ...]
-) -> MappingProxyType[int, _TableEntry]:
+def _spanning_surface_table(a: int, entries: tuple[Slope, ...]) -> MappingProxyType[int, tuple]:
     """One toroidal slope, along the boundary of the evident spanning surface
     of the canonical knot with these entries; for a single integer entry m it
     must be 0 when a = 0, else 2m."""
