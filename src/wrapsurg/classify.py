@@ -11,11 +11,18 @@ non-integral one, is hyperbolic.  The canonical representative is never
 built as a knot: the knot's own closure is the only one traced, and the
 push-off oracle reads the canonical entries.
 
+Each table entry states its answer and its family at the canonical knot:
+the `SurgeryClassification` at the canonical slope rc, the
+`FamilyPrediction` over every re-embedding (its n0 canonical), and whether
+the S^3 surgeries of the twisted images are known there.
+
 Each knot's `Analysis` (cached) holds its class's table restated at the
-knot's own slopes: the slope map r = sigma * (rc - twists * wind^2) is
-applied once, when the analysis is built, and every answer is read off that
-mapping.  A sweep over integral slopes therefore reads each row off the
-exceptional set: the exceptional type at that slope, else hyperbolic.
+knot's own slopes, once, when the analysis is built: the slope map
+r = sigma * (rc - twists * wind^2) moves each entry's slope, n0 becomes
+sigma * (n0 + twists), and the answer gains the class's notes.  `classify`,
+`predict` and `exceptional_slopes` only look up that mapping, and a sweep
+over integral slopes reads each row off the exceptional set: the exceptional
+type at that slope, else hyperbolic.
 """
 from __future__ import annotations
 

@@ -17,11 +17,10 @@ from enum import Enum
 
 from .slopes import (
     InconsistentCrossCheckError,
-    ParseError,
     Record,
     Slope,
     make_slope,
-    parse_slope,
+    parse_entries,
     split_integer_parts,
 )
 
@@ -185,15 +184,5 @@ def sfs_equal(x: SFSClass, y: SFSClass) -> bool:
 
 def parse_montesinos(text: str, offset: int = 0) -> MontesinosLink:
     """Parse `M[r1,...,rk]`; `inf` entries are allowed and mark degenerations."""
-    s = text.strip()
-    if not s.startswith("M[") or not s.endswith("]"):
-        raise ParseError("Montesinos link syntax is M[r1,...,rk]", offset)
-    inner = s[2:-1]
-    if not inner.strip():
-        raise ParseError("Montesinos link needs at least one entry", offset + 2)
-    entries = []
-    position = offset + 2
-    for piece in inner.split(","):
-        entries.append(parse_slope(piece, position))
-        position += len(piece) + 1
-    return MontesinosLink(tuple(entries))
+    entries = parse_entries(text, offset, "Montesinos link", "M[r1,...,rk]")
+    return MontesinosLink(tuple(entry for _, entry in entries))

@@ -143,6 +143,8 @@ class Slope(Record):
 
     def __lt__(self, other: "Slope") -> bool:
         # Total order with the meridian as +infinity, for deterministic output.
+        if not isinstance(other, Slope):
+            return NotImplemented
         if self.q == 0:
             return False
         if other.q == 0:
@@ -221,9 +223,16 @@ def expand(t: Slope) -> list[int]:
         p, q = q, r
 
 
+def _strip(text: str, offset: int) -> tuple[str, int]:
+    """The text without surrounding whitespace, and the position of its first
+    character when text[0] is at `offset`."""
+    s = text.lstrip()
+    return s.rstrip(), offset + len(text) - len(s)
+
+
 def parse_slope(text: str, offset: int = 0) -> Slope:
     """Parse 'p/q', a bare integer, or 'inf'.  The sign sits on the numerator."""
-    s = text.strip()
+    s, offset = _strip(text, offset)
     if not s:
         raise ParseError("empty slope", offset)
     if s == "inf":
@@ -238,9 +247,29 @@ def parse_slope(text: str, offset: int = 0) -> Slope:
     return Slope(_parse_int(s, offset, allow_sign=True), 1)
 
 
+def parse_entries(text: str, offset: int, name: str, syntax: str) -> list[tuple[int, Slope]]:
+    """Each entry of `text`, written as `syntax` shows (`[t1,...,tk]` or
+    `M[r1,...,rk]`), with its position; whitespace may surround the whole and
+    each entry.  Positions count from `offset`, the position of text[0]."""
+    head = syntax[: syntax.index("[") + 1]
+    s, offset = _strip(text, offset)
+    if not s.startswith(head) or not s.endswith("]"):
+        raise ParseError(f"{name} syntax is {syntax}", offset)
+    inner = s[len(head):-1]
+    position = offset + len(head)
+    if not inner.strip():
+        raise ParseError(f"{name} needs at least one entry", position)
+    entries = []
+    for piece in inner.split(","):
+        entry, start = _strip(piece, position)
+        entries.append((start, parse_slope(entry, start)))
+        position += len(piece) + 1
+    return entries
+
+
 def _parse_int(text: str, offset: int, allow_sign: bool) -> int:
     """ASCII digits, with a leading '-' when `allow_sign`; no '+', no '_'."""
-    s = text.strip()
+    s, offset = _strip(text, offset)
     body = s[1:] if (allow_sign and s.startswith("-")) else s
     if not (body.isascii() and body.isdigit()):
         raise ParseError(f"expected an integer, got {text!r}", offset)

@@ -12,7 +12,7 @@ connectivity of a tangle's four endpoints comes from strand tracing, by
 """
 from __future__ import annotations
 
-from .slopes import ParseError, Record, Slope, parse_slope, split_integer_parts
+from .slopes import ParseError, Record, Slope, parse_entries, split_integer_parts
 
 
 class MontesinosTangle(Record):
@@ -219,18 +219,9 @@ def equivalent(t1: MontesinosTangle, t2: MontesinosTangle) -> list[Move] | None:
 
 def parse_tangle(text: str, offset: int = 0) -> MontesinosTangle:
     """Parse `[t1,t2,...,tk]` with each entry in slope syntax."""
-    s = text.strip()
-    if not s.startswith("[") or not s.endswith("]"):
-        raise ParseError("tangle syntax is [t1,...,tk]", offset)
-    inner = s[1:-1]
-    if not inner.strip():
-        raise ParseError("tangle needs at least one entry", offset + 1)
     slopes = []
-    position = offset + 1
-    for piece in inner.split(","):
-        entry = parse_slope(piece, position)
+    for position, entry in parse_entries(text, offset, "tangle", "[t1,...,tk]"):
         if entry.is_meridian():
             raise ParseError("1/0 is not a rational tangle entry", position)
         slopes.append(entry)
-        position += len(piece) + 1
-    return MontesinosTangle.from_slopes(slopes)
+    return MontesinosTangle(tuple(slopes))

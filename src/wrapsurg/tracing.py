@@ -19,7 +19,7 @@ A knot is traced once, when it is constructed; its analysis traces no
 further closure.
 
 A diagram keeps its port graph in flat integer lists (edge ends, two
-incident edge ids per port, kind and crossing count per region), so building
+incident edge ids per port, crossing count per region), so building
 and walking a closure creates no object per edge or per region.  Every twist
 word is checked to rebuild its slope on every call; the check is an exact
 integer recurrence on the pair (p, q) and needs no gcd.
@@ -50,7 +50,6 @@ from .slopes import InconsistentCrossCheckError, Record, Slope, expand
 
 HORIZONTAL = "h"
 VERTICAL = "v"
-WRAP = "wrap"
 
 
 class Pairing(Enum):
@@ -71,11 +70,11 @@ class Diagram:
     Edge e joins ports `u[e]` and `v[e]`; `region[e]` is the twist region it
     runs through from its in port to its out port, or -1 for a plain arc.
     Port p meets the edges `first[p]` and `second[p]` (-1 while free).
-    Region r has `kind[r]` and the signed half-twist count `crossings[r]`,
-    whose sign is the handedness.
+    Region r has the signed half-twist count `crossings[r]`, whose sign is
+    the handedness.
     """
 
-    __slots__ = ("u", "v", "region", "first", "second", "kind", "crossings")
+    __slots__ = ("u", "v", "region", "first", "second", "crossings")
 
     def __init__(self) -> None:
         self.u: list[int] = []
@@ -83,7 +82,6 @@ class Diagram:
         self.region: list[int] = []
         self.first: list[int] = []
         self.second: list[int] = []
-        self.kind: list[str] = []
         self.crossings: list[int] = []
 
     def new_port(self) -> int:
@@ -106,11 +104,10 @@ class Diagram:
                 raise ValueError(f"port {port} already meets two edges")
         return edge
 
-    def add_region(self, kind: str, crossings: int, in1: int, in2: int) -> tuple[int, int]:
+    def add_region(self, crossings: int, in1: int, in2: int) -> tuple[int, int]:
         """Attach a twist region to two existing ports; returns its out ports."""
         out1, out2 = self.new_port(), self.new_port()
-        region = len(self.kind)
-        self.kind.append(kind)
+        region = len(self.crossings)
         self.crossings.append(crossings)
         if crossings % 2 == 0:
             self.add_edge(in1, out1, region)
@@ -196,9 +193,9 @@ def build_rational_tangle(diagram: Diagram, slope: Slope) -> TangleBox:
     diagram.add_edge(sw, se)
     for kind, count in twist_word(slope):
         if kind == HORIZONTAL:
-            ne, se = diagram.add_region(HORIZONTAL, count, ne, se)
+            ne, se = diagram.add_region(count, ne, se)
         else:
-            sw, se = diagram.add_region(VERTICAL, count, sw, se)
+            sw, se = diagram.add_region(count, sw, se)
     return nw, ne, sw, se
 
 
@@ -206,9 +203,9 @@ def build_single_region_tangle(diagram: Diagram, kind: str, crossings: int) -> T
     """One literal twist region; the diagram model of a pretzel column."""
     a, b = diagram.new_port(), diagram.new_port()
     if kind == VERTICAL:
-        sw, se = diagram.add_region(VERTICAL, crossings, a, b)
+        sw, se = diagram.add_region(crossings, a, b)
         return a, b, sw, se
-    ne, se = diagram.add_region(HORIZONTAL, crossings, a, b)
+    ne, se = diagram.add_region(crossings, a, b)
     return a, ne, b, se
 
 
@@ -232,7 +229,7 @@ def close_wrapped(
     endpoint its arc reaches.
     """
     nw, ne, sw, se = box
-    out1, out2 = diagram.add_region(WRAP, crossings, nw, ne)
+    out1, out2 = diagram.add_region(crossings, nw, ne)
     bottom = {out1: sw, out2: se}
     edges = len(diagram.u)
     wraps = [(edge, bottom[diagram.v[edge]]) for edge in (edges - 2, edges - 1)]

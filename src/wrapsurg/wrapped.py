@@ -12,8 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import tracing
-from .slopes import InconsistentCrossCheckError, ParseError, Record, Slope, make_slope
-from .tangles import MontesinosTangle, NormalForm, normalize, parse_tangle
+from .slopes import InconsistentCrossCheckError, ParseError, Record, Slope, _strip, make_slope
+from .tangles import MontesinosTangle, normalize, parse_tangle
 
 
 class NotAKnotError(ValueError):
@@ -51,9 +51,6 @@ class WrappedKnot(Record):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "tangle", tangle)
         object.__setattr__(self, "winding", closure.winding)
-
-    def normal_form(self) -> NormalForm:
-        return normalize(self.tangle)
 
     def __str__(self) -> str:
         return f"K{self.a}{self.tangle}"
@@ -140,7 +137,7 @@ def parse_knot(text: str, offset: int = 0) -> WrappedKnot:
     once and the same object is returned again; a failed parse is not cached
     and raises anew on every call.
     """
-    s = text.strip()
+    s, offset = _strip(text, offset)
     if not s.startswith(("K0[", "K1[")):
         raise ParseError("knot syntax is K0[...] or K1[...]", offset)
     a = int(s[1])

@@ -13,8 +13,12 @@ from wrapsurg import (
     evaluate_continued_fraction,
     expand,
     make_slope,
+    parse_knot,
+    parse_montesinos,
     parse_slope,
+    parse_tangle,
 )
+from wrapsurg.cli import main
 from wrapsurg.slopes import split_integer_parts
 
 
@@ -121,6 +125,29 @@ def test_parse_errors_carry_position():
     except ParseError as caught:
         err = caught
     assert err is not None and err.position == 0
+
+
+def test_parse_error_positions_count_the_stripped_whitespace(capsys):
+    cases = [
+        (parse_knot, "  K0[x]"), (parse_knot, "K0[  x]"), (parse_knot, "K0[1, x]"),
+        (parse_montesinos, "  M[x]"), (parse_tangle, "[1/2, 1/ x]"), (parse_slope, " x"),
+    ]
+    for parse, text in cases:
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        assert text[caught.value.position] == "x", text
+    assert main(["classify", "  K0[x]", "1"]) == 2
+    assert capsys.readouterr().err.endswith("(at position 5)\n")
+
+
+def test_slopes_order_only_against_slopes():
+    # Like +, < returns NotImplemented for a non-Slope, so Python raises TypeError.
+    for compare in (lambda: Slope(1, 2) < 3, lambda: 3 > Slope(1, 2), lambda: Slope(1, 2) < 0.5):
+        with pytest.raises(TypeError):
+            compare()
+    assert sorted([MERIDIAN, make_slope(1, 2), make_slope(-3, 1)]) == [
+        make_slope(-3, 1), make_slope(1, 2), MERIDIAN
+    ]
 
 
 def test_oversized_integer_is_a_parse_error():
