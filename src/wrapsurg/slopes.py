@@ -223,16 +223,11 @@ def expand(t: Slope) -> list[int]:
         p, q = q, r
 
 
-def _strip(text: str, offset: int) -> tuple[str, int]:
-    """The text without surrounding whitespace, and the position of its first
-    character when text[0] is at `offset`."""
-    s = text.lstrip()
-    return s.rstrip(), offset + len(text) - len(s)
-
-
 def parse_slope(text: str, offset: int = 0) -> Slope:
     """Parse 'p/q', a bare integer, or 'inf'.  The sign sits on the numerator."""
-    s, offset = _strip(text, offset)
+    s = text.strip()
+    if len(s) < len(text):  # error positions count the leading whitespace
+        offset += len(text) - len(text.lstrip())
     if not s:
         raise ParseError("empty slope", offset)
     if s == "inf":
@@ -252,7 +247,9 @@ def parse_entries(text: str, offset: int, name: str, syntax: str) -> list[tuple[
     `M[r1,...,rk]`), with its position; whitespace may surround the whole and
     each entry.  Positions count from `offset`, the position of text[0]."""
     head = syntax[: syntax.index("[") + 1]
-    s, offset = _strip(text, offset)
+    s = text.strip()
+    if len(s) < len(text):
+        offset += len(text) - len(text.lstrip())
     if not s.startswith(head) or not s.endswith("]"):
         raise ParseError(f"{name} syntax is {syntax}", offset)
     inner = s[len(head):-1]
@@ -261,15 +258,17 @@ def parse_entries(text: str, offset: int, name: str, syntax: str) -> list[tuple[
         raise ParseError(f"{name} needs at least one entry", position)
     entries = []
     for piece in inner.split(","):
-        entry, start = _strip(piece, position)
-        entries.append((start, parse_slope(entry, start)))
+        start = position + len(piece) - len(piece.lstrip())
+        entries.append((start, parse_slope(piece, position)))
         position += len(piece) + 1
     return entries
 
 
 def _parse_int(text: str, offset: int, allow_sign: bool) -> int:
     """ASCII digits, with a leading '-' when `allow_sign`; no '+', no '_'."""
-    s, offset = _strip(text, offset)
+    s = text.strip()
+    if len(s) < len(text):
+        offset += len(text) - len(text.lstrip())
     body = s[1:] if (allow_sign and s.startswith("-")) else s
     if not (body.isascii() and body.isdigit()):
         raise ParseError(f"expected an integer, got {text!r}", offset)

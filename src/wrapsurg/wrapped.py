@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import tracing
-from .slopes import InconsistentCrossCheckError, ParseError, Record, Slope, _strip, make_slope
+from .slopes import InconsistentCrossCheckError, ParseError, Record, Slope, make_slope
 from .tangles import MontesinosTangle, normalize, parse_tangle
 
 
@@ -137,7 +137,9 @@ def parse_knot(text: str, offset: int = 0) -> WrappedKnot:
     once and the same object is returned again; a failed parse is not cached
     and raises anew on every call.
     """
-    s, offset = _strip(text, offset)
+    s = text.strip()
+    if len(s) < len(text):  # error positions count the leading whitespace
+        offset += len(text) - len(text.lstrip())
     if not s.startswith(("K0[", "K1[")):
         raise ParseError("knot syntax is K0[...] or K1[...]", offset)
     a = int(s[1])
