@@ -71,6 +71,7 @@ def _candidates():
 
 
 def _fold(sha, argv):
+    """Fold one CLI run into sha: its knot text argv[1], exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
