@@ -16,14 +16,17 @@ took a fast path in front of shlex.split.  One more folds `predict KNOT r --n
 -3..3 --format json` at every exceptional slope r of every hyperbolic grid knot
 (`_exceptional_digest`): each answer, its notes, its family and its S^3 rows,
 for every class with a table, recorded before each table entry stated its
-family.
+family.  One more folds the benchmark's seed-101 batch_hot request list, run
+as batch files of HOT_CHUNK lines (`_hot_digest`), recorded before warm JSON
+answers were spliced from pre-rendered pieces.
 
 The module imports neither pytest nor hypothesis, so the digests can be checked
 on an interpreter without them: `PYTHONPATH=src python tests/test_golden_cli.py`
-recomputes all thirteen and exits 1 on a mismatch.
+recomputes all fourteen and exits 1 on a mismatch.
 """
 import contextlib
 import hashlib
+import importlib.util
 import io
 import itertools
 import sys
@@ -49,6 +52,9 @@ GOLDEN = {
 }
 BATCH_GOLDEN = "1c907c14ce20aabbdc44a07feaa2c9f18dc6378f7ad8416f54f0910192f41244"
 EXCEPTIONAL_GOLDEN = "fded5ceab67238c846974e0aae1701a1934394145bc6cb8ce5d8f35239b31199"
+HOT_GOLDEN = "e66f391e1aaae2085d80e151037f4fbb87c3e13f6728d3cb7c4d949c5a34a110"
+# Lines per batch file of the batch_hot digest, as the benchmark feeds them.
+HOT_CHUNK = 500
 
 
 def _grid_slopes(bound=6):
@@ -162,6 +168,41 @@ def test_golden_batch_digest(tmp_path):
     assert _batch_digest(tmp_path) == BATCH_GOLDEN
 
 
+def _hot_lines(seed=101):
+    """The benchmark's batch_hot request lines for `seed`, from bench/inputs.py,
+    which is only imported and imports nothing of the package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # dataclasses looks its module up
+    try:
+        spec.loader.exec_module(inputs)
+        return [request.line() for request, _ in inputs.Workloads(inputs.Golden()).hot(seed)]
+    finally:
+        del sys.modules[spec.name]
+
+
+def _hot_digest(directory):
+    """Each batch_hot file of HOT_CHUNK lines run as one batch: its exit code,
+    stdout and stderr, in order."""
+    lines = _hot_lines()
+    sha = hashlib.sha256()
+    script = Path(directory) / "hot.txt"
+    for lo in range(0, len(lines), HOT_CHUNK):
+        script.write_text("".join(line + "\n" for line in lines[lo:lo + HOT_CHUNK]))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["batch", str(script)])
+        for part in (str(code), out.getvalue(), err.getvalue()):
+            sha.update(part.encode())
+            sha.update(b"\0")
+    return sha.hexdigest()
+
+
+def test_golden_batch_hot_digest(tmp_path):
+    assert _hot_digest(tmp_path) == HOT_GOLDEN
+
+
 if __name__ == "__main__":
     mismatches = [
         " ".join(command) for command, expected in GOLDEN.items() if _digest(*command) != expected
@@ -169,8 +210,11 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as directory:
         if _batch_digest(directory) != BATCH_GOLDEN:
             mismatches.append("batch")
+        if _hot_digest(directory) != HOT_GOLDEN:
+            mismatches.append("batch_hot seed 101")
     if _exceptional_digest() != EXCEPTIONAL_GOLDEN:
         mismatches.append("predict at every exceptional slope")
-    print(f"{len(GOLDEN) + 2 - len(mismatches)} of {len(GOLDEN) + 2} golden digests match"
+    total = len(GOLDEN) + 3
+    print(f"{total - len(mismatches)} of {total} golden digests match"
           + "".join(f"\nmismatch: {name}" for name in mismatches))
     sys.exit(1 if mismatches else 0)
