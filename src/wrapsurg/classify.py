@@ -185,6 +185,9 @@ _NOTES = {
 }
 # The twisted images of the (-2, 3) pretzel that are torus knots T(p, q).
 _TORUS_KNOT_MEMBERS = {0: (2, 5), 1: (3, 4), 2: (3, 5)}
+# The S^3 covers `_s3_cover` keeps, by (canonical twist, canonical slope):
+# both cover slopes over 512 consecutive twists.
+_S3_CACHE_SIZE = 1024
 
 
 class Analysis(Record):
@@ -235,17 +238,7 @@ class Analysis(Record):
         rc = self.table.get(r, (None, None, None))[2]
         if rc is None:
             return None
-        nc = self.sigma * n - self.twists
-        result = double_branched_cover(pretzel_surgery_link(nc, rc))
-        if nc in _TORUS_KNOT_MEMBERS:
-            p, q = _TORUS_KNOT_MEMBERS[nc]
-            check = torus_knot_surgery(p, q, make_slope(rc + 4 * nc, 1))
-            if not sfs_equal(result, check):
-                raise InconsistentCrossCheckError(
-                    f"branch-locus cover {result} disagrees with torus-knot "
-                    f"surgery {check} at twist {nc}"
-                )
-        return result
+        return _s3_cover(self.sigma * n - self.twists, rc)
 
     def require_hyperbolic(self) -> None:
         """Raise `DegenerateKnotError` for a degenerate knot, never hyperbolic."""
@@ -253,6 +246,24 @@ class Analysis(Record):
             raise DegenerateKnotError(
                 f"{self.knot} reduces to a trivial wrapped pattern and is not hyperbolic"
             )
+
+
+@lru_cache(maxsize=_S3_CACHE_SIZE)
+def _s3_cover(nc: int, rc: int) -> SFSClass:
+    """The (rc + 4 nc)-surgery on the (-2, 3, 2 nc + 1) pretzel, the nc-twisted
+    image of the canonical knot: the double branched cover of its branch
+    locus, cross-checked against torus-knot surgery where the image is a torus
+    knot.  The check runs on every miss, also under `python -O`."""
+    result = double_branched_cover(pretzel_surgery_link(nc, rc))
+    if nc in _TORUS_KNOT_MEMBERS:
+        p, q = _TORUS_KNOT_MEMBERS[nc]
+        check = torus_knot_surgery(p, q, make_slope(rc + 4 * nc, 1))
+        if not sfs_equal(result, check):
+            raise InconsistentCrossCheckError(
+                f"branch-locus cover {result} disagrees with torus-knot "
+                f"surgery {check} at twist {nc}"
+            )
+    return result
 
 
 def _unit_fraction_shifts(frac: Slope) -> list[int]:

@@ -19,10 +19,12 @@ import os
 import re
 import sys
 from _json import encode_basestring_ascii as _quote
+from functools import lru_cache
 
 from .classify import (
     DegenerateKnotError,
     FamilyPrediction,
+    KnotClass,
     SurgeryClassification,
     SurgeryType,
     analysis_of,
@@ -30,6 +32,7 @@ from .classify import (
 from .slopes import ParseError, Slope, _parse_int, parse_slope
 from .tangles import NormalForm
 from .wrapped import (
+    _KNOT_CACHE_SIZE,
     NotAKnotError,
     WrappedKnot,
     parse_knot,
@@ -193,10 +196,16 @@ def run(request: Request, out=None) -> int:
 
 def _dispatch(request: Request, knot: WrappedKnot, slope: Slope | None) -> dict:
     command = request.command
+    as_json = request.fmt == "json"
     payload: dict = {"input": _input_json(request, knot, slope)}
     analysis = analysis_of(knot)
-    payload["normal_form"] = _normal_form_json(analysis.nf)
-    payload["equivalence_moves"] = list(analysis.moves)
+    if as_json:
+        nf, moves, exceptional_fragment = _fragments(request.knot_text)
+    else:
+        nf, moves = _normal_form_json(analysis.nf), list(analysis.moves)
+        exceptional_fragment = None
+    payload["normal_form"] = nf
+    payload["equivalence_moves"] = moves
     if command == "normalize":
         return payload
     analysis.require_hyperbolic()
@@ -212,25 +221,25 @@ def _dispatch(request: Request, knot: WrappedKnot, slope: Slope | None) -> dict:
             surgeries = []
             for n in range(lo, hi + 1):
                 known = analysis.surgery_in_s3(slope, n)
-                surgeries.append(
-                    {"n": n, "result": str(known) if known else None}
+                surgeries.append((n, str(known) if known else None))
+            if as_json:
+                surgeries = _rows(
+                    _SURGERY_ROW,
+                    [(n, "null" if result is None else _quote(result)) for n, result in surgeries],
                 )
             payload["surgeries"] = surgeries
         return payload
-    if command == "slopes":
-        payload["exceptional_slopes"] = _exceptional_json(analysis.exceptional_slopes())
-        return payload
-    if command == "table":
+    if command in ("slopes", "table"):
         exceptional = analysis.exceptional_slopes()
-        payload["exceptional_slopes"] = _exceptional_json(exceptional)
+        payload["exceptional_slopes"] = exceptional_fragment or _exceptional_json(exceptional)
+        if command == "slopes":
+            return payload
         # Exceptional slopes are integral, and every other slope is hyperbolic.
         types = {r.p: result.type.value for r, result in exceptional}
         hyperbolic = SurgeryType.HYPERBOLIC.value
         lo, hi = request.slope_range or (0, 0)
-        payload["sweep"] = [
-            {"slope": str(value), "type": types.get(value, hyperbolic)}
-            for value in range(lo, hi + 1)
-        ]
+        sweep = [(value, types.get(value, hyperbolic)) for value in range(lo, hi + 1)]
+        payload["sweep"] = _rows(_SWEEP_ROW, sweep) if as_json else sweep
         return payload
     if command == "twist":
         lo, hi = request.n_range or (0, 0)
@@ -295,8 +304,15 @@ def _split(text: str) -> list[str]:
     return [word.replace("'", "") for word in _WORD.findall(text)]
 
 
+class _Raw(str):
+    """JSON text already rendered at its place in an answer; `_json` writes it as it is."""
+
+    __slots__ = ()
+
+
 def _json(value, indent: str) -> str:
-    """The text of json.dumps(value, indent=2, sort_keys=True), nested at `indent`."""
+    """The text of json.dumps(value, indent=2, sort_keys=True), nested at `indent`;
+    a `_Raw` value is written as it is."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -318,10 +334,43 @@ def _json(value, indent: str) -> str:
         return "null"
     if kind is bool:
         return "true" if value else "false"
+    if kind is _Raw:
+        return value
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # -- JSON payload builders ---------------------------------------------------
+
+
+@lru_cache(maxsize=_KNOT_CACHE_SIZE)
+def _fragments(knot_text: str) -> tuple[_Raw, _Raw, _Raw | None]:
+    """The JSON of the knot's normal form, its equivalence moves and, for a
+    hyperbolic knot, its exceptional slopes, each rendered once at its depth
+    in an answer.  Only JSON requests call this, so text requests fill nothing.
+    Exceptional slopes with an integer too long to write are left unrendered
+    (None), so that only the answers that list them fail."""
+    analysis = analysis_of(parse_knot(knot_text))
+    exceptional = None
+    if analysis.knot_class is not KnotClass.DEGENERATE:
+        try:
+            exceptional = _Raw(_json(_exceptional_json(analysis.exceptional_slopes()), "  "))
+        except ValueError:
+            pass
+    return (
+        _Raw(_json(_normal_form_json(analysis.nf), "  ")),
+        _Raw(_json(list(analysis.moves), "  ")),
+        exceptional,
+    )
+
+
+# One row of a JSON `sweep` or `surgeries` list, at its depth in an answer.
+_SWEEP_ROW = '    {\n      "slope": "%d",\n      "type": "%s"\n    }'
+_SURGERY_ROW = '    {\n      "n": %d,\n      "result": %s\n    }'
+
+
+def _rows(template: str, rows: list[tuple]) -> _Raw:
+    """A list of at least one row, each row written by `template`, at depth 1."""
+    return _Raw("[\n" + ",\n".join([template % row for row in rows]) + "\n  ]")
 
 
 def _input_json(request: Request, knot: WrappedKnot, slope: Slope | None) -> dict:
@@ -424,14 +473,13 @@ def _render_text(request: Request, payload: dict) -> list[str]:
         )
     if not payload.get("exceptional_slopes", True):
         lines.append("exceptional slopes: none")
-    for row in payload.get("sweep", []):
-        lines.append(f"  r={row['slope']}: {row['type']}")
+    for value, kind in payload.get("sweep", []):
+        lines.append(f"  r={value}: {kind}")
     for image in payload.get("images", []):
         extra = f"  two-bridge {image['two_bridge']}" if "two_bridge" in image else ""
         lines.append(f"  n={image['n']}: {image['link']}{extra}")
-    for surgery in payload.get("surgeries", []):
-        result = surgery["result"] or "unknown"
-        lines.append(f"  n={surgery['n']}: {result}")
+    for n, result in payload.get("surgeries", []):
+        lines.append(f"  n={n}: {result or 'unknown'}")
     return lines
 
 

@@ -94,6 +94,15 @@ class Slope(Record):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
+    # The hottest cache key: `Record`'s methods, with the two fields inline.
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Slope:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
+
     # -- predicates ------------------------------------------------------
 
     def is_meridian(self) -> bool:
@@ -223,8 +232,12 @@ def expand(t: Slope) -> list[int]:
         p, q = q, r
 
 
-def parse_slope(text: str, offset: int = 0) -> Slope:
-    """Parse 'p/q', a bare integer, or 'inf'.  The sign sits on the numerator."""
+_ZERO_DENOMINATOR = "explicit zero denominator; write 'inf'"
+
+
+def parse_slope(text: str, offset: int = 0, zero_denominator: str = _ZERO_DENOMINATOR) -> Slope:
+    """Parse 'p/q', a bare integer, or 'inf'.  The sign sits on the numerator.
+    A zero denominator q fails with the message `zero_denominator`."""
     s = text.strip()
     if len(s) < len(text):  # error positions count the leading whitespace
         offset += len(text) - len(text.lstrip())
@@ -237,15 +250,17 @@ def parse_slope(text: str, offset: int = 0) -> Slope:
         num = _parse_int(num_text, offset, allow_sign=True)
         den = _parse_int(den_text, offset + len(num_text) + 1, allow_sign=False)
         if den == 0:
-            raise ParseError("explicit zero denominator; write 'inf'", offset)
+            raise ParseError(zero_denominator, offset)
         return Slope(num, den)
     return Slope(_parse_int(s, offset, allow_sign=True), 1)
 
 
-def parse_entries(text: str, offset: int, name: str, syntax: str) -> list[tuple[int, Slope]]:
+def parse_entries(text: str, offset: int, name: str, syntax: str,
+                  zero_denominator: str = _ZERO_DENOMINATOR) -> list[tuple[int, Slope]]:
     """Each entry of `text`, written as `syntax` shows (`[t1,...,tk]` or
     `M[r1,...,rk]`), with its position; whitespace may surround the whole and
-    each entry.  Positions count from `offset`, the position of text[0]."""
+    each entry.  Positions count from `offset`, the position of text[0].  An
+    entry with a zero denominator fails with the message `zero_denominator`."""
     head = syntax[: syntax.index("[") + 1]
     s = text.strip()
     if len(s) < len(text):
@@ -259,7 +274,7 @@ def parse_entries(text: str, offset: int, name: str, syntax: str) -> list[tuple[
     entries = []
     for piece in inner.split(","):
         start = position + len(piece) - len(piece.lstrip())
-        entries.append((start, parse_slope(piece, position)))
+        entries.append((start, parse_slope(piece, position, zero_denominator)))
         position += len(piece) + 1
     return entries
 

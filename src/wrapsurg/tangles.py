@@ -217,11 +217,15 @@ def equivalent(t1: MontesinosTangle, t2: MontesinosTangle) -> list[Move] | None:
     ]
 
 
+_NOT_AN_ENTRY = "1/0 is not a rational tangle entry"
+
+
 def parse_tangle(text: str, offset: int = 0) -> MontesinosTangle:
-    """Parse `[t1,t2,...,tk]` with each entry in slope syntax."""
+    """Parse `[t1,t2,...,tk]` with each entry in slope syntax; the meridian,
+    written `inf` or with a zero denominator, is not an entry."""
     slopes = []
-    for position, entry in parse_entries(text, offset, "tangle", "[t1,...,tk]"):
+    for position, entry in parse_entries(text, offset, "tangle", "[t1,...,tk]", _NOT_AN_ENTRY):
         if entry.is_meridian():
-            raise ParseError("1/0 is not a rational tangle entry", position)
+            raise ParseError(_NOT_AN_ENTRY, position)
         slopes.append(entry)
     return MontesinosTangle(tuple(slopes))

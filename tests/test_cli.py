@@ -1,5 +1,7 @@
+import importlib
 import io
 import json
+import math
 import random
 import shlex
 import subprocess
@@ -131,6 +133,20 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "classify", "K0[inf]", "1")
     assert code == 2
+
+
+def test_a_zero_denominator_entry_is_refused_as_the_meridian_it_writes(capsys):
+    # A tangle entry with a zero denominator fails as `inf` does, at the
+    # entry; only a slope argument is told to write 'inf'.
+    refusal = "1/0 is not a rational tangle entry"
+    for knot, position in (("K0[1/0]", 3), ("K0[inf]", 3), ("K0[2, -3/0]", 6), ("K1[0/0]", 3)):
+        code, out, err = run_cli(capsys, "slopes", knot)
+        assert (code, out) == (2, ""), knot
+        assert err == f"error: bad knot expression: {refusal} (at position {position})\n", knot
+    code, out, err = run_cli(capsys, "classify", "K0[2]", "1/0")
+    assert (code, out) == (2, "")
+    hint = "explicit zero denominator; write 'inf'"
+    assert err == f"error: bad slope expression: {hint} (at position 0)\n"
 
 
 def test_integers_are_ascii_digits(capsys):
@@ -479,3 +495,60 @@ def test_json_emitter_fails_past_the_digit_limit_as_dumps_does():
     with pytest.raises(ValueError) as theirs:
         json.dumps(value, indent=2, sort_keys=True)
     assert str(ours.value) == str(theirs.value)
+
+
+# Grid knots (entries p/q with |p|, q <= 6), the (-2, 3) pretzel and its
+# mirror among them, with slopes that reach every table entry and the S^3 rows.
+_GRID_ENTRIES = [f"{p}/{q}" if q > 1 else str(p)
+                 for q in range(1, 7) for p in range(-6, 7) if math.gcd(p, q) == 1]
+_grid_knots = st.one_of(
+    st.sampled_from(["K1[-1/2,1/3]", "K1[1/2,-1/3]"]),
+    st.sampled_from(["K0[-2/3]", "K0[2]", "K0[-1/3,-1/3]", "K0[5/3,-2/3]", "K1[2]", "K0[1/3]"]),
+    st.builds(lambda a, entries: f"K{a}[{','.join(entries)}]",
+              st.integers(0, 1), st.lists(st.sampled_from(_GRID_ENTRIES), min_size=1, max_size=2)),
+)
+_grid_slopes = st.one_of(st.sampled_from(["6", "7", "-6", "-7"]), st.integers(-12, 12).map(str),
+                         st.sampled_from(["inf", "1/2", "-7/3"]))
+_grid_spans = st.builds(lambda lo, rows: f"{lo}..{lo + rows}",
+                        st.integers(-60, 60), st.integers(0, 40))
+
+
+# JSON requests that fill the warm caches with other knots, twists and slopes.
+_PRIMERS = [
+    ["predict", "K1[-1/2,1/3]", "7", "--n", "-9..9", "--format", "json"],
+    ["predict", "K1[1/2,-1/3]", "-6", "--n", "-9..9", "--format", "json"],
+    ["slopes", "K0[2]", "--format", "json"],
+]
+
+
+def _answer(*args):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(_grid_knots, _grid_slopes, _grid_spans, _grid_spans, st.booleans(), st.booleans())
+def test_json_answers_are_sorted_dumps_and_do_not_depend_on_the_warm_caches(
+    knot, slope, slope_span, n_span, predict_rows, moves
+):
+    for primer in _PRIMERS:  # warm caches, holding other knots and twists
+        _answer(*primer)
+    requests, answers = [], []
+    for command in sorted(set(cli.FLAGS) - {"batch"}):
+        args = [command, knot]
+        if command in ("classify", "predict"):
+            args.append(slope)
+        if command == "table":
+            args += ["--range", slope_span]
+        if command == "twist" or (command == "predict" and predict_rows):
+            args += ["--n", n_span]
+        requests.append(args + ["--format", "json"] + ["--moves"] * moves)
+        answers.append(_answer(*requests[-1]))
+        code, out, _ = answers[-1]
+        if code == 0:
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        assert _answer(*requests[-1]) == answers[-1]
+    for cached in (cli._fragments, importlib.import_module("wrapsurg.classify")._s3_cover):
+        cached.cache_clear()
+    assert [_answer(*args) for args in requests] == answers

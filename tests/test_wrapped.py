@@ -176,6 +176,24 @@ sys.exit(1)
 """
 
 
+# A torus-knot classification that disagrees with the branch-locus cover of
+# the twist-1 member T(3, 4): the memoized S^3 cover runs the check on its miss.
+_SABOTAGED_TORUS_KNOT = """
+import importlib
+import sys
+from wrapsurg import REDUCIBLE, InconsistentCrossCheckError, make_slope, parse_knot, surgery_in_s3
+if not sys.flags.optimize:
+    sys.exit(3)
+classify = importlib.import_module("wrapsurg.classify")
+classify.torus_knot_surgery = lambda p, q, r: REDUCIBLE
+try:
+    surgery_in_s3(parse_knot("K1[-1/2,1/3]"), make_slope(7, 1), 1)
+except InconsistentCrossCheckError as err:
+    sys.exit(0 if "torus-knot surgery" in str(err) else 4)
+sys.exit(1)
+"""
+
+
 @pytest.mark.parametrize(
     "script",
     [
@@ -184,11 +202,37 @@ sys.exit(1)
         _NON_COPRIME_BEZOUT,
         _SABOTAGED_ORACLE,
         _SABOTAGED_SPANNING_SURFACE,
+        _SABOTAGED_TORUS_KNOT,
     ],
-    ids=["word", "pretzel_pair", "bezout", "oracle", "spanning_surface"],
+    ids=["word", "pretzel_pair", "bezout", "oracle", "spanning_surface", "torus_knot"],
 )
 def test_cross_checks_survive_python_O(script):
     done = run_python(script, "-O")
+    assert done.returncode == 0, done.stderr
+
+
+# Fill a cache with more keys than its bound: the S^3 covers by twist at one
+# cover slope, and the JSON fragments by the text of K0[i], a knot for every i.
+_FILL_A_WARM_CACHE = """
+import importlib
+cached = importlib.import_module("wrapsurg.{module}").{function}
+bound = cached.cache_info().maxsize
+assert bound is not None
+for i in range(bound + 100):
+    cached({key})
+    assert cached.cache_info().currsize <= bound
+assert cached.cache_info().currsize == bound
+"""
+
+
+@pytest.mark.parametrize(
+    "module, function, key",
+    [("classify", "_s3_cover", "i, 7"), ("cli", "_fragments", '"K0[" + str(i) + "]"')],
+    ids=["s3_cover", "fragments"],
+)
+def test_warm_caches_are_bounded(module, function, key):
+    # In a child process, so that this suite's own caches keep their entries.
+    done = run_python(_FILL_A_WARM_CACHE.format(module=module, function=function, key=key))
     assert done.returncode == 0, done.stderr
 
 
