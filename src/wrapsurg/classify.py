@@ -23,6 +23,11 @@ sigma * (n0 + twists), and the answer gains the class's notes.  `classify`,
 `predict` and `exceptional_slopes` only look up that mapping, and a sweep
 over integral slopes reads each row off the exceptional set: the exceptional
 type at that slope, else hyperbolic.
+
+The S^3 surgery of a twisted image depends only on the canonical twist nc
+and the canonical slope rc, not on the knot: `_s3_cover` computes it once per
+(nc, rc), in an lru_cache of _S3_CACHE_SIZE (1024) entries, and runs the
+torus-knot cross-check on every miss.
 """
 from __future__ import annotations
 

@@ -12,6 +12,14 @@ No request loads `json` (strings are quoted by its C helper `_json`), and only
 a batch line with a `"`, a backslash or an odd number of `'` loads `shlex`.
 A `--range` or `--n` span holds at most MAX_SPAN_ROWS (1,000,000) rows; a
 longer one exits 2.
+
+A JSON answer splices in pieces rendered once (`_Raw` text, which `_json`
+writes as it is).  `_fragments`, an lru_cache keyed by the knot text and
+bounded by the parse cache's 8192 texts, holds the knot's normal form, its
+equivalence moves and, for a hyperbolic knot, its exceptional slopes,
+rendered at their depth in an answer; only JSON requests fill it, on the
+first one for each text.  Each row of a `sweep` or `surgeries` list is
+written from one %-template.  The text of an answer is the same either way.
 """
 from __future__ import annotations
 

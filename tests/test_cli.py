@@ -247,6 +247,18 @@ def test_oversized_answer_exits_2_naming_the_limit(capsys):
     assert code == 3 and "not hyperbolic" in err  # DegenerateKnotError keeps 3
 
 
+def test_only_the_answers_that_list_a_too_long_slope_fail(capsys):
+    # The pretzel surface slope of K0[1/q,1/q] has 4301 digits, q none over 4300.
+    knot = "K0[1/{0},1/{0}]".format("9" * 4300)
+    for args in (["slopes", knot], ["table", knot, "--range", "0..1"]):
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(capsys, *args, "--format", fmt)
+            assert code == 2 and not out and "4300 digits" in err, (args, fmt)
+    for args in (["classify", knot, "5"], ["normalize", knot], ["predict", knot, "5"]):
+        for fmt in ("text", "json"):
+            assert run_cli(capsys, *args, "--format", fmt)[0] == 0, (args, fmt)
+
+
 def test_batch_survives_an_oversized_answer(tmp_path, capsys):
     script = tmp_path / "requests.txt"
     script.write_text(
