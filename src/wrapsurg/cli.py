@@ -32,7 +32,6 @@ from functools import lru_cache
 from .classify import (
     DegenerateKnotError,
     FamilyPrediction,
-    KnotClass,
     SurgeryClassification,
     SurgeryType,
     analysis_of,
@@ -226,16 +225,10 @@ def _dispatch(request: Request, knot: WrappedKnot, slope: Slope | None) -> dict:
         payload["family_prediction"] = _prediction_json(analysis.predict(slope))
         if command == "predict" and request.n_range is not None:
             lo, hi = request.n_range
-            surgeries = []
-            for n in range(lo, hi + 1):
-                known = analysis.surgery_in_s3(slope, n)
-                surgeries.append((n, str(known) if known else None))
+            rows = [(n, analysis.surgery_in_s3(slope, n)) for n in range(lo, hi + 1)]
             if as_json:
-                surgeries = _rows(
-                    _SURGERY_ROW,
-                    [(n, "null" if result is None else _quote(result)) for n, result in surgeries],
-                )
-            payload["surgeries"] = surgeries
+                rows = _rows(_SURGERY_ROW, [(n, _quote(str(s)) if s else "null") for n, s in rows])
+            payload["surgeries"] = rows
         return payload
     if command in ("slopes", "table"):
         exceptional = analysis.exceptional_slopes()
@@ -358,12 +351,10 @@ def _fragments(knot_text: str) -> tuple[_Raw, _Raw, _Raw | None]:
     Exceptional slopes with an integer too long to write are left unrendered
     (None), so that only the answers that list them fail."""
     analysis = analysis_of(parse_knot(knot_text))
-    exceptional = None
-    if analysis.knot_class is not KnotClass.DEGENERATE:
-        try:
-            exceptional = _Raw(_json(_exceptional_json(analysis.exceptional_slopes()), "  "))
-        except ValueError:
-            pass
+    try:
+        exceptional = _Raw(_json(_exceptional_json(analysis.exceptional_slopes()), "  "))
+    except ValueError:  # DegenerateKnotError, or past the digit limit
+        exceptional = None
     return (
         _Raw(_json(_normal_form_json(analysis.nf), "  ")),
         _Raw(_json(list(analysis.moves), "  ")),
@@ -486,8 +477,8 @@ def _render_text(request: Request, payload: dict) -> list[str]:
     for image in payload.get("images", []):
         extra = f"  two-bridge {image['two_bridge']}" if "two_bridge" in image else ""
         lines.append(f"  n={image['n']}: {image['link']}{extra}")
-    for n, result in payload.get("surgeries", []):
-        lines.append(f"  n={n}: {result or 'unknown'}")
+    for n, known in payload.get("surgeries", []):
+        lines.append(f"  n={n}: {known or 'unknown'}")
     return lines
 
 
