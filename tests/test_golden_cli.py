@@ -18,11 +18,14 @@ took a fast path in front of shlex.split.  One more folds `predict KNOT r --n
 for every class with a table, recorded before each table entry stated its
 family.  One more folds the benchmark's seed-101 batch_hot request list, run
 as batch files of HOT_CHUNK lines (`_hot_digest`), recorded before warm JSON
-answers were spliced from pre-rendered pieces.
+answers were spliced from pre-rendered pieces.  One more folds the
+connectivity oracle itself (`_oracle_digest`): `trace_closure` on every grid
+entry list, links included, and `pretzel_framing` on every pretzel shape near
+the grid, recorded before the diagram became a list of strand-end mates.
 
 The module imports neither pytest nor hypothesis, so the digests can be checked
 on an interpreter without them: `PYTHONPATH=src python tests/test_golden_cli.py`
-recomputes all fourteen and exits 1 on a mismatch.
+recomputes all fifteen and exits 1 on a mismatch.
 """
 import contextlib
 import hashlib
@@ -34,8 +37,16 @@ import tempfile
 from math import gcd
 from pathlib import Path
 
-from wrapsurg import KnotClass, NotAKnotError, analysis_of, make_slope, parse_knot
+from wrapsurg import (
+    InconsistentCrossCheckError,
+    KnotClass,
+    NotAKnotError,
+    analysis_of,
+    make_slope,
+    parse_knot,
+)
 from wrapsurg.cli import main
+from wrapsurg.tracing import pretzel_framing, trace_closure
 
 GOLDEN = {
     ("normalize", "--format", "json"): "5ae8aaa7db083b4839c353283355b8712488dece5a627342fa62e607a149005a",
@@ -53,6 +64,7 @@ GOLDEN = {
 BATCH_GOLDEN = "1c907c14ce20aabbdc44a07feaa2c9f18dc6378f7ad8416f54f0910192f41244"
 EXCEPTIONAL_GOLDEN = "fded5ceab67238c846974e0aae1701a1934394145bc6cb8ce5d8f35239b31199"
 HOT_GOLDEN = "e66f391e1aaae2085d80e151037f4fbb87c3e13f6728d3cb7c4d949c5a34a110"
+ORACLE_GOLDEN = "0318c88efd0853f6e42b4af09548f18c7fe689f0b6e4b8ce60cda168fba0ebf3"
 # Lines per batch file of the batch_hot digest, as the benchmark feeds them.
 HOT_CHUNK = 500
 
@@ -67,13 +79,23 @@ def _grid_slopes(bound=6):
     return out
 
 
-def _candidates():
-    entries = [str(e) for e in _grid_slopes()]
+def _entry_lists():
+    """(a, entries) for every grid candidate, in the order of `_candidates`."""
+    entries = _grid_slopes()
     for a in (0, 1):
-        for t1 in entries:
-            yield f"K{a}[{t1}]"
-            for t2 in entries:
-                yield f"K{a}[{t1},{t2}]"
+        for e1 in entries:
+            yield a, (e1,)
+            for e2 in entries:
+                yield a, (e1, e2)
+
+
+def _knot_text(a, entries):
+    return f"K{a}[{','.join(map(str, entries))}]"
+
+
+def _candidates():
+    for a, entries in _entry_lists():
+        yield _knot_text(a, entries)
 
 
 def _fold(sha, argv):
@@ -108,6 +130,31 @@ def _exceptional_digest():
             sha.update(f"{r}\0".encode())
             _fold(sha, ["predict", knot, str(r), "--n", "-3..3", "--format", "json"])
     return sha.hexdigest()
+
+
+def _oracle_digest():
+    """`trace_closure` on every grid entry list, links included, and
+    `pretzel_framing` (or the name of the error it raises) on every
+    (1/q1,1/q2) with 2 <= |qi| <= 7 and every (m) with |m| <= 9, for a = 0, 1."""
+    sha = hashlib.sha256()
+    for a, entries in _entry_lists():
+        c = trace_closure(entries, a)
+        fields = (_knot_text(a, entries), c.components, c.winding, c.pairing.value, c.loops)
+        sha.update(f"{fields}\0".encode())
+    qs = [q for q in range(-7, 8) if abs(q) >= 2]
+    shapes = [(make_slope(1, q1), make_slope(1, q2)) for q1 in qs for q2 in qs]
+    shapes += [(make_slope(m, 1),) for m in range(-9, 10)]
+    for a, entries in itertools.product((0, 1), shapes):
+        try:
+            framing = str(pretzel_framing(entries, a))
+        except (ValueError, InconsistentCrossCheckError) as err:
+            framing = type(err).__name__
+        sha.update(f"{_knot_text(a, entries)} {framing}\0".encode())
+    return sha.hexdigest()
+
+
+def test_golden_oracle_digest():
+    assert _oracle_digest() == ORACLE_GOLDEN
 
 
 def test_grid_has_all_candidates():
@@ -214,7 +261,9 @@ if __name__ == "__main__":
             mismatches.append("batch_hot seed 101")
     if _exceptional_digest() != EXCEPTIONAL_GOLDEN:
         mismatches.append("predict at every exceptional slope")
-    total = len(GOLDEN) + 3
+    if _oracle_digest() != ORACLE_GOLDEN:
+        mismatches.append("trace_closure and pretzel_framing")
+    total = len(GOLDEN) + 4
     print(f"{total - len(mismatches)} of {total} golden digests match"
           + "".join(f"\nmismatch: {name}" for name in mismatches))
     sys.exit(1 if mismatches else 0)
