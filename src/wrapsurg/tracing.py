@@ -1,11 +1,11 @@
 """Strand tracing over explicit twist-region diagrams.
 
 This is the connectivity oracle for the whole package: rational tangles are
-built as port graphs from their continued-fraction twist word, Montesinos
-tangles by horizontal gluing, and wrapped knots by adding the two wrap arcs
-around the solid torus.  `trace_closure` builds that closure and walks it
-once; the one walk answers every connectivity question asked of a wrapped
-knot or of its tangle:
+built as chains of twist regions from their continued-fraction twist word,
+Montesinos tangles by horizontal gluing, and wrapped knots by one more twist
+region, the two wrap arcs around the solid torus.  `trace_closure` builds
+that closure and walks it once; the one walk answers every connectivity
+question asked of a wrapped knot or of its tangle:
 
 * how many components the wrapped closure has (knot detection),
 * the winding number (signed passes through the wrap region),
@@ -18,11 +18,13 @@ knot or of its tangle:
 A knot is traced once, when it is constructed; its analysis traces no
 further closure.
 
-A diagram keeps its port graph in flat integer lists (edge ends, two
-incident edge ids per port, crossing count per region), so building
-and walking a closure creates no object per edge or per region.  Every twist
-word is checked to rebuild its slope on every call; the check is an exact
-integer recurrence on the pair (p, q) and needs no gcd.
+A diagram is its twist regions and nothing else: two flat integer lists, the
+crossing count per region and the mate of every strand end, so building and
+walking a closure creates no object per strand or per region.  Gluing and
+closing only join strand ends, and the walk leaves each strand at its far
+end for that end's mate.  Every twist word is checked to rebuild its slope
+on every call; the check is an exact integer recurrence on the pair (p, q)
+and needs no gcd.
 
 A second, literal diagram of the same class backs the framing of the
 evident spanning surface of a pretzel-shaped knot: `pretzel_framing` reads
@@ -32,14 +34,15 @@ a twist region whose two strands are traversed in parallel contributes
 twice its signed crossing count to the linking number of the knot with its
 surface push-off, and an antiparallel region contributes nothing.
 
-Port conventions: every twist region has two "in" ports and two "out"
-ports.  Horizontal regions are entered from the left and exited right,
-vertical regions are entered from the top and exited at the bottom, and the
-wrap region is entered at the top of the tangle and exited at the bottom
-after running once around the solid torus.  A region with k signed
-crossings joins in1-out1/in2-out2 when k is even and in1-out2/in2-out1
-when k is odd; twisting two strands never merges or closes them, so this
-is the exact connectivity of the twist region.
+Strand conventions: every twist region carries two strands, each with an
+in end and an out end.  Horizontal regions are entered from the left and
+left on the right, vertical regions are entered from the top and left at
+the bottom, and the wrap region is entered at the top of the tangle and
+left at the bottom after running once around the solid torus.  In a region
+with k signed crossings the strand entered at the first in end leaves on
+the same side when k is even and on the other side when k is odd; twisting
+two strands never merges or closes them, so this is the exact connectivity
+of the twist region.
 """
 from __future__ import annotations
 
@@ -65,81 +68,64 @@ class NoPretzelSurfaceError(ValueError):
 
 
 class Diagram:
-    """A port graph kept in flat integer lists.
+    """Twist regions whose strand ends are paired in one flat list.
 
-    Edge e joins ports `u[e]` and `v[e]`; `region[e]` is the twist region it
-    runs through from its in port to its out port, or -1 for a plain arc.
-    Port p meets the edges `first[p]` and `second[p]` (-1 while free).
     Region r has the signed half-twist count `crossings[r]`, whose sign is
-    the handedness.
+    the handedness, and carries strands 2r and 2r + 1.  Strand s runs from
+    its in end 2s to its out end 2s + 1, so end x belongs to region x >> 2.
+    `mate[x]` is the end that end x is joined to, or -1 while x is free.
     """
 
-    __slots__ = ("u", "v", "region", "first", "second", "crossings")
+    __slots__ = ("mate", "crossings")
 
     def __init__(self) -> None:
-        self.u: list[int] = []
-        self.v: list[int] = []
-        self.region: list[int] = []
-        self.first: list[int] = []
-        self.second: list[int] = []
+        self.mate: list[int] = []
         self.crossings: list[int] = []
 
-    def new_port(self) -> int:
-        self.first.append(-1)
-        self.second.append(-1)
-        return len(self.first) - 1
+    def add_region(self, crossings: int) -> tuple[int, int, int, int]:
+        """Add a twist region with four free ends.
 
-    def add_edge(self, u: int, v: int, region: int = -1) -> int:
-        edge = len(self.u)
-        self.u.append(u)
-        self.v.append(v)
-        self.region.append(region)
-        first, second = self.first, self.second
-        for port in (u, v):
-            if first[port] < 0:
-                first[port] = edge
-            elif second[port] < 0:
-                second[port] = edge
-            else:
-                raise ValueError(f"port {port} already meets two edges")
-        return edge
-
-    def add_region(self, crossings: int, in1: int, in2: int) -> tuple[int, int]:
-        """Attach a twist region to two existing ports; returns its out ports."""
-        out1, out2 = self.new_port(), self.new_port()
-        region = len(self.crossings)
+        Returns its in ends in1, in2 and then its out ends out1, out2, where
+        out1 lies on in1's side; the strand entered at in1 leaves at out1
+        when the count is even and at out2 when it is odd.
+        """
+        end = 4 * len(self.crossings)
         self.crossings.append(crossings)
-        if crossings % 2 == 0:
-            self.add_edge(in1, out1, region)
-            self.add_edge(in2, out2, region)
-        else:
-            self.add_edge(in1, out2, region)
-            self.add_edge(in2, out1, region)
-        return out1, out2
+        self.mate += (-1, -1, -1, -1)
+        if crossings & 1:
+            return end, end + 2, end + 3, end + 1
+        return end, end + 2, end + 1, end + 3
 
-    def closed_walk(self) -> list[list[tuple[int, int]]]:
+    def join(self, x: int, y: int) -> None:
+        """Join two free ends; an end that is already joined is refused."""
+        mate = self.mate
+        for end in (x, y):
+            if mate[end] >= 0:
+                raise ValueError(f"strand end {end} is already joined")
+        mate[x], mate[y] = y, x
+
+    def closed_walk(self) -> list[list[int]]:
         """Decompose a closed diagram into components.
 
-        Each component is the traversal order of its edge ids; the second
-        int is +1 when the edge is crossed from `u` to `v` (for a region
-        edge, from its in port to its out port) and -1 otherwise.
+        Each component is the list of ends at which its strands are entered,
+        in walking order: strand `end >> 1` is run from `end` to `end ^ 1`,
+        forwards when `end` is even.  Each component starts forwards on its
+        lowest strand.
         """
-        u, v, first, second = self.u, self.v, self.first, self.second
-        if -1 in second:
-            raise ValueError("a closed diagram has two edges at every port")
-        seen = bytearray(len(u))
+        mate = self.mate
+        if -1 in mate:
+            raise ValueError("a closed diagram has no free strand end")
+        seen = bytearray(len(mate) >> 1)
         components = []
-        for start in range(len(u)):
-            if seen[start]:
+        for start in range(0, len(mate), 2):
+            if seen[start >> 1]:
                 continue
-            walk: list[tuple[int, int]] = []
-            edge, port = start, v[start]
-            while not seen[edge]:
-                seen[edge] = 1
-                walk.append((edge, 1 if port == v[edge] else -1))
-                # Leave the port by its other edge, for its far end.
-                edge = first[port] + second[port] - edge
-                port = u[edge] + v[edge] - port
+            walk = []
+            end = start
+            while not seen[end >> 1]:
+                seen[end >> 1] = 1
+                walk.append(end)
+                end = mate[end ^ 1]
             components.append(walk)
         return components
 
@@ -182,60 +168,59 @@ def _word_fraction(word: list[tuple[str, int]]) -> tuple[int, int]:
     return (-p, -q) if q < 0 else (p, q)
 
 
-# A tangle's four endpoint ports (nw, ne, sw, se).
+# A tangle's four free strand ends (nw, ne, sw, se).
 TangleBox = tuple[int, int, int, int]
 
 
 def build_rational_tangle(diagram: Diagram, slope: Slope) -> TangleBox:
-    nw, ne = diagram.new_port(), diagram.new_port()
-    sw, se = diagram.new_port(), diagram.new_port()
-    diagram.add_edge(nw, ne)
-    diagram.add_edge(sw, se)
-    for kind, count in twist_word(slope):
+    # The word's innermost block is horizontal: it is the tangle's first
+    # region, entered at nw and sw.
+    (_, first), *word = twist_word(slope)
+    nw, ne, sw, se = build_single_region_tangle(diagram, HORIZONTAL, first)
+    join = diagram.join
+    for kind, count in word:
+        in1, in2, out1, out2 = diagram.add_region(count)
         if kind == HORIZONTAL:
-            ne, se = diagram.add_region(count, ne, se)
+            join(ne, in1)
+            ne = out1
         else:
-            sw, se = diagram.add_region(count, sw, se)
+            join(sw, in1)
+            sw = out1
+        join(se, in2)
+        se = out2
     return nw, ne, sw, se
 
 
 def build_single_region_tangle(diagram: Diagram, kind: str, crossings: int) -> TangleBox:
     """One literal twist region; the diagram model of a pretzel column."""
-    a, b = diagram.new_port(), diagram.new_port()
+    in1, in2, out1, out2 = diagram.add_region(crossings)
     if kind == VERTICAL:
-        sw, se = diagram.add_region(crossings, a, b)
-        return a, b, sw, se
-    ne, se = diagram.add_region(crossings, a, b)
-    return a, ne, b, se
+        return in1, in2, out1, out2
+    return in1, out1, in2, out2
 
 
 def glue_horizontally(diagram: Diagram, boxes: list[TangleBox]) -> TangleBox:
     for (_, left_ne, _, left_se), (right_nw, _, right_sw, _) in zip(boxes, boxes[1:]):
-        diagram.add_edge(left_ne, right_nw)
-        diagram.add_edge(left_se, right_sw)
+        diagram.join(left_ne, right_nw)
+        diagram.join(left_se, right_sw)
     nw, _, sw, _ = boxes[0]
     _, ne, _, se = boxes[-1]
     return nw, ne, sw, se
 
 
-def close_wrapped(
-    diagram: Diagram, box: TangleBox, crossings: int
-) -> list[tuple[int, int]]:
-    """Join the top endpoints to the bottom ones around the solid torus.
+def close_wrapped(diagram: Diagram, box: TangleBox, crossings: int) -> int:
+    """Join the top ends to the bottom ones around the solid torus.
 
-    The wrap arcs cross each other `crossings` times; with no crossing they
-    join NW-SW and NE-SE, and an odd count joins NW-SE and NE-SW.  Returns
-    each wrap-region edge (entered at a top endpoint) with the bottom
-    endpoint its arc reaches.
+    The wrap arcs are the two strands of one more twist region, entered at
+    NW and NE, with `crossings` crossings between them; with no crossing
+    they join NW-SW and NE-SE, and an odd count joins NW-SE and NE-SW.
+    Returns the wrap region.
     """
     nw, ne, sw, se = box
-    out1, out2 = diagram.add_region(crossings, nw, ne)
-    bottom = {out1: sw, out2: se}
-    edges = len(diagram.u)
-    wraps = [(edge, bottom[diagram.v[edge]]) for edge in (edges - 2, edges - 1)]
-    diagram.add_edge(out1, sw)
-    diagram.add_edge(out2, se)
-    return wraps
+    in1, in2, out1, out2 = diagram.add_region(crossings)
+    for x, y in ((nw, in1), (ne, in2), (out1, sw), (out2, se)):
+        diagram.join(x, y)
+    return in1 >> 2
 
 
 class Closure(Record):
@@ -263,32 +248,31 @@ def trace_closure(slopes: tuple[Slope, ...], a: int) -> Closure:
     box = glue_horizontally(
         diagram, [build_rational_tangle(diagram, s) for s in slopes]
     )
-    wraps = close_wrapped(diagram, box, a)
+    wrap = close_wrapped(diagram, box, a)
+    mate = diagram.mate
     components = diagram.closed_walk()
-    u = diagram.u
     winding = loops = 0
     partner: dict[int, int] = {}
     for walk in components:
-        # (port before, port after) of each pass through the wrap region.
-        senses = dict(walk)
-        passes = []
-        for edge, bottom in wraps:
-            sense = senses.get(edge)
-            if sense is not None:
-                winding += sense
-                passes.append((u[edge], bottom) if sense > 0 else (bottom, u[edge]))
+        # The ends at which the walk enters the wrap region; an even (in)
+        # end is entered from the top of the tangle.
+        passes = [end for end in walk if end >> 2 == wrap]
         if not passes:
             loops += 1
-        # A tangle stretch runs from one pass to the next; with at most two
-        # passes in a component their cyclic order does not matter.
-        for (_, start), (end, _) in zip(passes, passes[::-1]):
-            partner[start], partner[end] = end, start
+        for end in passes:
+            winding += -1 if end & 1 else 1
+        # A tangle stretch runs from the tangle end that one pass reaches to
+        # the one the next pass leaves; with at most two passes in a
+        # component their cyclic order does not matter.
+        for out_of, into in zip(passes, passes[::-1]):
+            start, stop = mate[out_of ^ 1], mate[into]
+            partner[start], partner[stop] = stop, start
     nw, ne, sw, se = box
     by_partner = {ne: Pairing.TOP_TO_TOP, sw: Pairing.LEFT_TO_LEFT, se: Pairing.CROSS}
     return Closure(len(components), abs(winding), by_partner[partner[nw]], loops)
 
 
-def surface_framing_from_walk(diagram: Diagram, walk: list[tuple[int, int]]) -> int:
+def surface_framing_from_walk(diagram: Diagram, walk: list[int]) -> int:
     """Linking number of the knot with its push-off along the band surface.
 
     Valid when every diagram crossing lives in a twist region of the evident
@@ -297,10 +281,9 @@ def surface_framing_from_walk(diagram: Diagram, walk: list[tuple[int, int]]) -> 
     regions cancel.
     """
     passes: dict[int, list[int]] = {}
-    for edge, sense in walk:
-        region = diagram.region[edge]
-        if region >= 0:
-            passes.setdefault(region, []).append(sense)
+    for end in walk:
+        strand = end >> 1
+        passes.setdefault(strand >> 1, []).append(end & 1)
     framing = 0
     for region, senses in passes.items():
         if len(senses) != 2:

@@ -4,6 +4,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from wrapsurg import Pairing, make_slope
 from wrapsurg.tracing import (
     HORIZONTAL,
     VERTICAL,
+    Diagram,
     _word_fraction,
     trace_closure,
     twist_word,
@@ -114,3 +116,18 @@ def test_closure_components_and_pairing_follow_mod_2_arithmetic(slopes, a):
         assert closure.loops >= 1
     else:
         assert closure.pairing is _CLASS[parity] and closure.loops == 0
+
+
+def test_diagram_refuses_a_joined_end_and_walks_only_when_closed():
+    diagram = Diagram()
+    in1, in2, out1, out2 = diagram.add_region(1)
+    assert (out1, out2) == (in2 ^ 1, in1 ^ 1)  # one crossing swaps the sides
+    diagram.join(out1, in1)
+    for x, y in [(in1, in2), (in2, out1), (out1, out1)]:
+        with pytest.raises(ValueError, match="already joined"):
+            diagram.join(x, y)
+    with pytest.raises(ValueError, match="no free strand end"):
+        diagram.closed_walk()
+    diagram.join(in2, out2)
+    # The closed single crossing is one circle, run forwards on both strands.
+    assert diagram.closed_walk() == [[in1, in2]]
