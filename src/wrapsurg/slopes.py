@@ -235,12 +235,18 @@ def expand(t: Slope) -> list[int]:
 _ZERO_DENOMINATOR = "explicit zero denominator; write 'inf'"
 
 
+def stripped(text: str, offset: int) -> tuple[str, int]:
+    """`text` without surrounding whitespace, and the position of its first
+    character when text[0] is at `offset`: error positions count the
+    leading whitespace."""
+    s = text.lstrip()
+    return s.rstrip(), offset + len(text) - len(s)
+
+
 def parse_slope(text: str, offset: int = 0, zero_denominator: str = _ZERO_DENOMINATOR) -> Slope:
     """Parse 'p/q', a bare integer, or 'inf'.  The sign sits on the numerator.
     A zero denominator q fails with the message `zero_denominator`."""
-    s = text.strip()
-    if len(s) < len(text):  # error positions count the leading whitespace
-        offset += len(text) - len(text.lstrip())
+    s, offset = stripped(text, offset)
     if not s:
         raise ParseError("empty slope", offset)
     if s == "inf":
@@ -262,9 +268,7 @@ def parse_entries(text: str, offset: int, name: str, syntax: str,
     each entry.  Positions count from `offset`, the position of text[0].  An
     entry with a zero denominator fails with the message `zero_denominator`."""
     head = syntax[: syntax.index("[") + 1]
-    s = text.strip()
-    if len(s) < len(text):
-        offset += len(text) - len(text.lstrip())
+    s, offset = stripped(text, offset)
     if not s.startswith(head) or not s.endswith("]"):
         raise ParseError(f"{name} syntax is {syntax}", offset)
     inner = s[len(head):-1]
@@ -273,17 +277,15 @@ def parse_entries(text: str, offset: int, name: str, syntax: str,
         raise ParseError(f"{name} needs at least one entry", position)
     entries = []
     for piece in inner.split(","):
-        start = position + len(piece) - len(piece.lstrip())
-        entries.append((start, parse_slope(piece, position, zero_denominator)))
+        entry, start = stripped(piece, position)
+        entries.append((start, parse_slope(entry, start, zero_denominator)))
         position += len(piece) + 1
     return entries
 
 
 def _parse_int(text: str, offset: int, allow_sign: bool) -> int:
     """ASCII digits, with a leading '-' when `allow_sign`; no '+', no '_'."""
-    s = text.strip()
-    if len(s) < len(text):
-        offset += len(text) - len(text.lstrip())
+    s, offset = stripped(text, offset)
     body = s[1:] if (allow_sign and s.startswith("-")) else s
     if not (body.isascii() and body.isdigit()):
         raise ParseError(f"expected an integer, got {text!r}", offset)
