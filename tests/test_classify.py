@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import random_knot, run_python
+from conftest import random_knot
 from test_golden_cli import _grid_slopes
 from wrapsurg import (
     MERIDIAN,
@@ -438,24 +438,3 @@ def test_winding_consistent_on_grid():
             assert closure.pairing is tangle_pairing
             if a == knot.a:
                 assert closure.components == 1 and closure.winding == wind
-
-
-# -- memory --------------------------------------------------------------------
-
-_FILL_THE_CACHE = """
-import importlib
-from wrapsurg import MontesinosTangle, analysis_of, make_slope, make_wrapped
-cached = importlib.import_module("wrapsurg.classify")._analyze
-bound = cached.cache_info().maxsize
-assert bound is not None
-for m in range(bound + 100):  # K0[m] is a knot for every integer m
-    analysis_of(make_wrapped(0, MontesinosTangle.from_slopes([make_slope(m, 1)])))
-    assert cached.cache_info().currsize <= bound
-assert cached.cache_info().currsize == bound
-"""
-
-
-def test_analysis_cache_is_bounded():
-    # In a child process, so that this suite's own cache keeps its knots.
-    done = run_python(_FILL_THE_CACHE)
-    assert done.returncode == 0, done.stderr

@@ -211,11 +211,13 @@ def test_cross_checks_survive_python_O(script):
     assert done.returncode == 0, done.stderr
 
 
-# Fill a cache with more keys than its bound: the S^3 covers by twist at one
-# cover slope, and the JSON fragments by the text of K0[i], a knot for every i.
-_FILL_A_WARM_CACHE = """
+# Fill a cache with more keys than its bound: the analyses, the parses and the
+# JSON fragments by K0[i], a knot for every i, and the S^3 covers by twist at
+# one cover slope.
+_FILL_A_CACHE = """
 import importlib
-cached = importlib.import_module("wrapsurg.{module}").{function}
+from wrapsurg import parse_knot
+cached = importlib.import_module("wrapsurg.{module}").{cache}
 bound = cached.cache_info().maxsize
 assert bound is not None
 for i in range(bound + 100):
@@ -226,13 +228,18 @@ assert cached.cache_info().currsize == bound
 
 
 @pytest.mark.parametrize(
-    "module, function, key",
-    [("classify", "_s3_cover", "i, 7"), ("cli", "_fragments", '"K0[" + str(i) + "]"')],
-    ids=["s3_cover", "fragments"],
+    "module, cache, key",
+    [
+        ("classify", "_analyze", 'parse_knot("K0[%d]" % i)'),
+        ("wrapped", "parse_knot", '"K0[%d]" % i'),
+        ("classify", "_s3_cover", "i, 7"),
+        ("cli", "_fragments", '"K0[%d]" % i'),
+    ],
+    ids=["analyze", "parse_knot", "s3_cover", "fragments"],
 )
-def test_warm_caches_are_bounded(module, function, key):
+def test_warm_caches_are_bounded(module, cache, key):
     # In a child process, so that this suite's own caches keep their entries.
-    done = run_python(_FILL_A_WARM_CACHE.format(module=module, function=function, key=key))
+    done = run_python(_FILL_A_CACHE.format(module=module, cache=cache, key=key))
     assert done.returncode == 0, done.stderr
 
 
@@ -404,23 +411,6 @@ def test_failed_parses_are_not_cached():
         with pytest.raises(NotAKnotError):
             K("K0[-1/2]")
     assert K.cache_info().currsize == before
-
-
-_FILL_THE_PARSE_CACHE = """
-from wrapsurg import parse_knot
-bound = parse_knot.cache_info().maxsize
-assert bound is not None
-for m in range(bound + 100):  # K0[m] is a knot for every integer m
-    parse_knot(f"K0[{m}]")
-    assert parse_knot.cache_info().currsize <= bound
-assert parse_knot.cache_info().currsize == bound
-"""
-
-
-def test_parse_cache_is_bounded():
-    # In a child process, so that this suite's own cache keeps its knots.
-    done = run_python(_FILL_THE_PARSE_CACHE)
-    assert done.returncode == 0, done.stderr
 
 
 def test_parse_knot_round_trip():
