@@ -16,13 +16,16 @@ the `SurgeryClassification` at the canonical slope rc, the
 `FamilyPrediction` over every re-embedding (its n0 canonical), and whether
 the S^3 surgeries of the twisted images are known there.
 
-Each knot's `Analysis` (cached) holds its class's table restated at the
-knot's own slopes, once, when the analysis is built: the slope map
+A knot's `Analysis` (`analysis_of`) holds its class's table restated at
+the knot's own slopes, once, when the analysis is built: the slope map
 r = sigma * (rc - twists * wind^2) moves each entry's slope, n0 becomes
-sigma * (n0 + twists), and the answer gains the class's notes.  `classify`,
-`predict` and `exceptional_slopes` only look up that mapping, and a sweep
-over integral slopes reads each row off the exceptional set: the exceptional
-type at that slope, else hyperbolic.
+sigma * (n0 + twists), and the answer gains the class's notes.  Its methods
+`classify`, `predict` and `exceptional_slopes` only look up that mapping, and
+a sweep over integral slopes reads each row off the exceptional set: the
+exceptional type at that slope, else hyperbolic.  Nothing here keeps a knot:
+the module functions `classify`, `exceptional_slopes`, `predict_s3_family`
+and `surgery_in_s3` analyse the knot on every call, so a caller with several
+questions about one knot keeps its `analysis_of(knot)` and asks that.
 
 The S^3 surgery of a twisted image depends only on the canonical twist nc
 and the canonical slope rc, not on the knot: `_s3_cover` computes it once per
@@ -45,7 +48,7 @@ from .seifert import (
 from .slopes import InconsistentCrossCheckError, Record, Slope, make_slope
 from .tangles import NormalForm, normalize
 from .tracing import pretzel_framing
-from .wrapped import _KNOT_CACHE_SIZE, WrappedKnot
+from .wrapped import WrappedKnot
 
 
 class DegenerateKnotError(ValueError):
@@ -346,8 +349,9 @@ def _decide(a: int, nf: NormalForm) -> tuple[KnotClass, int, int, MappingProxyTy
     return KnotClass.PRETZEL_2_3, sigma, 0, _PRETZEL_2_3_TABLE
 
 
-@lru_cache(maxsize=_KNOT_CACHE_SIZE)
-def _analyze(knot: WrappedKnot) -> Analysis:
+def analysis_of(knot: WrappedKnot) -> Analysis:
+    """The knot's analysis: its normal form, class, moves and exceptional
+    table at its own slopes, built anew on every call."""
     _oracle_self_check()
     nf = normalize(knot.tangle)
     knot_class, sigma, twists, table = _decide(knot.a, nf)
@@ -403,19 +407,19 @@ def _spanning_surface_table(a: int, entries: tuple[Slope, ...]) -> MappingProxyT
 
 def classify(knot: WrappedKnot, r: Slope) -> SurgeryClassification:
     """Classify r-surgery on the wrapped knot in its solid torus."""
-    return _analyze(knot).classify(r)
+    return analysis_of(knot).classify(r)
 
 
 def exceptional_slopes(
     knot: WrappedKnot,
 ) -> list[tuple[Slope, SurgeryClassification]]:
     """The complete finite set of exceptional slopes, in increasing order."""
-    return _analyze(knot).exceptional_slopes()
+    return analysis_of(knot).exceptional_slopes()
 
 
 def predict_s3_family(knot: WrappedKnot, r: Slope) -> FamilyPrediction:
     """Dichotomy satisfied by the surgeries on all twisted embeddings."""
-    return _analyze(knot).predict(r)
+    return analysis_of(knot).predict(r)
 
 
 def surgery_in_s3(knot: WrappedKnot, r: Slope, n: int) -> SFSClass | None:
@@ -426,9 +430,4 @@ def surgery_in_s3(knot: WrappedKnot, r: Slope, n: int) -> SFSClass | None:
     explicit Montesinos link; members that are torus knots are cross-checked
     against the independent torus-knot surgery classification.
     """
-    return _analyze(knot).surgery_in_s3(r, n)
-
-
-def analysis_of(knot: WrappedKnot) -> Analysis:
-    """Cached analysis of a knot (moves, class, exceptional table at its slopes)."""
-    return _analyze(knot)
+    return analysis_of(knot).surgery_in_s3(r, n)

@@ -13,13 +13,13 @@ a batch line with a `"`, a backslash or an odd number of `'` loads `shlex`.
 A `--range` or `--n` span holds at most MAX_SPAN_ROWS (1,000,000) rows; a
 longer one exits 2.
 
-A JSON answer splices in pieces rendered once (`_Raw` text, which `_json`
-writes as it is).  `_fragments`, an lru_cache keyed by the knot text and
-bounded by the parse cache's 8192 texts, holds the knot's normal form, its
-equivalence moves and, for a hyperbolic knot, its exceptional slopes,
-rendered at their depth in an answer; only JSON requests fill it, on the
-first one for each text.  Each row of a `sweep` or `surgeries` list is
-written from one %-template.  The text of an answer is the same either way.
+`_knot`, an lru_cache keyed by the knot text and bounded at 8192 texts, is
+the package's one cache of knots.  It holds each text's analysis, the knot's
+own text and, once a JSON request has asked for the text, its normal form,
+moves and exceptional slopes as JSON (`_Raw` text, which `_json` writes as
+it is), so a warm request parses, analyses and writes out no knot.  Each row
+of a `sweep` or `surgeries` list is written from one %-template.  The text
+of an answer is the same either way.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from _json import encode_basestring_ascii as _quote
 from functools import lru_cache
 
 from .classify import (
+    Analysis,
     DegenerateKnotError,
     FamilyPrediction,
     SurgeryClassification,
@@ -38,14 +39,7 @@ from .classify import (
 )
 from .slopes import ParseError, Slope, _parse_int, parse_slope
 from .tangles import NormalForm
-from .wrapped import (
-    _KNOT_CACHE_SIZE,
-    NotAKnotError,
-    WrappedKnot,
-    parse_knot,
-    twist,
-    two_bridge_fraction,
-)
+from .wrapped import NotAKnotError, parse_knot, twist, two_bridge_fraction
 
 # The flags each command takes; any other word starting "--" exits 2.  A batch takes none,
 # its request lines carry their own.
@@ -60,6 +54,9 @@ FLAGS = {
 }
 # The most rows a --range or --n span may ask for.
 MAX_SPAN_ROWS = 1_000_000
+# The knot texts `_knot` keeps: all 4512 of the k<=2 grid (links included) fit,
+# and a long batch run uses bounded memory.
+_KNOT_CACHE_SIZE = 8192
 USAGE = """\
 usage: wrapsurg COMMAND [ARGS] [--format text|json] [--moves]
   classify  KNOT SLOPE        classify one surgery
@@ -168,7 +165,7 @@ def run(request: Request, out=None) -> int:
     if request.command == "batch":
         return _run_batch(request, out)
     try:
-        knot = parse_knot(request.knot_text or "")
+        knot = _knot(request.knot_text or "")
     except ParseError as err:
         raise CommandError(f"bad knot expression: {err}", 2)
     except NotAKnotError as err:
@@ -201,13 +198,33 @@ def run(request: Request, out=None) -> int:
     return 0
 
 
-def _dispatch(request: Request, knot: WrappedKnot, slope: Slope | None) -> dict:
+class _Knot:
+    """A knot text's analysis, the knot's own text and, filled by the first
+    JSON request for the text, its `_fragments`."""
+
+    __slots__ = ("analysis", "text", "json")
+
+    def __init__(self, analysis: Analysis) -> None:
+        self.analysis = analysis
+        self.text = str(analysis.knot)
+        self.json: tuple[_Raw, _Raw, _Raw | None] | None = None
+
+
+@lru_cache(maxsize=_KNOT_CACHE_SIZE)
+def _knot(knot_text: str) -> _Knot:
+    """A failed parse is not cached: it raises anew on every call."""
+    return _Knot(analysis_of(parse_knot(knot_text)))
+
+
+def _dispatch(request: Request, knot: _Knot, slope: Slope | None) -> dict:
     command = request.command
     as_json = request.fmt == "json"
-    payload: dict = {"input": _input_json(request, knot, slope)}
-    analysis = analysis_of(knot)
+    payload: dict = {"input": _input_json(request, knot.text, slope)}
+    analysis = knot.analysis
     if as_json:
-        nf, moves, exceptional_fragment = _fragments(request.knot_text)
+        if knot.json is None:
+            knot.json = _fragments(analysis)
+        nf, moves, exceptional_fragment = knot.json
     else:
         nf, moves = _normal_form_json(analysis.nf), list(analysis.moves)
         exceptional_fragment = None
@@ -246,15 +263,15 @@ def _dispatch(request: Request, knot: WrappedKnot, slope: Slope | None) -> dict:
         lo, hi = request.n_range or (0, 0)
         images = []
         for n in range(lo, hi + 1):
-            image = twist(knot, n)
+            image = twist(analysis.knot, n)
             record = {
                 "n": n,
                 "link": str(image),
                 "entries": [str(s) for s in image.entries],
                 "degenerate": image.degenerate,
             }
-            if len(knot.tangle.entries) == 1:
-                record["two_bridge"] = str(two_bridge_fraction(knot, n))
+            if len(analysis.knot.tangle.entries) == 1:
+                record["two_bridge"] = str(two_bridge_fraction(analysis.knot, n))
             images.append(record)
         payload["images"] = images
         return payload
@@ -343,14 +360,12 @@ def _json(value, indent: str) -> str:
 # -- JSON payload builders ---------------------------------------------------
 
 
-@lru_cache(maxsize=_KNOT_CACHE_SIZE)
-def _fragments(knot_text: str) -> tuple[_Raw, _Raw, _Raw | None]:
+def _fragments(analysis: Analysis) -> tuple[_Raw, _Raw, _Raw | None]:
     """The JSON of the knot's normal form, its equivalence moves and, for a
-    hyperbolic knot, its exceptional slopes, each rendered once at its depth
-    in an answer.  Only JSON requests call this, so text requests fill nothing.
-    Exceptional slopes with an integer too long to write are left unrendered
-    (None), so that only the answers that list them fail."""
-    analysis = analysis_of(parse_knot(knot_text))
+    hyperbolic knot, its exceptional slopes, each rendered at its depth in an
+    answer, for the `json` slot of the knot's `_Knot`.  Exceptional slopes
+    with an integer too long to write are left unrendered (None), so that
+    only the answers that list them fail."""
     try:
         exceptional = _Raw(_json(_exceptional_json(analysis.exceptional_slopes()), "  "))
     except ValueError:  # DegenerateKnotError, or past the digit limit
@@ -372,8 +387,8 @@ def _rows(template: str, rows: list[tuple]) -> _Raw:
     return _Raw("[\n" + ",\n".join([template % row for row in rows]) + "\n  ]")
 
 
-def _input_json(request: Request, knot: WrappedKnot, slope: Slope | None) -> dict:
-    record: dict = {"knot": str(knot)}
+def _input_json(request: Request, knot_text: str, slope: Slope | None) -> dict:
+    record: dict = {"knot": knot_text}
     if slope is not None:
         record["slope"] = str(slope)
     if request.n_range is not None:

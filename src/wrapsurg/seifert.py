@@ -184,5 +184,4 @@ def sfs_equal(x: SFSClass, y: SFSClass) -> bool:
 
 def parse_montesinos(text: str, offset: int = 0) -> MontesinosLink:
     """Parse `M[r1,...,rk]`; `inf` entries are allowed and mark degenerations."""
-    entries = parse_entries(text, offset, "Montesinos link", "M[r1,...,rk]")
-    return MontesinosLink(tuple(entry for _, entry in entries))
+    return MontesinosLink(parse_entries(text, offset, "Montesinos link", "M[r1,...,rk]"))

@@ -243,30 +243,33 @@ def stripped(text: str, offset: int) -> tuple[str, int]:
     return s.rstrip(), offset + len(text) - len(s)
 
 
-def parse_slope(text: str, offset: int = 0, zero_denominator: str = _ZERO_DENOMINATOR) -> Slope:
+def parse_slope(text: str, offset: int = 0, meridian: str | None = None) -> Slope:
     """Parse 'p/q', a bare integer, or 'inf'.  The sign sits on the numerator.
-    A zero denominator q fails with the message `zero_denominator`."""
+    With a `meridian` message, `inf` and a zero denominator both fail with it
+    at the slope's first character; without one, `inf` is the meridian."""
     s, offset = stripped(text, offset)
     if not s:
         raise ParseError("empty slope", offset)
     if s == "inf":
+        if meridian is not None:
+            raise ParseError(meridian, offset)
         return MERIDIAN
     if "/" in s:
         num_text, _, den_text = s.partition("/")
         num = _parse_int(num_text, offset, allow_sign=True)
         den = _parse_int(den_text, offset + len(num_text) + 1, allow_sign=False)
         if den == 0:
-            raise ParseError(zero_denominator, offset)
+            raise ParseError(_ZERO_DENOMINATOR if meridian is None else meridian, offset)
         return Slope(num, den)
     return Slope(_parse_int(s, offset, allow_sign=True), 1)
 
 
 def parse_entries(text: str, offset: int, name: str, syntax: str,
-                  zero_denominator: str = _ZERO_DENOMINATOR) -> list[tuple[int, Slope]]:
-    """Each entry of `text`, written as `syntax` shows (`[t1,...,tk]` or
-    `M[r1,...,rk]`), with its position; whitespace may surround the whole and
-    each entry.  Positions count from `offset`, the position of text[0].  An
-    entry with a zero denominator fails with the message `zero_denominator`."""
+                  meridian: str | None = None) -> tuple[Slope, ...]:
+    """The entries of `text`, written as `syntax` shows (`[t1,...,tk]` or
+    `M[r1,...,rk]`); whitespace may surround the whole and each entry.  Error
+    positions count from `offset`, the position of text[0].  Each entry is
+    read by `parse_slope` with the `meridian` message."""
     head = syntax[: syntax.index("[") + 1]
     s, offset = stripped(text, offset)
     if not s.startswith(head) or not s.endswith("]"):
@@ -277,10 +280,9 @@ def parse_entries(text: str, offset: int, name: str, syntax: str,
         raise ParseError(f"{name} needs at least one entry", position)
     entries = []
     for piece in inner.split(","):
-        entry, start = stripped(piece, position)
-        entries.append((start, parse_slope(entry, start, zero_denominator)))
+        entries.append(parse_slope(piece, position, meridian))
         position += len(piece) + 1
-    return entries
+    return tuple(entries)
 
 
 def _parse_int(text: str, offset: int, allow_sign: bool) -> int:

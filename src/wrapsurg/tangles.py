@@ -12,7 +12,7 @@ connectivity of a tangle's four endpoints comes from strand tracing, by
 """
 from __future__ import annotations
 
-from .slopes import ParseError, Record, Slope, parse_entries, split_integer_parts
+from .slopes import Record, Slope, parse_entries, split_integer_parts
 
 
 class MontesinosTangle(Record):
@@ -223,9 +223,4 @@ _NOT_AN_ENTRY = "1/0 is not a rational tangle entry"
 def parse_tangle(text: str, offset: int = 0) -> MontesinosTangle:
     """Parse `[t1,t2,...,tk]` with each entry in slope syntax; the meridian,
     written `inf` or with a zero denominator, is not an entry."""
-    slopes = []
-    for position, entry in parse_entries(text, offset, "tangle", "[t1,...,tk]", _NOT_AN_ENTRY):
-        if entry.is_meridian():
-            raise ParseError(_NOT_AN_ENTRY, position)
-        slopes.append(entry)
-    return MontesinosTangle(tuple(slopes))
+    return MontesinosTangle(parse_entries(text, offset, "tangle", "[t1,...,tk]", _NOT_AN_ENTRY))

@@ -9,8 +9,6 @@ entry 1/(a + 2n), and transports a slope r to r + n * wind(K)^2.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import tracing
 from .slopes import InconsistentCrossCheckError, ParseError, Record, Slope, make_slope, stripped
 from .tangles import MontesinosTangle, normalize, parse_tangle
@@ -22,13 +20,6 @@ class NotAKnotError(ValueError):
 
 class NotLengthOneError(ValueError):
     """The operation needs a tangle with a single rational entry."""
-
-
-# Large enough for every knot of the k<=2 grid (4512 candidates, links
-# included), so that neither a sweep of the grid nor the test suite parses or
-# analyses a knot twice; bounded, so that a long batch run uses bounded
-# memory.  The parse cache here and the analysis cache in `classify` share it.
-_KNOT_CACHE_SIZE = 8192
 
 
 class WrappedKnot(Record):
@@ -129,14 +120,9 @@ def pretzel_slope(knot: WrappedKnot) -> Slope:
     return make_slope(tracing.pretzel_framing(knot.tangle.entries, knot.a), 1)
 
 
-@lru_cache(maxsize=_KNOT_CACHE_SIZE)
 def parse_knot(text: str, offset: int = 0) -> WrappedKnot:
-    """Parse `K0[...]` / `K1[...]` in the tangle syntax.
-
-    Knots are immutable, so each distinct (text, offset) is parsed and traced
-    once and the same object is returned again; a failed parse is not cached
-    and raises anew on every call.
-    """
+    """Parse `K0[...]` / `K1[...]` in the tangle syntax; every call parses
+    and traces the knot anew."""
     s, offset = stripped(text, offset)
     if not s.startswith(("K0[", "K1[")):
         raise ParseError("knot syntax is K0[...] or K1[...]", offset)

@@ -136,7 +136,7 @@ def test_criterion_6_structural_laws():
         analysis = analysis_of(knot)
         if analysis.knot_class is KnotClass.DEGENERATE:
             continue
-        table = exceptional_slopes(knot)
+        table = analysis.exceptional_slopes()
         count = len(table)
         assert count in (0, 1, 3, 5)
         assert (count == 5) == (analysis.knot_class is KnotClass.WHITEHEAD)
@@ -146,11 +146,11 @@ def test_criterion_6_structural_laws():
         assert all(r.is_integral() for r, _ in table)
         expected = {r.p: c.type for r, c in table}
         for value in range(-30, 31):
-            result = classify(knot, make_slope(value, 1))
+            result = analysis.classify(make_slope(value, 1))
             assert result.type is expected.get(value, SurgeryType.HYPERBOLIC)
         for r in (make_slope(7, 3), make_slope(-11, 4), make_slope(5, 2)):
             assert r.q >= 2  # distance from the meridian is the denominator
-            assert classify(knot, r).type is SurgeryType.HYPERBOLIC
+            assert analysis.classify(r).type is SurgeryType.HYPERBOLIC
 
 
 @_criterion(7, "strand-tracing oracles match the anchors and parity classes")

@@ -416,12 +416,12 @@ def test_grid_sweep_agrees_with_exceptional_tables():
         analysis = analysis_of(knot)
         if analysis.knot_class is KnotClass.DEGENERATE:
             continue
-        expected = {r.p: c.type for r, c in exceptional_slopes(knot)}
+        expected = {r.p: c.type for r, c in analysis.exceptional_slopes()}
         for value in range(-30, 31):
-            result = classify(knot, s(value))
+            result = analysis.classify(s(value))
             assert result.type is expected.get(value, SurgeryType.HYPERBOLIC)
         for r in (s(7, 2), s(11, 3), s(-9, 2)):
-            assert classify(knot, r).type is SurgeryType.HYPERBOLIC
+            assert analysis.classify(r).type is SurgeryType.HYPERBOLIC
 
 
 def test_winding_consistent_on_grid():

@@ -9,7 +9,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import python_env, run_python
@@ -561,6 +561,141 @@ def test_json_answers_are_sorted_dumps_and_do_not_depend_on_the_warm_caches(
         if code == 0:
             assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         assert _answer(*requests[-1]) == answers[-1]
-    for cached in (cli._fragments, importlib.import_module("wrapsurg.classify")._s3_cover):
+    for cached in (cli._knot, importlib.import_module("wrapsurg.classify")._s3_cover):
         cached.cache_clear()
     assert [_answer(*args) for args in requests] == answers
+
+
+def _count_calls(monkeypatch, calls, owner, name):
+    """Count the calls of owner.name, rebound in every module of the package
+    that holds it, into calls[name]."""
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    holders = [owner] + [module for key, module in sys.modules.items()
+                         if key.partition(".")[0] == "wrapsurg"]
+    for holder in holders:
+        if vars(holder).get(name) is original:
+            monkeypatch.setattr(holder, name, counting)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt):
+    tracing = importlib.import_module("wrapsurg.tracing")
+    wrapped = importlib.import_module("wrapsurg.wrapped")
+    classify = importlib.import_module("wrapsurg.classify")
+    # A text other than the knot's own, which the answers show as "K1[-1/2,1/3]".
+    knot = "K1[ -2/4, 1/3 ]"
+    requests = [["classify", knot, "7"], ["slopes", knot], ["normalize", knot],
+                ["twist", knot, "--n", "-1..1"], ["predict", knot, "6", "--n", "-2..2"],
+                ["table", knot, "--range", "-2..9"]]
+    shown = '"knot": "K1[-1/2,1/3]"' if fmt == "json" else "knot: K1[-1/2,1/3]"
+    for args in requests:
+        args = [*args, "--format", fmt, "--moves"]
+        first = io.StringIO()
+        assert cli.run(cli.parse(args), out=first) == 0
+        calls = {}
+        _count_calls(monkeypatch, calls, tracing, "trace_closure")
+        _count_calls(monkeypatch, calls, wrapped, "parse_knot")
+        _count_calls(monkeypatch, calls, classify, "analysis_of")
+        _count_calls(monkeypatch, calls, wrapped.WrappedKnot, "__str__")
+        again = io.StringIO()
+        assert cli.run(cli.parse(args), out=again) == 0
+        monkeypatch.undo()
+        assert again.getvalue() == first.getvalue()
+        assert shown in first.getvalue()
+        assert calls == {}, args
+
+
+# Hostile words: grid and garbage knots, slopes and spans of at most 100 rows,
+# integers of 4000 to 5000 digits (past 4300, int() cannot read them), the
+# meridian written every way, and words of any characters, control characters
+# among them, but no "." (so none of them is a span of a million rows).
+FIVES = "5" * 5000
+NINES = "9" * 4300
+_DIGITS = st.sampled_from(["3", SEVENS, "-" + SEVENS, NINES, FIVES])
+# Valid values come first and twice, so that most requests get past parsing.
+_hostile_knots = st.one_of(
+    _grid_knots, _grid_knots,
+    st.sampled_from([
+        "", "K0[", "K0[]", "K2[1]", "k0[2]", "K0[2", "K1[-1/2,1/3]]", "K0[,]", "K0[1,,2]",
+        "K0[inf]", "K0[1/0]", "K0[0/0]", "K1[-1/0,1/3]", "K0[\x00]", "K0[2]\x1b", "K0[１]",
+    ]),
+    st.builds("K{}[{}/{}]".format, st.integers(0, 1), _DIGITS, _DIGITS),
+    st.builds("K{0}[1/{1},1/{1}]".format, st.integers(0, 1), _DIGITS),
+)
+_hostile_slopes = st.one_of(
+    _grid_slopes, _grid_slopes,
+    st.sampled_from(["inf", "1/0", "0/0", "-1/0", "-0", "1/-2", "+1", "1e3", "٣", "", " "]),
+    st.builds("{}/{}".format, _DIGITS, _DIGITS),
+    _DIGITS,
+)
+_hostile_spans = st.one_of(
+    _grid_spans,
+    st.builds(lambda lo, rows: f"{lo}..{lo + rows}",
+              st.one_of(st.integers(-100, 100), st.sampled_from([10**40, -(10**3999)])),
+              st.integers(0, 100)),
+    st.sampled_from(["3..1", "..", "1..", "..2", "1...2", f"0..{FIVES}", "0..99999999999999",
+                     "1.5..2", "0..1\x00"]),
+    _DIGITS,
+)
+_hostile_words = st.one_of(
+    st.sampled_from(sorted(cli.FLAGS) + ["--format", "text", "json", "yaml", "--moves", "--n",
+                                         "--range", "--", "-", "--help"]),
+    _hostile_knots, _hostile_slopes, _hostile_spans,
+    st.text(st.characters(blacklist_characters="."), max_size=8),
+)
+_flag_groups = st.one_of(
+    st.tuples(st.sampled_from(["--n", "--range"]), _hostile_spans),
+    st.tuples(st.just("--format"), st.sampled_from(["text", "json", "json", "yaml"])),
+    st.just(("--moves",)),
+)
+
+
+def _request(command, knot, slope, span, flags):
+    """The words of a request with the arguments its command needs, then `flags`."""
+    words = [command, knot]
+    if command in ("classify", "predict"):
+        words.append(slope)
+    if command in ("table", "twist"):
+        words += ["--range" if command == "table" else "--n", span]
+    return words + [word for group in flags for word in group]
+
+
+# A request of each command with hostile arguments, or any words at all.
+_hostile_argv = st.one_of(
+    st.builds(_request, st.sampled_from(sorted(set(cli.FLAGS) - {"batch"})), _hostile_knots,
+              _hostile_slopes, _hostile_spans, st.lists(_flag_groups, max_size=2)),
+    st.lists(_hostile_words, max_size=7),
+)
+# Batch input: request lines, lines with an unclosed quote or a trailing
+# escape, and raw bytes, which need not be UTF-8.
+_hostile_batch = st.lists(
+    st.one_of(
+        _hostile_argv.map(lambda words: " ".join(words).encode("utf-8", "surrogatepass")),
+        st.sampled_from([b"classify 'K0[2] 1", b'classify "K0[2] 1', b"classify K0[2] 1 \\",
+                         b"batch", b"# a comment", b"", b"slopes K0[2]\xff", b"\xc3"]),
+        st.binary(max_size=12),
+    ),
+    max_size=8,
+).map(b"\n".join)
+
+
+@given(_hostile_argv, _hostile_batch)
+# Answers with an integer past 4300 digits, which cannot be written as text.
+@example(["twist", f"K0[{SEVENS}/3]", "--n", SEVENS, "--format", "json"], b"")
+@example(["slopes", f"K0[1/{NINES},1/{NINES}]"],
+         f"table K0[1/{NINES},1/{NINES}] --range 0..1".encode())
+def test_hostile_input_exits_0_2_or_3_without_an_exception(argv, batch):
+    stdin = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(batch))  # what `batch` reads without a file
+    try:
+        for args in (argv, ["batch"]):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(args)
+            assert code in (0, 2, 3), args
+    finally:
+        sys.stdin = stdin

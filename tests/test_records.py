@@ -141,4 +141,4 @@ def test_knots_of_equal_value_are_one_cache_key(a, entries):
         reject()
     same = parse_knot(f"K{a}[{scaled}]")
     assert same == knot and hash(same) == hash(knot)
-    assert analysis_of(same) is analysis_of(knot)
+    assert analysis_of(same) == analysis_of(knot)

@@ -80,8 +80,6 @@ _ONE_PER_CLASS = {
 @pytest.mark.parametrize("knot_class", list(KnotClass), ids=lambda c: c.value)
 def test_cold_parse_and_analysis_trace_one_diagram(monkeypatch, knot_class):
     analysis_of(K("K0[2]"))  # anchors the push-off oracle beforehand
-    importlib.import_module("wrapsurg.classify")._analyze.cache_clear()
-    K.cache_clear()  # a cold parse: nothing traced before the count starts
     traced = []
     original = tracing.trace_closure
 
@@ -211,12 +209,10 @@ def test_cross_checks_survive_python_O(script):
     assert done.returncode == 0, done.stderr
 
 
-# Fill a cache with more keys than its bound: the analyses, the parses and the
-# JSON fragments by K0[i], a knot for every i, and the S^3 covers by twist at
-# one cover slope.
+# Fill a cache with more keys than its bound: the CLI's knots by the text
+# K0[i], a knot for every i, and the S^3 covers by twist at one cover slope.
 _FILL_A_CACHE = """
 import importlib
-from wrapsurg import parse_knot
 cached = importlib.import_module("wrapsurg.{module}").{cache}
 bound = cached.cache_info().maxsize
 assert bound is not None
@@ -230,12 +226,10 @@ assert cached.cache_info().currsize == bound
 @pytest.mark.parametrize(
     "module, cache, key",
     [
-        ("classify", "_analyze", 'parse_knot("K0[%d]" % i)'),
-        ("wrapped", "parse_knot", '"K0[%d]" % i'),
         ("classify", "_s3_cover", "i, 7"),
-        ("cli", "_fragments", '"K0[%d]" % i'),
+        ("cli", "_knot", '"K0[%d]" % i'),
     ],
-    ids=["analyze", "parse_knot", "s3_cover", "fragments"],
+    ids=["s3_cover", "knot_text"],
 )
 def test_warm_caches_are_bounded(module, cache, key):
     # In a child process, so that this suite's own caches keep their entries.
@@ -398,19 +392,19 @@ def test_pretzel_slope_shape_errors():
 
 def test_parse_knot_returns_the_same_knot_for_the_same_text():
     text = "K1[-1/2,1/3]"
-    assert K(text) is K(text)
-    assert K(text) == make_wrapped(1, T("[-1/2,1/3]"))
+    assert K(text) == K(text) == make_wrapped(1, T("[-1/2,1/3]"))
 
 
 def test_failed_parses_are_not_cached():
-    before = K.cache_info().currsize
+    cached = importlib.import_module("wrapsurg.cli")._knot
+    before = cached.cache_info().currsize
     for _ in range(3):
         with pytest.raises(ParseError) as caught:
-            K("K0[1/2,x/3]")
+            cached("K0[1/2,x/3]")
         assert caught.value.position == 7
         with pytest.raises(NotAKnotError):
-            K("K0[-1/2]")
-    assert K.cache_info().currsize == before
+            cached("K0[-1/2]")
+    assert cached.cache_info().currsize == before
 
 
 def test_parse_knot_round_trip():
