@@ -56,6 +56,8 @@ from .tangles import (
     MontesinosTangle,
     Move,
     NormalForm,
+    Pairing,
+    closure_facts,
     equivalent,
     mirror_tangle,
     normalize,
@@ -64,7 +66,7 @@ from .tangles import (
     shift_tangle,
     twist_tangle,
 )
-from .tracing import NoPretzelSurfaceError, Pairing, trace_closure
+from .tracing import NoPretzelSurfaceError, trace_closure
 from .wrapped import (
     NotAKnotError,
     NotLengthOneError,

@@ -8,8 +8,7 @@ canonical slopes: `_WHITEHEAD_TABLE`, `_PRETZEL_2_3_TABLE`, or the one
 spanning-surface slope of `_spanning_surface_table` for a single integer
 entry or a genuine pretzel.  Every other slope, including every
 non-integral one, is hyperbolic.  The canonical representative is never
-built as a knot: the knot's own closure is the only one traced, and the
-push-off oracle reads the canonical entries.
+built as a knot: the push-off oracle reads the canonical entries.
 
 Each table entry states its answer and its family at the canonical knot:
 the `SurgeryClassification` at the canonical slope rc, the
@@ -53,6 +52,9 @@ from .wrapped import WrappedKnot
 
 class DegenerateKnotError(ValueError):
     """The knot is equivalent to a 0 or 1/q entry and is not hyperbolic."""
+
+    def __init__(self, knot_text: str) -> None:
+        super().__init__(f"{knot_text} reduces to a trivial wrapped pattern and is not hyperbolic")
 
 
 class SurgeryType(Enum):
@@ -251,9 +253,7 @@ class Analysis(Record):
     def require_hyperbolic(self) -> None:
         """Raise `DegenerateKnotError` for a degenerate knot, never hyperbolic."""
         if self.knot_class is KnotClass.DEGENERATE:
-            raise DegenerateKnotError(
-                f"{self.knot} reduces to a trivial wrapped pattern and is not hyperbolic"
-            )
+            raise DegenerateKnotError(str(self.knot))
 
 
 @lru_cache(maxsize=_S3_CACHE_SIZE)

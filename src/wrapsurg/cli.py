@@ -33,8 +33,10 @@ from .classify import (
     Analysis,
     DegenerateKnotError,
     FamilyPrediction,
+    KnotClass,
     SurgeryClassification,
     SurgeryType,
+    _s3_cover,
     analysis_of,
 )
 from .slopes import ParseError, Slope, _parse_int, parse_slope
@@ -232,7 +234,8 @@ def _dispatch(request: Request, knot: _Knot, slope: Slope | None) -> dict:
     payload["equivalence_moves"] = moves
     if command == "normalize":
         return payload
-    analysis.require_hyperbolic()
+    if analysis.knot_class is KnotClass.DEGENERATE:
+        raise DegenerateKnotError(knot.text)
     if command in ("classify", "predict"):
         assert slope is not None
         payload["classification"] = _classification_json(analysis.classify(slope))
@@ -242,7 +245,10 @@ def _dispatch(request: Request, knot: _Knot, slope: Slope | None) -> dict:
         payload["family_prediction"] = _prediction_json(analysis.predict(slope))
         if command == "predict" and request.n_range is not None:
             lo, hi = request.n_range
-            rows = [(n, analysis.surgery_in_s3(slope, n)) for n in range(lo, hi + 1)]
+            rc = analysis.table.get(slope, (None, None, None))[2]
+            sigma, twists = analysis.sigma, analysis.twists
+            rows = [(n, None if rc is None else _s3_cover(sigma * n - twists, rc))
+                    for n in range(lo, hi + 1)]
             if as_json:
                 rows = _rows(_SURGERY_ROW, [(n, _quote(str(s)) if s else "null") for n, s in rows])
             payload["surgeries"] = rows

@@ -111,9 +111,6 @@ class Slope(Record):
     def is_integral(self) -> bool:
         return self.q == 1
 
-    def is_half_integral(self) -> bool:
-        return self.q == 2
-
     # -- conversions -----------------------------------------------------
 
     def as_fraction(self) -> Fraction:

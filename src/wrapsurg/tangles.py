@@ -6,13 +6,63 @@ slopes.  Two Montesinos tangles are equivalent when one is carried to the
 other by a composition of four moves: entrywise integer shifts with fixed
 total sum (zero entries may be added or deleted), reversal of the entry
 order, the mirror image (entrywise negation), and, for tangles reducible to
-a single rational entry, the meridional twist t -> 1/(2m + 1/t).  The
-connectivity of a tangle's four endpoints comes from strand tracing, by
-`tracing.trace_closure`, never from a hard-coded parity formula.
+a single rational entry, the meridional twist t -> 1/(2m + 1/t).
+
+How a tangle joins its four endpoints, and so whether its wrapped closure is
+a knot and how often that knot winds, depends only on the parities of its
+entries: `closure_facts` reads them off.  The literal strand trace of
+`tracing.trace_closure` is the independent oracle for that rule.
 """
 from __future__ import annotations
 
+from enum import Enum
+
 from .slopes import Record, Slope, parse_entries, split_integer_parts
+
+
+class Pairing(Enum):
+    """Which pairs of the four tangle endpoints are joined inside."""
+
+    TOP_TO_TOP = "top-to-top"      # NW-NE and SW-SE
+    LEFT_TO_LEFT = "left-to-left"  # NW-SW and NE-SE
+    CROSS = "cross"                # NW-SE and NE-SW
+
+
+# The pairing of a tangle by its entry sum p/q mod 2, as (p & 1, q & 1);
+# (0, 0) means that the tangle hides a closed loop.
+_PAIRING_BY_PARITY = {
+    (0, 1): Pairing.TOP_TO_TOP,
+    (1, 0): Pairing.LEFT_TO_LEFT,
+    (1, 1): Pairing.CROSS,
+    (0, 0): None,
+}
+
+
+def closure_facts(entries: tuple[Slope, ...], a: int) -> tuple[bool, int, Pairing | None]:
+    """Whether the closure of `entries` with `a` wrap crossings is a knot,
+    the winding number of that knot, and the tangle's endpoint pairing (None
+    when the tangle hides a closed loop), from the parities of the entries.
+
+    A rational tangle p/q pairs its endpoints top-to-top when p is even,
+    left-to-left when q is even and across when both are odd (Conway, *An
+    enumeration of knots and links*, 1970; Kauffman-Lambropoulou, *On the
+    classification of rational tangles*, 2004).  A horizontal sum has the
+    pairing of its entry sum mod 2, (p1 q2 + p2 q1, q1 q2): top-to-top is
+    the identity, two crossed tangles give top-to-top, left-to-left absorbs
+    the other two, and two left-to-left tangles close a loop between them.
+    The wrap arcs join NW-SW and NE-SE when a is even and NW-SE and NE-SW
+    when a is odd, so the closure is a knot unless the tangle hides a loop or
+    repeats the wrap's own pairing.  The knot of a top-to-top tangle passes the wrap
+    region once each way and winds 0 times, any other knot winds twice.
+    """
+    p, q = 0, 1
+    for s in entries:
+        sp, sq = s.p & 1, s.q & 1
+        p, q = (p & sq) ^ (sp & q), q & sq
+    pairing = _PAIRING_BY_PARITY[p, q]
+    repeated = Pairing.CROSS if a & 1 else Pairing.LEFT_TO_LEFT
+    knot = pairing is not None and pairing is not repeated
+    return knot, 0 if pairing is Pairing.TOP_TO_TOP else 2, pairing
 
 
 class MontesinosTangle(Record):

@@ -15,8 +15,13 @@ question asked of a wrapped knot or of its tangle:
 * how many closed loops the tangle hides (components that never pass the
   wrap region).
 
-A knot is traced once, when it is constructed; its analysis traces no
-further closure.
+A knot takes these facts from the parities of its entries
+(`tangles.closure_facts`) and builds no diagram.  `trace_closure` is the
+independent check of that rule: `wrapped` compares the two on a fixed
+handful of entry lists once per process, before the first knot is built,
+and the tests compare them on every entry list of the k<=2 grid.  So
+`twist_word`, `build_rational_tangle` and `glue_horizontally` serve only
+that oracle, that per-process anchor and `pretzel_framing`.
 
 A diagram is its twist regions and nothing else: two flat integer lists, the
 crossing count per region and the mate of every strand end, so building and
@@ -46,21 +51,13 @@ of the twist region.
 """
 from __future__ import annotations
 
-from enum import Enum
 from itertools import cycle
 
 from .slopes import InconsistentCrossCheckError, Record, Slope, expand
+from .tangles import Pairing
 
 HORIZONTAL = "h"
 VERTICAL = "v"
-
-
-class Pairing(Enum):
-    """Which pairs of the four tangle endpoints are joined inside."""
-
-    TOP_TO_TOP = "top-to-top"      # NW-NE and SW-SE
-    LEFT_TO_LEFT = "left-to-left"  # NW-SW and NE-SE
-    CROSS = "cross"                # NW-SE and NE-SW
 
 
 class NoPretzelSurfaceError(ValueError):
@@ -302,8 +299,8 @@ def pretzel_framing(slopes: tuple[Slope, ...], a: int) -> int:
     The linking number of the knot with its push-off along the surface, by
     a signed crossing count over the literal twist-region diagram.  Defined
     for K^a(1/q1, 1/q2) with |q_i| >= 2 and for K^a(m) with m an integer.
-    The knot is one already traced, so a literal diagram with more than one
-    component means that two diagrams of it disagree.
+    The closure is known to be a knot, so a literal diagram with more than
+    one component means that the diagram and the knot disagree.
     """
     diagram = Diagram()
     if len(slopes) == 2 and all(abs(s.p) == 1 and s.q >= 2 for s in slopes):
@@ -320,6 +317,6 @@ def pretzel_framing(slopes: tuple[Slope, ...], a: int) -> int:
     if len(walks) != 1:
         raise InconsistentCrossCheckError(
             f"the literal pretzel diagram has {len(walks)} components, "
-            "the traced closure one"
+            "the knot one"
         )
     return surface_framing_from_walk(diagram, walks[0])

@@ -9,9 +9,11 @@ entry 1/(a + 2n), and transports a slope r to r + n * wind(K)^2.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import tracing
 from .slopes import InconsistentCrossCheckError, ParseError, Record, Slope, make_slope, stripped
-from .tangles import MontesinosTangle, normalize, parse_tangle
+from .tangles import MontesinosTangle, closure_facts, normalize, parse_tangle
 
 
 class NotAKnotError(ValueError):
@@ -22,26 +24,45 @@ class NotLengthOneError(ValueError):
     """The operation needs a tangle with a single rational entry."""
 
 
+# Closures on which the parity rule is checked against the literal trace:
+# each pairing under both wrap closures (a knot and a link among them), a
+# sum of two crossed entries, and a tangle hiding a loop.
+_ANCHORS = ("K0[2]", "K1[2]", "K0[1/3]", "K1[3]", "K0[-1/2]", "K1[-1/2]",
+            "K1[1/3,1/3]", "K1[-1/2,1/3]", "K0[1/2,1/2]")
+
+
+@lru_cache(maxsize=None)
+def _closure_self_check() -> None:
+    """Anchor the parity rule of `closure_facts` on `tracing.trace_closure`
+    before the first knot trusts it; raises also under `python -O`."""
+    for text in _ANCHORS:
+        a, entries = int(text[1]), parse_tangle(text[2:]).entries
+        closure = tracing.trace_closure(entries, a)
+        knot, winding, pairing = closure_facts(entries, a)
+        traced = (closure.components == 1, None if closure.loops else closure.pairing)
+        if (knot, pairing) != traced or (knot and winding != closure.winding):
+            raise InconsistentCrossCheckError(
+                f"parity rule gives knot={knot}, winding {winding}, pairing {pairing} "
+                f"for {text}; the trace gives {closure}"
+            )
+
+
 class WrappedKnot(Record):
-    """The closure must be a knot; construction traces it once and keeps
-    its winding number, which (a, tangle) determine."""
+    """The closure must be a knot; construction keeps its winding number,
+    which (a, tangle) determine by `closure_facts`."""
 
     __slots__ = ("a", "tangle", "winding")
 
     def __init__(self, a: int, tangle: MontesinosTangle) -> None:
         if a not in (0, 1):
             raise ValueError("the wrap parameter a must be 0 or 1")
-        closure = tracing.trace_closure(tangle.entries, a)
-        if closure.components != 1:
+        _closure_self_check()
+        knot, winding, _ = closure_facts(tangle.entries, a)
+        if not knot:
             raise NotAKnotError(f"K{a}{tangle} closes to a link, not a knot")
-        expected = 0 if closure.pairing is tracing.Pairing.TOP_TO_TOP else 2
-        if closure.winding != expected:
-            raise InconsistentCrossCheckError(
-                f"traced winding {closure.winding} of K{a}{tangle} disagrees with the pairing"
-            )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "tangle", tangle)
-        object.__setattr__(self, "winding", closure.winding)
+        object.__setattr__(self, "winding", winding)
 
     def __str__(self) -> str:
         return f"K{self.a}{self.tangle}"
@@ -122,7 +143,7 @@ def pretzel_slope(knot: WrappedKnot) -> Slope:
 
 def parse_knot(text: str, offset: int = 0) -> WrappedKnot:
     """Parse `K0[...]` / `K1[...]` in the tangle syntax; every call parses
-    and traces the knot anew."""
+    the knot anew."""
     s, offset = stripped(text, offset)
     if not s.startswith(("K0[", "K1[")):
         raise ParseError("knot syntax is K0[...] or K1[...]", offset)

@@ -587,27 +587,31 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
     tracing = importlib.import_module("wrapsurg.tracing")
     wrapped = importlib.import_module("wrapsurg.wrapped")
     classify = importlib.import_module("wrapsurg.classify")
-    # A text other than the knot's own, which the answers show as "K1[-1/2,1/3]".
-    knot = "K1[ -2/4, 1/3 ]"
-    requests = [["classify", knot, "7"], ["slopes", knot], ["normalize", knot],
-                ["twist", knot, "--n", "-1..1"], ["predict", knot, "6", "--n", "-2..2"],
-                ["table", knot, "--range", "-2..9"]]
-    shown = '"knot": "K1[-1/2,1/3]"' if fmt == "json" else "knot: K1[-1/2,1/3]"
-    for args in requests:
-        args = [*args, "--format", fmt, "--moves"]
-        first = io.StringIO()
-        assert cli.run(cli.parse(args), out=first) == 0
-        calls = {}
-        _count_calls(monkeypatch, calls, tracing, "trace_closure")
-        _count_calls(monkeypatch, calls, wrapped, "parse_knot")
-        _count_calls(monkeypatch, calls, classify, "analysis_of")
-        _count_calls(monkeypatch, calls, wrapped.WrappedKnot, "__str__")
-        again = io.StringIO()
-        assert cli.run(cli.parse(args), out=again) == 0
-        monkeypatch.undo()
-        assert again.getvalue() == first.getvalue()
-        assert shown in first.getvalue()
-        assert calls == {}, args
+    # Texts other than the knots' own, which the answers show as "K1[-1/2,1/3]"
+    # and "K0[1/3]"; the degenerate one is refused by all but `normalize`.
+    for knot, own, refused in [("K1[ -2/4, 1/3 ]", "K1[-1/2,1/3]", False),
+                               ("K0[ 2/6 ]", "K0[1/3]", True)]:
+        requests = [["classify", knot, "7"], ["slopes", knot], ["normalize", knot],
+                    ["twist", knot, "--n", "-1..1"], ["predict", knot, "6", "--n", "-2..2"],
+                    ["table", knot, "--range", "-2..9"]]
+        for args in requests:
+            args = [*args, "--format", fmt, "--moves"]
+            first = _answer(*args)
+            calls = {}
+            _count_calls(monkeypatch, calls, tracing, "trace_closure")
+            _count_calls(monkeypatch, calls, wrapped, "parse_knot")
+            _count_calls(monkeypatch, calls, classify, "analysis_of")
+            _count_calls(monkeypatch, calls, wrapped.WrappedKnot, "__str__")
+            again = _answer(*args)
+            monkeypatch.undo()
+            assert again == first
+            if refused and args[0] != "normalize":
+                assert first == (3, "", f"error: {own} reduces to a trivial wrapped "
+                                         "pattern and is not hyperbolic\n")
+            else:
+                shown = f'"knot": "{own}"' if fmt == "json" else f"knot: {own}"
+                assert first[0] == 0 and shown in first[1]
+            assert calls == {}, args
 
 
 # Hostile words: grid and garbage knots, slopes and spans of at most 100 rows,

@@ -23,9 +23,13 @@ connectivity oracle itself (`_oracle_digest`): `trace_closure` on every grid
 entry list, links included, and `pretzel_framing` on every pretzel shape near
 the grid, recorded before the diagram became a list of strand-end mates.
 
+Besides the digests, `_closure_mismatches` compares the parity rule
+`closure_facts` with `trace_closure` on every grid entry list, links included.
+
 The module imports neither pytest nor hypothesis, so the digests can be checked
 on an interpreter without them: `PYTHONPATH=src python tests/test_golden_cli.py`
-recomputes all fifteen and exits 1 on a mismatch.
+recomputes all fifteen, checks the parity rule on the grid, and exits 1 on a
+mismatch.
 """
 import contextlib
 import hashlib
@@ -42,6 +46,7 @@ from wrapsurg import (
     KnotClass,
     NotAKnotError,
     analysis_of,
+    closure_facts,
     make_slope,
     parse_knot,
 )
@@ -153,8 +158,31 @@ def _oracle_digest():
     return sha.hexdigest()
 
 
+def rule_disagrees_with_trace(a, entries):
+    """Whether `closure_facts` and `trace_closure` disagree on the closure:
+    on knot or link, on the pairing (None for a hidden loop) and, for a
+    knot, on the winding number."""
+    knot, winding, pairing = closure_facts(entries, a)
+    closure = trace_closure(entries, a)
+    if knot != (closure.components == 1):
+        return True
+    if pairing is not (None if closure.loops else closure.pairing):
+        return True
+    return knot and winding != closure.winding
+
+
+def _closure_mismatches():
+    """The grid closures on which the parity rule and the trace disagree."""
+    return [_knot_text(a, entries) for a, entries in _entry_lists()
+            if rule_disagrees_with_trace(a, entries)]
+
+
 def test_golden_oracle_digest():
     assert _oracle_digest() == ORACLE_GOLDEN
+
+
+def test_parity_rule_equals_the_trace_on_every_grid_entry_list():
+    assert _closure_mismatches() == []
 
 
 def test_grid_has_all_candidates():
@@ -266,4 +294,7 @@ if __name__ == "__main__":
     total = len(GOLDEN) + 4
     print(f"{total - len(mismatches)} of {total} golden digests match"
           + "".join(f"\nmismatch: {name}" for name in mismatches))
-    sys.exit(1 if mismatches else 0)
+    disagreements = _closure_mismatches()
+    print(f"parity rule: {len(disagreements)} of 4512 grid closures disagree with trace_closure"
+          + "".join(f"\nmismatch: parity rule on {text}" for text in disagreements[:10]))
+    sys.exit(1 if mismatches or disagreements else 0)

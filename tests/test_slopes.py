@@ -60,9 +60,7 @@ def test_distance_symmetric_and_separating():
 
 def test_integrality_predicates():
     assert make_slope(8, 1).is_integral()
-    assert not make_slope(8, 1).is_half_integral()
-    assert make_slope(37, 2).is_half_integral()
-    assert not MERIDIAN.is_integral() and not MERIDIAN.is_half_integral()
+    assert not MERIDIAN.is_integral()
 
 
 def test_evaluate_nested_fraction_values():

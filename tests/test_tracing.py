@@ -5,9 +5,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_golden_cli import rule_disagrees_with_trace
 from wrapsurg import Pairing, make_slope
 from wrapsurg.tracing import (
     HORIZONTAL,
@@ -116,6 +117,23 @@ def test_closure_components_and_pairing_follow_mod_2_arithmetic(slopes, a):
         assert closure.loops >= 1
     else:
         assert closure.pairing is _CLASS[parity] and closure.loops == 0
+
+
+# Small entries, and entries of 1000 to 1100 digits either way round.
+_HUGE = st.integers(10**1000, 10**1100)
+_rule_entries = st.one_of(
+    st.builds(make_slope, st.integers(-20, 20), st.integers(1, 20)),
+    st.builds(make_slope, st.one_of(_HUGE, _HUGE.map(int.__neg__)), st.integers(1, 20)),
+    st.builds(make_slope, st.integers(-20, 20), _HUGE),
+    st.builds(make_slope, _HUGE, _HUGE),
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(_rule_entries, min_size=1, max_size=5), st.integers(-2, 3))
+def test_parity_rule_equals_the_trace(entries, a):
+    """Any number of wrap crossings, not only the knots' a = 0 and 1."""
+    assert not rule_disagrees_with_trace(a, tuple(entries))
 
 
 def test_diagram_refuses_a_joined_end_and_walks_only_when_closed():

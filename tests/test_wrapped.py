@@ -79,7 +79,9 @@ _ONE_PER_CLASS = {
 
 @pytest.mark.parametrize("knot_class", list(KnotClass), ids=lambda c: c.value)
 def test_cold_parse_and_analysis_trace_one_diagram(monkeypatch, knot_class):
-    analysis_of(K("K0[2]"))  # anchors the push-off oracle beforehand
+    """Once the per-process anchor of the parity rule has run, a cold parse
+    and analysis trace no closure: the knot's facts come from the rule."""
+    analysis_of(K("K0[2]"))  # anchors the parity rule and the push-off oracle
     traced = []
     original = tracing.trace_closure
 
@@ -90,7 +92,7 @@ def test_cold_parse_and_analysis_trace_one_diagram(monkeypatch, knot_class):
     monkeypatch.setattr(tracing, "trace_closure", counting)
     analysis = analysis_of(K(_ONE_PER_CLASS[knot_class]))
     assert analysis.knot_class is knot_class
-    assert len(traced) == 1
+    assert traced == []
 
 
 _SABOTAGED_WORD = """
@@ -103,6 +105,24 @@ try:
     parse_knot("K1[-1/2,1/3]")
 except InconsistentCrossCheckError:
     sys.exit(0)
+sys.exit(1)
+"""
+
+# A parity rule that swaps the crossed and left-to-left pairings: the
+# per-process anchor catches it on the first parse.
+_SABOTAGED_RULE = """
+import importlib
+import sys
+from wrapsurg import InconsistentCrossCheckError, Pairing, parse_knot
+if not sys.flags.optimize:
+    sys.exit(3)
+tangles = importlib.import_module("wrapsurg.tangles")
+tangles._PAIRING_BY_PARITY[1, 0] = Pairing.CROSS
+tangles._PAIRING_BY_PARITY[1, 1] = Pairing.LEFT_TO_LEFT
+try:
+    parse_knot("K0[2]")
+except InconsistentCrossCheckError as err:
+    sys.exit(0 if "parity rule" in str(err) else 4)
 sys.exit(1)
 """
 
@@ -196,13 +216,14 @@ sys.exit(1)
     "script",
     [
         _SABOTAGED_WORD,
+        _SABOTAGED_RULE,
         _SABOTAGED_PRETZEL_PAIR,
         _NON_COPRIME_BEZOUT,
         _SABOTAGED_ORACLE,
         _SABOTAGED_SPANNING_SURFACE,
         _SABOTAGED_TORUS_KNOT,
     ],
-    ids=["word", "pretzel_pair", "bezout", "oracle", "spanning_surface", "torus_knot"],
+    ids=["word", "parity_rule", "pretzel_pair", "bezout", "oracle", "spanning_surface", "torus_knot"],
 )
 def test_cross_checks_survive_python_O(script):
     done = run_python(script, "-O")
