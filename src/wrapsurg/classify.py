@@ -29,7 +29,8 @@ questions about one knot keeps its `analysis_of(knot)` and asks that.
 The S^3 surgery of a twisted image depends only on the canonical twist nc
 and the canonical slope rc, not on the knot: `_s3_cover` computes it once per
 (nc, rc), in an lru_cache of _S3_CACHE_SIZE (1024) entries, and runs the
-torus-knot cross-check on every miss.
+torus-knot cross-check on every miss.  `Analysis.surgeries_in_s3`, its one
+reader, maps the knot's twist n to nc = sigma * n - twists.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from .seifert import (
     torus_knot_surgery,
 )
 from .slopes import InconsistentCrossCheckError, Record, Slope, make_slope
-from .tangles import NormalForm, normalize
+from .tangles import NormalForm, knot_text, normalize, shift_reduced
 from .tracing import pretzel_framing
 from .wrapped import WrappedKnot
 
@@ -87,26 +88,10 @@ class ToroidalCertificate(Record):
 
     __slots__ = ("source", "slope", "piece_indices", "piece")
 
-    def __init__(self, source: ToroidalSource, slope: Slope,
-                 piece_indices: tuple[int, int] | None = None, piece: str | None = None) -> None:
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "piece_indices", piece_indices)
-        object.__setattr__(self, "piece", piece)
-
 
 class SurgeryClassification(Record):
     __slots__ = ("type", "slope", "certificate", "seifert_indices", "notes")
-
-    def __init__(self, type: SurgeryType, slope: Slope,
-                 certificate: ToroidalCertificate | None = None,
-                 seifert_indices: tuple[int, int] | None = None,
-                 notes: tuple[str, ...] = ()) -> None:
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "seifert_indices", seifert_indices)
-        object.__setattr__(self, "notes", notes)
+    _defaults = (None, None, ())
 
 
 class KnotClass(Enum):
@@ -136,12 +121,11 @@ class FamilyPrediction(Record):
     """
 
     __slots__ = ("kind", "n0", "fiber_indices")
+    _defaults = (None, None)
 
-    def __init__(self, kind: FamilyKind, n0: int | None = None,
-                 fiber_indices: tuple[int, int] | None = None) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "fiber_indices", fiber_indices)
+
+# The family of every slope outside a knot's table.
+_HYPERBOLIC_FAMILY = FamilyPrediction(FamilyKind.HYPERBOLIC_INTERIOR)
 
 
 def _toroidal(source, r, piece_indices=None, piece=None,
@@ -152,13 +136,12 @@ def _toroidal(source, r, piece_indices=None, piece=None,
     return SurgeryClassification(SurgeryType.TOROIDAL, slope, certificate), family, s3_cover
 
 
-def _small_seifert(r, indices=None, notes=(), family=None, s3_cover=False):
+def _small_seifert(r, indices=None, notes=(), s3_cover=False):
     """A table entry (answer, family, s3_cover) for a small Seifert slope r;
-    the family defaults to reducible or small Seifert with the same indices."""
+    the family is reducible or small Seifert with the same indices."""
     answer = SurgeryClassification(SurgeryType.SMALL_SEIFERT, make_slope(r, 1),
-                                   seifert_indices=indices, notes=notes)
-    if family is None:
-        family = FamilyPrediction(FamilyKind.SEIFERT_OR_REDUCIBLE, fiber_indices=indices)
+                                   None, indices, notes)
+    family = FamilyPrediction(FamilyKind.SEIFERT_OR_REDUCIBLE, None, indices)
     return answer, family, s3_cover
 
 
@@ -179,7 +162,7 @@ _PRETZEL_2_3_TABLE = MappingProxyType({
         ToroidalSource.TORUS_PIECE, 8, None,
         "essential torus bounding a twisted I-bundle over the Klein bottle",
         # the torus-knot members n = 0, 1, 2 are the non-toroidal window
-        family=FamilyPrediction(FamilyKind.TOROIDAL_COFINITE, n0=1),
+        family=FamilyPrediction(FamilyKind.TOROIDAL_COFINITE, 1),
     ),
 })
 # An integer entry or a pretzel gets `_spanning_surface_table`; any other
@@ -201,32 +184,26 @@ _S3_CACHE_SIZE = 1024
 
 
 class Analysis(Record):
-    __slots__ = ("knot", "nf", "knot_class", "sigma", "twists", "table", "notes", "moves")
+    """A knot's normal form, class, exceptional table and moves.
 
-    def __init__(self, knot: WrappedKnot, nf: NormalForm, knot_class: KnotClass, sigma: int,
-                 twists: int, table: MappingProxyType[Slope, tuple],
-                 notes: tuple[str, ...], moves: tuple[str, ...]) -> None:
-        object.__setattr__(self, "knot", knot)
-        object.__setattr__(self, "nf", nf)
-        object.__setattr__(self, "knot_class", knot_class)
-        object.__setattr__(self, "sigma", sigma)  # -1 when the reduction mirrors the knot
-        object.__setattr__(self, "twists", twists)  # meridional twists after mirroring
-        # The class's table at the knot's own slopes, ascending: each exceptional
-        # slope to its answer, its family and its canonical slope when the S^3
-        # surgeries of its twisted images are known (else None).
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "notes", notes)
-        object.__setattr__(self, "moves", moves)
+    `sigma` is -1 when the reduction mirrors the knot, and `twists` counts
+    the meridional twists after mirroring.  `table` is the class's table at
+    the knot's own slopes, ascending: each exceptional slope to its answer,
+    its family and its canonical slope when the S^3 surgeries of its twisted
+    images are known (else None).
+    """
+
+    __slots__ = ("knot", "nf", "knot_class", "sigma", "twists", "table", "notes", "moves")
 
     def classify(self, r: Slope) -> SurgeryClassification:
         """Classify r-surgery: the table's answer at r, if any."""
         if r.is_meridian():
-            return SurgeryClassification(SurgeryType.TRIVIAL_FILLING, r)
+            return SurgeryClassification(SurgeryType.TRIVIAL_FILLING, r, None, None, ())
         if self.knot_class is KnotClass.DEGENERATE:
-            return SurgeryClassification(SurgeryType.NON_HYPERBOLIC_KNOT, r)
+            return SurgeryClassification(SurgeryType.NON_HYPERBOLIC_KNOT, r, None, None, ())
         found = self.table.get(r)
         if found is None:
-            return SurgeryClassification(SurgeryType.HYPERBOLIC, r, notes=self.notes)
+            return SurgeryClassification(SurgeryType.HYPERBOLIC, r, None, None, self.notes)
         return found[0]
 
     def exceptional_slopes(self) -> list[tuple[Slope, SurgeryClassification]]:
@@ -241,14 +218,17 @@ class Analysis(Record):
         self.require_hyperbolic()
         found = self.table.get(r)
         if found is None:
-            return FamilyPrediction(FamilyKind.HYPERBOLIC_INTERIOR)
+            return _HYPERBOLIC_FAMILY
         return found[1]
 
-    def surgery_in_s3(self, r: Slope, n: int) -> SFSClass | None:
+    def surgeries_in_s3(self, r: Slope, ns: range) -> list[tuple[int, SFSClass | None]]:
+        """The S^3 surgery at r of the n-twisted image for each n in `ns`,
+        when known (else None); the slope is looked up once."""
         rc = self.table.get(r, (None, None, None))[2]
         if rc is None:
-            return None
-        return _s3_cover(self.sigma * n - self.twists, rc)
+            return [(n, None) for n in ns]
+        sigma, twists = self.sigma, self.twists
+        return [(n, _s3_cover(sigma * n - twists, rc)) for n in ns]
 
     def require_hyperbolic(self) -> None:
         """Raise `DegenerateKnotError` for a degenerate knot, never hyperbolic."""
@@ -315,13 +295,9 @@ def _oracle_self_check() -> None:
         framing = pretzel_framing(entries, a)
         if framing != expected:
             raise InconsistentCrossCheckError(
-                f"push-off oracle gives {framing} for {_knot_text(a, entries)}, "
+                f"push-off oracle gives {framing} for {knot_text(a, entries)}, "
                 f"expected {expected}"
             )
-
-
-def _knot_text(a: int, entries: tuple[Slope, ...]) -> str:
-    return f"K{a}[{','.join(map(str, entries))}]"
 
 
 def _decide(a: int, nf: NormalForm) -> tuple[KnotClass, int, int, MappingProxyType[int, tuple]]:
@@ -370,7 +346,7 @@ def analysis_of(knot: WrappedKnot) -> Analysis:
         table = MappingProxyType(dict(sorted(restated.items())))
 
     moves: list[str] = []
-    if knot.tangle.entries != nf.as_tangle().entries:
+    if not shift_reduced(knot.tangle.entries):
         moves.append("integer shifts (sum preserved, zero entries dropped)")
     if sigma < 0:
         moves.append("mirror (surgery slopes negate)")
@@ -378,16 +354,7 @@ def analysis_of(knot: WrappedKnot) -> Analysis:
         effect = f"slopes shift by {shift}" if shift else "slopes unchanged, winding 0"
         moves.append(f"meridional twist m={twists} ({effect})")
 
-    return Analysis(
-        knot=knot,
-        nf=nf,
-        knot_class=knot_class,
-        sigma=sigma,
-        twists=twists,
-        table=table,
-        notes=notes,
-        moves=tuple(moves),
-    )
+    return Analysis(knot, nf, knot_class, sigma, twists, table, notes, tuple(moves))
 
 
 def _spanning_surface_table(a: int, entries: tuple[Slope, ...]) -> MappingProxyType[int, tuple]:
@@ -399,7 +366,7 @@ def _spanning_surface_table(a: int, entries: tuple[Slope, ...]) -> MappingProxyT
         expected = 0 if a == 0 else 2 * entries[0].p
         if framing != expected:
             raise InconsistentCrossCheckError(
-                f"spanning-surface slope {framing} of {_knot_text(a, entries)} "
+                f"spanning-surface slope {framing} of {knot_text(a, entries)} "
                 f"does not match the classified value {expected}"
             )
     return MappingProxyType({framing: _toroidal(ToroidalSource.PRETZEL_SURFACE, framing)})
@@ -430,4 +397,4 @@ def surgery_in_s3(knot: WrappedKnot, r: Slope, n: int) -> SFSClass | None:
     explicit Montesinos link; members that are torus knots are cross-checked
     against the independent torus-knot surgery classification.
     """
-    return analysis_of(knot).surgery_in_s3(r, n)
+    return analysis_of(knot).surgeries_in_s3(r, range(n, n + 1))[0][1]

@@ -36,7 +36,6 @@ from .classify import (
     KnotClass,
     SurgeryClassification,
     SurgeryType,
-    _s3_cover,
     analysis_of,
 )
 from .slopes import ParseError, Slope, _parse_int, parse_slope
@@ -245,10 +244,7 @@ def _dispatch(request: Request, knot: _Knot, slope: Slope | None) -> dict:
         payload["family_prediction"] = _prediction_json(analysis.predict(slope))
         if command == "predict" and request.n_range is not None:
             lo, hi = request.n_range
-            rc = analysis.table.get(slope, (None, None, None))[2]
-            sigma, twists = analysis.sigma, analysis.twists
-            rows = [(n, None if rc is None else _s3_cover(sigma * n - twists, rc))
-                    for n in range(lo, hi + 1)]
+            rows = analysis.surgeries_in_s3(slope, range(lo, hi + 1))
             if as_json:
                 rows = _rows(_SURGERY_ROW, [(n, _quote(str(s)) if s else "null") for n, s in rows])
             payload["surgeries"] = rows

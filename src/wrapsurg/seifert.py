@@ -32,9 +32,6 @@ class NotATorusKnotError(ValueError):
 class MontesinosLink(Record):
     __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[Slope, ...]) -> None:
-        object.__setattr__(self, "entries", entries)
-
     def __str__(self) -> str:
         return "M[" + ",".join(str(s) for s in self.entries) + "]"
 
@@ -48,10 +45,6 @@ class SeifertInvariants(Record):
     """
 
     __slots__ = ("e", "fibers")
-
-    def __init__(self, e: int, fibers: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "fibers", fibers)
 
     @classmethod
     def from_slopes(cls, slopes: Iterable[Slope]) -> "SeifertInvariants":
@@ -82,10 +75,7 @@ class SFSKind(Enum):
 
 class SFSClass(Record):
     __slots__ = ("kind", "invariants")
-
-    def __init__(self, kind: SFSKind, invariants: SeifertInvariants | None = None) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "invariants", invariants)
+    _defaults = (None,)
 
     def __str__(self) -> str:
         if self.kind is SFSKind.SMALL_SEIFERT:
@@ -129,7 +119,8 @@ def torus_knot_surgery(p: int, q: int, r: Slope) -> SFSClass:
         return REDUCIBLE
     if d == 1:
         return LENS
-    b1, b2 = _bezout(qq, pp)
+    b1 = pow(qq, -1, pp)
+    b2 = (1 - b1 * qq) // pp
     invariants = SeifertInvariants.from_slopes(
         (Slope(b1, pp), Slope(b2, qq), Slope(v, sigma))
     )
@@ -138,21 +129,6 @@ def torus_knot_surgery(p: int, q: int, r: Slope) -> SFSClass:
             f"fiber indices of {r}-surgery on T({p},{q}) are not {{{pp},{qq},{d}}}"
         )
     return SFSClass(SFSKind.SMALL_SEIFERT, invariants)
-
-
-def _bezout(x: int, y: int) -> tuple[int, int]:
-    """Integers (b1, b2) with b1 * x + b2 * y = 1 for coprime x, y."""
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_s, s = s, old_s - quotient * s
-        old_t, t = t, old_t - quotient * t
-    if old_r != 1:
-        raise InconsistentCrossCheckError(f"{x} and {y} are not coprime")
-    return old_s, old_t
 
 
 def pretzel_surgery_link(n: int, base: int) -> MontesinosLink:

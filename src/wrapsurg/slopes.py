@@ -8,10 +8,12 @@ the package does, and `fractions` loads only in the conversion functions
 (`as_fraction`, `from_fraction`, the tangles' `entry_sum` and
 `SeifertInvariants.from_fractions`).
 
-`Record` is the base of the package's value types.  A record's fields are
-its `__slots__`, which its `__init__` sets once.  Records are immutable
-(assigning or deleting a field raises `AttributeError`), equal when of one
-class with equal fields, hashable by their fields, picklable and copyable.
+`Record` is the base of the package's value types.  A record is built from
+its field values in `__slots__` order, `cls(*values)`; omitted trailing
+fields take their values from the class's `_defaults`, and a wrong number
+of values raises `TypeError`.  Records are immutable (assigning or deleting
+a field raises `AttributeError`), equal when of one class with equal
+fields, hashable by their fields, picklable and copyable.
 """
 from __future__ import annotations
 
@@ -41,13 +43,28 @@ class ParseError(ValueError):
 
 
 class Record:
-    """A subclass names its fields in `__slots__`; its `__init__` sets each
-    once by `object.__setattr__`."""
+    """A subclass names its fields in `__slots__` and the values of its
+    optional trailing fields in `_defaults`."""
 
     __slots__ = ()
+    _defaults: tuple = ()
 
     def __init_subclass__(cls) -> None:
         cls._key = attrgetter(*cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values: object) -> None:
+        setters, defaults = self._setters, self._defaults
+        missing = len(setters) - len(values)
+        if missing:
+            if not 0 < missing <= len(defaults):
+                raise TypeError(
+                    f"{type(self).__qualname__} takes the values of ({', '.join(self.__slots__)}),"
+                    f" the last {len(defaults)} optional; got {len(values)}"
+                )
+            values += defaults[len(defaults) - missing:]
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -72,8 +89,7 @@ class Record:
 
 def _restore(cls: type, values: tuple) -> Record:
     record = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(record, name, value)
+    Record.__init__(record, *values)
     return record
 
 

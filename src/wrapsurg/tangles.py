@@ -90,6 +90,12 @@ class MontesinosTangle(Record):
         return "[" + ",".join(str(s) for s in self.entries) + "]"
 
 
+def knot_text(a: int, entries: tuple[Slope, ...]) -> str:
+    """The text `K{a}[t1,...,tk]` of the closure of `entries` with `a` wrap
+    crossings, as `wrapped.parse_knot` reads it."""
+    return f"K{a}[{','.join(map(str, entries))}]"
+
+
 class LengthOneCanonical(Record):
     """Canonical representative of a tangle reducible to a single entry.
 
@@ -99,11 +105,6 @@ class LengthOneCanonical(Record):
     """
 
     __slots__ = ("t", "mirrored", "twists")
-
-    def __init__(self, t: Slope, mirrored: bool, twists: int) -> None:
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "mirrored", mirrored)
-        object.__setattr__(self, "twists", twists)
 
 
 class NormalForm(Record):
@@ -117,13 +118,6 @@ class NormalForm(Record):
 
     __slots__ = ("e0", "fracs", "degenerate", "k1")
 
-    def __init__(self, e0: int, fracs: tuple[Slope, ...], degenerate: bool,
-                 k1: LengthOneCanonical | None) -> None:
-        object.__setattr__(self, "e0", e0)
-        object.__setattr__(self, "fracs", fracs)
-        object.__setattr__(self, "degenerate", degenerate)
-        object.__setattr__(self, "k1", k1)
-
     def entry_sum(self) -> Fraction:
         from fractions import Fraction
 
@@ -132,10 +126,17 @@ class NormalForm(Record):
     def as_tangle(self) -> MontesinosTangle:
         """A shift-equivalent tangle realizing this normal form."""
         if not self.fracs:
-            return MontesinosTangle.from_slopes([Slope(self.e0, 1)])
-        slopes = list(self.fracs)
-        slopes[-1] = slopes[-1] + self.e0
-        return MontesinosTangle.from_slopes(slopes)
+            return MontesinosTangle((Slope(self.e0, 1),))
+        return MontesinosTangle(self.fracs[:-1] + (self.fracs[-1] + self.e0,))
+
+
+def shift_reduced(entries: tuple[Slope, ...]) -> bool:
+    """Whether `entries` are already the entries of their normal form's
+    `as_tangle`, so that reducing them takes no integer shift: one entry, or
+    no integral entry and every entry but the last in (0, 1)."""
+    return len(entries) == 1 or (
+        entries[-1].q != 1 and all(0 < s.p < s.q for s in entries[:-1])
+    )
 
 
 def normalize(tangle: MontesinosTangle) -> NormalForm:
@@ -150,18 +151,18 @@ def normalize(tangle: MontesinosTangle) -> NormalForm:
     e0, parts = split_integer_parts((s.p, s.q) for s in tangle.entries)
     fracs = [Slope(p, q) for p, q in parts]
     if len(fracs) > 1:
-        return NormalForm(e0, tuple(fracs), degenerate=False, k1=None)
+        return NormalForm(e0, tuple(fracs), False, None)
 
     v = (fracs[0] + e0 if fracs else Slope(e0, 1)).reciprocal()
     if v.q <= 1:  # t = 0 makes v the meridian, t = 1/q makes it integral
-        return NormalForm(e0, tuple(fracs), degenerate=True, k1=None)
+        return NormalForm(e0, tuple(fracs), True, None)
     k = v.p // (2 * v.q)
     folded = v + -2 * k  # in (0, 2), not 1
     if folded.p < folded.q:
-        canonical = LengthOneCanonical(folded.reciprocal(), mirrored=False, twists=-k)
+        canonical = LengthOneCanonical(folded.reciprocal(), False, -k)
     else:
-        canonical = LengthOneCanonical((-folded + 2).reciprocal(), mirrored=True, twists=k + 1)
-    return NormalForm(e0, tuple(fracs), degenerate=False, k1=canonical)
+        canonical = LengthOneCanonical((-folded + 2).reciprocal(), True, k + 1)
+    return NormalForm(e0, tuple(fracs), False, canonical)
 
 
 # -- equivalence moves -------------------------------------------------------
@@ -195,11 +196,11 @@ def twist_tangle(tangle: MontesinosTangle, m: int) -> MontesinosTangle:
 
 
 class Move(Record):
-    __slots__ = ("kind", "amount")
+    """One equivalence move: `kind` is "shift", "reverse", "mirror" or
+    "twist", and `amount` the m of a twist (0 for the other kinds)."""
 
-    def __init__(self, kind: str, amount: int = 0) -> None:
-        object.__setattr__(self, "kind", kind)  # "shift" | "reverse" | "mirror" | "twist"
-        object.__setattr__(self, "amount", amount)
+    __slots__ = ("kind", "amount")
+    _defaults = (0,)
 
     def __str__(self) -> str:
         if self.kind == "twist":
@@ -228,12 +229,9 @@ def _reduce(tangle: MontesinosTangle) -> tuple[tuple, list[Move]]:
     """The tangle's canonical signature, which two tangles share exactly when
     they are equivalent, and the moves that reduce it to canonical form."""
     nf = normalize(tangle)
-    entries = nf.as_tangle().entries
-    moves: list[Move] = []
-    if tangle.entries != entries:
-        moves.append(Move("shift"))
+    moves = [] if shift_reduced(tangle.entries) else [Move("shift")]
     if nf.degenerate:
-        t = entries[0]  # 0 or 1/q; the signature is q's parity
+        t = nf.as_tangle().entries[0]  # 0 or 1/q; the signature is q's parity
         return ("degenerate", t.q % 2 if t.p else "zero"), moves
     if nf.k1 is not None:
         if nf.k1.mirrored:

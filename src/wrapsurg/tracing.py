@@ -54,7 +54,7 @@ from __future__ import annotations
 from itertools import cycle
 
 from .slopes import InconsistentCrossCheckError, Record, Slope, expand
-from .tangles import Pairing
+from .tangles import Pairing, knot_text
 
 HORIZONTAL = "h"
 VERTICAL = "v"
@@ -231,12 +231,6 @@ class Closure(Record):
 
     __slots__ = ("components", "winding", "pairing", "loops")
 
-    def __init__(self, components: int, winding: int, pairing: Pairing, loops: int) -> None:
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "winding", winding)
-        object.__setattr__(self, "pairing", pairing)
-        object.__setattr__(self, "loops", loops)
-
 
 def trace_closure(slopes: tuple[Slope, ...], a: int) -> Closure:
     """Build the Montesinos tangle of `slopes`, close it with `a` wrap
@@ -309,7 +303,7 @@ def pretzel_framing(slopes: tuple[Slope, ...], a: int) -> int:
         boxes = [build_single_region_tangle(diagram, HORIZONTAL, slopes[0].p)]
     else:
         raise NoPretzelSurfaceError(
-            f"K{a}[{','.join(map(str, slopes))}] is not of pretzel shape "
+            f"{knot_text(a, slopes)} is not of pretzel shape "
             "K^a(1/q1,1/q2) or K^a(m)"
         )
     close_wrapped(diagram, glue_horizontally(diagram, boxes), a)

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from . import tracing
 from .slopes import InconsistentCrossCheckError, ParseError, Record, Slope, make_slope, stripped
-from .tangles import MontesinosTangle, closure_facts, normalize, parse_tangle
+from .tangles import MontesinosTangle, closure_facts, knot_text, normalize, parse_tangle
 
 
 class NotAKnotError(ValueError):
@@ -59,13 +59,11 @@ class WrappedKnot(Record):
         _closure_self_check()
         knot, winding, _ = closure_facts(tangle.entries, a)
         if not knot:
-            raise NotAKnotError(f"K{a}{tangle} closes to a link, not a knot")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "tangle", tangle)
-        object.__setattr__(self, "winding", winding)
+            raise NotAKnotError(f"{knot_text(a, tangle.entries)} closes to a link, not a knot")
+        super().__init__(a, tangle, winding)
 
     def __str__(self) -> str:
-        return f"K{self.a}{self.tangle}"
+        return knot_text(self.a, self.tangle.entries)
 
 
 def make_wrapped(a: int, tangle: MontesinosTangle) -> WrappedKnot:
@@ -95,11 +93,6 @@ class TwistedImage(Record):
 
     __slots__ = ("entries", "n", "degenerate")
 
-    def __init__(self, entries: tuple[Slope, ...], n: int, degenerate: bool) -> None:
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degenerate", degenerate)
-
     def __str__(self) -> str:
         inner = ",".join(str(s) for s in self.entries)
         if self.degenerate:
@@ -111,8 +104,8 @@ def twist(knot: WrappedKnot, n: int) -> TwistedImage:
     c = knot.a + 2 * n
     slopes = knot.tangle.entries
     if c == 0:
-        return TwistedImage(slopes, n, degenerate=True)
-    return TwistedImage(slopes + (make_slope(1, c),), n, degenerate=False)
+        return TwistedImage(slopes, n, True)
+    return TwistedImage(slopes + (make_slope(1, c),), n, False)
 
 
 def transport_slope(knot: WrappedKnot, r: Slope, n: int) -> Slope:
@@ -149,4 +142,4 @@ def parse_knot(text: str, offset: int = 0) -> WrappedKnot:
         raise ParseError("knot syntax is K0[...] or K1[...]", offset)
     a = int(s[1])
     tangle = parse_tangle(s[2:], offset + 2)
-    return make_wrapped(a, tangle)
+    return WrappedKnot(a, tangle)

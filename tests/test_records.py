@@ -41,7 +41,7 @@ def _first_instances():
         analysis,
         analysis.classify(Slope(6, 1)),
         analysis.predict(Slope(6, 1)),
-        analysis.surgery_in_s3(Slope(7, 1), 4),
+        analysis.surgeries_in_s3(Slope(7, 1), range(4, 5)),
         normalize(parse_tangle("[3/7]")),
         equivalent(parse_tangle("[1/3,1/2]"), parse_tangle("[-1/2,4/3]")),
         twist(knot, 1),
@@ -101,6 +101,30 @@ def test_record_contract(record):
     for name, value in zip(cls.__slots__, values):
         object.__setattr__(stranger, name, value)
     assert record != stranger and stranger != record
+
+
+def test_only_normalizing_records_define_a_constructor():
+    own = {cls.__qualname__ for cls in _record_classes() if "__init__" in vars(cls)}
+    assert own == {"Slope", "MontesinosTangle", "WrappedKnot"}
+
+
+@pytest.mark.parametrize(
+    "record",
+    [record for cls, record in RECORDS.items() if "__init__" not in vars(cls)],
+    ids=lambda r: type(r).__qualname__,
+)
+def test_record_is_built_from_its_fields_in_slot_order(record):
+    cls = type(record)
+    values = tuple(getattr(record, name) for name in cls.__slots__)
+    assert cls(*values) == record
+    defaults = cls._defaults
+    for omitted in range(1, len(defaults) + 1):
+        built = cls(*values[:-omitted])
+        expected = values[:-omitted] + defaults[-omitted:]
+        assert tuple(getattr(built, name) for name in cls.__slots__) == expected
+    for count in (len(values) - len(defaults) - 1, len(values) + 1):
+        with pytest.raises(TypeError, match=f"^{cls.__qualname__} takes"):
+            cls(*(values + (None,))[:count])
 
 
 _big = st.integers(-(10**30), 10**30)

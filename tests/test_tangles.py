@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_slope, random_tangle
+from test_golden_cli import _entry_lists
 from wrapsurg import (
     MontesinosTangle,
     Pairing,
@@ -17,6 +18,7 @@ from wrapsurg import (
     trace_closure,
     twist_tangle,
 )
+from wrapsurg.tangles import shift_reduced
 
 T = parse_tangle
 
@@ -188,6 +190,15 @@ def test_closure_pairing_invariant_under_normalize_and_shifts():
             deltas.append(-sum(deltas))
             shifted = shift_tangle(tangle, deltas)
             assert _pairing(shifted.entries) is _pairing(tangle.entries)
+
+
+def test_shift_reduced_agrees_with_the_normal_form_tangle():
+    rng = random.Random(59)
+    lists = {entries for _, entries in _entry_lists()}
+    lists.update(random_tangle(rng, max_entries=4, bound=6).entries for _ in range(2000))
+    for entries in lists:
+        reduced = entries == normalize(MontesinosTangle(entries)).as_tangle().entries
+        assert shift_reduced(entries) is reduced, entries
 
 
 def test_closure_loops():

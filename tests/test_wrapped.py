@@ -143,17 +143,20 @@ sys.exit(1)
 """
 
 
-_NON_COPRIME_BEZOUT = """
+# A wrong modular inverse in the invariants of a torus-knot surgery: the
+# fiber-index check catches it.
+_SABOTAGED_INVERSE = """
 import importlib
 import sys
-from wrapsurg import InconsistentCrossCheckError
+from wrapsurg import InconsistentCrossCheckError, make_slope
 if not sys.flags.optimize:
     sys.exit(3)
 seifert = importlib.import_module("wrapsurg.seifert")
+seifert.pow = lambda base, exp, mod: 0
 try:
-    seifert._bezout(4, 6)
-except InconsistentCrossCheckError:
-    sys.exit(0)
+    seifert.torus_knot_surgery(2, 3, make_slope(1, 1))
+except InconsistentCrossCheckError as err:
+    sys.exit(0 if "fiber indices" in str(err) else 4)
 sys.exit(1)
 """
 
@@ -218,12 +221,13 @@ sys.exit(1)
         _SABOTAGED_WORD,
         _SABOTAGED_RULE,
         _SABOTAGED_PRETZEL_PAIR,
-        _NON_COPRIME_BEZOUT,
+        _SABOTAGED_INVERSE,
         _SABOTAGED_ORACLE,
         _SABOTAGED_SPANNING_SURFACE,
         _SABOTAGED_TORUS_KNOT,
     ],
-    ids=["word", "parity_rule", "pretzel_pair", "bezout", "oracle", "spanning_surface", "torus_knot"],
+    ids=["word", "parity_rule", "pretzel_pair", "fiber_indices", "oracle", "spanning_surface",
+         "torus_knot"],
 )
 def test_cross_checks_survive_python_O(script):
     done = run_python(script, "-O")
