@@ -22,13 +22,17 @@ answers were spliced from pre-rendered pieces.  One more folds the
 connectivity oracle itself (`_oracle_digest`): `trace_closure` on every grid
 entry list, links included, and `pretzel_framing` on every pretzel shape near
 the grid, recorded before the diagram became a list of strand-end mates.
+One more folds text answers over the whole grid (`_text_digest`): `normalize
+--moves`, `table --range -12..12 --moves`, `twist --n -2..2` and, at every
+exceptional slope r of every hyperbolic grid knot, `predict r --n -3..3`,
+recorded before text answers stopped being read back from JSON-shaped dicts.
 
 Besides the digests, `_closure_mismatches` compares the parity rule
 `closure_facts` with `trace_closure` on every grid entry list, links included.
 
 The module imports neither pytest nor hypothesis, so the digests can be checked
 on an interpreter without them: `PYTHONPATH=src python tests/test_golden_cli.py`
-recomputes all fifteen, checks the parity rule on the grid, and exits 1 on a
+recomputes all sixteen, checks the parity rule on the grid, and exits 1 on a
 mismatch.
 """
 import contextlib
@@ -70,6 +74,7 @@ BATCH_GOLDEN = "1c907c14ce20aabbdc44a07feaa2c9f18dc6378f7ad8416f54f0910192f41244
 EXCEPTIONAL_GOLDEN = "fded5ceab67238c846974e0aae1701a1934394145bc6cb8ce5d8f35239b31199"
 HOT_GOLDEN = "e66f391e1aaae2085d80e151037f4fbb87c3e13f6728d3cb7c4d949c5a34a110"
 ORACLE_GOLDEN = "0318c88efd0853f6e42b4af09548f18c7fe689f0b6e4b8ce60cda168fba0ebf3"
+TEXT_GOLDEN = "7fc538a17cf0ed8e2a67397f13a57fd1e666d96dbe3fb28f007bea784d846636"
 # Lines per batch file of the batch_hot digest, as the benchmark feeds them.
 HOT_CHUNK = 500
 
@@ -137,6 +142,27 @@ def _exceptional_digest():
     return sha.hexdigest()
 
 
+def _text_digest():
+    """Text answers for every grid candidate, links and degenerate knots
+    included: `normalize --moves`, `table --range -12..12 --moves`, `twist
+    --n -2..2` and, at each exceptional slope r of a hyperbolic knot,
+    `predict r --n -3..3`."""
+    sha = hashlib.sha256()
+    for knot in _candidates():
+        _fold(sha, ["normalize", knot, "--moves"])
+        _fold(sha, ["table", knot, "--range", "-12..12", "--moves"])
+        _fold(sha, ["twist", knot, "--n", "-2..2"])
+        try:
+            analysis = analysis_of(parse_knot(knot))
+        except NotAKnotError:
+            continue
+        if analysis.knot_class is KnotClass.DEGENERATE:
+            continue
+        for r, _ in analysis.exceptional_slopes():
+            _fold(sha, ["predict", knot, str(r), "--n", "-3..3"])
+    return sha.hexdigest()
+
+
 def _oracle_digest():
     """`trace_closure` on every grid entry list, links included, and
     `pretzel_framing` (or the name of the error it raises) on every
@@ -196,6 +222,10 @@ def test_golden_cli_digests_on_grid():
 
 def test_golden_predict_digest_at_every_exceptional_slope():
     assert _exceptional_digest() == EXCEPTIONAL_GOLDEN
+
+
+def test_golden_text_digest_on_grid():
+    assert _text_digest() == TEXT_GOLDEN
 
 
 def _batch_text():
@@ -289,9 +319,11 @@ if __name__ == "__main__":
             mismatches.append("batch_hot seed 101")
     if _exceptional_digest() != EXCEPTIONAL_GOLDEN:
         mismatches.append("predict at every exceptional slope")
+    if _text_digest() != TEXT_GOLDEN:
+        mismatches.append("text answers on the grid")
     if _oracle_digest() != ORACLE_GOLDEN:
         mismatches.append("trace_closure and pretzel_framing")
-    total = len(GOLDEN) + 4
+    total = len(GOLDEN) + 5
     print(f"{total - len(mismatches)} of {total} golden digests match"
           + "".join(f"\nmismatch: {name}" for name in mismatches))
     disagreements = _closure_mismatches()
