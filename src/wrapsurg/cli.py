@@ -17,9 +17,14 @@ longer one exits 2.
 the package's one cache of knots.  It holds each text's analysis, the knot's
 own text and, once a JSON request has asked for the text, its normal form,
 moves and exceptional slopes as JSON (`_Raw` text, which `_json` writes as
-it is), so a warm request parses, analyses and writes out no knot.  Each row
-of a `sweep` or `surgeries` list is written from one %-template.  The text
-of an answer is the same either way.
+it is), so a warm request parses, analyses and writes out no knot.  The
+text of an answer is the same either way.
+
+`_answer` gives the records a request answers with and takes no format.
+`run` hands them to one of two writers: `_text_answer` writes text lines
+straight from the records and the cached analysis, and builds no JSON;
+`_json_answer` alone builds JSON, and only for `--format json`.  Each row of
+a JSON `sweep` or `surgeries` list is written from one %-template.
 """
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ from functools import lru_cache
 from .classify import (
     Analysis,
     DegenerateKnotError,
+    FamilyKind,
     FamilyPrediction,
     KnotClass,
     SurgeryClassification,
@@ -40,7 +46,7 @@ from .classify import (
 )
 from .slopes import ParseError, Slope, _parse_int, parse_slope
 from .tangles import NormalForm
-from .wrapped import NotAKnotError, parse_knot, twist, two_bridge_fraction
+from .wrapped import NotAKnotError, TwistedImage, parse_knot, twist, two_bridge_fraction
 
 # The flags each command takes; any other word starting "--" exits 2.  A batch takes none,
 # its request lines carry their own.
@@ -124,17 +130,15 @@ def parse(argv: list[str]) -> Request:
             positionals.append(arg)
         i += 1
 
-    needs_knot = command != "batch"
-    needs_slope = command in ("classify", "predict")
-    expected = int(needs_knot) + int(needs_slope)
     if command == "batch":
         if len(positionals) > 1:
             raise CommandError("batch takes at most one file argument", 2)
         request.batch_file = positionals[0] if positionals else None
         return request
-    if len(positionals) != expected:
+    needs_slope = command in ("classify", "predict")
+    if len(positionals) != 1 + needs_slope:
         raise CommandError(
-            f"{command} takes {expected} positional argument(s), got {len(positionals)}",
+            f"{command} takes {1 + needs_slope} positional argument(s), got {len(positionals)}",
             2,
         )
     request.knot_text = positionals[0]
@@ -161,6 +165,11 @@ def _parse_span(text: str, flag: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _span(bounds: tuple[int, int]) -> range:
+    """The integers of a parsed span, both ends included."""
+    return range(bounds[0], bounds[1] + 1)
+
+
 def run(request: Request, out=None) -> int:
     out = out if out is not None else sys.stdout
     if request.command == "batch":
@@ -178,11 +187,11 @@ def run(request: Request, out=None) -> int:
         except ParseError as err:
             raise CommandError(f"bad slope expression: {err}", 2)
     try:
-        payload = _dispatch(request, knot, slope)
+        answer = _answer(request, knot, slope)
         if request.fmt == "json":
-            text = _json(payload, "")
+            text = _json_answer(request, knot, slope, answer)
         else:
-            text = "\n".join(_render_text(request, payload))
+            text = _text_answer(request, knot, answer)
     except DegenerateKnotError as err:
         raise CommandError(str(err), 3)
     except ValueError as err:
@@ -217,67 +226,37 @@ def _knot(knot_text: str) -> _Knot:
     return _Knot(analysis_of(parse_knot(knot_text)))
 
 
-def _dispatch(request: Request, knot: _Knot, slope: Slope | None) -> dict:
+def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
+    """The records a request answers with besides the knot's own: for classify
+    and predict (classification, family, S^3 rows of `--n`); for slopes and
+    table (exceptional slopes, (slope, type) rows of `--range`); for twist the
+    (image, two-bridge fraction) rows.  Each part that does not apply is None."""
     command = request.command
-    as_json = request.fmt == "json"
-    payload: dict = {"input": _input_json(request, knot.text, slope)}
-    analysis = knot.analysis
-    if as_json:
-        if knot.json is None:
-            knot.json = _fragments(analysis)
-        nf, moves, exceptional_fragment = knot.json
-    else:
-        nf, moves = _normal_form_json(analysis.nf), list(analysis.moves)
-        exceptional_fragment = None
-    payload["normal_form"] = nf
-    payload["equivalence_moves"] = moves
     if command == "normalize":
-        return payload
+        return ()
+    analysis = knot.analysis
     if analysis.knot_class is KnotClass.DEGENERATE:
         raise DegenerateKnotError(knot.text)
     if command in ("classify", "predict"):
-        assert slope is not None
-        payload["classification"] = _classification_json(analysis.classify(slope))
+        result = analysis.classify(slope)
         if slope.is_meridian():
-            payload["family_prediction"] = None
-            return payload
-        payload["family_prediction"] = _prediction_json(analysis.predict(slope))
-        if command == "predict" and request.n_range is not None:
-            lo, hi = request.n_range
-            rows = analysis.surgeries_in_s3(slope, range(lo, hi + 1))
-            if as_json:
-                rows = _rows(_SURGERY_ROW, [(n, _quote(str(s)) if s else "null") for n, s in rows])
-            payload["surgeries"] = rows
-        return payload
-    if command in ("slopes", "table"):
-        exceptional = analysis.exceptional_slopes()
-        payload["exceptional_slopes"] = exceptional_fragment or _exceptional_json(exceptional)
-        if command == "slopes":
-            return payload
-        # Exceptional slopes are integral, and every other slope is hyperbolic.
-        types = {r.p: result.type.value for r, result in exceptional}
-        hyperbolic = SurgeryType.HYPERBOLIC.value
-        lo, hi = request.slope_range or (0, 0)
-        sweep = [(value, types.get(value, hyperbolic)) for value in range(lo, hi + 1)]
-        payload["sweep"] = _rows(_SWEEP_ROW, sweep) if as_json else sweep
-        return payload
+            return result, None, None
+        rows = None
+        if request.n_range is not None:
+            rows = analysis.surgeries_in_s3(slope, _span(request.n_range))
+        return result, analysis.predict(slope), rows
     if command == "twist":
-        lo, hi = request.n_range or (0, 0)
-        images = []
-        for n in range(lo, hi + 1):
-            image = twist(analysis.knot, n)
-            record = {
-                "n": n,
-                "link": str(image),
-                "entries": [str(s) for s in image.entries],
-                "degenerate": image.degenerate,
-            }
-            if len(analysis.knot.tangle.entries) == 1:
-                record["two_bridge"] = str(two_bridge_fraction(analysis.knot, n))
-            images.append(record)
-        payload["images"] = images
-        return payload
-    raise CommandError(f"unhandled command {command!r}", 2)
+        wrapped = analysis.knot
+        single = len(wrapped.tangle.entries) == 1
+        return [(twist(wrapped, n), two_bridge_fraction(wrapped, n) if single else None)
+                for n in _span(request.n_range)]
+    exceptional = analysis.exceptional_slopes()
+    if command == "slopes":
+        return exceptional, None
+    # Exceptional slopes are integral, and every other slope is hyperbolic.
+    types = {r.p: result.type.value for r, result in exceptional}
+    hyperbolic = SurgeryType.HYPERBOLIC.value
+    return exceptional, [(r, types.get(r, hyperbolic)) for r in _span(request.slope_range)]
 
 
 def _run_batch(request: Request, out) -> int:
@@ -359,7 +338,90 @@ def _json(value, indent: str) -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-# -- JSON payload builders ---------------------------------------------------
+# -- text writer -------------------------------------------------------------
+
+
+def _text_answer(request: Request, knot: _Knot, answer: tuple) -> str:
+    nf = knot.analysis.nf
+    suffix = "  [degenerate]" if nf.degenerate else ""
+    lines = [f"knot: {knot.text}",
+             f"normal form: e0={nf.e0} fracs=[{','.join(map(str, nf.fracs))}]{suffix}"]
+    if nf.k1 is not None:
+        extras = ["mirrored"] if nf.k1.mirrored else []
+        if nf.k1.twists:
+            extras.append(f"twists={nf.k1.twists}")
+        detail = f" ({', '.join(extras)})" if extras else ""
+        lines.append(f"canonical single entry: t={nf.k1.t}{detail}")
+    if request.show_moves:
+        lines += [f"move: {move}" for move in knot.analysis.moves]
+    command = request.command
+    if command in ("classify", "predict"):
+        result, prediction, rows = answer
+        lines.append(f"classification: {_describe(result)} at slope {result.slope}")
+        if prediction is not None:
+            lines.append(_family_line(prediction))
+        lines += [f"  n={n}: {known or 'unknown'}" for n, known in rows or ()]
+    elif command in ("slopes", "table"):
+        exceptional, sweep = answer
+        lines += [f"exceptional {r}: {_describe(result)}" for r, result in exceptional]
+        if not exceptional:
+            lines.append("exceptional slopes: none")
+        lines += [f"  r={value}: {kind}" for value, kind in sweep or ()]
+    elif command == "twist":
+        for image, fraction in answer:
+            extra = "" if fraction is None else f"  two-bridge {fraction}"
+            lines.append(f"  n={image.n}: {image}{extra}")
+    return "\n".join(lines)
+
+
+def _describe(result: SurgeryClassification) -> str:
+    text = result.type.value
+    if result.seifert_indices:
+        q1, q2 = result.seifert_indices
+        text += f" (fiber indices {q1},{q2})"
+    cert = result.certificate
+    if cert is not None:
+        text += f" [{cert.source.value}: {cert.piece or f'slope {cert.slope}'}]"
+    return text
+
+
+def _family_line(prediction: FamilyPrediction) -> str:
+    if prediction.kind is FamilyKind.SEIFERT_OR_REDUCIBLE:
+        indices = prediction.fiber_indices
+        tail = f" with fiber indices {indices[0]},{indices[1]}" if indices else ""
+        return f"family: every embedding is reducible or small Seifert fibered{tail}"
+    if prediction.kind is FamilyKind.TOROIDAL_COFINITE:
+        n0 = prediction.n0
+        window = "" if n0 is None else f" except within 1 of n0={n0}"
+        return f"family: toroidal for all but at most three embeddings{window}"
+    return "family: hyperbolic for all but finitely many embeddings"
+
+
+# -- JSON writer -------------------------------------------------------------
+
+
+def _json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tuple) -> str:
+    if knot.json is None:
+        knot.json = _fragments(knot.analysis)
+    nf, moves, exceptional_fragment = knot.json
+    payload = {"input": _input_json(request, knot.text, slope),
+               "normal_form": nf, "equivalence_moves": moves}
+    command = request.command
+    if command in ("classify", "predict"):
+        result, prediction, rows = answer
+        payload["classification"] = _classification_json(result)
+        payload["family_prediction"] = None if prediction is None else _prediction_json(prediction)
+        if rows is not None:
+            rows = [(n, _quote(str(s)) if s else "null") for n, s in rows]
+            payload["surgeries"] = _rows(_SURGERY_ROW, rows)
+    elif command in ("slopes", "table"):
+        exceptional, sweep = answer
+        payload["exceptional_slopes"] = exceptional_fragment or _exceptional_json(exceptional)
+        if sweep is not None:
+            payload["sweep"] = _rows(_SWEEP_ROW, sweep)
+    elif command == "twist":
+        payload["images"] = [_image_json(image, fraction) for image, fraction in answer]
+    return _json(payload, "")
 
 
 def _fragments(analysis: Analysis) -> tuple[_Raw, _Raw, _Raw | None]:
@@ -421,9 +483,7 @@ def _classification_json(result: SurgeryClassification) -> dict:
         "type": result.type.value,
         "slope": str(result.slope),
         "certificate": None,
-        "fiber_indices": list(result.seifert_indices)
-        if result.seifert_indices
-        else None,
+        "fiber_indices": list(result.seifert_indices) if result.seifert_indices else None,
     }
     if result.certificate is not None:
         cert = result.certificate
@@ -442,88 +502,20 @@ def _prediction_json(prediction: FamilyPrediction) -> dict:
     return {
         "kind": prediction.kind.value,
         "n0": prediction.n0,
-        "fiber_indices": list(prediction.fiber_indices)
-        if prediction.fiber_indices
-        else None,
+        "fiber_indices": list(prediction.fiber_indices) if prediction.fiber_indices else None,
     }
 
 
-def _exceptional_json(
-    exceptional: list[tuple[Slope, SurgeryClassification]],
-) -> list[dict]:
-    return [
-        {"slope": str(r), "classification": _classification_json(c)}
-        for r, c in exceptional
-    ]
+def _exceptional_json(exceptional: list[tuple[Slope, SurgeryClassification]]) -> list[dict]:
+    return [{"slope": str(r), "classification": _classification_json(c)} for r, c in exceptional]
 
 
-# -- text rendering ----------------------------------------------------------
-
-
-def _render_text(request: Request, payload: dict) -> list[str]:
-    lines = [f"knot: {payload['input']['knot']}"]
-    nf = payload["normal_form"]
-    fracs = ",".join(nf["fracs"])
-    suffix = "  [degenerate]" if nf["degenerate"] else ""
-    lines.append(f"normal form: e0={nf['e0']} fracs=[{fracs}]{suffix}")
-    if nf["canonical"]:
-        canonical = nf["canonical"]
-        extras = []
-        if canonical["mirrored"]:
-            extras.append("mirrored")
-        if canonical["twists"]:
-            extras.append(f"twists={canonical['twists']}")
-        detail = f" ({', '.join(extras)})" if extras else ""
-        lines.append(f"canonical single entry: t={canonical['t']}{detail}")
-    if request.show_moves and payload.get("equivalence_moves"):
-        for move in payload["equivalence_moves"]:
-            lines.append(f"move: {move}")
-    if "classification" in payload:
-        lines.append(_classification_line(payload["classification"]))
-    if payload.get("family_prediction"):
-        lines.append(_prediction_line(payload["family_prediction"]))
-    for record in payload.get("exceptional_slopes", []):
-        lines.append(
-            f"exceptional {record['slope']}: "
-            + _classification_line(record["classification"], bare=True)
-        )
-    if not payload.get("exceptional_slopes", True):
-        lines.append("exceptional slopes: none")
-    for value, kind in payload.get("sweep", []):
-        lines.append(f"  r={value}: {kind}")
-    for image in payload.get("images", []):
-        extra = f"  two-bridge {image['two_bridge']}" if "two_bridge" in image else ""
-        lines.append(f"  n={image['n']}: {image['link']}{extra}")
-    for n, known in payload.get("surgeries", []):
-        lines.append(f"  n={n}: {known or 'unknown'}")
-    return lines
-
-
-def _classification_line(record: dict, bare: bool = False) -> str:
-    text = record["type"]
-    if record.get("fiber_indices"):
-        q1, q2 = record["fiber_indices"]
-        text += f" (fiber indices {q1},{q2})"
-    cert = record.get("certificate")
-    if cert:
-        detail = cert["piece"] or f"slope {cert['slope']}"
-        text += f" [{cert['source']}: {detail}]"
-    if bare:
-        return text
-    return f"classification: {text} at slope {record['slope']}"
-
-
-def _prediction_line(record: dict) -> str:
-    kind = record["kind"]
-    if kind == "seifert-or-reducible":
-        indices = record.get("fiber_indices")
-        tail = f" with fiber indices {indices[0]},{indices[1]}" if indices else ""
-        return f"family: every embedding is reducible or small Seifert fibered{tail}"
-    if kind == "toroidal-cofinite":
-        n0 = record.get("n0")
-        window = f" except within 1 of n0={n0}" if n0 is not None else ""
-        return f"family: toroidal for all but at most three embeddings{window}"
-    return "family: hyperbolic for all but finitely many embeddings"
+def _image_json(image: TwistedImage, fraction: Slope | None) -> dict:
+    record = {"n": image.n, "link": str(image), "entries": [str(s) for s in image.entries],
+              "degenerate": image.degenerate}
+    if fraction is not None:
+        record["two_bridge"] = str(fraction)
+    return record
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -347,13 +347,19 @@ def test_text_requests_import_neither_json_nor_shlex():
         "names = ('dataclasses', 'inspect', 'json', 'json.encoder', 'shlex',\n"
         "         'fractions', 'decimal', 'numbers')\n"
         "loaded = lambda: [name for name in names if name in sys.modules]\n"
-        "after_import = loaded()\n"
+        "package = lambda: sorted(name for name in sys.modules\n"
+        "                         if name.partition('.')[0] == 'wrapsurg')\n"
+        "after_import, package_after_import = loaded(), package()\n"
         "code = wrapsurg.cli.main(['classify', 'K1[-1/2,1/3]', '7'])\n"
-        "print(code, after_import, loaded())\n",
+        "print(code, after_import, loaded())\n"
+        "print(package_after_import)\n"
+        "print(package())\n",
         "-S",
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines()[-1] == "0 [] []"
+    modules = str(sorted(["wrapsurg", *(f"wrapsurg.{name}" for name in (
+        "classify", "cli", "seifert", "slopes", "tangles", "tracing", "wrapped"))]))
+    assert child.stdout.splitlines()[-3:] == ["0 [] []", modules, modules]
 
 
 def test_spans_longer_than_the_cap_exit_2_at_once(capsys):
@@ -582,6 +588,11 @@ def _count_calls(monkeypatch, calls, owner, name):
             monkeypatch.setattr(holder, name, counting)
 
 
+# The functions that build JSON, which a text request, cold or warm, never calls.
+_JSON_BUILDERS = ("_input_json", "_normal_form_json", "_classification_json",
+                  "_prediction_json", "_exceptional_json", "_fragments", "_json")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt):
     tracing = importlib.import_module("wrapsurg.tracing")
@@ -596,6 +607,10 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
                     ["table", knot, "--range", "-2..9"]]
         for args in requests:
             args = [*args, "--format", fmt, "--moves"]
+            built = {}
+            if fmt == "text":
+                for name in _JSON_BUILDERS:
+                    _count_calls(monkeypatch, built, cli, name)
             first = _answer(*args)
             calls = {}
             _count_calls(monkeypatch, calls, tracing, "trace_closure")
@@ -612,6 +627,7 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
                 shown = f'"knot": "{own}"' if fmt == "json" else f"knot: {own}"
                 assert first[0] == 0 and shown in first[1]
             assert calls == {}, args
+            assert built == {}, args  # text is written from the records
 
 
 # Hostile words: grid and garbage knots, slopes and spans of at most 100 rows,
