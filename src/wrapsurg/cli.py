@@ -18,13 +18,10 @@ the package's one cache of knots.  It holds each text's analysis, the knot's
 own text and, once a JSON request has asked for the text, its normal form,
 moves and exceptional slopes as JSON (`_Raw` text, which `_json` writes as
 it is), so a warm request parses, analyses and writes out no knot.  The
-text of an answer is the same either way.
-
-`_answer` gives the records a request answers with and takes no format.
-`run` hands them to one of two writers: `_text_answer` writes text lines
-straight from the records and the cached analysis, and builds no JSON;
-`_json_answer` alone builds JSON, and only for `--format json`.  Each row of
-a JSON `sweep` or `surgeries` list is written from one %-template.
+answer is the same either way.  `_answer` gives the records a request answers
+with, whatever its format; text is written straight from them, and only a JSON
+request builds JSON, each row of a `sweep` or `surgeries` list from one
+%-template.
 """
 from __future__ import annotations
 
@@ -241,9 +238,7 @@ def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
         result = analysis.classify(slope)
         if slope.is_meridian():
             return result, None, None
-        rows = None
-        if request.n_range is not None:
-            rows = analysis.surgeries_in_s3(slope, _span(request.n_range))
+        rows = request.n_range and analysis.surgeries_in_s3(slope, _span(request.n_range))
         return result, analysis.predict(slope), rows
     if command == "twist":
         wrapped = analysis.knot
@@ -354,20 +349,19 @@ def _text_answer(request: Request, knot: _Knot, answer: tuple) -> str:
         lines.append(f"canonical single entry: t={nf.k1.t}{detail}")
     if request.show_moves:
         lines += [f"move: {move}" for move in knot.analysis.moves]
-    command = request.command
-    if command in ("classify", "predict"):
+    if request.command in ("classify", "predict"):
         result, prediction, rows = answer
         lines.append(f"classification: {_describe(result)} at slope {result.slope}")
         if prediction is not None:
             lines.append(_family_line(prediction))
         lines += [f"  n={n}: {known or 'unknown'}" for n, known in rows or ()]
-    elif command in ("slopes", "table"):
+    elif request.command in ("slopes", "table"):
         exceptional, sweep = answer
         lines += [f"exceptional {r}: {_describe(result)}" for r, result in exceptional]
         if not exceptional:
             lines.append("exceptional slopes: none")
         lines += [f"  r={value}: {kind}" for value, kind in sweep or ()]
-    elif command == "twist":
+    elif request.command == "twist":
         for image, fraction in answer:
             extra = "" if fraction is None else f"  two-bridge {fraction}"
             lines.append(f"  n={image.n}: {image}{extra}")
@@ -377,8 +371,7 @@ def _text_answer(request: Request, knot: _Knot, answer: tuple) -> str:
 def _describe(result: SurgeryClassification) -> str:
     text = result.type.value
     if result.seifert_indices:
-        q1, q2 = result.seifert_indices
-        text += f" (fiber indices {q1},{q2})"
+        text += " (fiber indices %s,%s)" % result.seifert_indices
     cert = result.certificate
     if cert is not None:
         text += f" [{cert.source.value}: {cert.piece or f'slope {cert.slope}'}]"
@@ -406,20 +399,19 @@ def _json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tup
     nf, moves, exceptional_fragment = knot.json
     payload = {"input": _input_json(request, knot.text, slope),
                "normal_form": nf, "equivalence_moves": moves}
-    command = request.command
-    if command in ("classify", "predict"):
+    if request.command in ("classify", "predict"):
         result, prediction, rows = answer
         payload["classification"] = _classification_json(result)
         payload["family_prediction"] = None if prediction is None else _prediction_json(prediction)
         if rows is not None:
             rows = [(n, _quote(str(s)) if s else "null") for n, s in rows]
             payload["surgeries"] = _rows(_SURGERY_ROW, rows)
-    elif command in ("slopes", "table"):
+    elif request.command in ("slopes", "table"):
         exceptional, sweep = answer
         payload["exceptional_slopes"] = exceptional_fragment or _exceptional_json(exceptional)
         if sweep is not None:
             payload["sweep"] = _rows(_SWEEP_ROW, sweep)
-    elif command == "twist":
+    elif request.command == "twist":
         payload["images"] = [_image_json(image, fraction) for image, fraction in answer]
     return _json(payload, "")
 
@@ -483,7 +475,9 @@ def _classification_json(result: SurgeryClassification) -> dict:
         "type": result.type.value,
         "slope": str(result.slope),
         "certificate": None,
-        "fiber_indices": list(result.seifert_indices) if result.seifert_indices else None,
+        "fiber_indices": list(result.seifert_indices)
+        if result.seifert_indices
+        else None,
     }
     if result.certificate is not None:
         cert = result.certificate
@@ -502,17 +496,28 @@ def _prediction_json(prediction: FamilyPrediction) -> dict:
     return {
         "kind": prediction.kind.value,
         "n0": prediction.n0,
-        "fiber_indices": list(prediction.fiber_indices) if prediction.fiber_indices else None,
+        "fiber_indices": list(prediction.fiber_indices)
+        if prediction.fiber_indices
+        else None,
     }
 
 
-def _exceptional_json(exceptional: list[tuple[Slope, SurgeryClassification]]) -> list[dict]:
-    return [{"slope": str(r), "classification": _classification_json(c)} for r, c in exceptional]
+def _exceptional_json(
+    exceptional: list[tuple[Slope, SurgeryClassification]],
+) -> list[dict]:
+    return [
+        {"slope": str(r), "classification": _classification_json(c)}
+        for r, c in exceptional
+    ]
 
 
 def _image_json(image: TwistedImage, fraction: Slope | None) -> dict:
-    record = {"n": image.n, "link": str(image), "entries": [str(s) for s in image.entries],
-              "degenerate": image.degenerate}
+    record = {
+        "n": image.n,
+        "link": str(image),
+        "entries": [str(s) for s in image.entries],
+        "degenerate": image.degenerate,
+    }
     if fraction is not None:
         record["two_bridge"] = str(fraction)
     return record
