@@ -224,10 +224,11 @@ def _knot(knot_text: str) -> _Knot:
 
 
 def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
-    """The records a request answers with besides the knot's own: for classify
-    and predict (classification, family, S^3 rows of `--n`); for slopes and
-    table (exceptional slopes, (slope, type) rows of `--range`); for twist the
-    (image, two-bridge fraction) rows.  Each part that does not apply is None."""
+    """The records a request answers with besides the knot's normal form and
+    moves: for classify and predict (classification, family, S^3 rows of
+    `--n`); for slopes and table (exceptional slopes, (slope, type) rows of
+    `--range`); for twist the (image, two-bridge fraction) rows; for normalize
+    none.  Each part that does not apply is None."""
     command = request.command
     if command == "normalize":
         return ()

@@ -590,7 +590,7 @@ def _count_calls(monkeypatch, calls, owner, name):
 
 # The functions that build JSON, which a text request, cold or warm, never calls.
 _JSON_BUILDERS = ("_input_json", "_normal_form_json", "_classification_json",
-                  "_prediction_json", "_exceptional_json", "_fragments", "_json")
+                  "_prediction_json", "_exceptional_json", "_fragments", "_rows", "_json")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
