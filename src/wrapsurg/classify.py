@@ -29,8 +29,9 @@ questions about one knot keeps its `analysis_of(knot)` and asks that.
 The S^3 surgery of a twisted image depends only on the canonical twist nc
 and the canonical slope rc, not on the knot: `_s3_cover` computes it once per
 (nc, rc), in an lru_cache of _S3_CACHE_SIZE (1024) entries, and runs the
-torus-knot cross-check on every miss.  `Analysis.surgeries_in_s3`, its one
-reader, maps the knot's twist n to nc = sigma * n - twists.
+torus-knot cross-check on every miss; `_s3_cover_text`, of the same size,
+keeps each cover's text.  `Analysis.surgeries_in_s3`, the one reader of
+both, maps the knot's twist n to nc = sigma * n - twists.
 """
 from __future__ import annotations
 
@@ -221,14 +222,17 @@ class Analysis(Record):
             return _HYPERBOLIC_FAMILY
         return found[1]
 
-    def surgeries_in_s3(self, r: Slope, ns: range) -> list[tuple[int, SFSClass | None]]:
+    def surgeries_in_s3(self, r: Slope, ns: range,
+                        text: bool = False) -> list[tuple[int, SFSClass | str | None]]:
         """The S^3 surgery at r of the n-twisted image for each n in `ns`,
-        when known (else None); the slope is looked up once."""
+        or with `text` its text, when known (else None); the slope is looked
+        up once."""
         rc = self.table.get(r, (None, None, None))[2]
         if rc is None:
             return [(n, None) for n in ns]
+        cover = _s3_cover_text if text else _s3_cover
         sigma, twists = self.sigma, self.twists
-        return [(n, _s3_cover(sigma * n - twists, rc)) for n in ns]
+        return [(n, cover(sigma * n - twists, rc)) for n in ns]
 
     def require_hyperbolic(self) -> None:
         """Raise `DegenerateKnotError` for a degenerate knot, never hyperbolic."""
@@ -252,6 +256,12 @@ def _s3_cover(nc: int, rc: int) -> SFSClass:
                 f"surgery {check} at twist {nc}"
             )
     return result
+
+
+@lru_cache(maxsize=_S3_CACHE_SIZE)
+def _s3_cover_text(nc: int, rc: int) -> str:
+    """The text of `_s3_cover(nc, rc)`, written once per cover."""
+    return str(_s3_cover(nc, rc))
 
 
 def _unit_fraction_shifts(frac: Slope) -> list[int]:

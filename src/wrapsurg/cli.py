@@ -14,14 +14,19 @@ A `--range` or `--n` span holds at most MAX_SPAN_ROWS (1,000,000) rows; a
 longer one exits 2.
 
 `_knot`, an lru_cache keyed by the knot text and bounded at 8192 texts, is
-the package's one cache of knots.  It holds each text's analysis, the knot's
-own text and, once a JSON request has asked for the text, its normal form,
-moves and exceptional slopes as JSON (`_Raw` text, which `_json` writes as
-it is), so a warm request parses, analyses and writes out no knot.  The
-answer is the same either way.  `_answer` gives the records a request answers
-with, whatever its format; text is written straight from them, and only a JSON
-request builds JSON, each row of a `sweep` or `surgeries` list from one
-%-template.
+the package's one cache of knots.  It holds each text's analysis and the
+knot's own text, and the pieces of its answers, each rendered once per knot:
+from the second text request for the text on, the head of its text answers
+(knot, normal form and canonical entry lines); from the first JSON request
+on, its quoted text, normal form, moves and exceptional slopes as JSON, the
+classification and family of each table slope, and a template of its
+classification at a hyperbolic slope.  So a warm request parses, analyses
+and writes out no knot, and the answer is the same either way.  `_answer`
+gives the records a request answers with, whatever its format, the text of
+each S^3 cover (written once per cover, beside `classify._s3_cover`) among
+them; text is written straight from them, and a JSON answer is assembled
+from one %-template per answer shape, its pieces, and one %-template per row
+of a `sweep` or `surgeries` list, so that a warm one builds no dict.
 """
 from __future__ import annotations
 
@@ -206,15 +211,18 @@ def run(request: Request, out=None) -> int:
 
 
 class _Knot:
-    """A knot text's analysis, the knot's own text and, filled by the first
-    JSON request for the text, its `_fragments`."""
+    """A knot text's analysis and the knot's own text.  The second text
+    request for the text fills `head` with its `_head` (the first sets it
+    to "", so that a knot asked for once keeps no head), and the first JSON
+    request fills `json` with its `_fragments`."""
 
-    __slots__ = ("analysis", "text", "json")
+    __slots__ = ("analysis", "text", "head", "json")
 
     def __init__(self, analysis: Analysis) -> None:
         self.analysis = analysis
         self.text = str(analysis.knot)
-        self.json: tuple[_Raw, _Raw, _Raw | None] | None = None
+        self.head: str | None = None
+        self.json: tuple | None = None
 
 
 @lru_cache(maxsize=_KNOT_CACHE_SIZE)
@@ -225,10 +233,11 @@ def _knot(knot_text: str) -> _Knot:
 
 def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
     """The records a request answers with besides the knot's normal form and
-    moves: for classify and predict (classification, family, S^3 rows of
-    `--n`); for slopes and table (exceptional slopes, (slope, type) rows of
-    `--range`); for twist the (image, two-bridge fraction) rows; for normalize
-    none.  Each part that does not apply is None."""
+    moves: for classify and predict (classification, family, (n, S^3 cover
+    text or None) rows of `--n`); for slopes and table (exceptional slopes,
+    (slope, type) rows of `--range`); for twist the (image, two-bridge
+    fraction) rows; for normalize none.  Each part that does not apply is
+    None."""
     command = request.command
     if command == "normalize":
         return ()
@@ -239,7 +248,8 @@ def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
         result = analysis.classify(slope)
         if slope.is_meridian():
             return result, None, None
-        rows = request.n_range and analysis.surgeries_in_s3(slope, _span(request.n_range))
+        rows = request.n_range and analysis.surgeries_in_s3(
+            slope, _span(request.n_range), text=True)
         return result, analysis.predict(slope), rows
     if command == "twist":
         wrapped = analysis.knot
@@ -249,10 +259,14 @@ def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
     exceptional = analysis.exceptional_slopes()
     if command == "slopes":
         return exceptional, None
-    # Exceptional slopes are integral, and every other slope is hyperbolic.
-    types = {r.p: result.type.value for r, result in exceptional}
+    # Every slope is hyperbolic but the exceptional ones, which are integral.
+    lo, hi = request.slope_range
     hyperbolic = SurgeryType.HYPERBOLIC.value
-    return exceptional, [(r, types.get(r, hyperbolic)) for r in _span(request.slope_range)]
+    sweep = [(r, hyperbolic) for r in range(lo, hi + 1)]
+    for r, result in exceptional:
+        if lo <= r.p <= hi:
+            sweep[r.p - lo] = r.p, result.type.value
+    return exceptional, sweep
 
 
 def _run_batch(request: Request, out) -> int:
@@ -299,15 +313,8 @@ def _split(text: str) -> list[str]:
     return [word.replace("'", "") for word in _WORD.findall(text)]
 
 
-class _Raw(str):
-    """JSON text already rendered at its place in an answer; `_json` writes it as it is."""
-
-    __slots__ = ()
-
-
 def _json(value, indent: str) -> str:
-    """The text of json.dumps(value, indent=2, sort_keys=True), nested at `indent`;
-    a `_Raw` value is written as it is."""
+    """The text of json.dumps(value, indent=2, sort_keys=True), nested at `indent`."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -329,8 +336,6 @@ def _json(value, indent: str) -> str:
         return "null"
     if kind is bool:
         return "true" if value else "false"
-    if kind is _Raw:
-        return value
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
@@ -338,6 +343,38 @@ def _json(value, indent: str) -> str:
 
 
 def _text_answer(request: Request, knot: _Knot, answer: tuple) -> str:
+    head = knot.head
+    if not head:
+        fresh = _head(knot)
+        knot.head = "" if head is None else fresh
+        head = fresh
+    lines = [head]
+    if request.show_moves:
+        lines += [f"move: {move}" for move in knot.analysis.moves]
+    if request.command in ("classify", "predict"):
+        result, prediction, rows = answer
+        lines.append(f"classification: {_describe(result)} at slope {result.slope}")
+        if prediction is not None:
+            lines.append(_family_line(prediction))
+        if rows:
+            lines += [f"  n={n}: {known or 'unknown'}" for n, known in rows]
+    elif request.command in ("slopes", "table"):
+        exceptional, sweep = answer
+        lines += [f"exceptional {r}: {_describe(result)}" for r, result in exceptional]
+        if not exceptional:
+            lines.append("exceptional slopes: none")
+        if sweep:
+            lines += map("  r=%d: %s".__mod__, sweep)
+    elif request.command == "twist":
+        for image, fraction in answer:
+            extra = "" if fraction is None else f"  two-bridge {fraction}"
+            lines.append(f"  n={image.n}: {image}{extra}")
+    return "\n".join(lines)
+
+
+def _head(knot: _Knot) -> str:
+    """The lines every text answer for the knot starts with: the knot, its
+    normal form and its canonical single entry."""
     nf = knot.analysis.nf
     suffix = "  [degenerate]" if nf.degenerate else ""
     lines = [f"knot: {knot.text}",
@@ -348,24 +385,6 @@ def _text_answer(request: Request, knot: _Knot, answer: tuple) -> str:
             extras.append(f"twists={nf.k1.twists}")
         detail = f" ({', '.join(extras)})" if extras else ""
         lines.append(f"canonical single entry: t={nf.k1.t}{detail}")
-    if request.show_moves:
-        lines += [f"move: {move}" for move in knot.analysis.moves]
-    if request.command in ("classify", "predict"):
-        result, prediction, rows = answer
-        lines.append(f"classification: {_describe(result)} at slope {result.slope}")
-        if prediction is not None:
-            lines.append(_family_line(prediction))
-        lines += [f"  n={n}: {known or 'unknown'}" for n, known in rows or ()]
-    elif request.command in ("slopes", "table"):
-        exceptional, sweep = answer
-        lines += [f"exceptional {r}: {_describe(result)}" for r, result in exceptional]
-        if not exceptional:
-            lines.append("exceptional slopes: none")
-        lines += [f"  r={value}: {kind}" for value, kind in sweep or ()]
-    elif request.command == "twist":
-        for image, fraction in answer:
-            extra = "" if fraction is None else f"  two-bridge {fraction}"
-            lines.append(f"  n={image.n}: {image}{extra}")
     return "\n".join(lines)
 
 
@@ -393,66 +412,97 @@ def _family_line(prediction: FamilyPrediction) -> str:
 
 # -- JSON writer -------------------------------------------------------------
 
-
-def _json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tuple) -> str:
-    if knot.json is None:
-        knot.json = _fragments(knot.analysis)
-    nf, moves, exceptional_fragment = knot.json
-    payload = {"input": _input_json(request, knot.text, slope),
-               "normal_form": nf, "equivalence_moves": moves}
-    if request.command in ("classify", "predict"):
-        result, prediction, rows = answer
-        payload["classification"] = _classification_json(result)
-        payload["family_prediction"] = None if prediction is None else _prediction_json(prediction)
-        if rows is not None:
-            rows = [(n, _quote(str(s)) if s else "null") for n, s in rows]
-            payload["surgeries"] = _rows(_SURGERY_ROW, rows)
-    elif request.command in ("slopes", "table"):
-        exceptional, sweep = answer
-        payload["exceptional_slopes"] = exceptional_fragment or _exceptional_json(exceptional)
-        if sweep is not None:
-            payload["sweep"] = _rows(_SWEEP_ROW, sweep)
-    elif request.command == "twist":
-        payload["images"] = [_image_json(image, fraction) for image, fraction in answer]
-    return _json(payload, "")
-
-
-def _fragments(analysis: Analysis) -> tuple[_Raw, _Raw, _Raw | None]:
-    """The JSON of the knot's normal form, its equivalence moves and, for a
-    hyperbolic knot, its exceptional slopes, each rendered at its depth in an
-    answer, for the `json` slot of the knot's `_Knot`.  Exceptional slopes
-    with an integer too long to write are left unrendered (None), so that
-    only the answers that list them fail."""
-    try:
-        exceptional = _Raw(_json(_exceptional_json(analysis.exceptional_slopes()), "  "))
-    except ValueError:  # DegenerateKnotError, or past the digit limit
-        exceptional = None
-    return (
-        _Raw(_json(_normal_form_json(analysis.nf), "  ")),
-        _Raw(_json(list(analysis.moves), "  ")),
-        exceptional,
-    )
-
-
+# Each answer's keys in sorted order, with its pieces already rendered at
+# depth 1; the last %s of the first two is the `surgeries` or `sweep` list or
+# nothing.
+_CLASSIFY_JSON = ('{\n  "classification": %s,\n  "equivalence_moves": %s,\n'
+                  '  "family_prediction": %s,\n  "input": %s,\n  "normal_form": %s%s\n}')
+_SLOPES_JSON = ('{\n  "equivalence_moves": %s,\n  "exceptional_slopes": %s,\n'
+                '  "input": %s,\n  "normal_form": %s%s\n}')
+_TWIST_JSON = ('{\n  "equivalence_moves": %s,\n  "images": %s,\n'
+               '  "input": %s,\n  "normal_form": %s\n}')
+_NORMALIZE_JSON = '{\n  "equivalence_moves": %s,\n  "input": %s,\n  "normal_form": %s\n}'
+# The span and the slope of the `input` record, when the request has them.
+_SPAN_JSON = ',\n    "%s": [\n      %d,\n      %d\n    ]'
+_SLOPE_JSON = ',\n    "slope": "%s"'
 # One row of a JSON `sweep` or `surgeries` list, at its depth in an answer.
 _SWEEP_ROW = '    {\n      "slope": "%d",\n      "type": "%s"\n    }'
 _SURGERY_ROW = '    {\n      "n": %d,\n      "result": %s\n    }'
 
 
-def _rows(template: str, rows: list[tuple]) -> _Raw:
-    """A list of at least one row, each row written by `template`, at depth 1."""
-    return _Raw("[\n" + ",\n".join([template % row for row in rows]) + "\n  ]")
-
-
-def _input_json(request: Request, knot_text: str, slope: Slope | None) -> dict:
-    record: dict = {"knot": knot_text}
-    if slope is not None:
-        record["slope"] = str(slope)
+def _json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tuple) -> str:
+    pieces = knot.json
+    if pieces is None:
+        pieces = knot.json = _fragments(knot)
+    quoted, nf, moves, exceptional_fragment, table, hyperbolic = pieces
+    given = '{\n    "knot": ' + quoted
     if request.n_range is not None:
-        record["n"] = list(request.n_range)
+        given += _SPAN_JSON % ("n", *request.n_range)
     if request.slope_range is not None:
-        record["range"] = list(request.slope_range)
-    return record
+        given += _SPAN_JSON % ("range", *request.slope_range)
+    if slope is not None:
+        given += _SLOPE_JSON % slope
+    given += "\n  }"
+    command = request.command
+    if command in ("classify", "predict"):
+        result, prediction, rows = answer
+        found = table.get(result.slope)
+        if found is not None:
+            classification, family = found
+        elif result.type is SurgeryType.HYPERBOLIC:
+            classification, family = hyperbolic % result.slope, _HYPERBOLIC_FAMILY_JSON
+        else:  # the meridian, or a knot whose table was too long to write
+            classification = _json(_classification_json(result), "  ")
+            family = "null" if prediction is None else _json(_prediction_json(prediction), "  ")
+        surgeries = ""
+        if rows is not None:
+            rows = [(n, _quote(known) if known else "null") for n, known in rows]
+            surgeries = ',\n  "surgeries": ' + _rows(_SURGERY_ROW, rows)
+        return _CLASSIFY_JSON % (classification, moves, family, given, nf, surgeries)
+    if command in ("slopes", "table"):
+        exceptional, sweep = answer
+        if exceptional_fragment is None:  # raises: an integer too long to write
+            exceptional_fragment = _json(_exceptional_json(exceptional), "  ")
+        rows = "" if sweep is None else ',\n  "sweep": ' + _rows(_SWEEP_ROW, sweep)
+        return _SLOPES_JSON % (moves, exceptional_fragment, given, nf, rows)
+    if command == "twist":
+        images = _json([_image_json(image, fraction) for image, fraction in answer], "  ")
+        return _TWIST_JSON % (moves, images, given, nf)
+    return _NORMALIZE_JSON % (moves, given, nf)
+
+
+def _fragments(knot: _Knot) -> tuple:
+    """The JSON pieces of every answer for the knot, each rendered at its
+    depth in an answer, for its `json` slot: its quoted text, its normal
+    form and its equivalence moves; for a hyperbolic knot its exceptional
+    slopes and, by table slope, (classification, family prediction); and a
+    %-template of its classification at a hyperbolic slope.  A knot whose
+    table holds an integer too long to write gets None and an empty mapping,
+    so that only the answers that show that integer fail."""
+    analysis = knot.analysis
+    try:
+        exceptional = _json(_exceptional_json(analysis.exceptional_slopes()), "  ")
+        table = {r: (_json(_classification_json(answer), "  "),
+                     _json(_prediction_json(family), "  "))
+                 for r, (answer, family, _) in analysis.table.items()}
+    except ValueError:  # DegenerateKnotError, or past the digit limit
+        exceptional, table = None, {}
+    # Notes are written with every % doubled, and the slope as "%s".
+    notes = tuple(note.replace("%", "%%") for note in analysis.notes)
+    hyperbolic = SurgeryClassification(SurgeryType.HYPERBOLIC, "%s", None, None, notes)
+    return (
+        _quote(knot.text),
+        _json(_normal_form_json(analysis.nf), "  "),
+        _json(list(analysis.moves), "  "),
+        exceptional,
+        table,
+        _json(_classification_json(hyperbolic), "  "),
+    )
+
+
+def _rows(template: str, rows: list[tuple]) -> str:
+    """A list of at least one row, each row written by `template`, at depth 1."""
+    return "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n  ]"
 
 
 def _normal_form_json(nf: NormalForm) -> dict:
@@ -522,6 +572,11 @@ def _image_json(image: TwistedImage, fraction: Slope | None) -> dict:
     if fraction is not None:
         record["two_bridge"] = str(fraction)
     return record
+
+
+# The family prediction at every slope outside a knot's table.
+_HYPERBOLIC_FAMILY_JSON = _json(
+    _prediction_json(FamilyPrediction(FamilyKind.HYPERBOLIC_INTERIOR)), "  ")
 
 
 def main(argv: list[str] | None = None) -> int:

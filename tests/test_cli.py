@@ -572,6 +572,32 @@ def test_json_answers_are_sorted_dumps_and_do_not_depend_on_the_warm_caches(
     assert [_answer(*args) for args in requests] == answers
 
 
+@given(_grid_knots, st.data())
+def test_every_table_row_is_the_type_classify_gives(knot, data):
+    # Spans start at, end at, straddle or miss an exceptional slope; one-row
+    # spans among them.
+    try:
+        analysis = analysis_of(parse_knot(knot))
+    except NotAKnotError:
+        analysis = None
+    if analysis is None or analysis.knot_class is KnotClass.DEGENERATE:
+        assert _answer("table", knot, "--range", "0..3")[0] == 3
+        return
+    exceptional = [r.p for r, _ in analysis.exceptional_slopes()] or [0]
+    lo = data.draw(st.sampled_from(exceptional)) + data.draw(st.integers(-12, 3))
+    hi = lo + data.draw(st.integers(0, 15))
+    span = f"{lo}..{hi}"
+    expected = [(r, analysis.classify(make_slope(r, 1)).type.value) for r in range(lo, hi + 1)]
+    code, out, _ = _answer("table", knot, "--range", span)
+    assert code == 0
+    rows = [line[4:].split(": ") for line in out.splitlines() if line.startswith("  r=")]
+    assert [(int(r), kind) for r, kind in rows] == expected
+    code, out, _ = _answer("table", knot, "--range", span, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["sweep"]
+    assert [(int(row["slope"]), row["type"]) for row in rows] == expected
+
+
 def _count_calls(monkeypatch, calls, owner, name):
     """Count the calls of owner.name, rebound in every module of the package
     that holds it, into calls[name]."""
@@ -589,8 +615,11 @@ def _count_calls(monkeypatch, calls, owner, name):
 
 
 # The functions that build JSON, which a text request, cold or warm, never calls.
-_JSON_BUILDERS = ("_input_json", "_normal_form_json", "_classification_json",
-                  "_prediction_json", "_exceptional_json", "_fragments", "_rows", "_json")
+_JSON_BUILDERS = ("_normal_form_json", "_classification_json", "_prediction_json",
+                  "_exceptional_json", "_fragments", "_rows", "_json")
+# Of those, the ones a warm JSON answer other than `twist` never calls: it is
+# assembled from the knot's pieces and %-templates, and builds no dict.
+_KNOT_BUILDERS = tuple(name for name in _JSON_BUILDERS if name != "_rows")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -602,9 +631,9 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
     # and "K0[1/3]"; the degenerate one is refused by all but `normalize`.
     for knot, own, refused in [("K1[ -2/4, 1/3 ]", "K1[-1/2,1/3]", False),
                                ("K0[ 2/6 ]", "K0[1/3]", True)]:
-        requests = [["classify", knot, "7"], ["slopes", knot], ["normalize", knot],
-                    ["twist", knot, "--n", "-1..1"], ["predict", knot, "6", "--n", "-2..2"],
-                    ["table", knot, "--range", "-2..9"]]
+        requests = [["classify", knot, "7"], ["classify", knot, "-5/3"], ["slopes", knot],
+                    ["normalize", knot], ["twist", knot, "--n", "-1..1"],
+                    ["predict", knot, "6", "--n", "-2..2"], ["table", knot, "--range", "-2..9"]]
         for args in requests:
             args = [*args, "--format", fmt, "--moves"]
             built = {}
@@ -617,6 +646,9 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
             _count_calls(monkeypatch, calls, wrapped, "parse_knot")
             _count_calls(monkeypatch, calls, classify, "analysis_of")
             _count_calls(monkeypatch, calls, wrapped.WrappedKnot, "__str__")
+            if fmt == "json" and args[0] != "twist":
+                for name in _KNOT_BUILDERS:
+                    _count_calls(monkeypatch, calls, cli, name)
             again = _answer(*args)
             monkeypatch.undo()
             assert again == first

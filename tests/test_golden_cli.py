@@ -27,19 +27,24 @@ One more folds text answers over the whole grid (`_text_digest`): `normalize
 exceptional slope r of every hyperbolic grid knot, `predict r --n -3..3`,
 recorded before text answers stopped being read back from JSON-shaped dicts.
 
-Besides the digests, `_closure_mismatches` compares the parity rule
-`closure_facts` with `trace_closure` on every grid entry list, links included.
+Every JSON answer folded into a digest must also be the text of
+json.dumps(json.loads(answer), indent=2, sort_keys=True); `_check_json` raises
+`JSONContractError` on the first that is not.  Besides the digests,
+`_closure_mismatches` compares the parity rule `closure_facts` with
+`trace_closure` on every grid entry list, links included.
 
 The module imports neither pytest nor hypothesis, so the digests can be checked
 on an interpreter without them: `PYTHONPATH=src python tests/test_golden_cli.py`
-recomputes all sixteen, checks the parity rule on the grid, and exits 1 on a
-mismatch.
+recomputes all sixteen, checks the JSON answers in them and the parity rule on
+the grid, and exits 1 on a mismatch.
 """
 import contextlib
 import hashlib
 import importlib.util
 import io
 import itertools
+import json
+import re
 import sys
 import tempfile
 from math import gcd
@@ -108,11 +113,33 @@ def _candidates():
         yield _knot_text(a, entries)
 
 
+class JSONContractError(AssertionError):
+    """A JSON answer that is not the text of sorted, indented json.dumps."""
+
+
+# A JSON answer in a CLI run's stdout: from a line "{" to the next line "}",
+# since every nested bracket is indented and strings hold no newline.
+_JSON_ANSWER = re.compile(r"^\{\n.*?\n\}$", re.M | re.S)
+
+
+def _check_json(request, out):
+    """Raise `JSONContractError` unless every JSON answer in `out` is the text
+    of json.dumps(json.loads(answer), indent=2, sort_keys=True)."""
+    for answer in _JSON_ANSWER.findall(out):
+        try:
+            again = json.dumps(json.loads(answer), indent=2, sort_keys=True)
+        except ValueError:
+            again = None
+        if answer != again:
+            raise JSONContractError(f"{request}: a JSON answer is not sorted indented json.dumps")
+
+
 def _fold(sha, argv):
     """Fold one CLI run into sha: its knot text argv[1], exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    _check_json(" ".join(argv), out.getvalue())
     for part in (argv[1], str(code), out.getvalue(), err.getvalue()):
         sha.update(part.encode())
         sha.update(b"\0")
@@ -262,6 +289,7 @@ def _batch_digest(directory):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["batch", str(script)])
+    _check_json("batch", out.getvalue())
     sha = hashlib.sha256()
     for part in (str(code), out.getvalue(), err.getvalue()):
         sha.update(part.encode())
@@ -298,6 +326,7 @@ def _hot_digest(directory):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["batch", str(script)])
+        _check_json(f"batch_hot lines {lo + 1}-{lo + HOT_CHUNK}", out.getvalue())
         for part in (str(code), out.getvalue(), err.getvalue()):
             sha.update(part.encode())
             sha.update(b"\0")
@@ -308,22 +337,27 @@ def test_golden_batch_hot_digest(tmp_path):
     assert _hot_digest(tmp_path) == HOT_GOLDEN
 
 
+def _mismatch(name, digest, expected):
+    """None if digest() gives expected, else what went wrong."""
+    try:
+        return None if digest() == expected else name
+    except JSONContractError as err:
+        return str(err)
+
+
 if __name__ == "__main__":
-    mismatches = [
-        " ".join(command) for command, expected in GOLDEN.items() if _digest(*command) != expected
-    ]
     with tempfile.TemporaryDirectory() as directory:
-        if _batch_digest(directory) != BATCH_GOLDEN:
-            mismatches.append("batch")
-        if _hot_digest(directory) != HOT_GOLDEN:
-            mismatches.append("batch_hot seed 101")
-    if _exceptional_digest() != EXCEPTIONAL_GOLDEN:
-        mismatches.append("predict at every exceptional slope")
-    if _text_digest() != TEXT_GOLDEN:
-        mismatches.append("text answers on the grid")
-    if _oracle_digest() != ORACLE_GOLDEN:
-        mismatches.append("trace_closure and pretzel_framing")
-    total = len(GOLDEN) + 5
+        checks = [(" ".join(command), lambda command=command: _digest(*command), expected)
+                  for command, expected in GOLDEN.items()]
+        checks += [
+            ("batch", lambda: _batch_digest(directory), BATCH_GOLDEN),
+            ("batch_hot seed 101", lambda: _hot_digest(directory), HOT_GOLDEN),
+            ("predict at every exceptional slope", _exceptional_digest, EXCEPTIONAL_GOLDEN),
+            ("text answers on the grid", _text_digest, TEXT_GOLDEN),
+            ("trace_closure and pretzel_framing", _oracle_digest, ORACLE_GOLDEN),
+        ]
+        mismatches = [found for found in itertools.starmap(_mismatch, checks) if found]
+    total = len(checks)
     print(f"{total - len(mismatches)} of {total} golden digests match"
           + "".join(f"\nmismatch: {name}" for name in mismatches))
     disagreements = _closure_mismatches()

@@ -252,9 +252,10 @@ assert cached.cache_info().currsize == bound
     "module, cache, key",
     [
         ("classify", "_s3_cover", "i, 7"),
+        ("classify", "_s3_cover_text", "i, 7"),
         ("cli", "_knot", '"K0[%d]" % i'),
     ],
-    ids=["s3_cover", "knot_text"],
+    ids=["s3_cover", "s3_cover_text", "knot_text"],
 )
 def test_warm_caches_are_bounded(module, cache, key):
     # In a child process, so that this suite's own caches keep their entries.
