@@ -48,12 +48,8 @@ class SeifertInvariants(Record):
 
     @classmethod
     def from_slopes(cls, slopes: Iterable[Slope]) -> "SeifertInvariants":
-        e, parts = split_integer_parts((s.p, s.q) for s in slopes)
-        return cls(e, tuple(sorted((q, p) for p, q in parts)))
-
-    @classmethod
-    def from_fractions(cls, fractions: list[Fraction]) -> "SeifertInvariants":
-        return cls.from_slopes(map(Slope.from_fraction, fractions))
+        e, parts = split_integer_parts(slopes)
+        return cls(e, tuple(sorted((s.q, s.p) for s in parts)))
 
     def reversed_orientation(self) -> "SeifertInvariants":
         fibers = tuple(sorted((a, a - b) for a, b in self.fibers))

@@ -148,8 +148,7 @@ def normalize(tangle: MontesinosTangle) -> NormalForm:
     mirror use and twist count, so the stored representative has t > 1.
     Tangles with v integral (t = 0 or t = 1/q) are flagged degenerate.
     """
-    e0, parts = split_integer_parts((s.p, s.q) for s in tangle.entries)
-    fracs = [Slope(p, q) for p, q in parts]
+    e0, fracs = split_integer_parts(tangle.entries)
     if len(fracs) > 1:
         return NormalForm(e0, tuple(fracs), False, None)
 

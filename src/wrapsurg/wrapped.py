@@ -135,8 +135,9 @@ def pretzel_slope(knot: WrappedKnot) -> Slope:
 
 
 def parse_knot(text: str, offset: int = 0) -> WrappedKnot:
-    """Parse `K0[...]` / `K1[...]` in the tangle syntax; every call parses
-    the knot anew."""
+    """Parse `K0[...]` / `K1[...]` in the tangle syntax; every call builds
+    the knot anew, reading each entry through `parse_slope`, whose memo keeps
+    the slopes of the last 2048 short entry texts."""
     s, offset = stripped(text, offset)
     if not s.startswith(("K0[", "K1[")):
         raise ParseError("knot syntax is K0[...] or K1[...]", offset)

@@ -567,7 +567,8 @@ def test_json_answers_are_sorted_dumps_and_do_not_depend_on_the_warm_caches(
         if code == 0:
             assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         assert _answer(*requests[-1]) == answers[-1]
-    for cached in (cli._knot, importlib.import_module("wrapsurg.classify")._s3_cover):
+    for cached in (cli._knot, importlib.import_module("wrapsurg.classify")._s3_cover,
+                   importlib.import_module("wrapsurg.slopes")._slope_memo):
         cached.cache_clear()
     assert [_answer(*args) for args in requests] == answers
 
@@ -660,6 +661,35 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
                 assert first[0] == 0 and shown in first[1]
             assert calls == {}, args
             assert built == {}, args  # text is written from the records
+
+
+# One request per grid candidate (links included), the commands taking turns.
+_GRID_REQUESTS = ["classify {} 7", "slopes {} --format json", "predict {} -6 --n -2..2",
+                  "table {} --range -3..9 --moves", "normalize {} --format json",
+                  "twist {} --n 0..1", "classify {} 1/2 --format json"]
+
+
+def test_a_batch_reparsed_from_the_warm_slope_memo_writes_the_same_bytes(tmp_path):
+    slopes = importlib.import_module("wrapsurg.slopes")
+    knots = [f"K{a}[{','.join(entries)}]" for a in (0, 1) for e1 in _GRID_ENTRIES
+             for entries in [(e1,)] + [(e1, e2) for e2 in _GRID_ENTRIES]]
+    assert len(knots) == 4512
+    path = tmp_path / "grid.txt"
+    path.write_text("".join(_GRID_REQUESTS[i % len(_GRID_REQUESTS)].format(knot) + "\n"
+                            for i, knot in enumerate(knots)))
+    cli._knot.cache_clear()
+    slopes._slope_memo.cache_clear()
+    first = _answer("batch", str(path))
+    # The second run finds no knot cached and parses every one anew, each
+    # entry and request slope from the memo.
+    cli._knot.cache_clear()
+    warm = slopes._slope_memo.cache_info()
+    second = _answer("batch", str(path))
+    after = slopes._slope_memo.cache_info()
+    assert second == first
+    assert first[0] == 3 and "knot: K1[" in first[1] and "closes to a link" in first[2]
+    assert after.misses == warm.misses
+    assert after.hits - warm.hits >= sum(knot.count(",") + 1 for knot in knots)
 
 
 # Hostile words: grid and garbage knots, slopes and spans of at most 100 rows,

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -25,8 +24,8 @@ def dbc(text):
 
 
 def test_invariant_normalization():
-    inv = SeifertInvariants.from_fractions(
-        [Fraction(-1, 3), Fraction(3, 5), Fraction(-1, 2)]
+    inv = SeifertInvariants.from_slopes(
+        [make_slope(-1, 3), make_slope(3, 5), make_slope(-1, 2)]
     )
     assert inv.e == -2
     assert inv.fibers == ((2, 1), (3, 2), (5, 3))
@@ -36,10 +35,10 @@ def test_invariant_normalization():
 def test_orientation_reversal_is_an_involution():
     rng = random.Random(3)
     for _ in range(100):
-        fractions = [
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)
+        slopes = [
+            make_slope(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)
         ]
-        inv = SeifertInvariants.from_fractions(fractions)
+        inv = SeifertInvariants.from_slopes(slopes)
         assert inv.reversed_orientation().reversed_orientation() == inv
 
 
@@ -145,11 +144,11 @@ def test_cross_validation_against_torus_knot_members():
 
 
 def test_sfs_equal_reorders_and_reverses():
-    x = SeifertInvariants.from_fractions(
-        [Fraction(1, 2), Fraction(2, 5), Fraction(4, 5)]
+    x = SeifertInvariants.from_slopes(
+        [make_slope(1, 2), make_slope(2, 5), make_slope(4, 5)]
     )
-    reordered = SeifertInvariants.from_fractions(
-        [Fraction(2, 5), Fraction(4, 5), Fraction(1, 2)]
+    reordered = SeifertInvariants.from_slopes(
+        [make_slope(2, 5), make_slope(4, 5), make_slope(1, 2)]
     )
     assert x == reordered
     from wrapsurg import SFSClass

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wrapsurg import (
     MERIDIAN,
@@ -18,8 +20,9 @@ from wrapsurg import (
     parse_slope,
     parse_tangle,
 )
+from wrapsurg import slopes
 from wrapsurg.cli import main
-from wrapsurg.slopes import split_integer_parts
+from wrapsurg.slopes import _read_slope, split_integer_parts
 
 
 def test_make_slope_normalizes():
@@ -156,9 +159,51 @@ def test_oversized_integer_is_a_parse_error():
 
 
 def test_split_integer_parts_keeps_nonzero_fractional_parts_in_order():
-    pairs = [(-1, 2), (3, 1), (7, 3), (0, 1), (-5, 2), (-10**40 - 1, 10**40)]
-    e, parts = split_integer_parts(pairs)
-    assert e == -1 + 3 + 2 + 0 - 3 - 2
-    assert parts == [(1, 2), (1, 3), (1, 2), (10**40 - 1, 10**40)]
-    assert e + sum(Fraction(p, q) for p, q in parts) == sum(Fraction(p, q) for p, q in pairs)
+    pairs = [(-1, 2), (3, 1), (7, 3), (0, 1), (-5, 2), (-10**40 - 1, 10**40), (2, 5)]
+    slopes = [make_slope(p, q) for p, q in pairs]
+    e, parts = split_integer_parts(slopes)
+    assert e == -1 + 3 + 2 + 0 - 3 - 2 + 0
+    assert [(s.p, s.q) for s in parts] == [(1, 2), (1, 3), (1, 2), (10**40 - 1, 10**40), (2, 5)]
+    assert parts[-1] is slopes[-1]  # already in (0, 1)
+    assert e + sum(s.as_fraction() for s in parts) == sum(s.as_fraction() for s in slopes)
     assert split_integer_parts([]) == (0, [])
+
+
+# Slope texts, valid or not: integers and fractions of any sign, `-0`, `inf`,
+# zero denominators, junk, and integers of 4300 digits (the most int() reads
+# from text) and 4301, wrapped in ASCII and Unicode whitespace.
+_SPACE = st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000"), max_size=3)
+_INTEGERS = st.one_of(st.integers(-10**6, 10**6).map(str), st.sampled_from(["-0", "00", "+1"]),
+                      st.sampled_from(["9" * 4300, "-" + "9" * 4300, "1" * 4301, "-" + "1" * 4301]))
+_CORES = st.one_of(
+    _INTEGERS,
+    st.builds("{}/{}".format, _INTEGERS, _INTEGERS),
+    st.builds("{}/{}".format, _INTEGERS, st.sampled_from(["0", "-0", "00", " 0"])),
+    st.sampled_from(["inf", "-inf", "in f", "", "/", "1/", "/2", "1/2/3", "x7", "1_0", "٣"]),
+    st.text(st.sampled_from("0123456789-/ inf"), max_size=8),
+)
+_SLOPE_TEXTS = st.builds("{}{}{}".format, _SPACE, _CORES, _SPACE)
+_NOT_AN_ENTRY = "1/0 is not a rational tangle entry"
+_MERIDIAN_MESSAGES = st.sampled_from([None, _NOT_AN_ENTRY])
+
+
+def _outcome(read, text, offset, meridian):
+    try:
+        return "slope", read(text, offset, meridian)
+    except ParseError as err:
+        return "error", str(err), err.position
+
+
+@given(_SLOPE_TEXTS, st.integers(0, 99), st.integers(0, 99), _MERIDIAN_MESSAGES)
+def test_the_slope_memo_answers_as_the_uncached_reader(text, offset, other_offset, meridian):
+    slopes._slope_memo.cache_clear()
+    expected = _outcome(_read_slope, text, offset, meridian)
+    assert _outcome(parse_slope, text, offset, meridian) == expected  # a miss
+    if expected[0] == "error":
+        assert slopes._slope_memo.cache_info().currsize == 0  # failures are not kept
+    assert _outcome(parse_slope, text, offset, meridian) == expected  # a hit, if it parsed
+    # The same text at another offset, and under the other meridian rule.
+    assert (_outcome(parse_slope, text, other_offset, meridian)
+            == _outcome(_read_slope, text, other_offset, meridian))
+    other = None if meridian else _NOT_AN_ENTRY
+    assert _outcome(parse_slope, text, offset, other) == _outcome(_read_slope, text, offset, other)

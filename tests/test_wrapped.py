@@ -235,7 +235,8 @@ def test_cross_checks_survive_python_O(script):
 
 
 # Fill a cache with more keys than its bound: the CLI's knots by the text
-# K0[i], a knot for every i, and the S^3 covers by twist at one cover slope.
+# K0[i], a knot for every i, the S^3 covers by twist at one cover slope, and
+# the parsed slopes by the text i/7.
 _FILL_A_CACHE = """
 import importlib
 cached = importlib.import_module("wrapsurg.{module}").{cache}
@@ -254,8 +255,9 @@ assert cached.cache_info().currsize == bound
         ("classify", "_s3_cover", "i, 7"),
         ("classify", "_s3_cover_text", "i, 7"),
         ("cli", "_knot", '"K0[%d]" % i'),
+        ("slopes", "_slope_memo", '"%d/7" % i, None'),
     ],
-    ids=["s3_cover", "s3_cover_text", "knot_text"],
+    ids=["s3_cover", "s3_cover_text", "knot_text", "slope_text"],
 )
 def test_warm_caches_are_bounded(module, cache, key):
     # In a child process, so that this suite's own caches keep their entries.
