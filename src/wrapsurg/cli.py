@@ -14,9 +14,7 @@ A `--range` or `--n` span holds at most MAX_SPAN_ROWS (1,000,000) rows; a
 longer one exits 2.
 
 `_knot`, an lru_cache keyed by the knot text and bounded at 8192 texts, is
-the package's one cache of knots; beneath it, `slopes.parse_slope` keeps the
-slopes of the last 2048 short slope texts, knot entries and request slopes
-alike, so a knot missing from `_knot` is built from entries read before.  It holds each text's analysis and the
+the package's one cache of knots.  It holds each text's analysis and the
 knot's own text, and the pieces of its answers, each rendered once per knot:
 from the second text request for the text on, the head of its text answers
 (knot, normal form and canonical entry lines); from the first JSON request
@@ -29,6 +27,9 @@ each S^3 cover (written once per cover, beside `classify._s3_cover`) among
 them; text is written straight from them, and a JSON answer is assembled
 from one %-template per answer shape, its pieces, and one %-template per row
 of a `sweep` or `surgeries` list, so that a warm one builds no dict.
+Beneath `_knot`, `slopes.parse_slope` keeps the slopes of the last 2048
+slope texts of at most 64 characters, knot entries and request slopes alike,
+so a knot text missing from `_knot` is built from entries read before.
 """
 from __future__ import annotations
 

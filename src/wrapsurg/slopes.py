@@ -7,7 +7,7 @@ its reciprocal, integer shifts, negation and order are all the arithmetic
 the package does, and `fractions` loads only in the conversion functions
 (`as_fraction`, `from_fraction` and the tangles' `entry_sum`).  Slope texts
 are read by `parse_slope`, which keeps the slopes of the last 2048 short
-texts it parsed, so each distinct text is read once.
+texts it parsed, so a text is read once while it stays among them.
 
 `Record` is the base of the package's value types.  A record is built from
 its field values in `__slots__` order, `cls(*values)`; omitted trailing
@@ -264,7 +264,7 @@ def stripped(text: str, offset: int) -> tuple[str, int]:
 
 # `parse_slope`'s memo holds at most _SLOPE_CACHE_SIZE texts of at most
 # _MEMO_TEXT_LENGTH characters with their slopes: under 1 MB (2048 texts of 64
-# digits, or padded with U+3000, take 0.87 MB as tracemalloc counts them).
+# characters, digits or U+3000 padding, take at most 0.87 MB in tracemalloc).
 _SLOPE_CACHE_SIZE = 2048
 _MEMO_TEXT_LENGTH = 64
 

@@ -160,12 +160,12 @@ def test_oversized_integer_is_a_parse_error():
 
 def test_split_integer_parts_keeps_nonzero_fractional_parts_in_order():
     pairs = [(-1, 2), (3, 1), (7, 3), (0, 1), (-5, 2), (-10**40 - 1, 10**40), (2, 5)]
-    slopes = [make_slope(p, q) for p, q in pairs]
-    e, parts = split_integer_parts(slopes)
+    entries = [make_slope(p, q) for p, q in pairs]
+    e, parts = split_integer_parts(entries)
     assert e == -1 + 3 + 2 + 0 - 3 - 2 + 0
     assert [(s.p, s.q) for s in parts] == [(1, 2), (1, 3), (1, 2), (10**40 - 1, 10**40), (2, 5)]
-    assert parts[-1] is slopes[-1]  # already in (0, 1)
-    assert e + sum(s.as_fraction() for s in parts) == sum(s.as_fraction() for s in slopes)
+    assert parts[-1] is entries[-1]  # already in (0, 1)
+    assert e + sum(s.as_fraction() for s in parts) == sum(s.as_fraction() for s in entries)
     assert split_integer_parts([]) == (0, [])
 
 
