@@ -13,8 +13,9 @@ a batch line with a `"`, a backslash or an odd number of `'` loads `shlex`.
 A `--range` or `--n` span holds at most MAX_SPAN_ROWS (1,000,000) rows; a
 longer one exits 2.
 
-`_knot`, an lru_cache keyed by the knot text and bounded at 8192 texts, is
-the package's one cache of knots.  It holds each text's analysis and the
+`_knot`, an lru_cache keyed by the knot text and bounded at 8192 texts of at
+most 128 characters (a longer text is analysed anew per request), is the
+package's one cache of knots.  It holds each text's analysis and the
 knot's own text, and the pieces of its answers, each rendered once per knot:
 from the second text request for the text on, the head of its text answers
 (knot, normal form and canonical entry lines); from the first JSON request
@@ -26,7 +27,12 @@ gives the records a request answers with, whatever its format, the text of
 each S^3 cover (written once per cover, beside `classify._s3_cover`) among
 them; text is written straight from them, and a JSON answer is assembled
 from one %-template per answer shape, its pieces, and one %-template per row
-of a `sweep` or `surgeries` list, so that a warm one builds no dict.
+of a `sweep` or `surgeries` list, so that a warm one builds no dict.  The
+rows of a span that are the same but for their integer (a hyperbolic sweep
+row, an unknown S^3 row) are sliced, in both formats, from `_row_chunk`'s
+chunks of 256 rows, which keeps at most 64 chunks and only those with
+integers -2**20 <= r < 2**20 (about 2 MB); the exceptional rows are written
+over them, and the bytes are those of one row at a time.
 Beneath `_knot`, `slopes.parse_slope` keeps the slopes of the last 2048
 slope texts of at most 64 characters, knot entries and request slopes alike,
 so a knot text missing from `_knot` is built from entries read before.
@@ -40,7 +46,6 @@ from _json import encode_basestring_ascii as _quote
 from functools import lru_cache
 
 from .classify import (
-    Analysis,
     DegenerateKnotError,
     FamilyKind,
     FamilyPrediction,
@@ -67,8 +72,11 @@ FLAGS = {
 # The most rows a --range or --n span may ask for.
 MAX_SPAN_ROWS = 1_000_000
 # The knot texts `_knot` keeps: all 4512 of the k<=2 grid (links included) fit,
-# and a long batch run uses bounded memory.
+# and a long batch run uses bounded memory, as only texts of at most
+# _KNOT_TEXT_LENGTH characters are kept: 8192 of them, with all their pieces,
+# took 31-36 MB under tracemalloc.
 _KNOT_CACHE_SIZE = 8192
+_KNOT_TEXT_LENGTH = 128
 USAGE = """\
 usage: wrapsurg COMMAND [ARGS] [--format text|json] [--moves]
   classify  KNOT SLOPE        classify one surgery
@@ -179,8 +187,9 @@ def run(request: Request, out=None) -> int:
     out = out if out is not None else sys.stdout
     if request.command == "batch":
         return _run_batch(request, out)
+    knot_text = request.knot_text or ""
     try:
-        knot = _knot(request.knot_text or "")
+        knot = (_knot if len(knot_text) <= _KNOT_TEXT_LENGTH else _Knot)(knot_text)
     except ParseError as err:
         raise CommandError(f"bad knot expression: {err}", 2)
     except NotAKnotError as err:
@@ -217,30 +226,29 @@ class _Knot:
     """A knot text's analysis and the knot's own text.  The second text
     request for the text fills `head` with its `_head` (the first sets it
     to "", so that a knot asked for once keeps no head), and the first JSON
-    request fills `json` with its `_fragments`."""
+    request fills `json` with its `_fragments`.  A failed parse raises."""
 
     __slots__ = ("analysis", "text", "head", "json")
 
-    def __init__(self, analysis: Analysis) -> None:
-        self.analysis = analysis
+    def __init__(self, knot_text: str) -> None:
+        self.analysis = analysis = analysis_of(parse_knot(knot_text))
         self.text = str(analysis.knot)
         self.head: str | None = None
         self.json: tuple | None = None
 
 
-@lru_cache(maxsize=_KNOT_CACHE_SIZE)
-def _knot(knot_text: str) -> _Knot:
-    """A failed parse is not cached: it raises anew on every call."""
-    return _Knot(analysis_of(parse_knot(knot_text)))
+# A failed parse is not cached: it raises anew on every call.
+_knot = lru_cache(maxsize=_KNOT_CACHE_SIZE)(_Knot)
 
 
 def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
     """The records a request answers with besides the knot's normal form and
-    moves: for classify and predict (classification, family, (n, S^3 cover
-    text or None) rows of `--n`); for slopes and table (exceptional slopes,
-    (slope, type) rows of `--range`); for twist the (image, two-bridge
-    fraction) rows; for normalize none.  Each part that does not apply is
-    None."""
+    moves: for classify and predict (classification, family, `--n` rows),
+    the rows being the (n, S^3 cover text) pairs when the covers are known,
+    else the span itself, every row unknown; for slopes and table
+    (exceptional slopes, the `--range` span); for twist the (image,
+    two-bridge fraction) rows; for normalize none.  Each part that does not
+    apply is None."""
     command = request.command
     if command == "normalize":
         return ()
@@ -251,8 +259,9 @@ def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
         result = analysis.classify(slope)
         if slope.is_meridian():
             return result, None, None
-        rows = request.n_range and analysis.surgeries_in_s3(
-            slope, _span(request.n_range), text=True)
+        rows = request.n_range
+        if rows and analysis.table.get(slope, _NO_ENTRY)[2] is not None:
+            rows = analysis.surgeries_in_s3(slope, _span(rows), text=True)
         return result, analysis.predict(slope), rows
     if command == "twist":
         wrapped = analysis.knot
@@ -260,16 +269,11 @@ def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
         return [(twist(wrapped, n), two_bridge_fraction(wrapped, n) if single else None)
                 for n in _span(request.n_range)]
     exceptional = analysis.exceptional_slopes()
-    if command == "slopes":
-        return exceptional, None
-    # Every slope is hyperbolic but the exceptional ones, which are integral.
-    lo, hi = request.slope_range
-    hyperbolic = SurgeryType.HYPERBOLIC.value
-    sweep = [(r, hyperbolic) for r in range(lo, hi + 1)]
-    for r, result in exceptional:
-        if lo <= r.p <= hi:
-            sweep[r.p - lo] = r.p, result.type.value
-    return exceptional, sweep
+    return exceptional, request.slope_range
+
+
+# The table entry of a slope outside the table: no canonical slope for S^3 covers.
+_NO_ENTRY = (None, None, None)
 
 
 def _run_batch(request: Request, out) -> int:
@@ -342,6 +346,51 @@ def _json(value, indent: str) -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+# -- rows of a span ----------------------------------------------------------
+
+# The text rows of a `table` sweep at a hyperbolic slope and of `--n` surgeries
+# whose S^3 covers are unknown; the JSON ones are beside the JSON templates.
+_HYPERBOLIC_LINE = "  r=%d: hyperbolic"
+_UNKNOWN_LINE = "  n=%d: unknown"
+# `_row_chunk` keeps the last _ROW_CHUNKS chunks of _CHUNK_ROWS rows, each at
+# integers -_CHUNK_WINDOW <= r < _CHUNK_WINDOW only, so every row kept has at
+# most 7 digits and the chunks take about 2 MB at most.
+_CHUNK_ROWS = 256
+_CHUNK_WINDOW = 1 << 20
+_ROW_CHUNKS = 64
+
+
+@lru_cache(maxsize=_ROW_CHUNKS)
+def _row_chunk(template: str, k: int) -> tuple[str, ...]:
+    """The rows `template % r` for the _CHUNK_ROWS integers r from k * _CHUNK_ROWS."""
+    start = k * _CHUNK_ROWS
+    return tuple(map(template.__mod__, range(start, start + _CHUNK_ROWS)))
+
+
+def _span_rows(template: str, lo: int, hi: int) -> list[str]:
+    """[template % r for r in range(lo, hi + 1)]: sliced from `_row_chunk`
+    inside the chunk window, written row by row outside it, so that no row
+    outside the span is written that could pass the digit limit."""
+    start, stop = max(lo, -_CHUNK_WINDOW), min(hi + 1, _CHUNK_WINDOW)
+    rows = list(map(template.__mod__, range(lo, min(start, hi + 1))))
+    for base in range(start - start % _CHUNK_ROWS, stop, _CHUNK_ROWS):
+        rows += _row_chunk(template, base // _CHUNK_ROWS)[max(start - base, 0):stop - base]
+    rows += map(template.__mod__, range(max(stop, lo), hi + 1))
+    return rows
+
+
+def _sweep(hyperbolic: str, row: str, span: tuple[int, int], exceptional: list) -> list[str]:
+    """The rows of a `table` sweep: `hyperbolic % r` at every slope r of the
+    span but the exceptional ones, which are integral, and `row % (r, type)`
+    at those."""
+    lo, hi = span
+    rows = _span_rows(hyperbolic, lo, hi)
+    for r, result in exceptional:
+        if lo <= r.p <= hi:
+            rows[r.p - lo] = row % (r.p, result.type.value)
+    return rows
+
+
 # -- text writer -------------------------------------------------------------
 
 
@@ -359,15 +408,17 @@ def _text_answer(request: Request, knot: _Knot, answer: tuple) -> str:
         lines.append(f"classification: {_describe(result)} at slope {result.slope}")
         if prediction is not None:
             lines.append(_family_line(prediction))
-        if rows:
-            lines += [f"  n={n}: {known or 'unknown'}" for n, known in rows]
+        if type(rows) is tuple:
+            lines += _span_rows(_UNKNOWN_LINE, *rows)
+        elif rows:
+            lines += [f"  n={n}: {known}" for n, known in rows]
     elif request.command in ("slopes", "table"):
-        exceptional, sweep = answer
+        exceptional, span = answer
         lines += [f"exceptional {r}: {_describe(result)}" for r, result in exceptional]
         if not exceptional:
             lines.append("exceptional slopes: none")
-        if sweep:
-            lines += map("  r=%d: %s".__mod__, sweep)
+        if span:
+            lines += _sweep(_HYPERBOLIC_LINE, "  r=%d: %s", span, exceptional)
     elif request.command == "twist":
         for image, fraction in answer:
             extra = "" if fraction is None else f"  two-bridge {fraction}"
@@ -431,6 +482,8 @@ _SLOPE_JSON = ',\n    "slope": "%s"'
 # One row of a JSON `sweep` or `surgeries` list, at its depth in an answer.
 _SWEEP_ROW = '    {\n      "slope": "%d",\n      "type": "%s"\n    }'
 _SURGERY_ROW = '    {\n      "n": %d,\n      "result": %s\n    }'
+_HYPERBOLIC_ROW = '    {\n      "slope": "%d",\n      "type": "hyperbolic"\n    }'
+_NULL_ROW = '    {\n      "n": %d,\n      "result": null\n    }'
 
 
 def _json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tuple) -> str:
@@ -458,15 +511,18 @@ def _json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tup
             classification = _json(_classification_json(result), "  ")
             family = "null" if prediction is None else _json(_prediction_json(prediction), "  ")
         surgeries = ""
-        if rows is not None:
-            rows = [(n, _quote(known) if known else "null") for n, known in rows]
-            surgeries = ',\n  "surgeries": ' + _rows(_SURGERY_ROW, rows)
+        if type(rows) is tuple:
+            surgeries = ',\n  "surgeries": ' + _rows(_span_rows(_NULL_ROW, *rows))
+        elif rows is not None:
+            rows = [_SURGERY_ROW % (n, _quote(known)) for n, known in rows]
+            surgeries = ',\n  "surgeries": ' + _rows(rows)
         return _CLASSIFY_JSON % (classification, moves, family, given, nf, surgeries)
     if command in ("slopes", "table"):
-        exceptional, sweep = answer
+        exceptional, span = answer
         if exceptional_fragment is None:  # raises: an integer too long to write
             exceptional_fragment = _json(_exceptional_json(exceptional), "  ")
-        rows = "" if sweep is None else ',\n  "sweep": ' + _rows(_SWEEP_ROW, sweep)
+        rows = "" if span is None else ',\n  "sweep": ' + _rows(
+            _sweep(_HYPERBOLIC_ROW, _SWEEP_ROW, span, exceptional))
         return _SLOPES_JSON % (moves, exceptional_fragment, given, nf, rows)
     if command == "twist":
         images = _json([_image_json(image, fraction) for image, fraction in answer], "  ")
@@ -503,9 +559,9 @@ def _fragments(knot: _Knot) -> tuple:
     )
 
 
-def _rows(template: str, rows: list[tuple]) -> str:
-    """A list of at least one row, each row written by `template`, at depth 1."""
-    return "[\n" + ",\n".join(map(template.__mod__, rows)) + "\n  ]"
+def _rows(rows: list[str]) -> str:
+    """A list of at least one written row, at depth 1."""
+    return "[\n" + ",\n".join(rows) + "\n  ]"
 
 
 def _normal_form_json(nf: NormalForm) -> dict:

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import io
 import json
@@ -6,6 +7,7 @@ import random
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -567,7 +569,8 @@ def test_json_answers_are_sorted_dumps_and_do_not_depend_on_the_warm_caches(
         if code == 0:
             assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         assert _answer(*requests[-1]) == answers[-1]
-    for cached in (cli._knot, importlib.import_module("wrapsurg.classify")._s3_cover,
+    for cached in (cli._knot, cli._row_chunk,
+                   importlib.import_module("wrapsurg.classify")._s3_cover,
                    importlib.import_module("wrapsurg.slopes")._slope_memo):
         cached.cache_clear()
     assert [_answer(*args) for args in requests] == answers
@@ -576,7 +579,7 @@ def test_json_answers_are_sorted_dumps_and_do_not_depend_on_the_warm_caches(
 @given(_grid_knots, st.data())
 def test_every_table_row_is_the_type_classify_gives(knot, data):
     # Spans start at, end at, straddle or miss an exceptional slope; one-row
-    # spans among them.
+    # spans and spans of several row chunks among them.
     try:
         analysis = analysis_of(parse_knot(knot))
     except NotAKnotError:
@@ -586,7 +589,8 @@ def test_every_table_row_is_the_type_classify_gives(knot, data):
         return
     exceptional = [r.p for r, _ in analysis.exceptional_slopes()] or [0]
     lo = data.draw(st.sampled_from(exceptional)) + data.draw(st.integers(-12, 3))
-    hi = lo + data.draw(st.integers(0, 15))
+    # Some spans reach past the row chunk that starts at 0 or ends at -1.
+    hi = lo + data.draw(st.one_of(st.integers(0, 15), st.integers(250, 520)))
     span = f"{lo}..{hi}"
     expected = [(r, analysis.classify(make_slope(r, 1)).type.value) for r in range(lo, hi + 1)]
     code, out, _ = _answer("table", knot, "--range", span)
@@ -597,6 +601,65 @@ def test_every_table_row_is_the_type_classify_gives(knot, data):
     assert code == 0
     rows = json.loads(out)["sweep"]
     assert [(int(row["slope"]), row["type"]) for row in rows] == expected
+
+
+# The four templates whose rows `_span_rows` slices from cached chunks, and
+# spans about chunk edges, 0, the edges of the chunk window and integers of up
+# to 300 digits.
+_ROW_TEMPLATES = [cli._HYPERBOLIC_LINE, cli._UNKNOWN_LINE, cli._HYPERBOLIC_ROW, cli._NULL_ROW]
+_span_anchors = st.one_of(
+    st.integers(-8, 8).map(lambda k: k * cli._CHUNK_ROWS),
+    st.sampled_from([cli._CHUNK_WINDOW, -cli._CHUNK_WINDOW]),
+    st.integers(-(10**300), 10**300),
+)
+
+
+@given(st.sampled_from(_ROW_TEMPLATES), _span_anchors, st.integers(-600, 300),
+       st.integers(0, 700))
+def test_chunked_rows_are_the_rows_written_one_by_one(template, anchor, offset, rows):
+    lo = anchor + offset
+    hi = lo + rows
+    assert cli._span_rows(template, lo, hi) == [template % r for r in range(lo, hi + 1)]
+
+
+def test_a_table_at_the_digit_limit_writes_only_its_own_rows():
+    # Its three slopes have 4300 digits, the most an integer written as text
+    # may have; the chunk holding them also holds -10**4300, which has 4301.
+    lo, hi = -(10**4300 - 1), -(10**4300 - 3)
+    span = f"{lo}..{hi}"
+    code, text, err = _answer("table", "K0[3]", "--range", span)
+    assert (code, err) == (0, "")
+    _, small, _ = _answer("table", "K0[3]", "--range", "100..100")
+    assert text == small.replace("  r=100: hyperbolic\n", "".join(
+        f"  r={r}: hyperbolic\n" for r in range(lo, hi + 1)))
+    code, out, err = _answer("table", "K0[3]", "--range", span, "--format", "json")
+    assert (code, err) == (0, "")
+    expected = json.loads(_answer("table", "K0[3]", "--range", "100..100", "--format", "json")[1])
+    expected["input"]["range"] = [lo, hi]
+    expected["sweep"] = [{"slope": str(r), "type": "hyperbolic"} for r in range(lo, hi + 1)]
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_long_knot_texts_are_analysed_per_request_and_not_kept():
+    # 200 distinct knots K0[1/N,1/N] with a 4000-digit N.  Were they kept,
+    # each would retain about 24 KB, 4.7 MB for the 200.
+    texts = ["K0[1/{0},1/{0}]".format(10**3999 + 2 * i + 1) for i in range(200)]
+    assert all(len(text) > cli._KNOT_TEXT_LENGTH for text in texts)
+    assert _answer("classify", "K0[3]", "7")[0] == 0
+    kept = cli._knot.cache_info().currsize
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for text in texts:
+            code, out, _ = _answer("classify", text, "7")
+            assert code == 0 and out.startswith(f"knot: {text}\n")
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cli._knot.cache_info().currsize == kept
+    assert retained < 256 * 1024, retained
 
 
 def _count_calls(monkeypatch, calls, owner, name):
@@ -615,7 +678,8 @@ def _count_calls(monkeypatch, calls, owner, name):
             monkeypatch.setattr(holder, name, counting)
 
 
-# The functions that build JSON, which a text request, cold or warm, never calls.
+# The functions that build JSON, which a text request, cold or warm, never calls;
+# the row chunks both writers slice are not among them.
 _JSON_BUILDERS = ("_normal_form_json", "_classification_json", "_prediction_json",
                   "_exceptional_json", "_fragments", "_rows", "_json")
 # Of those, the ones a warm JSON answer other than `twist` never calls: it is

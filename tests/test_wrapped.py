@@ -235,8 +235,8 @@ def test_cross_checks_survive_python_O(script):
 
 
 # Fill a cache with more keys than its bound: the CLI's knots by the text
-# K0[i], a knot for every i, the S^3 covers by twist at one cover slope, and
-# the parsed slopes by the text i/7.
+# K0[i], a knot for every i, the S^3 covers by twist at one cover slope, the
+# parsed slopes by the text i/7, and the row chunks by chunk number.
 _FILL_A_CACHE = """
 import importlib
 cached = importlib.import_module("wrapsurg.{module}").{cache}
@@ -256,8 +256,9 @@ assert cached.cache_info().currsize == bound
         ("classify", "_s3_cover_text", "i, 7"),
         ("cli", "_knot", '"K0[%d]" % i'),
         ("slopes", "_slope_memo", '"%d/7" % i, None'),
+        ("cli", "_row_chunk", '"%d", i'),
     ],
-    ids=["s3_cover", "s3_cover_text", "knot_text", "slope_text"],
+    ids=["s3_cover", "s3_cover_text", "knot_text", "slope_text", "row_chunk"],
 )
 def test_warm_caches_are_bounded(module, cache, key):
     # In a child process, so that this suite's own caches keep their entries.
