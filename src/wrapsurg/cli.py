@@ -117,31 +117,23 @@ def parse(argv: list[str]) -> Request:
         raise CommandError(f"unknown command {command!r} (at position 0)", 2)
     request = Request(command=command)
     positionals: list[str] = []
-    i = 1
-    while i < len(argv):
-        arg = argv[i]
+    words = iter(argv[1:])
+    for arg in words:
         if arg.startswith("--") and arg not in FLAGS[command]:
             takes = " ".join(FLAGS[command]) or "no flags; put flags on each request line"
             raise CommandError(f"{command} does not take {arg}; it takes {takes}", 2)
         if arg == "--format":
-            i += 1
-            if i >= len(argv) or argv[i] not in ("text", "json"):
+            request.fmt = next(words, "")
+            if request.fmt not in ("text", "json"):
                 raise CommandError("--format needs 'text' or 'json'", 2)
-            request.fmt = argv[i]
         elif arg == "--moves":
             request.show_moves = True
-        elif arg in ("--n", "--range"):
-            i += 1
-            if i >= len(argv):
-                raise CommandError(f"{arg} needs a value A..B or a single integer", 2)
-            span = _parse_span(argv[i], arg)
-            if arg == "--n":
-                request.n_range = span
-            else:
-                request.slope_range = span
+        elif arg == "--n":
+            request.n_range = _parse_span(next(words, None), arg)
+        elif arg == "--range":
+            request.slope_range = _parse_span(next(words, None), arg)
         else:
             positionals.append(arg)
-        i += 1
 
     if command == "batch":
         if len(positionals) > 1:
@@ -164,7 +156,9 @@ def parse(argv: list[str]) -> Request:
     return request
 
 
-def _parse_span(text: str, flag: str) -> tuple[int, int]:
+def _parse_span(text: str | None, flag: str) -> tuple[int, int]:
+    if text is None:
+        raise CommandError(f"{flag} needs a value A..B or a single integer", 2)
     lo_text, dots, hi_text = text.partition("..")
     try:
         lo = _parse_int(lo_text, 0, allow_sign=True)
@@ -176,11 +170,6 @@ def _parse_span(text: str, flag: str) -> tuple[int, int]:
     if hi - lo >= MAX_SPAN_ROWS:
         raise CommandError(f"{flag} range has more than {MAX_SPAN_ROWS} rows: {text!r}", 2)
     return lo, hi
-
-
-def _span(bounds: tuple[int, int]) -> range:
-    """The integers of a parsed span, both ends included."""
-    return range(bounds[0], bounds[1] + 1)
 
 
 def run(request: Request, out=None) -> int:
@@ -261,15 +250,15 @@ def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
             return result, None, None
         rows = request.n_range
         if rows and analysis.table.get(slope, _NO_ENTRY)[2] is not None:
-            rows = analysis.surgeries_in_s3(slope, _span(rows), text=True)
+            rows = analysis.surgeries_in_s3(slope, range(rows[0], rows[1] + 1), text=True)
         return result, analysis.predict(slope), rows
     if command == "twist":
         wrapped = analysis.knot
         single = len(wrapped.tangle.entries) == 1
+        lo, hi = request.n_range
         return [(twist(wrapped, n), two_bridge_fraction(wrapped, n) if single else None)
-                for n in _span(request.n_range)]
-    exceptional = analysis.exceptional_slopes()
-    return exceptional, request.slope_range
+                for n in range(lo, hi + 1)]
+    return analysis.exceptional_slopes(), request.slope_range
 
 
 # The table entry of a slope outside the table: no canonical slope for S^3 covers.
@@ -321,7 +310,8 @@ def _split(text: str) -> list[str]:
 
 
 def _json(value, indent: str) -> str:
-    """The text of json.dumps(value, indent=2, sort_keys=True), nested at `indent`."""
+    """The text of json.dumps(value, indent=2, sort_keys=True), nested at `indent`;
+    a tuple is written as a list, as json.dumps writes it."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -331,7 +321,7 @@ def _json(value, indent: str) -> str:
         inner = indent + "  "
         items = (f"{inner}{_quote(k)}: {_json(value[k], inner)}" for k in sorted(value))
         return "{\n" + ",\n".join(items) + f"\n{indent}}}"
-    if kind is list:
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = indent + "  "
@@ -363,28 +353,23 @@ _ROW_CHUNKS = 64
 @lru_cache(maxsize=_ROW_CHUNKS)
 def _row_chunk(template: str, k: int) -> tuple[str, ...]:
     """The rows `template % r` for the _CHUNK_ROWS integers r from k * _CHUNK_ROWS."""
-    start = k * _CHUNK_ROWS
-    return tuple(map(template.__mod__, range(start, start + _CHUNK_ROWS)))
+    return tuple(map(template.__mod__, range(k * _CHUNK_ROWS, (k + 1) * _CHUNK_ROWS)))
 
 
-def _span_rows(template: str, lo: int, hi: int) -> list[str]:
-    """[template % r for r in range(lo, hi + 1)]: sliced from `_row_chunk`
-    inside the chunk window, written row by row outside it, so that no row
-    outside the span is written that could pass the digit limit."""
-    start, stop = max(lo, -_CHUNK_WINDOW), min(hi + 1, _CHUNK_WINDOW)
-    rows = list(map(template.__mod__, range(lo, min(start, hi + 1))))
-    for base in range(start - start % _CHUNK_ROWS, stop, _CHUNK_ROWS):
-        rows += _row_chunk(template, base // _CHUNK_ROWS)[max(start - base, 0):stop - base]
-    rows += map(template.__mod__, range(max(stop, lo), hi + 1))
-    return rows
-
-
-def _sweep(hyperbolic: str, row: str, span: tuple[int, int], exceptional: list) -> list[str]:
-    """The rows of a `table` sweep: `hyperbolic % r` at every slope r of the
-    span but the exceptional ones, which are integral, and `row % (r, type)`
-    at those."""
+def _span_rows(template: str, span: tuple[int, int], exceptional=(), row: str = "") -> list[str]:
+    """[template % r for r in the span]: each piece of the span in one aligned
+    chunk is sliced from `_row_chunk` inside the chunk window and written row
+    by row outside it, so that no row is written that could pass the digit
+    limit unless the span has it.  Then, in a `table` sweep, `row % (r,
+    type)` at each exceptional slope r, which is integral."""
     lo, hi = span
-    rows = _span_rows(hyperbolic, lo, hi)
+    rows = []
+    for base in range(lo - lo % _CHUNK_ROWS, hi + 1, _CHUNK_ROWS):
+        start, stop = max(lo, base), min(hi + 1, base + _CHUNK_ROWS)
+        if -_CHUNK_WINDOW <= base < _CHUNK_WINDOW:
+            rows += _row_chunk(template, base // _CHUNK_ROWS)[start - base:stop - base]
+        else:
+            rows += map(template.__mod__, range(start, stop))
     for r, result in exceptional:
         if lo <= r.p <= hi:
             rows[r.p - lo] = row % (r.p, result.type.value)
@@ -409,7 +394,7 @@ def _text_answer(request: Request, knot: _Knot, answer: tuple) -> str:
         if prediction is not None:
             lines.append(_family_line(prediction))
         if type(rows) is tuple:
-            lines += _span_rows(_UNKNOWN_LINE, *rows)
+            lines += _span_rows(_UNKNOWN_LINE, rows)
         elif rows:
             lines += [f"  n={n}: {known}" for n, known in rows]
     elif request.command in ("slopes", "table"):
@@ -418,7 +403,7 @@ def _text_answer(request: Request, knot: _Knot, answer: tuple) -> str:
         if not exceptional:
             lines.append("exceptional slopes: none")
         if span:
-            lines += _sweep(_HYPERBOLIC_LINE, "  r=%d: %s", span, exceptional)
+            lines += _span_rows(_HYPERBOLIC_LINE, span, exceptional, "  r=%d: %s")
     elif request.command == "twist":
         for image, fraction in answer:
             extra = "" if fraction is None else f"  two-bridge {fraction}"
@@ -511,18 +496,16 @@ def _json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tup
             classification = _json(_classification_json(result), "  ")
             family = "null" if prediction is None else _json(_prediction_json(prediction), "  ")
         surgeries = ""
-        if type(rows) is tuple:
-            surgeries = ',\n  "surgeries": ' + _rows(_span_rows(_NULL_ROW, *rows))
-        elif rows is not None:
-            rows = [_SURGERY_ROW % (n, _quote(known)) for n, known in rows]
-            surgeries = ',\n  "surgeries": ' + _rows(rows)
+        if rows is not None:
+            surgeries = _rows("surgeries", _span_rows(_NULL_ROW, rows) if type(rows) is tuple
+                              else [_SURGERY_ROW % (n, _quote(known)) for n, known in rows])
         return _CLASSIFY_JSON % (classification, moves, family, given, nf, surgeries)
     if command in ("slopes", "table"):
         exceptional, span = answer
         if exceptional_fragment is None:  # raises: an integer too long to write
             exceptional_fragment = _json(_exceptional_json(exceptional), "  ")
-        rows = "" if span is None else ',\n  "sweep": ' + _rows(
-            _sweep(_HYPERBOLIC_ROW, _SWEEP_ROW, span, exceptional))
+        rows = "" if span is None else _rows(
+            "sweep", _span_rows(_HYPERBOLIC_ROW, span, exceptional, _SWEEP_ROW))
         return _SLOPES_JSON % (moves, exceptional_fragment, given, nf, rows)
     if command == "twist":
         images = _json([_image_json(image, fraction) for image, fraction in answer], "  ")
@@ -552,16 +535,16 @@ def _fragments(knot: _Knot) -> tuple:
     return (
         _quote(knot.text),
         _json(_normal_form_json(analysis.nf), "  "),
-        _json(list(analysis.moves), "  "),
+        _json(analysis.moves, "  "),
         exceptional,
         table,
         _json(_classification_json(hyperbolic), "  "),
     )
 
 
-def _rows(rows: list[str]) -> str:
-    """A list of at least one written row, at depth 1."""
-    return "[\n" + ",\n".join(rows) + "\n  ]"
+def _rows(key: str, rows: list[str]) -> str:
+    """The `key` member of an answer: a list of at least one written row."""
+    return ',\n  "%s": [\n%s\n  ]' % (key, ",\n".join(rows))
 
 
 def _normal_form_json(nf: NormalForm) -> dict:
@@ -585,20 +568,18 @@ def _classification_json(result: SurgeryClassification) -> dict:
         "type": result.type.value,
         "slope": str(result.slope),
         "certificate": None,
-        "fiber_indices": list(result.seifert_indices)
-        if result.seifert_indices
-        else None,
+        "fiber_indices": result.seifert_indices or None,
     }
     if result.certificate is not None:
         cert = result.certificate
         record["certificate"] = {
             "source": cert.source.value,
             "slope": str(cert.slope),
-            "piece_indices": list(cert.piece_indices) if cert.piece_indices else None,
+            "piece_indices": cert.piece_indices or None,
             "piece": cert.piece,
         }
     if result.notes:
-        record["notes"] = list(result.notes)
+        record["notes"] = result.notes
     return record
 
 
@@ -606,9 +587,7 @@ def _prediction_json(prediction: FamilyPrediction) -> dict:
     return {
         "kind": prediction.kind.value,
         "n0": prediction.n0,
-        "fiber_indices": list(prediction.fiber_indices)
-        if prediction.fiber_indices
-        else None,
+        "fiber_indices": prediction.fiber_indices or None,
     }
 
 
@@ -639,7 +618,7 @@ _HYPERBOLIC_FAMILY_JSON = _json(
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = list(sys.argv[1:]) if argv is None else list(argv)
+    args = sys.argv[1:] if argv is None else list(argv)
     try:
         request = parse(args)
         code = run(request)

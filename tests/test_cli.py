@@ -619,7 +619,7 @@ _span_anchors = st.one_of(
 def test_chunked_rows_are_the_rows_written_one_by_one(template, anchor, offset, rows):
     lo = anchor + offset
     hi = lo + rows
-    assert cli._span_rows(template, lo, hi) == [template % r for r in range(lo, hi + 1)]
+    assert cli._span_rows(template, (lo, hi)) == [template % r for r in range(lo, hi + 1)]
 
 
 def test_a_table_at_the_digit_limit_writes_only_its_own_rows():
