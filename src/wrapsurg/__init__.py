@@ -6,7 +6,14 @@ standard equivalence moves, and classifies every surgery slope as
 hyperbolic, toroidal, small Seifert fibered, or reducible, with
 machine-checkable certificates (Seifert invariants, pretzel slopes, and
 predictions for the surgery families of the twisted embeddings in S^3).
+
+Importing the package loads the modules every request runs (`slopes`,
+`tangles`, `tracing`, `wrapped` and `classify`).  The names of `seifert`
+and `moves` are given by `__getattr__`, which imports their module on the
+first use of one of them.
 """
+from types import ModuleType as _ModuleType
+
 from .classify import (
     Analysis,
     DegenerateKnotError,
@@ -24,20 +31,6 @@ from .classify import (
     predict_s3_family,
     surgery_in_s3,
 )
-from .seifert import (
-    LENS,
-    REDUCIBLE,
-    MontesinosLink,
-    NotATorusKnotError,
-    SeifertInvariants,
-    SFSClass,
-    SFSKind,
-    double_branched_cover,
-    parse_montesinos,
-    pretzel_surgery_link,
-    sfs_equal,
-    torus_knot_surgery,
-)
 from .slopes import (
     MERIDIAN,
     ZERO,
@@ -54,17 +47,11 @@ from .slopes import (
 from .tangles import (
     LengthOneCanonical,
     MontesinosTangle,
-    Move,
     NormalForm,
     Pairing,
     closure_facts,
-    equivalent,
-    mirror_tangle,
     normalize,
     parse_tangle,
-    reverse_tangle,
-    shift_tangle,
-    twist_tangle,
 )
 from .tracing import NoPretzelSurfaceError, trace_closure
 from .wrapped import (
@@ -82,3 +69,33 @@ from .wrapped import (
 )
 
 __version__ = "0.1.0"
+
+# The names of the two modules no request runs, by module: each is imported
+# on the first use of one of its names (PEP 562).
+_LAZY = {
+    "seifert": (
+        "LENS", "REDUCIBLE", "MontesinosLink", "NotATorusKnotError", "SeifertInvariants",
+        "SFSClass", "SFSKind", "double_branched_cover", "parse_montesinos",
+        "pretzel_surgery_link", "sfs_equal", "torus_knot_surgery",
+    ),
+    "moves": (
+        "Move", "equivalent", "mirror_tangle", "reverse_tangle", "shift_tangle", "twist_tangle",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+# Every name above but the submodules, and the names of `_LAZY`.
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if not name.startswith("_") and type(value) is not _ModuleType] + list(_LAZY_MODULE)
+)
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value

@@ -19,7 +19,8 @@ A knot's `Analysis` (`analysis_of`) holds its class's table restated at
 the knot's own slopes, once, when the analysis is built: the slope map
 r = sigma * (rc - twists * wind^2) moves each entry's slope, n0 becomes
 sigma * (n0 + twists), and the answer gains the class's notes.  Its methods
-`classify`, `predict` and `exceptional_slopes` only look up that mapping, and
+`classify` and `predict` only look up that mapping, its `exceptional` tuple
+holds the (slope, answer) pairs of the table, built with it, and
 a sweep over integral slopes reads each row off the exceptional set: the
 exceptional type at that slope, else hyperbolic.  Nothing here keeps a knot:
 the module functions `classify`, `exceptional_slopes`, `predict_s3_family`
@@ -30,7 +31,9 @@ The S^3 surgery of a twisted image depends only on the canonical twist nc
 and the canonical slope rc, not on the knot: `_s3_cover` computes it once per
 (nc, rc), in an lru_cache of _S3_CACHE_SIZE (1024) entries, and runs the
 torus-knot cross-check on every miss; `_s3_cover_text`, of the same size,
-keeps each cover's text.  `Analysis.surgeries_in_s3`, the one reader of
+keeps each cover's text.  `wrapsurg.seifert`, which computes the covers and
+the check, is imported on the first miss, so a request that reads no S^3
+cover never loads it.  `Analysis.surgeries_in_s3`, the one reader of
 both, maps the knot's twist n to nc = sigma * n - twists.
 """
 from __future__ import annotations
@@ -39,13 +42,6 @@ from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
 
-from .seifert import (
-    SFSClass,
-    double_branched_cover,
-    pretzel_surgery_link,
-    sfs_equal,
-    torus_knot_surgery,
-)
 from .slopes import InconsistentCrossCheckError, Record, Slope, make_slope
 from .tangles import NormalForm, knot_text, normalize, shift_reduced
 from .tracing import pretzel_framing
@@ -191,10 +187,12 @@ class Analysis(Record):
     the meridional twists after mirroring.  `table` is the class's table at
     the knot's own slopes, ascending: each exceptional slope to its answer,
     its family and its canonical slope when the S^3 surgeries of its twisted
-    images are known (else None).
+    images are known (else None).  `exceptional` is the table's (slope,
+    answer) pairs in the same order.
     """
 
-    __slots__ = ("knot", "nf", "knot_class", "sigma", "twists", "table", "notes", "moves")
+    __slots__ = ("knot", "nf", "knot_class", "sigma", "twists", "table", "notes", "moves",
+                 "exceptional")
 
     def classify(self, r: Slope) -> SurgeryClassification:
         """Classify r-surgery: the table's answer at r, if any."""
@@ -211,7 +209,7 @@ class Analysis(Record):
         """The table's answers at the input knot's own slopes, in increasing
         order; every slope is integral."""
         self.require_hyperbolic()
-        return [(r, answer) for r, (answer, _, _) in self.table.items()]
+        return list(self.exceptional)
 
     def predict(self, r: Slope) -> FamilyPrediction:
         if r.is_meridian():
@@ -223,7 +221,7 @@ class Analysis(Record):
         return found[1]
 
     def surgeries_in_s3(self, r: Slope, ns: range,
-                        text: bool = False) -> list[tuple[int, SFSClass | str | None]]:
+                        text: bool = False) -> list[tuple[int, seifert.SFSClass | str | None]]:
         """The S^3 surgery at r of the n-twisted image for each n in `ns`,
         or with `text` its text, when known (else None); the slope is looked
         up once."""
@@ -241,16 +239,18 @@ class Analysis(Record):
 
 
 @lru_cache(maxsize=_S3_CACHE_SIZE)
-def _s3_cover(nc: int, rc: int) -> SFSClass:
+def _s3_cover(nc: int, rc: int) -> seifert.SFSClass:
     """The (rc + 4 nc)-surgery on the (-2, 3, 2 nc + 1) pretzel, the nc-twisted
     image of the canonical knot: the double branched cover of its branch
     locus, cross-checked against torus-knot surgery where the image is a torus
     knot.  The check runs on every miss, also under `python -O`."""
-    result = double_branched_cover(pretzel_surgery_link(nc, rc))
+    from . import seifert
+
+    result = seifert.double_branched_cover(seifert.pretzel_surgery_link(nc, rc))
     if nc in _TORUS_KNOT_MEMBERS:
         p, q = _TORUS_KNOT_MEMBERS[nc]
-        check = torus_knot_surgery(p, q, make_slope(rc + 4 * nc, 1))
-        if not sfs_equal(result, check):
+        check = seifert.torus_knot_surgery(p, q, make_slope(rc + 4 * nc, 1))
+        if not seifert.sfs_equal(result, check):
             raise InconsistentCrossCheckError(
                 f"branch-locus cover {result} disagrees with torus-knot "
                 f"surgery {check} at twist {nc}"
@@ -343,6 +343,7 @@ def analysis_of(knot: WrappedKnot) -> Analysis:
     knot_class, sigma, twists, table = _decide(knot.a, nf)
     notes = _NOTES.get(knot_class, ())
     shift = twists * knot.winding ** 2
+    exceptional = ()
     if table:
         restated = {}
         for rc, (answer, family, s3_cover) in table.items():
@@ -353,7 +354,9 @@ def analysis_of(knot: WrappedKnot) -> Analysis:
                 family = FamilyPrediction(family.kind, sigma * (family.n0 + twists),
                                           family.fiber_indices)
             restated[r] = answer, family, rc if s3_cover else None
-        table = MappingProxyType(dict(sorted(restated.items())))
+        items = sorted(restated.items())
+        table = MappingProxyType(dict(items))
+        exceptional = tuple((r, answer) for r, (answer, _, _) in items)
 
     moves: list[str] = []
     if not shift_reduced(knot.tangle.entries):
@@ -364,7 +367,7 @@ def analysis_of(knot: WrappedKnot) -> Analysis:
         effect = f"slopes shift by {shift}" if shift else "slopes unchanged, winding 0"
         moves.append(f"meridional twist m={twists} ({effect})")
 
-    return Analysis(knot, nf, knot_class, sigma, twists, table, notes, tuple(moves))
+    return Analysis(knot, nf, knot_class, sigma, twists, table, notes, tuple(moves), exceptional)
 
 
 def _spanning_surface_table(a: int, entries: tuple[Slope, ...]) -> MappingProxyType[int, tuple]:
@@ -399,7 +402,7 @@ def predict_s3_family(knot: WrappedKnot, r: Slope) -> FamilyPrediction:
     return analysis_of(knot).predict(r)
 
 
-def surgery_in_s3(knot: WrappedKnot, r: Slope, n: int) -> SFSClass | None:
+def surgery_in_s3(knot: WrappedKnot, r: Slope, n: int) -> seifert.SFSClass | None:
     """Identify the surgered manifold of the n-twisted image, when known.
 
     Known exactly for knots equivalent to the wrapped (-2, 3) pretzel at the

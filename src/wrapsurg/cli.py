@@ -8,8 +8,12 @@ command does not take, or an answer too long to write as text), 3 invalid
 or degenerate knot.  JSON output is the text of json.dumps(payload, indent=2,
 sort_keys=True).  A batch file or stdin decodes as UTF-8 with surrogateescape,
 its lines end at LF, CRLF or CR only, and shlex.split splits each into words.
-No request loads `json` (strings are quoted by its C helper `_json`), and only
-a batch line with a `"`, a backslash or an odd number of `'` loads `shlex`.
+Importing this module loads only what every request runs: the text writer is
+here, and `wrapsurg.jsonwriter`, the JSON writer, is imported by the first JSON
+answer (and bound to `_json_answer`).  No request loads `json` (the writer
+quotes strings with its C helper `_json`), and only a batch line with a `"`,
+a backslash or an odd number of `'` loads `shlex`; the regular expression that
+splits the other lines is compiled by the first of them.
 A `--range` or `--n` span holds at most MAX_SPAN_ROWS (1,000,000) rows; a
 longer one exits 2.
 
@@ -26,13 +30,13 @@ and writes out no knot, and the answer is the same either way.  `_answer`
 gives the records a request answers with, whatever its format, the text of
 each S^3 cover (written once per cover, beside `classify._s3_cover`) among
 them; text is written straight from them, and a JSON answer is assembled
-from one %-template per answer shape, its pieces, and one %-template per row
-of a `sweep` or `surgeries` list, so that a warm one builds no dict.  The
-rows of a span that are the same but for their integer (a hyperbolic sweep
-row, an unknown S^3 row) are sliced, in both formats, from `_row_chunk`'s
-chunks of 256 rows, which keeps at most 64 chunks and only those with
-integers -2**20 <= r < 2**20 (about 2 MB); the exceptional rows are written
-over them, and the bytes are those of one row at a time.
+(in `jsonwriter`) from one %-template per answer shape, its pieces, and one
+%-template per row of a `sweep` or `surgeries` list, so that a warm one
+builds no dict.  The rows of a span that are the same but for their integer
+(a hyperbolic sweep row, an unknown S^3 row) are sliced, in both formats,
+from `_row_chunk`'s chunks of 256 rows, which keeps at most 64 chunks and
+only those with integers -2**20 <= r < 2**20 (about 2 MB); the exceptional
+rows are written over them, and the bytes are those of one row at a time.
 Beneath `_knot`, `slopes.parse_slope` keeps the slopes of the last 2048
 slope texts of at most 64 characters, knot entries and request slopes alike,
 so a knot text missing from `_knot` is built from entries read before.
@@ -42,7 +46,6 @@ from __future__ import annotations
 import os
 import re
 import sys
-from _json import encode_basestring_ascii as _quote
 from functools import lru_cache
 
 from .classify import (
@@ -51,12 +54,10 @@ from .classify import (
     FamilyPrediction,
     KnotClass,
     SurgeryClassification,
-    SurgeryType,
     analysis_of,
 )
 from .slopes import ParseError, Slope, _parse_int, parse_slope
-from .tangles import NormalForm
-from .wrapped import NotAKnotError, TwistedImage, parse_knot, twist, two_bridge_fraction
+from .wrapped import NotAKnotError, parse_knot, twist, two_bridge_fraction
 
 # The flags each command takes; any other word starting "--" exits 2.  A batch takes none,
 # its request lines carry their own.
@@ -192,7 +193,7 @@ def run(request: Request, out=None) -> int:
     try:
         answer = _answer(request, knot, slope)
         if request.fmt == "json":
-            text = _json_answer(request, knot, slope, answer)
+            text = (_json_answer or _json_writer())(request, knot, slope, answer)
         else:
             text = _text_answer(request, knot, answer)
     except DegenerateKnotError as err:
@@ -209,6 +210,18 @@ def run(request: Request, out=None) -> int:
         ) from None
     print(text, file=out)
     return 0
+
+
+# `jsonwriter.json_answer`, bound by the first JSON answer.
+_json_answer = None
+
+
+def _json_writer():
+    global _json_answer
+    from .jsonwriter import json_answer
+
+    _json_answer = json_answer
+    return json_answer
 
 
 class _Knot:
@@ -258,7 +271,7 @@ def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
         lo, hi = request.n_range
         return [(twist(wrapped, n), two_bridge_fraction(wrapped, n) if single else None)
                 for n in range(lo, hi + 1)]
-    return analysis.exceptional_slopes(), request.slope_range
+    return analysis.exceptional, request.slope_range
 
 
 # The table entry of a slope outside the table: no canonical slope for S^3 covers.
@@ -297,49 +310,26 @@ def _run_batch(request: Request, out) -> int:
     return exit_code
 
 
-# A word of a line with no " or \: a run of non-whitespace, with '...' stretches.
-_WORD = re.compile(r"(?:[^ \t\r\n']+|'[^']*')+")
+# A word of a line with no " or \: a run of non-whitespace, with '...' stretches;
+# compiled by the first line that needs it.
+_WORD = None
 
 
 def _split(text: str) -> list[str]:
     """The words shlex.split(text) gives, or its ValueError."""
+    global _WORD
     if '"' in text or "\\" in text or text.count("'") % 2:
         import shlex
         return shlex.split(text)
+    if _WORD is None:
+        _WORD = re.compile(r"(?:[^ \t\r\n']+|'[^']*')+")
     return [word.replace("'", "") for word in _WORD.findall(text)]
-
-
-def _json(value, indent: str) -> str:
-    """The text of json.dumps(value, indent=2, sort_keys=True), nested at `indent`;
-    a tuple is written as a list, as json.dumps writes it."""
-    kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = (f"{inner}{_quote(k)}: {_json(value[k], inner)}" for k in sorted(value))
-        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = (inner + _json(item, inner) for item in value)
-        return "[\n" + ",\n".join(items) + f"\n{indent}]"
-    if kind is int:
-        return int.__repr__(value)  # ValueError past the digit limit
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # -- rows of a span ----------------------------------------------------------
 
 # The text rows of a `table` sweep at a hyperbolic slope and of `--n` surgeries
-# whose S^3 covers are unknown; the JSON ones are beside the JSON templates.
+# whose S^3 covers are unknown; the JSON ones are in `jsonwriter`.
 _HYPERBOLIC_LINE = "  r=%d: hyperbolic"
 _UNKNOWN_LINE = "  n=%d: unknown"
 # `_row_chunk` keeps the last _ROW_CHUNKS chunks of _CHUNK_ROWS rows, each at
@@ -448,174 +438,6 @@ def _family_line(prediction: FamilyPrediction) -> str:
         window = "" if n0 is None else f" except within 1 of n0={n0}"
         return f"family: toroidal for all but at most three embeddings{window}"
     return "family: hyperbolic for all but finitely many embeddings"
-
-
-# -- JSON writer -------------------------------------------------------------
-
-# Each answer's keys in sorted order, with its pieces already rendered at
-# depth 1; the last %s of the first two is the `surgeries` or `sweep` list or
-# nothing.
-_CLASSIFY_JSON = ('{\n  "classification": %s,\n  "equivalence_moves": %s,\n'
-                  '  "family_prediction": %s,\n  "input": %s,\n  "normal_form": %s%s\n}')
-_SLOPES_JSON = ('{\n  "equivalence_moves": %s,\n  "exceptional_slopes": %s,\n'
-                '  "input": %s,\n  "normal_form": %s%s\n}')
-_TWIST_JSON = ('{\n  "equivalence_moves": %s,\n  "images": %s,\n'
-               '  "input": %s,\n  "normal_form": %s\n}')
-_NORMALIZE_JSON = '{\n  "equivalence_moves": %s,\n  "input": %s,\n  "normal_form": %s\n}'
-# The span and the slope of the `input` record, when the request has them.
-_SPAN_JSON = ',\n    "%s": [\n      %d,\n      %d\n    ]'
-_SLOPE_JSON = ',\n    "slope": "%s"'
-# One row of a JSON `sweep` or `surgeries` list, at its depth in an answer.
-_SWEEP_ROW = '    {\n      "slope": "%d",\n      "type": "%s"\n    }'
-_SURGERY_ROW = '    {\n      "n": %d,\n      "result": %s\n    }'
-_HYPERBOLIC_ROW = '    {\n      "slope": "%d",\n      "type": "hyperbolic"\n    }'
-_NULL_ROW = '    {\n      "n": %d,\n      "result": null\n    }'
-
-
-def _json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tuple) -> str:
-    pieces = knot.json
-    if pieces is None:
-        pieces = knot.json = _fragments(knot)
-    quoted, nf, moves, exceptional_fragment, table, hyperbolic = pieces
-    given = '{\n    "knot": ' + quoted
-    if request.n_range is not None:
-        given += _SPAN_JSON % ("n", *request.n_range)
-    if request.slope_range is not None:
-        given += _SPAN_JSON % ("range", *request.slope_range)
-    if slope is not None:
-        given += _SLOPE_JSON % slope
-    given += "\n  }"
-    command = request.command
-    if command in ("classify", "predict"):
-        result, prediction, rows = answer
-        found = table.get(result.slope)
-        if found is not None:
-            classification, family = found
-        elif result.type is SurgeryType.HYPERBOLIC:
-            classification, family = hyperbolic % result.slope, _HYPERBOLIC_FAMILY_JSON
-        else:  # the meridian, or a knot whose table was too long to write
-            classification = _json(_classification_json(result), "  ")
-            family = "null" if prediction is None else _json(_prediction_json(prediction), "  ")
-        surgeries = ""
-        if rows is not None:
-            surgeries = _rows("surgeries", _span_rows(_NULL_ROW, rows) if type(rows) is tuple
-                              else [_SURGERY_ROW % (n, _quote(known)) for n, known in rows])
-        return _CLASSIFY_JSON % (classification, moves, family, given, nf, surgeries)
-    if command in ("slopes", "table"):
-        exceptional, span = answer
-        if exceptional_fragment is None:  # raises: an integer too long to write
-            exceptional_fragment = _json(_exceptional_json(exceptional), "  ")
-        rows = "" if span is None else _rows(
-            "sweep", _span_rows(_HYPERBOLIC_ROW, span, exceptional, _SWEEP_ROW))
-        return _SLOPES_JSON % (moves, exceptional_fragment, given, nf, rows)
-    if command == "twist":
-        images = _json([_image_json(image, fraction) for image, fraction in answer], "  ")
-        return _TWIST_JSON % (moves, images, given, nf)
-    return _NORMALIZE_JSON % (moves, given, nf)
-
-
-def _fragments(knot: _Knot) -> tuple:
-    """The JSON pieces of every answer for the knot, each rendered at its
-    depth in an answer, for its `json` slot: its quoted text, its normal
-    form and its equivalence moves; for a hyperbolic knot its exceptional
-    slopes and, by table slope, (classification, family prediction); and a
-    %-template of its classification at a hyperbolic slope.  A knot whose
-    table holds an integer too long to write gets None and an empty mapping,
-    so that only the answers that show that integer fail."""
-    analysis = knot.analysis
-    try:
-        exceptional = _json(_exceptional_json(analysis.exceptional_slopes()), "  ")
-        table = {r: (_json(_classification_json(answer), "  "),
-                     _json(_prediction_json(family), "  "))
-                 for r, (answer, family, _) in analysis.table.items()}
-    except ValueError:  # DegenerateKnotError, or past the digit limit
-        exceptional, table = None, {}
-    # Notes are written with every % doubled, and the slope as "%s".
-    notes = tuple(note.replace("%", "%%") for note in analysis.notes)
-    hyperbolic = SurgeryClassification(SurgeryType.HYPERBOLIC, "%s", None, None, notes)
-    return (
-        _quote(knot.text),
-        _json(_normal_form_json(analysis.nf), "  "),
-        _json(analysis.moves, "  "),
-        exceptional,
-        table,
-        _json(_classification_json(hyperbolic), "  "),
-    )
-
-
-def _rows(key: str, rows: list[str]) -> str:
-    """The `key` member of an answer: a list of at least one written row."""
-    return ',\n  "%s": [\n%s\n  ]' % (key, ",\n".join(rows))
-
-
-def _normal_form_json(nf: NormalForm) -> dict:
-    record = {
-        "e0": nf.e0,
-        "fracs": [str(f) for f in nf.fracs],
-        "degenerate": nf.degenerate,
-        "canonical": None,
-    }
-    if nf.k1 is not None:
-        record["canonical"] = {
-            "t": str(nf.k1.t),
-            "mirrored": nf.k1.mirrored,
-            "twists": nf.k1.twists,
-        }
-    return record
-
-
-def _classification_json(result: SurgeryClassification) -> dict:
-    record: dict = {
-        "type": result.type.value,
-        "slope": str(result.slope),
-        "certificate": None,
-        "fiber_indices": result.seifert_indices or None,
-    }
-    if result.certificate is not None:
-        cert = result.certificate
-        record["certificate"] = {
-            "source": cert.source.value,
-            "slope": str(cert.slope),
-            "piece_indices": cert.piece_indices or None,
-            "piece": cert.piece,
-        }
-    if result.notes:
-        record["notes"] = result.notes
-    return record
-
-
-def _prediction_json(prediction: FamilyPrediction) -> dict:
-    return {
-        "kind": prediction.kind.value,
-        "n0": prediction.n0,
-        "fiber_indices": prediction.fiber_indices or None,
-    }
-
-
-def _exceptional_json(
-    exceptional: list[tuple[Slope, SurgeryClassification]],
-) -> list[dict]:
-    return [
-        {"slope": str(r), "classification": _classification_json(c)}
-        for r, c in exceptional
-    ]
-
-
-def _image_json(image: TwistedImage, fraction: Slope | None) -> dict:
-    record = {
-        "n": image.n,
-        "link": str(image),
-        "entries": [str(s) for s in image.entries],
-        "degenerate": image.degenerate,
-    }
-    if fraction is not None:
-        record["two_bridge"] = str(fraction)
-    return record
-
-
-# The family prediction at every slope outside a knot's table.
-_HYPERBOLIC_FAMILY_JSON = _json(
-    _prediction_json(FamilyPrediction(FamilyKind.HYPERBOLIC_INTERIOR)), "  ")
 
 
 def main(argv: list[str] | None = None) -> int:

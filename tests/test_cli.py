@@ -24,7 +24,8 @@ from wrapsurg import (
     parse_knot,
     parse_slope,
 )
-from wrapsurg import cli
+import wrapsurg
+from wrapsurg import cli, jsonwriter
 from wrapsurg.cli import main
 
 
@@ -342,7 +343,8 @@ def test_batch_lines_are_trimmed_of_shlex_whitespace_only(tmp_path, capsys):
 
 
 def test_text_requests_import_neither_json_nor_shlex():
-    # -S: no site module, so only the package's own imports count.
+    # -S: no site module, so only the package's own imports count.  Lines
+    # starting "@" are the child's report; the others are the answers.
     child = run_python(
         "import sys\n"
         "import wrapsurg.cli\n"
@@ -351,17 +353,25 @@ def test_text_requests_import_neither_json_nor_shlex():
         "loaded = lambda: [name for name in names if name in sys.modules]\n"
         "package = lambda: sorted(name for name in sys.modules\n"
         "                         if name.partition('.')[0] == 'wrapsurg')\n"
-        "after_import, package_after_import = loaded(), package()\n"
-        "code = wrapsurg.cli.main(['classify', 'K1[-1/2,1/3]', '7'])\n"
-        "print(code, after_import, loaded())\n"
-        "print(package_after_import)\n"
-        "print(package())\n",
+        "print('@', loaded(), package(), wrapsurg.cli._WORD)\n"
+        "for argv in (['classify', 'K1[-1/2,1/3]', '7'],\n"
+        "             ['classify', 'K1[-1/2,1/3]', '7', '--format', 'json'],\n"
+        "             ['predict', 'K1[-1/2,1/3]', '7', '--n', '0..1']):\n"
+        "    code = wrapsurg.cli.main(argv)\n"
+        "    print('@', code, loaded(), package())\n",
         "-S",
     )
     assert child.returncode == 0, child.stderr
-    modules = str(sorted(["wrapsurg", *(f"wrapsurg.{name}" for name in (
-        "classify", "cli", "seifert", "slopes", "tangles", "tracing", "wrapped"))]))
-    assert child.stdout.splitlines()[-3:] == ["0 [] []", modules, modules]
+    report = [line for line in child.stdout.splitlines() if line.startswith("@")]
+    # Every request runs these seven; the regular expression that splits a
+    # batch line is compiled by the first line that needs it.
+    request_path = sorted(["wrapsurg", *(f"wrapsurg.{name}" for name in (
+        "classify", "cli", "slopes", "tangles", "tracing", "wrapped"))])
+    # A JSON answer loads the JSON writer, and a known S^3 cover `seifert`.
+    with_writer = sorted([*request_path, "wrapsurg.jsonwriter"])
+    with_seifert = sorted([*with_writer, "wrapsurg.seifert"])
+    assert report == [f"@ [] {request_path} None", f"@ 0 [] {request_path}",
+                      f"@ 0 [] {with_writer}", f"@ 0 [] {with_seifert}"]
 
 
 def test_spans_longer_than_the_cap_exit_2_at_once(capsys):
@@ -505,13 +515,13 @@ _trees = st.recursive(
 
 @given(_trees)
 def test_json_emitter_gives_the_text_of_indented_sorted_dumps(value):
-    assert cli._json(value, "") == json.dumps(value, indent=2, sort_keys=True)
+    assert jsonwriter._json(value, "") == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_json_emitter_fails_past_the_digit_limit_as_dumps_does():
     value = {"n": [10 ** sys.get_int_max_str_digits()]}
     with pytest.raises(ValueError) as ours:
-        cli._json(value, "")
+        jsonwriter._json(value, "")
     with pytest.raises(ValueError) as theirs:
         json.dumps(value, indent=2, sort_keys=True)
     assert str(ours.value) == str(theirs.value)
@@ -606,7 +616,8 @@ def test_every_table_row_is_the_type_classify_gives(knot, data):
 # The four templates whose rows `_span_rows` slices from cached chunks, and
 # spans about chunk edges, 0, the edges of the chunk window and integers of up
 # to 300 digits.
-_ROW_TEMPLATES = [cli._HYPERBOLIC_LINE, cli._UNKNOWN_LINE, cli._HYPERBOLIC_ROW, cli._NULL_ROW]
+_ROW_TEMPLATES = [cli._HYPERBOLIC_LINE, cli._UNKNOWN_LINE, jsonwriter._HYPERBOLIC_ROW,
+                  jsonwriter._NULL_ROW]
 _span_anchors = st.one_of(
     st.integers(-8, 8).map(lambda k: k * cli._CHUNK_ROWS),
     st.sampled_from([cli._CHUNK_WINDOW, -cli._CHUNK_WINDOW]),
@@ -678,8 +689,9 @@ def _count_calls(monkeypatch, calls, owner, name):
             monkeypatch.setattr(holder, name, counting)
 
 
-# The functions that build JSON, which a text request, cold or warm, never calls;
-# the row chunks both writers slice are not among them.
+# The functions of the JSON writer that build JSON, which a text request, cold or
+# warm, never calls (it never imports the writer); the row chunks both writers
+# slice are not among them.
 _JSON_BUILDERS = ("_normal_form_json", "_classification_json", "_prediction_json",
                   "_exceptional_json", "_fragments", "_rows", "_json")
 # Of those, the ones a warm JSON answer other than `twist` never calls: it is
@@ -704,7 +716,11 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
             built = {}
             if fmt == "text":
                 for name in _JSON_BUILDERS:
-                    _count_calls(monkeypatch, built, cli, name)
+                    _count_calls(monkeypatch, built, jsonwriter, name)
+                # As in a fresh process: the writer is not loaded.
+                monkeypatch.setattr(cli, "_json_answer", None)
+                monkeypatch.delitem(sys.modules, "wrapsurg.jsonwriter")
+                monkeypatch.delattr(wrapsurg, "jsonwriter")
             first = _answer(*args)
             calls = {}
             _count_calls(monkeypatch, calls, tracing, "trace_closure")
@@ -713,8 +729,9 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
             _count_calls(monkeypatch, calls, wrapped.WrappedKnot, "__str__")
             if fmt == "json" and args[0] != "twist":
                 for name in _KNOT_BUILDERS:
-                    _count_calls(monkeypatch, calls, cli, name)
+                    _count_calls(monkeypatch, calls, jsonwriter, name)
             again = _answer(*args)
+            imported = "wrapsurg.jsonwriter" in sys.modules
             monkeypatch.undo()
             assert again == first
             if refused and args[0] != "normalize":
@@ -725,6 +742,7 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
                 assert first[0] == 0 and shown in first[1]
             assert calls == {}, args
             assert built == {}, args  # text is written from the records
+            assert imported == (fmt == "json"), args  # text never loads the writer
 
 
 # One request per grid candidate (links included), the commands taking turns.

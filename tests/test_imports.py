@@ -1,0 +1,136 @@
+"""What the package namespace gives and what importing it loads.
+
+Needs pytest only (no hypothesis, no conftest helpers), so that it runs on
+every supported Python: PEP 562 module `__getattr__` and the order in which
+submodules bind their names on the package are version-sensitive.
+
+    PYTHONPATH=src python -m pytest -q --noconftest tests/test_imports.py
+"""
+from __future__ import annotations
+
+import importlib
+import os
+import subprocess
+import sys
+import tokenize
+from pathlib import Path
+
+import pytest
+
+import wrapsurg
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# The package's public names, by the module that defines them: the same names
+# as before `seifert` and the equivalence moves were loaded on first use.
+_NAMESPACE = {
+    "slopes": (
+        "InconsistentCrossCheckError", "InfinityInputError", "MERIDIAN", "ParseError", "Slope",
+        "ZERO", "ZeroZeroError", "distance", "evaluate_continued_fraction", "expand",
+        "make_slope", "parse_slope",
+    ),
+    "tangles": (
+        "LengthOneCanonical", "MontesinosTangle", "NormalForm", "Pairing", "closure_facts",
+        "normalize", "parse_tangle",
+    ),
+    "moves": (
+        "Move", "equivalent", "mirror_tangle", "reverse_tangle", "shift_tangle", "twist_tangle",
+    ),
+    "tracing": ("NoPretzelSurfaceError", "trace_closure"),
+    "wrapped": (
+        "NotAKnotError", "NotLengthOneError", "TwistedImage", "WrappedKnot", "make_wrapped",
+        "parse_knot", "pretzel_slope", "transport_slope", "twist", "two_bridge_fraction",
+        "wrapping_number",
+    ),
+    "seifert": (
+        "LENS", "MontesinosLink", "NotATorusKnotError", "REDUCIBLE", "SFSClass", "SFSKind",
+        "SeifertInvariants", "double_branched_cover", "parse_montesinos",
+        "pretzel_surgery_link", "sfs_equal", "torus_knot_surgery",
+    ),
+    "classify": (
+        "Analysis", "DegenerateKnotError", "FamilyKind", "FamilyPrediction", "KnotClass",
+        "SurgeryClassification", "SurgeryType", "ToroidalCertificate", "ToroidalSource",
+        "analysis_of", "classify", "exceptional_slopes", "predict_s3_family", "surgery_in_s3",
+    ),
+}
+# What `import wrapsurg` loads: the package and the library modules every
+# request runs.
+_PACKAGE = ["wrapsurg", "wrapsurg.classify", "wrapsurg.slopes", "wrapsurg.tangles",
+            "wrapsurg.tracing", "wrapsurg.wrapped"]
+# CPython 3.11's parser grows its token array past 4096 tokens, which costs
+# every process that compiles the module about 0.3 MB of peak RSS.
+_TOKEN_BUDGET = 4096
+
+
+def _fresh(script: str) -> list[str]:
+    """The stdout lines of `script` in a fresh interpreter without the site
+    module, with this checkout's src/ on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_the_namespace_is_the_names_of_every_module():
+    assert sorted(wrapsurg.__all__) == sorted(
+        name for names in _NAMESPACE.values() for name in names)
+    assert len(set(wrapsurg.__all__)) == len(wrapsurg.__all__) == 64
+
+
+@pytest.mark.parametrize("module", sorted(_NAMESPACE))
+def test_each_name_is_the_object_of_its_defining_module(module):
+    defining = importlib.import_module(f"wrapsurg.{module}")
+    for name in _NAMESPACE[module]:
+        assert getattr(wrapsurg, name) is getattr(defining, name), name
+
+
+def test_classify_is_the_function_not_the_submodule():
+    classify = sys.modules["wrapsurg.classify"]
+    assert wrapsurg.classify is classify.classify
+    assert callable(wrapsurg.classify)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'wrapsurg' has no attribute 'no_such_name'"):
+        wrapsurg.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from wrapsurg import no_such_name", {})
+
+
+def test_import_loads_the_request_path_and_the_rest_on_first_use():
+    lines = _fresh(
+        "import sys\n"
+        "package = lambda: sorted(n for n in sys.modules if n.partition('.')[0] == 'wrapsurg')\n"
+        "import wrapsurg\n"
+        "print(package())\n"
+        "T = wrapsurg.parse_tangle\n"
+        "print(wrapsurg.equivalent(T('[1/2,1/2]'), T('[1/2,3/2]')),\n"
+        "      wrapsurg.equivalent(T('[5/3,-2/3]'), T('[2/3,1/3]'))[0] == wrapsurg.Move('shift'))\n"
+        "print(package())\n"
+        "from wrapsurg import *\n"
+        "import wrapsurg.jsonwriter\n"  # and `cli`, which it reads
+        "print(package())\n"
+        "print(callable(wrapsurg.classify), classify is wrapsurg.classify, len(wrapsurg.__all__))\n"
+    )
+    assert lines == [
+        str(_PACKAGE),
+        "None True",
+        str(sorted([*_PACKAGE, "wrapsurg.moves"])),
+        str(sorted([*_PACKAGE, "wrapsurg.cli", "wrapsurg.jsonwriter", "wrapsurg.moves",
+                    "wrapsurg.seifert"])),
+        "True True 64",
+    ]
+
+
+def _tokens(path: Path) -> int:
+    """The tokens the parser reads: tokenize's, without comments and blank lines."""
+    skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+    with path.open("rb") as handle:
+        return sum(token.type not in skipped for token in tokenize.tokenize(handle.readline))
+
+
+def test_every_module_stays_below_the_parser_token_step():
+    sizes = {path.name: _tokens(path) for path in sorted((SRC / "wrapsurg").glob("*.py"))}
+    assert "cli.py" in sizes and "jsonwriter.py" in sizes
+    assert max(sizes.values()) < _TOKEN_BUDGET, sizes

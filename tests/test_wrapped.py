@@ -198,15 +198,16 @@ sys.exit(1)
 
 
 # A torus-knot classification that disagrees with the branch-locus cover of
-# the twist-1 member T(3, 4): the memoized S^3 cover runs the check on its miss.
+# the twist-1 member T(3, 4): the memoized S^3 cover runs the check on its miss,
+# reading `seifert.torus_knot_surgery` there.
 _SABOTAGED_TORUS_KNOT = """
 import importlib
 import sys
 from wrapsurg import REDUCIBLE, InconsistentCrossCheckError, make_slope, parse_knot, surgery_in_s3
 if not sys.flags.optimize:
     sys.exit(3)
-classify = importlib.import_module("wrapsurg.classify")
-classify.torus_knot_surgery = lambda p, q, r: REDUCIBLE
+seifert = importlib.import_module("wrapsurg.seifert")
+seifert.torus_knot_surgery = lambda p, q, r: REDUCIBLE
 try:
     surgery_in_s3(parse_knot("K1[-1/2,1/3]"), make_slope(7, 1), 1)
 except InconsistentCrossCheckError as err:
