@@ -33,7 +33,6 @@ from .classify import (
 )
 from .slopes import (
     MERIDIAN,
-    ZERO,
     InfinityInputError,
     ParseError,
     Slope,
@@ -65,7 +64,6 @@ from .wrapped import (
     transport_slope,
     twist,
     two_bridge_fraction,
-    wrapping_number,
 )
 
 __version__ = "0.1.0"
@@ -75,8 +73,8 @@ __version__ = "0.1.0"
 _LAZY = {
     "seifert": (
         "LENS", "REDUCIBLE", "MontesinosLink", "NotATorusKnotError", "SeifertInvariants",
-        "SFSClass", "SFSKind", "double_branched_cover", "parse_montesinos",
-        "pretzel_surgery_link", "sfs_equal", "torus_knot_surgery",
+        "SFSClass", "SFSKind", "double_branched_cover", "pretzel_surgery_link", "sfs_equal",
+        "torus_knot_surgery",
     ),
     "moves": (
         "Move", "equivalent", "mirror_tangle", "reverse_tangle", "shift_tangle", "twist_tangle",

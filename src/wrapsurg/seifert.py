@@ -1,10 +1,11 @@
 """Seifert data of double branched covers and of torus-knot surgeries.
 
-Montesinos links are recorded by their entry fractions; the double branched
-cover of M(r_1, ..., r_k) is Seifert fibered with one singular fiber of
-index alpha per entry beta/alpha after normalizing every fraction into
-(0, 1), integer parts pooling into the Euler term.  An entry 1/0 marks a
-connected sum whose cover is reducible.  Surgery on a torus knot is
+A Montesinos link M(r_1, ..., r_k) is recorded by its tuple of entry
+slopes; the classifier's links come from `pretzel_surgery_link`, and no
+text form of a link is read.  Its double branched cover is Seifert fibered with one
+singular fiber of index alpha per entry beta/alpha after normalizing every
+slope into (0, 1), integer parts pooling into the Euler term.  An entry 1/0
+marks a connected sum whose cover is reducible.  Surgery on a torus knot is
 classified by the distance d = |u - pq v| to the cabling slope: reducible
 at d = 0, a lens space at d = 1, and otherwise a small Seifert space whose
 invariants {b1/p, b2/q, v/(u - pq v)} with b1 q + b2 p = 1 follow from
@@ -15,14 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from enum import Enum
 
-from .slopes import (
-    InconsistentCrossCheckError,
-    Record,
-    Slope,
-    make_slope,
-    parse_entries,
-    split_integer_parts,
-)
+from .slopes import InconsistentCrossCheckError, Record, Slope, make_slope, split_integer_parts
 
 
 class NotATorusKnotError(ValueError):
@@ -152,8 +146,3 @@ def sfs_equal(x: SFSClass, y: SFSClass) -> bool:
         return True
     assert x.invariants is not None and y.invariants is not None
     return x.invariants in (y.invariants, y.invariants.reversed_orientation())
-
-
-def parse_montesinos(text: str, offset: int = 0) -> MontesinosLink:
-    """Parse `M[r1,...,rk]`; `inf` entries are allowed and mark degenerations."""
-    return MontesinosLink(parse_entries(text, offset, "Montesinos link", "M[r1,...,rk]"))

@@ -4,10 +4,9 @@ A slope is an extended rational p/q with gcd(|p|, q) = 1 and q >= 0; the
 meridian 1/0 is the unique infinite slope.  All arithmetic is exact over
 arbitrary-precision integers.  `Slope` is the package's one rational type:
 its reciprocal, integer shifts, negation and order are all the arithmetic
-the package does, and `fractions` loads only in the conversion functions
-(`as_fraction`, `from_fraction` and the tangles' `entry_sum`).  Slope texts
-are read by `parse_slope`, which keeps the slopes of the last 2048 short
-texts it parsed, so a text is read once while it stays among them.
+the package does, and no module imports `fractions`.  Slope texts are read
+by `parse_slope`, which keeps the slopes of the last 2048 short texts it
+parsed, so a text is read once while it stays among them.
 
 `Record` is the base of the package's value types.  A record is built from
 its field values in `__slots__` order, `cls(*values)`; omitted trailing
@@ -134,22 +133,6 @@ class Slope(Record):
     def is_integral(self) -> bool:
         return self.q == 1
 
-    # -- conversions -----------------------------------------------------
-
-    def as_fraction(self) -> Fraction:
-        from fractions import Fraction
-
-        if self.q == 0:
-            raise InfinityInputError("meridian has no finite value")
-        return Fraction(self.p, self.q)
-
-    @classmethod
-    def from_fraction(cls, value: Fraction | int) -> "Slope":
-        from fractions import Fraction
-
-        f = Fraction(value)
-        return cls(f.numerator, f.denominator)
-
     # -- arithmetic ------------------------------------------------------
 
     def reciprocal(self) -> "Slope":
@@ -190,7 +173,6 @@ class Slope(Record):
 
 _set_p, _set_q = Slope._setters
 MERIDIAN = Slope(1, 0)
-ZERO = Slope(0, 1)
 
 
 def make_slope(p: int, q: int) -> Slope:
@@ -309,27 +291,6 @@ def _read_slope(text: str, offset: int, meridian: str | None) -> Slope:
 @lru_cache(maxsize=_SLOPE_CACHE_SIZE)
 def _slope_memo(text: str, meridian: str | None) -> Slope:
     return _read_slope(text, 0, meridian)
-
-
-def parse_entries(text: str, offset: int, name: str, syntax: str,
-                  meridian: str | None = None) -> tuple[Slope, ...]:
-    """The entries of `text`, written as `syntax` shows (`[t1,...,tk]` or
-    `M[r1,...,rk]`); whitespace may surround the whole and each entry.  Error
-    positions count from `offset`, the position of text[0].  Each entry is
-    read by `parse_slope` with the `meridian` message."""
-    head = syntax[: syntax.index("[") + 1]
-    s, offset = stripped(text, offset)
-    if not s.startswith(head) or not s.endswith("]"):
-        raise ParseError(f"{name} syntax is {syntax}", offset)
-    inner = s[len(head):-1]
-    position = offset + len(head)
-    if not inner.strip():
-        raise ParseError(f"{name} needs at least one entry", position)
-    entries = []
-    for piece in inner.split(","):
-        entries.append(parse_slope(piece, position, meridian))
-        position += len(piece) + 1
-    return tuple(entries)
 
 
 def _parse_int(text: str, offset: int, allow_sign: bool) -> int:

@@ -2,11 +2,12 @@
 
 A Montesinos tangle is the ordered horizontal sum of rational tangles, and
 a rational tangle is its finite slope, so a tangle is its tuple of entry
-slopes.  `normalize` reduces a tangle under the four equivalence moves
-(entrywise integer shifts with fixed sum, reversal, the mirror image, and
-the meridional twist of a single entry) to its normal form, which is all
-the classifier reads.  The moves themselves, and `equivalent` with its
-witnesses, are in `wrapsurg.moves`, which no request loads.
+slopes, read from the text `[t1,...,tk]` by `parse_tangle`.  `normalize`
+reduces a tangle under the four equivalence moves (entrywise integer shifts
+with fixed sum, reversal, the mirror image, and the meridional twist of a
+single entry) to its normal form, which is all the classifier reads.  The
+moves themselves, and `equivalent` with its witnesses, are in
+`wrapsurg.moves`, which no request loads.
 
 How a tangle joins its four endpoints, and so whether its wrapped closure is
 a knot and how often that knot winds, depends only on the parities of its
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .slopes import Record, Slope, parse_entries, split_integer_parts
+from .slopes import ParseError, Record, Slope, parse_slope, split_integer_parts, stripped
 
 
 class Pairing(Enum):
@@ -81,11 +82,6 @@ class MontesinosTangle(Record):
     def from_slopes(cls, slopes: list[Slope] | tuple[Slope, ...]) -> "MontesinosTangle":
         return cls(tuple(slopes))
 
-    def entry_sum(self) -> Fraction:
-        from fractions import Fraction
-
-        return sum((s.as_fraction() for s in self.entries), Fraction(0))
-
     def __str__(self) -> str:
         return "[" + ",".join(str(s) for s in self.entries) + "]"
 
@@ -117,11 +113,6 @@ class NormalForm(Record):
     """
 
     __slots__ = ("e0", "fracs", "degenerate", "k1")
-
-    def entry_sum(self) -> Fraction:
-        from fractions import Fraction
-
-        return self.e0 + sum((f.as_fraction() for f in self.fracs), Fraction(0))
 
     def as_tangle(self) -> MontesinosTangle:
         """A shift-equivalent tangle realizing this normal form."""
@@ -168,6 +159,18 @@ _NOT_AN_ENTRY = "1/0 is not a rational tangle entry"
 
 
 def parse_tangle(text: str, offset: int = 0) -> MontesinosTangle:
-    """Parse `[t1,t2,...,tk]` with each entry in slope syntax; the meridian,
-    written `inf` or with a zero denominator, is not an entry."""
-    return MontesinosTangle(parse_entries(text, offset, "tangle", "[t1,...,tk]", _NOT_AN_ENTRY))
+    """Parse `[t1,t2,...,tk]`, each entry read by `parse_slope`; the
+    meridian, written `inf` or with a zero denominator, is not an entry.
+    Whitespace may surround the whole and each entry; error positions count
+    from `offset`, the position of text[0]."""
+    s, offset = stripped(text, offset)
+    if not s.startswith("[") or not s.endswith("]"):
+        raise ParseError("tangle syntax is [t1,...,tk]", offset)
+    inner, position = s[1:-1], offset + 1
+    if not inner.strip():
+        raise ParseError("tangle needs at least one entry", position)
+    entries = []
+    for piece in inner.split(","):
+        entries.append(parse_slope(piece, position, _NOT_AN_ENTRY))
+        position += len(piece) + 1
+    return MontesinosTangle(tuple(entries))

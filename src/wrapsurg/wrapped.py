@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from . import tracing
 from .slopes import InconsistentCrossCheckError, ParseError, Record, Slope, make_slope, stripped
-from .tangles import MontesinosTangle, closure_facts, knot_text, normalize, parse_tangle
+from .tangles import MontesinosTangle, closure_facts, knot_text, parse_tangle
 
 
 class NotAKnotError(ValueError):
@@ -69,17 +69,6 @@ class WrappedKnot(Record):
 def make_wrapped(a: int, tangle: MontesinosTangle) -> WrappedKnot:
     """Close the tangle with two wrap arcs; the same as `WrappedKnot(a, tangle)`."""
     return WrappedKnot(a, tangle)
-
-
-def wrapping_number(knot: WrappedKnot) -> int:
-    """Minimal geometric intersection with a meridian disk.
-
-    2 for every knot in the classified family except the degenerate ones
-    whose winding number vanishes; those are isotopic into a ball.
-    """
-    if normalize(knot.tangle).degenerate and knot.winding == 0:
-        return 0
-    return 2
 
 
 class TwistedImage(Record):

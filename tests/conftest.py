@@ -1,12 +1,15 @@
 """Shared generators for the randomized suites (seeded, no global state),
-the hypothesis profile every property test runs under, and a runner for
-checks that need a fresh interpreter."""
+the hypothesis profile every property test runs under, the `Fraction`
+reference value of a sum of slopes, and a runner for checks that need a
+fresh interpreter."""
 from __future__ import annotations
 
 import os
 import random
 import subprocess
 import sys
+from collections.abc import Iterable
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import settings
@@ -55,6 +58,12 @@ def random_knot(
             return make_wrapped(a, tangle)
         except NotAKnotError:
             continue
+
+
+def fraction_sum(slopes: Iterable[Slope], start: int = 0) -> Fraction:
+    """`start` plus the finite `slopes`, in `Fraction` arithmetic: the
+    reference that tests compare the package's `Slope` arithmetic with."""
+    return sum((Fraction(s.p, s.q) for s in slopes), Fraction(start))
 
 
 def python_env() -> dict[str, str]:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
@@ -238,7 +239,7 @@ def _moved(rng, knot, r):
         return make_wrapped(knot.a, mirror_tangle(tangle)), -r
     if len(tangle.entries) == 1 and tangle.entries[0].p != 0:
         m = rng.randint(-3, 3)
-        t = tangle.entries[0].as_fraction()
+        t = Fraction(tangle.entries[0].p, tangle.entries[0].q)
         if 2 * m + 1 / t != 0:
             moved = make_wrapped(knot.a, twist_tangle(tangle, m))
             shift = 0 if r.is_meridian() else m * wind * wind

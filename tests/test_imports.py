@@ -8,6 +8,7 @@ submodules bind their names on the package are version-sensitive.
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -26,8 +27,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 _NAMESPACE = {
     "slopes": (
         "InconsistentCrossCheckError", "InfinityInputError", "MERIDIAN", "ParseError", "Slope",
-        "ZERO", "ZeroZeroError", "distance", "evaluate_continued_fraction", "expand",
-        "make_slope", "parse_slope",
+        "ZeroZeroError", "distance", "evaluate_continued_fraction", "expand", "make_slope",
+        "parse_slope",
     ),
     "tangles": (
         "LengthOneCanonical", "MontesinosTangle", "NormalForm", "Pairing", "closure_facts",
@@ -40,12 +41,11 @@ _NAMESPACE = {
     "wrapped": (
         "NotAKnotError", "NotLengthOneError", "TwistedImage", "WrappedKnot", "make_wrapped",
         "parse_knot", "pretzel_slope", "transport_slope", "twist", "two_bridge_fraction",
-        "wrapping_number",
     ),
     "seifert": (
         "LENS", "MontesinosLink", "NotATorusKnotError", "REDUCIBLE", "SFSClass", "SFSKind",
-        "SeifertInvariants", "double_branched_cover", "parse_montesinos",
-        "pretzel_surgery_link", "sfs_equal", "torus_knot_surgery",
+        "SeifertInvariants", "double_branched_cover", "pretzel_surgery_link", "sfs_equal",
+        "torus_knot_surgery",
     ),
     "classify": (
         "Analysis", "DegenerateKnotError", "FamilyKind", "FamilyPrediction", "KnotClass",
@@ -60,6 +60,25 @@ _PACKAGE = ["wrapsurg", "wrapsurg.classify", "wrapsurg.slopes", "wrapsurg.tangle
 # CPython 3.11's parser grows its token array past 4096 tokens, which costs
 # every process that compiles the module about 0.3 MB of peak RSS.
 _TOKEN_BUDGET = 4096
+# The definitions of src/wrapsurg that no code in src/ reads, each with the
+# reason it stays.  Every other one must have a reader.
+_UNREAD = {
+    "classify.exceptional_slopes": "bench/child.py's library sweep calls it",
+    "classify.predict_s3_family": "bench/record_golden.py records the benchmark's answers with it",
+    "classify.surgery_in_s3": "bench/record_golden.py records the benchmark's answers with it",
+    "wrapped.make_wrapped": "bench/child.py and bench/record_golden.py build their knots with it",
+    "tangles.MontesinosTangle.from_slopes": "bench/child.py builds its anchor tangles with it",
+    "wrapped.pretzel_slope": "bench/child.py times it as a layer",
+    "wrapped.transport_slope": "the slope correspondence of the twisted images; "
+                               "correcting the S^3 rows gives it a reader",
+    "moves.equivalent": "the moves with witnesses; a move-equivariance property will read them",
+    "moves.mirror_tangle": "an equivalence move; a move-equivariance property will read it",
+    "moves.reverse_tangle": "an equivalence move; a move-equivariance property will read it",
+    "moves.shift_tangle": "an equivalence move; a move-equivariance property will read it",
+    "moves.twist_tangle": "an equivalence move; a move-equivariance property will read it",
+    "slopes.distance": "the tests check the Lackenby-Meyerhoff bound with it",
+    "slopes.evaluate_continued_fraction": "the tests check it as the inverse of `expand`",
+}
 
 
 def _fresh(script: str) -> list[str]:
@@ -75,7 +94,7 @@ def _fresh(script: str) -> list[str]:
 def test_the_namespace_is_the_names_of_every_module():
     assert sorted(wrapsurg.__all__) == sorted(
         name for names in _NAMESPACE.values() for name in names)
-    assert len(set(wrapsurg.__all__)) == len(wrapsurg.__all__) == 64
+    assert len(set(wrapsurg.__all__)) == len(wrapsurg.__all__) == 61
 
 
 @pytest.mark.parametrize("module", sorted(_NAMESPACE))
@@ -119,7 +138,7 @@ def test_import_loads_the_request_path_and_the_rest_on_first_use():
         str(sorted([*_PACKAGE, "wrapsurg.moves"])),
         str(sorted([*_PACKAGE, "wrapsurg.cli", "wrapsurg.jsonwriter", "wrapsurg.moves",
                     "wrapsurg.seifert"])),
-        "True True 64",
+        "True True 61",
     ]
 
 
@@ -134,3 +153,53 @@ def test_every_module_stays_below_the_parser_token_step():
     sizes = {path.name: _tokens(path) for path in sorted((SRC / "wrapsurg").glob("*.py"))}
     assert "cli.py" in sizes and "jsonwriter.py" in sizes
     assert max(sizes.values()) < _TOKEN_BUDGET, sizes
+
+
+def _definitions(tree: ast.Module):
+    """(name, class name or None, node) of each module-level function, class
+    and constant and each public method; dunder names are the language's."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, None, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, node.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, None, node
+
+
+def test_every_definition_has_a_reader():
+    """Each definition of src/wrapsurg is loaded somewhere in src/ outside its
+    own definition and `__init__` (whose re-exports only name it), or is in
+    `_UNREAD`.  A load `C.name` with `C` another class of the package reads
+    that class's `name`, not this one."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "wrapsurg").glob("*.py")) if path.stem != "__init__"}
+    definitions = [(f"{module}.{owner + '.' if owner else ''}{name}", name, owner, node)
+                   for module, tree in trees.items() for name, owner, node in _definitions(tree)]
+    classes = {name for _, name, owner, node in definitions
+               if owner is None and isinstance(node, ast.ClassDef)}
+    loads = {}  # name -> [(qualifying class or None, node)]
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.id, []).append((None, node))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                value = node.value
+                owner = value.id if isinstance(value, ast.Name) and value.id in classes else None
+                loads.setdefault(node.attr, []).append((owner, node))
+
+    unread = set()
+    for qualname, name, owner, definition in definitions:
+        inside = {id(node) for node in ast.walk(definition)}
+        if not any(id(node) not in inside and via in (None, owner)
+                   for via, node in loads.get(name, ())):
+            unread.add(qualname)
+    unlisted, stale = sorted(unread - _UNREAD.keys()), sorted(_UNREAD.keys() - unread)
+    assert not unlisted, f"no code in src/ reads {unlisted}: delete them or list them in _UNREAD"
+    assert not stale, f"{stale} have a reader or are gone: drop them from _UNREAD"

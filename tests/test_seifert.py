@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,17 +11,14 @@ from wrapsurg import (
     SFSKind,
     double_branched_cover,
     make_slope,
-    parse_montesinos,
     pretzel_surgery_link,
     sfs_equal,
     torus_knot_surgery,
 )
 
-M = parse_montesinos
-
-
-def dbc(text):
-    return double_branched_cover(M(text))
+def link(*entries):
+    """M(p1/q1, ..., pk/qk) from its (p, q) pairs; (1, 0) is the entry 1/0."""
+    return MontesinosLink(tuple(make_slope(p, q) for p, q in entries))
 
 
 def test_invariant_normalization():
@@ -43,7 +41,9 @@ def test_orientation_reversal_is_an_involution():
 
 
 def test_dbc_reducible_on_infinite_entry():
-    assert dbc("M[-1/3,3/5,inf]").kind is SFSKind.REDUCIBLE
+    degenerate = link((-1, 3), (3, 5), (1, 0))
+    assert str(degenerate) == "M[-1/3,3/5,inf]"
+    assert double_branched_cover(degenerate).kind is SFSKind.REDUCIBLE
 
 
 def test_dbc_small_seifert_with_expected_indices():
@@ -54,7 +54,7 @@ def test_dbc_small_seifert_with_expected_indices():
 
 
 def test_dbc_absorbs_integer_entries_into_lens():
-    result = dbc("M[1/2,-1/4,2]")
+    result = double_branched_cover(link((1, 2), (-1, 4), (2, 1)))
     assert result.kind is SFSKind.LENS
 
 
@@ -81,7 +81,7 @@ def test_dbc_fiber_indices_are_the_normalized_denominators():
         result = double_branched_cover(MontesinosLink(tuple(entries)))
         expected = sorted(
             f.denominator
-            for f in (s.as_fraction() % 1 for s in entries)
+            for f in (Fraction(s.p, s.q) % 1 for s in entries)
             if f != 0
         )
         if len(expected) <= 2:
@@ -159,8 +159,3 @@ def test_sfs_equal_reorders_and_reverses():
     assert not sfs_equal(
         a, SFSClass(SFSKind.SMALL_SEIFERT, SeifertInvariants(0, ((2, 1), (3, 1), (7, 1))))
     )
-
-
-def test_parse_montesinos_round_trip():
-    for text in ["M[-1/3,3/5,inf]", "M[1/2,-1/4,-2/5]"]:
-        assert str(parse_montesinos(text)) == text

@@ -16,7 +16,6 @@ from wrapsurg import (
     expand,
     make_slope,
     parse_knot,
-    parse_montesinos,
     parse_slope,
     parse_tangle,
 )
@@ -102,13 +101,6 @@ def test_expand_evaluate_round_trip_exhaustive():
             assert evaluate_continued_fraction(expand(s)) == s
 
 
-def test_fraction_conversion():
-    assert make_slope(6, 4).as_fraction() == Fraction(3, 2)
-    assert Slope.from_fraction(Fraction(-9, 6)) == make_slope(-3, 2)
-    with pytest.raises(InfinityInputError):
-        MERIDIAN.as_fraction()
-
-
 def test_parse_and_format_round_trip():
     for text in ["7", "-3", "37/2", "-4/11", "inf", "0"]:
         assert str(parse_slope(text)) == text
@@ -131,7 +123,7 @@ def test_parse_errors_carry_position():
 def test_parse_error_positions_count_the_stripped_whitespace(capsys):
     cases = [
         (parse_knot, "  K0[x]"), (parse_knot, "K0[  x]"), (parse_knot, "K0[1, x]"),
-        (parse_montesinos, "  M[x]"), (parse_tangle, "[1/2, 1/ x]"), (parse_slope, " x"),
+        (parse_tangle, "[1/2, 1/ x]"), (parse_slope, " x"),
     ]
     for parse, text in cases:
         with pytest.raises(ParseError) as caught:
@@ -139,6 +131,49 @@ def test_parse_error_positions_count_the_stripped_whitespace(capsys):
         assert text[caught.value.position] == "x", text
     assert main(["classify", "  K0[x]", "1"]) == 2
     assert capsys.readouterr().err.endswith("(at position 5)\n")
+
+
+# Each `ParseError` of the tangle and knot parsers, as (parser, text, message,
+# position): the bracket checks, an empty list, a blank entry, the meridian
+# written `inf` or with a zero denominator, and whitespace around the whole
+# text and around an entry, which positions count.
+_TANGLE_AND_KNOT_ERRORS = [
+    (parse_tangle, "1/2]", "tangle syntax is [t1,...,tk]", 0),
+    (parse_tangle, "[1/2", "tangle syntax is [t1,...,tk]", 0),
+    (parse_tangle, "  1/2]  ", "tangle syntax is [t1,...,tk]", 2),
+    (parse_tangle, "M[1]", "tangle syntax is [t1,...,tk]", 0),
+    (parse_tangle, "[]", "tangle needs at least one entry", 1),
+    (parse_tangle, "[ \t]", "tangle needs at least one entry", 1),
+    (parse_tangle, "  [ ]  ", "tangle needs at least one entry", 3),
+    (parse_tangle, "[1/2,,3]", "empty slope", 5),
+    (parse_tangle, "[1/2, ]", "empty slope", 6),
+    (parse_tangle, "[inf]", "1/0 is not a rational tangle entry", 1),
+    (parse_tangle, "[1/0]", "1/0 is not a rational tangle entry", 1),
+    (parse_tangle, "[-3/0]", "1/0 is not a rational tangle entry", 1),
+    (parse_tangle, "[1/2, inf]", "1/0 is not a rational tangle entry", 6),
+    (parse_tangle, "\t[1/2,inf]", "1/0 is not a rational tangle entry", 6),
+    (parse_tangle, "  [1,  1/0 ]  ", "1/0 is not a rational tangle entry", 7),
+    (parse_tangle, "[ x]", "expected an integer, got 'x'", 2),
+    (parse_knot, "K01/2]", "knot syntax is K0[...] or K1[...]", 0),
+    (parse_knot, "K2[1]", "knot syntax is K0[...] or K1[...]", 0),
+    (parse_knot, "K0[1/2", "tangle syntax is [t1,...,tk]", 2),
+    (parse_knot, "K0[]", "tangle needs at least one entry", 3),
+    (parse_knot, "  K0[ ]", "tangle needs at least one entry", 5),
+    (parse_knot, "K1[1,,2]", "empty slope", 5),
+    (parse_knot, "K1[1/2,1/3,]", "empty slope", 11),
+    (parse_knot, "K0[inf]", "1/0 is not a rational tangle entry", 3),
+    (parse_knot, "K0[1/0]", "1/0 is not a rational tangle entry", 3),
+    (parse_knot, "  K1[1/3, inf ]", "1/0 is not a rational tangle entry", 10),
+    (parse_knot, " K0[ 2,  5/0]", "1/0 is not a rational tangle entry", 9),
+]
+
+
+@pytest.mark.parametrize(("parse", "text", "message", "position"), _TANGLE_AND_KNOT_ERRORS)
+def test_tangle_and_knot_parse_errors(parse, text, message, position):
+    with pytest.raises(ParseError) as caught:
+        parse(text)
+    assert str(caught.value) == f"{message} (at position {position})"
+    assert caught.value.position == position
 
 
 def test_slopes_order_only_against_slopes():
@@ -165,7 +200,7 @@ def test_split_integer_parts_keeps_nonzero_fractional_parts_in_order():
     assert e == -1 + 3 + 2 + 0 - 3 - 2 + 0
     assert [(s.p, s.q) for s in parts] == [(1, 2), (1, 3), (1, 2), (10**40 - 1, 10**40), (2, 5)]
     assert parts[-1] is entries[-1]  # already in (0, 1)
-    assert e + sum(s.as_fraction() for s in parts) == sum(s.as_fraction() for s in entries)
+    assert e + sum(Fraction(s.p, s.q) for s in parts) == sum(Fraction(s.p, s.q) for s in entries)
     assert split_integer_parts([]) == (0, [])
 
 

@@ -28,7 +28,6 @@ from wrapsurg import (
     transport_slope,
     twist,
     two_bridge_fraction,
-    wrapping_number,
 )
 from wrapsurg import tracing
 
@@ -325,13 +324,6 @@ def test_winding_field():
         assert wind in (0, 2)
         expected = trace_closure(knot.tangle.entries, 0).pairing is Pairing.TOP_TO_TOP
         assert (wind == 0) == expected
-
-
-def test_wrapping_numbers():
-    assert wrapping_number(K("K0[2]")) == 2
-    assert wrapping_number(K("K1[-1/2,1/3]")) == 2
-    assert wrapping_number(K("K0[0]")) == 0  # contractible degenerate closure
-    assert wrapping_number(K("K0[1/3]")) == 2  # degenerate but winding 2
 
 
 def test_twist_appends_wrap_entry():
