@@ -3,12 +3,14 @@
 Every knot is reduced to a canonical representative under the equivalence
 moves (a mirror negates a slope, a meridional twist by m shifts it by
 m * wind^2).  `_decide` names the knot's class from its normal form and
-returns the class's table, which lists its exceptional surgeries at
-canonical slopes: `_WHITEHEAD_TABLE`, `_PRETZEL_2_3_TABLE`, or the one
-spanning-surface slope of `_spanning_surface_table` for a single integer
-entry or a genuine pretzel.  Every other slope, including every
-non-integral one, is hyperbolic.  The canonical representative is never
-built as a knot: the push-off oracle reads the canonical entries.
+returns the source of the class's table, which lists its exceptional
+surgeries at canonical slopes: the class itself for the fixed
+`_WHITEHEAD_TABLE` and `_PRETZEL_2_3_TABLE`, or the wrap crossings and
+canonical entries whose one spanning-surface slope `_spanning_surface_table`
+finds, for a single integer entry or a genuine pretzel.  Every other slope,
+including every non-integral one, is hyperbolic.  The canonical
+representative is never built as a knot: the push-off oracle reads the
+canonical entries.
 
 Each table entry states its answer and its family at the canonical knot:
 the `SurgeryClassification` at the canonical slope rc, the
@@ -16,12 +18,17 @@ the `SurgeryClassification` at the canonical slope rc, the
 the S^3 surgeries of the twisted images are known there.
 
 A knot's `Analysis` (`analysis_of`) holds its class's table restated at
-the knot's own slopes, once, when the analysis is built: the slope map
-r = sigma * (rc - twists * wind^2) moves each entry's slope, n0 becomes
-sigma * (n0 + twists), and the answer gains the class's notes.  Its methods
-`classify` and `predict` only look up that mapping, its `exceptional` tuple
-holds the (slope, answer) pairs of the table, built with it, and
-a sweep over integral slopes reads each row off the exceptional set: the
+the knot's own slopes: the slope map r = sigma * (rc - twists * wind^2)
+moves each entry's slope, n0 becomes sigma * (n0 + twists), and the answer
+gains the class's notes.  The restated table depends on the knot only
+through its table's source and its slope map, so `_class_table` builds it
+once per (source, sigma, twists, shift) and keeps it in an lru_cache of
+_TABLE_CACHE_SIZE (1024) entries; a key with an integer of absolute value
+2**20 or more is built anew and not kept.  Each build of a spanning-surface
+table traces its literal diagram and runs its cross-check.  The methods
+`classify` and `predict` only look up that mapping, the `exceptional` tuple
+holds the (slope, answer) pairs of the table, built with it, and a sweep
+over integral slopes reads each row off the exceptional set: the
 exceptional type at that slope, else hyperbolic.  Nothing here keeps a knot:
 the module functions `classify`, `exceptional_slopes`, `predict_s3_family`
 and `surgery_in_s3` analyse the knot on every call, so a caller with several
@@ -162,6 +169,8 @@ _PRETZEL_2_3_TABLE = MappingProxyType({
         family=FamilyPrediction(FamilyKind.TOROIDAL_COFINITE, 1),
     ),
 })
+# The classes whose table is fixed, by class.
+_FIXED_TABLES = {KnotClass.WHITEHEAD: _WHITEHEAD_TABLE, KnotClass.PRETZEL_2_3: _PRETZEL_2_3_TABLE}
 # An integer entry or a pretzel gets `_spanning_surface_table`; any other
 # class without a table here has no exceptional slope, and its analysis holds
 # this same empty mapping.
@@ -178,6 +187,11 @@ _TORUS_KNOT_MEMBERS = {0: (2, 5), 1: (3, 4), 2: (3, 5)}
 # The S^3 covers `_s3_cover` keeps, by (canonical twist, canonical slope):
 # both cover slopes over 512 consecutive twists.
 _S3_CACHE_SIZE = 1024
+# The restated tables `_class_table` keeps, by (source, sigma, twists, shift),
+# for keys whose integers all have absolute value below _TABLE_WINDOW (2**20,
+# the bound of the CLI's row chunks).
+_TABLE_CACHE_SIZE = 1024
+_TABLE_WINDOW = 1 << 20
 
 
 class Analysis(Record):
@@ -188,7 +202,9 @@ class Analysis(Record):
     the knot's own slopes, ascending: each exceptional slope to its answer,
     its family and its canonical slope when the S^3 surgeries of its twisted
     images are known (else None).  `exceptional` is the table's (slope,
-    answer) pairs in the same order.
+    answer) pairs in the same order.  Both are restated once per table
+    source and slope map, not per knot (see `_class_table`), so equivalent
+    knots with one slope map share them.
     """
 
     __slots__ = ("knot", "nf", "knot_class", "sigma", "twists", "table", "notes", "moves",
@@ -310,53 +326,46 @@ def _oracle_self_check() -> None:
             )
 
 
-def _decide(a: int, nf: NormalForm) -> tuple[KnotClass, int, int, MappingProxyType[int, tuple]]:
+def _decide(a: int, nf: NormalForm) -> tuple[KnotClass, int, int, object]:
     """The knot class, the mirror sign, the meridional twists and the
-    class's table of exceptional surgeries at canonical slopes."""
+    hashable source of the class's table of exceptional surgeries at
+    canonical slopes: the class for a fixed table, (a, canonical entries)
+    for a spanning-surface table, None for no table.  `_class_table` restates
+    the table once per source and slope map."""
     if nf.degenerate:
-        return KnotClass.DEGENERATE, 1, 0, _NO_TABLE
+        return KnotClass.DEGENERATE, 1, 0, None
     if nf.k1 is not None:
         t = nf.k1.t
         sigma, twists = -1 if nf.k1.mirrored else 1, nf.k1.twists
         if not t.is_integral():
-            return KnotClass.SINGLE_FRACTION, sigma, twists, _NO_TABLE
+            return KnotClass.SINGLE_FRACTION, sigma, twists, None
         if t.p != 2:
-            return KnotClass.INTEGER_TANGLE, sigma, twists, _spanning_surface_table(a, (t,))
+            return KnotClass.INTEGER_TANGLE, sigma, twists, (a, (t,))
         if a == 0:
-            return KnotClass.WHITEHEAD, sigma, twists, _WHITEHEAD_TABLE
-        return KnotClass.WHITEHEAD_MATE, sigma, twists, _NO_TABLE
+            return KnotClass.WHITEHEAD, sigma, twists, KnotClass.WHITEHEAD
+        return KnotClass.WHITEHEAD_MATE, sigma, twists, None
     pair = _find_pretzel_pair(nf)
     if pair is None:
-        return KnotClass.GENERIC, 1, 0, _NO_TABLE
+        return KnotClass.GENERIC, 1, 0, None
     if sorted(pair) not in ([-2, 3], [-3, 2]):
-        entries = tuple(make_slope(1, q) for q in pair)
-        return KnotClass.PRETZEL, 1, 0, _spanning_surface_table(a, entries)
+        return KnotClass.PRETZEL, 1, 0, (a, tuple(make_slope(1, q) for q in pair))
     sigma = -1 if sorted(pair) == [-3, 2] else 1  # mirror (-3, 2) to (-2, 3)
-    return KnotClass.PRETZEL_2_3, sigma, 0, _PRETZEL_2_3_TABLE
+    return KnotClass.PRETZEL_2_3, sigma, 0, KnotClass.PRETZEL_2_3
 
 
 def analysis_of(knot: WrappedKnot) -> Analysis:
     """The knot's analysis: its normal form, class, moves and exceptional
-    table at its own slopes, built anew on every call."""
+    table at its own slopes, built anew on every call; the table comes from
+    `_class_table`."""
     _oracle_self_check()
     nf = normalize(knot.tangle)
-    knot_class, sigma, twists, table = _decide(knot.a, nf)
+    knot_class, sigma, twists, source = _decide(knot.a, nf)
     notes = _NOTES.get(knot_class, ())
     shift = twists * knot.winding ** 2
-    exceptional = ()
-    if table:
-        restated = {}
-        for rc, (answer, family, s3_cover) in table.items():
-            r = make_slope(sigma * (rc - shift), 1)
-            answer = SurgeryClassification(answer.type, r, answer.certificate,
-                                           answer.seifert_indices, answer.notes + notes)
-            if family.n0 is not None:
-                family = FamilyPrediction(family.kind, sigma * (family.n0 + twists),
-                                          family.fiber_indices)
-            restated[r] = answer, family, rc if s3_cover else None
-        items = sorted(restated.items())
-        table = MappingProxyType(dict(items))
-        exceptional = tuple((r, answer) for r, (answer, _, _) in items)
+    table, exceptional = _NO_TABLE, ()
+    if source is not None:
+        build = _class_table if _in_window(source, twists, shift) else _class_table.__wrapped__
+        table, exceptional = build(source, sigma, twists, shift, notes)
 
     moves: list[str] = []
     if not shift_reduced(knot.tangle.entries):
@@ -383,6 +392,40 @@ def _spanning_surface_table(a: int, entries: tuple[Slope, ...]) -> MappingProxyT
                 f"does not match the classified value {expected}"
             )
     return MappingProxyType({framing: _toroidal(ToroidalSource.PRETZEL_SURFACE, framing)})
+
+
+def _in_window(source: object, twists: int, shift: int) -> bool:
+    """Whether every integer of the `_class_table` key has absolute value
+    below _TABLE_WINDOW, so that the cache may keep its table."""
+    numbers = [twists, shift]
+    if type(source) is tuple:
+        a, entries = source
+        numbers.append(a)
+        for s in entries:
+            numbers += s.p, s.q
+    return all(-_TABLE_WINDOW < n < _TABLE_WINDOW for n in numbers)
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _class_table(source: object, sigma: int, twists: int, shift: int,
+                 notes: tuple[str, ...]) -> tuple[MappingProxyType[Slope, tuple], tuple]:
+    """The table of `source` (see `_decide`) restated by the slope map
+    r = sigma * (rc - shift), n0 -> sigma * (n0 + twists), each answer
+    gaining the class's notes, and its (slope, answer) pairs, ascending.
+    A spanning-surface table is traced and cross-checked on every miss,
+    also under `python -O`."""
+    table = _FIXED_TABLES[source] if type(source) is KnotClass else _spanning_surface_table(*source)
+    restated = {}
+    for rc, (answer, family, s3_cover) in table.items():
+        r = make_slope(sigma * (rc - shift), 1)
+        answer = SurgeryClassification(answer.type, r, answer.certificate,
+                                       answer.seifert_indices, answer.notes + notes)
+        if family.n0 is not None:
+            family = FamilyPrediction(family.kind, sigma * (family.n0 + twists),
+                                      family.fiber_indices)
+        restated[r] = answer, family, rc if s3_cover else None
+    items = sorted(restated.items())
+    return MappingProxyType(dict(items)), tuple((r, answer) for r, (answer, _, _) in items)
 
 
 def classify(knot: WrappedKnot, r: Slope) -> SurgeryClassification:

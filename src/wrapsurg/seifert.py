@@ -26,9 +26,6 @@ class NotATorusKnotError(ValueError):
 class MontesinosLink(Record):
     __slots__ = ("entries",)
 
-    def __str__(self) -> str:
-        return "M[" + ",".join(str(s) for s in self.entries) + "]"
-
 
 class SeifertInvariants(Record):
     """Normalized data: integer Euler part plus fibers (alpha, beta).

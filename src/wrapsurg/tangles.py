@@ -134,24 +134,28 @@ def normalize(tangle: MontesinosTangle) -> NormalForm:
     """Reduce entries mod 1 into (0, 1), pooling integer parts into e0.
 
     Integer entries (zero entries in particular) disappear into e0.  When at
-    most one fractional entry remains the single-entry canonicalization runs:
-    the reciprocal v = 1/t is folded into (0, 1) by v -> +-v + 2Z, recording
-    mirror use and twist count, so the stored representative has t > 1.
-    Tangles with v integral (t = 0 or t = 1/q) are flagged degenerate.
+    most one fractional entry remains the single-entry canonicalization runs
+    on the entry sum t = p/q: the reciprocal v = q/p is folded into (0, 1) by
+    v -> +-v + 2Z, recording mirror use and twist count, so the stored
+    representative has t > 1.  The fold is integer arithmetic on the
+    numerator and denominator of v, and builds only the representative's
+    slope.  Tangles with v integral (t = 0 or t = 1/q) are flagged
+    degenerate.
     """
     e0, fracs = split_integer_parts(tangle.entries)
     if len(fracs) > 1:
         return NormalForm(e0, tuple(fracs), False, None)
 
-    v = (fracs[0] + e0 if fracs else Slope(e0, 1)).reciprocal()
-    if v.q <= 1:  # t = 0 makes v the meridian, t = 1/q makes it integral
+    # The entry sum t = p/q in lowest terms with q > 0, and v = 1/t = n/d.
+    p, q = (fracs[0].p + e0 * fracs[0].q, fracs[0].q) if fracs else (e0, 1)
+    d, n = abs(p), q if p > 0 else -q
+    if d <= 1:  # t = 0 makes v the meridian, t = 1/q makes it integral
         return NormalForm(e0, tuple(fracs), True, None)
-    k = v.p // (2 * v.q)
-    folded = v + -2 * k  # in (0, 2), not 1
-    if folded.p < folded.q:
-        canonical = LengthOneCanonical(folded.reciprocal(), False, -k)
+    k, f = divmod(n, 2 * d)  # v - 2k = f/d in (0, 2), not 1
+    if f < d:
+        canonical = LengthOneCanonical(Slope(d, f), False, -k)
     else:
-        canonical = LengthOneCanonical((-folded + 2).reciprocal(), True, k + 1)
+        canonical = LengthOneCanonical(Slope(d, 2 * d - f), True, k + 1)
     return NormalForm(e0, tuple(fracs), False, canonical)
 
 

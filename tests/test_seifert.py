@@ -42,7 +42,7 @@ def test_orientation_reversal_is_an_involution():
 
 def test_dbc_reducible_on_infinite_entry():
     degenerate = link((-1, 3), (3, 5), (1, 0))
-    assert str(degenerate) == "M[-1/3,3/5,inf]"
+    assert degenerate.entries == (make_slope(-1, 3), make_slope(3, 5), MERIDIAN)
     assert double_branched_cover(degenerate).kind is SFSKind.REDUCIBLE
 
 
@@ -117,9 +117,9 @@ def test_torus_knot_surgery_mirror_orientation():
 
 
 def test_pretzel_surgery_link_formulas():
-    assert str(pretzel_surgery_link(2, 7)) == "M[-1/3,3/5,inf]"
-    assert str(pretzel_surgery_link(3, 7)) == "M[-1/3,3/5,1]"
-    assert str(pretzel_surgery_link(0, 6)) == "M[1/2,-1/4,-2/5]"
+    assert pretzel_surgery_link(2, 7).entries == link((-1, 3), (3, 5), (1, 0)).entries
+    assert pretzel_surgery_link(3, 7).entries == link((-1, 3), (3, 5), (1, 1)).entries
+    assert pretzel_surgery_link(0, 6).entries == link((1, 2), (-1, 4), (-2, 5)).entries
     with pytest.raises(ValueError):
         pretzel_surgery_link(0, 5)
 

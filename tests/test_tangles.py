@@ -2,12 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import fraction_sum, random_slope, random_tangle
 from test_golden_cli import _entry_lists
 from wrapsurg import (
+    LengthOneCanonical,
     MontesinosTangle,
+    NormalForm,
     Pairing,
+    Slope,
     equivalent,
     make_slope,
     mirror_tangle,
@@ -18,6 +23,7 @@ from wrapsurg import (
     trace_closure,
     twist_tangle,
 )
+from wrapsurg.slopes import split_integer_parts
 from wrapsurg.tangles import shift_reduced
 
 T = parse_tangle
@@ -59,6 +65,44 @@ def test_normalize_single_entry_canonical_representative():
     assert str(nf.k1.t) == "7/2" and not nf.k1.mirrored and nf.k1.twists == 0
     nf = normalize(T("[-2]"))
     assert str(nf.k1.t) == "2" and nf.k1.mirrored and nf.k1.twists == 0
+
+
+def _slope_arithmetic_normalize(tangle):
+    """The single-entry fold in `Slope` arithmetic: the reciprocal, integer
+    shifts and negation, as `normalize` once computed it."""
+    e0, fracs = split_integer_parts(tangle.entries)
+    if len(fracs) > 1:
+        return NormalForm(e0, tuple(fracs), False, None)
+    v = (fracs[0] + e0 if fracs else Slope(e0, 1)).reciprocal()
+    if v.q <= 1:
+        return NormalForm(e0, tuple(fracs), True, None)
+    k = v.p // (2 * v.q)
+    folded = v + -2 * k
+    if folded.p < folded.q:
+        canonical = LengthOneCanonical(folded.reciprocal(), False, -k)
+    else:
+        canonical = LengthOneCanonical((-folded + 2).reciprocal(), True, k + 1)
+    return NormalForm(e0, tuple(fracs), False, canonical)
+
+
+_BIG = 10**30
+
+
+# t = 0, +-1 and +-1/q are degenerate; +-2 and 1/2 sit next to the fold's
+# boundary v = 1.
+@given(st.integers(-_BIG, _BIG), st.integers(1, _BIG))
+@example(0, 1)
+@example(1, 1)
+@example(-1, 1)
+@example(1, 7)
+@example(-1, 7)
+@example(1, _BIG)
+@example(2, 1)
+@example(-2, 1)
+@example(1, 2)
+def test_integer_fold_matches_the_slope_arithmetic_fold(p, q):
+    tangle = MontesinosTangle((make_slope(p, q),))
+    assert normalize(tangle) == _slope_arithmetic_normalize(tangle)
 
 
 def test_normalize_unit_fraction_entries_are_degenerate():

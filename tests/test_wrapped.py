@@ -236,7 +236,8 @@ def test_cross_checks_survive_python_O(script):
 
 # Fill a cache with more keys than its bound: the CLI's knots by the text
 # K0[i], a knot for every i, the S^3 covers by twist at one cover slope, the
-# parsed slopes by the text i/7, and the row chunks by chunk number.
+# restated class tables by twist of the Whitehead table, the parsed slopes by
+# the text i/7, and the row chunks by chunk number.
 _FILL_A_CACHE = """
 import importlib
 cached = importlib.import_module("wrapsurg.{module}").{cache}
@@ -254,16 +255,53 @@ assert cached.cache_info().currsize == bound
     [
         ("classify", "_s3_cover", "i, 7"),
         ("classify", "_s3_cover_text", "i, 7"),
+        ("classify", "_class_table",
+         'importlib.import_module("wrapsurg").KnotClass.WHITEHEAD, 1, i, 0, ()'),
         ("cli", "_knot", '"K0[%d]" % i'),
         ("slopes", "_slope_memo", '"%d/7" % i, None'),
         ("cli", "_row_chunk", '"%d", i'),
     ],
-    ids=["s3_cover", "s3_cover_text", "knot_text", "slope_text", "row_chunk"],
+    ids=["s3_cover", "s3_cover_text", "class_table", "knot_text", "slope_text", "row_chunk"],
 )
 def test_warm_caches_are_bounded(module, cache, key):
     # In a child process, so that this suite's own caches keep their entries.
     done = run_python(_FILL_A_CACHE.format(module=module, cache=cache, key=key))
     assert done.returncode == 0, done.stderr
+
+
+# K0[4/3,-2/3] shifts its entries to those of K0[1/3,1/3], so the two share
+# a table source and a slope map: the second analysis traces no diagram.  In
+# a child process, so that no earlier analysis has filled the table cache.
+_ONE_TRACE_PER_SLOPE_MAP = """
+import importlib
+import sys
+from wrapsurg import analysis_of, parse_knot
+classify = importlib.import_module("wrapsurg.classify")
+analysis_of(parse_knot("K0[2]"))  # the push-off oracle's anchors trace first
+traced = []
+original = classify.pretzel_framing
+classify.pretzel_framing = lambda slopes, a: traced.append(slopes) or original(slopes, a)
+first = analysis_of(parse_knot("K0[1/3,1/3]"))
+shifted = analysis_of(parse_knot("K0[4/3,-2/3]"))
+assert shifted.exceptional == first.exceptional
+sys.exit(10 + len(traced))
+"""
+
+
+def test_a_shifted_knot_reuses_the_traced_table():
+    done = run_python(_ONE_TRACE_PER_SLOPE_MAP)
+    assert done.returncode == 11, done.stderr
+
+
+def test_a_table_with_a_long_entry_is_not_kept():
+    classify = importlib.import_module("wrapsurg.classify")
+    n = 10**3999 + 1
+    classify._class_table.cache_clear()
+    analysis = analysis_of(K(f"K0[1/{n},1/{n}]"))
+    assert analysis.knot_class is KnotClass.PRETZEL
+    assert classify._class_table.cache_info().currsize == 0
+    analysis_of(K("K0[1/3,1/3]"))
+    assert classify._class_table.cache_info().currsize == 1
 
 
 def test_valid_closure_parameter_matches_pairing():
