@@ -175,13 +175,11 @@ _FIXED_TABLES = {KnotClass.WHITEHEAD: _WHITEHEAD_TABLE, KnotClass.PRETZEL_2_3: _
 # class without a table here has no exceptional slope, and its analysis holds
 # this same empty mapping.
 _NO_TABLE: MappingProxyType = MappingProxyType({})
-# Notes carried by every answer for a knot of the class.
-_NOTES = {
-    KnotClass.WHITEHEAD_MATE: (
-        "single entry 2 closed with a = 1; the implemented moves "
-        "do not identify it with the Whitehead closure",
-    ),
-}
+# The notes carried by every answer for a Whitehead mate, the one class with notes.
+_WHITEHEAD_MATE_NOTES = (
+    "single entry 2 closed with a = 1; the implemented moves "
+    "do not identify it with the Whitehead closure",
+)
 # The twisted images of the (-2, 3) pretzel that are torus knots T(p, q).
 _TORUS_KNOT_MEMBERS = {0: (2, 5), 1: (3, 4), 2: (3, 5)}
 # The S^3 covers `_s3_cover` keeps, by (canonical twist, canonical slope):
@@ -360,7 +358,7 @@ def analysis_of(knot: WrappedKnot) -> Analysis:
     _oracle_self_check()
     nf = normalize(knot.tangle)
     knot_class, sigma, twists, source = _decide(knot.a, nf)
-    notes = _NOTES.get(knot_class, ())
+    notes = _WHITEHEAD_MATE_NOTES if knot_class is KnotClass.WHITEHEAD_MATE else ()
     shift = twists * knot.winding ** 2
     table, exceptional = _NO_TABLE, ()
     if source is not None:

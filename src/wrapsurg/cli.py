@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 stdout closed before the answer was written
 command does not take, or an answer too long to write as text), 3 invalid
 or degenerate knot.  JSON output is the text of json.dumps(payload, indent=2,
 sort_keys=True).  A batch file or stdin decodes as UTF-8 with surrogateescape,
-its lines end at LF, CRLF or CR only, and shlex.split splits each into words.
+its lines end at LF, CRLF or CR only, and shlex.split splits each into words;
+it is read as its lines are answered, so a batch takes the memory of its
+longest line, not of its length.
 Importing this module loads only what every request runs: the text writer is
 here, and `wrapsurg.jsonwriter`, the JSON writer, is imported by the first JSON
 answer (and bound to `_json_answer`).  No request loads `json` (the writer
@@ -17,35 +19,41 @@ splits the other lines is compiled by the first of them.
 A `--range` or `--n` span holds at most MAX_SPAN_ROWS (1,000,000) rows; a
 longer one exits 2.
 
-`_knot`, an lru_cache keyed by the knot text and bounded at 8192 texts of at
-most 128 characters (a longer text is analysed anew per request), is the
-package's one cache of knots.  It holds each text's analysis and the
-knot's own text, and the pieces of its answers, each rendered once per knot:
-from the second text request for the text on, the head of its text answers
-(knot, normal form and canonical entry lines); from the first JSON request
-on, its quoted text, normal form, moves and exceptional slopes as JSON, the
+`_knot` gives the knot of a knot text through the package's one cache of
+knots, which keeps a knot from its text's second request on: the first request
+builds the knot, answers and drops it, remembering only the text (in
+`_asked_once`, at most 8192 texts, cleared when full), and the second builds
+it again and keeps it, in an LRU of 8192 knots.  So a batch of knots each
+asked for once keeps none of them.  A text of more than 128 characters is
+analysed anew per request and not remembered.  A kept knot holds the text's
+analysis and the knot's own text, and the pieces of its answers, each rendered
+once per knot: from its first text answer on, the head of its text answers
+(knot, normal form and canonical entry lines); from its first JSON answer on,
+its quoted text, normal form, moves and exceptional slopes as JSON, the
 classification and family of each table slope, and a template of its
-classification at a hyperbolic slope.  So a warm request parses, analyses
-and writes out no knot, and the answer is the same either way.  `_answer`
-gives the records a request answers with, whatever its format, the text of
-each S^3 cover (written once per cover, beside `classify._s3_cover`) among
-them; text is written straight from them, and a JSON answer is assembled
-(in `jsonwriter`) from one %-template per answer shape, its pieces, and one
-%-template per row of a `sweep` or `surgeries` list, so that a warm one
-builds no dict.  The rows of a span that are the same but for their integer
-(a hyperbolic sweep row, an unknown S^3 row) are sliced, in both formats,
-from `_row_chunk`'s chunks of 256 rows, which keeps at most 64 chunks and
-only those with integers -2**20 <= r < 2**20 (about 2 MB); the exceptional
-rows are written over them, and the bytes are those of one row at a time.
-Beneath `_knot`, `slopes.parse_slope` keeps the slopes of the last 2048
-slope texts of at most 64 characters, knot entries and request slopes alike,
-so a knot text missing from `_knot` is built from entries read before.
+classification at a hyperbolic slope.  So a warm request, from the third for
+its text on, parses, analyses and writes out no knot, and the answer is the
+same either way.  `_answer` gives the records a request answers with, whatever
+its format, the text of each S^3 cover (written once per cover, beside
+`classify._s3_cover`) among them; text is written straight from them, and a
+JSON answer is assembled (in `jsonwriter`) from one %-template per answer
+shape, its pieces, and one %-template per row of a `sweep` or `surgeries`
+list, so that a warm one builds no dict.  The rows of a span that are the same
+but for their integer (a hyperbolic sweep row, an unknown S^3 row) are sliced,
+in both formats, from `_row_chunk`'s chunks of 256 rows, which keeps at most
+64 chunks and only those with integers -2**20 <= r < 2**20 (about 2 MB); the
+exceptional rows are written over them, and the bytes are those of one row at
+a time.  Beneath `_knot`, `slopes.parse_slope` keeps the slopes of the last
+2048 slope texts of at most 64 characters, knot entries and request slopes
+alike, so a knot text missing from `_knot` is built from entries read before.
 """
 from __future__ import annotations
 
+import io
 import os
 import re
 import sys
+from collections import OrderedDict
 from functools import lru_cache
 
 from .classify import (
@@ -72,10 +80,11 @@ FLAGS = {
 }
 # The most rows a --range or --n span may ask for.
 MAX_SPAN_ROWS = 1_000_000
-# The knot texts `_knot` keeps: all 4512 of the k<=2 grid (links included) fit,
-# and a long batch run uses bounded memory, as only texts of at most
-# _KNOT_TEXT_LENGTH characters are kept: 8192 of them, with all their pieces,
-# took 31-36 MB under tracemalloc.
+# The knots `_knot` keeps, and the texts it remembers as asked for once: all
+# 4512 of the k<=2 grid (links included) fit, and a long batch run uses bounded
+# memory, as only texts of at most _KNOT_TEXT_LENGTH characters are kept or
+# remembered: 8192 knots, with all their pieces, took 31-36 MB under
+# tracemalloc, and 8192 remembered texts of 128 characters take 2.0 MB.
 _KNOT_CACHE_SIZE = 8192
 _KNOT_TEXT_LENGTH = 128
 USAGE = """\
@@ -179,7 +188,7 @@ def run(request: Request, out=None) -> int:
         return _run_batch(request, out)
     knot_text = request.knot_text or ""
     try:
-        knot = (_knot if len(knot_text) <= _KNOT_TEXT_LENGTH else _Knot)(knot_text)
+        knot = _knot(knot_text)
     except ParseError as err:
         raise CommandError(f"bad knot expression: {err}", 2)
     except NotAKnotError as err:
@@ -225,10 +234,9 @@ def _json_writer():
 
 
 class _Knot:
-    """A knot text's analysis and the knot's own text.  The second text
-    request for the text fills `head` with its `_head` (the first sets it
-    to "", so that a knot asked for once keeps no head), and the first JSON
-    request fills `json` with its `_fragments`.  A failed parse raises."""
+    """A knot text's analysis and the knot's own text.  The first text
+    answer fills `head` with its `_head`, and the first JSON answer fills
+    `json` with its `_fragments`.  A failed parse raises."""
 
     __slots__ = ("analysis", "text", "head", "json")
 
@@ -239,8 +247,34 @@ class _Knot:
         self.json: tuple | None = None
 
 
-# A failed parse is not cached: it raises anew on every call.
-_knot = lru_cache(maxsize=_KNOT_CACHE_SIZE)(_Knot)
+# `_knot`'s knots, by text, the least recently used first: those of texts of at
+# most _KNOT_TEXT_LENGTH characters asked for at least twice.
+_kept_knots: OrderedDict[str, _Knot] = OrderedDict()
+# The texts asked for once and not kept: at most _KNOT_CACHE_SIZE, cleared when full.
+_asked_once: set[str] = set()
+
+
+def _knot(knot_text: str) -> _Knot:
+    """The text's knot: a kept one, found with one lookup, or one built anew.
+    A built knot is kept if its text, of at most _KNOT_TEXT_LENGTH characters,
+    is in `_asked_once`; else the text is remembered there and the knot is
+    dropped after its answer.  A failed parse raises and keeps nothing."""
+    knot = _kept_knots.get(knot_text)
+    if knot is not None:
+        _kept_knots.move_to_end(knot_text)
+        return knot
+    knot = _Knot(knot_text)
+    if len(knot_text) <= _KNOT_TEXT_LENGTH:
+        if knot_text in _asked_once:
+            _asked_once.remove(knot_text)
+            _kept_knots[knot_text] = knot
+            if len(_kept_knots) > _KNOT_CACHE_SIZE:
+                _kept_knots.popitem(last=False)
+        else:
+            if len(_asked_once) >= _KNOT_CACHE_SIZE:
+                _asked_once.clear()
+            _asked_once.add(knot_text)
+    return knot
 
 
 def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
@@ -279,35 +313,52 @@ _NO_ENTRY = (None, None, None)
 
 
 def _run_batch(request: Request, out) -> int:
+    # Read as the lines are answered, so that a batch takes the memory of its
+    # longest line, not of its input.  newline="" ends lines at LF, CRLF (also
+    # split across two reads) and CR only, not at \x0b, \x0c, \x1c-\x1e,
+    # \x85..., as str.splitlines() would.
     if request.batch_file is None:
-        data = sys.stdin.buffer.read()
+        lines = io.TextIOWrapper(sys.stdin.buffer, "utf-8", "surrogateescape", newline="")
     else:
         try:
-            with open(request.batch_file, "rb") as handle:
-                data = handle.read()
+            lines = open(request.batch_file, encoding="utf-8", errors="surrogateescape",
+                         newline="")
         except OSError as err:
             raise CommandError(f"cannot read batch file: {err}", 2)
-    # Not str.splitlines(), which also ends lines at \x0b, \x0c, \x1c-\x1e, \x85...
-    lines = re.split(r"\r\n?|\n", data.decode("utf-8", "surrogateescape"))
     exit_code = 0
-    for number, line in enumerate(lines, start=1):
-        text = line.strip(" \t\r\n")  # shlex's whitespace, not str.strip()'s
-        if not text or text.startswith("#"):
-            continue
-        try:
+    try:
+        for number, line in _numbered(lines):
+            text = line.strip(" \t\r\n")  # shlex's whitespace, not str.strip()'s
+            if not text or text.startswith("#"):
+                continue
             try:
-                words = _split(text)
-            except ValueError as err:  # an unclosed quote or a trailing escape
-                raise CommandError(f"bad request line: {err}", 2)
-            sub = parse(words)
-            if sub.command == "batch":
-                raise CommandError("batch lines cannot nest batch", 2)
-            run(sub, out=out)
-        except CommandError as err:
-            print(f"line {number}: error: {err}", file=sys.stderr)
-            if exit_code == 0:
-                exit_code = err.code
+                try:
+                    words = _split(text)
+                except ValueError as err:  # an unclosed quote or a trailing escape
+                    raise CommandError(f"bad request line: {err}", 2)
+                sub = parse(words)
+                if sub.command == "batch":
+                    raise CommandError("batch lines cannot nest batch", 2)
+                run(sub, out=out)
+            except CommandError as err:
+                print(f"line {number}: error: {err}", file=sys.stderr)
+                if exit_code == 0:
+                    exit_code = err.code
+    finally:
+        if request.batch_file is None:
+            lines.detach()  # leaves stdin open
+        else:
+            lines.close()
     return exit_code
+
+
+def _numbered(lines):
+    """(number, line) for the lines of a batch, from 1.  An error reading
+    them exits 2; an error raised while a line is answered is not caught."""
+    try:
+        yield from enumerate(lines, start=1)
+    except OSError as err:
+        raise CommandError(f"cannot read batch input: {err}", 2) from None
 
 
 # A word of a line with no " or \: a run of non-whitespace, with '...' stretches;
@@ -363,7 +414,7 @@ def _span_rows(template: str, span: tuple[int, int], exceptional=(), row: str = 
             rows += map(template.__mod__, range(start, stop))
     for r, result in exceptional:
         if lo <= r.p <= hi:
-            rows[r.p - lo] = row % (r.p, result.type.value)
+            rows[r.p - lo] = row % (r.p, result.type._value_)
     return rows
 
 
@@ -372,10 +423,8 @@ def _span_rows(template: str, span: tuple[int, int], exceptional=(), row: str = 
 
 def _text_answer(request: Request, knot: _Knot, answer: tuple) -> str:
     head = knot.head
-    if not head:
-        fresh = _head(knot)
-        knot.head = "" if head is None else fresh
-        head = fresh
+    if head is None:
+        head = knot.head = _head(knot)
     lines = [head]
     if request.show_moves:
         lines += [f"move: {move}" for move in knot.analysis.moves]
@@ -419,12 +468,12 @@ def _head(knot: _Knot) -> str:
 
 
 def _describe(result: SurgeryClassification) -> str:
-    text = result.type.value
+    text = result.type._value_
     if result.seifert_indices:
         text += " (fiber indices %s,%s)" % result.seifert_indices
     cert = result.certificate
     if cert is not None:
-        text += f" [{cert.source.value}: {cert.piece or f'slope {cert.slope}'}]"
+        text += f" [{cert.source._value_}: {cert.piece or f'slope {cert.slope}'}]"
     return text
 
 

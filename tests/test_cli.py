@@ -3,7 +3,9 @@ import importlib
 import io
 import json
 import math
+import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -321,6 +323,107 @@ def test_batch_lines_end_at_newlines_only(tmp_path, capsys):
             assert captured.err == "line 2: error: unknown command 'bogus' (at position 0)\n"
 
 
+class _Pieces(io.RawIOBase):
+    """A raw stream that gives one of `pieces` per read, then raises `error`,
+    or ends if it is None."""
+
+    def __init__(self, pieces, error=None):
+        self.pieces = list(pieces)
+        self.error = error
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        if not self.pieces:
+            if self.error is not None:
+                raise self.error
+            return 0
+        piece = self.pieces.pop(0)
+        if len(piece) > len(buffer):
+            piece, rest = piece[:len(buffer)], piece[len(buffer):]
+            self.pieces.insert(0, rest)
+        buffer[:len(piece)] = piece
+        return len(piece)
+
+
+# Line bodies: an answered request, refused words (a two-byte character, a
+# byte that is no UTF-8, a cut three-byte character), and lines skipped.
+_BATCH_BODIES = [b"normalize K0[3]", b"bogus", "\u00e9".encode(), b"\xff", b"\xe2\x82",
+                 b"", b"# c"]
+
+
+_LINE_ENDS = [b"\n", b"\r\n", b"\r"]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_BATCH_BODIES), st.sampled_from(_LINE_ENDS)),
+                min_size=1, max_size=8),
+       st.booleans(), st.lists(st.integers(0, 80), max_size=8))
+# Lines 1 and 4 end at CRLFs whose \r and \n come in two reads, line 2 at a
+# CR whose next read starts with the CRLF that ends the empty line 3.
+@example([(b"normalize K0[3]", b"\r\n"), (b"bogus", b"\r"), (b"", b"\r\n"), (b"# c", b"\r\n"),
+          (b"bogus", b"\n")], True, [16, 23, 29])
+def test_batch_lines_are_numbered_alike_for_any_reads(lines, last_ends, cuts):
+    data = b"".join(body + end for body, end in lines)
+    if not last_ends:
+        data = data[:-len(lines[-1][1])]
+    bounds = sorted({0, len(data), *(cut for cut in cuts if cut < len(data))})
+    pieces = [data[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    stdin = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BufferedReader(_Pieces(pieces)))
+    try:
+        code, out, err = _answer("batch")
+    finally:
+        sys.stdin = stdin
+    # The lines of the whole input, split as by re.split: a CR ending a line
+    # and an LF ending the next, empty one are one CRLF.
+    texts = re.split(r"\r\n?|\n", data.decode("utf-8", "surrogateescape"))
+    refused = [(n, text) for n, text in enumerate(texts, start=1)
+               if text and not text.startswith(("#", "normalize"))]
+    assert err == "".join(f"line {n}: error: unknown command {text!r} (at position 0)\n"
+                          for n, text in refused)
+    assert code == (2 if refused else 0)
+    assert out == _answer("normalize", "K0[3]")[1] * texts.count("normalize K0[3]")
+
+
+def test_an_error_reading_a_batch_exits_2_after_the_lines_read(monkeypatch):
+    raw = _Pieces([b"normalize K0[3]\nbogus\n", b"normalize K0[3]\n"],
+                  OSError(5, "Input/output error"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BufferedReader(raw)))
+    code, out, err = _answer("batch")
+    assert code == 2 and out == _answer("normalize", "K0[3]")[1] * 2
+    assert err == ("line 2: error: unknown command 'bogus' (at position 0)\n"
+                   "error: cannot read batch input: [Errno 5] Input/output error\n")
+
+
+# Answers a batch file with stdout discarded and prints the peak RSS in KB:
+# VmHWM, which starts anew at exec, where ru_maxrss also counts the RSS of the
+# process that forked the child.
+_BATCH_PEAK_RSS = """
+import os, sys
+from wrapsurg import cli
+sys.stdout = open(os.devnull, "w")
+assert cli.main(["batch", {path!r}]) == 0
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_a_long_batch_takes_the_memory_of_a_short_one(tmp_path):
+    # Ten times the lines (5.7 MB against 0.57 MB): the input is read as it
+    # is answered, so the peak does not grow with it.
+    block = "".join(f"# padding line {i:014d}\n" for i in range(9)) + "normalize K0[3]\n"
+    peaks = []
+    for lines in (20_000, 200_000):
+        path = tmp_path / f"{lines}.txt"
+        path.write_text(block * (lines // 10))
+        done = run_python(_BATCH_PEAK_RSS.format(path=str(path)))
+        assert done.returncode == 0, done.stderr
+        peaks.append(int(done.stderr))
+    assert peaks[1] - peaks[0] < 3 * 1024, peaks
+
+
 def _as_shlex_splits(line):
     """Exit code, stdout and stderr of `line` as one batch line, answered by
     parsing shlex.split(line)."""
@@ -579,8 +682,9 @@ def test_json_answers_are_sorted_dumps_and_do_not_depend_on_the_warm_caches(
         if code == 0:
             assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         assert _answer(*requests[-1]) == answers[-1]
-    for cached in (cli._knot, cli._row_chunk,
-                   importlib.import_module("wrapsurg.classify")._s3_cover,
+    cli._kept_knots.clear()
+    cli._asked_once.clear()
+    for cached in (cli._row_chunk, importlib.import_module("wrapsurg.classify")._s3_cover,
                    importlib.import_module("wrapsurg.slopes")._slope_memo):
         cached.cache_clear()
     assert [_answer(*args) for args in requests] == answers
@@ -657,7 +761,7 @@ def test_long_knot_texts_are_analysed_per_request_and_not_kept():
     texts = ["K0[1/{0},1/{0}]".format(10**3999 + 2 * i + 1) for i in range(200)]
     assert all(len(text) > cli._KNOT_TEXT_LENGTH for text in texts)
     assert _answer("classify", "K0[3]", "7")[0] == 0
-    kept = cli._knot.cache_info().currsize
+    kept, asked = len(cli._kept_knots), set(cli._asked_once)
     gc.collect()
     tracemalloc.start()
     try:
@@ -669,7 +773,7 @@ def test_long_knot_texts_are_analysed_per_request_and_not_kept():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert cli._knot.cache_info().currsize == kept
+    assert len(cli._kept_knots) == kept and cli._asked_once == asked
     assert retained < 256 * 1024, retained
 
 
@@ -699,6 +803,7 @@ _JSON_BUILDERS = ("_normal_form_json", "_classification_json", "_prediction_json
 _KNOT_BUILDERS = tuple(name for name in _JSON_BUILDERS if name != "_rows")
 
 
+# A request is warm from its third on: the first drops its knot, the second keeps it.
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt):
     tracing = importlib.import_module("wrapsurg.tracing")
@@ -722,6 +827,7 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
                 monkeypatch.delitem(sys.modules, "wrapsurg.jsonwriter")
                 monkeypatch.delattr(wrapsurg, "jsonwriter")
             first = _answer(*args)
+            assert _answer(*args) == first  # the second request keeps the knot
             calls = {}
             _count_calls(monkeypatch, calls, tracing, "trace_closure")
             _count_calls(monkeypatch, calls, wrapped, "parse_knot")
@@ -745,6 +851,36 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
             assert imported == (fmt == "json"), args  # text never loads the writer
 
 
+def test_a_text_asked_for_once_is_not_kept():
+    cli._kept_knots.clear()
+    cli._asked_once.clear()
+    bound = cli._KNOT_CACHE_SIZE
+    for i in range(bound + 100):
+        cli._knot(f"K0[{i}]")
+        assert len(cli._asked_once) <= bound
+    assert not cli._kept_knots
+    assert cli._asked_once == {f"K0[{i}]" for i in range(bound, bound + 100)}  # cleared when full
+
+
+def test_a_text_asked_for_twice_is_kept(monkeypatch):
+    wrapped = importlib.import_module("wrapsurg.wrapped")
+    classify = importlib.import_module("wrapsurg.classify")
+    cli._kept_knots.clear()
+    cli._asked_once.clear()
+    args = ("classify", "K1[ -2/4, 1/3 ]", "7")
+    first = _answer(*args)
+    assert not cli._kept_knots and cli._asked_once == {args[1]}
+    assert _answer(*args) == first
+    assert list(cli._kept_knots) == [args[1]] and not cli._asked_once
+    calls = {}
+    _count_calls(monkeypatch, calls, wrapped, "parse_knot")
+    _count_calls(monkeypatch, calls, classify, "analysis_of")
+    _count_calls(monkeypatch, calls, wrapped.WrappedKnot, "__str__")
+    third = _answer(*args)
+    monkeypatch.undo()
+    assert third == first and calls == {}
+
+
 # One request per grid candidate (links included), the commands taking turns.
 _GRID_REQUESTS = ["classify {} 7", "slopes {} --format json", "predict {} -6 --n -2..2",
                   "table {} --range -3..9 --moves", "normalize {} --format json",
@@ -759,12 +895,14 @@ def test_a_batch_reparsed_from_the_warm_slope_memo_writes_the_same_bytes(tmp_pat
     path = tmp_path / "grid.txt"
     path.write_text("".join(_GRID_REQUESTS[i % len(_GRID_REQUESTS)].format(knot) + "\n"
                             for i, knot in enumerate(knots)))
-    cli._knot.cache_clear()
+    cli._kept_knots.clear()
+    cli._asked_once.clear()
     slopes._slope_memo.cache_clear()
     first = _answer("batch", str(path))
     # The second run finds no knot cached and parses every one anew, each
     # entry and request slope from the memo.
-    cli._knot.cache_clear()
+    cli._kept_knots.clear()
+    cli._asked_once.clear()
     warm = slopes._slope_memo.cache_info()
     second = _answer("batch", str(path))
     after = slopes._slope_memo.cache_info()

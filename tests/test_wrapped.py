@@ -234,10 +234,9 @@ def test_cross_checks_survive_python_O(script):
     assert done.returncode == 0, done.stderr
 
 
-# Fill a cache with more keys than its bound: the CLI's knots by the text
-# K0[i], a knot for every i, the S^3 covers by twist at one cover slope, the
-# restated class tables by twist of the Whitehead table, the parsed slopes by
-# the text i/7, and the row chunks by chunk number.
+# Fill a cache with more keys than its bound: the S^3 covers by twist at one
+# cover slope, the restated class tables by twist of the Whitehead table, the
+# parsed slopes by the text i/7, and the row chunks by chunk number.
 _FILL_A_CACHE = """
 import importlib
 cached = importlib.import_module("wrapsurg.{module}").{cache}
@@ -248,24 +247,37 @@ for i in range(bound + 100):
     assert cached.cache_info().currsize <= bound
 assert cached.cache_info().currsize == bound
 """
+# The CLI keeps a knot from its text's second request on: each text K0[i], a
+# knot for every i, is asked for twice.
+_FILL_THE_KNOT_CACHE = """
+import importlib
+cli = importlib.import_module("wrapsurg.cli")
+bound = cli._KNOT_CACHE_SIZE
+for i in range(bound + 100):
+    for _ in range(2):
+        cli._knot("K0[%d]" % i)
+    assert len(cli._kept_knots) <= bound and len(cli._asked_once) <= bound
+assert len(cli._kept_knots) == bound
+"""
 
 
 @pytest.mark.parametrize(
-    "module, cache, key",
+    "script",
     [
-        ("classify", "_s3_cover", "i, 7"),
-        ("classify", "_s3_cover_text", "i, 7"),
-        ("classify", "_class_table",
-         'importlib.import_module("wrapsurg").KnotClass.WHITEHEAD, 1, i, 0, ()'),
-        ("cli", "_knot", '"K0[%d]" % i'),
-        ("slopes", "_slope_memo", '"%d/7" % i, None'),
-        ("cli", "_row_chunk", '"%d", i'),
+        _FILL_A_CACHE.format(module="classify", cache="_s3_cover", key="i, 7"),
+        _FILL_A_CACHE.format(module="classify", cache="_s3_cover_text", key="i, 7"),
+        _FILL_A_CACHE.format(
+            module="classify", cache="_class_table",
+            key='importlib.import_module("wrapsurg").KnotClass.WHITEHEAD, 1, i, 0, ()'),
+        _FILL_THE_KNOT_CACHE,
+        _FILL_A_CACHE.format(module="slopes", cache="_slope_memo", key='"%d/7" % i, None'),
+        _FILL_A_CACHE.format(module="cli", cache="_row_chunk", key='"%d", i'),
     ],
     ids=["s3_cover", "s3_cover_text", "class_table", "knot_text", "slope_text", "row_chunk"],
 )
-def test_warm_caches_are_bounded(module, cache, key):
+def test_warm_caches_are_bounded(script):
     # In a child process, so that this suite's own caches keep their entries.
-    done = run_python(_FILL_A_CACHE.format(module=module, cache=cache, key=key))
+    done = run_python(script)
     assert done.returncode == 0, done.stderr
 
 
@@ -456,15 +468,15 @@ def test_parse_knot_returns_the_same_knot_for_the_same_text():
 
 
 def test_failed_parses_are_not_cached():
-    cached = importlib.import_module("wrapsurg.cli")._knot
-    before = cached.cache_info().currsize
+    cli = importlib.import_module("wrapsurg.cli")
+    kept, asked = len(cli._kept_knots), set(cli._asked_once)
     for _ in range(3):
         with pytest.raises(ParseError) as caught:
-            cached("K0[1/2,x/3]")
+            cli._knot("K0[1/2,x/3]")
         assert caught.value.position == 7
         with pytest.raises(NotAKnotError):
-            cached("K0[-1/2]")
-    assert cached.cache_info().currsize == before
+            cli._knot("K0[-1/2]")
+    assert len(cli._kept_knots) == kept and cli._asked_once == asked
 
 
 def test_parse_knot_round_trip():
