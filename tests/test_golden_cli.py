@@ -27,6 +27,13 @@ One more folds text answers over the whole grid (`_text_digest`): `normalize
 exceptional slope r of every hyperbolic grid knot, `predict r --n -3..3`,
 recorded before text answers stopped being read back from JSON-shaped dicts.
 
+Beside the digests, `_census` writes one readable line per hyperbolic grid
+knot with a table: its class, its slope map and, at each exceptional slope,
+the answer's type and indices and the family.  It must equal the committed
+tests/golden/census.txt, so a change of answers shows knot by knot in a diff;
+after a deliberate change, rewrite the file with
+`PYTHONPATH=src:tests python -c "import test_golden_cli as g; g.CENSUS.write_text(g._census())"`.
+
 Every JSON answer folded into a digest must also be the text of
 json.dumps(json.loads(answer), indent=2, sort_keys=True); `_check_json` raises
 `JSONContractError` on the first that is not.  Besides the digests,
@@ -36,9 +43,11 @@ json.dumps(json.loads(answer), indent=2, sort_keys=True); `_check_json` raises
 The module imports neither pytest nor hypothesis, so the digests can be checked
 on an interpreter without them: `PYTHONPATH=src python tests/test_golden_cli.py`
 recomputes all sixteen, checks the JSON answers in them and the parity rule on
-the grid, and exits 1 on a mismatch.
+the grid, prints the census's unified diff against the file, and exits 1 on a
+mismatch.
 """
 import contextlib
+import difflib
 import hashlib
 import importlib.util
 import io
@@ -82,6 +91,7 @@ ORACLE_GOLDEN = "0318c88efd0853f6e42b4af09548f18c7fe689f0b6e4b8ce60cda168fba0ebf
 TEXT_GOLDEN = "7fc538a17cf0ed8e2a67397f13a57fd1e666d96dbe3fb28f007bea784d846636"
 # Lines per batch file of the batch_hot digest, as the benchmark feeds them.
 HOT_CHUNK = 500
+CENSUS = Path(__file__).resolve().parent / "golden" / "census.txt"
 
 
 def _grid_slopes(bound=6):
@@ -211,6 +221,44 @@ def _oracle_digest():
     return sha.hexdigest()
 
 
+def _indices(pair):
+    return "" if pair is None else " (%d,%d)" % pair
+
+
+def _census():
+    """The census: after a header, for each hyperbolic grid knot with a table,
+    in grid order, its text, class and slope map (sigma, twists, shift), then
+    at each exceptional slope the type, the fiber indices (of the piece, for a
+    toroidal answer) and the family with its n0 and fiber indices."""
+    lines = ["# knot class sigma twists shift | slope type (indices) family n0 (fiber indices) | ..."]
+    for knot in _candidates():
+        try:
+            analysis = analysis_of(parse_knot(knot))
+        except NotAKnotError:
+            continue
+        if analysis.knot_class is KnotClass.DEGENERATE or not analysis.exceptional:
+            continue
+        sigma, twists = analysis.sigma, analysis.twists
+        fields = [f"{knot} {analysis.knot_class.value} {sigma} {twists} "
+                  f"{twists * analysis.knot.winding ** 2}"]
+        for r, (answer, family, _) in analysis.table.items():
+            cert = answer.certificate
+            indices = answer.seifert_indices or (cert and cert.piece_indices)
+            n0 = "" if family.n0 is None else f" n0={family.n0}"
+            fields.append(f"{r} {answer.type.value}{_indices(indices)} "
+                          f"{family.kind.value}{n0}{_indices(family.fiber_indices)}")
+        lines.append(" | ".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def _census_diff():
+    """The unified diff from the committed census to `_census()`; empty when
+    they agree."""
+    return "".join(difflib.unified_diff(
+        CENSUS.read_text(encoding="utf-8").splitlines(True), _census().splitlines(True),
+        "tests/golden/census.txt", "census of this code"))
+
+
 def rule_disagrees_with_trace(a, entries):
     """Whether `closure_facts` and `trace_closure` disagree on the closure:
     on knot or link, on the pairing (None for a hidden loop) and, for a
@@ -236,6 +284,11 @@ def test_golden_oracle_digest():
 
 def test_parity_rule_equals_the_trace_on_every_grid_entry_list():
     assert _closure_mismatches() == []
+
+
+def test_census_matches_the_committed_file():
+    diff = _census_diff()
+    assert not diff, "the census differs from tests/golden/census.txt:\n" + diff
 
 
 def test_grid_has_all_candidates():
@@ -363,4 +416,7 @@ if __name__ == "__main__":
     disagreements = _closure_mismatches()
     print(f"parity rule: {len(disagreements)} of 4512 grid closures disagree with trace_closure"
           + "".join(f"\nmismatch: parity rule on {text}" for text in disagreements[:10]))
-    sys.exit(1 if mismatches or disagreements else 0)
+    census = _census_diff()
+    print("census: " + (f"differs from tests/golden/census.txt\n{census}" if census
+                        else "matches tests/golden/census.txt"), end="" if census else "\n")
+    sys.exit(1 if mismatches or disagreements or census else 0)
