@@ -46,6 +46,7 @@ from .slopes import (
 from .tangles import (
     LengthOneCanonical,
     MontesinosTangle,
+    Move,
     NormalForm,
     Pairing,
     closure_facts,
@@ -77,7 +78,7 @@ _LAZY = {
         "torus_knot_surgery",
     ),
     "moves": (
-        "Move", "equivalent", "mirror_tangle", "reverse_tangle", "shift_tangle", "twist_tangle",
+        "equivalent", "mirror_tangle", "reverse_tangle", "shift_tangle", "twist_tangle",
     ),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}

@@ -1,47 +1,37 @@
 """Classification of Dehn surgeries on wrapped Montesinos knots.
 
-Every knot is reduced to a canonical representative under the equivalence
-moves (a mirror negates a slope, a meridional twist by m shifts it by
-m * wind^2).  `_decide` names the knot's class from its normal form and
-returns the source of the class's table, which lists its exceptional
-surgeries at canonical slopes: the class itself for the fixed
-`_WHITEHEAD_TABLE` and `_PRETZEL_2_3_TABLE`, or the wrap crossings and
-canonical entries whose one spanning-surface slope `_spanning_surface_table`
-finds, for a single integer entry or a genuine pretzel.  Every other slope,
-including every non-integral one, is hyperbolic.  The canonical
-representative is never built as a knot: the push-off oracle reads the
-canonical entries.
-
-Each table entry states its answer and its family at the canonical knot:
-the `SurgeryClassification` at the canonical slope rc, the
+One reduction, `_reduce`, names a knot's class from its normal form, lists
+the `Move` records that carry the knot to the canonical knot of its class,
+and composes them into one `SlopeMap`; `--moves`, the JSON
+`equivalence_moves` and `moves.equivalent` all read those records.  The
+class's table lists its exceptional surgeries at canonical slopes: the fixed
+`_WHITEHEAD_TABLE` and `_PRETZEL_2_3_TABLE`, or the one spanning-surface
+slope of a single integer entry or a genuine pretzel, which
+`_spanning_surface_table` traces.  Every other slope is hyperbolic.  Each
+entry states the `SurgeryClassification` at its canonical slope rc, the
 `FamilyPrediction` over every re-embedding (its n0 canonical), and whether
 the S^3 surgeries of the twisted images are known there.
 
-A knot's `Analysis` (`analysis_of`) holds its class's table restated at
-the knot's own slopes: the slope map r = sigma * (rc - twists * wind^2)
-moves each entry's slope, n0 becomes sigma * (n0 + twists), and the answer
-gains the class's notes.  The restated table depends on the knot only
-through its table's source and its slope map, so `_class_table` builds it
-once per (source, sigma, twists, shift) and keeps it in an lru_cache of
-_TABLE_CACHE_SIZE (1024) entries; a key with an integer of absolute value
-2**20 or more is built anew and not kept.  Each build of a spanning-surface
-table traces its literal diagram and runs its cross-check.  The methods
-`classify` and `predict` only look up that mapping, the `exceptional` tuple
-holds the (slope, answer) pairs of the table, built with it, and a sweep
-over integral slopes reads each row off the exceptional set: the
-exceptional type at that slope, else hyperbolic.  Nothing here keeps a knot:
-the module functions `classify`, `exceptional_slopes`, `predict_s3_family`
-and `surgery_in_s3` analyse the knot on every call, so a caller with several
-questions about one knot keeps its `analysis_of(knot)` and asks that.
+The slope map states the slope correspondence once:
+r = sigma * (rc - twists * wind^2), whose twist step is
+`wrapped.transport_slope`, n0 -> sigma * (n0 + twists), and its inverse
+nc = sigma * n - twists.  A knot's `Analysis` (`analysis_of`) holds its
+class's table restated by its slope map, with the class's notes.  The table
+depends on the knot only through its source, which fixes the winding, and
+its slope map, so `_class_table` builds it once per (source, slope map,
+notes), in an lru_cache of _TABLE_CACHE_SIZE (1024) entries; a key with an
+integer of absolute value 2**20 or more is built anew and not kept.
+`classify` and `predict` look the slope up in that table, and a sweep reads
+its rows off the `exceptional` pairs.  Nothing here keeps a knot: the module
+functions analyse the knot on every call, so a caller with several
+questions keeps its `analysis_of(knot)` and asks that.
 
 The S^3 surgery of a twisted image depends only on the canonical twist nc
-and the canonical slope rc, not on the knot: `_s3_cover` computes it once per
-(nc, rc), in an lru_cache of _S3_CACHE_SIZE (1024) entries, and runs the
-torus-knot cross-check on every miss; `_s3_cover_text`, of the same size,
-keeps each cover's text.  `wrapsurg.seifert`, which computes the covers and
-the check, is imported on the first miss, so a request that reads no S^3
-cover never loads it.  `Analysis.surgeries_in_s3`, the one reader of
-both, maps the knot's twist n to nc = sigma * n - twists.
+and slope rc: `_s3_cover` computes it once per (nc, rc), in an lru_cache of
+_S3_CACHE_SIZE (1024) entries, and runs the torus-knot cross-check on every
+miss; `_s3_cover_text` keeps each cover's text.  `wrapsurg.seifert` is
+imported on the first miss, so a request that reads no S^3 cover never
+loads it.
 """
 from __future__ import annotations
 
@@ -50,9 +40,9 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .slopes import InconsistentCrossCheckError, Record, Slope, make_slope
-from .tangles import NormalForm, knot_text, normalize, shift_reduced
+from .tangles import MontesinosTangle, Move, NormalForm, knot_text, normalize, shift_reduced
 from .tracing import pretzel_framing
-from .wrapped import WrappedKnot
+from .wrapped import WrappedKnot, transport_slope
 
 
 class DegenerateKnotError(ValueError):
@@ -80,15 +70,11 @@ class ToroidalSource(Enum):
 class ToroidalCertificate(Record):
     """Why the surgered manifold contains an essential torus.
 
-    For the Whitehead, integer-entry and (-2, 3)-pretzel classes, `slope` is
-    the table entry's slope at the reduced knot of the class; the knot's own
-    slope is sigma * (slope - twists * wind^2), with the mirror sign and
-    meridional twists of its reduction (`--moves` prints them).  A genuine
-    pretzel is not reduced to one side of its mirror pair: its `slope` is
-    taken at the knot's own pretzel entries 1/q1, 1/q2 and is the knot's own
-    slope, so `K0[-1/3,-1/3]` has certificate slope -12 and its mirror
-    `K0[1/3,1/3]` has 12.
-    """
+    `slope` is the table entry's slope at the canonical knot of the class,
+    which the analysis's `SlopeMap` (of the moves `--moves` prints) carries
+    to the knot's own slope.  A genuine pretzel is not mirrored, so its map
+    is the identity and its `slope` the knot's own: `K0[-1/3,-1/3]` has
+    certificate slope -12 and its mirror `K0[1/3,1/3]` has 12."""
 
     __slots__ = ("source", "slope", "piece_indices", "piece")
 
@@ -185,27 +171,50 @@ _TORUS_KNOT_MEMBERS = {0: (2, 5), 1: (3, 4), 2: (3, 5)}
 # The S^3 covers `_s3_cover` keeps, by (canonical twist, canonical slope):
 # both cover slopes over 512 consecutive twists.
 _S3_CACHE_SIZE = 1024
-# The restated tables `_class_table` keeps, by (source, sigma, twists, shift),
-# for keys whose integers all have absolute value below _TABLE_WINDOW (2**20,
-# the bound of the CLI's row chunks).
+# The restated tables `_class_table` keeps, by (source, slope map, notes), for
+# keys whose integers all have absolute value below _TABLE_WINDOW (2**20, the
+# bound of the CLI's row chunks).
 _TABLE_CACHE_SIZE = 1024
 _TABLE_WINDOW = 1 << 20
 
 
-class Analysis(Record):
-    """A knot's normal form, class, exceptional table and moves.
+class SlopeMap(Record):
+    """How a reduction's moves carry slopes: `sigma` is -1 when they mirror
+    the knot, and `twists` counts their meridional twists after the mirror.
+    Moves keep the winding wind, so an equivalent knot, such as the table
+    source's, gives it too."""
 
-    `sigma` is -1 when the reduction mirrors the knot, and `twists` counts
-    the meridional twists after mirroring.  `table` is the class's table at
-    the knot's own slopes, ascending: each exceptional slope to its answer,
-    its family and its canonical slope when the S^3 surgeries of its twisted
-    images are known (else None).  `exceptional` is the table's (slope,
-    answer) pairs in the same order.  Both are restated once per table
-    source and slope map, not per knot (see `_class_table`), so equivalent
-    knots with one slope map share them.
+    __slots__ = ("sigma", "twists")
+
+    def slope(self, knot: WrappedKnot, rc: int) -> Slope:
+        """r = sigma * (rc - twists * wind^2) at canonical slope rc."""
+        r = transport_slope(knot, make_slope(rc, 1), -self.twists)
+        return -r if self.sigma < 0 else r
+
+    def n0(self, n0: int) -> int:  # the knot's twist at canonical twist n0
+        return self.sigma * (n0 + self.twists)
+
+    def canonical_twist(self, n: int) -> int:  # the inverse of `n0`
+        return self.sigma * n - self.twists
+
+
+# The slope maps of no move and of the mirror alone, and the moves but the twist.
+_IDENTITY, _MIRRORED = SlopeMap(1, 0), SlopeMap(-1, 0)
+_SHIFT, _MIRROR = Move("shift"), Move("mirror")
+
+
+class Analysis(Record):
+    """A knot's normal form, class, the `Move` records of its reduction and
+    the `SlopeMap` they compose to, and its exceptional table.
+
+    `table` is the class's table at the knot's own slopes, ascending: each
+    exceptional slope to its answer, its family and its canonical slope when
+    the S^3 surgeries of its twisted images are known (else None), and
+    `exceptional` its (slope, answer) pairs; knots with one table source and
+    slope map share both (see `_class_table`).
     """
 
-    __slots__ = ("knot", "nf", "knot_class", "sigma", "twists", "table", "notes", "moves",
+    __slots__ = ("knot", "nf", "knot_class", "slope_map", "table", "notes", "moves",
                  "exceptional")
 
     def classify(self, r: Slope) -> SurgeryClassification:
@@ -242,9 +251,8 @@ class Analysis(Record):
         rc = self.table.get(r, (None, None, None))[2]
         if rc is None:
             return [(n, None) for n in ns]
-        cover = _s3_cover_text if text else _s3_cover
-        sigma, twists = self.sigma, self.twists
-        return [(n, cover(sigma * n - twists, rc)) for n in ns]
+        cover, nc = (_s3_cover_text if text else _s3_cover), self.slope_map.canonical_twist
+        return [(n, cover(nc(n), rc)) for n in ns]
 
     def require_hyperbolic(self) -> None:
         """Raise `DegenerateKnotError` for a degenerate knot, never hyperbolic."""
@@ -324,57 +332,56 @@ def _oracle_self_check() -> None:
             )
 
 
-def _decide(a: int, nf: NormalForm) -> tuple[KnotClass, int, int, object]:
-    """The knot class, the mirror sign, the meridional twists and the
-    hashable source of the class's table of exceptional surgeries at
-    canonical slopes: the class for a fixed table, (a, canonical entries)
-    for a spanning-surface table, None for no table.  `_class_table` restates
-    the table once per source and slope map."""
+def _reduce(a: int, tangle: MontesinosTangle, winding: int) -> tuple:
+    """The one reduction: the tangle's normal form, the class of its closure
+    with `a` wrap crossings, the source of the class's table ((class, a,
+    canonical entries), or None), the `Move` records to the class's canonical
+    knot and the `SlopeMap` they compose to.  A genuine pretzel is not
+    mirrored: for a = 1 a mirror moves slopes by r -> -r + 4, which the map
+    does not state yet.  The (-3, 2) pretzel is mirrored (keeping that
+    error in its answers), with no reverse."""
+    nf = normalize(tangle)
+    moves = [] if shift_reduced(tangle.entries) else [_SHIFT]
+    slope_map, entries = _IDENTITY, None
     if nf.degenerate:
-        return KnotClass.DEGENERATE, 1, 0, None
-    if nf.k1 is not None:
+        knot_class = KnotClass.DEGENERATE
+    elif nf.k1 is not None:
         t = nf.k1.t
-        sigma, twists = -1 if nf.k1.mirrored else 1, nf.k1.twists
+        slope_map = SlopeMap(-1 if nf.k1.mirrored else 1, nf.k1.twists)
         if not t.is_integral():
-            return KnotClass.SINGLE_FRACTION, sigma, twists, None
-        if t.p != 2:
-            return KnotClass.INTEGER_TANGLE, sigma, twists, (a, (t,))
-        if a == 0:
-            return KnotClass.WHITEHEAD, sigma, twists, KnotClass.WHITEHEAD
-        return KnotClass.WHITEHEAD_MATE, sigma, twists, None
-    pair = _find_pretzel_pair(nf)
-    if pair is None:
-        return KnotClass.GENERIC, 1, 0, None
-    if sorted(pair) not in ([-2, 3], [-3, 2]):
-        return KnotClass.PRETZEL, 1, 0, (a, tuple(make_slope(1, q) for q in pair))
-    sigma = -1 if sorted(pair) == [-3, 2] else 1  # mirror (-3, 2) to (-2, 3)
-    return KnotClass.PRETZEL_2_3, sigma, 0, KnotClass.PRETZEL_2_3
+            knot_class = KnotClass.SINGLE_FRACTION
+        elif t.p == 2 and a:
+            knot_class = KnotClass.WHITEHEAD_MATE
+        else:
+            knot_class = KnotClass.WHITEHEAD if t.p == 2 else KnotClass.INTEGER_TANGLE
+            entries = (t,)
+    elif (pair := _find_pretzel_pair(nf)) is None:
+        knot_class = KnotClass.GENERIC
+    else:
+        entries = tuple(make_slope(1, q) for q in pair)
+        special = sorted(pair) in ([-2, 3], [-3, 2])
+        knot_class = KnotClass.PRETZEL_2_3 if special else KnotClass.PRETZEL
+        if sorted(pair) == [-3, 2]:
+            slope_map = _MIRRORED
+    if slope_map.sigma < 0:
+        moves.append(_MIRROR)
+    if slope_map.twists:
+        moves.append(Move("twist", slope_map.twists, slope_map.twists * winding * winding))
+    source = None if entries is None else (knot_class, a, entries)
+    return nf, knot_class, source, tuple(moves), slope_map
 
 
 def analysis_of(knot: WrappedKnot) -> Analysis:
-    """The knot's analysis: its normal form, class, moves and exceptional
-    table at its own slopes, built anew on every call; the table comes from
-    `_class_table`."""
+    """The knot's reduction (`_reduce`) and its exceptional table at its own
+    slopes (from `_class_table`), built anew on every call."""
     _oracle_self_check()
-    nf = normalize(knot.tangle)
-    knot_class, sigma, twists, source = _decide(knot.a, nf)
+    nf, knot_class, source, moves, slope_map = _reduce(knot.a, knot.tangle, knot.winding)
     notes = _WHITEHEAD_MATE_NOTES if knot_class is KnotClass.WHITEHEAD_MATE else ()
-    shift = twists * knot.winding ** 2
     table, exceptional = _NO_TABLE, ()
     if source is not None:
-        build = _class_table if _in_window(source, twists, shift) else _class_table.__wrapped__
-        table, exceptional = build(source, sigma, twists, shift, notes)
-
-    moves: list[str] = []
-    if not shift_reduced(knot.tangle.entries):
-        moves.append("integer shifts (sum preserved, zero entries dropped)")
-    if sigma < 0:
-        moves.append("mirror (surgery slopes negate)")
-    if twists:
-        effect = f"slopes shift by {shift}" if shift else "slopes unchanged, winding 0"
-        moves.append(f"meridional twist m={twists} ({effect})")
-
-    return Analysis(knot, nf, knot_class, sigma, twists, table, notes, tuple(moves), exceptional)
+        build = _class_table if _in_window(source, slope_map) else _class_table.__wrapped__
+        table, exceptional = build(source, slope_map, notes)
+    return Analysis(knot, nf, knot_class, slope_map, table, notes, moves, exceptional)
 
 
 def _spanning_surface_table(a: int, entries: tuple[Slope, ...]) -> MappingProxyType[int, tuple]:
@@ -392,35 +399,31 @@ def _spanning_surface_table(a: int, entries: tuple[Slope, ...]) -> MappingProxyT
     return MappingProxyType({framing: _toroidal(ToroidalSource.PRETZEL_SURFACE, framing)})
 
 
-def _in_window(source: object, twists: int, shift: int) -> bool:
-    """Whether every integer of the `_class_table` key has absolute value
-    below _TABLE_WINDOW, so that the cache may keep its table."""
-    numbers = [twists, shift]
-    if type(source) is tuple:
-        a, entries = source
-        numbers.append(a)
-        for s in entries:
-            numbers += s.p, s.q
+def _in_window(source: tuple, slope_map: SlopeMap) -> bool:
+    """Whether the cache may keep the key's table: |n| < _TABLE_WINDOW for its integers."""
+    numbers = [slope_map.twists]
+    for s in source[2]:
+        numbers += s.p, s.q
     return all(-_TABLE_WINDOW < n < _TABLE_WINDOW for n in numbers)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _class_table(source: object, sigma: int, twists: int, shift: int,
+def _class_table(source: tuple, slope_map: SlopeMap,
                  notes: tuple[str, ...]) -> tuple[MappingProxyType[Slope, tuple], tuple]:
-    """The table of `source` (see `_decide`) restated by the slope map
-    r = sigma * (rc - shift), n0 -> sigma * (n0 + twists), each answer
-    gaining the class's notes, and its (slope, answer) pairs, ascending.
-    A spanning-surface table is traced and cross-checked on every miss,
-    also under `python -O`."""
-    table = _FIXED_TABLES[source] if type(source) is KnotClass else _spanning_surface_table(*source)
+    """The table of `source` (see `_reduce`) restated by `slope_map` with the
+    notes, and its (slope, answer) pairs, ascending; the source's knot gives
+    the winding.  A spanning-surface table is traced and cross-checked on
+    every miss, also under `python -O`."""
+    knot_class, a, entries = source
+    table = _FIXED_TABLES.get(knot_class) or _spanning_surface_table(a, entries)
+    knot = WrappedKnot(a, MontesinosTangle(entries))
     restated = {}
     for rc, (answer, family, s3_cover) in table.items():
-        r = make_slope(sigma * (rc - shift), 1)
+        r = slope_map.slope(knot, rc)
         answer = SurgeryClassification(answer.type, r, answer.certificate,
                                        answer.seifert_indices, answer.notes + notes)
         if family.n0 is not None:
-            family = FamilyPrediction(family.kind, sigma * (family.n0 + twists),
-                                      family.fiber_indices)
+            family = FamilyPrediction(family.kind, slope_map.n0(family.n0), family.fiber_indices)
         restated[r] = answer, family, rc if s3_cover else None
     items = sorted(restated.items())
     return MappingProxyType(dict(items)), tuple((r, answer) for r, (answer, _, _) in items)
@@ -431,9 +434,7 @@ def classify(knot: WrappedKnot, r: Slope) -> SurgeryClassification:
     return analysis_of(knot).classify(r)
 
 
-def exceptional_slopes(
-    knot: WrappedKnot,
-) -> list[tuple[Slope, SurgeryClassification]]:
+def exceptional_slopes(knot: WrappedKnot) -> list[tuple[Slope, SurgeryClassification]]:
     """The complete finite set of exceptional slopes, in increasing order."""
     return analysis_of(knot).exceptional_slopes()
 

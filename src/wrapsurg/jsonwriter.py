@@ -133,7 +133,7 @@ def _fragments(knot: _Knot) -> tuple:
     return (
         _quote(knot.text),
         _json(_normal_form_json(analysis.nf), "  "),
-        _json(analysis.moves, "  "),
+        _json([str(move) for move in analysis.moves], "  "),
         exceptional,
         table,
         _json(_classification_json(hyperbolic), "  "),

@@ -5,14 +5,15 @@ composition of four moves: entrywise integer shifts with fixed total sum
 (zero entries may be added or deleted), reversal of the entry order, the
 mirror image (entrywise negation), and, for tangles reducible to a single
 rational entry, the meridional twist t -> 1/(2m + 1/t).  `equivalent`
-decides it from the normal forms of `tangles.normalize` and returns the
-moves as a witness.  No CLI request applies a move: the classifier reads the
-normal form alone, so this module loads only when one of its names is used.
+decides it from the classifier's reduction (`classify._reduce`) and returns
+a witness of the same `Move` records that `--moves` prints (`Move` is
+defined in `wrapsurg.tangles` and re-exported here).  No request applies a
+move, so this module loads only when one of its names is used.
 """
 from __future__ import annotations
 
-from .slopes import Record
-from .tangles import MontesinosTangle, NormalForm, normalize, shift_reduced
+from .classify import _reduce as _classify_reduce
+from .tangles import MontesinosTangle, Move, closure_facts
 
 
 def reverse_tangle(tangle: MontesinosTangle) -> MontesinosTangle:
@@ -42,54 +43,29 @@ def twist_tangle(tangle: MontesinosTangle, m: int) -> MontesinosTangle:
     return MontesinosTangle((image,))
 
 
-class Move(Record):
-    """One equivalence move: `kind` is "shift", "reverse", "mirror" or
-    "twist", and `amount` the m of a twist (0 for the other kinds)."""
-
-    __slots__ = ("kind", "amount")
-    _defaults = (0,)
-
-    def __str__(self) -> str:
-        if self.kind == "twist":
-            return f"twist m={self.amount}"
-        if self.kind == "shift":
-            return "integer shifts (sum preserved, zero entries dropped)"
-        return self.kind
-
-
-def _nf_variants(nf: NormalForm):
-    """Normal forms of the four reverse/mirror images of a multi-entry tangle."""
-    fracs, e0 = nf.fracs, nf.e0
-    mirrored = tuple(-f + 1 for f in fracs)
-    mirrored_e0 = -e0 - len(fracs)
-    yield fracs, e0
-    yield tuple(reversed(fracs)), e0
-    yield mirrored, mirrored_e0
-    yield tuple(reversed(mirrored)), mirrored_e0
-
-
-# The moves taking a tangle to each of its images in `_nf_variants`.
+# The moves to the four reverse/mirror images whose keys `_reduce` lists.
 _VARIANT_MOVES = ((), (Move("reverse"),), (Move("mirror"),), (Move("mirror"), Move("reverse")))
 
 
-def _reduce(tangle: MontesinosTangle) -> tuple[tuple, list[Move]]:
+def _reduce(tangle: MontesinosTangle) -> tuple[tuple, tuple[Move, ...]]:
     """The tangle's canonical signature, which two tangles share exactly when
-    they are equivalent, and the moves that reduce it to canonical form."""
-    nf = normalize(tangle)
-    moves = [] if shift_reduced(tangle.entries) else [Move("shift")]
+    they are equivalent, and the moves that reduce it to canonical form: the
+    moves of the classifier's reduction (`classify._reduce`) and then, for
+    two or more fractional entries, the reverse/mirror step to the variant of
+    the reduced normal form with the smallest key."""
+    nf, _, _, moves, slope_map = _classify_reduce(0, tangle, closure_facts(tangle.entries, 0)[1])
     if nf.degenerate:
         t = nf.as_tangle().entries[0]  # 0 or 1/q; the signature is q's parity
         return ("degenerate", t.q % 2 if t.p else "zero"), moves
     if nf.k1 is not None:
-        if nf.k1.mirrored:
-            moves.append(Move("mirror"))
-        if nf.k1.twists:
-            moves.append(Move("twist", nf.k1.twists))
         return ("single", (nf.k1.t.p, nf.k1.t.q)), moves
-    keys = [(e0, tuple((f.p, f.q) for f in fracs)) for fracs, e0 in _nf_variants(nf)]
+    forms = [(nf.fracs, nf.e0), (tuple(-f + 1 for f in nf.fracs), -nf.e0 - len(nf.fracs))]
+    if slope_map.sigma < 0:  # the reduction mirrored a (-3, 2) pretzel
+        forms.reverse()
+    keys = [(e0, tuple((f.p, f.q) for f in order)) for fracs, e0 in forms
+            for order in (fracs, fracs[::-1])]
     key = min(keys)
-    moves.extend(_VARIANT_MOVES[keys.index(key)])
-    return ("multi", key), moves
+    return ("multi", key), moves + _VARIANT_MOVES[keys.index(key)]
 
 
 def equivalent(t1: MontesinosTangle, t2: MontesinosTangle) -> list[Move] | None:
@@ -97,7 +73,7 @@ def equivalent(t1: MontesinosTangle, t2: MontesinosTangle) -> list[Move] | None:
 
     The decision compares canonical signatures, which is complete, so the
     witness search never has to explore deep move sequences: it is assembled
-    from each side's reduction to canonical form.
+    from each side's reduction, so it starts with the moves of t1's analysis.
     """
     signature, left = _reduce(t1)
     other, right = _reduce(t2)
@@ -106,7 +82,7 @@ def equivalent(t1: MontesinosTangle, t2: MontesinosTangle) -> list[Move] | None:
     # Moves from t1 down to canonical form, then t2's reduction undone:
     # shift, reverse and mirror are involutions, a twist is undone by its
     # negative.
-    return left + [
-        Move("twist", -move.amount) if move.kind == "twist" else move
+    return list(left) + [
+        Move("twist", -move.amount, -move.shift) if move.kind == "twist" else move
         for move in reversed(right)
     ]

@@ -5,8 +5,8 @@ a rational tangle is its finite slope, so a tangle is its tuple of entry
 slopes, read from the text `[t1,...,tk]` by `parse_tangle`.  `normalize`
 reduces a tangle under the four equivalence moves (entrywise integer shifts
 with fixed sum, reversal, the mirror image, and the meridional twist of a
-single entry) to its normal form, which is all the classifier reads.  The
-moves themselves, and `equivalent` with its witnesses, are in
+single entry) to its normal form.  A `Move` records one move as `--moves`
+prints it; the moves on tangles, and `equivalent` with its witnesses, are in
 `wrapsurg.moves`, which no request loads.
 
 How a tangle joins its four endpoints, and so whether its wrapped closure is
@@ -90,6 +90,25 @@ def knot_text(a: int, entries: tuple[Slope, ...]) -> str:
     """The text `K{a}[t1,...,tk]` of the closure of `entries` with `a` wrap
     crossings, as `wrapped.parse_knot` reads it."""
     return f"K{a}[{','.join(map(str, entries))}]"
+
+
+class Move(Record):
+    """One equivalence move: `kind` is "shift", "reverse", "mirror" or
+    "twist"; a twist's `amount` is its m and its `shift` is m * wind^2, how
+    far it moves every slope but the meridian (both 0 for the other kinds)."""
+
+    __slots__ = ("kind", "amount", "shift")
+    _defaults = (0, 0)
+
+    def __str__(self) -> str:
+        if self.kind == "shift":
+            return "integer shifts (sum preserved, zero entries dropped)"
+        if self.kind == "mirror":
+            return "mirror (surgery slopes negate)"
+        if self.kind != "twist":
+            return self.kind
+        shift = f"slopes shift by {self.shift}" if self.shift else "slopes unchanged, winding 0"
+        return f"meridional twist m={self.amount} ({shift})"
 
 
 class LengthOneCanonical(Record):

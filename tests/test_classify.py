@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +16,7 @@ from wrapsurg import (
     FamilyKind,
     KnotClass,
     MontesinosTangle,
+    Move,
     NotAKnotError,
     Pairing,
     SFSKind,
@@ -20,6 +24,7 @@ from wrapsurg import (
     ToroidalSource,
     analysis_of,
     classify,
+    equivalent,
     exceptional_slopes,
     make_slope,
     make_wrapped,
@@ -35,6 +40,9 @@ from wrapsurg import (
     transport_slope,
     twist_tangle,
 )
+from wrapsurg.classify import _FIXED_TABLES
+from wrapsurg.cli import main
+from wrapsurg.tracing import pretzel_framing
 
 K = parse_knot
 T = parse_tangle
@@ -160,7 +168,7 @@ def test_deep_twist_reductions():
     # 1/t = 101/2 folds onto 1/2 after 25 shifts; winding 0, slopes fixed.
     knot = K("K0[2/101]")
     assert analysis_of(knot).knot_class is KnotClass.WHITEHEAD
-    assert analysis_of(knot).twists == -25
+    assert analysis_of(knot).slope_map.twists == -25
     assert [r.p for r, _ in exceptional_slopes(knot)] == [0, 1, 2, 3, 4]
     # 1/t = 301/5 folds onto 1/5 after 30 shifts; winding 2 transports the
     # toroidal slope of the integer entry 5 by 4 * 30.
@@ -439,3 +447,68 @@ def test_winding_consistent_on_grid():
             assert closure.pairing is tangle_pairing
             if a == knot.a:
                 assert closure.components == 1 and closure.winding == wind
+
+
+# -- one reduction: the moves and the slope map -------------------------------
+
+
+def _cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+def test_moves_text_json_and_witnesses_read_one_reduction_on_grid():
+    for knot in GRID:
+        text, analysis = str(knot), analysis_of(knot)
+        moves = analysis.moves
+        assert all(type(move) is Move for move in moves), text
+        lines = [line for line in _cli("normalize", text, "--moves").splitlines()
+                 if line.startswith("move: ")]
+        assert lines == [f"move: {move}" for move in moves], text
+        answer = json.loads(_cli("normalize", text, "--moves", "--format", "json"))
+        assert answer["equivalence_moves"] == [str(move) for move in moves], text
+        tangle = knot.tangle
+        for image in (tangle, reverse_tangle(tangle), mirror_tangle(tangle),
+                      normalize(tangle).as_tangle()):
+            assert equivalent(tangle, image)[:len(moves)] == list(moves), (text, str(image))
+
+
+def test_the_slope_map_sends_each_canonical_slope_to_the_knots_own_on_grid():
+    for knot in GRID:
+        analysis = analysis_of(knot)
+        slope_map, table = analysis.slope_map, analysis.table
+        if analysis.knot_class in _FIXED_TABLES:
+            for rc, (answer, family, _) in _FIXED_TABLES[analysis.knot_class].items():
+                mine, my_family, _ = table[slope_map.slope(knot, rc)]
+                assert mine.type is answer.type, str(knot)
+                n0 = None if family.n0 is None else slope_map.n0(family.n0)
+                assert my_family.n0 == n0, str(knot)
+            continue
+        # A spanning-surface table: its one slope is the certificate's, canonical.
+        canonical = [answer.certificate.slope.p for _, answer in analysis.exceptional]
+        assert [slope_map.slope(knot, rc) for rc in canonical] == list(table), str(knot)
+
+
+# The mirrored (-3, 2) pretzels restate the canonical twisted I-bundle slope 8
+# as -8, but the framing of their own spanning surface is -4: for a = 1 the
+# mirror moves slopes by r -> -r + 4.
+_MIRROR_MAP = pytest.mark.xfail(strict=True, reason="ROADMAP item 1b")
+_PRETZEL_SHAPED_2_3 = ["K1[-1/2,1/3]", "K1[1/3,-1/2]", "K1[1/2,-1/3]", "K1[-1/3,1/2]"]
+
+
+def test_the_pretzel_shaped_2_3_grid_knots_are_the_four():
+    found = {str(knot) for knot in GRID
+             if analysis_of(knot).knot_class is KnotClass.PRETZEL_2_3
+             and all(abs(entry.p) == 1 for entry in knot.tangle.entries)}
+    assert found == set(_PRETZEL_SHAPED_2_3)
+
+
+@pytest.mark.parametrize("text", _PRETZEL_SHAPED_2_3[:2] + [
+    pytest.param(text, marks=_MIRROR_MAP) for text in _PRETZEL_SHAPED_2_3[2:]])
+def test_the_map_carries_canonical_8_to_the_pretzel_framing(text):
+    knot = K(text)
+    assert analysis_of(knot).knot_class is KnotClass.PRETZEL_2_3
+    framing = pretzel_framing(knot.tangle.entries, knot.a)
+    assert analysis_of(knot).slope_map.slope(knot, 8) == s(framing)

@@ -227,7 +227,8 @@ def _indices(pair):
 
 def _census():
     """The census: after a header, for each hyperbolic grid knot with a table,
-    in grid order, its text, class and slope map (sigma, twists, shift), then
+    in grid order, its text, class and slope map (sigma, twists, and the
+    shift of its twist move), then
     at each exceptional slope the type, the fiber indices (of the piece, for a
     toroidal answer) and the family with its n0 and fiber indices."""
     lines = ["# knot class sigma twists shift | slope type (indices) family n0 (fiber indices) | ..."]
@@ -238,9 +239,9 @@ def _census():
             continue
         if analysis.knot_class is KnotClass.DEGENERATE or not analysis.exceptional:
             continue
-        sigma, twists = analysis.sigma, analysis.twists
-        fields = [f"{knot} {analysis.knot_class.value} {sigma} {twists} "
-                  f"{twists * analysis.knot.winding ** 2}"]
+        shift = sum(move.shift for move in analysis.moves)
+        fields = [f"{knot} {analysis.knot_class.value} {analysis.slope_map.sigma} "
+                  f"{analysis.slope_map.twists} {shift}"]
         for r, (answer, family, _) in analysis.table.items():
             cert = answer.certificate
             indices = answer.seifert_indices or (cert and cert.piece_indices)

@@ -31,11 +31,11 @@ _NAMESPACE = {
         "parse_slope",
     ),
     "tangles": (
-        "LengthOneCanonical", "MontesinosTangle", "NormalForm", "Pairing", "closure_facts",
-        "normalize", "parse_tangle",
+        "LengthOneCanonical", "MontesinosTangle", "Move", "NormalForm", "Pairing",
+        "closure_facts", "normalize", "parse_tangle",
     ),
     "moves": (
-        "Move", "equivalent", "mirror_tangle", "reverse_tangle", "shift_tangle", "twist_tangle",
+        "equivalent", "mirror_tangle", "reverse_tangle", "shift_tangle", "twist_tangle",
     ),
     "tracing": ("NoPretzelSurfaceError", "trace_closure"),
     "wrapped": (
@@ -69,8 +69,6 @@ _UNREAD = {
     "wrapped.make_wrapped": "bench/child.py and bench/record_golden.py build their knots with it",
     "tangles.MontesinosTangle.from_slopes": "bench/child.py builds its anchor tangles with it",
     "wrapped.pretzel_slope": "bench/child.py times it as a layer",
-    "wrapped.transport_slope": "the slope correspondence of the twisted images; "
-                               "correcting the S^3 rows gives it a reader",
     "moves.equivalent": "the moves with witnesses; a move-equivariance property will read them",
     "moves.mirror_tangle": "an equivalence move; a move-equivariance property will read it",
     "moves.reverse_tangle": "an equivalence move; a move-equivariance property will read it",

@@ -268,7 +268,8 @@ assert len(cli._kept_knots) == bound
         _FILL_A_CACHE.format(module="classify", cache="_s3_cover_text", key="i, 7"),
         _FILL_A_CACHE.format(
             module="classify", cache="_class_table",
-            key='importlib.import_module("wrapsurg").KnotClass.WHITEHEAD, 1, i, 0, ()'),
+            key='((c := importlib.import_module("wrapsurg.classify")).KnotClass.WHITEHEAD, 0, '
+                '(c.make_slope(2, 1),)), c.SlopeMap(1, i), ()'),
         _FILL_THE_KNOT_CACHE,
         _FILL_A_CACHE.format(module="slopes", cache="_slope_memo", key='"%d/7" % i, None'),
         _FILL_A_CACHE.format(module="cli", cache="_row_chunk", key='"%d", i'),
