@@ -16,22 +16,25 @@ The slope map states the slope correspondence once:
 r = sigma * (rc - twists * wind^2), whose twist step is
 `wrapped.transport_slope`, n0 -> sigma * (n0 + twists), and its inverse
 nc = sigma * n - twists.  A knot's `Analysis` (`analysis_of`) holds its
-class's table restated by its slope map, with the class's notes.  The table
-depends on the knot only through its source, which fixes the winding, and
-its slope map, so `_class_table` builds it once per (source, slope map,
-notes), in an lru_cache of _TABLE_CACHE_SIZE (1024) entries; a key with an
-integer of absolute value 2**20 or more is built anew and not kept.
-`classify` and `predict` look the slope up in that table, and a sweep reads
-its rows off the `exceptional` pairs.  Nothing here keeps a knot: the module
-functions analyse the knot on every call, so a caller with several
-questions keeps its `analysis_of(knot)` and asks that.
+class's table restated by its slope map.  The table depends on the knot only
+through its source, which fixes the winding, and its slope map, so
+`_class_table` builds it once per (source, slope map), in an lru_cache of
+_TABLE_CACHE_SIZE (1024) entries.  `classify` and `predict` look the slope
+up in that table, and a sweep reads its rows off the `exceptional` pairs.
+Nothing here keeps a knot: the module functions analyse the knot on every
+call, so a caller with several questions keeps its `analysis_of(knot)` and
+asks that.
 
 The S^3 surgery of a twisted image depends only on the canonical twist nc
-and slope rc: `_s3_cover` computes it once per (nc, rc), in an lru_cache of
-_S3_CACHE_SIZE (1024) entries, and runs the torus-knot cross-check on every
-miss; `_s3_cover_text` keeps each cover's text.  `wrapsurg.seifert` is
-imported on the first miss, so a request that reads no S^3 cover never
-loads it.
+and slope rc: `_s3_cover` keeps it and its text once per (nc, rc), in an
+lru_cache of _S3_CACHE_SIZE (1024) entries.  `_s3_surgery` computes it with
+the torus-knot cross-check, and imports `wrapsurg.seifert` on first use.
+
+One keep-window bounds every cache keyed by integers: `_in_window` holds when
+|n| < _WINDOW (2**20) for each integer n, so a kept integer has at most 7
+digits.  `_class_table` keeps the tables whose twists and entries pass it,
+`_s3_cover` the covers of spans whose canonical twists do, and the CLI's
+`_row_chunk` the chunks whose first integer does; the rest is kept nowhere.
 """
 from __future__ import annotations
 
@@ -168,14 +171,15 @@ _WHITEHEAD_MATE_NOTES = (
 )
 # The twisted images of the (-2, 3) pretzel that are torus knots T(p, q).
 _TORUS_KNOT_MEMBERS = {0: (2, 5), 1: (3, 4), 2: (3, 5)}
-# The S^3 covers `_s3_cover` keeps, by (canonical twist, canonical slope):
-# both cover slopes over 512 consecutive twists.
+# The S^3 covers `_s3_cover` keeps, with their texts, by (canonical twist,
+# canonical slope): both cover slopes over 512 consecutive twists.
 _S3_CACHE_SIZE = 1024
-# The restated tables `_class_table` keeps, by (source, slope map, notes), for
-# keys whose integers all have absolute value below _TABLE_WINDOW (2**20, the
-# bound of the CLI's row chunks).
+# The restated tables `_class_table` keeps, by (source, slope map).
 _TABLE_CACHE_SIZE = 1024
-_TABLE_WINDOW = 1 << 20
+# The keep-window of every cache keyed by integers (see `_in_window`).
+_WINDOW = 1 << 20
+# The entry of a slope outside a table: no answer, family or S^3 cover slope.
+_NO_ENTRY = (None, None, None)
 
 
 class SlopeMap(Record):
@@ -220,13 +224,11 @@ class Analysis(Record):
     def classify(self, r: Slope) -> SurgeryClassification:
         """Classify r-surgery: the table's answer at r, if any."""
         if r.is_meridian():
-            return SurgeryClassification(SurgeryType.TRIVIAL_FILLING, r, None, None, ())
+            return SurgeryClassification(SurgeryType.TRIVIAL_FILLING, r)
         if self.knot_class is KnotClass.DEGENERATE:
-            return SurgeryClassification(SurgeryType.NON_HYPERBOLIC_KNOT, r, None, None, ())
-        found = self.table.get(r)
-        if found is None:
-            return SurgeryClassification(SurgeryType.HYPERBOLIC, r, None, None, self.notes)
-        return found[0]
+            return SurgeryClassification(SurgeryType.NON_HYPERBOLIC_KNOT, r)
+        return self.table.get(r, _NO_ENTRY)[0] or SurgeryClassification(
+            SurgeryType.HYPERBOLIC, r, None, None, self.notes)
 
     def exceptional_slopes(self) -> list[tuple[Slope, SurgeryClassification]]:
         """The table's answers at the input knot's own slopes, in increasing
@@ -238,21 +240,21 @@ class Analysis(Record):
         if r.is_meridian():
             raise ValueError("the meridian filling is trivial for every embedding")
         self.require_hyperbolic()
-        found = self.table.get(r)
-        if found is None:
-            return _HYPERBOLIC_FAMILY
-        return found[1]
+        return self.table.get(r, _NO_ENTRY)[1] or _HYPERBOLIC_FAMILY
 
     def surgeries_in_s3(self, r: Slope, ns: range,
                         text: bool = False) -> list[tuple[int, seifert.SFSClass | str | None]]:
         """The S^3 surgery at r of the n-twisted image for each n in `ns`,
         or with `text` its text, when known (else None); the slope is looked
-        up once."""
-        rc = self.table.get(r, (None, None, None))[2]
+        up once.  The covers are kept only if every canonical twist is in the
+        window; one past the digit limit has no text, but has its cover."""
+        rc = self.table.get(r, _NO_ENTRY)[2]
         if rc is None:
             return [(n, None) for n in ns]
-        cover, nc = (_s3_cover_text if text else _s3_cover), self.slope_map.canonical_twist
-        return [(n, cover(nc(n), rc)) for n in ns]
+        nc = self.slope_map.canonical_twist
+        if ns and _in_window(nc(ns[0]), nc(ns[-1])):  # nc is monotone: the ends decide
+            return [(n, _s3_cover(nc(n), rc)[text]) for n in ns]
+        return [(n, _s3_surgery(nc(n), rc, text)) for n in ns]
 
     def require_hyperbolic(self) -> None:
         """Raise `DegenerateKnotError` for a degenerate knot, never hyperbolic."""
@@ -261,11 +263,17 @@ class Analysis(Record):
 
 
 @lru_cache(maxsize=_S3_CACHE_SIZE)
-def _s3_cover(nc: int, rc: int) -> seifert.SFSClass:
+def _s3_cover(nc: int, rc: int) -> tuple[seifert.SFSClass, str]:
+    """`_s3_surgery(nc, rc)` and its text, built once per miss."""
+    cover = _s3_surgery(nc, rc)
+    return cover, str(cover)
+
+
+def _s3_surgery(nc: int, rc: int, text: bool = False) -> seifert.SFSClass | str:
     """The (rc + 4 nc)-surgery on the (-2, 3, 2 nc + 1) pretzel, the nc-twisted
-    image of the canonical knot: the double branched cover of its branch
-    locus, cross-checked against torus-knot surgery where the image is a torus
-    knot.  The check runs on every miss, also under `python -O`."""
+    image of the canonical knot, or with `text` its text: the double branched
+    cover of its branch locus, cross-checked on every call (also under
+    `python -O`) against torus-knot surgery where the image is a torus knot."""
     from . import seifert
 
     result = seifert.double_branched_cover(seifert.pretzel_surgery_link(nc, rc))
@@ -277,13 +285,7 @@ def _s3_cover(nc: int, rc: int) -> seifert.SFSClass:
                 f"branch-locus cover {result} disagrees with torus-knot "
                 f"surgery {check} at twist {nc}"
             )
-    return result
-
-
-@lru_cache(maxsize=_S3_CACHE_SIZE)
-def _s3_cover_text(nc: int, rc: int) -> str:
-    """The text of `_s3_cover(nc, rc)`, written once per cover."""
-    return str(_s3_cover(nc, rc))
+    return str(result) if text else result
 
 
 def _unit_fraction_shifts(frac: Slope) -> list[int]:
@@ -379,8 +381,9 @@ def analysis_of(knot: WrappedKnot) -> Analysis:
     notes = _WHITEHEAD_MATE_NOTES if knot_class is KnotClass.WHITEHEAD_MATE else ()
     table, exceptional = _NO_TABLE, ()
     if source is not None:
-        build = _class_table if _in_window(source, slope_map) else _class_table.__wrapped__
-        table, exceptional = build(source, slope_map, notes)
+        keep = _in_window(slope_map.twists, *(n for s in source[2] for n in (s.p, s.q)))
+        build = _class_table if keep else _class_table.__wrapped__
+        table, exceptional = build(source, slope_map)
     return Analysis(knot, nf, knot_class, slope_map, table, notes, moves, exceptional)
 
 
@@ -399,21 +402,19 @@ def _spanning_surface_table(a: int, entries: tuple[Slope, ...]) -> MappingProxyT
     return MappingProxyType({framing: _toroidal(ToroidalSource.PRETZEL_SURFACE, framing)})
 
 
-def _in_window(source: tuple, slope_map: SlopeMap) -> bool:
-    """Whether the cache may keep the key's table: |n| < _TABLE_WINDOW for its integers."""
-    numbers = [slope_map.twists]
-    for s in source[2]:
-        numbers += s.p, s.q
-    return all(-_TABLE_WINDOW < n < _TABLE_WINDOW for n in numbers)
+def _in_window(*numbers: int) -> bool:
+    """Whether a cache may keep a key with these integers: |n| < _WINDOW for each."""
+    return all(-_WINDOW < n < _WINDOW for n in numbers)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _class_table(source: tuple, slope_map: SlopeMap,
-                 notes: tuple[str, ...]) -> tuple[MappingProxyType[Slope, tuple], tuple]:
-    """The table of `source` (see `_reduce`) restated by `slope_map` with the
-    notes, and its (slope, answer) pairs, ascending; the source's knot gives
-    the winding.  A spanning-surface table is traced and cross-checked on
-    every miss, also under `python -O`."""
+def _class_table(source: tuple,
+                 slope_map: SlopeMap) -> tuple[MappingProxyType[Slope, tuple], tuple]:
+    """The table of `source` (see `_reduce`) restated by `slope_map`, and its
+    (slope, answer) pairs, ascending; the source's knot gives the winding.  A
+    spanning-surface table is traced and cross-checked on every miss, also
+    under `python -O`.  The Whitehead mate, the one class with notes, has no
+    table."""
     knot_class, a, entries = source
     table = _FIXED_TABLES.get(knot_class) or _spanning_surface_table(a, entries)
     knot = WrappedKnot(a, MontesinosTangle(entries))
@@ -421,7 +422,7 @@ def _class_table(source: tuple, slope_map: SlopeMap,
     for rc, (answer, family, s3_cover) in table.items():
         r = slope_map.slope(knot, rc)
         answer = SurgeryClassification(answer.type, r, answer.certificate,
-                                       answer.seifert_indices, answer.notes + notes)
+                                       answer.seifert_indices, answer.notes)
         if family.n0 is not None:
             family = FamilyPrediction(family.kind, slope_map.n0(family.n0), family.fiber_indices)
         restated[r] = answer, family, rc if s3_cover else None

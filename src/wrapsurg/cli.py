@@ -34,14 +34,14 @@ classification and family of each table slope, and a template of its
 classification at a hyperbolic slope.  So a warm request, from the third for
 its text on, parses, analyses and writes out no knot, and the answer is the
 same either way.  `_answer` gives the records a request answers with, whatever
-its format, the text of each S^3 cover (written once per cover, beside
-`classify._s3_cover`) among them; text is written straight from them, and a
+its format, the text of each S^3 cover (written once per cover and kept with it
+in `classify._s3_cover`) among them; text is written straight from them, and a
 JSON answer is assembled (in `jsonwriter`) from one %-template per answer
 shape, its pieces, and one %-template per row of a `sweep` or `surgeries`
 list, so that a warm one builds no dict.  The rows of a span that are the same
 but for their integer (a hyperbolic sweep row, an unknown S^3 row) are sliced,
 in both formats, from `_row_chunk`'s chunks of 256 rows, which keeps at most
-64 chunks and only those with integers -2**20 <= r < 2**20 (about 2 MB); the
+64 chunks, in `classify._in_window`'s window |r| < 2**20 (about 2 MB); the
 exceptional rows are written over them, and the bytes are those of one row at
 a time.  Beneath `_knot`, `slopes.parse_slope` keeps the slopes of the last
 2048 slope texts of at most 64 characters, knot entries and request slopes
@@ -62,6 +62,8 @@ from .classify import (
     FamilyPrediction,
     KnotClass,
     SurgeryClassification,
+    _NO_ENTRY,
+    _in_window,
     analysis_of,
 )
 from .slopes import ParseError, Slope, _parse_int, parse_slope
@@ -308,10 +310,6 @@ def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
     return analysis.exceptional, request.slope_range
 
 
-# The table entry of a slope outside the table: no canonical slope for S^3 covers.
-_NO_ENTRY = (None, None, None)
-
-
 def _run_batch(request: Request, out) -> int:
     # Read as the lines are answered, so that a batch takes the memory of its
     # longest line, not of its input.  newline="" ends lines at LF, CRLF (also
@@ -383,12 +381,11 @@ def _split(text: str) -> list[str]:
 # whose S^3 covers are unknown; the JSON ones are in `jsonwriter`.
 _HYPERBOLIC_LINE = "  r=%d: hyperbolic"
 _UNKNOWN_LINE = "  n=%d: unknown"
-# `_row_chunk` keeps the last _ROW_CHUNKS chunks of _CHUNK_ROWS rows, each at
-# integers -_CHUNK_WINDOW <= r < _CHUNK_WINDOW only, so every row kept has at
-# most 7 digits and the chunks take about 2 MB at most (64 chunks of JSON sweep
-# rows at the window's edge take 1.9 MB under tracemalloc).
+# `_row_chunk` keeps the last _ROW_CHUNKS chunks of _CHUNK_ROWS rows, each in
+# the keep-window of `classify._in_window`, so every row kept has at most 7
+# digits and the chunks take about 2 MB at most (64 chunks of JSON sweep rows
+# at the window's edge take 1.9 MB under tracemalloc).
 _CHUNK_ROWS = 256
-_CHUNK_WINDOW = 1 << 20
 _ROW_CHUNKS = 64
 
 
@@ -400,7 +397,7 @@ def _row_chunk(template: str, k: int) -> tuple[str, ...]:
 
 def _span_rows(template: str, span: tuple[int, int], exceptional=(), row: str = "") -> list[str]:
     """[template % r for r in the span]: each piece of the span in one aligned
-    chunk is sliced from `_row_chunk` inside the chunk window and written row
+    chunk is sliced from `_row_chunk` inside the keep-window and written row
     by row outside it, so that no row is written that could pass the digit
     limit unless the span has it.  Then, in a `table` sweep, `row % (r,
     type)` at each exceptional slope r, which is integral."""
@@ -408,7 +405,7 @@ def _span_rows(template: str, span: tuple[int, int], exceptional=(), row: str = 
     rows = []
     for base in range(lo - lo % _CHUNK_ROWS, hi + 1, _CHUNK_ROWS):
         start, stop = max(lo, base), min(hi + 1, base + _CHUNK_ROWS)
-        if -_CHUNK_WINDOW <= base < _CHUNK_WINDOW:
+        if _in_window(base):  # then so is the chunk: 256 divides the window's bound
             rows += _row_chunk(template, base // _CHUNK_ROWS)[start - base:stop - base]
         else:
             rows += map(template.__mod__, range(start, stop))

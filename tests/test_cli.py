@@ -28,6 +28,7 @@ from wrapsurg import (
 )
 import wrapsurg
 from wrapsurg import cli, jsonwriter
+from wrapsurg.classify import _WINDOW
 from wrapsurg.cli import main
 
 
@@ -718,13 +719,13 @@ def test_every_table_row_is_the_type_classify_gives(knot, data):
 
 
 # The four templates whose rows `_span_rows` slices from cached chunks, and
-# spans about chunk edges, 0, the edges of the chunk window and integers of up
+# spans about chunk edges, 0, the edges of the keep-window and integers of up
 # to 300 digits.
 _ROW_TEMPLATES = [cli._HYPERBOLIC_LINE, cli._UNKNOWN_LINE, jsonwriter._HYPERBOLIC_ROW,
                   jsonwriter._NULL_ROW]
 _span_anchors = st.one_of(
     st.integers(-8, 8).map(lambda k: k * cli._CHUNK_ROWS),
-    st.sampled_from([cli._CHUNK_WINDOW, -cli._CHUNK_WINDOW]),
+    st.sampled_from([_WINDOW, -_WINDOW]),
     st.integers(-(10**300), 10**300),
 )
 

@@ -1,4 +1,6 @@
 import importlib
+import inspect
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -261,25 +263,75 @@ assert len(cli._kept_knots) == bound
 """
 
 
+# Every bounded lru_cache of the package, by its case below: its module, its
+# name and the key of its i-th entry.
+_BOUNDED_CACHES = {
+    "s3_cover": ("classify", "_s3_cover", "i, 7"),
+    "class_table": (
+        "classify", "_class_table",
+        '((c := importlib.import_module("wrapsurg.classify")).KnotClass.WHITEHEAD, 0, '
+        '(c.make_slope(2, 1),)), c.SlopeMap(1, i)'),
+    "slope_text": ("slopes", "_slope_memo", '"%d/7" % i, None'),
+    "row_chunk": ("cli", "_row_chunk", '"%d", i'),
+}
+
+
 @pytest.mark.parametrize(
     "script",
-    [
-        _FILL_A_CACHE.format(module="classify", cache="_s3_cover", key="i, 7"),
-        _FILL_A_CACHE.format(module="classify", cache="_s3_cover_text", key="i, 7"),
-        _FILL_A_CACHE.format(
-            module="classify", cache="_class_table",
-            key='((c := importlib.import_module("wrapsurg.classify")).KnotClass.WHITEHEAD, 0, '
-                '(c.make_slope(2, 1),)), c.SlopeMap(1, i), ()'),
-        _FILL_THE_KNOT_CACHE,
-        _FILL_A_CACHE.format(module="slopes", cache="_slope_memo", key='"%d/7" % i, None'),
-        _FILL_A_CACHE.format(module="cli", cache="_row_chunk", key='"%d", i'),
-    ],
-    ids=["s3_cover", "s3_cover_text", "class_table", "knot_text", "slope_text", "row_chunk"],
+    [_FILL_A_CACHE.format(module=module, cache=cache, key=key)
+     for module, cache, key in _BOUNDED_CACHES.values()] + [_FILL_THE_KNOT_CACHE],
+    ids=[*_BOUNDED_CACHES, "knot_text"],
 )
 def test_warm_caches_are_bounded(script):
     # In a child process, so that this suite's own caches keep their entries.
     done = run_python(script)
     assert done.returncode == 0, done.stderr
+
+
+def test_every_cache_is_bounded_and_tested_or_runs_once():
+    # A module-level lru_cache of the package is either bounded, and then a
+    # case of `test_warm_caches_are_bounded`, or unbounded and without an
+    # argument, so that it keeps one entry: the two run-once anchor checks.
+    caches = {}
+    for info in pkgutil.iter_modules(importlib.import_module("wrapsurg").__path__):
+        module = importlib.import_module(f"wrapsurg.{info.name}")
+        caches.update((f"{info.name}.{name}", value) for name, value in vars(module).items()
+                      if hasattr(value, "cache_info") and value.__module__ == module.__name__)
+    bounded = {name for name, cached in caches.items() if cached.cache_info().maxsize is not None}
+    assert bounded == {f"{module}.{cache}" for module, cache, _ in _BOUNDED_CACHES.values()}
+    run_once = caches.keys() - bounded
+    assert run_once == {"classify._oracle_self_check", "wrapped._closure_self_check"}
+    for name in run_once:
+        assert not inspect.signature(caches[name]).parameters, name
+
+
+# `predict K1[-1/2,1/3] 7 --n N..N+3` at the edges of the keep-window and past
+# it: prints the S^3 covers it keeps, in four lines, then checks that the
+# answer is the same with the cache cleared.
+_S3_KEEP_WINDOW = """
+import contextlib
+import importlib
+import io
+from wrapsurg.cli import main
+cover = importlib.import_module("wrapsurg.classify")._s3_cover
+def predict(n):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["predict", "K1[-1/2,1/3]", "7", "--n", "%d..%d" % (n, n + 3)]) == 0
+    return out.getvalue()
+for n in (2**20, -2**20, 10**4000, 2**20 - 4):
+    before = cover.cache_info().currsize
+    answer = predict(n)
+    print(cover.cache_info().currsize - before)
+    cover.cache_clear()
+    assert predict(n) == answer
+"""
+
+
+def test_s3_covers_are_kept_only_inside_the_keep_window():
+    done = run_python(_S3_KEEP_WINDOW)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0", "0", "4"]
 
 
 # K0[4/3,-2/3] shifts its entries to those of K0[1/3,1/3], so the two share
