@@ -43,16 +43,20 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .slopes import InconsistentCrossCheckError, Record, Slope, make_slope
-from .tangles import MontesinosTangle, Move, NormalForm, knot_text, normalize, shift_reduced
+from .tangles import (
+    MontesinosTangle, Move, NormalForm, knot_text, normalize, shift_reduced, twist_shift,
+)
 from .tracing import pretzel_framing
 from .wrapped import WrappedKnot, transport_slope
 
 
 class DegenerateKnotError(ValueError):
-    """The knot is equivalent to a 0 or 1/q entry and is not hyperbolic."""
+    """The knot is equivalent to a 0 or 1/q entry and is not hyperbolic.
+    Raised with the knot or its text, `DegenerateKnotError(knot)`, and
+    worded only when read: a sweep drops most of them unread."""
 
-    def __init__(self, knot_text: str) -> None:
-        super().__init__(f"{knot_text} reduces to a trivial wrapped pattern and is not hyperbolic")
+    def __str__(self) -> str:
+        return f"{self.args[0]} reduces to a trivial wrapped pattern and is not hyperbolic"
 
 
 class SurgeryType(Enum):
@@ -259,7 +263,7 @@ class Analysis(Record):
     def require_hyperbolic(self) -> None:
         """Raise `DegenerateKnotError` for a degenerate knot, never hyperbolic."""
         if self.knot_class is KnotClass.DEGENERATE:
-            raise DegenerateKnotError(str(self.knot))
+            raise DegenerateKnotError(self.knot)
 
 
 @lru_cache(maxsize=_S3_CACHE_SIZE)
@@ -343,13 +347,16 @@ def _reduce(a: int, tangle: MontesinosTangle, winding: int) -> tuple:
     does not state yet.  The (-3, 2) pretzel is mirrored (keeping that
     error in its answers), with no reverse."""
     nf = normalize(tangle)
-    moves = [] if shift_reduced(tangle.entries) else [_SHIFT]
+    moves = [] if shift_reduced(tangle.entries, nf) else [_SHIFT]
     slope_map, entries = _IDENTITY, None
     if nf.degenerate:
         knot_class = KnotClass.DEGENERATE
     elif nf.k1 is not None:
-        t = nf.k1.t
-        slope_map = SlopeMap(-1 if nf.k1.mirrored else 1, nf.k1.twists)
+        t, mirrored, twists = nf.k1.t, nf.k1.mirrored, nf.k1.twists
+        if twists:
+            slope_map = SlopeMap(-1 if mirrored else 1, twists)
+        elif mirrored:
+            slope_map = _MIRRORED
         if not t.is_integral():
             knot_class = KnotClass.SINGLE_FRACTION
         elif t.p == 2 and a:
@@ -368,7 +375,7 @@ def _reduce(a: int, tangle: MontesinosTangle, winding: int) -> tuple:
     if slope_map.sigma < 0:
         moves.append(_MIRROR)
     if slope_map.twists:
-        moves.append(Move("twist", slope_map.twists, slope_map.twists * winding * winding))
+        moves.append(Move("twist", slope_map.twists, twist_shift(slope_map.twists, winding)))
     source = None if entries is None else (knot_class, a, entries)
     return nf, knot_class, source, tuple(moves), slope_map
 

@@ -11,13 +11,16 @@ parsed, so a text is read once while it stays among them.
 `Record` is the base of the package's value types.  A record is built from
 its field values in `__slots__` order, `cls(*values)`; omitted trailing
 fields take their values from the class's `_defaults`, and a wrong number
-of values raises `TypeError`.  Records are immutable (assigning or deleting
-a field raises `AttributeError`), equal when of one class with equal
-fields, hashable by their fields, picklable and copyable.
+of values raises `TypeError`.  A class that writes no `__init__` gets one
+from `Record.__init_subclass__`, fitted to it: the constructor holds the
+class's field setters, arity and defaults, so a call reads none of them off
+the class.  Records are immutable (assigning or deleting a field raises
+`AttributeError`), equal when of one class with equal fields, hashable by
+their fields, picklable and copyable.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from functools import lru_cache
 from math import gcd
 from operator import attrgetter
@@ -45,7 +48,8 @@ class ParseError(ValueError):
 
 class Record:
     """A subclass names its fields in `__slots__` and the values of its
-    optional trailing fields in `_defaults`."""
+    optional trailing fields in `_defaults`; unless it writes its own
+    `__init__`, it gets the constructor `_fitted_init` makes for it."""
 
     __slots__ = ()
     _defaults: tuple = ()
@@ -53,19 +57,8 @@ class Record:
     def __init_subclass__(cls) -> None:
         cls._key = attrgetter(*cls.__slots__)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-    def __init__(self, *values: object) -> None:
-        setters, defaults = self._setters, self._defaults
-        missing = len(setters) - len(values)
-        if missing:
-            if not 0 < missing <= len(defaults):
-                raise TypeError(
-                    f"{type(self).__qualname__} takes the values of ({', '.join(self.__slots__)}),"
-                    f" the last {len(defaults)} optional; got {len(values)}"
-                )
-            values += defaults[len(defaults) - missing:]
-        for set_field, value in zip(setters, values):
-            set_field(self, value)
+        if "__init__" not in vars(cls):
+            cls.__init__ = _fitted_init(cls)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -88,9 +81,31 @@ class Record:
         return _restore, (type(self), tuple(getattr(self, name) for name in self.__slots__))
 
 
+def _fitted_init(cls: type) -> Callable[..., None]:
+    """The constructor of a record class without its own: it holds the
+    class's field setters and defaults, and sets the fields from its values."""
+    setters, defaults = cls._setters, cls._defaults
+    arity = len(setters)
+    shortest = arity - len(defaults)
+
+    def __init__(self, *values: object) -> None:
+        if len(values) != arity:
+            if not shortest <= len(values) < arity:
+                raise TypeError(
+                    f"{cls.__qualname__} takes the values of ({', '.join(cls.__slots__)}),"
+                    f" the last {len(defaults)} optional; got {len(values)}"
+                )
+            values += defaults[len(values) - shortest:]
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
+
+    return __init__
+
+
 def _restore(cls: type, values: tuple) -> Record:
     record = object.__new__(cls)
-    Record.__init__(record, *values)
+    for set_field, value in zip(cls._setters, values):
+        set_field(record, value)
     return record
 
 

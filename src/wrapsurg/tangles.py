@@ -17,6 +17,7 @@ entries: `closure_facts` reads them off.  The literal strand trace of
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter
 
 from .slopes import ParseError, Record, Slope, parse_slope, split_integer_parts, stripped
 
@@ -74,9 +75,9 @@ class MontesinosTangle(Record):
     def __init__(self, entries: tuple[Slope, ...]) -> None:
         if not entries:
             raise ValueError("a Montesinos tangle needs at least one entry")
-        if any(s.q == 0 for s in entries):
+        if not all(map(_denominator, entries)):
             raise ValueError("a rational tangle must have finite slope")
-        object.__setattr__(self, "entries", entries)
+        _set_entries(self, entries)
 
     @classmethod
     def from_slopes(cls, slopes: list[Slope] | tuple[Slope, ...]) -> "MontesinosTangle":
@@ -86,16 +87,26 @@ class MontesinosTangle(Record):
         return "[" + ",".join(str(s) for s in self.entries) + "]"
 
 
+(_set_entries,) = MontesinosTangle._setters
+_denominator = attrgetter("q")
+
+
 def knot_text(a: int, entries: tuple[Slope, ...]) -> str:
     """The text `K{a}[t1,...,tk]` of the closure of `entries` with `a` wrap
     crossings, as `wrapped.parse_knot` reads it."""
     return f"K{a}[{','.join(map(str, entries))}]"
 
 
+def twist_shift(twists: int, winding: int) -> int:
+    """How far `twists` meridional twists move every slope but the meridian
+    of a knot that winds `winding` times: twists * wind^2."""
+    return twists * winding * winding
+
+
 class Move(Record):
     """One equivalence move: `kind` is "shift", "reverse", "mirror" or
-    "twist"; a twist's `amount` is its m and its `shift` is m * wind^2, how
-    far it moves every slope but the meridian (both 0 for the other kinds)."""
+    "twist"; a twist's `amount` is its m and its `shift` is
+    `twist_shift(m, wind)` (both 0 for the other kinds)."""
 
     __slots__ = ("kind", "amount", "shift")
     _defaults = (0, 0)
@@ -140,13 +151,13 @@ class NormalForm(Record):
         return MontesinosTangle(self.fracs[:-1] + (self.fracs[-1] + self.e0,))
 
 
-def shift_reduced(entries: tuple[Slope, ...]) -> bool:
-    """Whether `entries` are already the entries of their normal form's
+def shift_reduced(entries: tuple[Slope, ...], nf: NormalForm) -> bool:
+    """Whether `entries` are already the entries of their normal form `nf`'s
     `as_tangle`, so that reducing them takes no integer shift: one entry, or
-    no integral entry and every entry but the last in (0, 1)."""
-    return len(entries) == 1 or (
-        entries[-1].q != 1 and all(0 < s.p < s.q for s in entries[:-1])
-    )
+    no integral entry (a fractional part for each) and every entry but the
+    last in (0, 1) (its own fractional part)."""
+    fracs = nf.fracs
+    return len(entries) == 1 or (len(fracs) == len(entries) and fracs[:-1] == entries[:-1])
 
 
 def normalize(tangle: MontesinosTangle) -> NormalForm:
@@ -186,7 +197,12 @@ def parse_tangle(text: str, offset: int = 0) -> MontesinosTangle:
     meridian, written `inf` or with a zero denominator, is not an entry.
     Whitespace may surround the whole and each entry; error positions count
     from `offset`, the position of text[0]."""
-    s, offset = stripped(text, offset)
+    return read_tangle(*stripped(text, offset))
+
+
+def read_tangle(s: str, offset: int) -> MontesinosTangle:
+    """`parse_tangle` of text `s` without surrounding whitespace, whose first
+    character is at position `offset`."""
     if not s.startswith("[") or not s.endswith("]"):
         raise ParseError("tangle syntax is [t1,...,tk]", offset)
     inner, position = s[1:-1], offset + 1

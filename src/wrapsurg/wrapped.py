@@ -13,11 +13,18 @@ from functools import lru_cache
 
 from . import tracing
 from .slopes import InconsistentCrossCheckError, ParseError, Record, Slope, make_slope, stripped
-from .tangles import MontesinosTangle, closure_facts, knot_text, parse_tangle
+from .tangles import (
+    MontesinosTangle, closure_facts, knot_text, parse_tangle, read_tangle, twist_shift,
+)
 
 
 class NotAKnotError(ValueError):
-    """The requested closure has more than one component."""
+    """The requested closure has more than one component.  Raised with the
+    closure's wrap parameter and entries, `NotAKnotError(a, entries)`, and
+    worded only when read: a sweep drops most of them unread."""
+
+    def __str__(self) -> str:
+        return f"{knot_text(*self.args)} closes to a link, not a knot"
 
 
 class NotLengthOneError(ValueError):
@@ -59,11 +66,16 @@ class WrappedKnot(Record):
         _closure_self_check()
         knot, winding, _ = closure_facts(tangle.entries, a)
         if not knot:
-            raise NotAKnotError(f"{knot_text(a, tangle.entries)} closes to a link, not a knot")
-        super().__init__(a, tangle, winding)
+            raise NotAKnotError(a, tangle.entries)
+        _set_a(self, a)
+        _set_tangle(self, tangle)
+        _set_winding(self, winding)
 
     def __str__(self) -> str:
         return knot_text(self.a, self.tangle.entries)
+
+
+_set_a, _set_tangle, _set_winding = WrappedKnot._setters
 
 
 def make_wrapped(a: int, tangle: MontesinosTangle) -> WrappedKnot:
@@ -98,10 +110,11 @@ def twist(knot: WrappedKnot, n: int) -> TwistedImage:
 
 
 def transport_slope(knot: WrappedKnot, r: Slope, n: int) -> Slope:
-    """Slope correspondence under n twists: r + n * wind^2; meridian is fixed."""
+    """Slope correspondence under n twists: r + n * wind^2 (`twist_shift`);
+    meridian is fixed."""
     if r.is_meridian():
         return r
-    return r + n * knot.winding * knot.winding
+    return r + twist_shift(n, knot.winding)
 
 
 def two_bridge_fraction(knot: WrappedKnot, n: int) -> Slope:
@@ -130,6 +143,4 @@ def parse_knot(text: str, offset: int = 0) -> WrappedKnot:
     s, offset = stripped(text, offset)
     if not s.startswith(("K0[", "K1[")):
         raise ParseError("knot syntax is K0[...] or K1[...]", offset)
-    a = int(s[1])
-    tangle = parse_tangle(s[2:], offset + 2)
-    return WrappedKnot(a, tangle)
+    return WrappedKnot(int(s[1]), read_tangle(s[2:], offset + 2))

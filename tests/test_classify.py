@@ -40,7 +40,7 @@ from wrapsurg import (
     transport_slope,
     twist_tangle,
 )
-from wrapsurg.classify import _FIXED_TABLES
+from wrapsurg.classify import _FIXED_TABLES, SlopeMap
 from wrapsurg.cli import main
 from wrapsurg.tracing import pretzel_framing
 
@@ -63,8 +63,11 @@ def test_degenerate_knots_are_never_hyperbolic_inputs():
     knot = K("K1[-1/2]")
     for r in [s(0), s(7), s(5, 2)]:
         assert classify(knot, r).type is SurgeryType.NON_HYPERBOLIC_KNOT
-    with pytest.raises(DegenerateKnotError):
+    with pytest.raises(DegenerateKnotError) as raised:
         exceptional_slopes(knot)
+    # Worded when read, from the knot the error keeps.
+    assert str(raised.value) == (
+        "K1[-1/2] reduces to a trivial wrapped pattern and is not hyperbolic")
 
 
 def test_whitehead_classifications():
@@ -528,6 +531,20 @@ def test_the_slope_map_sends_each_canonical_slope_to_the_knots_own_on_grid():
         # A spanning-surface table: its one slope is the certificate's, canonical.
         canonical = [answer.certificate.slope.p for _, answer in analysis.exceptional]
         assert [slope_map.slope(knot, rc) for rc in canonical] == list(table), str(knot)
+
+
+def test_the_slope_maps_twist_halves_are_inverse_on_grid():
+    # `n0` and `canonical_twist` undo each other under either sign: a map
+    # that drops sigma from one of them fails under the mirror.
+    twisted = 0
+    for knot in GRID:
+        twists = analysis_of(knot).slope_map.twists
+        twisted += twists != 0
+        for slope_map in (SlopeMap(1, twists), SlopeMap(-1, twists)):
+            for n in range(-3, 4):
+                assert slope_map.canonical_twist(slope_map.n0(n)) == n, (str(knot), slope_map)
+                assert slope_map.n0(slope_map.canonical_twist(n)) == n, (str(knot), slope_map)
+    assert twisted
 
 
 # The mirrored (-3, 2) pretzels restate the canonical twisted I-bundle slope 8

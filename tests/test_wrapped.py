@@ -45,8 +45,10 @@ def test_make_wrapped_accepts_the_known_knots():
 def test_make_wrapped_rejects_two_component_closures():
     # A left-to-left tangle closes to a link when the wrap arcs are parallel.
     assert trace_closure(T("[-1/2]").entries, 0).pairing is Pairing.LEFT_TO_LEFT
-    with pytest.raises(NotAKnotError):
+    with pytest.raises(NotAKnotError) as raised:
         make_wrapped(0, T("[-1/2]"))
+    # Worded when read, from the wrap parameter and entries the error keeps.
+    assert str(raised.value) == "K0[-1/2] closes to a link, not a knot"
     make_wrapped(1, T("[-1/2]"))  # the crossed closure is a knot
 
 
