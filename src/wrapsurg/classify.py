@@ -6,11 +6,13 @@ and composes them into one `SlopeMap`; `--moves`, the JSON
 `equivalence_moves` and `moves.equivalent` all read those records.  The
 class's table lists its exceptional surgeries at canonical slopes: the fixed
 `_WHITEHEAD_TABLE` and `_PRETZEL_2_3_TABLE`, or the one spanning-surface
-slope of a single integer entry or a genuine pretzel, which
-`_spanning_surface_table` traces.  Every other slope is hyperbolic.  Each
-entry states the `SurgeryClassification` at its canonical slope rc, the
+slope of a single integer entry or a genuine pretzel, `wrapped.pretzel_slope`
+of the canonical knot.  Every other slope is hyperbolic.  Each entry states
+the `SurgeryClassification` at its canonical slope rc, the
 `FamilyPrediction` over every re-embedding (its n0 canonical), and whether
-the S^3 surgeries of the twisted images are known there.
+the S^3 surgeries of the twisted images are known there.  This module states
+tables only: the oracles it reads are checked in the modules that own them,
+the push-off framing in `wrapped` and the S^3 covers in `seifert`.
 
 The slope map states the slope correspondence once:
 r = sigma * (rc - twists * wind^2), whose twist step is
@@ -27,8 +29,9 @@ asks that.
 
 The S^3 surgery of a twisted image depends only on the canonical twist nc
 and slope rc: `_s3_cover` keeps it and its text once per (nc, rc), in an
-lru_cache of _S3_CACHE_SIZE (1024) entries.  `_s3_surgery` computes it with
-the torus-knot cross-check, and imports `wrapsurg.seifert` on first use.
+lru_cache of _S3_CACHE_SIZE (1024) entries.  `seifert.pretzel_surgery`
+computes it with its torus-knot cross-check; `wrapsurg.seifert` is imported
+on first use.
 
 One keep-window bounds every cache keyed by integers: `_in_window` holds when
 |n| < _WINDOW (2**20) for each integer n, so a kept integer has at most 7
@@ -43,11 +46,8 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .slopes import InconsistentCrossCheckError, Record, Slope, make_slope
-from .tangles import (
-    MontesinosTangle, Move, NormalForm, knot_text, normalize, shift_reduced, twist_shift,
-)
-from .tracing import pretzel_framing
-from .wrapped import WrappedKnot, transport_slope
+from .tangles import MontesinosTangle, Move, NormalForm, normalize, shift_reduced, twist_shift
+from .wrapped import WrappedKnot, pretzel_slope, transport_slope
 
 
 class DegenerateKnotError(ValueError):
@@ -164,7 +164,7 @@ _PRETZEL_2_3_TABLE = MappingProxyType({
 })
 # The classes whose table is fixed, by class.
 _FIXED_TABLES = {KnotClass.WHITEHEAD: _WHITEHEAD_TABLE, KnotClass.PRETZEL_2_3: _PRETZEL_2_3_TABLE}
-# An integer entry or a pretzel gets `_spanning_surface_table`; any other
+# An integer entry or a pretzel gets its spanning-surface slope; any other
 # class without a table here has no exceptional slope, and its analysis holds
 # this same empty mapping.
 _NO_TABLE: MappingProxyType = MappingProxyType({})
@@ -173,8 +173,6 @@ _WHITEHEAD_MATE_NOTES = (
     "single entry 2 closed with a = 1; the implemented moves "
     "do not identify it with the Whitehead closure",
 )
-# The twisted images of the (-2, 3) pretzel that are torus knots T(p, q).
-_TORUS_KNOT_MEMBERS = {0: (2, 5), 1: (3, 4), 2: (3, 5)}
 # The S^3 covers `_s3_cover` keeps, with their texts, by (canonical twist,
 # canonical slope): both cover slopes over 512 consecutive twists.
 _S3_CACHE_SIZE = 1024
@@ -258,7 +256,10 @@ class Analysis(Record):
         nc = self.slope_map.canonical_twist
         if ns and _in_window(nc(ns[0]), nc(ns[-1])):  # nc is monotone: the ends decide
             return [(n, _s3_cover(nc(n), rc)[text]) for n in ns]
-        return [(n, _s3_surgery(nc(n), rc, text)) for n in ns]
+        from . import seifert
+
+        covers = (seifert.pretzel_surgery(nc(n), rc) for n in ns)
+        return list(zip(ns, map(str, covers) if text else covers))
 
     def require_hyperbolic(self) -> None:
         """Raise `DegenerateKnotError` for a degenerate knot, never hyperbolic."""
@@ -268,28 +269,13 @@ class Analysis(Record):
 
 @lru_cache(maxsize=_S3_CACHE_SIZE)
 def _s3_cover(nc: int, rc: int) -> tuple[seifert.SFSClass, str]:
-    """`_s3_surgery(nc, rc)` and its text, built once per miss."""
-    cover = _s3_surgery(nc, rc)
-    return cover, str(cover)
-
-
-def _s3_surgery(nc: int, rc: int, text: bool = False) -> seifert.SFSClass | str:
-    """The (rc + 4 nc)-surgery on the (-2, 3, 2 nc + 1) pretzel, the nc-twisted
-    image of the canonical knot, or with `text` its text: the double branched
-    cover of its branch locus, cross-checked on every call (also under
-    `python -O`) against torus-knot surgery where the image is a torus knot."""
+    """The S^3 surgery of the nc-twisted image of the canonical knot at
+    canonical slope rc (`seifert.pretzel_surgery`) and its text, built once
+    per miss."""
     from . import seifert
 
-    result = seifert.double_branched_cover(seifert.pretzel_surgery_link(nc, rc))
-    if nc in _TORUS_KNOT_MEMBERS:
-        p, q = _TORUS_KNOT_MEMBERS[nc]
-        check = seifert.torus_knot_surgery(p, q, make_slope(rc + 4 * nc, 1))
-        if not seifert.sfs_equal(result, check):
-            raise InconsistentCrossCheckError(
-                f"branch-locus cover {result} disagrees with torus-knot "
-                f"surgery {check} at twist {nc}"
-            )
-    return str(result) if text else result
+    cover = seifert.pretzel_surgery(nc, rc)
+    return cover, str(cover)
 
 
 def _unit_fraction_shifts(frac: Slope) -> list[int]:
@@ -319,23 +305,6 @@ def _find_pretzel_pair(nf: NormalForm) -> tuple[int, int] | None:
                     )
                 found = pair
     return found
-
-
-@lru_cache(maxsize=None)
-def _oracle_self_check() -> None:
-    """Anchor the push-off linking oracle before the classifier trusts it."""
-    anchors = [
-        ((make_slope(-1, 2), make_slope(1, 3)), 1, 8),
-        ((make_slope(3, 1),), 0, 0),
-        ((make_slope(4, 1),), 1, 8),
-    ]
-    for entries, a, expected in anchors:
-        framing = pretzel_framing(entries, a)
-        if framing != expected:
-            raise InconsistentCrossCheckError(
-                f"push-off oracle gives {framing} for {knot_text(a, entries)}, "
-                f"expected {expected}"
-            )
 
 
 def _reduce(a: int, tangle: MontesinosTangle, winding: int) -> tuple:
@@ -383,7 +352,6 @@ def _reduce(a: int, tangle: MontesinosTangle, winding: int) -> tuple:
 def analysis_of(knot: WrappedKnot) -> Analysis:
     """The knot's reduction (`_reduce`) and its exceptional table at its own
     slopes (from `_class_table`), built anew on every call."""
-    _oracle_self_check()
     nf, knot_class, source, moves, slope_map = _reduce(knot.a, knot.tangle, knot.winding)
     notes = _WHITEHEAD_MATE_NOTES if knot_class is KnotClass.WHITEHEAD_MATE else ()
     table, exceptional = _NO_TABLE, ()
@@ -392,21 +360,6 @@ def analysis_of(knot: WrappedKnot) -> Analysis:
         build = _class_table if keep else _class_table.__wrapped__
         table, exceptional = build(source, slope_map)
     return Analysis(knot, nf, knot_class, slope_map, table, notes, moves, exceptional)
-
-
-def _spanning_surface_table(a: int, entries: tuple[Slope, ...]) -> MappingProxyType[int, tuple]:
-    """One toroidal slope, along the boundary of the evident spanning surface
-    of the canonical knot with these entries; for a single integer entry m it
-    must be 0 when a = 0, else 2m."""
-    framing = pretzel_framing(entries, a)
-    if len(entries) == 1:
-        expected = 0 if a == 0 else 2 * entries[0].p
-        if framing != expected:
-            raise InconsistentCrossCheckError(
-                f"spanning-surface slope {framing} of {knot_text(a, entries)} "
-                f"does not match the classified value {expected}"
-            )
-    return MappingProxyType({framing: _toroidal(ToroidalSource.PRETZEL_SURFACE, framing)})
 
 
 def _in_window(*numbers: int) -> bool:
@@ -419,12 +372,15 @@ def _class_table(source: tuple,
                  slope_map: SlopeMap) -> tuple[MappingProxyType[Slope, tuple], tuple]:
     """The table of `source` (see `_reduce`) restated by `slope_map`, and its
     (slope, answer) pairs, ascending; the source's knot gives the winding.  A
-    spanning-surface table is traced and cross-checked on every miss, also
-    under `python -O`.  The Whitehead mate, the one class with notes, has no
-    table."""
+    table without a fixed one has one toroidal slope, the source knot's
+    `pretzel_slope`, traced and cross-checked on every miss.  The Whitehead
+    mate, the one class with notes, has no table."""
     knot_class, a, entries = source
-    table = _FIXED_TABLES.get(knot_class) or _spanning_surface_table(a, entries)
     knot = WrappedKnot(a, MontesinosTangle(entries))
+    table = _FIXED_TABLES.get(knot_class)
+    if table is None:
+        framing = pretzel_slope(knot).p
+        table = {framing: _toroidal(ToroidalSource.PRETZEL_SURFACE, framing)}
     restated = {}
     for rc, (answer, family, s3_cover) in table.items():
         r = slope_map.slope(knot, rc)

@@ -10,6 +10,9 @@ classified by the distance d = |u - pq v| to the cabling slope: reducible
 at d = 0, a lens space at d = 1, and otherwise a small Seifert space whose
 invariants {b1/p, b2/q, v/(u - pq v)} with b1 q + b2 p = 1 follow from
 extending the fibration of the exterior across the filling torus.
+`pretzel_surgery`, the classifier's S^3 surgeries, checks every cover of a
+(-2, 3, 2n+1) pretzel that is a torus knot against torus-knot surgery, also
+under `python -O`.
 """
 from __future__ import annotations
 
@@ -133,6 +136,25 @@ def pretzel_surgery_link(n: int, base: int) -> MontesinosLink:
             (make_slope(1, 2), make_slope(-1, 4), make_slope(2, 2 * n - 5))
         )
     raise ValueError("base must be 6 or 7")
+
+
+# The (-2, 3, 2n+1) pretzels that are torus knots T(p, q), by n.
+_TORUS_KNOT_MEMBERS = {0: (2, 5), 1: (3, 4), 2: (3, 5)}
+
+
+def pretzel_surgery(n: int, base: int) -> SFSClass:
+    """The (base + 4n)-surgery on the (-2, 3, 2n+1) pretzel: the double
+    branched cover of `pretzel_surgery_link`, cross-checked on every call."""
+    result = double_branched_cover(pretzel_surgery_link(n, base))
+    if n in _TORUS_KNOT_MEMBERS:
+        p, q = _TORUS_KNOT_MEMBERS[n]
+        check = torus_knot_surgery(p, q, make_slope(base + 4 * n, 1))
+        if not sfs_equal(result, check):
+            raise InconsistentCrossCheckError(
+                f"branch-locus cover {result} disagrees with torus-knot "
+                f"surgery {check} at twist {n}"
+            )
+    return result
 
 
 def sfs_equal(x: SFSClass, y: SFSClass) -> bool:

@@ -72,16 +72,16 @@ class MontesinosTangle(Record):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[Slope, ...]) -> None:
+    def __init__(self, entries: list[Slope] | tuple[Slope, ...]) -> None:
         if not entries:
             raise ValueError("a Montesinos tangle needs at least one entry")
         if not all(map(_denominator, entries)):
             raise ValueError("a rational tangle must have finite slope")
-        _set_entries(self, entries)
+        _set_entries(self, tuple(entries))
 
     @classmethod
     def from_slopes(cls, slopes: list[Slope] | tuple[Slope, ...]) -> "MontesinosTangle":
-        return cls(tuple(slopes))
+        return cls(slopes)
 
     def __str__(self) -> str:
         return "[" + ",".join(str(s) for s in self.entries) + "]"
@@ -212,4 +212,4 @@ def read_tangle(s: str, offset: int) -> MontesinosTangle:
     for piece in inner.split(","):
         entries.append(parse_slope(piece, position, _NOT_AN_ENTRY))
         position += len(piece) + 1
-    return MontesinosTangle(tuple(entries))
+    return MontesinosTangle(entries)

@@ -6,6 +6,11 @@ torus.  The arcs cross each other `a` times with a in {0, 1}; only closures
 with a single component are knots.  Re-embedding the solid torus with n full
 right-hand twists turns the knot into the Montesinos knot with the extra
 entry 1/(a + 2n), and transports a slope r to r + n * wind(K)^2.
+
+Both tracing oracles are checked here, also under `python -O`: once per
+process, before the first knot, `trace_closure` against the parity rule and
+`pretzel_framing` against its value 8 on K1[-1/2,1/3]; and on every call,
+`pretzel_slope` of a single integer entry m against 0 (a = 0) or 2m (a = 1).
 """
 from __future__ import annotations
 
@@ -40,8 +45,9 @@ _ANCHORS = ("K0[2]", "K1[2]", "K0[1/3]", "K1[3]", "K0[-1/2]", "K1[-1/2]",
 
 @lru_cache(maxsize=None)
 def _closure_self_check() -> None:
-    """Anchor the parity rule of `closure_facts` on `tracing.trace_closure`
-    before the first knot trusts it; raises also under `python -O`."""
+    """Anchor the parity rule of `closure_facts` on `tracing.trace_closure`,
+    and `tracing.pretzel_framing` on its known value, before the first knot
+    trusts them; raises also under `python -O`."""
     for text in _ANCHORS:
         a, entries = int(text[1]), parse_tangle(text[2:]).entries
         closure = tracing.trace_closure(entries, a)
@@ -52,6 +58,11 @@ def _closure_self_check() -> None:
                 f"parity rule gives knot={knot}, winding {winding}, pairing {pairing} "
                 f"for {text}; the trace gives {closure}"
             )
+    framing = tracing.pretzel_framing((make_slope(-1, 2), make_slope(1, 3)), 1)
+    if framing != 8:
+        raise InconsistentCrossCheckError(
+            f"push-off oracle gives {framing} for K1[-1/2,1/3], expected 8"
+        )
 
 
 class WrappedKnot(Record):
@@ -61,7 +72,7 @@ class WrappedKnot(Record):
     __slots__ = ("a", "tangle", "winding")
 
     def __init__(self, a: int, tangle: MontesinosTangle) -> None:
-        if a not in (0, 1):
+        if type(a) is not int or a not in (0, 1):
             raise ValueError("the wrap parameter a must be 0 or 1")
         _closure_self_check()
         knot, winding, _ = closure_facts(tangle.entries, a)
@@ -132,8 +143,16 @@ def two_bridge_fraction(knot: WrappedKnot, n: int) -> Slope:
 
 def pretzel_slope(knot: WrappedKnot) -> Slope:
     """Boundary slope of the evident pretzel spanning surface, by
-    `tracing.pretzel_framing` on the knot's entries."""
-    return make_slope(tracing.pretzel_framing(knot.tangle.entries, knot.a), 1)
+    `tracing.pretzel_framing` on the knot's entries; checked on every call to
+    be 2am for a single integer entry m (0 when a = 0, else 2m)."""
+    a, entries = knot.a, knot.tangle.entries
+    framing = tracing.pretzel_framing(entries, a)
+    if len(entries) == 1 and framing != (expected := 2 * a * entries[0].p):
+        raise InconsistentCrossCheckError(
+            f"spanning-surface slope {framing} of {knot} "
+            f"does not match the classified value {expected}"
+        )
+    return make_slope(framing, 1)
 
 
 def parse_knot(text: str, offset: int = 0) -> WrappedKnot:

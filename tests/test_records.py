@@ -10,8 +10,10 @@ from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from wrapsurg import (
+    MontesinosTangle,
     NotAKnotError,
     Slope,
+    WrappedKnot,
     ZeroZeroError,
     analysis_of,
     equivalent,
@@ -172,3 +174,14 @@ def test_knots_of_equal_value_are_one_cache_key(a, entries):
     same = parse_knot(f"K{a}[{scaled}]")
     assert same == knot and hash(same) == hash(knot)
     assert analysis_of(same) == analysis_of(knot)
+
+
+def test_a_tangle_given_a_list_keeps_a_tuple():
+    # The entries are stored as a tuple however they are given, so that the
+    # tangle and a knot of it hash and equal the one built from a tuple.
+    listed = MontesinosTangle([Slope(-1, 2), Slope(1, 3)])
+    assert listed.entries == (Slope(-1, 2), Slope(1, 3))
+    assert listed == MontesinosTangle.from_slopes([Slope(-1, 2), Slope(1, 3)])
+    tangle, knot = parse_tangle("[-1/2,1/3]"), parse_knot("K1[-1/2,1/3]")
+    assert listed == tangle and hash(listed) == hash(tangle)
+    assert WrappedKnot(1, listed) == knot and hash(WrappedKnot(1, listed)) == hash(knot)

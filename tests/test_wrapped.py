@@ -67,6 +67,14 @@ def test_bare_constructor_rejects_links():
     assert WrappedKnot(1, T("[-1/2]")) == make_wrapped(1, T("[-1/2]"))
 
 
+def test_the_wrap_parameter_is_the_int_0_or_1():
+    # A bool equals 0 or 1 but would print as KTrue[...], which no parse reads.
+    for a in (True, False, 1.0, 2, -1, "1"):
+        with pytest.raises(ValueError, match="the wrap parameter a must be 0 or 1"):
+            WrappedKnot(a, T("[2]"))
+    assert WrappedKnot(1, T("[2]")) == K("K1[2]")
+
+
 # One knot of each class, most of them reached through a move.
 _ONE_PER_CLASS = {
     KnotClass.DEGENERATE: "K0[1/3]",
@@ -164,36 +172,33 @@ sys.exit(1)
 """
 
 
-# A push-off oracle that is wrong before the first analysis: the anchors
-# catch it.
+# A push-off oracle that is wrong before the first knot: the per-process
+# anchor catches it on the first parse.
 _SABOTAGED_ORACLE = """
-import importlib
 import sys
-from wrapsurg import InconsistentCrossCheckError, parse_knot
+from wrapsurg import InconsistentCrossCheckError, analysis_of, parse_knot, tracing
 if not sys.flags.optimize:
     sys.exit(3)
-classify = importlib.import_module("wrapsurg.classify")
-classify.pretzel_framing = lambda slopes, a: 1
+tracing.pretzel_framing = lambda slopes, a: 1
 try:
-    classify.analysis_of(parse_knot("K0[5]"))
+    analysis_of(parse_knot("K0[5]"))
 except InconsistentCrossCheckError as err:
     sys.exit(0 if "push-off oracle" in str(err) else 4)
 sys.exit(1)
 """
 
-# An oracle that goes wrong after the anchors passed: the closed form of a
-# single integer entry (0 for a = 0, else 2m) catches it.
+# An oracle that goes wrong after the anchor passed: the closed form of a
+# single integer entry (0 for a = 0, else 2m) catches it when the class
+# table is built.
 _SABOTAGED_SPANNING_SURFACE = """
-import importlib
 import sys
-from wrapsurg import InconsistentCrossCheckError, parse_knot
+from wrapsurg import InconsistentCrossCheckError, analysis_of, parse_knot, tracing
 if not sys.flags.optimize:
     sys.exit(3)
-classify = importlib.import_module("wrapsurg.classify")
-classify._oracle_self_check()
-classify.pretzel_framing = lambda slopes, a: 1
+knot = parse_knot("K0[5]")  # runs the anchor
+tracing.pretzel_framing = lambda slopes, a: 1
 try:
-    classify.analysis_of(parse_knot("K0[5]"))
+    analysis_of(knot)
 except InconsistentCrossCheckError as err:
     sys.exit(0 if "classified value" in str(err) else 4)
 sys.exit(1)
@@ -293,7 +298,7 @@ def test_warm_caches_are_bounded(script):
 def test_every_cache_is_bounded_and_tested_or_runs_once():
     # A module-level lru_cache of the package is either bounded, and then a
     # case of `test_warm_caches_are_bounded`, or unbounded and without an
-    # argument, so that it keeps one entry: the two run-once anchor checks.
+    # argument, so that it keeps one entry: the run-once anchor check.
     caches = {}
     for info in pkgutil.iter_modules(importlib.import_module("wrapsurg").__path__):
         module = importlib.import_module(f"wrapsurg.{info.name}")
@@ -302,7 +307,7 @@ def test_every_cache_is_bounded_and_tested_or_runs_once():
     bounded = {name for name, cached in caches.items() if cached.cache_info().maxsize is not None}
     assert bounded == {f"{module}.{cache}" for module, cache, _ in _BOUNDED_CACHES.values()}
     run_once = caches.keys() - bounded
-    assert run_once == {"classify._oracle_self_check", "wrapped._closure_self_check"}
+    assert run_once == {"wrapped._closure_self_check"}
     for name in run_once:
         assert not inspect.signature(caches[name]).parameters, name
 
@@ -340,14 +345,12 @@ def test_s3_covers_are_kept_only_inside_the_keep_window():
 # a table source and a slope map: the second analysis traces no diagram.  In
 # a child process, so that no earlier analysis has filled the table cache.
 _ONE_TRACE_PER_SLOPE_MAP = """
-import importlib
 import sys
-from wrapsurg import analysis_of, parse_knot
-classify = importlib.import_module("wrapsurg.classify")
-analysis_of(parse_knot("K0[2]"))  # the push-off oracle's anchors trace first
+from wrapsurg import analysis_of, parse_knot, tracing
+parse_knot("K0[2]")  # the push-off oracle's anchor traces first
 traced = []
-original = classify.pretzel_framing
-classify.pretzel_framing = lambda slopes, a: traced.append(slopes) or original(slopes, a)
+original = tracing.pretzel_framing
+tracing.pretzel_framing = lambda slopes, a: traced.append(slopes) or original(slopes, a)
 first = analysis_of(parse_knot("K0[1/3,1/3]"))
 shifted = analysis_of(parse_knot("K0[4/3,-2/3]"))
 assert shifted.exceptional == first.exceptional
