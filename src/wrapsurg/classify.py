@@ -217,7 +217,10 @@ class Analysis(Record):
     exceptional slope to its answer, its family and its canonical slope when
     the S^3 surgeries of its twisted images are known (else None), and
     `exceptional` its (slope, answer) pairs; knots with one table source and
-    slope map share both (see `_class_table`).
+    slope map share both (see `_class_table`).  The class is DEGENERATE
+    exactly when the normal form is degenerate, and the checks read
+    `nf.degenerate`: on Python 3.11 each member read off an Enum class
+    costs about 0.1 us.
     """
 
     __slots__ = ("knot", "nf", "knot_class", "slope_map", "table", "notes", "moves",
@@ -227,7 +230,7 @@ class Analysis(Record):
         """Classify r-surgery: the table's answer at r, if any."""
         if r.is_meridian():
             return SurgeryClassification(SurgeryType.TRIVIAL_FILLING, r)
-        if self.knot_class is KnotClass.DEGENERATE:
+        if self.nf.degenerate:
             return SurgeryClassification(SurgeryType.NON_HYPERBOLIC_KNOT, r)
         return self.table.get(r, _NO_ENTRY)[0] or SurgeryClassification(
             SurgeryType.HYPERBOLIC, r, None, None, self.notes)
@@ -263,7 +266,7 @@ class Analysis(Record):
 
     def require_hyperbolic(self) -> None:
         """Raise `DegenerateKnotError` for a degenerate knot, never hyperbolic."""
-        if self.knot_class is KnotClass.DEGENERATE:
+        if self.nf.degenerate:
             raise DegenerateKnotError(self.knot)
 
 

@@ -11,11 +11,15 @@ its lines end at LF, CRLF or CR only, and shlex.split splits each into words;
 it is read as its lines are answered, so a batch takes the memory of its
 longest line, not of its length.
 Importing this module loads only what every request runs: the text writer is
-here, and `wrapsurg.jsonwriter`, the JSON writer, is imported by the first JSON
-answer (and bound to `_json_answer`).  No request loads `json` (the writer
-quotes strings with its C helper `_json`), and only a batch line with a `"`,
-a backslash or an odd number of `'` loads `shlex`; the regular expression that
-splits the other lines is compiled by the first of them.
+here; `wrapsurg.jsonwriter`, the JSON writer, is imported by the first JSON
+answer (and bound to `_json_answer`), and `wrapsurg.batch`, the batch reader,
+by the first `batch` request.  Each is handed what it reads of this module
+(`_span_rows`; `parse`, `run` and `CommandError`) instead of importing it, so
+that under `python -m wrapsurg.cli`, where this module is `__main__`, it is
+not loaded a second time.  No request loads `json` (the writer quotes strings
+with its C helper `_json`), only a batch loads `re`, whose pattern splits its
+lines, and only a batch line with a `"`, a backslash or an odd number of `'`
+loads `shlex`.
 A `--range` or `--n` span holds at most MAX_SPAN_ROWS (1,000,000) rows; a
 longer one exits 2.
 
@@ -49,9 +53,7 @@ alike, so a knot text missing from `_knot` is built from entries read before.
 """
 from __future__ import annotations
 
-import io
 import os
-import re
 import sys
 from collections import OrderedDict
 from functools import lru_cache
@@ -60,7 +62,6 @@ from .classify import (
     DegenerateKnotError,
     FamilyKind,
     FamilyPrediction,
-    KnotClass,
     SurgeryClassification,
     _NO_ENTRY,
     _in_window,
@@ -187,7 +188,9 @@ def _parse_span(text: str | None, flag: str) -> tuple[int, int]:
 def run(request: Request, out=None) -> int:
     out = out if out is not None else sys.stdout
     if request.command == "batch":
-        return _run_batch(request, out)
+        from .batch import run_batch
+
+        return run_batch(request, out, sys.modules[__name__])
     knot_text = request.knot_text or ""
     try:
         knot = _knot(knot_text)
@@ -204,7 +207,7 @@ def run(request: Request, out=None) -> int:
     try:
         answer = _answer(request, knot, slope)
         if request.fmt == "json":
-            text = (_json_answer or _json_writer())(request, knot, slope, answer)
+            text = (_json_answer or _json_writer())(request, knot, slope, answer, _span_rows)
         else:
             text = _text_answer(request, knot, answer)
     except DegenerateKnotError as err:
@@ -219,7 +222,11 @@ def run(request: Request, out=None) -> int:
             " digits, the limit for writing an integer as text",
             2,
         ) from None
-    print(text, file=out)
+    # The writes print() makes, without its argument handling.  The newline
+    # is a write of its own: a long text cut short by a closed pipe raises
+    # only at the next write or flush.
+    out.write(text)
+    out.write("\n")
     return 0
 
 
@@ -291,7 +298,7 @@ def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
     if command == "normalize":
         return ()
     analysis = knot.analysis
-    if analysis.knot_class is KnotClass.DEGENERATE:
+    if analysis.nf.degenerate:
         raise DegenerateKnotError(knot.text)
     if command in ("classify", "predict"):
         result = analysis.classify(slope)
@@ -308,71 +315,6 @@ def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
         return [(twist(wrapped, n), two_bridge_fraction(wrapped, n) if single else None)
                 for n in range(lo, hi + 1)]
     return analysis.exceptional, request.slope_range
-
-
-def _run_batch(request: Request, out) -> int:
-    # Read as the lines are answered, so that a batch takes the memory of its
-    # longest line, not of its input.  newline="" ends lines at LF, CRLF (also
-    # split across two reads) and CR only, not at \x0b, \x0c, \x1c-\x1e,
-    # \x85..., as str.splitlines() would.
-    if request.batch_file is None:
-        lines = io.TextIOWrapper(sys.stdin.buffer, "utf-8", "surrogateescape", newline="")
-    else:
-        try:
-            lines = open(request.batch_file, encoding="utf-8", errors="surrogateescape",
-                         newline="")
-        except OSError as err:
-            raise CommandError(f"cannot read batch file: {err}", 2)
-    exit_code = 0
-    try:
-        for number, line in _numbered(lines):
-            text = line.strip(" \t\r\n")  # shlex's whitespace, not str.strip()'s
-            if not text or text.startswith("#"):
-                continue
-            try:
-                try:
-                    words = _split(text)
-                except ValueError as err:  # an unclosed quote or a trailing escape
-                    raise CommandError(f"bad request line: {err}", 2)
-                sub = parse(words)
-                if sub.command == "batch":
-                    raise CommandError("batch lines cannot nest batch", 2)
-                run(sub, out=out)
-            except CommandError as err:
-                print(f"line {number}: error: {err}", file=sys.stderr)
-                if exit_code == 0:
-                    exit_code = err.code
-    finally:
-        if request.batch_file is None:
-            lines.detach()  # leaves stdin open
-        else:
-            lines.close()
-    return exit_code
-
-
-def _numbered(lines):
-    """(number, line) for the lines of a batch, from 1.  An error reading
-    them exits 2; an error raised while a line is answered is not caught."""
-    try:
-        yield from enumerate(lines, start=1)
-    except OSError as err:
-        raise CommandError(f"cannot read batch input: {err}", 2) from None
-
-
-# A word of a line with no " or \: a run of non-whitespace, with '...' stretches;
-# compiled by the first line that needs it.
-_WORD = None
-
-
-def _split(text: str) -> list[str]:
-    """The words shlex.split(text) gives, or its ValueError."""
-    global _WORD
-    if '"' in text or "\\" in text or text.count("'") % 2:
-        import shlex
-        return shlex.split(text)
-    if _WORD is None:
-        _WORD = re.compile(r"(?:[^ \t\r\n']+|'[^']*')+")
-    return [word.replace("'", "") for word in _WORD.findall(text)]
 
 
 # -- rows of a span ----------------------------------------------------------
@@ -453,8 +395,10 @@ def _head(knot: _Knot) -> str:
     normal form and its canonical single entry."""
     nf = knot.analysis.nf
     suffix = "  [degenerate]" if nf.degenerate else ""
+    # Slope.__str__ itself: str() would reach it through the type.
     lines = [f"knot: {knot.text}",
-             f"normal form: e0={nf.e0} fracs=[{','.join(map(str, nf.fracs))}]{suffix}"]
+             f"normal form: e0={nf.e0} fracs=[{','.join(map(Slope.__str__, nf.fracs))}]"
+             f"{suffix}"]
     if nf.k1 is not None:
         extras = ["mirrored"] if nf.k1.mirrored else []
         if nf.k1.twists:

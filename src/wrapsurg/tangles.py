@@ -2,7 +2,12 @@
 
 A Montesinos tangle is the ordered horizontal sum of rational tangles, and
 a rational tangle is its finite slope, so a tangle is its tuple of entry
-slopes, read from the text `[t1,...,tk]` by `parse_tangle`.  `normalize`
+slopes, read from the text `[t1,...,tk]` by `parse_tangle` (and `read_tangle`,
+which `wrapped.parse_knot` calls).  A tangle whose entry texts have at most 64
+characters each is read in one pass: each entry comes straight from
+`parse_slope`'s memo, and no position is counted.  Only if an entry fails
+are the entries read again, each with its position, so that every
+`ParseError` keeps its message and position.  `normalize`
 reduces a tangle under the four equivalence moves (entrywise integer shifts
 with fixed sum, reversal, the mirror image, and the meridional twist of a
 single entry) to its normal form.  A `Move` records one move as `--moves`
@@ -19,7 +24,10 @@ from __future__ import annotations
 from enum import Enum
 from operator import attrgetter
 
-from .slopes import ParseError, Record, Slope, parse_slope, split_integer_parts, stripped
+from .slopes import (
+    _MEMO_TEXT_LENGTH, ParseError, Record, Slope, _slope_memo, parse_slope,
+    split_integer_parts, stripped,
+)
 
 
 class Pairing(Enum):
@@ -62,7 +70,10 @@ def closure_facts(entries: tuple[Slope, ...], a: int) -> tuple[bool, int, Pairin
         sp, sq = s.p & 1, s.q & 1
         p, q = (p & sq) ^ (sp & q), q & sq
     pairing = _PAIRING_BY_PARITY[p, q]
-    repeated = Pairing.CROSS if a & 1 else Pairing.LEFT_TO_LEFT
+    # The wrap arcs pair the endpoints as a tangle of parity (1, a mod 2) does:
+    # left-to-left for even a, across for odd a.  (A dict read: on Python 3.11
+    # a member read off an Enum class costs about 0.1 us.)
+    repeated = _PAIRING_BY_PARITY[1, a & 1]
     knot = pairing is not None and pairing is not repeated
     return knot, 0 if pairing is Pairing.TOP_TO_TOP else 2, pairing
 
@@ -94,7 +105,8 @@ _denominator = attrgetter("q")
 def knot_text(a: int, entries: tuple[Slope, ...]) -> str:
     """The text `K{a}[t1,...,tk]` of the closure of `entries` with `a` wrap
     crossings, as `wrapped.parse_knot` reads it."""
-    return f"K{a}[{','.join(map(str, entries))}]"
+    # Slope.__str__ itself: str() would reach it through the type.
+    return f"K{a}[{','.join(map(Slope.__str__, entries))}]"
 
 
 def twist_shift(twists: int, winding: int) -> int:
@@ -202,14 +214,26 @@ def parse_tangle(text: str, offset: int = 0) -> MontesinosTangle:
 
 def read_tangle(s: str, offset: int) -> MontesinosTangle:
     """`parse_tangle` of text `s` without surrounding whitespace, whose first
-    character is at position `offset`."""
+    character is at position `offset`.  When every entry text has at most
+    _MEMO_TEXT_LENGTH characters, the entries are read in one pass through
+    `parse_slope`'s memo, counting no positions; only if one fails are they
+    read again with their positions, so that the error is the same."""
     if not s.startswith("[") or not s.endswith("]"):
         raise ParseError("tangle syntax is [t1,...,tk]", offset)
     inner, position = s[1:-1], offset + 1
     if not inner.strip():
         raise ParseError("tangle needs at least one entry", position)
+    pieces = inner.split(",")
     entries = []
-    for piece in inner.split(","):
+    if max(map(len, pieces)) <= _MEMO_TEXT_LENGTH:
+        try:
+            for piece in pieces:
+                entries.append(_slope_memo(piece, _NOT_AN_ENTRY))
+        except ParseError:
+            entries = []
+        else:
+            return MontesinosTangle(entries)
+    for piece in pieces:
         entries.append(parse_slope(piece, position, _NOT_AN_ENTRY))
         position += len(piece) + 1
     return MontesinosTangle(entries)

@@ -286,17 +286,21 @@ def test_classification_invariant_under_moves():
 
 
 # Unit fractions and small integers are drawn often, so that pretzels, the
-# (-2, 3) pretzel and the Whitehead closure come up among the random knots.
+# (-2, 3) pretzel and the Whitehead closure come up among the random knots;
+# one draw in four is an entry of more than 100 digits, an integer or a
+# fraction.
+_long_numerators = st.one_of(st.integers(10**100, 10**120), st.integers(-10**120, -10**100))
 _entries = st.one_of(
     st.builds(make_slope, st.sampled_from([-1, 1]), st.integers(2, 4)),
     st.builds(make_slope, st.integers(-3, 3), st.just(1)),
     st.builds(make_slope, st.integers(-12, 12), st.integers(1, 12)),
+    st.builds(make_slope, _long_numerators, st.sampled_from([1, 2, 3, 7, 10**30 + 1])),
 )
 
 
 @st.composite
 def _knots(draw):
-    tangle = MontesinosTangle.from_slopes(draw(st.lists(_entries, min_size=1, max_size=3)))
+    tangle = MontesinosTangle.from_slopes(draw(st.lists(_entries, min_size=1, max_size=5)))
     for a in draw(st.permutations([0, 1])):
         try:
             return make_wrapped(a, tangle)
@@ -323,18 +327,20 @@ def _exceptional(knot, sign=1, shift=0, n0_shift=0):
     return carried
 
 
-# One to three moves: a reverse, a shift by the deltas, a mirror, or a twist
-# by m of a single entry.
+# One to three moves: a reverse, a shift by the deltas (one per entry but the
+# last, which takes their negated sum), a mirror, or a twist by m of a single
+# entry.
 _move_sequences = st.lists(
     st.tuples(st.sampled_from(["reverse", "shift", "mirror", "twist"]),
-              st.lists(st.integers(-3, 3), min_size=2, max_size=2), st.integers(-3, 3)),
+              st.lists(st.integers(-3, 3), min_size=4, max_size=4), st.integers(-3, 3)),
     min_size=1, max_size=3,
 )
 
 
 @given(_knots(), _move_sequences)
 # The (-2, 3) pretzel, whose slope 8 has the one family with an n0.
-@example(K("K1[-1/2,1/3]"), [("shift", [1, 0], 0), ("reverse", [0, 0], 0), ("mirror", [0, 0], 0)])
+@example(K("K1[-1/2,1/3]"),
+         [("shift", [1, 0, 0, 0], 0), ("reverse", [0, 0, 0, 0], 0), ("mirror", [0, 0, 0, 0], 0)])
 def test_moves_keep_the_class_and_transport_the_exceptional_set(knot, moves):
     # The moves compose to r -> sign * r + shift on slopes and to
     # n0 -> sign * n0 + n0_shift on twists: a mirror negates both maps, and a

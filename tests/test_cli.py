@@ -27,7 +27,7 @@ from wrapsurg import (
     parse_slope,
 )
 import wrapsurg
-from wrapsurg import cli, jsonwriter
+from wrapsurg import batch, cli, jsonwriter
 from wrapsurg.classify import _WINDOW
 from wrapsurg.cli import main
 
@@ -450,32 +450,38 @@ def test_text_requests_import_neither_json_nor_shlex():
     # -S: no site module, so only the package's own imports count.  Lines
     # starting "@" are the child's report; the others are the answers.
     child = run_python(
-        "import sys\n"
+        "import io, sys\n"
         "import wrapsurg.cli\n"
-        "names = ('dataclasses', 'inspect', 'json', 'json.encoder', 'shlex',\n"
+        "names = ('dataclasses', 'inspect', 'json', 'json.encoder', 're', 'shlex',\n"
         "         'fractions', 'decimal', 'numbers')\n"
         "loaded = lambda: [name for name in names if name in sys.modules]\n"
         "package = lambda: sorted(name for name in sys.modules\n"
         "                         if name.partition('.')[0] == 'wrapsurg')\n"
-        "print('@', loaded(), package(), wrapsurg.cli._WORD)\n"
+        "print('@', loaded(), package())\n"
         "for argv in (['classify', 'K1[-1/2,1/3]', '7'],\n"
         "             ['classify', 'K1[-1/2,1/3]', '7', '--format', 'json'],\n"
         "             ['predict', 'K1[-1/2,1/3]', '7', '--n', '0..1']):\n"
         "    code = wrapsurg.cli.main(argv)\n"
-        "    print('@', code, loaded(), package())\n",
+        "    print('@', code, loaded(), package())\n"
+        "sys.stdin = io.TextIOWrapper(io.BytesIO(b\"classify 'K1[-1/2,1/3]' 7\\n\"))\n"
+        "code = wrapsurg.cli.main(['batch'])\n"
+        "print('@', code, loaded(), package())\n",
         "-S",
     )
     assert child.returncode == 0, child.stderr
     report = [line for line in child.stdout.splitlines() if line.startswith("@")]
-    # Every request runs these seven; the regular expression that splits a
-    # batch line is compiled by the first line that needs it.
+    # Every request runs these seven.
     request_path = sorted(["wrapsurg", *(f"wrapsurg.{name}" for name in (
         "classify", "cli", "slopes", "tangles", "tracing", "wrapped"))])
     # A JSON answer loads the JSON writer, and a known S^3 cover `seifert`.
     with_writer = sorted([*request_path, "wrapsurg.jsonwriter"])
     with_seifert = sorted([*with_writer, "wrapsurg.seifert"])
-    assert report == [f"@ [] {request_path} None", f"@ 0 [] {request_path}",
-                      f"@ 0 [] {with_writer}", f"@ 0 [] {with_seifert}"]
+    # The first batch loads the batch reader and `re`, whose pattern splits
+    # a line with no " or \\ and an even number of ' (shlex is not loaded).
+    with_batch = sorted([*with_seifert, "wrapsurg.batch"])
+    assert report == [f"@ [] {request_path}", f"@ 0 [] {request_path}",
+                      f"@ 0 [] {with_writer}", f"@ 0 [] {with_seifert}",
+                      f"@ 0 ['re'] {with_batch}"]
 
 
 def test_spans_longer_than_the_cap_exit_2_at_once(capsys):
@@ -600,7 +606,7 @@ def _words_or_error(split, line):
 
 @given(st.text(st.sampled_from(_LINE_CHARS), max_size=40))
 def test_split_gives_the_words_or_the_error_of_shlex(line):
-    assert _words_or_error(cli._split, line) == _words_or_error(shlex.split, line)
+    assert _words_or_error(batch._split, line) == _words_or_error(shlex.split, line)
 
 
 # Keys include non-ASCII text and lone surrogates; integers reach about 4000

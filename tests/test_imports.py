@@ -129,7 +129,7 @@ def test_import_loads_the_request_path_and_the_rest_on_first_use():
         "      wrapsurg.equivalent(T('[5/3,-2/3]'), T('[2/3,1/3]'))[0] == wrapsurg.Move('shift'))\n"
         "print(package())\n"
         "from wrapsurg import *\n"
-        "import wrapsurg.jsonwriter\n"  # and `cli`, which it reads
+        "import wrapsurg.jsonwriter\n"  # not `cli`, which hands it what it reads
         "print(package())\n"
         "print(callable(wrapsurg.classify), classify is wrapsurg.classify, len(wrapsurg.__all__))\n"
     )
@@ -137,10 +137,32 @@ def test_import_loads_the_request_path_and_the_rest_on_first_use():
         str(_PACKAGE),
         "None True",
         str(sorted([*_PACKAGE, "wrapsurg.moves"])),
-        str(sorted([*_PACKAGE, "wrapsurg.cli", "wrapsurg.jsonwriter", "wrapsurg.moves",
-                    "wrapsurg.seifert"])),
+        str(sorted([*_PACKAGE, "wrapsurg.jsonwriter", "wrapsurg.moves", "wrapsurg.seifert"])),
         "True True 61",
     ]
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["classify", "K1[-1/2,1/3]", "7", "--format", "json"], None),
+    (["batch"], "classify K1[-1/2,1/3] 7 --format json\nclassify K1[-1/2,1/3] 7\n"),
+], ids=["json", "batch"])
+def test_python_m_loads_the_cli_module_once(argv, stdin):
+    # `python -m wrapsurg.cli` runs the module as `__main__`.  The JSON writer
+    # and the batch reader are handed what they read of it, so neither loads
+    # `wrapsurg.cli` beside it; -X importtime names every module imported.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "wrapsurg.cli", *argv],
+                          input=stdin, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "wrapsurg.jsonwriter" in imported and "wrapsurg.cli" not in imported
+    assert ("wrapsurg.batch" in imported) == (argv == ["batch"])
+    script = ("import io, sys\n"
+              "from wrapsurg.cli import main\n"
+              f"sys.stdin = io.TextIOWrapper(io.BytesIO({(stdin or '').encode()!r}))\n"
+              f"sys.exit(main({argv!r}))\n")
+    assert _fresh(script) == done.stdout.splitlines()
 
 
 def _tokens(path: Path) -> int:

@@ -116,6 +116,37 @@ def test_only_normalizing_records_define_a_constructor():
     assert own == {"Slope", "MontesinosTangle", "WrappedKnot"}
 
 
+def _wrong_count(cls, count):
+    """The TypeError text of a fitted constructor given `count` values."""
+    return (f"{cls.__qualname__} takes the values of ({', '.join(cls.__slots__)}),"
+            f" the last {len(cls._defaults)} optional; got {count}")
+
+
+def _check_fitted_constructor(cls, values):
+    """`cls(*values)` sets the fields in slot order; each shorter call down
+    to the shortest fills the omitted fields from `_defaults`; one value too
+    few or too many raises the contract's TypeError; the records built pickle
+    and copy to equal records."""
+    assert vars(cls)["__init__"].__qualname__ == "_fitted_init.<locals>.__init__"
+    defaults = cls._defaults
+    built = [cls(*values)]
+    assert tuple(getattr(built[0], name) for name in cls.__slots__) == values
+    for omitted in range(1, len(defaults) + 1):
+        built.append(cls(*values[:-omitted]))
+        expected = values[:-omitted] + defaults[-omitted:]
+        assert tuple(getattr(built[-1], name) for name in cls.__slots__) == expected
+    shortest = len(values) - len(defaults)
+    for count in (shortest - 1, len(values) + 1):
+        if count >= 0:
+            with pytest.raises(TypeError) as raised:
+                cls(*(values + (None,))[:count])
+            assert str(raised.value) == _wrong_count(cls, count)
+    for record in built:
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                     copy.deepcopy(record)):
+            assert type(twin) is cls and twin == record and hash(twin) == hash(record)
+
+
 @pytest.mark.parametrize(
     "record",
     [record for cls, record in RECORDS.items() if not _writes_its_constructor(cls)],
@@ -125,14 +156,33 @@ def test_record_is_built_from_its_fields_in_slot_order(record):
     cls = type(record)
     values = tuple(getattr(record, name) for name in cls.__slots__)
     assert cls(*values) == record
-    defaults = cls._defaults
-    for omitted in range(1, len(defaults) + 1):
-        built = cls(*values[:-omitted])
-        expected = values[:-omitted] + defaults[-omitted:]
-        assert tuple(getattr(built, name) for name in cls.__slots__) == expected
-    for count in (len(values) - len(defaults) - 1, len(values) + 1):
-        with pytest.raises(TypeError, match=f"^{cls.__qualname__} takes"):
-            cls(*(values + (None,))[:count])
+    if any(isinstance(value, MappingProxyType) for value in values):
+        # An analysis's table neither hashes nor pickles: check the
+        # constructor on a stand-in table with the same entries.
+        values = tuple(tuple(value.items()) if isinstance(value, MappingProxyType) else value
+                       for value in values)
+    _check_fitted_constructor(cls, values)
+
+
+# A record class of each arity from 1 to 9, with 0 to 3 optional fields, at
+# module level so that its records pickle: `_fitted_init` writes out the
+# constructors of 4, 5 and 8 fields and loops over the others.
+_ARITY_CLASSES = []
+for _arity in range(1, 10):
+    for _optional in range(min(_arity, 3) + 1):
+        _name = f"_Fields{_arity}Optional{_optional}"
+        _cls = type(_name, (Record,), {
+            "__slots__": tuple(f"f{i}" for i in range(_arity)),
+            "_defaults": tuple(f"default {i}" for i in range(_arity - _optional, _arity)),
+            "__module__": __name__,
+        })
+        globals()[_name] = _cls
+        _ARITY_CLASSES.append(_cls)
+
+
+@pytest.mark.parametrize("cls", _ARITY_CLASSES, ids=lambda cls: cls.__qualname__)
+def test_a_fitted_constructor_of_each_arity(cls):
+    _check_fitted_constructor(cls, tuple(range(len(cls.__slots__))))
 
 
 _big = st.integers(-(10**30), 10**30)
