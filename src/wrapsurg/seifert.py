@@ -11,13 +11,15 @@ at d = 0, a lens space at d = 1, and otherwise a small Seifert space whose
 invariants {b1/p, b2/q, v/(u - pq v)} with b1 q + b2 p = 1 follow from
 extending the fibration of the exterior across the filling torus.
 `pretzel_surgery`, the classifier's S^3 surgeries, checks every cover of a
-(-2, 3, 2n+1) pretzel that is a torus knot against torus-knot surgery, also
-under `python -O`.
+(-2, 3, 2n+1) pretzel that is a torus knot against torus-knot surgery, and
+every small Seifert cover against the order of its first homology, which an
+m-surgery on a knot in S^3 has |m| of; both checks run also under `python -O`.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 from enum import Enum
+from math import prod
 
 from .slopes import InconsistentCrossCheckError, Record, Slope, make_slope, split_integer_parts
 
@@ -48,6 +50,12 @@ class SeifertInvariants(Record):
     def reversed_orientation(self) -> "SeifertInvariants":
         fibers = tuple(sorted((a, a - b) for a, b in self.fibers))
         return SeifertInvariants(-self.e - len(self.fibers), fibers)
+
+    def homology_order(self) -> int:
+        """|H_1| of the space over S^2: |a_1 ... a_k (e + sum b_i/a_i)|, in
+        integers; 0 when H_1 is infinite."""
+        alphas = prod(a for a, _ in self.fibers)
+        return abs(self.e * alphas + sum(b * (alphas // a) for a, b in self.fibers))
 
     def indices(self) -> tuple[int, ...]:
         return tuple(sorted(a for a, _ in self.fibers))
@@ -144,8 +152,18 @@ _TORUS_KNOT_MEMBERS = {0: (2, 5), 1: (3, 4), 2: (3, 5)}
 
 def pretzel_surgery(n: int, base: int) -> SFSClass:
     """The (base + 4n)-surgery on the (-2, 3, 2n+1) pretzel: the double
-    branched cover of `pretzel_surgery_link`, cross-checked on every call."""
+    branched cover of `pretzel_surgery_link`, cross-checked on every call: a
+    small Seifert cover has |H_1| = |base + 4n|, and a torus-knot member's
+    cover is its torus-knot surgery.  Lens and reducible covers carry no
+    invariants, so only the second check reaches them."""
     result = double_branched_cover(pretzel_surgery_link(n, base))
+    if result.kind is SFSKind.SMALL_SEIFERT:
+        order = result.invariants.homology_order()
+        if order != abs(base + 4 * n):
+            raise InconsistentCrossCheckError(
+                f"branch-locus cover {result} has |H1| = {order}, not "
+                f"|{base + 4 * n}|, at twist {n}"
+            )
     if n in _TORUS_KNOT_MEMBERS:
         p, q = _TORUS_KNOT_MEMBERS[n]
         check = torus_knot_surgery(p, q, make_slope(base + 4 * n, 1))

@@ -1,7 +1,7 @@
 """Shared generators for the randomized suites (seeded, no global state),
 the hypothesis profile every property test runs under, the `Fraction`
-reference value of a sum of slopes, and a runner for checks that need a
-fresh interpreter."""
+reference value of a sum of slopes, a runner for checks that need a fresh
+interpreter, and a counter of a function's calls."""
 from __future__ import annotations
 
 import os
@@ -81,3 +81,19 @@ def run_python(script: str, *options: str) -> subprocess.CompletedProcess:
         [sys.executable, *options, "-c", script],
         env=python_env(), capture_output=True, text=True, timeout=60,
     )
+
+
+def count_calls(monkeypatch, calls, owner, name):
+    """Count the calls of owner.name, rebound in every module of the package
+    that holds it, into calls[name]."""
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    holders = [owner] + [module for key, module in sys.modules.items()
+                         if key.partition(".")[0] == "wrapsurg"]
+    for holder in holders:
+        if vars(holder).get(name) is original:
+            monkeypatch.setattr(holder, name, counting)

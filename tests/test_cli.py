@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import python_env, run_python
+from conftest import count_calls, python_env, run_python
 from wrapsurg import (
     KnotClass,
     NotAKnotError,
@@ -784,22 +784,6 @@ def test_long_knot_texts_are_analysed_per_request_and_not_kept():
     assert retained < 256 * 1024, retained
 
 
-def _count_calls(monkeypatch, calls, owner, name):
-    """Count the calls of owner.name, rebound in every module of the package
-    that holds it, into calls[name]."""
-    original = getattr(owner, name)
-
-    def counting(*args, **kwargs):
-        calls[name] = calls.get(name, 0) + 1
-        return original(*args, **kwargs)
-
-    holders = [owner] + [module for key, module in sys.modules.items()
-                         if key.partition(".")[0] == "wrapsurg"]
-    for holder in holders:
-        if vars(holder).get(name) is original:
-            monkeypatch.setattr(holder, name, counting)
-
-
 # The functions of the JSON writer that build JSON, which a text request, cold or
 # warm, never calls (it never imports the writer); the row chunks both writers
 # slice are not among them.
@@ -828,7 +812,7 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
             built = {}
             if fmt == "text":
                 for name in _JSON_BUILDERS:
-                    _count_calls(monkeypatch, built, jsonwriter, name)
+                    count_calls(monkeypatch, built, jsonwriter, name)
                 # As in a fresh process: the writer is not loaded.
                 monkeypatch.setattr(cli, "_json_answer", None)
                 monkeypatch.delitem(sys.modules, "wrapsurg.jsonwriter")
@@ -836,13 +820,13 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
             first = _answer(*args)
             assert _answer(*args) == first  # the second request keeps the knot
             calls = {}
-            _count_calls(monkeypatch, calls, tracing, "trace_closure")
-            _count_calls(monkeypatch, calls, wrapped, "parse_knot")
-            _count_calls(monkeypatch, calls, classify, "analysis_of")
-            _count_calls(monkeypatch, calls, wrapped.WrappedKnot, "__str__")
+            count_calls(monkeypatch, calls, tracing, "trace_closure")
+            count_calls(monkeypatch, calls, wrapped, "parse_knot")
+            count_calls(monkeypatch, calls, classify, "analysis_of")
+            count_calls(monkeypatch, calls, wrapped.WrappedKnot, "__str__")
             if fmt == "json" and args[0] != "twist":
                 for name in _KNOT_BUILDERS:
-                    _count_calls(monkeypatch, calls, jsonwriter, name)
+                    count_calls(monkeypatch, calls, jsonwriter, name)
             again = _answer(*args)
             imported = "wrapsurg.jsonwriter" in sys.modules
             monkeypatch.undo()
@@ -880,9 +864,9 @@ def test_a_text_asked_for_twice_is_kept(monkeypatch):
     assert _answer(*args) == first
     assert list(cli._kept_knots) == [args[1]] and not cli._asked_once
     calls = {}
-    _count_calls(monkeypatch, calls, wrapped, "parse_knot")
-    _count_calls(monkeypatch, calls, classify, "analysis_of")
-    _count_calls(monkeypatch, calls, wrapped.WrappedKnot, "__str__")
+    count_calls(monkeypatch, calls, wrapped, "parse_knot")
+    count_calls(monkeypatch, calls, classify, "analysis_of")
+    count_calls(monkeypatch, calls, wrapped.WrappedKnot, "__str__")
     third = _answer(*args)
     monkeypatch.undo()
     assert third == first and calls == {}
@@ -904,12 +888,14 @@ def test_a_batch_reparsed_from_the_warm_slope_memo_writes_the_same_bytes(tmp_pat
                             for i, knot in enumerate(knots)))
     cli._kept_knots.clear()
     cli._asked_once.clear()
+    batch._kept_answers.clear()
     slopes._slope_memo.cache_clear()
     first = _answer("batch", str(path))
-    # The second run finds no knot cached and parses every one anew, each
-    # entry and request slope from the memo.
+    # The second run finds no knot or answer kept and parses every line anew,
+    # each entry and request slope from the memo.
     cli._kept_knots.clear()
     cli._asked_once.clear()
+    assert not batch._kept_answers  # each knot was asked for once
     warm = slopes._slope_memo.cache_info()
     second = _answer("batch", str(path))
     after = slopes._slope_memo.cache_info()

@@ -15,6 +15,7 @@ from wrapsurg import (
     sfs_equal,
     torus_knot_surgery,
 )
+from wrapsurg.seifert import pretzel_surgery
 
 def link(*entries):
     """M(p1/q1, ..., pk/qk) from its (p, q) pairs; (1, 0) is the entry 1/0."""
@@ -141,6 +142,28 @@ def test_cross_validation_against_torus_knot_members():
     )
     assert all(x.kind is SFSKind.LENS for x in lens_pair)
     assert sfs_equal(*lens_pair)
+
+
+def test_homology_order_is_the_order_of_h1():
+    # Lens spaces L(p, q) as M(q/p, n) over S^2 and the Poincare sphere.
+    assert SeifertInvariants.from_slopes([make_slope(3, 7)]).homology_order() == 3
+    assert SeifertInvariants.from_slopes([make_slope(2, 5), make_slope(4, 1)]).homology_order() == 22
+    poincare = [make_slope(-1, 2), make_slope(1, 3), make_slope(1, 5)]
+    assert SeifertInvariants.from_slopes(poincare).homology_order() == 1
+    assert SeifertInvariants.from_slopes([make_slope(1, 2), make_slope(-1, 2)]).homology_order() == 0
+
+
+def test_every_small_seifert_pretzel_surgery_has_the_homology_of_its_slope():
+    # The (base + 4n)-surgery on a knot in S^3 has |H1| = |base + 4n|;
+    # pretzel_surgery checks each small Seifert cover for it and raises if not.
+    rows = 0
+    for base in (6, 7):
+        for n in range(-40, 41):
+            cover = pretzel_surgery(n, base)
+            if cover.kind is SFSKind.SMALL_SEIFERT:
+                assert cover.invariants.homology_order() == abs(base + 4 * n), (n, base)
+                rows += 1
+    assert rows == 157
 
 
 def test_sfs_equal_reorders_and_reverses():

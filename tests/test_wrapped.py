@@ -223,6 +223,24 @@ except InconsistentCrossCheckError as err:
 sys.exit(1)
 """
 
+# A branch locus with one entry changed, 1/(n-2) to 1/(n-1): its cover at
+# twist 5 is small Seifert with |H1| = 7, not |7 + 4*5| = 27.
+_SABOTAGED_HOMOLOGY = """
+import importlib
+import sys
+from wrapsurg import InconsistentCrossCheckError, MontesinosLink, make_slope
+if not sys.flags.optimize:
+    sys.exit(3)
+seifert = importlib.import_module("wrapsurg.seifert")
+seifert.pretzel_surgery_link = lambda n, base: MontesinosLink(
+    (make_slope(-1, 3), make_slope(3, 5), make_slope(1, n - 1)))
+try:
+    seifert.pretzel_surgery(5, 7)
+except InconsistentCrossCheckError as err:
+    sys.exit(0 if "|H1|" in str(err) else 4)
+sys.exit(1)
+"""
+
 
 @pytest.mark.parametrize(
     "script",
@@ -234,9 +252,10 @@ sys.exit(1)
         _SABOTAGED_ORACLE,
         _SABOTAGED_SPANNING_SURFACE,
         _SABOTAGED_TORUS_KNOT,
+        _SABOTAGED_HOMOLOGY,
     ],
     ids=["word", "parity_rule", "pretzel_pair", "fiber_indices", "oracle", "spanning_surface",
-         "torus_knot"],
+         "torus_knot", "homology"],
 )
 def test_cross_checks_survive_python_O(script):
     done = run_python(script, "-O")
@@ -268,6 +287,27 @@ for i in range(bound + 100):
     assert len(cli._kept_knots) <= bound and len(cli._asked_once) <= bound
 assert len(cli._kept_knots) == bound
 """
+# A batch keeps the answer of a line whose knot the CLI keeps: K0[3], asked
+# for twice, then `classify K0[3] i` for each slope i, in batches of 512 lines.
+_FILL_THE_ANSWER_CACHE = """
+import contextlib
+import importlib
+import os
+import tempfile
+cli = importlib.import_module("wrapsurg.cli")
+batch = importlib.import_module("wrapsurg.batch")
+bound = batch._ANSWER_CACHE_SIZE
+lines = ["normalize K0[3]"] * 2 + ["classify K0[3] %d" % i for i in range(bound + 100)]
+with tempfile.TemporaryDirectory() as folder, open(os.devnull, "w") as null:
+    for start in range(0, len(lines), 512):
+        path = os.path.join(folder, "%d.txt" % start)
+        with open(path, "w") as requests:
+            requests.write("".join(line + "\\n" for line in lines[start:start + 512]))
+        with contextlib.redirect_stdout(null):
+            assert cli.main(["batch", path]) == 0
+        assert len(batch._kept_answers) == min(bound, start + 512 - 2)
+assert list(batch._kept_answers)[-1] == lines[-1]
+"""
 
 
 # Every bounded lru_cache of the package, by its case below: its module, its
@@ -286,8 +326,9 @@ _BOUNDED_CACHES = {
 @pytest.mark.parametrize(
     "script",
     [_FILL_A_CACHE.format(module=module, cache=cache, key=key)
-     for module, cache, key in _BOUNDED_CACHES.values()] + [_FILL_THE_KNOT_CACHE],
-    ids=[*_BOUNDED_CACHES, "knot_text"],
+     for module, cache, key in _BOUNDED_CACHES.values()]
+    + [_FILL_THE_KNOT_CACHE, _FILL_THE_ANSWER_CACHE],
+    ids=[*_BOUNDED_CACHES, "knot_text", "batch_line"],
 )
 def test_warm_caches_are_bounded(script):
     # In a child process, so that this suite's own caches keep their entries.
