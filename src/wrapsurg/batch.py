@@ -19,9 +19,7 @@ on; a failed line is never kept, and each of its repeats prints its own
 lookup per line.  At the bound the memo takes 1.19 MB under tracemalloc after
 the seed-101 `batch_hot` file (answers of 370 characters on average) and
 2.95 MB with answers of 1.3 KB, the largest that a line of 128 characters
-without a span was seen to give.  On the benchmark's `batch_hot` workload it
-answers about 7.9k of the 20k lines and raised requests per second by 13% and
-15% in the medians of two rounds of ten pairs of runs.
+without a span was seen to give.
 """
 from __future__ import annotations
 
@@ -37,7 +35,7 @@ _kept_answers: OrderedDict[str, str] = OrderedDict()
 
 class _Capture:
     """A writer whose `write` is the `append` of a list: `cli.run` answers
-    into it a line whose answer is kept."""
+    each line into it."""
 
     __slots__ = ("write",)
 
@@ -87,20 +85,20 @@ def run_batch(request, out, cli) -> int:
                 sub = cli.parse(words)
                 if sub.command == "batch":
                     raise cli.CommandError("batch lines cannot nest batch", 2)
-                if (sub.knot_text in kept_knots and len(text) <= longest
-                        and sub.n_range is None and sub.slope_range is None):
-                    # Run into `pieces`, which then holds the answer and its
-                    # newline; a failed line raises before either is written.
-                    pieces.clear()
-                    cli.run(sub, out=capture)
-                    answer = pieces[0]
-                    write(answer)
-                    write("\n")
+                # Whether `_kept_knots` keeps the knot before this request.
+                keep = (sub.knot_text in kept_knots and len(text) <= longest
+                        and sub.n_range is None and sub.slope_range is None)
+                # Run into `pieces`, which then holds the answer and its
+                # newline; a failed line raises before either is written.
+                pieces.clear()
+                cli.run(sub, out=capture)
+                answer = pieces[0]
+                write(answer)
+                write("\n")
+                if keep:
                     kept_answers[text] = answer
                     if len(kept_answers) > _ANSWER_CACHE_SIZE:
                         kept_answers.popitem(last=False)
-                else:
-                    cli.run(sub, out=out)
             except cli.CommandError as err:
                 print(f"line {number}: error: {err}", file=sys.stderr)
                 if exit_code == 0:

@@ -50,15 +50,8 @@ exceptional rows are written over them, and the bytes are those of one row at
 a time.  Beneath `_knot`, `slopes.parse_slope` keeps the slopes of the last
 2048 slope texts of at most 64 characters, knot entries and request slopes
 alike, so a knot text missing from `_knot` is built from entries read before.
-Above `_knot`, a batch (`wrapsurg.batch`) keeps the answer text of up to 2048
-request lines, the least recently used dropped first, and writes a repeated
-line from it without splitting, parsing or answering it again.  It keeps a
-line that answers with exit 0, has no `--n` or `--range` span, has at most
-_KNOT_TEXT_LENGTH characters and whose knot `_kept_knots` already keeps; so a
-batch of distinct knots keeps no line, and a failed line is answered anew
-each time.  At the bound it takes 1.19 MB under tracemalloc after the seed-101
-`batch_hot` file and 2.95 MB with answers of 1.3 KB; it answers about 7.9k of
-that file's 20k lines, for 13-15% more requests per second on the benchmark.
+Above `_knot`, a batch keeps the answers of repeated request lines; the
+`wrapsurg.batch` docstring states which lines and its bound.
 """
 from __future__ import annotations
 
