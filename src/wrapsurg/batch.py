@@ -24,7 +24,6 @@ without a span was seen to give.
 from __future__ import annotations
 
 import io
-import re
 import sys
 from collections import OrderedDict
 
@@ -121,18 +120,18 @@ def _numbered(lines, command_error):
         raise command_error(f"cannot read batch input: {err}", 2) from None
 
 
-# A word of a line with no " or \: a run of non-whitespace, with '...' stretches.
-_WORD = re.compile(r"(?:[^ \t\r\n']+|'[^']*')+")
-
-
 def _split(text: str) -> list[str]:
-    """The words shlex.split(text) gives, or its ValueError, for a `text`
-    with no line feed (a batch line has none)."""
-    if '"' in text or "\\" in text or text.count("'") % 2:
-        import shlex
-        return shlex.split(text)
-    words = _WORD.findall(text)
-    if "'" not in text:
-        return words
-    # One replace over the joined words: a word holds no line feed.
-    return "\n".join(words).replace("'", "").split("\n")
+    """The words shlex.split(text) gives, or its ValueError.
+
+    A text that is printable, so that its only whitespace is the space, that
+    has no " and no backslash, and whose ' pair up with no pair enclosing
+    nothing or a space, has the words str.split() gives of it without its ':
+    it is split by str methods alone.  Every other text goes to shlex, among
+    them one with a tab or with a space in quotes, at about 15 us a line
+    against 2 us."""
+    if text.isprintable() and '"' not in text and "\\" not in text:
+        quoted = text.split("'")[1::2]
+        if text.count("'") % 2 == 0 and "" not in quoted and " " not in "".join(quoted):
+            return text.replace("'", "").split()
+    import shlex
+    return shlex.split(text)

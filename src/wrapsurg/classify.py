@@ -367,7 +367,7 @@ def analysis_of(knot: WrappedKnot) -> Analysis:
 
 def _in_window(*numbers: int) -> bool:
     """Whether a cache may keep a key with these integers: |n| < _WINDOW for each."""
-    return all(-_WINDOW < n < _WINDOW for n in numbers)
+    return -_WINDOW < min(numbers) and max(numbers) < _WINDOW
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)

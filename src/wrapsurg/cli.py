@@ -17,9 +17,8 @@ by the first `batch` request.  Each is handed what it reads of this module
 (`_span_rows`; `parse`, `run` and `CommandError`) instead of importing it, so
 that under `python -m wrapsurg.cli`, where this module is `__main__`, it is
 not loaded a second time.  No request loads `json` (the writer quotes strings
-with its C helper `_json`), only a batch loads `re`, whose pattern splits its
-lines, and only a batch line with a `"`, a backslash or an odd number of `'`
-loads `shlex`.
+with its C helper `_json`), and only a batch line that `batch._split` cannot
+split by str methods loads `shlex` (and with it `re`).
 A `--range` or `--n` span holds at most MAX_SPAN_ROWS (1,000,000) rows; a
 longer one exits 2.
 
@@ -128,16 +127,19 @@ def parse(argv: list[str]) -> Request:
     if not argv:
         raise CommandError(USAGE.rstrip(), 2)
     command = argv[0]
-    if command not in FLAGS:
+    flags = FLAGS.get(command)
+    if flags is None:
         raise CommandError(f"unknown command {command!r} (at position 0)", 2)
     request = Request(command=command)
     positionals: list[str] = []
     words = iter(argv[1:])
     for arg in words:
-        if arg.startswith("--") and arg not in FLAGS[command]:
-            takes = " ".join(FLAGS[command]) or "no flags; put flags on each request line"
+        if not arg.startswith("--"):
+            positionals.append(arg)
+        elif arg not in flags:
+            takes = " ".join(flags) or "no flags; put flags on each request line"
             raise CommandError(f"{command} does not take {arg}; it takes {takes}", 2)
-        if arg == "--format":
+        elif arg == "--format":
             request.fmt = next(words, "")
             if request.fmt not in ("text", "json"):
                 raise CommandError("--format needs 'text' or 'json'", 2)
@@ -147,8 +149,6 @@ def parse(argv: list[str]) -> Request:
             request.n_range = _parse_span(next(words, None), arg)
         elif arg == "--range":
             request.slope_range = _parse_span(next(words, None), arg)
-        else:
-            positionals.append(arg)
 
     if command == "batch":
         if len(positionals) > 1:
@@ -176,8 +176,8 @@ def _parse_span(text: str | None, flag: str) -> tuple[int, int]:
         raise CommandError(f"{flag} needs a value A..B or a single integer", 2)
     lo_text, dots, hi_text = text.partition("..")
     try:
-        lo = _parse_int(lo_text, 0, allow_sign=True)
-        hi = _parse_int(hi_text, 0, allow_sign=True) if dots else lo
+        lo = _parse_int(lo_text, 0, True)
+        hi = _parse_int(hi_text, 0, True) if dots else lo
     except ParseError:
         raise CommandError(f"{flag} expects integers like -2..5, got {text!r}", 2)
     if lo > hi:

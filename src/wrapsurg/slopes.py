@@ -355,12 +355,15 @@ def _slope_memo(text: str, meridian: str | None) -> Slope:
 
 
 def _parse_int(text: str, offset: int, allow_sign: bool) -> int:
-    """ASCII digits, with a leading '-' when `allow_sign`; no '+', no '_'."""
-    s, offset = stripped(text, offset)
+    """ASCII digits, with a leading '-' when `allow_sign`; no '+', no '_'.
+    An error's position counts the leading whitespace."""
+    s = text.strip()
     body = s[1:] if (allow_sign and s.startswith("-")) else s
-    if not (body.isascii() and body.isdigit()):
-        raise ParseError(f"expected an integer, got {text!r}", offset)
-    try:
-        return int(s)
-    except ValueError:  # more digits than int() converts from text
-        raise ParseError(f"integer with {len(body)} digits is too long", offset) from None
+    if body.isascii() and body.isdigit():
+        try:
+            return int(s)
+        except ValueError:  # more digits than int() converts from text
+            message = f"integer with {len(body)} digits is too long"
+    else:
+        message = f"expected an integer, got {text!r}"
+    raise ParseError(message, stripped(text, offset)[1])

@@ -463,9 +463,10 @@ def test_text_requests_import_neither_json_nor_shlex():
         "             ['predict', 'K1[-1/2,1/3]', '7', '--n', '0..1']):\n"
         "    code = wrapsurg.cli.main(argv)\n"
         "    print('@', code, loaded(), package())\n"
-        "sys.stdin = io.TextIOWrapper(io.BytesIO(b\"classify 'K1[-1/2,1/3]' 7\\n\"))\n"
-        "code = wrapsurg.cli.main(['batch'])\n"
-        "print('@', code, loaded(), package())\n",
+        "for line in (b\"classify 'K1[-1/2,1/3]' 7\\n\", b'classify \"K1[-1/2,1/3]\" 7\\n'):\n"
+        "    sys.stdin = io.TextIOWrapper(io.BytesIO(line))\n"
+        "    code = wrapsurg.cli.main(['batch'])\n"
+        "    print('@', code, loaded(), package())\n",
         "-S",
     )
     assert child.returncode == 0, child.stderr
@@ -476,12 +477,13 @@ def test_text_requests_import_neither_json_nor_shlex():
     # A JSON answer loads the JSON writer, and a known S^3 cover `seifert`.
     with_writer = sorted([*request_path, "wrapsurg.jsonwriter"])
     with_seifert = sorted([*with_writer, "wrapsurg.seifert"])
-    # The first batch loads the batch reader and `re`, whose pattern splits
-    # a line with no " or \\ and an even number of ' (shlex is not loaded).
+    # The first batch loads the batch reader, which splits a printable line
+    # with no " or \\ and its ' paired by str methods, loading neither `re`
+    # nor `shlex`; a line with a " loads `shlex`, which imports `re`.
     with_batch = sorted([*with_seifert, "wrapsurg.batch"])
     assert report == [f"@ [] {request_path}", f"@ 0 [] {request_path}",
                       f"@ 0 [] {with_writer}", f"@ 0 [] {with_seifert}",
-                      f"@ 0 ['re'] {with_batch}"]
+                      f"@ 0 [] {with_batch}", f"@ 0 ['re', 'shlex'] {with_batch}"]
 
 
 def test_spans_longer_than_the_cap_exit_2_at_once(capsys):
@@ -594,7 +596,8 @@ def test_cli_renders_huge_and_tiny_integers_as_the_library_holds_them(a, entries
 
 # The characters on which a shell tokenizer can go wrong: quotes, escapes,
 # shlex's whitespace and the control and Unicode spaces that are not.
-_LINE_CHARS = "'\"\\ \t\r\x0b\x0c\x1c\x1d\x1e\x1f\xa0\u2003#[]/-0123456789abcKinf"
+_LINE_CHARS = ("'\"\\ \t\r\x00\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003\u2028\u3000"
+               "#[]/-0123456789abcKinf")
 
 
 def _words_or_error(split, line):
@@ -606,6 +609,23 @@ def _words_or_error(split, line):
 
 @given(st.text(st.sampled_from(_LINE_CHARS), max_size=40))
 def test_split_gives_the_words_or_the_error_of_shlex(line):
+    assert _words_or_error(batch._split, line) == _words_or_error(shlex.split, line)
+
+
+# Printable lines, with ' and the space drawn often, most of which `_split`
+# splits by str methods; each example fails one condition of that path: a
+# space in quotes, an empty quoted stretch, a tab in quotes, a no-break space,
+# a ", a backslash and an odd number of '.
+@given(st.text(st.one_of(st.sampled_from("' "), st.characters(exclude_categories=("C", "Z"))),
+               max_size=40))
+@example("classify 'K0[1] 2' 1")
+@example("classify '' 1")
+@example("classify 'K0[1]\t2' 1")
+@example("classify K0[1]\xa01")
+@example('classify "K0[1] 2" 1')
+@example("classify K0[1]\\ 1")
+@example("classify K0[1] '7")
+def test_split_gives_the_words_or_the_error_of_shlex_on_printable_lines(line):
     assert _words_or_error(batch._split, line) == _words_or_error(shlex.split, line)
 
 

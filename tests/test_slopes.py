@@ -1,8 +1,10 @@
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wrapsurg import (
@@ -20,7 +22,7 @@ from wrapsurg import (
     parse_tangle,
 )
 from wrapsurg import slopes
-from wrapsurg.cli import main
+from wrapsurg.cli import CommandError, _parse_span, main
 from wrapsurg.slopes import _read_slope, split_integer_parts
 
 
@@ -242,3 +244,62 @@ def test_the_slope_memo_answers_as_the_uncached_reader(text, offset, other_offse
             == _outcome(_read_slope, text, other_offset, meridian))
     other = None if meridian else _NOT_AN_ENTRY
     assert _outcome(parse_slope, text, offset, other) == _outcome(_read_slope, text, offset, other)
+
+
+# Integer texts: ASCII and Unicode digits, ASCII and Unicode whitespace, signs,
+# separators, integers in whitespace, and bodies of 4299-4301 digits around the
+# most int() reads from text.
+_INT_TEXTS = st.one_of(
+    st.text(st.sampled_from("0123456789\u0663\uff11\u00b2\U0001d7d9-+_. \t\x85\u3000"),
+            max_size=12),
+    st.builds("{}{}{}".format, _SPACE, st.integers(-10**6, 10**6).map(str), _SPACE),
+    st.builds("{}{}{}{}".format, _SPACE, st.sampled_from(["", "-", "+", "--"]),
+              st.integers(4299, 4301).map("7".__mul__), _SPACE),
+)
+
+
+def _integer_rule(text, sign=True):
+    """The integer `_parse_int` reads from `text`, with a leading '-' when
+    `sign`, by a rule stated apart from it, or the message of the ParseError
+    it raises."""
+    s = text.strip()
+    if re.fullmatch("-?[0-9]+" if sign else "[0-9]+", s) is None:
+        return f"expected an integer, got {text!r}"
+    digits = len(s) - s.startswith("-")
+    if 0 < sys.get_int_max_str_digits() < digits:
+        return f"integer with {digits} digits is too long"
+    return int(s)
+
+
+def _error(message, position):
+    return "error", f"{message} (at position {position})", position
+
+
+@given(_INT_TEXTS, st.integers(0, 99))
+@example(" -0042\u3000", 3)
+@example("-\u0663", 0)
+def test_integers_are_read_by_one_rule(text, offset):
+    # A span reads its text as it is.
+    expected = _integer_rule(text)
+    if ".." not in text:
+        try:
+            assert _parse_span(text, "--n") == (expected, expected)
+        except CommandError as err:
+            assert type(expected) is str
+            assert str(err) == f"--n expects integers like -2..5, got {text!r}"
+    # A slope strips its text first, and its denominator is the rest after
+    # the "/", unsigned; an error sits at the offset plus the leading
+    # whitespace.
+    core = text.strip()
+    expected = _integer_rule(core) if core else "empty slope"
+    position = offset + len(text) - len(text.lstrip())
+    assert _outcome(parse_slope, text, offset, None) == (
+        ("slope", make_slope(expected, 1)) if type(expected) is int
+        else _error(expected, position))
+    denominator = text.rstrip()
+    expected = _integer_rule(denominator, sign=False)
+    position = offset + 2 + len(denominator) - len(denominator.lstrip())
+    assert _outcome(parse_slope, "1/" + text, offset, None) == (
+        _error(expected, position) if type(expected) is str
+        else _error(slopes._ZERO_DENOMINATOR, offset) if expected == 0
+        else ("slope", make_slope(1, expected)))
