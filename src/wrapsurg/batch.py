@@ -48,7 +48,10 @@ def run_batch(request, out, cli) -> int:
     # longest line, not of its input.  newline="" ends lines at LF, CRLF (also
     # split across two reads) and CR only, not at \x0b, \x0c, \x1c-\x1e,
     # \x85..., as str.splitlines() would.
+    write = out.write  # fails before the input is opened if stdout is None
     if request.batch_file is None:
+        if sys.stdin is None:  # fd 0 was closed at start-up
+            raise cli.CommandError("cannot read batch input: stdin is closed", 2)
         lines = io.TextIOWrapper(sys.stdin.buffer, "utf-8", "surrogateescape", newline="")
     else:
         try:
@@ -59,7 +62,6 @@ def run_batch(request, out, cli) -> int:
     kept_answers = _kept_answers
     kept_knots = cli._kept_knots  # the running module's, which may be __main__
     longest = cli._KNOT_TEXT_LENGTH
-    write = out.write
     pieces: list[str] = []
     capture = _Capture()
     capture.write = pieces.append

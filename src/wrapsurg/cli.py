@@ -3,8 +3,8 @@
 Commands: classify, slopes, normalize, twist, predict, table, batch.
 Knots are written as `K0[...]`/`K1[...]`, slopes as `p/q`, `p`, or `inf`.
 Exit codes: 0 success, 1 stdout closed before the answer was written
-(`wrapsurg ... | head`; a batch stops there), 2 parse error (a flag the
-command does not take, or an answer too long to write as text), 3 invalid
+(`wrapsurg ... | head`, or `>&-`; a batch stops there), 2 parse error (a flag
+the command does not take, or an answer too long to write as text), 3 invalid
 or degenerate knot.  JSON output is the text of json.dumps(payload, indent=2,
 sort_keys=True).  A batch file or stdin decodes as UTF-8 with surrogateescape,
 its lines end at LF, CRLF or CR only, and shlex.split splits each into words;
@@ -447,6 +447,12 @@ def main(argv: list[str] | None = None) -> int:
         # in the `signal` docs shows, so the flush at exit cannot fail again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    except AttributeError:
+        # fd 1 was closed at start-up, so sys.stdout is None and the first
+        # write fails: exit 1, as when the reader closed it.
+        if sys.stdout is not None:
+            raise
         return 1
 
 

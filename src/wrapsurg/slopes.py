@@ -14,12 +14,8 @@ fields take their values from the class's `_defaults`, and a wrong number
 of values raises `TypeError`.  A class that writes no `__init__` gets one
 from `Record.__init_subclass__`, fitted to it: the constructor holds the
 class's field setters, arity and defaults, so a call reads none of them off
-the class.  For a class of 4, 5 or 8 fields, the arities of the records a
-cold knot builds most (`NormalForm`, `SurgeryClassification`, `Analysis`),
-the constructor unpacks the values and calls each setter once, in
-straight-line code; a call with omitted values, and a class of any other
-arity, sets the fields in a loop.  Records are immutable (assigning or
-deleting a field raises `AttributeError`), equal when of one class with
+the class, and sets the fields in a loop.  Records are immutable (assigning
+or deleting a field raises `AttributeError`), equal when of one class with
 equal fields, hashable by their fields, picklable and copyable.
 """
 from __future__ import annotations
@@ -87,10 +83,7 @@ class Record:
 
 def _fitted_init(cls: type) -> Callable[..., None]:
     """The constructor of a record class without its own: it holds the
-    class's field setters and defaults, and sets the fields from its values.
-    For the arities of the hot records (4, 5 and 8 fields) it unpacks them
-    and calls each setter once, in straight-line code, and hands any other
-    count of values to the constructor that loops over the fields."""
+    class's field setters and defaults, and sets the fields from its values."""
     setters, defaults = cls._setters, cls._defaults
     arity = len(setters)
     shortest = arity - len(defaults)
@@ -106,45 +99,6 @@ def _fitted_init(cls: type) -> Callable[..., None]:
         for set_field, value in zip(setters, values):
             set_field(self, value)
 
-    looped = __init__
-    if arity == 4:
-        set0, set1, set2, set3 = setters
-
-        def __init__(self, *values):
-            if len(values) != 4:
-                return looped(self, *values)
-            v0, v1, v2, v3 = values
-            set0(self, v0)
-            set1(self, v1)
-            set2(self, v2)
-            set3(self, v3)
-    elif arity == 5:
-        set0, set1, set2, set3, set4 = setters
-
-        def __init__(self, *values):
-            if len(values) != 5:
-                return looped(self, *values)
-            v0, v1, v2, v3, v4 = values
-            set0(self, v0)
-            set1(self, v1)
-            set2(self, v2)
-            set3(self, v3)
-            set4(self, v4)
-    elif arity == 8:
-        set0, set1, set2, set3, set4, set5, set6, set7 = setters
-
-        def __init__(self, *values):
-            if len(values) != 8:
-                return looped(self, *values)
-            v0, v1, v2, v3, v4, v5, v6, v7 = values
-            set0(self, v0)
-            set1(self, v1)
-            set2(self, v2)
-            set3(self, v3)
-            set4(self, v4)
-            set5(self, v5)
-            set6(self, v6)
-            set7(self, v7)
     return __init__
 
 

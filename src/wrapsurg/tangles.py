@@ -3,16 +3,12 @@
 A Montesinos tangle is the ordered horizontal sum of rational tangles, and
 a rational tangle is its finite slope, so a tangle is its tuple of entry
 slopes, read from the text `[t1,...,tk]` by `parse_tangle` (and `read_tangle`,
-which `wrapped.parse_knot` calls).  A tangle whose entry texts have at most 64
-characters each is read in one pass: each entry comes straight from
-`parse_slope`'s memo, and no position is counted.  Only if an entry fails
-are the entries read again, each with its position, so that every
-`ParseError` keeps its message and position.  `normalize`
-reduces a tangle under the four equivalence moves (entrywise integer shifts
-with fixed sum, reversal, the mirror image, and the meridional twist of a
-single entry) to its normal form.  A `Move` records one move as `--moves`
-prints it; the moves on tangles, and `equivalent` with its witnesses, are in
-`wrapsurg.moves`, which no request loads.
+which `wrapped.parse_knot` calls), each entry by `parse_slope` at its own
+position.  `normalize` reduces a tangle under the four equivalence moves
+(entrywise integer shifts with fixed sum, reversal, the mirror image, and the
+meridional twist of a single entry) to its normal form.  A `Move` records one
+move as `--moves` prints it; the moves on tangles, and `equivalent` with its
+witnesses, are in `wrapsurg.moves`, which no request loads.
 
 How a tangle joins its four endpoints, and so whether its wrapped closure is
 a knot and how often that knot winds, depends only on the parities of its
@@ -24,10 +20,7 @@ from __future__ import annotations
 from enum import Enum
 from operator import attrgetter
 
-from .slopes import (
-    _MEMO_TEXT_LENGTH, ParseError, Record, Slope, _slope_memo, parse_slope,
-    split_integer_parts, stripped,
-)
+from .slopes import ParseError, Record, Slope, parse_slope, split_integer_parts, stripped
 
 
 class Pairing(Enum):
@@ -214,26 +207,14 @@ def parse_tangle(text: str, offset: int = 0) -> MontesinosTangle:
 
 def read_tangle(s: str, offset: int) -> MontesinosTangle:
     """`parse_tangle` of text `s` without surrounding whitespace, whose first
-    character is at position `offset`.  When every entry text has at most
-    _MEMO_TEXT_LENGTH characters, the entries are read in one pass through
-    `parse_slope`'s memo, counting no positions; only if one fails are they
-    read again with their positions, so that the error is the same."""
+    character is at position `offset`."""
     if not s.startswith("[") or not s.endswith("]"):
         raise ParseError("tangle syntax is [t1,...,tk]", offset)
     inner, position = s[1:-1], offset + 1
     if not inner.strip():
         raise ParseError("tangle needs at least one entry", position)
-    pieces = inner.split(",")
     entries = []
-    if max(map(len, pieces)) <= _MEMO_TEXT_LENGTH:
-        try:
-            for piece in pieces:
-                entries.append(_slope_memo(piece, _NOT_AN_ENTRY))
-        except ParseError:
-            entries = []
-        else:
-            return MontesinosTangle(entries)
-    for piece in pieces:
+    for piece in inner.split(","):
         entries.append(parse_slope(piece, position, _NOT_AN_ENTRY))
         position += len(piece) + 1
     return MontesinosTangle(entries)

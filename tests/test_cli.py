@@ -549,6 +549,26 @@ def test_closed_stdout_exits_1_without_a_traceback():
         assert "Traceback" not in err and "Exception" not in err, args
 
 
+@pytest.mark.parametrize(("args", "redirect", "code", "error"), [
+    (["batch"], "<&-", 2, "error: cannot read batch input: "),
+    (["classify", "K0[3]", "7"], ">&-", 1, ""),
+    (["batch"], ">&-", 1, ""),
+    (["classify", "K0[3", "7"], ">&-", 2, "error: bad knot expression: "),
+], ids=["batch-no-stdin", "classify-no-stdout", "batch-no-stdout", "bad-knot-no-stdout"])
+def test_a_stream_closed_at_start_up_gives_an_exit_code_not_a_traceback(args, redirect, code,
+                                                                         error):
+    # The interpreter sets sys.stdin or sys.stdout to None when fd 0 or fd 1
+    # is closed at start-up.
+    child = subprocess.run(
+        ["/bin/sh", "-c", f'exec "$0" -m wrapsurg.cli "$@" {redirect}', sys.executable, *args],
+        input="classify K0[3] 7\n", env=python_env(), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert child.returncode == code, child.stderr
+    assert child.stderr.startswith(error) if error else not child.stderr, child.stderr
+    assert "Traceback" not in child.stderr and not child.stdout
+
+
 # 0, +-1, and integers of up to about three hundred digits, well inside the
 # 4300-digit text limit.
 _integers = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10**300, 10**300))

@@ -165,8 +165,8 @@ def test_record_is_built_from_its_fields_in_slot_order(record):
 
 
 # A record class of each arity from 1 to 9, with 0 to 3 optional fields, at
-# module level so that its records pickle: `_fitted_init` writes out the
-# constructors of 4, 5 and 8 fields and loops over the others.
+# module level so that its records pickle: `_fitted_init` fits its one
+# looped constructor to each.
 _ARITY_CLASSES = []
 for _arity in range(1, 10):
     for _optional in range(min(_arity, 3) + 1):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from wrapsurg import (
     MERIDIAN,
     InfinityInputError,
+    MontesinosTangle,
     ParseError,
     Slope,
     ZeroZeroError,
@@ -244,6 +245,29 @@ def test_the_slope_memo_answers_as_the_uncached_reader(text, offset, other_offse
             == _outcome(_read_slope, text, other_offset, meridian))
     other = None if meridian else _NOT_AN_ENTRY
     assert _outcome(parse_slope, text, offset, other) == _outcome(_read_slope, text, offset, other)
+
+
+@given(st.lists(_SLOPE_TEXTS, min_size=1, max_size=5), _SPACE, _SPACE, st.integers(0, 99))
+@example(["1/2", " -3 ", "9" * 4300], "", "", 0)
+@example(["1/2", "1" * 4301, "x7"], " ", "", 5)
+@example(["9" * 4300, "inf", "1/0"], "", "\t", 0)
+def test_a_tangle_is_its_entries_each_read_at_its_own_position(entries, lead, trail, offset):
+    # Entry texts of at most 64 characters and longer ones, valid or not.
+    inner = ",".join(entries)
+    position = offset + len(lead) + 1  # of the first entry
+    expected = []
+    try:
+        if not inner.strip():
+            raise ParseError("tangle needs at least one entry", position)
+        for entry in entries:
+            expected.append(parse_slope(entry, position, _NOT_AN_ENTRY))
+            position += len(entry) + 1
+    except ParseError as err:
+        with pytest.raises(ParseError) as caught:
+            parse_tangle(f"{lead}[{inner}]{trail}", offset)
+        assert (str(caught.value), caught.value.position) == (str(err), err.position)
+    else:
+        assert parse_tangle(f"{lead}[{inner}]{trail}", offset) == MontesinosTangle(expected)
 
 
 # Integer texts: ASCII and Unicode digits, ASCII and Unicode whitespace, signs,
