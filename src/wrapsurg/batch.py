@@ -2,24 +2,21 @@
 stdin one request line at a time.
 
 `wrapsurg.cli` imports this module on its first `batch` request, so a
-one-shot request never loads it.  The command-line module that parses and
-answers each line is passed in, not imported: under `python -m
-wrapsurg.cli` it is `__main__`, and importing `wrapsurg.cli` here would load
-a second copy of it, with caches and an error class of its own.
+one-shot request never loads it.
 
 `_kept_answers` keeps the answer text of request lines, by the line stripped
 of its shlex whitespace, in an LRU of _ANSWER_CACHE_SIZE (2048) lines, and a
-repeated line is written from it with the two writes `cli.run` makes: it is
+repeated line is written from it with the two writes `cli.main` makes: it is
 not split, parsed, analysed or rendered again.  A line is kept when it
 answers with exit 0, has no `--n` or `--range` span, has at most
-`cli._KNOT_TEXT_LENGTH` (128) characters, and the CLI's `_kept_knots` (of the
-passed module) already keeps its knot, so from its knot text's third request
-on; a failed line is never kept, and each of its repeats prints its own
-`line N: error`.  A batch of distinct knots keeps no line and pays one failed
-lookup per line.  At the bound the memo takes 1.19 MB under tracemalloc after
-the seed-101 `batch_hot` file (answers of 370 characters on average) and
-2.95 MB with answers of 1.3 KB, the largest that a line of 128 characters
-without a span was seen to give.
+`cli._KNOT_TEXT_LENGTH` (128) characters, and the CLI's `_kept_knots` already
+keeps its knot, so from its knot text's third request on; a failed line is
+never kept, and each of its repeats prints its own `line N: error`.  A batch
+of distinct knots keeps no line and pays one failed lookup per line.  At the
+bound the memo takes 1.19 MB under tracemalloc after the seed-101 `batch_hot`
+file (answers of 370 characters on average) and 2.95 MB with answers of
+1.3 KB, the largest that a line of 128 characters without a span was seen to
+give.
 """
 from __future__ import annotations
 
@@ -27,20 +24,15 @@ import io
 import sys
 from collections import OrderedDict
 
+from . import cli
+
 # The kept answers by stripped request line, the least recently used first.
 _ANSWER_CACHE_SIZE = 2048
 _kept_answers: OrderedDict[str, str] = OrderedDict()
 
 
-class _Capture:
-    """A writer whose `write` is the `append` of a list: `cli.run` answers
-    each line into it."""
-
-    __slots__ = ("write",)
-
-
-def run_batch(request, out, cli) -> int:
-    """Answer each line of `request.batch_file`, or of stdin, to `out` with
+def run_batch(request: cli.Request) -> int:
+    """Answer each line of `request.batch_file`, or of stdin, to stdout with
     `cli.parse` and `cli.run`, or from its kept answer; a failed line prints
     its `cli.CommandError` to stderr, and the batch exits with the code of
     the first."""
@@ -48,7 +40,7 @@ def run_batch(request, out, cli) -> int:
     # longest line, not of its input.  newline="" ends lines at LF, CRLF (also
     # split across two reads) and CR only, not at \x0b, \x0c, \x1c-\x1e,
     # \x85..., as str.splitlines() would.
-    write = out.write  # fails before the input is opened if stdout is None
+    write = sys.stdout.write  # fails before the input is opened if stdout is None
     if request.batch_file is None:
         if sys.stdin is None:  # fd 0 was closed at start-up
             raise cli.CommandError("cannot read batch input: stdin is closed", 2)
@@ -60,21 +52,18 @@ def run_batch(request, out, cli) -> int:
         except OSError as err:
             raise cli.CommandError(f"cannot read batch file: {err}", 2)
     kept_answers = _kept_answers
-    kept_knots = cli._kept_knots  # the running module's, which may be __main__
+    kept_knots = cli._kept_knots
     longest = cli._KNOT_TEXT_LENGTH
-    pieces: list[str] = []
-    capture = _Capture()
-    capture.write = pieces.append
     exit_code = 0
     try:
-        for number, line in _numbered(lines, cli.CommandError):
+        for number, line in _numbered(lines):
             text = line.strip(" \t\r\n")  # shlex's whitespace, not str.strip()'s
             if not text or text.startswith("#"):
                 continue
             answer = kept_answers.get(text)
             if answer is not None:
                 kept_answers.move_to_end(text)
-                # The two writes `cli.run` makes.
+                # The two writes `cli.main` makes.
                 write(answer)
                 write("\n")
                 continue
@@ -89,11 +78,7 @@ def run_batch(request, out, cli) -> int:
                 # Whether `_kept_knots` keeps the knot before this request.
                 keep = (sub.knot_text in kept_knots and len(text) <= longest
                         and sub.n_range is None and sub.slope_range is None)
-                # Run into `pieces`, which then holds the answer and its
-                # newline; a failed line raises before either is written.
-                pieces.clear()
-                cli.run(sub, out=capture)
-                answer = pieces[0]
+                answer = cli.run(sub)
                 write(answer)
                 write("\n")
                 if keep:
@@ -101,7 +86,7 @@ def run_batch(request, out, cli) -> int:
                     if len(kept_answers) > _ANSWER_CACHE_SIZE:
                         kept_answers.popitem(last=False)
             except cli.CommandError as err:
-                print(f"line {number}: error: {err}", file=sys.stderr)
+                cli._report(f"line {number}: error: {err}")
                 if exit_code == 0:
                     exit_code = err.code
     finally:
@@ -112,14 +97,13 @@ def run_batch(request, out, cli) -> int:
     return exit_code
 
 
-def _numbered(lines, command_error):
+def _numbered(lines):
     """(number, line) for the lines of a batch, from 1.  An error reading
-    them exits 2 (`command_error`); an error raised while a line is answered
-    is not caught."""
+    them exits 2; an error raised while a line is answered is not caught."""
     try:
         yield from enumerate(lines, start=1)
     except OSError as err:
-        raise command_error(f"cannot read batch input: {err}", 2) from None
+        raise cli.CommandError(f"cannot read batch input: {err}", 2) from None
 
 
 def _split(text: str) -> list[str]:

@@ -13,12 +13,12 @@ longest line, not of its length.
 Importing this module loads only what every request runs: the text writer is
 here; `wrapsurg.jsonwriter`, the JSON writer, is imported by the first JSON
 answer (and bound to `_json_answer`), and `wrapsurg.batch`, the batch reader,
-by the first `batch` request.  Each is handed what it reads of this module
-(`_span_rows`; `parse`, `run` and `CommandError`) instead of importing it, so
-that under `python -m wrapsurg.cli`, where this module is `__main__`, it is
-not loaded a second time.  No request loads `json` (the writer quotes strings
-with its C helper `_json`), and only a batch line that `batch._split` cannot
-split by str methods loads `shlex` (and with it `re`).
+by the first `batch` request.  Both import this module: under `python -m
+wrapsurg.cli`, where it runs as `__main__`, it first registers itself in
+`sys.modules` as `wrapsurg.cli`, so that neither loads a second copy, with
+caches and an error class of its own.  No request loads `json` (the writer
+quotes strings with its C helper `_json`), and only a batch line that
+`batch._split` cannot split by str methods loads `shlex` (and with it `re`).
 A `--range` or `--n` span holds at most MAX_SPAN_ROWS (1,000,000) rows; a
 longer one exits 2.
 
@@ -187,12 +187,9 @@ def _parse_span(text: str | None, flag: str) -> tuple[int, int]:
     return lo, hi
 
 
-def run(request: Request, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    if request.command == "batch":
-        from .batch import run_batch
-
-        return run_batch(request, out, sys.modules[__name__])
+def run(request: Request) -> str:
+    """The answer text of a request other than `batch`; a failed request
+    raises `CommandError`."""
     knot_text = request.knot_text or ""
     try:
         knot = _knot(knot_text)
@@ -209,9 +206,8 @@ def run(request: Request, out=None) -> int:
     try:
         answer = _answer(request, knot, slope)
         if request.fmt == "json":
-            text = (_json_answer or _json_writer())(request, knot, slope, answer, _span_rows)
-        else:
-            text = _text_answer(request, knot, answer)
+            return (_json_answer or _json_writer())(request, knot, slope, answer)
+        return _text_answer(request, knot, answer)
     except DegenerateKnotError as err:
         raise CommandError(str(err), 3)
     except ValueError as err:
@@ -224,12 +220,6 @@ def run(request: Request, out=None) -> int:
             " digits, the limit for writing an integer as text",
             2,
         ) from None
-    # The writes print() makes, without its argument handling.  The newline
-    # is a write of its own: a long text cut short by a closed pipe raises
-    # only at the next write or flush.
-    out.write(text)
-    out.write("\n")
-    return 0
 
 
 # `jsonwriter.json_answer`, bound by the first JSON answer.
@@ -301,6 +291,7 @@ def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
         return ()
     analysis = knot.analysis
     if analysis.nf.degenerate:
+        # The kept text: `require_hyperbolic`'s error writes the knot out again.
         raise DegenerateKnotError(knot.text)
     if command in ("classify", "predict"):
         result = analysis.classify(slope)
@@ -436,11 +427,22 @@ def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     try:
         request = parse(args)
-        code = run(request)
+        if request.command == "batch":
+            from .batch import run_batch
+
+            code = run_batch(request)
+        else:
+            code = 0
+            text = run(request)
+            # The writes print() makes, without its argument handling.  The
+            # newline is a write of its own: a long text cut short by a
+            # closed pipe raises only at the next write or flush.
+            sys.stdout.write(text)
+            sys.stdout.write("\n")
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except CommandError as err:
-        print(f"error: {err}", file=sys.stderr)
+        _report(f"error: {err}")
         return err.code
     except BrokenPipeError:
         # The reader closed stdout.  Point it at devnull, as the SIGPIPE note
@@ -456,5 +458,20 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def _report(message: str) -> None:
+    """Print `message` to stderr, or drop it if fd 2 was closed at start-up:
+    then sys.stderr is None (and print() would write to stdout), or a writer
+    on whatever file took fd 2 before, open for reading only, whose write
+    raises OSError."""
+    if sys.stderr is not None:
+        try:
+            print(message, file=sys.stderr)
+        except OSError:
+            pass
+
+
 if __name__ == "__main__":
+    # `python -m wrapsurg.cli`: `batch` and `jsonwriter` import this module
+    # under its own name (see the module docstring).
+    sys.modules["wrapsurg.cli"] = sys.modules[__name__]
     sys.exit(main())

@@ -8,22 +8,17 @@ of a knot's answers are rendered once, by `_fragments`, into the knot's
 `json` slot in `cli._knot`; an answer is then assembled from them, one
 %-template per answer shape and one per row of a `sweep` or `surgeries`
 list, so that a warm answer other than `twist` builds no dict.  The rows of
-a span are sliced from the text writer's chunks by `cli._span_rows`, which
-`cli` passes in: this module does not import `wrapsurg.cli`, which under
-`python -m wrapsurg.cli` is `__main__` and would load a second time.
+a span are sliced from the text writer's chunks by `cli._span_rows`.
 """
 from __future__ import annotations
 
 from _json import encode_basestring_ascii as _quote
 
 from .classify import FamilyKind, FamilyPrediction, SurgeryClassification, SurgeryType
+from .cli import Request, _Knot, _span_rows
 from .slopes import Slope
 from .tangles import NormalForm
 from .wrapped import TwistedImage
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .cli import Request, _Knot
 
 
 def _json(value, indent: str) -> str:
@@ -73,10 +68,9 @@ _HYPERBOLIC_ROW = '    {\n      "slope": "%d",\n      "type": "hyperbolic"\n    
 _NULL_ROW = '    {\n      "n": %d,\n      "result": null\n    }'
 
 
-def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tuple,
-                span_rows) -> str:
+def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tuple) -> str:
     """The JSON text of `answer`, the records `cli._answer` gives for the
-    request; `span_rows` is `cli._span_rows`."""
+    request."""
     pieces = knot.json
     if pieces is None:
         pieces = knot.json = _fragments(knot)
@@ -102,7 +96,7 @@ def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tupl
             family = "null" if prediction is None else _json(_prediction_json(prediction), "  ")
         surgeries = ""
         if rows is not None:
-            surgeries = _rows("surgeries", span_rows(_NULL_ROW, rows) if type(rows) is tuple
+            surgeries = _rows("surgeries", _span_rows(_NULL_ROW, rows) if type(rows) is tuple
                               else [_SURGERY_ROW % (n, _quote(known)) for n, known in rows])
         return _CLASSIFY_JSON % (classification, moves, family, given, nf, surgeries)
     if command in ("slopes", "table"):
@@ -110,7 +104,7 @@ def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tupl
         if exceptional_fragment is None:  # raises: an integer too long to write
             exceptional_fragment = _json(_exceptional_json(exceptional), "  ")
         rows = "" if span is None else _rows(
-            "sweep", span_rows(_HYPERBOLIC_ROW, span, exceptional, _SWEEP_ROW))
+            "sweep", _span_rows(_HYPERBOLIC_ROW, span, exceptional, _SWEEP_ROW))
         return _SLOPES_JSON % (moves, exceptional_fragment, given, nf, rows)
     if command == "twist":
         images = _json([_image_json(image, fraction) for image, fraction in answer], "  ")

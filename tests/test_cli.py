@@ -428,9 +428,8 @@ def test_a_long_batch_takes_the_memory_of_a_short_one(tmp_path):
 def _as_shlex_splits(line):
     """Exit code, stdout and stderr of `line` as one batch line, answered by
     parsing shlex.split(line)."""
-    out = io.StringIO()
     try:
-        return cli.run(cli.parse(shlex.split(line)), out=out), out.getvalue(), ""
+        return 0, cli.run(cli.parse(shlex.split(line))) + "\n", ""
     except cli.CommandError as err:
         return err.code, "", f"line 1: error: {err}\n"
 
@@ -549,24 +548,34 @@ def test_closed_stdout_exits_1_without_a_traceback():
         assert "Traceback" not in err and "Exception" not in err, args
 
 
-@pytest.mark.parametrize(("args", "redirect", "code", "error"), [
-    (["batch"], "<&-", 2, "error: cannot read batch input: "),
-    (["classify", "K0[3]", "7"], ">&-", 1, ""),
-    (["batch"], ">&-", 1, ""),
-    (["classify", "K0[3", "7"], ">&-", 2, "error: bad knot expression: "),
-], ids=["batch-no-stdin", "classify-no-stdout", "batch-no-stdout", "bad-knot-no-stdout"])
+@pytest.mark.parametrize(("args", "redirect", "code", "error", "answered"), [
+    (["batch"], "<&-", 2, "error: cannot read batch input: ", False),
+    (["classify", "K0[3]", "7"], ">&-", 1, "", False),
+    (["batch"], ">&-", 1, "", False),
+    (["classify", "K0[3", "7"], ">&-", 2, "error: bad knot expression: ", False),
+    (["classify", "K0[3", "7"], "2>&-", 2, "", False),
+    (["batch"], "2>&-", 2, "", True),
+    (["classify", "K0[3", "7"], "2</dev/null", 2, "", False),
+    (["batch"], "2</dev/null", 2, "", True),
+], ids=["batch-no-stdin", "classify-no-stdout", "batch-no-stdout", "bad-knot-no-stdout",
+        "bad-knot-no-stderr", "batch-no-stderr", "bad-knot-read-only-stderr",
+        "batch-read-only-stderr"])
 def test_a_stream_closed_at_start_up_gives_an_exit_code_not_a_traceback(args, redirect, code,
-                                                                         error):
-    # The interpreter sets sys.stdin or sys.stdout to None when fd 0 or fd 1
-    # is closed at start-up.
+                                                                         error, answered):
+    # The interpreter sets sys.stdin, sys.stdout or sys.stderr to None when
+    # fd 0, 1 or 2 is closed at start-up.  Fd 2 may instead hold a file open
+    # for reading only (a launcher script the shell left there), so that
+    # sys.stderr is a writer whose writes fail: either way an error message
+    # is dropped, and a batch goes on to its next line.
     child = subprocess.run(
         ["/bin/sh", "-c", f'exec "$0" -m wrapsurg.cli "$@" {redirect}', sys.executable, *args],
-        input="classify K0[3] 7\n", env=python_env(), capture_output=True, text=True,
-        timeout=60,
+        input="classify K0[3 7\nclassify K0[3] 7\n", env=python_env(), capture_output=True,
+        text=True, timeout=60,
     )
     assert child.returncode == code, child.stderr
     assert child.stderr.startswith(error) if error else not child.stderr, child.stderr
-    assert "Traceback" not in child.stderr and not child.stdout
+    assert "Traceback" not in child.stderr
+    assert child.stdout == (_main_out("classify", "K0[3]", "7")[1] if answered else "")
 
 
 # 0, +-1, and integers of up to about three hundred digits, well inside the

@@ -129,7 +129,7 @@ def test_import_loads_the_request_path_and_the_rest_on_first_use():
         "      wrapsurg.equivalent(T('[5/3,-2/3]'), T('[2/3,1/3]'))[0] == wrapsurg.Move('shift'))\n"
         "print(package())\n"
         "from wrapsurg import *\n"
-        "import wrapsurg.jsonwriter\n"  # not `cli`, which hands it what it reads
+        "import wrapsurg.jsonwriter\n"  # and with it `cli`, whose span rows it reads
         "print(package())\n"
         "print(callable(wrapsurg.classify), classify is wrapsurg.classify, len(wrapsurg.__all__))\n"
     )
@@ -137,32 +137,58 @@ def test_import_loads_the_request_path_and_the_rest_on_first_use():
         str(_PACKAGE),
         "None True",
         str(sorted([*_PACKAGE, "wrapsurg.moves"])),
-        str(sorted([*_PACKAGE, "wrapsurg.jsonwriter", "wrapsurg.moves", "wrapsurg.seifert"])),
+        str(sorted([*_PACKAGE, "wrapsurg.cli", "wrapsurg.jsonwriter", "wrapsurg.moves",
+                    "wrapsurg.seifert"])),
         "True True 61",
     ]
 
 
-@pytest.mark.parametrize("argv, stdin", [
-    (["classify", "K1[-1/2,1/3]", "7", "--format", "json"], None),
-    (["batch"], "classify K1[-1/2,1/3] 7 --format json\nclassify K1[-1/2,1/3] 7\n"),
-], ids=["json", "batch"])
-def test_python_m_loads_the_cli_module_once(argv, stdin):
-    # `python -m wrapsurg.cli` runs the module as `__main__`.  The JSON writer
-    # and the batch reader are handed what they read of it, so neither loads
-    # `wrapsurg.cli` beside it; -X importtime names every module imported.
+# A batch whose lines repeat, so that the later ones are written from their
+# kept answers, read off the knot cache of the running module; its one bad
+# slope and its degenerate knot fail each of their lines, and it exits 2.
+_REPEATS = "".join(f"{line}\n" for line in [
+    "classify K1[-1/2,1/3] 7", "slopes K1[-1/2,1/3] --format json --moves",
+    "predict K1[-1/2,1/3] 6 --n -2..2", "classify 'K1[-1/2,1/3]' 1/0x",
+    "normalize K0[0]", "classify K0[0] 1"] * 4)
+# The argv, stdin and exit code of each request, run plain and under -O.
+_PYTHON_M_CASES = {
+    "text": (["classify", "K1[-1/2,1/3]", "7"], "", 0),
+    "json": (["classify", "K1[-1/2,1/3]", "7", "--format", "json"], "", 0),
+    "batch": (["batch"], _REPEATS, 2),
+    "batch-file": (["batch", "repeats.txt"], "", 2),
+}
+
+
+@pytest.mark.parametrize("argv, stdin, code, optimize", [
+    *((*case, []) for case in _PYTHON_M_CASES.values()),
+    *((*case, ["-O"]) for case in _PYTHON_M_CASES.values()),
+], ids=[*_PYTHON_M_CASES, *(f"{name}-O" for name in _PYTHON_M_CASES)])
+def test_python_m_loads_the_cli_module_once(argv, stdin, code, optimize, tmp_path):
+    # `python -m wrapsurg.cli` runs the module as `__main__`, which registers
+    # itself as `wrapsurg.cli`, so neither the JSON writer nor the batch
+    # reader loads `wrapsurg.cli` beside it (-X importtime names every module
+    # imported), and its stdout, stderr and exit code are in-process `main`'s.
+    (tmp_path / "repeats.txt").write_text(_REPEATS, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "wrapsurg.cli", *argv],
-                          input=stdin, env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
+    done = subprocess.run(
+        [sys.executable, *optimize, "-X", "importtime", "-m", "wrapsurg.cli", *argv],
+        input=stdin, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
                 if line.startswith("import time:")}
-    assert "wrapsurg.jsonwriter" in imported and "wrapsurg.cli" not in imported
-    assert ("wrapsurg.batch" in imported) == (argv == ["batch"])
+    assert "wrapsurg.cli" not in imported
+    assert ("wrapsurg.jsonwriter" in imported) == ("json" in argv or argv[0] == "batch")
+    assert ("wrapsurg.batch" in imported) == (argv[0] == "batch")
     script = ("import io, sys\n"
               "from wrapsurg.cli import main\n"
-              f"sys.stdin = io.TextIOWrapper(io.BytesIO({(stdin or '').encode()!r}))\n"
+              f"sys.stdin = io.TextIOWrapper(io.BytesIO({stdin.encode()!r}))\n"
               f"sys.exit(main({argv!r}))\n")
-    assert _fresh(script) == done.stdout.splitlines()
+    in_process = subprocess.run([sys.executable, *optimize, "-c", script], cwd=tmp_path,
+                                env=env, capture_output=True, text=True, timeout=60)
+    errors = "".join(line for line in done.stderr.splitlines(keepends=True)
+                     if not line.startswith("import time:"))
+    assert done.returncode == in_process.returncode == code, errors
+    assert done.stdout == in_process.stdout
+    assert errors == in_process.stderr
 
 
 def _tokens(path: Path) -> int:
