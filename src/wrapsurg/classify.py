@@ -14,15 +14,15 @@ the S^3 surgeries of the twisted images are known there.  This module states
 tables only: the oracles it reads are checked in the modules that own them,
 the push-off framing in `wrapped` and the S^3 covers in `seifert`.
 
-The slope map states the slope correspondence once:
-r = sigma * (rc - twists * wind^2), whose twist step is
-`wrapped.transport_slope`, n0 -> sigma * (n0 + twists), and its inverse
-nc = sigma * n - twists.  A knot's `Analysis` (`analysis_of`) holds its
-class's table restated by its slope map.  The table depends on the knot only
-through its source, which fixes the winding, and its slope map, so
-`_class_table` builds it once per (source, slope map), in an lru_cache of
-_TABLE_CACHE_SIZE (1024) entries.  `classify` and `predict` look the slope
-up in that table, and a sweep reads its rows off the `exceptional` pairs.
+The slope map states the slope correspondence once, and carries the shift
+of its twists, twists * wind^2 (`twist_shift`), which `_reduce` sets from the
+knot's winding: r = sigma * (rc - shift), n0 -> sigma * (n0 + twists), and
+its inverse nc = sigma * n - twists.  A knot's `Analysis` (`analysis_of`)
+holds its class's table restated by its slope map.  The table depends on the
+knot only through its source and its slope map, so `_class_table` builds it
+once per (source, slope map), in an lru_cache of _TABLE_CACHE_SIZE (1024)
+entries.  `classify` and `predict` look the slope up in that table, and a
+sweep reads its rows off the `exceptional` pairs.
 Nothing here keeps a knot: the module functions analyse the knot on every
 call, so a caller with several questions keeps its `analysis_of(knot)` and
 asks that.
@@ -47,7 +47,7 @@ from types import MappingProxyType
 
 from .slopes import InconsistentCrossCheckError, Record, Slope, make_slope
 from .tangles import MontesinosTangle, Move, NormalForm, normalize, shift_reduced, twist_shift
-from .wrapped import WrappedKnot, pretzel_slope, transport_slope
+from .wrapped import WrappedKnot, pretzel_slope
 
 
 class DegenerateKnotError(ValueError):
@@ -186,16 +186,16 @@ _NO_ENTRY = (None, None, None)
 
 class SlopeMap(Record):
     """How a reduction's moves carry slopes: `sigma` is -1 when they mirror
-    the knot, and `twists` counts their meridional twists after the mirror.
-    Moves keep the winding wind, so an equivalent knot, such as the table
-    source's, gives it too."""
+    the knot, `twists` counts their meridional twists after the mirror, and
+    `shift` is how far those twists move a slope, `twist_shift(twists, wind)`
+    for the knot's winding wind.  Moves keep the winding, so the table
+    source's closure winds as the knot does."""
 
-    __slots__ = ("sigma", "twists")
+    __slots__ = ("sigma", "twists", "shift")
 
-    def slope(self, knot: WrappedKnot, rc: int) -> Slope:
-        """r = sigma * (rc - twists * wind^2) at canonical slope rc."""
-        r = transport_slope(knot, make_slope(rc, 1), -self.twists)
-        return -r if self.sigma < 0 else r
+    def slope(self, rc: int) -> Slope:
+        """r = sigma * (rc - shift) at canonical slope rc."""
+        return make_slope(self.sigma * (rc - self.shift), 1)
 
     def n0(self, n0: int) -> int:  # the knot's twist at canonical twist n0
         return self.sigma * (n0 + self.twists)
@@ -205,7 +205,7 @@ class SlopeMap(Record):
 
 
 # The slope maps of no move and of the mirror alone, and the moves but the twist.
-_IDENTITY, _MIRRORED = SlopeMap(1, 0), SlopeMap(-1, 0)
+_IDENTITY, _MIRRORED = SlopeMap(1, 0, 0), SlopeMap(-1, 0, 0)
 _SHIFT, _MIRROR = Move("shift"), Move("mirror")
 
 
@@ -314,10 +314,10 @@ def _reduce(a: int, tangle: MontesinosTangle, winding: int) -> tuple:
     """The one reduction: the tangle's normal form, the class of its closure
     with `a` wrap crossings, the source of the class's table ((class, a,
     canonical entries), or None), the `Move` records to the class's canonical
-    knot and the `SlopeMap` they compose to.  A genuine pretzel is not
-    mirrored: for a = 1 a mirror moves slopes by r -> -r + 4, which the map
-    does not state yet.  The (-3, 2) pretzel is mirrored (keeping that
-    error in its answers), with no reverse."""
+    knot and the `SlopeMap` they compose to, its shift set from `winding`.
+    A genuine pretzel is not mirrored: for a = 1 a mirror moves slopes by
+    r -> -r + 4, which the map does not state yet.  The (-3, 2) pretzel is
+    mirrored (keeping that error in its answers), with no reverse."""
     nf = normalize(tangle)
     moves = [] if shift_reduced(tangle.entries, nf) else [_SHIFT]
     slope_map, entries = _IDENTITY, None
@@ -326,7 +326,7 @@ def _reduce(a: int, tangle: MontesinosTangle, winding: int) -> tuple:
     elif nf.k1 is not None:
         t, mirrored, twists = nf.k1.t, nf.k1.mirrored, nf.k1.twists
         if twists:
-            slope_map = SlopeMap(-1 if mirrored else 1, twists)
+            slope_map = SlopeMap(-1 if mirrored else 1, twists, twist_shift(twists, winding))
         elif mirrored:
             slope_map = _MIRRORED
         if not t.is_integral():
@@ -347,7 +347,7 @@ def _reduce(a: int, tangle: MontesinosTangle, winding: int) -> tuple:
     if slope_map.sigma < 0:
         moves.append(_MIRROR)
     if slope_map.twists:
-        moves.append(Move("twist", slope_map.twists, twist_shift(slope_map.twists, winding)))
+        moves.append(Move("twist", slope_map.twists, slope_map.shift))
     source = None if entries is None else (knot_class, a, entries)
     return nf, knot_class, source, tuple(moves), slope_map
 
@@ -374,19 +374,18 @@ def _in_window(*numbers: int) -> bool:
 def _class_table(source: tuple,
                  slope_map: SlopeMap) -> tuple[MappingProxyType[Slope, tuple], tuple]:
     """The table of `source` (see `_reduce`) restated by `slope_map`, and its
-    (slope, answer) pairs, ascending; the source's knot gives the winding.  A
-    table without a fixed one has one toroidal slope, the source knot's
-    `pretzel_slope`, traced and cross-checked on every miss.  The Whitehead
-    mate, the one class with notes, has no table."""
+    (slope, answer) pairs, ascending.  A table without a fixed one has one
+    toroidal slope, the `pretzel_slope` of the source's knot, the one knot
+    built here, traced and cross-checked on every miss.  The Whitehead mate,
+    the one class with notes, has no table."""
     knot_class, a, entries = source
-    knot = WrappedKnot(a, MontesinosTangle(entries))
     table = _FIXED_TABLES.get(knot_class)
     if table is None:
-        framing = pretzel_slope(knot).p
+        framing = pretzel_slope(WrappedKnot(a, MontesinosTangle(entries))).p
         table = {framing: _toroidal(ToroidalSource.PRETZEL_SURFACE, framing)}
     restated = {}
     for rc, (answer, family, s3_cover) in table.items():
-        r = slope_map.slope(knot, rc)
+        r = slope_map.slope(rc)
         answer = SurgeryClassification(answer.type, r, answer.certificate,
                                        answer.seifert_indices, answer.notes)
         if family.n0 is not None:

@@ -4,12 +4,12 @@ Commands: classify, slopes, normalize, twist, predict, table, batch.
 Knots are written as `K0[...]`/`K1[...]`, slopes as `p/q`, `p`, or `inf`.
 Exit codes: 0 success, 1 stdout closed before the answer was written
 (`wrapsurg ... | head`, or `>&-`; a batch stops there), 2 parse error (a flag
-the command does not take, or an answer too long to write as text), 3 invalid
-or degenerate knot.  JSON output is the text of json.dumps(payload, indent=2,
-sort_keys=True).  A batch file or stdin decodes as UTF-8 with surrogateescape,
-its lines end at LF, CRLF or CR only, and shlex.split splits each into words;
-it is read as its lines are answered, so a batch takes the memory of its
-longest line, not of its length.
+the command does not take, an answer too long to write as text, or one that
+does not fit in memory), 3 invalid or degenerate knot.  JSON output is the
+text of json.dumps(payload, indent=2, sort_keys=True).  A batch file or stdin
+decodes as UTF-8 with surrogateescape, its lines end at LF, CRLF or CR only,
+and shlex.split splits each into words; it is read as its lines are answered,
+so a batch takes the memory of its longest line, not of its length.
 Importing this module loads only what every request runs: the text writer is
 here; `wrapsurg.jsonwriter`, the JSON writer, is imported by the first JSON
 answer (and bound to `_json_answer`), and `wrapsurg.batch`, the batch reader,
@@ -210,6 +210,8 @@ def run(request: Request) -> str:
         return _text_answer(request, knot, answer)
     except DegenerateKnotError as err:
         raise CommandError(str(err), 3)
+    except MemoryError:  # a span's rows or answer text, past an address-space cap
+        raise CommandError("the answer does not fit in memory", 2) from None
     except ValueError as err:
         # str() of an integer past the interpreter's digit limit; the answer
         # is exact but cannot be written out.
@@ -312,10 +314,13 @@ def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
 
 # -- rows of a span ----------------------------------------------------------
 
-# The text rows of a `table` sweep at a hyperbolic slope and of `--n` surgeries
-# whose S^3 covers are unknown; the JSON ones are in `jsonwriter`.
-_HYPERBOLIC_LINE = "  r=%d: hyperbolic"
-_UNKNOWN_LINE = "  n=%d: unknown"
+# One text row of a `table` sweep and of `--n` surgeries, and the rows that
+# differ only in their integer: a hyperbolic slope, an unknown S^3 cover.  The
+# JSON ones are in `jsonwriter`.
+_SWEEP_LINE = "  r=%s: %s"
+_SURGERY_LINE = "  n=%s: %s"
+_HYPERBOLIC_LINE = _SWEEP_LINE % ("%d", "hyperbolic")
+_UNKNOWN_LINE = _SURGERY_LINE % ("%d", "unknown")
 # `_row_chunk` keeps the last _ROW_CHUNKS chunks of _CHUNK_ROWS rows, each in
 # the keep-window of `classify._in_window`, so every row kept has at most 7
 # digits and the chunks take about 2 MB at most (64 chunks of JSON sweep rows
@@ -368,14 +373,14 @@ def _text_answer(request: Request, knot: _Knot, answer: tuple) -> str:
         if type(rows) is tuple:
             lines += _span_rows(_UNKNOWN_LINE, rows)
         elif rows:
-            lines += [f"  n={n}: {known}" for n, known in rows]
+            lines += [_SURGERY_LINE % row for row in rows]
     elif request.command in ("slopes", "table"):
         exceptional, span = answer
         lines += [f"exceptional {r}: {_describe(result)}" for r, result in exceptional]
         if not exceptional:
             lines.append("exceptional slopes: none")
         if span:
-            lines += _span_rows(_HYPERBOLIC_LINE, span, exceptional, "  r=%d: %s")
+            lines += _span_rows(_HYPERBOLIC_LINE, span, exceptional, _SWEEP_LINE)
     elif request.command == "twist":
         for image, fraction in answer:
             extra = "" if fraction is None else f"  two-bridge {fraction}"

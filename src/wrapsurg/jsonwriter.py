@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from _json import encode_basestring_ascii as _quote
 
-from .classify import FamilyKind, FamilyPrediction, SurgeryClassification, SurgeryType
+from .classify import FamilyPrediction, SurgeryClassification, SurgeryType, _HYPERBOLIC_FAMILY
 from .cli import Request, _Knot, _span_rows
 from .slopes import Slope
 from .tangles import NormalForm
@@ -61,11 +61,12 @@ _NORMALIZE_JSON = '{\n  "equivalence_moves": %s,\n  "input": %s,\n  "normal_form
 # The span and the slope of the `input` record, when the request has them.
 _SPAN_JSON = ',\n    "%s": [\n      %d,\n      %d\n    ]'
 _SLOPE_JSON = ',\n    "slope": "%s"'
-# One row of a JSON `sweep` or `surgeries` list, at its depth in an answer.
-_SWEEP_ROW = '    {\n      "slope": "%d",\n      "type": "%s"\n    }'
-_SURGERY_ROW = '    {\n      "n": %d,\n      "result": %s\n    }'
-_HYPERBOLIC_ROW = '    {\n      "slope": "%d",\n      "type": "hyperbolic"\n    }'
-_NULL_ROW = '    {\n      "n": %d,\n      "result": null\n    }'
+# One row of a JSON `sweep` or `surgeries` list, at its depth in an answer,
+# and the rows that differ only in their integer.
+_SWEEP_ROW = '    {\n      "slope": "%s",\n      "type": "%s"\n    }'
+_SURGERY_ROW = '    {\n      "n": %s,\n      "result": %s\n    }'
+_HYPERBOLIC_ROW = _SWEEP_ROW % ("%d", "hyperbolic")
+_NULL_ROW = _SURGERY_ROW % ("%d", "null")
 
 
 def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tuple) -> str:
@@ -125,8 +126,8 @@ def _fragments(knot: _Knot) -> tuple:
         analysis.require_hyperbolic()
         exceptional = _json(_exceptional_json(analysis.exceptional), "  ")
         table = {r: (_json(_classification_json(answer), "  "),
-                     _json(_prediction_json(family), "  "))
-                 for r, (answer, family, _) in analysis.table.items()}
+                     _json(_prediction_json(analysis.predict(r)), "  "))
+                 for r, answer in analysis.exceptional}
     except ValueError:  # DegenerateKnotError, or past the digit limit
         exceptional, table = None, {}
     # Notes are written with every % doubled, and the slope as "%s".
@@ -213,5 +214,4 @@ def _image_json(image: TwistedImage, fraction: Slope | None) -> dict:
 
 
 # The family prediction at every slope outside a knot's table.
-_HYPERBOLIC_FAMILY_JSON = _json(
-    _prediction_json(FamilyPrediction(FamilyKind.HYPERBOLIC_INTERIOR)), "  ")
+_HYPERBOLIC_FAMILY_JSON = _json(_prediction_json(_HYPERBOLIC_FAMILY), "  ")

@@ -2,13 +2,14 @@
 
 A Montesinos tangle is the ordered horizontal sum of rational tangles, and
 a rational tangle is its finite slope, so a tangle is its tuple of entry
-slopes, read from the text `[t1,...,tk]` by `parse_tangle` (and `read_tangle`,
-which `wrapped.parse_knot` calls), each entry by `parse_slope` at its own
-position.  `normalize` reduces a tangle under the four equivalence moves
-(entrywise integer shifts with fixed sum, reversal, the mirror image, and the
-meridional twist of a single entry) to its normal form.  A `Move` records one
-move as `--moves` prints it; the moves on tangles, and `equivalent` with its
-witnesses, are in `wrapsurg.moves`, which no request loads.
+slopes, read from the text `[t1,...,tk]` by `parse_tangle`, the one reader
+of an entry list (`wrapped.parse_knot` calls it too), each entry by
+`parse_slope` at its own position.  `normalize` reduces a tangle under the
+four equivalence moves (entrywise integer shifts with fixed sum, reversal,
+the mirror image, and the meridional twist of a single entry) to its normal
+form.  A `Move` records one move as `--moves` prints it; the moves on
+tangles, and `equivalent` with its witnesses, are in `wrapsurg.moves`, which
+no request loads.
 
 How a tangle joins its four endpoints, and so whether its wrapped closure is
 a knot and how often that knot winds, depends only on the parities of its
@@ -202,12 +203,7 @@ def parse_tangle(text: str, offset: int = 0) -> MontesinosTangle:
     meridian, written `inf` or with a zero denominator, is not an entry.
     Whitespace may surround the whole and each entry; error positions count
     from `offset`, the position of text[0]."""
-    return read_tangle(*stripped(text, offset))
-
-
-def read_tangle(s: str, offset: int) -> MontesinosTangle:
-    """`parse_tangle` of text `s` without surrounding whitespace, whose first
-    character is at position `offset`."""
+    s, offset = stripped(text, offset)
     if not s.startswith("[") or not s.endswith("]"):
         raise ParseError("tangle syntax is [t1,...,tk]", offset)
     inner, position = s[1:-1], offset + 1

@@ -18,9 +18,7 @@ from functools import lru_cache
 
 from . import tracing
 from .slopes import InconsistentCrossCheckError, ParseError, Record, Slope, make_slope, stripped
-from .tangles import (
-    MontesinosTangle, closure_facts, knot_text, parse_tangle, read_tangle, twist_shift,
-)
+from .tangles import MontesinosTangle, closure_facts, knot_text, parse_tangle, twist_shift
 
 
 class NotAKnotError(ValueError):
@@ -156,10 +154,10 @@ def pretzel_slope(knot: WrappedKnot) -> Slope:
 
 
 def parse_knot(text: str, offset: int = 0) -> WrappedKnot:
-    """Parse `K0[...]` / `K1[...]` in the tangle syntax; every call builds
-    the knot anew, reading each entry through `parse_slope`, whose memo keeps
-    the slopes of the last 2048 short entry texts."""
+    """Parse `K0[...]` / `K1[...]`, the entry list by `parse_tangle`; every
+    call builds the knot anew, reading each entry through `parse_slope`, whose
+    memo keeps the slopes of the last 2048 short entry texts."""
     s, offset = stripped(text, offset)
     if not s.startswith(("K0[", "K1[")):
         raise ParseError("knot syntax is K0[...] or K1[...]", offset)
-    return WrappedKnot(int(s[1]), read_tangle(s[2:], offset + 2))
+    return WrappedKnot(int(s[1]), parse_tangle(s[2:], offset + 2))

@@ -22,6 +22,7 @@ from wrapsurg import (
     SFSKind,
     SurgeryType,
     ToroidalSource,
+    WrappedKnot,
     analysis_of,
     classify,
     equivalent,
@@ -40,8 +41,9 @@ from wrapsurg import (
     transport_slope,
     twist_tangle,
 )
-from wrapsurg.classify import _FIXED_TABLES, SlopeMap
+from wrapsurg.classify import _FIXED_TABLES, SlopeMap, _class_table, _reduce
 from wrapsurg.cli import main
+from wrapsurg.tangles import closure_facts, twist_shift
 from wrapsurg.tracing import pretzel_framing
 
 K = parse_knot
@@ -529,14 +531,14 @@ def test_the_slope_map_sends_each_canonical_slope_to_the_knots_own_on_grid():
         slope_map, table = analysis.slope_map, analysis.table
         if analysis.knot_class in _FIXED_TABLES:
             for rc, (answer, family, _) in _FIXED_TABLES[analysis.knot_class].items():
-                mine, my_family, _ = table[slope_map.slope(knot, rc)]
+                mine, my_family, _ = table[slope_map.slope(rc)]
                 assert mine.type is answer.type, str(knot)
                 n0 = None if family.n0 is None else slope_map.n0(family.n0)
                 assert my_family.n0 == n0, str(knot)
             continue
         # A spanning-surface table: its one slope is the certificate's, canonical.
         canonical = [answer.certificate.slope.p for _, answer in analysis.exceptional]
-        assert [slope_map.slope(knot, rc) for rc in canonical] == list(table), str(knot)
+        assert [slope_map.slope(rc) for rc in canonical] == list(table), str(knot)
 
 
 def test_the_slope_maps_twist_halves_are_inverse_on_grid():
@@ -544,13 +546,55 @@ def test_the_slope_maps_twist_halves_are_inverse_on_grid():
     # that drops sigma from one of them fails under the mirror.
     twisted = 0
     for knot in GRID:
-        twists = analysis_of(knot).slope_map.twists
+        found = analysis_of(knot).slope_map
+        twists = found.twists
         twisted += twists != 0
-        for slope_map in (SlopeMap(1, twists), SlopeMap(-1, twists)):
+        for slope_map in (SlopeMap(1, twists, found.shift), SlopeMap(-1, twists, found.shift)):
             for n in range(-3, 4):
                 assert slope_map.canonical_twist(slope_map.n0(n)) == n, (str(knot), slope_map)
                 assert slope_map.n0(slope_map.canonical_twist(n)) == n, (str(knot), slope_map)
     assert twisted
+
+
+def test_the_slope_maps_shift_is_the_knots_on_grid():
+    # `_reduce` sets the shift from the knot's winding and the table is
+    # restated without the source's knot, which is sound because the
+    # source's closure winds as the knot does.
+    shifted = 0
+    for knot in GRID:
+        analysis = analysis_of(knot)
+        if not analysis.table:
+            continue
+        slope_map = analysis.slope_map
+        assert slope_map.shift == twist_shift(slope_map.twists, knot.winding), str(knot)
+        twist_moves = [move for move in analysis.moves if move.kind == "twist"]
+        assert [move.shift for move in twist_moves] == [slope_map.shift] * bool(slope_map.twists)
+        _, a, entries = _reduce(knot.a, knot.tangle, knot.winding)[2]
+        assert closure_facts(entries, a)[1] == knot.winding, str(knot)
+        shifted += slope_map.shift != 0
+    assert shifted
+
+
+def test_only_a_spanning_surface_table_builds_a_knot(monkeypatch):
+    # A miss of `_class_table` on a fixed table restates it by the slope map
+    # alone; a spanning-surface table traces the source's knot.
+    reductions = [_reduce(knot.a, knot.tangle, knot.winding) for knot in GRID]
+    misses = [(source, slope_map) for _, _, source, _, slope_map in reductions if source]
+    built = []
+    init = WrappedKnot.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(WrappedKnot, "__init__", counting)
+    classes = set()
+    for source, slope_map in misses:
+        built.clear()
+        _class_table.__wrapped__(source, slope_map)
+        assert len(built) == (source[0] not in _FIXED_TABLES), source
+        classes.add(source[0])
+    assert classes >= {KnotClass.WHITEHEAD, KnotClass.PRETZEL_2_3, KnotClass.PRETZEL}
 
 
 # The mirrored (-3, 2) pretzels restate the canonical twisted I-bundle slope 8
@@ -573,4 +617,4 @@ def test_the_map_carries_canonical_8_to_the_pretzel_framing(text):
     knot = K(text)
     assert analysis_of(knot).knot_class is KnotClass.PRETZEL_2_3
     framing = pretzel_framing(knot.tangle.entries, knot.a)
-    assert analysis_of(knot).slope_map.slope(knot, 8) == s(framing)
+    assert analysis_of(knot).slope_map.slope(8) == s(framing)

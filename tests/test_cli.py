@@ -12,6 +12,11 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -575,6 +580,33 @@ def test_a_stream_closed_at_start_up_gives_an_exit_code_not_a_traceback(args, re
     assert child.returncode == code, child.stderr
     assert child.stderr.startswith(error) if error else not child.stderr, child.stderr
     assert "Traceback" not in child.stderr
+    assert child.stdout == (_main_out("classify", "K0[3]", "7")[1] if answered else "")
+
+
+# A million-row JSON sweep, which needs several times the cap below.
+_HUGE_TABLE = ["table", "K0[3]", "--range", "0..999999", "--format", "json"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or resource is None,
+                    reason="caps the child's address space with RLIMIT_AS")
+@pytest.mark.parametrize(("args", "stdin", "code", "error", "answered"), [
+    (_HUGE_TABLE, "", 2, "error: the answer does not fit in memory\n", False),
+    (["batch"], shlex.join(_HUGE_TABLE) + "\nclassify K0[3] 7\n", 2,
+     "line 1: error: the answer does not fit in memory\n", True),
+    (["classify", "K0[3]", "7"], "", 0, "", True),
+], ids=["one-shot", "batch", "small-answer"])
+def test_an_answer_past_a_memory_cap_exits_2_not_a_traceback(args, stdin, code, error,
+                                                            answered):
+    # Under a 100 MB address-space cap, set in the child only: the huge answer
+    # fails with one error line, a batch answers its next line, and a small
+    # answer (under 20 MB at its peak) is not affected.
+    cap = 100 << 20
+    child = subprocess.run(
+        [sys.executable, "-m", "wrapsurg.cli", *args], input=stdin, env=python_env(),
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (child.returncode, child.stderr) == (code, error)
     assert child.stdout == (_main_out("classify", "K0[3]", "7")[1] if answered else "")
 
 

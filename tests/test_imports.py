@@ -71,6 +71,7 @@ _UNREAD = {
     "classify.predict_s3_family": "bench/record_golden.py records the benchmark's answers with it",
     "classify.surgery_in_s3": "bench/record_golden.py records the benchmark's answers with it",
     "wrapped.make_wrapped": "bench/child.py and bench/record_golden.py build their knots with it",
+    "wrapped.transport_slope": "the public slope map under n twists; test_wrapped.py checks it",
     "tangles.MontesinosTangle.from_slopes": "bench/child.py builds its anchor tangles with it",
     "moves.equivalent": "moves with witnesses; the move properties of test_classify.py read them",
     "moves.mirror_tangle": "an equivalence move; the move properties of test_classify.py read it",

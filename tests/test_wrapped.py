@@ -317,7 +317,7 @@ _BOUNDED_CACHES = {
     "class_table": (
         "classify", "_class_table",
         '((c := importlib.import_module("wrapsurg.classify")).KnotClass.WHITEHEAD, 0, '
-        '(c.make_slope(2, 1),)), c.SlopeMap(1, i)'),
+        '(c.make_slope(2, 1),)), c.SlopeMap(1, i, 0)'),
     "slope_text": ("slopes", "_slope_memo", '"%d/7" % i, None'),
     "row_chunk": ("cli", "_row_chunk", '"%d", i'),
 }
