@@ -8,9 +8,9 @@ machine-checkable certificates (Seifert invariants, pretzel slopes, and
 predictions for the surgery families of the twisted embeddings in S^3).
 
 Importing the package loads the modules every request runs (`slopes`,
-`tangles`, `tracing`, `wrapped` and `classify`).  The names of `seifert`
-and `moves` are given by `__getattr__`, which imports their module on the
-first use of one of them.
+`tangles`, `wrapped` and `classify`).  The names of `seifert`, `moves` and
+the strand-tracing oracle `tracing` are given by `__getattr__`, which
+imports their module on the first use of one of them.
 """
 from types import ModuleType as _ModuleType
 
@@ -53,8 +53,8 @@ from .tangles import (
     normalize,
     parse_tangle,
 )
-from .tracing import NoPretzelSurfaceError, trace_closure
 from .wrapped import (
+    NoPretzelSurfaceError,
     NotAKnotError,
     NotLengthOneError,
     TwistedImage,
@@ -69,8 +69,8 @@ from .wrapped import (
 
 __version__ = "0.1.0"
 
-# The names of the two modules no request runs, by module: each is imported
-# on the first use of one of its names (PEP 562).
+# The names of the three modules no request runs, by module: each is
+# imported on the first use of one of its names (PEP 562).
 _LAZY = {
     "seifert": (
         "LENS", "REDUCIBLE", "MontesinosLink", "NotATorusKnotError", "SeifertInvariants",
@@ -80,6 +80,7 @@ _LAZY = {
     "moves": (
         "equivalent", "mirror_tangle", "reverse_tangle", "shift_tangle", "twist_tangle",
     ),
+    "tracing": ("trace_closure",),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -11,8 +11,10 @@ of the canonical knot.  Every other slope is hyperbolic.  Each entry states
 the `SurgeryClassification` at its canonical slope rc, the
 `FamilyPrediction` over every re-embedding (its n0 canonical), and whether
 the S^3 surgeries of the twisted images are known there.  This module states
-tables only: the oracles it reads are checked in the modules that own them,
-the push-off framing in `wrapped` and the S^3 covers in `seifert`.
+tables only and checks no oracle: the spanning-surface slope is the integer
+rule of `wrapped.pretzel_slope`, which the tests and the golden runner
+compare with its strand-tracing oracle, and the S^3 covers are checked in
+`seifert`.
 
 The slope map states the slope correspondence once, and carries the shift
 of its twists, twists * wind^2 (`twist_shift`), which `_reduce` sets from the
@@ -376,8 +378,8 @@ def _class_table(source: tuple,
     """The table of `source` (see `_reduce`) restated by `slope_map`, and its
     (slope, answer) pairs, ascending.  A table without a fixed one has one
     toroidal slope, the `pretzel_slope` of the source's knot, the one knot
-    built here, traced and cross-checked on every miss.  The Whitehead mate,
-    the one class with notes, has no table."""
+    built here, by an integer rule on every miss.  The Whitehead mate, the
+    one class with notes, has no table."""
     knot_class, a, entries = source
     table = _FIXED_TABLES.get(knot_class)
     if table is None:

@@ -17,11 +17,9 @@ question asked of a wrapped knot or of its tangle:
 
 A knot takes these facts from the parities of its entries
 (`tangles.closure_facts`) and builds no diagram.  `trace_closure` is the
-independent check of that rule: `wrapped` compares the two on a fixed
-handful of entry lists once per process, before the first knot is built,
-and the tests compare them on every entry list of the k<=2 grid.  So
-`twist_word`, `build_rational_tangle` and `glue_horizontally` serve only
-that oracle, that per-process anchor and `pretzel_framing`.
+independent check of that rule: the tests and the golden runner compare the
+two on every entry list of the k<=2 grid.  No request loads this module;
+the package gives `trace_closure` on its first use.
 
 A diagram is its twist regions and nothing else: two flat integer lists, the
 crossing count per region and the mate of every strand end, so building and
@@ -31,13 +29,16 @@ end for that end's mate.  Every twist word is checked to rebuild its slope
 on every call; the check is an exact integer recurrence on the pair (p, q)
 and needs no gcd.
 
-A second, literal diagram of the same class backs the framing of the
-evident spanning surface of a pretzel-shaped knot: `pretzel_framing` reads
-the entries and the wrap crossings, as `trace_closure` does, builds one
-twist region per pretzel column and walks it once.  By the push-off rule,
-a twist region whose two strands are traversed in parallel contributes
-twice its signed crossing count to the linking number of the knot with its
-surface push-off, and an antiparallel region contributes nothing.
+A second, literal diagram of the same class is the oracle of the framing
+of the evident spanning surface of a pretzel-shaped knot, which
+`wrapped.pretzel_slope` states in integers: `pretzel_framing` reads the
+entries and the wrap crossings, as `trace_closure` does, builds one twist
+region per pretzel column and walks it once.  By the push-off rule, a twist
+region whose two strands are traversed in parallel contributes twice its
+signed crossing count to the linking number of the knot with its surface
+push-off, and an antiparallel region contributes nothing.  The tests and
+the golden runner compare the two on every pretzel shape of the grid and
+on two-entry shapes far beyond it.
 
 Strand conventions: every twist region carries two strands, each with an
 in end and an out end.  Horizontal regions are entered from the left and
@@ -55,13 +56,10 @@ from itertools import cycle
 
 from .slopes import InconsistentCrossCheckError, Record, Slope, expand
 from .tangles import Pairing, knot_text
+from .wrapped import NoPretzelSurfaceError
 
 HORIZONTAL = "h"
 VERTICAL = "v"
-
-
-class NoPretzelSurfaceError(ValueError):
-    """The knot has no evident pretzel spanning surface."""
 
 
 class Diagram:

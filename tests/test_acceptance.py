@@ -27,6 +27,7 @@ from wrapsurg import (
     torus_knot_surgery,
     trace_closure,
 )
+from wrapsurg.tracing import pretzel_framing
 from test_classify import GRID, _comparable, _moved
 
 
@@ -157,7 +158,9 @@ def test_criterion_6_structural_laws():
 def test_criterion_7_oracles():
     assert parse_knot("K0[2]").winding == 0
     assert parse_knot("K1[-1/2,1/3]").winding == 2
-    assert pretzel_slope(parse_knot("K1[-1/2,1/3]")) == make_slope(8, 1)
+    knot = parse_knot("K1[-1/2,1/3]")
+    assert pretzel_slope(knot) == make_slope(8, 1)
+    assert pretzel_framing(knot.tangle.entries, knot.a) == 8
     rng = random.Random(161803)
     by_class = {}
     for _ in range(200):

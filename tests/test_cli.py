@@ -463,7 +463,9 @@ def test_text_requests_import_neither_json_nor_shlex():
         "                         if name.partition('.')[0] == 'wrapsurg')\n"
         "print('@', loaded(), package())\n"
         "for argv in (['classify', 'K1[-1/2,1/3]', '7'],\n"
+        "             ['slopes', 'K0[1/3,1/5]'], ['slopes', 'K0[3]'],\n"
         "             ['classify', 'K1[-1/2,1/3]', '7', '--format', 'json'],\n"
+        "             ['classify', 'K1[1/3,-1/4]', '8', '--format', 'json'],\n"
         "             ['predict', 'K1[-1/2,1/3]', '7', '--n', '0..1']):\n"
         "    code = wrapsurg.cli.main(argv)\n"
         "    print('@', code, loaded(), package())\n"
@@ -475,9 +477,15 @@ def test_text_requests_import_neither_json_nor_shlex():
     )
     assert child.returncode == 0, child.stderr
     report = [line for line in child.stdout.splitlines() if line.startswith("@")]
-    # Every request runs these seven.
+    # The two slopes requests and the second JSON one read a spanning-surface
+    # table, whose slope is the integer rule's.
+    answers = child.stdout
+    assert "exceptional 16: toroidal [pretzel-surface: slope 16]" in answers
+    assert "exceptional 0: toroidal [pretzel-surface: slope 0]" in answers
+    assert '"source": "pretzel-surface"' in answers
+    # Every request runs these six, and none the strand tracer.
     request_path = sorted(["wrapsurg", *(f"wrapsurg.{name}" for name in (
-        "classify", "cli", "slopes", "tangles", "tracing", "wrapped"))])
+        "classify", "cli", "slopes", "tangles", "wrapped"))])
     # A JSON answer loads the JSON writer, and a known S^3 cover `seifert`.
     with_writer = sorted([*request_path, "wrapsurg.jsonwriter"])
     with_seifert = sorted([*with_writer, "wrapsurg.seifert"])
@@ -485,8 +493,8 @@ def test_text_requests_import_neither_json_nor_shlex():
     # with no " or \\ and its ' paired by str methods, loading neither `re`
     # nor `shlex`; a line with a " loads `shlex`, which imports `re`.
     with_batch = sorted([*with_seifert, "wrapsurg.batch"])
-    assert report == [f"@ [] {request_path}", f"@ 0 [] {request_path}",
-                      f"@ 0 [] {with_writer}", f"@ 0 [] {with_seifert}",
+    assert report == [f"@ [] {request_path}", *[f"@ 0 [] {request_path}"] * 3,
+                      *[f"@ 0 [] {with_writer}"] * 2, f"@ 0 [] {with_seifert}",
                       f"@ 0 [] {with_batch}", f"@ 0 ['re', 'shlex'] {with_batch}"]
 
 
@@ -878,7 +886,6 @@ _KNOT_BUILDERS = tuple(name for name in _JSON_BUILDERS if name != "_rows")
 # A request is warm from its third on: the first drops its knot, the second keeps it.
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt):
-    tracing = importlib.import_module("wrapsurg.tracing")
     wrapped = importlib.import_module("wrapsurg.wrapped")
     classify = importlib.import_module("wrapsurg.classify")
     # Texts other than the knots' own, which the answers show as "K1[-1/2,1/3]"
@@ -901,7 +908,6 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
             first = _answer(*args)
             assert _answer(*args) == first  # the second request keeps the knot
             calls = {}
-            count_calls(monkeypatch, calls, tracing, "trace_closure")
             count_calls(monkeypatch, calls, wrapped, "parse_knot")
             count_calls(monkeypatch, calls, classify, "analysis_of")
             count_calls(monkeypatch, calls, wrapped.WrappedKnot, "__str__")

@@ -36,15 +36,20 @@ after a deliberate change, rewrite the file with
 
 Every JSON answer folded into a digest must also be the text of
 json.dumps(json.loads(answer), indent=2, sort_keys=True); `_check_json` raises
-`JSONContractError` on the first that is not.  Besides the digests,
-`_closure_mismatches` compares the parity rule `closure_facts` with
-`trace_closure` on every grid entry list, links included.
+`JSONContractError` on the first that is not.  Besides the digests, the two
+integer rules that keep the strand tracer off the request path are compared
+with it: `_closure_mismatches` compares the parity rule `closure_facts` with
+`trace_closure` on every grid entry list, links included, and
+`_framing_mismatches` compares the spanning-surface rule
+`wrapped.pretzel_slope` with `pretzel_framing` on every pretzel-shaped knot
+of `_framing_shapes`.  Neither rests on assert statements, so both check
+under `python -O` too.
 
 The module imports neither pytest nor hypothesis, so the digests can be checked
 on an interpreter without them: `PYTHONPATH=src python tests/test_golden_cli.py`
-recomputes all sixteen, checks the JSON answers in them and the parity rule on
-the grid, prints the census's unified diff against the file, and exits 1 on a
-mismatch.
+recomputes all sixteen, checks the JSON answers in them, the parity rule on
+the grid and the framing rule on its shapes, prints the census's unified diff
+against the file, and exits 1 on a mismatch.
 """
 import contextlib
 import difflib
@@ -62,12 +67,16 @@ from pathlib import Path
 from wrapsurg import (
     InconsistentCrossCheckError,
     KnotClass,
+    MontesinosTangle,
     NotAKnotError,
+    WrappedKnot,
     analysis_of,
     closure_facts,
     make_slope,
     parse_knot,
+    pretzel_slope,
 )
+from wrapsurg.classify import _FIXED_TABLES, _reduce
 from wrapsurg.cli import main
 from wrapsurg.tracing import pretzel_framing, trace_closure
 
@@ -279,12 +288,56 @@ def _closure_mismatches():
             if rule_disagrees_with_trace(a, entries)]
 
 
+def _framing_shapes():
+    """(a, entries) of each pretzel shape on which the framing rule is checked,
+    links included: (m) with |m| <= 60 and (1/q1,1/q2) with 2 <= |qi| <= 60,
+    which hold every pretzel shape of the grid; (1/q1,1/q2) with q1 or q2
+    within 1 of +-10**5, +-10**6 or +-10**9 and the other among those or of
+    2 <= |q| <= 60; all for a = 0 and 1; and each spanning-surface table
+    source that a grid knot reduces to."""
+    small = [q for q in range(-60, 61) if abs(q) >= 2]
+    big = [sign * (10**k + d) for k in (5, 6, 9) for d in (-1, 0, 1) for sign in (1, -1)]
+    pairs = [*itertools.product(small, small), *itertools.product(big, small + big),
+             *itertools.product(small, big)]
+    shapes = [(make_slope(m, 1),) for m in range(-60, 61)]
+    shapes += [(make_slope(1, q1), make_slope(1, q2)) for q1, q2 in pairs]
+    yield from itertools.product((0, 1), shapes)
+    for knot in _candidates():
+        try:
+            knot = parse_knot(knot)
+        except NotAKnotError:
+            continue
+        source = _reduce(knot.a, knot.tangle, knot.winding)[2]
+        if source is not None and source[0] not in _FIXED_TABLES:
+            yield source[1:]
+
+
+def _framing_mismatches():
+    """The knots of `_framing_shapes`, each once, on which `pretzel_slope`
+    and `pretzel_framing` disagree, and how many knots were compared."""
+    knots = {}
+    for a, entries in _framing_shapes():
+        try:
+            knots[a, entries] = WrappedKnot(a, MontesinosTangle(entries))
+        except NotAKnotError:
+            continue
+    mismatches = [str(knot) for (a, entries), knot in knots.items()
+                  if pretzel_slope(knot).p != pretzel_framing(entries, a)]
+    return mismatches, len(knots)
+
+
 def test_golden_oracle_digest():
     assert _oracle_digest() == ORACLE_GOLDEN
 
 
 def test_parity_rule_equals_the_trace_on_every_grid_entry_list():
     assert _closure_mismatches() == []
+
+
+def test_framing_rule_equals_the_trace_on_every_pretzel_shape():
+    mismatches, compared = _framing_mismatches()
+    assert mismatches == []
+    assert compared == 19222
 
 
 def test_census_matches_the_committed_file():
@@ -417,7 +470,10 @@ if __name__ == "__main__":
     disagreements = _closure_mismatches()
     print(f"parity rule: {len(disagreements)} of 4512 grid closures disagree with trace_closure"
           + "".join(f"\nmismatch: parity rule on {text}" for text in disagreements[:10]))
+    framing, compared = _framing_mismatches()
+    print(f"framing rule: {len(framing)} of {compared} closures disagree with pretzel_framing"
+          + "".join(f"\nmismatch: framing rule on {text}" for text in framing[:10]))
     census = _census_diff()
     print("census: " + (f"differs from tests/golden/census.txt\n{census}" if census
                         else "matches tests/golden/census.txt"), end="" if census else "\n")
-    sys.exit(1 if mismatches or disagreements or census else 0)
+    sys.exit(1 if mismatches or disagreements or framing or census else 0)

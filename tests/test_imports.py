@@ -37,10 +37,11 @@ _NAMESPACE = {
     "moves": (
         "equivalent", "mirror_tangle", "reverse_tangle", "shift_tangle", "twist_tangle",
     ),
-    "tracing": ("NoPretzelSurfaceError", "trace_closure"),
+    "tracing": ("trace_closure",),
     "wrapped": (
-        "NotAKnotError", "NotLengthOneError", "TwistedImage", "WrappedKnot", "make_wrapped",
-        "parse_knot", "pretzel_slope", "transport_slope", "twist", "two_bridge_fraction",
+        "NoPretzelSurfaceError", "NotAKnotError", "NotLengthOneError", "TwistedImage",
+        "WrappedKnot", "make_wrapped", "parse_knot", "pretzel_slope", "transport_slope", "twist",
+        "two_bridge_fraction",
     ),
     "seifert": (
         "LENS", "MontesinosLink", "NotATorusKnotError", "REDUCIBLE", "SFSClass", "SFSKind",
@@ -56,14 +57,14 @@ _NAMESPACE = {
 # What `import wrapsurg` loads: the package and the library modules every
 # request runs.
 _PACKAGE = ["wrapsurg", "wrapsurg.classify", "wrapsurg.slopes", "wrapsurg.tangles",
-            "wrapsurg.tracing", "wrapsurg.wrapped"]
+            "wrapsurg.wrapped"]
 # CPython 3.11's parser grows its token array past 4096 tokens, which costs
 # every process that compiles the module about 0.3 MB of peak RSS.
 _TOKEN_BUDGET = 4096
 # The tokens of every module `import wrapsurg.cli` loads: with bytecode
 # writing off, each process compiles them all before its first request.
 # From Python 3.12 on, tokenize splits each f-string into its parts.
-_IMPORT_PATH_TOKENS = 11161 if sys.version_info < (3, 12) else 11769
+_IMPORT_PATH_TOKENS = 9423 if sys.version_info < (3, 12) else 9934
 # The definitions of src/wrapsurg that no code in src/ reads, each with the
 # reason it stays.  Every other one must have a reader.
 _UNREAD = {
@@ -80,6 +81,8 @@ _UNREAD = {
     "moves.twist_tangle": "an equivalence move; the move properties of test_classify.py read it",
     "slopes.distance": "the tests check the Lackenby-Meyerhoff bound with it",
     "slopes.evaluate_continued_fraction": "the tests check it as the inverse of `expand`",
+    "tracing.trace_closure": "the parity rule's oracle; the tests and the golden runner read it",
+    "tracing.pretzel_framing": "`pretzel_slope`'s oracle; the tests and the golden runner read it",
 }
 
 
@@ -139,7 +142,7 @@ def test_import_loads_the_request_path_and_the_rest_on_first_use():
         "None True",
         str(sorted([*_PACKAGE, "wrapsurg.moves"])),
         str(sorted([*_PACKAGE, "wrapsurg.cli", "wrapsurg.jsonwriter", "wrapsurg.moves",
-                    "wrapsurg.seifert"])),
+                    "wrapsurg.seifert", "wrapsurg.tracing"])),
         "True True 61",
     ]
 
@@ -147,14 +150,19 @@ def test_import_loads_the_request_path_and_the_rest_on_first_use():
 # A batch whose lines repeat, so that the later ones are written from their
 # kept answers, read off the knot cache of the running module; its one bad
 # slope and its degenerate knot fail each of their lines, and it exits 2.
+# K0[1/3,1/5] has a spanning-surface table.
 _REPEATS = "".join(f"{line}\n" for line in [
     "classify K1[-1/2,1/3] 7", "slopes K1[-1/2,1/3] --format json --moves",
     "predict K1[-1/2,1/3] 6 --n -2..2", "classify 'K1[-1/2,1/3]' 1/0x",
-    "normalize K0[0]", "classify K0[0] 1"] * 4)
+    "normalize K0[0]", "classify K0[0] 1", "slopes K0[1/3,1/5] --moves"] * 4)
 # The argv, stdin and exit code of each request, run plain and under -O.
 _PYTHON_M_CASES = {
     "text": (["classify", "K1[-1/2,1/3]", "7"], "", 0),
     "json": (["classify", "K1[-1/2,1/3]", "7", "--format", "json"], "", 0),
+    # Three requests whose tables have a spanning-surface slope.
+    "pretzel": (["slopes", "K0[1/3,1/5]"], "", 0),
+    "integer": (["slopes", "K0[3]"], "", 0),
+    "pretzel-json": (["classify", "K1[1/3,-1/4]", "8", "--format", "json"], "", 0),
     "batch": (["batch"], _REPEATS, 2),
     "batch-file": (["batch", "repeats.txt"], "", 2),
 }
@@ -168,7 +176,8 @@ def test_python_m_loads_the_cli_module_once(argv, stdin, code, optimize, tmp_pat
     # `python -m wrapsurg.cli` runs the module as `__main__`, which registers
     # itself as `wrapsurg.cli`, so neither the JSON writer nor the batch
     # reader loads `wrapsurg.cli` beside it (-X importtime names every module
-    # imported), and its stdout, stderr and exit code are in-process `main`'s.
+    # imported), no request loads the strand tracer, and its stdout, stderr
+    # and exit code are in-process `main`'s.
     (tmp_path / "repeats.txt").write_text(_REPEATS, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
@@ -176,7 +185,7 @@ def test_python_m_loads_the_cli_module_once(argv, stdin, code, optimize, tmp_pat
         input=stdin, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
                 if line.startswith("import time:")}
-    assert "wrapsurg.cli" not in imported
+    assert "wrapsurg.cli" not in imported and "wrapsurg.tracing" not in imported
     assert ("wrapsurg.jsonwriter" in imported) == ("json" in argv or argv[0] == "batch")
     assert ("wrapsurg.batch" in imported) == (argv[0] == "batch")
     script = ("import io, sys\n"

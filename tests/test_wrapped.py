@@ -1,14 +1,14 @@
 import importlib
-import inspect
 import pkgutil
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import random_knot, random_tangle, run_python
+from conftest import count_calls, random_knot, random_tangle, run_python
 from wrapsurg import (
     MERIDIAN,
     KnotClass,
@@ -90,51 +90,53 @@ _ONE_PER_CLASS = {
 
 @pytest.mark.parametrize("knot_class", list(KnotClass), ids=lambda c: c.value)
 def test_cold_parse_and_analysis_trace_one_diagram(monkeypatch, knot_class):
-    """Once the per-process anchor of the parity rule has run, a cold parse
-    and analysis trace no closure: the knot's facts come from the rule."""
-    analysis_of(K("K0[2]"))  # anchors the parity rule and the push-off oracle
-    traced = []
-    original = tracing.trace_closure
-
-    def counting(slopes, a):
-        traced.append(slopes)
-        return original(slopes, a)
-
-    monkeypatch.setattr(tracing, "trace_closure", counting)
+    """A cold parse and analysis trace no closure and no framing: the knot's
+    facts come from the parity rule, its spanning-surface slope from the
+    integer rule, and its class's table is built anew."""
+    importlib.import_module("wrapsurg.classify")._class_table.cache_clear()
+    calls = {}
+    for name in ("trace_closure", "pretzel_framing"):
+        count_calls(monkeypatch, calls, tracing, name)
     analysis = analysis_of(K(_ONE_PER_CLASS[knot_class]))
     assert analysis.knot_class is knot_class
-    assert traced == []
+    assert calls == {}
 
 
-_SABOTAGED_WORD = """
+# The strand tracer's checks run in the golden runner, `test_golden_cli`,
+# which each sabotage script below imports from this directory.
+_RUNNER = f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})"
+
+# A twist word that rebuilds no slope: the runner's parity check traces the
+# grid closures and raises on the first word.
+_SABOTAGED_WORD = f"""
 import sys
-from wrapsurg import InconsistentCrossCheckError, parse_knot, tracing
+from wrapsurg import InconsistentCrossCheckError, tracing
 if not sys.flags.optimize:
     sys.exit(3)
+{_RUNNER}
+import test_golden_cli as runner
 tracing._word_fraction = lambda word: None
 try:
-    parse_knot("K1[-1/2,1/3]")
+    runner._closure_mismatches()
 except InconsistentCrossCheckError:
     sys.exit(0)
 sys.exit(1)
 """
 
-# A parity rule that swaps the crossed and left-to-left pairings: the
-# per-process anchor catches it on the first parse.
-_SABOTAGED_RULE = """
+# A parity rule that swaps the crossed and left-to-left pairings: the runner's
+# parity check finds it on the grid, K0[1/3] among the closures.
+_SABOTAGED_RULE = f"""
 import importlib
 import sys
-from wrapsurg import InconsistentCrossCheckError, Pairing, parse_knot
+from wrapsurg import Pairing
 if not sys.flags.optimize:
     sys.exit(3)
+{_RUNNER}
+import test_golden_cli as runner
 tangles = importlib.import_module("wrapsurg.tangles")
 tangles._PAIRING_BY_PARITY[1, 0] = Pairing.CROSS
 tangles._PAIRING_BY_PARITY[1, 1] = Pairing.LEFT_TO_LEFT
-try:
-    parse_knot("K0[2]")
-except InconsistentCrossCheckError as err:
-    sys.exit(0 if "parity rule" in str(err) else 4)
-sys.exit(1)
+sys.exit(0 if "K0[1/3]" in runner._closure_mismatches() else 1)
 """
 
 # 1/3 + 1/6 = 1/4 + 1/4: two different pretzel pairs for the sum 1/2.
@@ -172,36 +174,19 @@ sys.exit(1)
 """
 
 
-# A push-off oracle that is wrong before the first knot: the per-process
-# anchor catches it on the first parse.
-_SABOTAGED_ORACLE = """
+# A push-off oracle that is wrong: the runner's framing check finds it on the
+# knot the script names, the (-2,3) pretzel K1[-1/2,1/3] (whose framing 8 is
+# the slope of its toroidal filling) or the single integer entry K0[5].
+_SABOTAGED_FRAMING = f"""
 import sys
-from wrapsurg import InconsistentCrossCheckError, analysis_of, parse_knot, tracing
+from wrapsurg import tracing
 if not sys.flags.optimize:
     sys.exit(3)
 tracing.pretzel_framing = lambda slopes, a: 1
-try:
-    analysis_of(parse_knot("K0[5]"))
-except InconsistentCrossCheckError as err:
-    sys.exit(0 if "push-off oracle" in str(err) else 4)
-sys.exit(1)
-"""
-
-# An oracle that goes wrong after the anchor passed: the closed form of a
-# single integer entry (0 for a = 0, else 2m) catches it when the class
-# table is built.
-_SABOTAGED_SPANNING_SURFACE = """
-import sys
-from wrapsurg import InconsistentCrossCheckError, analysis_of, parse_knot, tracing
-if not sys.flags.optimize:
-    sys.exit(3)
-knot = parse_knot("K0[5]")  # runs the anchor
-tracing.pretzel_framing = lambda slopes, a: 1
-try:
-    analysis_of(knot)
-except InconsistentCrossCheckError as err:
-    sys.exit(0 if "classified value" in str(err) else 4)
-sys.exit(1)
+{_RUNNER}
+import test_golden_cli as runner
+mismatches, _ = runner._framing_mismatches()
+sys.exit(0 if "%s" in mismatches else 1)
 """
 
 
@@ -249,8 +234,8 @@ sys.exit(1)
         _SABOTAGED_RULE,
         _SABOTAGED_PRETZEL_PAIR,
         _SABOTAGED_INVERSE,
-        _SABOTAGED_ORACLE,
-        _SABOTAGED_SPANNING_SURFACE,
+        _SABOTAGED_FRAMING % "K1[-1/2,1/3]",
+        _SABOTAGED_FRAMING % "K0[5]",
         _SABOTAGED_TORUS_KNOT,
         _SABOTAGED_HOMOLOGY,
     ],
@@ -336,21 +321,16 @@ def test_warm_caches_are_bounded(script):
     assert done.returncode == 0, done.stderr
 
 
-def test_every_cache_is_bounded_and_tested_or_runs_once():
-    # A module-level lru_cache of the package is either bounded, and then a
-    # case of `test_warm_caches_are_bounded`, or unbounded and without an
-    # argument, so that it keeps one entry: the run-once anchor check.
+def test_every_cache_is_bounded_and_tested():
+    # Every module-level lru_cache of the package is bounded and a case of
+    # `test_warm_caches_are_bounded`; no cache runs once per process.
     caches = {}
     for info in pkgutil.iter_modules(importlib.import_module("wrapsurg").__path__):
         module = importlib.import_module(f"wrapsurg.{info.name}")
         caches.update((f"{info.name}.{name}", value) for name, value in vars(module).items()
                       if hasattr(value, "cache_info") and value.__module__ == module.__name__)
-    bounded = {name for name, cached in caches.items() if cached.cache_info().maxsize is not None}
-    assert bounded == {f"{module}.{cache}" for module, cache, _ in _BOUNDED_CACHES.values()}
-    run_once = caches.keys() - bounded
-    assert run_once == {"wrapped._closure_self_check"}
-    for name in run_once:
-        assert not inspect.signature(caches[name]).parameters, name
+    assert all(cached.cache_info().maxsize is not None for cached in caches.values()), caches
+    assert caches.keys() == {f"{module}.{cache}" for module, cache, _ in _BOUNDED_CACHES.values()}
 
 
 # `predict K1[-1/2,1/3] 7 --n N..N+3` at the edges of the keep-window and past
@@ -383,25 +363,26 @@ def test_s3_covers_are_kept_only_inside_the_keep_window():
 
 
 # K0[4/3,-2/3] shifts its entries to those of K0[1/3,1/3], so the two share
-# a table source and a slope map: the second analysis traces no diagram.  In
-# a child process, so that no earlier analysis has filled the table cache.
-_ONE_TRACE_PER_SLOPE_MAP = """
-import sys
-from wrapsurg import analysis_of, parse_knot, tracing
-parse_knot("K0[2]")  # the push-off oracle's anchor traces first
-traced = []
-original = tracing.pretzel_framing
-tracing.pretzel_framing = lambda slopes, a: traced.append(slopes) or original(slopes, a)
+# a table source and a slope map: the second analysis reads the first one's
+# table.  In a child process, so that no earlier analysis has filled the
+# table cache.
+_ONE_TABLE_PER_SLOPE_MAP = """
+import importlib
+from wrapsurg import analysis_of, parse_knot
+table = importlib.import_module("wrapsurg.classify")._class_table
 first = analysis_of(parse_knot("K0[1/3,1/3]"))
+before = table.cache_info()
 shifted = analysis_of(parse_knot("K0[4/3,-2/3]"))
+after = table.cache_info()
 assert shifted.exceptional == first.exceptional
-sys.exit(10 + len(traced))
+print(after.hits - before.hits, after.misses - before.misses)
 """
 
 
-def test_a_shifted_knot_reuses_the_traced_table():
-    done = run_python(_ONE_TRACE_PER_SLOPE_MAP)
-    assert done.returncode == 11, done.stderr
+def test_a_shifted_knot_reuses_the_kept_table():
+    done = run_python(_ONE_TABLE_PER_SLOPE_MAP)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "0"]
 
 
 def test_a_table_with_a_long_entry_is_not_kept():
@@ -546,6 +527,16 @@ def test_pretzel_slope_anchors():
         assert pretzel_slope(make_wrapped(0, T(f"[{m}]"))) == make_slope(0, 1)
     for m in (4, 6, 8):
         assert pretzel_slope(make_wrapped(1, T(f"[{m}]"))) == make_slope(2 * m, 1)
+
+
+def test_pretzel_slope_gives_each_case_of_its_rule():
+    # 2(q1 + q2) for a = 0; for a = 1, 0 when both q are odd and else
+    # 2(q_odd + 1), q signed.
+    for text, framing in [("K0[1/3,1/5]", 16), ("K0[-1/3,1/5]", 4), ("K0[1/3,-1/7]", -8),
+                          ("K1[1/3,1/5]", 0), ("K1[-1/3,1/5]", 0), ("K1[1/4,1/5]", 12),
+                          ("K1[-1/4,1/5]", 12), ("K1[-1/3,1/4]", -4), ("K1[1/2,-1/3]", -4),
+                          ("K0[-7]", 0), ("K1[-6]", -12)]:
+        assert pretzel_slope(K(text)) == make_slope(framing, 1), text
 
 
 def test_pretzel_slope_consistent_with_transport():
