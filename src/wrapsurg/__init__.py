@@ -38,8 +38,6 @@ from .slopes import (
     Slope,
     ZeroZeroError,
     distance,
-    evaluate_continued_fraction,
-    expand,
     make_slope,
     parse_slope,
 )
@@ -80,7 +78,7 @@ _LAZY = {
     "moves": (
         "equivalent", "mirror_tangle", "reverse_tangle", "shift_tangle", "twist_tangle",
     ),
-    "tracing": ("trace_closure",),
+    "tracing": ("evaluate_continued_fraction", "expand", "trace_closure"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 

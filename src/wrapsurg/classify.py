@@ -90,7 +90,17 @@ class ToroidalCertificate(Record):
 
 class SurgeryClassification(Record):
     __slots__ = ("type", "slope", "certificate", "seifert_indices", "notes")
-    _defaults = (None, None, ())
+
+    def __init__(self, type, slope, certificate=None, seifert_indices=None, notes=(), /):
+        _set_type(self, type)
+        _set_slope(self, slope)
+        _set_certificate(self, certificate)
+        _set_seifert_indices(self, seifert_indices)
+        _set_notes(self, notes)
+
+
+_set_type, _set_slope, _set_certificate, _set_seifert_indices, _set_notes = (
+    SurgeryClassification._setters)
 
 
 class KnotClass(Enum):
@@ -102,6 +112,12 @@ class KnotClass(Enum):
     PRETZEL = "pretzel"
     PRETZEL_2_3 = "pretzel-2-3"  # the wrapped (-2, 3) pretzel
     GENERIC = "generic"
+
+
+# The members in definition order, bound once for `_reduce` and `analysis_of`:
+# on Python 3.11 a member read off an Enum class costs about 0.1 us.
+(_DEGENERATE, _WHITEHEAD, _WHITEHEAD_MATE, _INTEGER_TANGLE, _SINGLE_FRACTION, _PRETZEL,
+ _PRETZEL_2_3, _GENERIC) = KnotClass
 
 
 class FamilyKind(Enum):
@@ -165,7 +181,7 @@ _PRETZEL_2_3_TABLE = MappingProxyType({
     ),
 })
 # The classes whose table is fixed, by class.
-_FIXED_TABLES = {KnotClass.WHITEHEAD: _WHITEHEAD_TABLE, KnotClass.PRETZEL_2_3: _PRETZEL_2_3_TABLE}
+_FIXED_TABLES = {_WHITEHEAD: _WHITEHEAD_TABLE, _PRETZEL_2_3: _PRETZEL_2_3_TABLE}
 # An integer entry or a pretzel gets its spanning-surface slope; any other
 # class without a table here has no exceptional slope, and its analysis holds
 # this same empty mapping.
@@ -221,12 +237,23 @@ class Analysis(Record):
     `exceptional` its (slope, answer) pairs; knots with one table source and
     slope map share both (see `_class_table`).  The class is DEGENERATE
     exactly when the normal form is degenerate, and the checks read
-    `nf.degenerate`: on Python 3.11 each member read off an Enum class
-    costs about 0.1 us.
+    `nf.degenerate`, not the class: on Python 3.11 each member read off an
+    Enum class costs about 0.1 us (`_reduce` and `analysis_of` read the
+    members bound once as `_DEGENERATE` ... `_GENERIC`).
     """
 
     __slots__ = ("knot", "nf", "knot_class", "slope_map", "table", "notes", "moves",
                  "exceptional")
+
+    def __init__(self, knot, nf, knot_class, slope_map, table, notes, moves, exceptional, /):
+        _set_knot(self, knot)
+        _set_nf(self, nf)
+        _set_knot_class(self, knot_class)
+        _set_slope_map(self, slope_map)
+        _set_table(self, table)
+        _set_analysis_notes(self, notes)
+        _set_moves(self, moves)
+        _set_exceptional(self, exceptional)
 
     def classify(self, r: Slope) -> SurgeryClassification:
         """Classify r-surgery: the table's answer at r, if any."""
@@ -270,6 +297,10 @@ class Analysis(Record):
         """Raise `DegenerateKnotError` for a degenerate knot, never hyperbolic."""
         if self.nf.degenerate:
             raise DegenerateKnotError(self.knot)
+
+
+(_set_knot, _set_nf, _set_knot_class, _set_slope_map, _set_table, _set_analysis_notes, _set_moves,
+ _set_exceptional) = Analysis._setters
 
 
 @lru_cache(maxsize=_S3_CACHE_SIZE)
@@ -324,7 +355,7 @@ def _reduce(a: int, tangle: MontesinosTangle, winding: int) -> tuple:
     moves = [] if shift_reduced(tangle.entries, nf) else [_SHIFT]
     slope_map, entries = _IDENTITY, None
     if nf.degenerate:
-        knot_class = KnotClass.DEGENERATE
+        knot_class = _DEGENERATE
     elif nf.k1 is not None:
         t, mirrored, twists = nf.k1.t, nf.k1.mirrored, nf.k1.twists
         if twists:
@@ -332,18 +363,18 @@ def _reduce(a: int, tangle: MontesinosTangle, winding: int) -> tuple:
         elif mirrored:
             slope_map = _MIRRORED
         if not t.is_integral():
-            knot_class = KnotClass.SINGLE_FRACTION
+            knot_class = _SINGLE_FRACTION
         elif t.p == 2 and a:
-            knot_class = KnotClass.WHITEHEAD_MATE
+            knot_class = _WHITEHEAD_MATE
         else:
-            knot_class = KnotClass.WHITEHEAD if t.p == 2 else KnotClass.INTEGER_TANGLE
+            knot_class = _WHITEHEAD if t.p == 2 else _INTEGER_TANGLE
             entries = (t,)
     elif (pair := _find_pretzel_pair(nf)) is None:
-        knot_class = KnotClass.GENERIC
+        knot_class = _GENERIC
     else:
         entries = tuple(make_slope(1, q) for q in pair)
         special = sorted(pair) in ([-2, 3], [-3, 2])
-        knot_class = KnotClass.PRETZEL_2_3 if special else KnotClass.PRETZEL
+        knot_class = _PRETZEL_2_3 if special else _PRETZEL
         if sorted(pair) == [-3, 2]:
             slope_map = _MIRRORED
     if slope_map.sigma < 0:
@@ -358,7 +389,7 @@ def analysis_of(knot: WrappedKnot) -> Analysis:
     """The knot's reduction (`_reduce`) and its exceptional table at its own
     slopes (from `_class_table`), built anew on every call."""
     nf, knot_class, source, moves, slope_map = _reduce(knot.a, knot.tangle, knot.winding)
-    notes = _WHITEHEAD_MATE_NOTES if knot_class is KnotClass.WHITEHEAD_MATE else ()
+    notes = _WHITEHEAD_MATE_NOTES if knot_class is _WHITEHEAD_MATE else ()
     table, exceptional = _NO_TABLE, ()
     if source is not None:
         keep = _in_window(slope_map.twists, *(n for s in source[2] for n in (s.p, s.q)))

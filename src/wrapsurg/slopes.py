@@ -9,14 +9,21 @@ by `parse_slope`, which keeps the slopes of the last 2048 short texts it
 parsed, so a text is read once while it stays among them.
 
 `Record` is the base of the package's value types.  A record is built from
-its field values in `__slots__` order, `cls(*values)`; omitted trailing
-fields take their values from the class's `_defaults`, and a wrong number
-of values raises `TypeError`.  A class that writes no `__init__` gets one
-from `Record.__init_subclass__`, fitted to it: the constructor holds the
-class's field setters, arity and defaults, so a call reads none of them off
-the class, and sets the fields in a loop.  Records are immutable (assigning
-or deleting a field raises `AttributeError`), equal when of one class with
-equal fields, hashable by their fields, picklable and copyable.
+its field values in `__slots__` order, positionally, `cls(*values)`: no
+record takes keywords, and a wrong number of values raises `TypeError`.
+Seven classes write their own positional-only `__init__`, which calls each
+field's setter once through a module-level alias: `Slope`,
+`MontesinosTangle` and `WrappedKnot` normalize or validate their input, and
+`NormalForm`, `LengthOneCanonical`, `Analysis` and `SurgeryClassification`
+are built for every cold knot or answer, where CPython calls a constructor
+of fixed arity without building the tuple of values that a fitted one
+packs, counts and unpacks.  Every other class gets its constructor from
+`Record.__init_subclass__`, fitted to it: the constructor holds the class's
+field setters, arity and `_defaults` (the values of omitted trailing
+fields), so a call reads none of them off the class, and sets the fields
+in a loop.  Records are immutable (assigning or deleting a field raises
+`AttributeError`), equal when of one class with equal fields, hashable by
+their fields, picklable and copyable.
 """
 from __future__ import annotations
 
@@ -49,7 +56,9 @@ class ParseError(ValueError):
 class Record:
     """A subclass names its fields in `__slots__` and the values of its
     optional trailing fields in `_defaults`; unless it writes its own
-    `__init__`, it gets the constructor `_fitted_init` makes for it."""
+    `__init__`, it gets the constructor `_fitted_init` makes for it.  A
+    written constructor is positional-only, states its own defaults and
+    calls each of the class's `_setters` once."""
 
     __slots__ = ()
     _defaults: tuple = ()
@@ -118,7 +127,7 @@ class Slope(Record):
 
     __slots__ = ("p", "q")
 
-    def __init__(self, p: int, q: int) -> None:
+    def __init__(self, p: int, q: int, /) -> None:
         g = gcd(p, q)
         if q < 0:
             g = -g  # so that q // g > 0
@@ -212,40 +221,6 @@ def split_integer_parts(slopes: Iterable[Slope]) -> tuple[int, list[Slope]]:
         if rest:
             parts.append(Slope(rest, s.q) if floor else s)
     return e, parts
-
-
-def evaluate_continued_fraction(terms: list[int]) -> Slope:
-    """Evaluate the nested fraction a0 + 1/(a1 + 1/(... + 1/ak)).
-
-    Intermediate infinities are handled exactly: 1/0 = inf and a + inf = inf,
-    so expressions such as [0, -3, 4] = 1/(-3 + 1/4) = -4/11 are legal.
-    """
-    if not terms:
-        raise ValueError("empty continued fraction")
-    value = Slope(terms[-1], 1)
-    for a in reversed(terms[:-1]):
-        value = value.reciprocal() + a
-    return value
-
-
-def expand(t: Slope) -> list[int]:
-    """Canonical continued-fraction expansion of a finite slope.
-
-    Floor-based, so every term after the first is >= 1 and the last is >= 2
-    whenever the expansion has more than one term.  Inverse of
-    evaluate_continued_fraction on its output.
-    """
-    if t.q == 0:
-        raise InfinityInputError("cannot expand the meridian 1/0")
-    terms = []
-    p, q = t.p, t.q
-    while True:
-        a = p // q
-        terms.append(a)
-        r = p - a * q
-        if r == 0:
-            return terms
-        p, q = q, r
 
 
 _ZERO_DENOMINATOR = "explicit zero denominator; write 'inf'"

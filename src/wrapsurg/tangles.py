@@ -32,10 +32,12 @@ class Pairing(Enum):
     CROSS = "cross"                # NW-SE and NE-SW
 
 
+# Bound once: on Python 3.11 a member read off an Enum class costs about 0.1 us.
+_TOP_TO_TOP = Pairing.TOP_TO_TOP
 # The pairing of a tangle by its entry sum p/q mod 2, as (p & 1, q & 1);
 # (0, 0) means that the tangle hides a closed loop.
 _PAIRING_BY_PARITY = {
-    (0, 1): Pairing.TOP_TO_TOP,
+    (0, 1): _TOP_TO_TOP,
     (1, 0): Pairing.LEFT_TO_LEFT,
     (1, 1): Pairing.CROSS,
     (0, 0): None,
@@ -65,11 +67,11 @@ def closure_facts(entries: tuple[Slope, ...], a: int) -> tuple[bool, int, Pairin
         p, q = (p & sq) ^ (sp & q), q & sq
     pairing = _PAIRING_BY_PARITY[p, q]
     # The wrap arcs pair the endpoints as a tangle of parity (1, a mod 2) does:
-    # left-to-left for even a, across for odd a.  (A dict read: on Python 3.11
-    # a member read off an Enum class costs about 0.1 us.)
+    # left-to-left for even a, across for odd a.  (A dict read and the bound
+    # `_TOP_TO_TOP`: no member is read off the Enum class.)
     repeated = _PAIRING_BY_PARITY[1, a & 1]
     knot = pairing is not None and pairing is not repeated
-    return knot, 0 if pairing is Pairing.TOP_TO_TOP else 2, pairing
+    return knot, 0 if pairing is _TOP_TO_TOP else 2, pairing
 
 
 class MontesinosTangle(Record):
@@ -77,7 +79,7 @@ class MontesinosTangle(Record):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: list[Slope] | tuple[Slope, ...]) -> None:
+    def __init__(self, entries: list[Slope] | tuple[Slope, ...], /) -> None:
         if not entries:
             raise ValueError("a Montesinos tangle needs at least one entry")
         if not all(map(_denominator, entries)):
@@ -138,6 +140,14 @@ class LengthOneCanonical(Record):
 
     __slots__ = ("t", "mirrored", "twists")
 
+    def __init__(self, t, mirrored, twists, /):
+        _set_t(self, t)
+        _set_mirrored(self, mirrored)
+        _set_twists(self, twists)
+
+
+_set_t, _set_mirrored, _set_twists = LengthOneCanonical._setters
+
 
 class NormalForm(Record):
     """Shift-reduced form: integer part e0 plus fractional entries in (0, 1).
@@ -150,11 +160,20 @@ class NormalForm(Record):
 
     __slots__ = ("e0", "fracs", "degenerate", "k1")
 
+    def __init__(self, e0, fracs, degenerate, k1, /):
+        _set_e0(self, e0)
+        _set_fracs(self, fracs)
+        _set_degenerate(self, degenerate)
+        _set_k1(self, k1)
+
     def as_tangle(self) -> MontesinosTangle:
         """A shift-equivalent tangle realizing this normal form."""
         if not self.fracs:
             return MontesinosTangle((Slope(self.e0, 1),))
         return MontesinosTangle(self.fracs[:-1] + (self.fracs[-1] + self.e0,))
+
+
+_set_e0, _set_fracs, _set_degenerate, _set_k1 = NormalForm._setters
 
 
 def shift_reduced(entries: tuple[Slope, ...], nf: NormalForm) -> bool:

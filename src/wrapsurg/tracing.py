@@ -21,6 +21,10 @@ independent check of that rule: the tests and the golden runner compare the
 two on every entry list of the k<=2 grid.  No request loads this module;
 the package gives `trace_closure` on its first use.
 
+The twist word of a slope reads its canonical continued fraction (`expand`,
+whose inverse is `evaluate_continued_fraction`); only this module and the
+tests need either, so the package gives both on first use too.
+
 A diagram is its twist regions and nothing else: two flat integer lists, the
 crossing count per region and the mate of every strand end, so building and
 walking a closure creates no object per strand or per region.  Gluing and
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 from itertools import cycle
 
-from .slopes import InconsistentCrossCheckError, Record, Slope, expand
+from .slopes import InconsistentCrossCheckError, InfinityInputError, Record, Slope
 from .tangles import Pairing, knot_text
 from .wrapped import NoPretzelSurfaceError
 
@@ -123,6 +127,40 @@ class Diagram:
                 end = mate[end ^ 1]
             components.append(walk)
         return components
+
+
+def evaluate_continued_fraction(terms: list[int]) -> Slope:
+    """Evaluate the nested fraction a0 + 1/(a1 + 1/(... + 1/ak)).
+
+    Intermediate infinities are handled exactly: 1/0 = inf and a + inf = inf,
+    so expressions such as [0, -3, 4] = 1/(-3 + 1/4) = -4/11 are legal.
+    """
+    if not terms:
+        raise ValueError("empty continued fraction")
+    value = Slope(terms[-1], 1)
+    for a in reversed(terms[:-1]):
+        value = value.reciprocal() + a
+    return value
+
+
+def expand(t: Slope) -> list[int]:
+    """Canonical continued-fraction expansion of a finite slope.
+
+    Floor-based, so every term after the first is >= 1 and the last is >= 2
+    whenever the expansion has more than one term.  Inverse of
+    evaluate_continued_fraction on its output.
+    """
+    if t.q == 0:
+        raise InfinityInputError("cannot expand the meridian 1/0")
+    terms = []
+    p, q = t.p, t.q
+    while True:
+        a = p // q
+        terms.append(a)
+        r = p - a * q
+        if r == 0:
+            return terms
+        p, q = q, r
 
 
 def twist_word(slope: Slope) -> list[tuple[str, int]]:

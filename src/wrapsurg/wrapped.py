@@ -43,7 +43,7 @@ class WrappedKnot(Record):
 
     __slots__ = ("a", "tangle", "winding")
 
-    def __init__(self, a: int, tangle: MontesinosTangle) -> None:
+    def __init__(self, a: int, tangle: MontesinosTangle, /) -> None:
         if type(a) is not int or a not in (0, 1):
             raise ValueError("the wrap parameter a must be 0 or 1")
         knot, winding, _ = closure_facts(tangle.entries, a)

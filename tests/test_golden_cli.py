@@ -33,6 +33,11 @@ the answer's type and indices and the family.  It must equal the committed
 tests/golden/census.txt, so a change of answers shows knot by knot in a diff;
 after a deliberate change, rewrite the file with
 `PYTHONPATH=src:tests python -c "import test_golden_cli as g; g.CENSUS.write_text(g._census())"`.
+In the same way `_s3_rows` writes one readable line per S^3 row that the
+grid's tables reach, for n in -8..8, and per a = 1 `twist` row of K1[m] for
+|m| <= 6; it must equal the committed tests/golden/s3_rows.txt (rewrite it
+with `g.S3_ROWS.write_text(g._s3_rows())`).  The S^3 covers and the twist
+fractions are otherwise seen only inside the digests.
 
 Every JSON answer folded into a digest must also be the text of
 json.dumps(json.loads(answer), indent=2, sort_keys=True); `_check_json` raises
@@ -48,8 +53,8 @@ under `python -O` too.
 The module imports neither pytest nor hypothesis, so the digests can be checked
 on an interpreter without them: `PYTHONPATH=src python tests/test_golden_cli.py`
 recomputes all sixteen, checks the JSON answers in them, the parity rule on
-the grid and the framing rule on its shapes, prints the census's unified diff
-against the file, and exits 1 on a mismatch.
+the grid and the framing rule on its shapes, prints the unified diffs of the
+census and the S^3 rows against their files, and exits 1 on a mismatch.
 """
 import contextlib
 import difflib
@@ -75,6 +80,8 @@ from wrapsurg import (
     make_slope,
     parse_knot,
     pretzel_slope,
+    twist,
+    two_bridge_fraction,
 )
 from wrapsurg.classify import _FIXED_TABLES, _reduce
 from wrapsurg.cli import main
@@ -101,6 +108,9 @@ TEXT_GOLDEN = "7fc538a17cf0ed8e2a67397f13a57fd1e666d96dbe3fb28f007bea784d846636"
 # Lines per batch file of the batch_hot digest, as the benchmark feeds them.
 HOT_CHUNK = 500
 CENSUS = Path(__file__).resolve().parent / "golden" / "census.txt"
+S3_ROWS = CENSUS.with_name("s3_rows.txt")
+# The twists n of every row of the S^3 rows file.
+S3_TWISTS = range(-8, 9)
 
 
 def _grid_slopes(bound=6):
@@ -261,12 +271,42 @@ def _census():
     return "\n".join(lines) + "\n"
 
 
-def _census_diff():
-    """The unified diff from the committed census to `_census()`; empty when
-    they agree."""
+def _s3_rows():
+    """The S^3 rows: after a header, for each hyperbolic grid knot in grid
+    order, at each table slope whose twisted images have known S^3
+    surgeries, one line per n of S3_TWISTS with the knot, slope, n and the
+    cover's text; then, after a second header, each a = 1 `twist` row of
+    K1[m] for |m| <= 6 (odd m closes to a link) with the knot, n, the
+    twisted image and its two-bridge fraction."""
+    lines = ["# knot slope n | S^3 surgery of the n-twisted image"]
+    for knot in _candidates():
+        try:
+            analysis = analysis_of(parse_knot(knot))
+        except NotAKnotError:
+            continue
+        if analysis.knot_class is KnotClass.DEGENERATE:
+            continue
+        for r, (_, _, rc) in analysis.table.items():
+            if rc is not None:
+                lines += [f"{knot} {r} {n} | {cover}"
+                          for n, cover in analysis.surgeries_in_s3(r, S3_TWISTS, text=True)]
+    lines.append("# knot n | twisted image, two-bridge fraction")
+    for m in range(-6, 7):
+        try:
+            knot = parse_knot(f"K1[{m}]")
+        except NotAKnotError:
+            continue
+        lines += [f"{knot} {n} | {twist(knot, n)} {two_bridge_fraction(knot, n)}"
+                  for n in S3_TWISTS]
+    return "\n".join(lines) + "\n"
+
+
+def _golden_diff(path, text):
+    """The unified diff from the committed file at `path` to `text`; empty
+    when they agree."""
     return "".join(difflib.unified_diff(
-        CENSUS.read_text(encoding="utf-8").splitlines(True), _census().splitlines(True),
-        "tests/golden/census.txt", "census of this code"))
+        path.read_text(encoding="utf-8").splitlines(True), text.splitlines(True),
+        f"tests/golden/{path.name}", "this code's answers"))
 
 
 def rule_disagrees_with_trace(a, entries):
@@ -341,8 +381,13 @@ def test_framing_rule_equals_the_trace_on_every_pretzel_shape():
 
 
 def test_census_matches_the_committed_file():
-    diff = _census_diff()
+    diff = _golden_diff(CENSUS, _census())
     assert not diff, "the census differs from tests/golden/census.txt:\n" + diff
+
+
+def test_s3_rows_match_the_committed_file():
+    diff = _golden_diff(S3_ROWS, _s3_rows())
+    assert not diff, "the S^3 rows differ from tests/golden/s3_rows.txt:\n" + diff
 
 
 def test_grid_has_all_candidates():
@@ -473,7 +518,9 @@ if __name__ == "__main__":
     framing, compared = _framing_mismatches()
     print(f"framing rule: {len(framing)} of {compared} closures disagree with pretzel_framing"
           + "".join(f"\nmismatch: framing rule on {text}" for text in framing[:10]))
-    census = _census_diff()
-    print("census: " + (f"differs from tests/golden/census.txt\n{census}" if census
-                        else "matches tests/golden/census.txt"), end="" if census else "\n")
-    sys.exit(1 if mismatches or disagreements or framing or census else 0)
+    diffs = []
+    for name, path, text in (("census", CENSUS, _census()), ("s3 rows", S3_ROWS, _s3_rows())):
+        diffs.append(_golden_diff(path, text))
+        print(f"{name}: " + (f"differs from tests/golden/{path.name}\n{diffs[-1]}" if diffs[-1]
+                             else f"matches tests/golden/{path.name}"), end="" if diffs[-1] else "\n")
+    sys.exit(1 if mismatches or disagreements or framing or any(diffs) else 0)

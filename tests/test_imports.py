@@ -27,8 +27,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 _NAMESPACE = {
     "slopes": (
         "InconsistentCrossCheckError", "InfinityInputError", "MERIDIAN", "ParseError", "Slope",
-        "ZeroZeroError", "distance", "evaluate_continued_fraction", "expand", "make_slope",
-        "parse_slope",
+        "ZeroZeroError", "distance", "make_slope", "parse_slope",
     ),
     "tangles": (
         "LengthOneCanonical", "MontesinosTangle", "Move", "NormalForm", "Pairing",
@@ -37,7 +36,7 @@ _NAMESPACE = {
     "moves": (
         "equivalent", "mirror_tangle", "reverse_tangle", "shift_tangle", "twist_tangle",
     ),
-    "tracing": ("trace_closure",),
+    "tracing": ("evaluate_continued_fraction", "expand", "trace_closure"),
     "wrapped": (
         "NoPretzelSurfaceError", "NotAKnotError", "NotLengthOneError", "TwistedImage",
         "WrappedKnot", "make_wrapped", "parse_knot", "pretzel_slope", "transport_slope", "twist",
@@ -80,7 +79,7 @@ _UNREAD = {
     "moves.shift_tangle": "an equivalence move; the move properties of test_classify.py read it",
     "moves.twist_tangle": "an equivalence move; the move properties of test_classify.py read it",
     "slopes.distance": "the tests check the Lackenby-Meyerhoff bound with it",
-    "slopes.evaluate_continued_fraction": "the tests check it as the inverse of `expand`",
+    "tracing.evaluate_continued_fraction": "the tests check it as the inverse of `expand`",
     "tracing.trace_closure": "the parity rule's oracle; the tests and the golden runner read it",
     "tracing.pretzel_framing": "`pretzel_slope`'s oracle; the tests and the golden runner read it",
 }

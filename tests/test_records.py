@@ -1,6 +1,7 @@
 """The `Record` contract, checked on one instance of every record class the
 package defines, and the equality and hashing that the caches key on."""
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 from types import MappingProxyType
@@ -13,6 +14,7 @@ from wrapsurg import (
     MontesinosTangle,
     NotAKnotError,
     Slope,
+    SurgeryClassification,
     WrappedKnot,
     ZeroZeroError,
     analysis_of,
@@ -111,15 +113,37 @@ def _writes_its_constructor(cls):
     return vars(cls)["__init__"].__qualname__ == f"{cls.__qualname__}.__init__"
 
 
-def test_only_normalizing_records_define_a_constructor():
+def _parameters(cls):
+    """The names of the values a record is built from: its own constructor's
+    parameters, or else its fields."""
+    if _writes_its_constructor(cls):
+        return tuple(inspect.signature(cls).parameters)
+    return cls.__slots__
+
+
+def test_normalizing_and_cold_path_records_define_a_constructor():
+    """`Slope`, `MontesinosTangle` and `WrappedKnot` normalize or validate
+    their input.  `NormalForm`, `LengthOneCanonical`, `Analysis` and
+    `SurgeryClassification` are built for every cold knot or answer: CPython
+    calls a constructor of fixed arity without building the tuple of values
+    that a fitted constructor packs, counts and unpacks."""
     own = {cls.__qualname__ for cls in _record_classes() if _writes_its_constructor(cls)}
-    assert own == {"Slope", "MontesinosTangle", "WrappedKnot"}
+    assert own == {"Slope", "MontesinosTangle", "WrappedKnot", "NormalForm",
+                   "LengthOneCanonical", "Analysis", "SurgeryClassification"}
 
 
 def _wrong_count(cls, count):
     """The TypeError text of a fitted constructor given `count` values."""
     return (f"{cls.__qualname__} takes the values of ({', '.join(cls.__slots__)}),"
             f" the last {len(cls._defaults)} optional; got {count}")
+
+
+def _check_copies(cls, built):
+    """Each record built pickles and copies to an equal record of `cls`."""
+    for record in built:
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                     copy.deepcopy(record)):
+            assert type(twin) is cls and twin == record and hash(twin) == hash(record)
 
 
 def _check_fitted_constructor(cls, values):
@@ -141,27 +165,55 @@ def _check_fitted_constructor(cls, values):
             with pytest.raises(TypeError) as raised:
                 cls(*(values + (None,))[:count])
             assert str(raised.value) == _wrong_count(cls, count)
-    for record in built:
-        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
-                     copy.deepcopy(record)):
-            assert type(twin) is cls and twin == record and hash(twin) == hash(record)
+    _check_copies(cls, built)
 
 
-@pytest.mark.parametrize(
-    "record",
-    [record for cls, record in RECORDS.items() if not _writes_its_constructor(cls)],
-    ids=lambda r: type(r).__qualname__,
-)
+def _check_own_constructor(cls, values):
+    """A written constructor takes the values of leading fields, in slot
+    order (a knot's winding is computed); `cls(*values)` keeps them, one
+    value too many raises TypeError, and the record pickles and copies."""
+    names = _parameters(cls)
+    assert names == cls.__slots__[:len(names)]
+    record = cls(*values)
+    assert tuple(getattr(record, name) for name in names) == values
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    _check_copies(cls, [record])
+
+
+@pytest.mark.parametrize("record", list(RECORDS.values()), ids=lambda r: type(r).__qualname__)
 def test_record_is_built_from_its_fields_in_slot_order(record):
     cls = type(record)
-    values = tuple(getattr(record, name) for name in cls.__slots__)
+    values = tuple(getattr(record, name) for name in _parameters(cls))
     assert cls(*values) == record
     if any(isinstance(value, MappingProxyType) for value in values):
         # An analysis's table neither hashes nor pickles: check the
         # constructor on a stand-in table with the same entries.
         values = tuple(tuple(value.items()) if isinstance(value, MappingProxyType) else value
                        for value in values)
-    _check_fitted_constructor(cls, values)
+    if _writes_its_constructor(cls):
+        _check_own_constructor(cls, values)
+    else:
+        _check_fitted_constructor(cls, values)
+
+
+def test_a_classification_fills_its_optional_fields():
+    answer = RECORDS[SurgeryClassification]
+    assert answer.certificate is not None
+    bare = SurgeryClassification(answer.type, answer.slope)
+    certified = SurgeryClassification(answer.type, answer.slope, answer.certificate)
+    assert (bare.certificate, bare.seifert_indices, bare.notes) == (None, None, ())
+    assert (certified.certificate, certified.seifert_indices, certified.notes) == (
+        answer.certificate, None, ())
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__qualname__)
+def test_no_record_takes_keywords(cls):
+    record, names = RECORDS[cls], _parameters(cls)
+    values = [getattr(record, name) for name in names]
+    for count in range(len(names)):
+        with pytest.raises(TypeError):
+            cls(*values[:count], **dict(zip(names[count:], values[count:])))
 
 
 # A record class of each arity from 1 to 9, with 0 to 3 optional fields, at
