@@ -47,7 +47,7 @@ from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
 
-from .slopes import InconsistentCrossCheckError, Record, Slope, make_slope
+from .slopes import InconsistentCrossCheckError, Record, Slope
 from .tangles import MontesinosTangle, Move, NormalForm, normalize, shift_reduced, twist_shift
 from .wrapped import WrappedKnot, pretzel_slope
 
@@ -146,7 +146,7 @@ _HYPERBOLIC_FAMILY = FamilyPrediction(FamilyKind.HYPERBOLIC_INTERIOR)
 def _toroidal(source, r, piece_indices=None, piece=None,
               family=FamilyPrediction(FamilyKind.TOROIDAL_COFINITE), s3_cover=False):
     """A table entry (answer, family, s3_cover) for a toroidal slope r."""
-    slope = make_slope(r, 1)
+    slope = Slope(r, 1)
     certificate = ToroidalCertificate(source, slope, piece_indices, piece)
     return SurgeryClassification(SurgeryType.TOROIDAL, slope, certificate), family, s3_cover
 
@@ -154,7 +154,7 @@ def _toroidal(source, r, piece_indices=None, piece=None,
 def _small_seifert(r, indices=None, notes=(), s3_cover=False):
     """A table entry (answer, family, s3_cover) for a small Seifert slope r;
     the family is reducible or small Seifert with the same indices."""
-    answer = SurgeryClassification(SurgeryType.SMALL_SEIFERT, make_slope(r, 1),
+    answer = SurgeryClassification(SurgeryType.SMALL_SEIFERT, Slope(r, 1),
                                    None, indices, notes)
     family = FamilyPrediction(FamilyKind.SEIFERT_OR_REDUCIBLE, None, indices)
     return answer, family, s3_cover
@@ -213,7 +213,7 @@ class SlopeMap(Record):
 
     def slope(self, rc: int) -> Slope:
         """r = sigma * (rc - shift) at canonical slope rc."""
-        return make_slope(self.sigma * (rc - self.shift), 1)
+        return Slope(self.sigma * (rc - self.shift), 1)
 
     def n0(self, n0: int) -> int:  # the knot's twist at canonical twist n0
         return self.sigma * (n0 + self.twists)
@@ -337,7 +337,7 @@ def _find_pretzel_pair(nf: NormalForm) -> tuple[int, int] | None:
                 if found is not None and sorted(found) != sorted(pair):
                     raise InconsistentCrossCheckError(
                         f"pretzel pairs {found} and {pair} both sum to "
-                        f"{make_slope(q1 + q2, q1 * q2)}"
+                        f"{Slope(q1 + q2, q1 * q2)}"
                     )
                 found = pair
     return found
@@ -372,7 +372,7 @@ def _reduce(a: int, tangle: MontesinosTangle, winding: int) -> tuple:
     elif (pair := _find_pretzel_pair(nf)) is None:
         knot_class = _GENERIC
     else:
-        entries = tuple(make_slope(1, q) for q in pair)
+        entries = tuple(Slope(1, q) for q in pair)
         special = sorted(pair) in ([-2, 3], [-3, 2])
         knot_class = _PRETZEL_2_3 if special else _PRETZEL
         if sorted(pair) == [-3, 2]:

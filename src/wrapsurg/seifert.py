@@ -21,7 +21,7 @@ from collections.abc import Iterable
 from enum import Enum
 from math import prod
 
-from .slopes import InconsistentCrossCheckError, Record, Slope, make_slope, split_integer_parts
+from .slopes import InconsistentCrossCheckError, Record, Slope, split_integer_parts
 
 
 class NotATorusKnotError(ValueError):
@@ -137,11 +137,11 @@ def pretzel_surgery_link(n: int, base: int) -> MontesinosLink:
     """
     if base == 7:
         return MontesinosLink(
-            (make_slope(-1, 3), make_slope(3, 5), make_slope(1, n - 2))
+            (Slope(-1, 3), Slope(3, 5), Slope(1, n - 2))
         )
     if base == 6:
         return MontesinosLink(
-            (make_slope(1, 2), make_slope(-1, 4), make_slope(2, 2 * n - 5))
+            (Slope(1, 2), Slope(-1, 4), Slope(2, 2 * n - 5))
         )
     raise ValueError("base must be 6 or 7")
 
@@ -166,7 +166,7 @@ def pretzel_surgery(n: int, base: int) -> SFSClass:
             )
     if n in _TORUS_KNOT_MEMBERS:
         p, q = _TORUS_KNOT_MEMBERS[n]
-        check = torus_knot_surgery(p, q, make_slope(base + 4 * n, 1))
+        check = torus_knot_surgery(p, q, Slope(base + 4 * n, 1))
         if not sfs_equal(result, check):
             raise InconsistentCrossCheckError(
                 f"branch-locus cover {result} disagrees with torus-knot "

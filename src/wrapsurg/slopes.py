@@ -16,18 +16,16 @@ field's setter once through a module-level alias: `Slope`,
 `MontesinosTangle` and `WrappedKnot` normalize or validate their input, and
 `NormalForm`, `LengthOneCanonical`, `Analysis` and `SurgeryClassification`
 are built for every cold knot or answer, where CPython calls a constructor
-of fixed arity without building the tuple of values that a fitted one
-packs, counts and unpacks.  Every other class gets its constructor from
-`Record.__init_subclass__`, fitted to it: the constructor holds the class's
-field setters, arity and `_defaults` (the values of omitted trailing
-fields), so a call reads none of them off the class, and sets the fields
-in a loop.  Records are immutable (assigning or deleting a field raises
-`AttributeError`), equal when of one class with equal fields, hashable by
-their fields, picklable and copyable.
+of fixed arity without building the tuple of values that `Record.__init__`
+packs, counts and unpacks.  Every other class is built by `Record.__init__`,
+which sets the fields from the class's field setters and `_defaults` (the
+values of omitted trailing fields) in a loop.  Records are immutable
+(assigning or deleting a field raises `AttributeError`), equal when of one
+class with equal fields, hashable by their fields, picklable and copyable.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from functools import lru_cache
 from math import gcd
 from operator import attrgetter
@@ -56,9 +54,9 @@ class ParseError(ValueError):
 class Record:
     """A subclass names its fields in `__slots__` and the values of its
     optional trailing fields in `_defaults`; unless it writes its own
-    `__init__`, it gets the constructor `_fitted_init` makes for it.  A
-    written constructor is positional-only, states its own defaults and
-    calls each of the class's `_setters` once."""
+    `__init__`, `Record.__init__` builds it.  A written constructor is
+    positional-only, states its own defaults and calls each of the class's
+    `_setters` once."""
 
     __slots__ = ()
     _defaults: tuple = ()
@@ -66,8 +64,19 @@ class Record:
     def __init_subclass__(cls) -> None:
         cls._key = attrgetter(*cls.__slots__)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-        if "__init__" not in vars(cls):
-            cls.__init__ = _fitted_init(cls)
+
+    def __init__(self, *values: object) -> None:
+        setters, defaults = self._setters, self._defaults
+        missing = len(setters) - len(values)
+        if missing:
+            if not 0 < missing <= len(defaults):
+                raise TypeError(
+                    f"{type(self).__qualname__} takes the values of ({', '.join(self.__slots__)}),"
+                    f" the last {len(defaults)} optional; got {len(values)}"
+                )
+            values += defaults[-missing:]
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -90,31 +99,9 @@ class Record:
         return _restore, (type(self), tuple(getattr(self, name) for name in self.__slots__))
 
 
-def _fitted_init(cls: type) -> Callable[..., None]:
-    """The constructor of a record class without its own: it holds the
-    class's field setters and defaults, and sets the fields from its values."""
-    setters, defaults = cls._setters, cls._defaults
-    arity = len(setters)
-    shortest = arity - len(defaults)
-
-    def __init__(self, *values: object) -> None:
-        if len(values) != arity:
-            if not shortest <= len(values) < arity:
-                raise TypeError(
-                    f"{cls.__qualname__} takes the values of ({', '.join(cls.__slots__)}),"
-                    f" the last {len(defaults)} optional; got {len(values)}"
-                )
-            values += defaults[len(values) - shortest:]
-        for set_field, value in zip(setters, values):
-            set_field(self, value)
-
-    return __init__
-
-
 def _restore(cls: type, values: tuple) -> Record:
     record = object.__new__(cls)
-    for set_field, value in zip(cls._setters, values):
-        set_field(record, value)
+    Record.__init__(record, *values)
     return record
 
 
@@ -200,7 +187,8 @@ MERIDIAN = Slope(1, 0)
 
 
 def make_slope(p: int, q: int) -> Slope:
-    """Return the normalized slope p/q; raises ZeroZeroError on (0, 0)."""
+    """Return the normalized slope p/q, the same as `Slope(p, q)`; raises
+    ZeroZeroError on (0, 0)."""
     return Slope(p, q)
 
 

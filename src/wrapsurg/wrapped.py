@@ -16,7 +16,7 @@ golden runner compare with it, also under `python -O`.
 """
 from __future__ import annotations
 
-from .slopes import ParseError, Record, Slope, make_slope, stripped
+from .slopes import ParseError, Record, Slope, stripped
 from .tangles import MontesinosTangle, closure_facts, knot_text, parse_tangle, twist_shift
 
 
@@ -88,7 +88,7 @@ def twist(knot: WrappedKnot, n: int) -> TwistedImage:
     slopes = knot.tangle.entries
     if c == 0:
         return TwistedImage(slopes, n, True)
-    return TwistedImage(slopes + (make_slope(1, c),), n, False)
+    return TwistedImage(slopes + (Slope(1, c),), n, False)
 
 
 def transport_slope(knot: WrappedKnot, r: Slope, n: int) -> Slope:
@@ -109,7 +109,7 @@ def two_bridge_fraction(knot: WrappedKnot, n: int) -> Slope:
         raise NotLengthOneError("two-bridge fractions need a single entry")
     t = knot.tangle.entries[0]
     c = knot.a + 2 * n
-    return make_slope(t.p, c * t.p + t.q)
+    return Slope(t.p, c * t.p + t.q)
 
 
 def pretzel_slope(knot: WrappedKnot) -> Slope:
@@ -168,7 +168,7 @@ def pretzel_slope(knot: WrappedKnot) -> Slope:
     else:
         raise NoPretzelSurfaceError(
             f"{knot} is not of pretzel shape K^a(1/q1,1/q2) or K^a(m)")
-    return make_slope(framing, 1)
+    return Slope(framing, 1)
 
 
 def parse_knot(text: str, offset: int = 0) -> WrappedKnot:

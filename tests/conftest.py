@@ -20,7 +20,6 @@ from wrapsurg import (
     Slope,
     WrappedKnot,
     make_slope,
-    make_wrapped,
 )
 
 # Derandomized, so each run draws the same examples in the same time; no
@@ -43,9 +42,7 @@ def random_tangle(
     rng: random.Random, max_entries: int = 3, bound: int = 20
 ) -> MontesinosTangle:
     k = rng.randint(1, max_entries)
-    return MontesinosTangle.from_slopes(
-        [random_slope(rng, bound, bound) for _ in range(k)]
-    )
+    return MontesinosTangle([random_slope(rng, bound, bound) for _ in range(k)])
 
 
 def random_knot(
@@ -55,7 +52,7 @@ def random_knot(
         tangle = random_tangle(rng, max_entries, bound)
         a = rng.randint(0, 1)
         try:
-            return make_wrapped(a, tangle)
+            return WrappedKnot(a, tangle)
         except NotAKnotError:
             continue
 

@@ -18,7 +18,6 @@ from wrapsurg import (
     double_branched_cover,
     exceptional_slopes,
     make_slope,
-    make_wrapped,
     parse_knot,
     parse_tangle,
     pretzel_slope,

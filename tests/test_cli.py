@@ -561,6 +561,8 @@ def test_closed_stdout_exits_1_without_a_traceback():
         assert "Traceback" not in err and "Exception" not in err, args
 
 
+# How the interpreter starts with a standard stream closed differs between versions.
+@pytest.mark.version_sensitive
 @pytest.mark.parametrize(("args", "redirect", "code", "error", "answered"), [
     (["batch"], "<&-", 2, "error: cannot read batch input: ", False),
     (["classify", "K0[3]", "7"], ">&-", 1, "", False),
@@ -593,16 +595,24 @@ def test_a_stream_closed_at_start_up_gives_an_exit_code_not_a_traceback(args, re
 
 # A million-row JSON sweep, which needs several times the cap below.
 _HUGE_TABLE = ["table", "K0[3]", "--range", "0..999999", "--format", "json"]
+# A million rows of `twist`, and of `predict` at a slope whose S^3 rows are unknown.
+_HUGE_TWIST = ["twist", "K0[3]", "--n", "0..999999"]
+_HUGE_PREDICT = ["predict", "K1[-1/2,1/3]", "5", "--n", "0..999999"]
+_NO_FIT = "error: the answer does not fit in memory\n"
 
 
+# Allocation sizes and RLIMIT_AS behaviour differ between versions.
+@pytest.mark.version_sensitive
 @pytest.mark.skipif(not sys.platform.startswith("linux") or resource is None,
                     reason="caps the child's address space with RLIMIT_AS")
 @pytest.mark.parametrize(("args", "stdin", "code", "error", "answered"), [
-    (_HUGE_TABLE, "", 2, "error: the answer does not fit in memory\n", False),
-    (["batch"], shlex.join(_HUGE_TABLE) + "\nclassify K0[3] 7\n", 2,
-     "line 1: error: the answer does not fit in memory\n", True),
+    (_HUGE_TABLE, "", 2, _NO_FIT, False),
+    (["batch"], shlex.join(_HUGE_TABLE) + "\nclassify K0[3] 7\n", 2, "line 1: " + _NO_FIT, True),
     (["classify", "K0[3]", "7"], "", 0, "", True),
-], ids=["one-shot", "batch", "small-answer"])
+    (_HUGE_PREDICT, "", 2, _NO_FIT, False),
+    (_HUGE_TWIST, "", 2, _NO_FIT, False),
+    ([*_HUGE_TWIST, "--format", "json"], "", 2, _NO_FIT, False),
+], ids=["one-shot", "batch", "small-answer", "predict-unknown-rows", "twist", "twist-json"])
 def test_an_answer_past_a_memory_cap_exits_2_not_a_traceback(args, stdin, code, error,
                                                             answered):
     # Under a 100 MB address-space cap, set in the child only: the huge answer
@@ -694,6 +704,8 @@ def test_split_gives_the_words_or_the_error_of_shlex(line):
 @example('classify "K0[1] 2" 1')
 @example("classify K0[1]\\ 1")
 @example("classify K0[1] '7")
+# Which lines are printable follows each version's Unicode database.
+@pytest.mark.version_sensitive
 def test_split_gives_the_words_or_the_error_of_shlex_on_printable_lines(line):
     assert _words_or_error(batch._split, line) == _words_or_error(shlex.split, line)
 

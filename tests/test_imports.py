@@ -78,6 +78,7 @@ _UNREAD = {
     "moves.reverse_tangle": "an equivalence move; the move properties of test_classify.py read it",
     "moves.shift_tangle": "an equivalence move; the move properties of test_classify.py read it",
     "moves.twist_tangle": "an equivalence move; the move properties of test_classify.py read it",
+    "slopes.make_slope": "public API, an alias of `Slope(p, q)`; tests and bench/ call it",
     "slopes.distance": "the tests check the Lackenby-Meyerhoff bound with it",
     "tracing.evaluate_continued_fraction": "the tests check it as the inverse of `expand`",
     "tracing.trace_closure": "the parity rule's oracle; the tests and the golden runner read it",

@@ -28,6 +28,11 @@ from wrapsurg import (
 )
 from wrapsurg.slopes import Record
 
+# Records are built, compared, pickled and copied through their classes' slot
+# descriptors and the copy and pickle protocols, whose details differ between
+# versions.
+pytestmark = pytest.mark.version_sensitive
+
 
 def _record_classes(cls=Record):
     for sub in cls.__subclasses__():
@@ -108,9 +113,9 @@ def test_record_contract(record):
 
 
 def _writes_its_constructor(cls):
-    """Whether the class's body defines `__init__`; `Record` gives every
-    other record class a constructor fitted to its fields."""
-    return vars(cls)["__init__"].__qualname__ == f"{cls.__qualname__}.__init__"
+    """Whether the class's body defines `__init__`; `Record.__init__` builds
+    every other record class."""
+    return "__init__" in vars(cls)
 
 
 def _parameters(cls):
@@ -126,14 +131,23 @@ def test_normalizing_and_cold_path_records_define_a_constructor():
     their input.  `NormalForm`, `LengthOneCanonical`, `Analysis` and
     `SurgeryClassification` are built for every cold knot or answer: CPython
     calls a constructor of fixed arity without building the tuple of values
-    that a fitted constructor packs, counts and unpacks."""
+    that `Record.__init__` packs, counts and unpacks."""
     own = {cls.__qualname__ for cls in _record_classes() if _writes_its_constructor(cls)}
     assert own == {"Slope", "MontesinosTangle", "WrappedKnot", "NormalForm",
                    "LengthOneCanonical", "Analysis", "SurgeryClassification"}
 
 
+def test_every_other_record_is_built_by_the_record_constructor():
+    shared = [cls for cls in _record_classes() if not _writes_its_constructor(cls)]
+    assert {cls.__qualname__ for cls in shared} == {
+        "Move", "Closure", "TwistedImage", "MontesinosLink", "SeifertInvariants", "SFSClass",
+        "ToroidalCertificate", "FamilyPrediction", "SlopeMap"}
+    for cls in shared:
+        assert cls.__init__ is Record.__init__, cls.__qualname__
+
+
 def _wrong_count(cls, count):
-    """The TypeError text of a fitted constructor given `count` values."""
+    """The TypeError text of `Record.__init__` given `count` values."""
     return (f"{cls.__qualname__} takes the values of ({', '.join(cls.__slots__)}),"
             f" the last {len(cls._defaults)} optional; got {count}")
 
@@ -146,12 +160,12 @@ def _check_copies(cls, built):
             assert type(twin) is cls and twin == record and hash(twin) == hash(record)
 
 
-def _check_fitted_constructor(cls, values):
+def _check_record_constructor(cls, values):
     """`cls(*values)` sets the fields in slot order; each shorter call down
     to the shortest fills the omitted fields from `_defaults`; one value too
     few or too many raises the contract's TypeError; the records built pickle
     and copy to equal records."""
-    assert vars(cls)["__init__"].__qualname__ == "_fitted_init.<locals>.__init__"
+    assert cls.__init__ is Record.__init__
     defaults = cls._defaults
     built = [cls(*values)]
     assert tuple(getattr(built[0], name) for name in cls.__slots__) == values
@@ -194,7 +208,7 @@ def test_record_is_built_from_its_fields_in_slot_order(record):
     if _writes_its_constructor(cls):
         _check_own_constructor(cls, values)
     else:
-        _check_fitted_constructor(cls, values)
+        _check_record_constructor(cls, values)
 
 
 def test_a_classification_fills_its_optional_fields():
@@ -217,8 +231,8 @@ def test_no_record_takes_keywords(cls):
 
 
 # A record class of each arity from 1 to 9, with 0 to 3 optional fields, at
-# module level so that its records pickle: `_fitted_init` fits its one
-# looped constructor to each.
+# module level so that its records pickle: `Record.__init__` builds each one
+# from its setters and `_defaults`.
 _ARITY_CLASSES = []
 for _arity in range(1, 10):
     for _optional in range(min(_arity, 3) + 1):
@@ -234,7 +248,7 @@ for _arity in range(1, 10):
 
 @pytest.mark.parametrize("cls", _ARITY_CLASSES, ids=lambda cls: cls.__qualname__)
 def test_a_fitted_constructor_of_each_arity(cls):
-    _check_fitted_constructor(cls, tuple(range(len(cls.__slots__))))
+    _check_record_constructor(cls, tuple(range(len(cls.__slots__))))
 
 
 _big = st.integers(-(10**30), 10**30)

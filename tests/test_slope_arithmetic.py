@@ -41,7 +41,7 @@ def _reference_single(t: Fraction):
 
 @given(st.lists(_slopes, min_size=1, max_size=3))
 def test_normalize_matches_the_fraction_reference(entries):
-    tangle = MontesinosTangle.from_slopes(entries)
+    tangle = MontesinosTangle(entries)
     nf = normalize(tangle)
     if len(nf.fracs) > 1:
         assert not nf.degenerate and nf.k1 is None
@@ -114,5 +114,5 @@ _near_unit = st.builds(
 @given(st.lists(_near_unit, min_size=2, max_size=2)
        | st.lists(_near_unit | _slopes, min_size=1, max_size=3))
 def test_find_pretzel_pair_matches_the_fraction_reference(entries):
-    nf = normalize(MontesinosTangle.from_slopes(entries))
+    nf = normalize(MontesinosTangle(entries))
     assert _find_pretzel_pair(nf) == _reference_pretzel_pair(nf)

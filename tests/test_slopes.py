@@ -302,6 +302,8 @@ def _error(message, position):
 @given(_INT_TEXTS, st.integers(0, 99))
 @example(" -0042\u3000", 3)
 @example("-\u0663", 0)
+# str.isdigit and str.strip follow each version's Unicode database.
+@pytest.mark.version_sensitive
 def test_integers_are_read_by_one_rule(text, offset):
     # A span reads its text as it is.
     expected = _integer_rule(text)

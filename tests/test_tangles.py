@@ -34,7 +34,7 @@ def test_rational_tangle_rejects_infinity():
         with pytest.raises(ValueError, match="must have finite slope"):
             MontesinosTangle(entries)
         with pytest.raises(ValueError, match="must have finite slope"):
-            MontesinosTangle.from_slopes(list(entries))
+            MontesinosTangle(list(entries))
     with pytest.raises(ValueError):
         MontesinosTangle(())
 
