@@ -38,8 +38,9 @@ on first use.
 One keep-window bounds every cache keyed by integers: `_in_window` holds when
 |n| < _WINDOW (2**20) for each integer n, so a kept integer has at most 7
 digits.  `_class_table` keeps the tables whose twists and entries pass it,
-`_s3_cover` the covers of spans whose canonical twists do, and the CLI's
-`_row_chunk` the chunks whose first integer does; the rest is kept nowhere.
+`_s3_cover` the covers of spans whose canonical twists do, and
+`spans._row_chunk` the chunks whose middle integer does; the rest is kept
+nowhere.
 """
 from __future__ import annotations
 

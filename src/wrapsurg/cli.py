@@ -12,8 +12,10 @@ and shlex.split splits each into words; it is read as its lines are answered,
 so a batch takes the memory of its longest line, not of its length.
 Importing this module loads only what every request runs: the text writer is
 here; `wrapsurg.jsonwriter`, the JSON writer, is imported by the first JSON
-answer (and bound to `_json_answer`), and `wrapsurg.batch`, the batch reader,
-by the first `batch` request.  Both import this module: under `python -m
+answer (and bound to `_json_answer`), `wrapsurg.batch`, the batch reader,
+by the first `batch` request, and `wrapsurg.spans`, the rows of a span, by
+the first answer with a span or a knot's exceptional slopes (and bound to
+`_spans`).  The first two import this module: under `python -m
 wrapsurg.cli`, where it runs as `__main__`, it first registers itself in
 `sys.modules` as `wrapsurg.cli`, so that neither loads a second copy, with
 caches and an error class of its own.  No request loads `json` (the writer
@@ -31,33 +33,36 @@ asked for once keeps none of them.  A text of more than 128 characters is
 analysed anew per request and not remembered.  A kept knot holds the text's
 analysis and the knot's own text, and the pieces of its answers, each rendered
 once per knot: from its first text answer on, the head of its text answers
-(knot, normal form and canonical entry lines); from its first JSON answer on,
-its quoted text, normal form, moves and exceptional slopes as JSON, the
-classification and family of each table slope, and a template of its
-classification at a hyperbolic slope.  So a warm request, from the third for
-its text on, parses, analyses and writes out no knot, and the answer is the
-same either way.  `_answer` gives the records a request answers with, whatever
-its format, the text of each S^3 cover (written once per cover and kept with it
-in `classify._s3_cover`) among them; text is written straight from them, and a
+(knot, normal form and canonical entry lines); from its first text `slopes`
+or `table` answer on, its `exceptional` lines and its sweep rows at those
+slopes; from its first JSON answer on, its quoted text, normal form, moves,
+exceptional slopes and sweep rows as JSON, the classification and family of
+each table slope, and a template of its classification at a hyperbolic
+slope.  So a warm request, from the third for its text on, parses, analyses
+and writes out no knot, and the answer is the same either way.  `_answer`
+gives the records a request answers with, whatever its format, the text of
+each S^3 cover (written once per cover and kept with it in
+`classify._s3_cover`) among them; text is written straight from them, and a
 JSON answer is assembled (in `jsonwriter`) from one %-template per answer
 shape, its pieces, and one %-template per row of a `sweep` or `surgeries`
-list, so that a warm one builds no dict.  The rows of a span that are the same
-but for their integer (a hyperbolic sweep row, an unknown S^3 row) are sliced,
-in both formats, from `_row_chunk`'s chunks of 256 rows, which keeps at most
-64 chunks, in `classify._in_window`'s window |r| < 2**20 (about 2 MB); the
-exceptional rows are written over them, and the bytes are those of one row at
-a time.  Beneath `_knot`, `slopes.parse_slope` keeps the slopes of the last
-2048 slope texts of at most 64 characters, knot entries and request slopes
-alike, so a knot text missing from `_knot` is built from entries read before.
-Above `_knot`, a batch keeps the answers of repeated request lines; the
-`wrapsurg.batch` docstring states which lines and its bound.
+list, so that a warm one builds no dict.  In both formats `spans.span_rows`
+gives the text of a span as a few slices of pre-joined chunks of 256 rows,
+centred on multiples of 256, with the knot's sweep rows spliced in between
+(the `wrapsurg.spans` docstring states the chunks and their bound); the
+bytes are those of the rows written one by one and joined.  A million-row
+answer peaks at 80 MB as text and 202 MB as JSON for `table`, and at 72 MB
+and 167 MB for `predict --n` (VmHWM, CPython 3.11, no bytecode cache).
+Beneath `_knot`, `slopes.parse_slope` keeps the slopes of the last 2048
+slope texts of at most 64 characters, knot entries and request slopes
+alike, so a knot text missing from `_knot` is built from entries read
+before.  Above `_knot`, a batch keeps the answers of repeated request lines;
+the `wrapsurg.batch` docstring states which lines and its bound.
 """
 from __future__ import annotations
 
 import os
 import sys
 from collections import OrderedDict
-from functools import lru_cache
 
 from .classify import (
     DegenerateKnotError,
@@ -65,7 +70,6 @@ from .classify import (
     FamilyPrediction,
     SurgeryClassification,
     _NO_ENTRY,
-    _in_window,
     analysis_of,
 )
 from .slopes import ParseError, Slope, _parse_int, parse_slope
@@ -238,16 +242,17 @@ def _json_writer():
 
 class _Knot:
     """A knot text's analysis and the knot's own text.  The first text
-    answer fills `head` with its `_head`, and the first JSON answer fills
-    `json` with its `_fragments`.  A failed parse raises."""
+    answer fills `head` with its `_head`, the first text `slopes` or `table`
+    answer fills `slopes` with its exceptional lines and its sweep rows,
+    and the first JSON answer fills `json` with its `_fragments`.  A failed
+    parse raises."""
 
-    __slots__ = ("analysis", "text", "head", "json")
+    __slots__ = ("analysis", "text", "head", "slopes", "json")
 
     def __init__(self, knot_text: str) -> None:
         self.analysis = analysis = analysis_of(parse_knot(knot_text))
         self.text = str(analysis.knot)
-        self.head: str | None = None
-        self.json: tuple | None = None
+        self.head = self.slopes = self.json = None
 
 
 # `_knot`'s knots, by text, the least recently used first: those of texts of at
@@ -321,38 +326,17 @@ _SWEEP_LINE = "  r=%s: %s"
 _SURGERY_LINE = "  n=%s: %s"
 _HYPERBOLIC_LINE = _SWEEP_LINE % ("%d", "hyperbolic")
 _UNKNOWN_LINE = _SURGERY_LINE % ("%d", "unknown")
-# `_row_chunk` keeps the last _ROW_CHUNKS chunks of _CHUNK_ROWS rows, each in
-# the keep-window of `classify._in_window`, so every row kept has at most 7
-# digits and the chunks take about 2 MB at most (64 chunks of JSON sweep rows
-# at the window's edge take 1.9 MB under tracemalloc).
-_CHUNK_ROWS = 256
-_ROW_CHUNKS = 64
+# `wrapsurg.spans`, bound by the first text answer with a span or a knot's
+# exceptional slopes.
+_spans = None
 
 
-@lru_cache(maxsize=_ROW_CHUNKS)
-def _row_chunk(template: str, k: int) -> tuple[str, ...]:
-    """The rows `template % r` for the _CHUNK_ROWS integers r from k * _CHUNK_ROWS."""
-    return tuple(map(template.__mod__, range(k * _CHUNK_ROWS, (k + 1) * _CHUNK_ROWS)))
+def _spans_module():
+    global _spans
+    from . import spans
 
-
-def _span_rows(template: str, span: tuple[int, int], exceptional=(), row: str = "") -> list[str]:
-    """[template % r for r in the span]: each piece of the span in one aligned
-    chunk is sliced from `_row_chunk` inside the keep-window and written row
-    by row outside it, so that no row is written that could pass the digit
-    limit unless the span has it.  Then, in a `table` sweep, `row % (r,
-    type)` at each exceptional slope r, which is integral."""
-    lo, hi = span
-    rows = []
-    for base in range(lo - lo % _CHUNK_ROWS, hi + 1, _CHUNK_ROWS):
-        start, stop = max(lo, base), min(hi + 1, base + _CHUNK_ROWS)
-        if _in_window(base):  # then so is the chunk: 256 divides the window's bound
-            rows += _row_chunk(template, base // _CHUNK_ROWS)[start - base:stop - base]
-        else:
-            rows += map(template.__mod__, range(start, stop))
-    for r, result in exceptional:
-        if lo <= r.p <= hi:
-            rows[r.p - lo] = row % (r.p, result.type._value_)
-    return rows
+    _spans = spans
+    return spans
 
 
 # -- text writer -------------------------------------------------------------
@@ -371,16 +355,20 @@ def _text_answer(request: Request, knot: _Knot, answer: tuple) -> str:
         if prediction is not None:
             lines.append(_family_line(prediction))
         if type(rows) is tuple:
-            lines += _span_rows(_UNKNOWN_LINE, rows)
+            lines.append((_spans or _spans_module()).span_rows(_UNKNOWN_LINE, "\n", rows))
         elif rows:
             lines += [_SURGERY_LINE % row for row in rows]
     elif request.command in ("slopes", "table"):
         exceptional, span = answer
-        lines += [f"exceptional {r}: {_describe(result)}" for r, result in exceptional]
-        if not exceptional:
-            lines.append("exceptional slopes: none")
+        spans = _spans or _spans_module()
+        slopes = knot.slopes
+        if slopes is None:  # raises, keeping nothing: an integer too long to write
+            block = [f"exceptional {r}: {_describe(result)}" for r, result in exceptional]
+            slopes = knot.slopes = ("\n".join(block) or "exceptional slopes: none",
+                                    spans.sweep_rows(_SWEEP_LINE, exceptional))
+        lines.append(slopes[0])
         if span:
-            lines += _span_rows(_HYPERBOLIC_LINE, span, exceptional, _SWEEP_LINE)
+            lines.append(spans.span_rows(_HYPERBOLIC_LINE, "\n", span, slopes[1]))
     elif request.command == "twist":
         for image, fraction in answer:
             extra = "" if fraction is None else f"  two-bridge {fraction}"

@@ -8,15 +8,18 @@ of a knot's answers are rendered once, by `_fragments`, into the knot's
 `json` slot in `cli._knot`; an answer is then assembled from them, one
 %-template per answer shape and one per row of a `sweep` or `surgeries`
 list, so that a warm answer other than `twist` builds no dict.  The rows of
-a span are sliced from the text writer's chunks by `cli._span_rows`.
+a span come as one text from `spans.span_rows`: slices of chunks of rows
+joined by _SEP, with the knot's sweep rows, rendered once into its `json`
+slot, spliced in between.
 """
 from __future__ import annotations
 
 from _json import encode_basestring_ascii as _quote
 
 from .classify import FamilyPrediction, SurgeryClassification, SurgeryType, _HYPERBOLIC_FAMILY
-from .cli import Request, _Knot, _span_rows
+from .cli import Request, _Knot
 from .slopes import Slope
+from .spans import span_rows, sweep_rows
 from .tangles import NormalForm
 from .wrapped import TwistedImage
 
@@ -67,6 +70,8 @@ _SWEEP_ROW = '    {\n      "slope": "%s",\n      "type": "%s"\n    }'
 _SURGERY_ROW = '    {\n      "n": %s,\n      "result": %s\n    }'
 _HYPERBOLIC_ROW = _SWEEP_ROW % ("%d", "hyperbolic")
 _NULL_ROW = _SURGERY_ROW % ("%d", "null")
+# What joins the rows of a list.
+_SEP = ",\n"
 
 
 def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tuple) -> str:
@@ -75,7 +80,7 @@ def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tupl
     pieces = knot.json
     if pieces is None:
         pieces = knot.json = _fragments(knot)
-    quoted, nf, moves, exceptional_fragment, table, hyperbolic = pieces
+    quoted, nf, moves, exceptional_fragment, sweep, table, hyperbolic = pieces
     given = '{\n    "knot": ' + quoted
     if request.n_range is not None:
         given += _SPAN_JSON % ("n", *request.n_range)
@@ -97,15 +102,17 @@ def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tupl
             family = "null" if prediction is None else _json(_prediction_json(prediction), "  ")
         surgeries = ""
         if rows is not None:
-            surgeries = _rows("surgeries", _span_rows(_NULL_ROW, rows) if type(rows) is tuple
-                              else [_SURGERY_ROW % (n, _quote(known)) for n, known in rows])
+            surgeries = _rows("surgeries", span_rows(_NULL_ROW, _SEP, rows) if type(rows) is tuple
+                              else _SEP.join([_SURGERY_ROW % (n, _quote(known))
+                                              for n, known in rows]))
         return _CLASSIFY_JSON % (classification, moves, family, given, nf, surgeries)
     if command in ("slopes", "table"):
         exceptional, span = answer
         if exceptional_fragment is None:  # raises: an integer too long to write
             exceptional_fragment = _json(_exceptional_json(exceptional), "  ")
+            sweep = sweep_rows(_SWEEP_ROW, exceptional)
         rows = "" if span is None else _rows(
-            "sweep", _span_rows(_HYPERBOLIC_ROW, span, exceptional, _SWEEP_ROW))
+            "sweep", span_rows(_HYPERBOLIC_ROW, _SEP, span, sweep))
         return _SLOPES_JSON % (moves, exceptional_fragment, given, nf, rows)
     if command == "twist":
         images = _json([_image_json(image, fraction) for image, fraction in answer], "  ")
@@ -117,19 +124,21 @@ def _fragments(knot: _Knot) -> tuple:
     """The JSON pieces of every answer for the knot, each rendered at its
     depth in an answer, for its `json` slot: its quoted text, its normal
     form and its equivalence moves; for a hyperbolic knot its exceptional
-    slopes and, by table slope, (classification, family prediction); and a
-    %-template of its classification at a hyperbolic slope.  A knot whose
-    table holds an integer too long to write gets None and an empty mapping,
-    so that only the answers that show that integer fail."""
+    slopes, its `sweep` rows at them (`spans.sweep_rows`) and, by table
+    slope, (classification, family prediction); and a %-template of its
+    classification at a hyperbolic slope.  A knot whose table holds an
+    integer too long to write gets None, None and an empty mapping, so that
+    only the answers that show that integer fail."""
     analysis = knot.analysis
     try:
         analysis.require_hyperbolic()
         exceptional = _json(_exceptional_json(analysis.exceptional), "  ")
+        sweep = sweep_rows(_SWEEP_ROW, analysis.exceptional)
         table = {r: (_json(_classification_json(answer), "  "),
                      _json(_prediction_json(analysis.predict(r)), "  "))
                  for r, answer in analysis.exceptional}
     except ValueError:  # DegenerateKnotError, or past the digit limit
-        exceptional, table = None, {}
+        exceptional, sweep, table = None, None, {}
     # Notes are written with every % doubled, and the slope as "%s".
     notes = tuple(note.replace("%", "%%") for note in analysis.notes)
     hyperbolic = SurgeryClassification(SurgeryType.HYPERBOLIC, "%s", None, None, notes)
@@ -138,14 +147,16 @@ def _fragments(knot: _Knot) -> tuple:
         _json(_normal_form_json(analysis.nf), "  "),
         _json([str(move) for move in analysis.moves], "  "),
         exceptional,
+        sweep,
         table,
         _json(_classification_json(hyperbolic), "  "),
     )
 
 
-def _rows(key: str, rows: list[str]) -> str:
-    """The `key` member of an answer: a list of at least one written row."""
-    return ',\n  "%s": [\n%s\n  ]' % (key, ",\n".join(rows))
+def _rows(key: str, rows: str) -> str:
+    """The `key` member of an answer: a list of at least one row, given as
+    its rows joined by _SEP."""
+    return ',\n  "%s": [\n%s\n  ]' % (key, rows)
 
 
 def _normal_form_json(nf: NormalForm) -> dict:

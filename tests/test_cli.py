@@ -32,7 +32,7 @@ from wrapsurg import (
     parse_slope,
 )
 import wrapsurg
-from wrapsurg import batch, cli, jsonwriter
+from wrapsurg import batch, cli, jsonwriter, spans
 from wrapsurg.classify import _WINDOW
 from wrapsurg.cli import main
 
@@ -402,14 +402,14 @@ def test_an_error_reading_a_batch_exits_2_after_the_lines_read(monkeypatch):
                    "error: cannot read batch input: [Errno 5] Input/output error\n")
 
 
-# Answers a batch file with stdout discarded and prints the peak RSS in KB:
+# Answers a request with stdout discarded and prints the peak RSS in KB:
 # VmHWM, which starts anew at exec, where ru_maxrss also counts the RSS of the
 # process that forked the child.
-_BATCH_PEAK_RSS = """
+_PEAK_RSS = """
 import os, sys
 from wrapsurg import cli
 sys.stdout = open(os.devnull, "w")
-assert cli.main(["batch", {path!r}]) == 0
+assert cli.main({args!r}) == 0
 with open("/proc/self/status") as status:
     print(next(line.split()[1] for line in status if line.startswith("VmHWM:")), file=sys.stderr)
 """
@@ -424,10 +424,22 @@ def test_a_long_batch_takes_the_memory_of_a_short_one(tmp_path):
     for lines in (20_000, 200_000):
         path = tmp_path / f"{lines}.txt"
         path.write_text(block * (lines // 10))
-        done = run_python(_BATCH_PEAK_RSS.format(path=str(path)))
+        done = run_python(_PEAK_RSS.format(args=["batch", str(path)]))
         assert done.returncode == 0, done.stderr
         peaks.append(int(done.stderr))
     assert peaks[1] - peaks[0] < 3 * 1024, peaks
+
+
+# The peak of a text answer of a million rows differs between versions.
+@pytest.mark.version_sensitive
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM")
+def test_a_million_row_table_peaks_below_its_ceiling():
+    # The span is written as slices of joined row chunks, not a list of a
+    # million rows: 80 MB at its peak on CPython 3.11, where a row list took
+    # 120 MB.  The ceiling is that figure plus a fifth.
+    done = run_python(_PEAK_RSS.format(args=["table", "K0[3]", "--range", "0..999999"]))
+    assert done.returncode == 0, done.stderr
+    assert int(done.stderr) < 96 * 1024, done.stderr
 
 
 def _as_shlex_splits(line):
@@ -486,15 +498,18 @@ def test_text_requests_import_neither_json_nor_shlex():
     # Every request runs these six, and none the strand tracer.
     request_path = sorted(["wrapsurg", *(f"wrapsurg.{name}" for name in (
         "classify", "cli", "slopes", "tangles", "wrapped"))])
-    # A JSON answer loads the JSON writer, and a known S^3 cover `seifert`.
-    with_writer = sorted([*request_path, "wrapsurg.jsonwriter"])
+    # A `slopes` answer loads the rows of spans and exceptional slopes, a
+    # JSON answer the JSON writer, and a known S^3 cover `seifert`.
+    with_spans = sorted([*request_path, "wrapsurg.spans"])
+    with_writer = sorted([*with_spans, "wrapsurg.jsonwriter"])
     with_seifert = sorted([*with_writer, "wrapsurg.seifert"])
     # The first batch loads the batch reader, which splits a printable line
     # with no " or \\ and its ' paired by str methods, loading neither `re`
     # nor `shlex`; a line with a " loads `shlex`, which imports `re`.
     with_batch = sorted([*with_seifert, "wrapsurg.batch"])
-    assert report == [f"@ [] {request_path}", *[f"@ 0 [] {request_path}"] * 3,
-                      *[f"@ 0 [] {with_writer}"] * 2, f"@ 0 [] {with_seifert}",
+    assert report == [f"@ [] {request_path}", f"@ 0 [] {request_path}",
+                      *[f"@ 0 [] {with_spans}"] * 2, *[f"@ 0 [] {with_writer}"] * 2,
+                      f"@ 0 [] {with_seifert}",
                       f"@ 0 [] {with_batch}", f"@ 0 ['re', 'shlex'] {with_batch}"]
 
 
@@ -595,9 +610,11 @@ def test_a_stream_closed_at_start_up_gives_an_exit_code_not_a_traceback(args, re
 
 # A million-row JSON sweep, which needs several times the cap below.
 _HUGE_TABLE = ["table", "K0[3]", "--range", "0..999999", "--format", "json"]
-# A million rows of `twist`, and of `predict` at a slope whose S^3 rows are unknown.
+# A million rows of `twist`, and of `predict` at a slope whose S^3 rows are
+# unknown, in JSON: its text answer (about 72 MB at its peak) fits under the
+# cap below.
 _HUGE_TWIST = ["twist", "K0[3]", "--n", "0..999999"]
-_HUGE_PREDICT = ["predict", "K1[-1/2,1/3]", "5", "--n", "0..999999"]
+_HUGE_PREDICT = ["predict", "K1[-1/2,1/3]", "5", "--n", "0..999999", "--format", "json"]
 _NO_FIT = "error: the answer does not fit in memory\n"
 
 
@@ -792,7 +809,7 @@ def test_json_answers_are_sorted_dumps_and_do_not_depend_on_the_warm_caches(
         assert _answer(*requests[-1]) == answers[-1]
     cli._kept_knots.clear()
     cli._asked_once.clear()
-    for cached in (cli._row_chunk, importlib.import_module("wrapsurg.classify")._s3_cover,
+    for cached in (spans._row_chunk, importlib.import_module("wrapsurg.classify")._s3_cover,
                    importlib.import_module("wrapsurg.slopes")._slope_memo):
         cached.cache_clear()
     assert [_answer(*args) for args in requests] == answers
@@ -825,24 +842,42 @@ def test_every_table_row_is_the_type_classify_gives(knot, data):
     assert [(int(row["slope"]), row["type"]) for row in rows] == expected
 
 
-# The four templates whose rows `_span_rows` slices from cached chunks, and
-# spans about chunk edges, 0, the edges of the keep-window and integers of up
-# to 300 digits.
-_ROW_TEMPLATES = [cli._HYPERBOLIC_LINE, cli._UNKNOWN_LINE, jsonwriter._HYPERBOLIC_ROW,
-                  jsonwriter._NULL_ROW]
+# The four templates whose rows `span_rows` slices from cached chunks, each
+# with its separator and the template of the rows written over them, and spans
+# about chunk edges (each _HALF_CHUNK short of a multiple of _CHUNK_ROWS), 0,
+# the edges of the keep-window and integers of up to 300 digits.
+_ROW_TEMPLATES = [
+    (cli._HYPERBOLIC_LINE, "\n", cli._SWEEP_LINE),
+    (cli._UNKNOWN_LINE, "\n", cli._SURGERY_LINE),
+    (jsonwriter._HYPERBOLIC_ROW, jsonwriter._SEP, jsonwriter._SWEEP_ROW),
+    (jsonwriter._NULL_ROW, jsonwriter._SEP, jsonwriter._SURGERY_ROW),
+]
 _span_anchors = st.one_of(
-    st.integers(-8, 8).map(lambda k: k * cli._CHUNK_ROWS),
+    st.integers(-8, 8).map(lambda k: k * spans._CHUNK_ROWS - spans._HALF_CHUNK),
+    st.integers(-8, 8).map(lambda k: k * spans._CHUNK_ROWS),
     st.sampled_from([_WINDOW, -_WINDOW]),
     st.integers(-(10**300), 10**300),
 )
 
 
 @given(st.sampled_from(_ROW_TEMPLATES), _span_anchors, st.integers(-600, 300),
-       st.integers(0, 700))
-def test_chunked_rows_are_the_rows_written_one_by_one(template, anchor, offset, rows):
+       st.integers(0, 700), st.data())
+def test_chunked_rows_are_the_rows_written_one_by_one(templates, anchor, offset, rows, data):
+    template, sep, written = templates
     lo = anchor + offset
     hi = lo + rows
-    assert cli._span_rows(template, (lo, hi)) == [template % r for r in range(lo, hi + 1)]
+    # Rows written over the span's rows: at its ends, just outside them, at
+    # the first chunk edges inside it, and anywhere about it.
+    edge = lo - (lo + spans._HALF_CHUNK) % spans._CHUNK_ROWS + spans._CHUNK_ROWS
+    places = [lo, lo - 1, hi, hi + 1, edge - 1, edge, edge + spans._CHUNK_ROWS - 1,
+              edge + spans._CHUNK_ROWS]
+    over = data.draw(st.sets(st.sampled_from(places) | st.integers(lo - 3, hi + 3), max_size=4))
+    exceptional = tuple((r, written % (r, "toroidal")) for r in sorted(over))
+    expected = [template % r for r in range(lo, hi + 1)]
+    for r, row in exceptional:
+        if lo <= r <= hi:
+            expected[r - lo] = row
+    assert spans.span_rows(template, sep, (lo, hi), exceptional) == sep.join(expected)
 
 
 def test_a_table_at_the_digit_limit_writes_only_its_own_rows():
@@ -926,6 +961,9 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
             if fmt == "json" and args[0] != "twist":
                 for name in _KNOT_BUILDERS:
                     count_calls(monkeypatch, calls, jsonwriter, name)
+            if fmt == "text" and args[0] in ("slopes", "table"):
+                # The knot's exceptional lines and sweep rows are kept with it.
+                count_calls(monkeypatch, calls, cli, "_describe")
             again = _answer(*args)
             imported = "wrapsurg.jsonwriter" in sys.modules
             monkeypatch.undo()

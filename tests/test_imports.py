@@ -133,7 +133,7 @@ def test_import_loads_the_request_path_and_the_rest_on_first_use():
         "      wrapsurg.equivalent(T('[5/3,-2/3]'), T('[2/3,1/3]'))[0] == wrapsurg.Move('shift'))\n"
         "print(package())\n"
         "from wrapsurg import *\n"
-        "import wrapsurg.jsonwriter\n"  # and with it `cli`, whose span rows it reads
+        "import wrapsurg.jsonwriter\n"  # and with it `cli` and `spans`, which it reads
         "print(package())\n"
         "print(callable(wrapsurg.classify), classify is wrapsurg.classify, len(wrapsurg.__all__))\n"
     )
@@ -142,7 +142,7 @@ def test_import_loads_the_request_path_and_the_rest_on_first_use():
         "None True",
         str(sorted([*_PACKAGE, "wrapsurg.moves"])),
         str(sorted([*_PACKAGE, "wrapsurg.cli", "wrapsurg.jsonwriter", "wrapsurg.moves",
-                    "wrapsurg.seifert", "wrapsurg.tracing"])),
+                    "wrapsurg.seifert", "wrapsurg.spans", "wrapsurg.tracing"])),
         "True True 61",
     ]
 
@@ -188,6 +188,8 @@ def test_python_m_loads_the_cli_module_once(argv, stdin, code, optimize, tmp_pat
     assert "wrapsurg.cli" not in imported and "wrapsurg.tracing" not in imported
     assert ("wrapsurg.jsonwriter" in imported) == ("json" in argv or argv[0] == "batch")
     assert ("wrapsurg.batch" in imported) == (argv[0] == "batch")
+    # The rows of spans and exceptional slopes load with their first answer.
+    assert ("wrapsurg.spans" in imported) == (argv[0] != "classify" or "json" in argv)
     script = ("import io, sys\n"
               "from wrapsurg.cli import main\n"
               f"sys.stdin = io.TextIOWrapper(io.BytesIO({stdin.encode()!r}))\n"

@@ -42,7 +42,7 @@ def test_make_wrapped_accepts_the_known_knots():
     assert str(K("K1[-1/2,1/3]")) == "K1[-1/2,1/3]"
 
 
-def test_make_wrapped_rejects_two_component_closures():
+def test_wrapped_knot_rejects_two_component_closures():
     # A left-to-left tangle closes to a link when the wrap arcs are parallel.
     assert trace_closure(T("[-1/2]").entries, 0).pairing is Pairing.LEFT_TO_LEFT
     with pytest.raises(NotAKnotError) as raised:
@@ -52,7 +52,7 @@ def test_make_wrapped_rejects_two_component_closures():
     WrappedKnot(1, T("[-1/2]"))  # the crossed closure is a knot
 
 
-def test_make_wrapped_rejects_internal_loops():
+def test_wrapped_knot_rejects_internal_loops():
     for a in (0, 1):
         with pytest.raises(NotAKnotError):
             WrappedKnot(a, T("[1/2,1/2]"))
@@ -248,7 +248,7 @@ def test_cross_checks_survive_python_O(script):
 
 # Fill a cache with more keys than its bound: the S^3 covers by twist at one
 # cover slope, the restated class tables by twist of the Whitehead table, the
-# parsed slopes by the text i/7, and the row chunks by chunk number.
+# parsed slopes by the text i/7, and the row chunks by their first integer.
 _FILL_A_CACHE = """
 import importlib
 cached = importlib.import_module("wrapsurg.{module}").{cache}
@@ -303,7 +303,7 @@ _BOUNDED_CACHES = {
         '((c := importlib.import_module("wrapsurg.classify")).KnotClass.WHITEHEAD, 0, '
         '(c.Slope(2, 1),)), c.SlopeMap(1, i, 0)'),
     "slope_text": ("slopes", "_slope_memo", '"%d/7" % i, None'),
-    "row_chunk": ("cli", "_row_chunk", '"%d", i'),
+    "row_chunk": ("spans", "_row_chunk", '"%d", "\\n", i'),
 }
 
 
