@@ -30,17 +30,18 @@ call, so a caller with several questions keeps its `analysis_of(knot)` and
 asks that.
 
 The S^3 surgery of a twisted image depends only on the canonical twist nc
-and slope rc: `_s3_cover` keeps it and its text once per (nc, rc), in an
-lru_cache of _S3_CACHE_SIZE (1024) entries.  `seifert.pretzel_surgery`
-computes it with its torus-knot cross-check; `wrapsurg.seifert` is imported
-on first use.
+and slope rc: `_s3_cover` keeps it once per (nc, rc), in an lru_cache of
+_S3_CACHE_SIZE (1024) entries, and `spans._s3_row` keeps each row the
+command line writes of it.  `seifert.pretzel_surgery` computes it with its
+torus-knot cross-check; `wrapsurg.seifert` is imported on first use.
 
 One keep-window bounds every cache keyed by integers: `_in_window` holds when
 |n| < _WINDOW (2**20) for each integer n, so a kept integer has at most 7
 digits.  `_class_table` keeps the tables whose twists and entries pass it,
-`_s3_cover` the covers of spans whose canonical twists do, and
-`spans._row_chunk` the chunks whose middle integer does; the rest is kept
-nowhere.
+`_s3_cover` the covers of spans whose canonical twists do,
+`spans._row_chunk` the chunks whose middle integer does, and `spans._s3_row`
+the S^3 rows of spans whose twists and canonical twists do; the rest is
+kept nowhere.
 """
 from __future__ import annotations
 
@@ -69,6 +70,11 @@ class SurgeryType(Enum):
     TOROIDAL = "toroidal"
     SMALL_SEIFERT = "small-seifert"
     REDUCIBLE = "reducible"
+
+
+# The answer at every slope outside a knot's table, bound once for
+# `Analysis.classify` (see `_GENERIC` below).
+_HYPERBOLIC = SurgeryType.HYPERBOLIC
 
 
 class ToroidalSource(Enum):
@@ -192,8 +198,8 @@ _WHITEHEAD_MATE_NOTES = (
     "single entry 2 closed with a = 1; the implemented moves "
     "do not identify it with the Whitehead closure",
 )
-# The S^3 covers `_s3_cover` keeps, with their texts, by (canonical twist,
-# canonical slope): both cover slopes over 512 consecutive twists.
+# The S^3 covers `_s3_cover` keeps, by (canonical twist, canonical slope):
+# both cover slopes over 512 consecutive twists.
 _S3_CACHE_SIZE = 1024
 # The restated tables `_class_table` keeps, by (source, slope map).
 _TABLE_CACHE_SIZE = 1024
@@ -257,13 +263,14 @@ class Analysis(Record):
         _set_exceptional(self, exceptional)
 
     def classify(self, r: Slope) -> SurgeryClassification:
-        """Classify r-surgery: the table's answer at r, if any."""
-        if r.is_meridian():
+        """Classify r-surgery: the table's answer at r, if any; a knot
+        without a table is not looked up."""
+        if not r.q:
             return SurgeryClassification(SurgeryType.TRIVIAL_FILLING, r)
         if self.nf.degenerate:
             return SurgeryClassification(SurgeryType.NON_HYPERBOLIC_KNOT, r)
-        return self.table.get(r, _NO_ENTRY)[0] or SurgeryClassification(
-            SurgeryType.HYPERBOLIC, r, None, None, self.notes)
+        return (self.table is not _NO_TABLE and self.table.get(r, _NO_ENTRY)[0]
+                or SurgeryClassification(_HYPERBOLIC, r, None, None, self.notes))
 
     def exceptional_slopes(self) -> list[tuple[Slope, SurgeryClassification]]:
         """The table's answers at the input knot's own slopes, in increasing
@@ -272,27 +279,25 @@ class Analysis(Record):
         return list(self.exceptional)
 
     def predict(self, r: Slope) -> FamilyPrediction:
-        if r.is_meridian():
+        if not r.q:
             raise ValueError("the meridian filling is trivial for every embedding")
         self.require_hyperbolic()
-        return self.table.get(r, _NO_ENTRY)[1] or _HYPERBOLIC_FAMILY
+        return self.table is not _NO_TABLE and self.table.get(r, _NO_ENTRY)[1] or _HYPERBOLIC_FAMILY
 
-    def surgeries_in_s3(self, r: Slope, ns: range,
-                        text: bool = False) -> list[tuple[int, seifert.SFSClass | str | None]]:
+    def surgeries_in_s3(self, r: Slope, ns: range) -> list[tuple[int, seifert.SFSClass | None]]:
         """The S^3 surgery at r of the n-twisted image for each n in `ns`,
-        or with `text` its text, when known (else None); the slope is looked
-        up once.  The covers are kept only if every canonical twist is in the
-        window; one past the digit limit has no text, but has its cover."""
+        when known (else None); the slope is looked up once.  The covers are
+        kept only if every canonical twist is in the window; one past the
+        digit limit has no text, but has its cover."""
         rc = self.table.get(r, _NO_ENTRY)[2]
         if rc is None:
             return [(n, None) for n in ns]
         nc = self.slope_map.canonical_twist
         if ns and _in_window(nc(ns[0]), nc(ns[-1])):  # nc is monotone: the ends decide
-            return [(n, _s3_cover(nc(n), rc)[text]) for n in ns]
+            return [(n, _s3_cover(nc(n), rc)) for n in ns]
         from . import seifert
 
-        covers = (seifert.pretzel_surgery(nc(n), rc) for n in ns)
-        return list(zip(ns, map(str, covers) if text else covers))
+        return [(n, seifert.pretzel_surgery(nc(n), rc)) for n in ns]
 
     def require_hyperbolic(self) -> None:
         """Raise `DegenerateKnotError` for a degenerate knot, never hyperbolic."""
@@ -305,14 +310,12 @@ class Analysis(Record):
 
 
 @lru_cache(maxsize=_S3_CACHE_SIZE)
-def _s3_cover(nc: int, rc: int) -> tuple[seifert.SFSClass, str]:
+def _s3_cover(nc: int, rc: int) -> seifert.SFSClass:
     """The S^3 surgery of the nc-twisted image of the canonical knot at
-    canonical slope rc (`seifert.pretzel_surgery`) and its text, built once
-    per miss."""
+    canonical slope rc (`seifert.pretzel_surgery`), built once per miss."""
     from . import seifert
 
-    cover = seifert.pretzel_surgery(nc, rc)
-    return cover, str(cover)
+    return seifert.pretzel_surgery(nc, rc)
 
 
 def _unit_fraction_shifts(frac: Slope) -> list[int]:
@@ -330,9 +333,12 @@ def _find_pretzel_pair(nf: NormalForm) -> tuple[int, int] | None:
     congruent to its fraction; 1/qi is the fraction less 1 when qi < 0."""
     if len(nf.fracs) != 2:
         return None
+    first, second = nf.fracs
+    if first.p != 1 != first.q - first.p or second.p != 1 != second.q - second.p:
+        return None  # not both 1/q or (q-1)/q
     found = None
-    for q1 in _unit_fraction_shifts(nf.fracs[0]):
-        for q2 in _unit_fraction_shifts(nf.fracs[1]):
+    for q1 in _unit_fraction_shifts(first):
+        for q2 in _unit_fraction_shifts(second):
             if (q1 < 0) + (q2 < 0) == -nf.e0:
                 pair = (q1, q2)
                 if found is not None and sorted(found) != sorted(pair):
@@ -418,15 +424,16 @@ def _class_table(source: tuple,
         framing = pretzel_slope(WrappedKnot(a, MontesinosTangle(entries))).p
         table = {framing: _toroidal(ToroidalSource.PRETZEL_SURFACE, framing)}
     restated = {}
-    for rc, (answer, family, s3_cover) in table.items():
+    # r = sigma * (rc - shift) ascends with rc, or descends when mirrored.
+    for rc in sorted(table, reverse=slope_map.sigma < 0):
+        answer, family, s3_cover = table[rc]
         r = slope_map.slope(rc)
         answer = SurgeryClassification(answer.type, r, answer.certificate,
                                        answer.seifert_indices, answer.notes)
         if family.n0 is not None:
             family = FamilyPrediction(family.kind, slope_map.n0(family.n0), family.fiber_indices)
         restated[r] = answer, family, rc if s3_cover else None
-    items = sorted(restated.items())
-    return MappingProxyType(dict(items)), tuple((r, answer) for r, (answer, _, _) in items)
+    return MappingProxyType(restated), tuple((r, entry[0]) for r, entry in restated.items())
 
 
 def classify(knot: WrappedKnot, r: Slope) -> SurgeryClassification:

@@ -30,19 +30,25 @@ builds the knot, answers and drops it, remembering only the text (in
 `_asked_once`, at most 8192 texts, cleared when full), and the second builds
 it again and keeps it, in an LRU of 8192 knots.  So a batch of knots each
 asked for once keeps none of them.  A text of more than 128 characters is
-analysed anew per request and not remembered.  A kept knot holds the text's
-analysis and the knot's own text, and the pieces of its answers, each rendered
-once per knot: from its first text answer on, the head of its text answers
-(knot, normal form and canonical entry lines); from its first text `slopes`
-or `table` answer on, its `exceptional` lines and its sweep rows at those
-slopes; from its first JSON answer on, its quoted text, normal form, moves,
+analysed anew per request and not remembered.  A knot holds the text's
+analysis and the knot's own text: the request's own text when nothing
+surrounds the knot or its entries and each entry is its slope's own text,
+which `slopes.parse_slope`'s memo records beside the slope once per entry
+text, so the check reads the memo entries the parse has just filled; any
+other text (whitespace, leading zeros, `-0`, `2/4`, `3/1`, an entry of more
+than 64 characters) is written out anew from the knot.  A kept knot also
+holds the pieces of its answers, each rendered once per knot: from its
+first text answer on, the head of its text answers (knot, normal form and
+canonical entry lines); from its first text `slopes` or `table` answer on,
+its `exceptional` lines and its sweep rows at those slopes; from its first
+JSON answer on, its quoted text, normal form, moves,
 exceptional slopes and sweep rows as JSON, the classification and family of
 each table slope, and a template of its classification at a hyperbolic
 slope.  So a warm request, from the third for its text on, parses, analyses
 and writes out no knot, and the answer is the same either way.  `_answer`
-gives the records a request answers with, whatever its format, the text of
-each S^3 cover (written once per cover and kept with it in
-`classify._s3_cover`) among them; text is written straight from them, and a
+gives the records a request answers with, whatever its format, the span of
+`--n` S^3 rows and their canonical slope among them (each row is written once
+and kept in `spans._s3_row`); text is written straight from them, and a
 JSON answer is assembled (in `jsonwriter`) from one %-template per answer
 shape, its pieces, and one %-template per row of a `sweep` or `surgeries`
 list, so that a warm one builds no dict.  In both formats `spans.span_rows`
@@ -69,10 +75,12 @@ from .classify import (
     FamilyKind,
     FamilyPrediction,
     SurgeryClassification,
+    _HYPERBOLIC_FAMILY,
     _NO_ENTRY,
     analysis_of,
 )
-from .slopes import ParseError, Slope, _parse_int, parse_slope
+from .slopes import _MEMO_TEXT_LENGTH, ParseError, Slope, _parse_int, _slope_memo, parse_slope
+from .tangles import _NOT_AN_ENTRY
 from .wrapped import NotAKnotError, parse_knot, twist, two_bridge_fraction
 
 # The flags each command takes; any other word starting "--" exits 2.  A batch takes none,
@@ -134,7 +142,7 @@ def parse(argv: list[str]) -> Request:
     flags = FLAGS.get(command)
     if flags is None:
         raise CommandError(f"unknown command {command!r} (at position 0)", 2)
-    request = Request(command=command)
+    request = Request(command)
     positionals: list[str] = []
     words = iter(argv[1:])
     for arg in words:
@@ -241,7 +249,9 @@ def _json_writer():
 
 
 class _Knot:
-    """A knot text's analysis and the knot's own text.  The first text
+    """A knot text's analysis and the knot's own text: the request's text
+    when nothing surrounds it or its entries and `parse_slope`'s memo holds
+    each entry as its slope's own text, else `str(knot)`.  The first text
     answer fills `head` with its `_head`, the first text `slopes` or `table`
     answer fills `slopes` with its exceptional lines and its sweep rows,
     and the first JSON answer fills `json` with its `_fragments`.  A failed
@@ -251,8 +261,16 @@ class _Knot:
 
     def __init__(self, knot_text: str) -> None:
         self.analysis = analysis = analysis_of(parse_knot(knot_text))
-        self.text = str(analysis.knot)
         self.head = self.slopes = self.json = None
+        # The parse has just filled the memo with each entry text that fits it.
+        if knot_text[0] == "K" and knot_text[-1] == "]":
+            for entry in knot_text[3:-1].split(","):
+                if len(entry) > _MEMO_TEXT_LENGTH or not _slope_memo(entry, _NOT_AN_ENTRY)[1]:
+                    break
+            else:
+                self.text = knot_text
+                return
+        self.text = str(analysis.knot)
 
 
 # `_knot`'s knots, by text, the least recently used first: those of texts of at
@@ -287,12 +305,11 @@ def _knot(knot_text: str) -> _Knot:
 
 def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
     """The records a request answers with besides the knot's normal form and
-    moves: for classify and predict (classification, family, `--n` rows),
-    the rows being the (n, S^3 cover text) pairs when the covers are known,
-    else the span itself, every row unknown; for slopes and table
-    (exceptional slopes, the `--range` span); for twist the (image,
-    two-bridge fraction) rows; for normalize none.  Each part that does not
-    apply is None."""
+    moves: for classify and predict (classification, family, `--n` span,
+    the canonical slope of the span's S^3 covers when they are known, else
+    None: every row unknown); for slopes and table (exceptional slopes, the
+    `--range` span); for twist the (image, two-bridge fraction) rows; for
+    normalize none.  Each part that does not apply is None."""
     command = request.command
     if command == "normalize":
         return ()
@@ -302,12 +319,11 @@ def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
         raise DegenerateKnotError(knot.text)
     if command in ("classify", "predict"):
         result = analysis.classify(slope)
-        if slope.is_meridian():
-            return result, None, None
-        rows = request.n_range
-        if rows and analysis.table.get(slope, _NO_ENTRY)[2] is not None:
-            rows = analysis.surgeries_in_s3(slope, range(rows[0], rows[1] + 1), text=True)
-        return result, analysis.predict(slope), rows
+        if not slope.q:
+            return result, None, None, None
+        span = request.n_range
+        rc = analysis.table.get(slope, _NO_ENTRY)[2] if span else None
+        return result, analysis.predict(slope), span, rc
     if command == "twist":
         wrapped = analysis.knot
         single = len(wrapped.tangle.entries) == 1
@@ -321,7 +337,8 @@ def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
 
 # One text row of a `table` sweep and of `--n` surgeries, and the rows that
 # differ only in their integer: a hyperbolic slope, an unknown S^3 cover.  The
-# JSON ones are in `jsonwriter`.
+# JSON ones are in `jsonwriter`.  A known S^3 cover's row is `_SURGERY_LINE`
+# at (n, the cover's text).
 _SWEEP_LINE = "  r=%s: %s"
 _SURGERY_LINE = "  n=%s: %s"
 _HYPERBOLIC_LINE = _SWEEP_LINE % ("%d", "hyperbolic")
@@ -350,14 +367,16 @@ def _text_answer(request: Request, knot: _Knot, answer: tuple) -> str:
     if request.show_moves:
         lines += [f"move: {move}" for move in knot.analysis.moves]
     if request.command in ("classify", "predict"):
-        result, prediction, rows = answer
+        result, prediction, span, rc = answer
         lines.append(f"classification: {_describe(result)} at slope {result.slope}")
-        if prediction is not None:
+        if prediction is _HYPERBOLIC_FAMILY:
+            lines.append(_HYPERBOLIC_FAMILY_LINE)
+        elif prediction is not None:
             lines.append(_family_line(prediction))
-        if type(rows) is tuple:
-            lines.append((_spans or _spans_module()).span_rows(_UNKNOWN_LINE, "\n", rows))
-        elif rows:
-            lines += [_SURGERY_LINE % row for row in rows]
+        if span:
+            spans = _spans or _spans_module()
+            lines.append(spans.span_rows(_UNKNOWN_LINE, "\n", span) if rc is None else
+                         spans.s3_rows(_SURGERY_LINE, "\n", span, knot.analysis.slope_map, rc))
     elif request.command in ("slopes", "table"):
         exceptional, span = answer
         spans = _spans or _spans_module()
@@ -376,22 +395,24 @@ def _text_answer(request: Request, knot: _Knot, answer: tuple) -> str:
     return "\n".join(lines)
 
 
+# The lines every text answer for a knot starts with, but its canonical entry's.
+_HEAD = "knot: %s\nnormal form: e0=%s fracs=[%s]%s"
+
+
 def _head(knot: _Knot) -> str:
     """The lines every text answer for the knot starts with: the knot, its
     normal form and its canonical single entry."""
     nf = knot.analysis.nf
-    suffix = "  [degenerate]" if nf.degenerate else ""
     # Slope.__str__ itself: str() would reach it through the type.
-    lines = [f"knot: {knot.text}",
-             f"normal form: e0={nf.e0} fracs=[{','.join(map(Slope.__str__, nf.fracs))}]"
-             f"{suffix}"]
-    if nf.k1 is not None:
-        extras = ["mirrored"] if nf.k1.mirrored else []
-        if nf.k1.twists:
-            extras.append(f"twists={nf.k1.twists}")
-        detail = f" ({', '.join(extras)})" if extras else ""
-        lines.append(f"canonical single entry: t={nf.k1.t}{detail}")
-    return "\n".join(lines)
+    head = _HEAD % (knot.text, nf.e0, ",".join(map(Slope.__str__, nf.fracs)),
+                    "  [degenerate]" if nf.degenerate else "")
+    if nf.k1 is None:
+        return head
+    extras = ["mirrored"] if nf.k1.mirrored else []
+    if nf.k1.twists:
+        extras.append(f"twists={nf.k1.twists}")
+    detail = f" ({', '.join(extras)})" if extras else ""
+    return f"{head}\ncanonical single entry: t={nf.k1.t}{detail}"
 
 
 def _describe(result: SurgeryClassification) -> str:
@@ -404,16 +425,24 @@ def _describe(result: SurgeryClassification) -> str:
     return text
 
 
+# The family line of every slope outside a knot's table.
+_HYPERBOLIC_FAMILY_LINE = "family: hyperbolic for all but finitely many embeddings"
+# The members `_family_line` reads, bound once: on Python 3.11 a member read
+# off an Enum class costs about 0.1 us.
+_TOROIDAL_COFINITE = FamilyKind.TOROIDAL_COFINITE
+_SEIFERT_OR_REDUCIBLE = FamilyKind.SEIFERT_OR_REDUCIBLE
+
+
 def _family_line(prediction: FamilyPrediction) -> str:
-    if prediction.kind is FamilyKind.SEIFERT_OR_REDUCIBLE:
+    if prediction.kind is _SEIFERT_OR_REDUCIBLE:
         indices = prediction.fiber_indices
         tail = f" with fiber indices {indices[0]},{indices[1]}" if indices else ""
         return f"family: every embedding is reducible or small Seifert fibered{tail}"
-    if prediction.kind is FamilyKind.TOROIDAL_COFINITE:
+    if prediction.kind is _TOROIDAL_COFINITE:
         n0 = prediction.n0
         window = "" if n0 is None else f" except within 1 of n0={n0}"
         return f"family: toroidal for all but at most three embeddings{window}"
-    return "family: hyperbolic for all but finitely many embeddings"
+    return _HYPERBOLIC_FAMILY_LINE
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,7 +10,8 @@ of a knot's answers are rendered once, by `_fragments`, into the knot's
 list, so that a warm answer other than `twist` builds no dict.  The rows of
 a span come as one text from `spans.span_rows`: slices of chunks of rows
 joined by _SEP, with the knot's sweep rows, rendered once into its `json`
-slot, spliced in between.
+slot, spliced in between; the rows of known S^3 covers come from
+`spans.s3_rows`, each kept as written.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from _json import encode_basestring_ascii as _quote
 from .classify import FamilyPrediction, SurgeryClassification, SurgeryType, _HYPERBOLIC_FAMILY
 from .cli import Request, _Knot
 from .slopes import Slope
-from .spans import span_rows, sweep_rows
+from .spans import s3_rows, span_rows, sweep_rows
 from .tangles import NormalForm
 from .wrapped import TwistedImage
 
@@ -70,6 +71,9 @@ _SWEEP_ROW = '    {\n      "slope": "%s",\n      "type": "%s"\n    }'
 _SURGERY_ROW = '    {\n      "n": %s,\n      "result": %s\n    }'
 _HYPERBOLIC_ROW = _SWEEP_ROW % ("%d", "hyperbolic")
 _NULL_ROW = _SURGERY_ROW % ("%d", "null")
+# The row of a known S^3 cover, at (n, the cover's text): a cover's text is
+# ASCII letters, digits, spaces and "();/-", which JSON writes as they are.
+_COVER_ROW = _SURGERY_ROW % ("%s", '"%s"')
 # What joins the rows of a list.
 _SEP = ",\n"
 
@@ -91,7 +95,7 @@ def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tupl
     given += "\n  }"
     command = request.command
     if command in ("classify", "predict"):
-        result, prediction, rows = answer
+        result, prediction, span, rc = answer
         found = table.get(result.slope)
         if found is not None:
             classification, family = found
@@ -101,10 +105,9 @@ def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tupl
             classification = _json(_classification_json(result), "  ")
             family = "null" if prediction is None else _json(_prediction_json(prediction), "  ")
         surgeries = ""
-        if rows is not None:
-            surgeries = _rows("surgeries", span_rows(_NULL_ROW, _SEP, rows) if type(rows) is tuple
-                              else _SEP.join([_SURGERY_ROW % (n, _quote(known))
-                                              for n, known in rows]))
+        if span is not None:
+            surgeries = _rows("surgeries", span_rows(_NULL_ROW, _SEP, span) if rc is None else
+                              s3_rows(_COVER_ROW, _SEP, span, knot.analysis.slope_map, rc))
         return _CLASSIFY_JSON % (classification, moves, family, given, nf, surgeries)
     if command in ("slopes", "table"):
         exceptional, span = answer

@@ -1,7 +1,8 @@
 """The rows of a `--range` or `--n` span, for both writers of the command
-line: `span_rows` writes a span's text, and `sweep_rows` a knot's `table`
-sweep rows at its exceptional slopes, which each writer renders once per
-knot and keeps with it.
+line: `span_rows` writes a span's text, `s3_rows` the text of a span of
+known S^3 covers, and `sweep_rows` a knot's `table` sweep rows at its
+exceptional slopes, which each writer renders once per knot and keeps with
+it.
 
 `wrapsurg.cli` imports this module on its first answer with a span or with
 a knot's exceptional slopes, so that `import wrapsurg.cli` compiles none of
@@ -20,17 +21,29 @@ outside it are written one at a time, so a request writes no integer it did
 not ask for.  A span's text is a few slices with the knot's sweep rows
 spliced in between, and its bytes are those of the rows written one by one
 and joined.
+
+A row of a known S^3 cover is kept as its writer writes it by `_s3_row`, by
+(row template, n, canonical twist, canonical slope), so it is written once
+while it stays among the last _S3_ROWS (2048) rows asked for: a text and a
+JSON row at both cover slopes over 512 consecutive twists.  Only the rows of
+spans whose twists and canonical twists are all in the keep-window are kept,
+and only those a request asks for; the 2048 rows of 7-digit twists take
+0.65 MB under tracemalloc.  A row kept here does not ask `classify._s3_cover`
+for its cover again.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
 
-from .classify import _WINDOW
+from .classify import _WINDOW, _in_window, _s3_cover
 
 _CHUNK_ROWS = 256
 _HALF_CHUNK = _CHUNK_ROWS // 2
 _ROW_CHUNKS = 64
+# The S^3 rows `_s3_row` keeps: a text and a JSON row at both cover slopes
+# over 512 consecutive twists.
+_S3_ROWS = 2048
 
 
 @lru_cache(maxsize=_ROW_CHUNKS)
@@ -68,6 +81,26 @@ def span_rows(template: str, sep: str, span: tuple[int, int], exceptional=()) ->
             return sep.join(pieces)
         pieces.append(row)
         lo = r + 1
+
+
+@lru_cache(maxsize=_S3_ROWS)
+def _s3_row(template: str, n: int, nc: int, rc: int) -> str:
+    """`template % (n, text)` for the text of the S^3 cover of the nc-twisted
+    image at canonical slope rc (`classify._s3_cover`)."""
+    return template % (n, _s3_cover(nc, rc))
+
+
+def s3_rows(template: str, sep: str, span: tuple[int, int], slope_map, rc: int) -> str:
+    """sep.join(template % (n, text of the S^3 cover of the n-twisted image))
+    over the span, at canonical slope rc with the knot's `slope_map`: each
+    row kept by `_s3_row` inside the keep-window and written anew outside it."""
+    lo, hi = span
+    nc = slope_map.canonical_twist
+    if _in_window(lo, hi, nc(lo), nc(hi)):  # nc is monotone: the ends decide
+        return sep.join([_s3_row(template, n, nc(n), rc) for n in range(lo, hi + 1)])
+    from .seifert import pretzel_surgery
+
+    return sep.join([template % (n, pretzel_surgery(nc(n), rc)) for n in range(lo, hi + 1)])
 
 
 def sweep_rows(row: str, exceptional) -> tuple:

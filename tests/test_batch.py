@@ -82,8 +82,9 @@ def test_span_lines_and_long_lines_are_not_kept():
 def test_failed_lines_are_not_kept_and_each_repeat_reports_its_own_line(monkeypatch):
     _clear_every_cache()
     # A bad slope and a degenerate knot on kept knots, and an answer with an
-    # integer past the digit limit, from a family line that writes one.
-    lines = ["classify K0[3] 1/0x", "classify K0[0] 1", "predict K0[5] 7"]
+    # integer past the digit limit, from a family line that writes one: at
+    # K0[5]'s table slope 0, as the family line of a hyperbolic slope is fixed.
+    lines = ["classify K0[3] 1/0x", "classify K0[0] 1", "predict K0[5] 0"]
     assert _batch(["normalize K0[3]", "normalize K0[0]", "normalize K0[5]"] * 2)[0] == 0
     assert set(cli._kept_knots) == {"K0[3]", "K0[0]", "K0[5]"}
     monkeypatch.setattr(cli, "_family_line", lambda prediction: str(10**5000))

@@ -979,6 +979,84 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
             assert imported == (fmt == "json"), args  # text never loads the writer
 
 
+def test_a_cold_request_writes_out_no_entry_of_its_knot_and_hashes_no_slope(monkeypatch):
+    # K0[13/19,-1/7] is generic: it has no table, so neither `classify` nor
+    # `predict` looks its slope up.  The slopes written are its normal form's
+    # fractions, 13/19 (the first entry itself) and 6/7, and the slope 5:
+    # the knot line is the request's own text, and no entry is written for it.
+    slopes = importlib.import_module("wrapsurg.slopes")
+    cli._kept_knots.clear()
+    cli._asked_once.clear()
+    slopes._slope_memo.cache_clear()
+    written, calls = [], {}
+    write = slopes.Slope.__str__
+
+    def writing(slope):
+        written.append(slope)
+        return write(slope)
+
+    monkeypatch.setattr(slopes.Slope, "__str__", writing)
+    count_calls(monkeypatch, calls, slopes.Slope, "__hash__")
+    code, out, err = _answer("classify", "K0[13/19,-1/7]", "5")
+    monkeypatch.undo()
+    assert (code, err) == (0, "") and out.startswith("knot: K0[13/19,-1/7]\n")
+    nf = analysis_of(parse_knot("K0[13/19,-1/7]")).nf
+    assert written == [*nf.fracs, make_slope(5, 1)]
+    assert calls == {}
+
+
+# Entry texts a slope may be written as: its own text, or with whitespace
+# around it or the "/", leading zeros (past 64 characters among them), -0,
+# a common factor or p/1.
+_ENTRY_SPACES = st.sampled_from(["", "", "", " ", "\t", "\x85", "　", " \xa0"])
+
+
+@st.composite
+def _entry_texts(draw):
+    p, q, factor = draw(st.integers(-12, 12)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    zeros = draw(st.sampled_from(["", "", "", "0", "0" * 70]))
+    sign = "-" if p < 0 or (p == 0 and draw(st.booleans())) else ""
+    number, denominator = sign + zeros + str(abs(p) * factor), str(q * factor)
+    if denominator == "1" and draw(st.booleans()):
+        body = number
+    else:
+        body = f"{number}{draw(_ENTRY_SPACES)}/{draw(_ENTRY_SPACES)}{denominator}"
+    return draw(_ENTRY_SPACES) + body + draw(_ENTRY_SPACES)
+
+
+_knot_texts = st.builds(lambda before, a, entries, after: f"{before}K{a}[{','.join(entries)}]{after}",
+                        _ENTRY_SPACES, st.integers(0, 1),
+                        st.lists(_entry_texts(), min_size=1, max_size=3), _ENTRY_SPACES)
+
+
+@given(_knot_texts)
+@example("K0[13/19,-1/7]")
+@example("K0[2/4,1/3]")
+@example("K0[3/1]")
+@example("K0[-0,1/3]")
+@example("K0[007]")
+@example("K0[1/3 ,1/3]")
+@example("K0[1 /3,1/3]")
+@example(" K0[1/3,1/3]")
+@example(f"K0[{'0' * 70}1/3,1/3]")
+# Which characters are whitespace (str.strip) and digits (str.isdigit)
+# follows each version's Unicode database.
+@pytest.mark.version_sensitive
+def test_a_knot_is_written_as_its_own_text_however_it_was_asked_for(text):
+    try:
+        own = str(parse_knot(text))
+    except NotAKnotError:
+        return
+    for fmt in ("text", "json"):
+        cli._kept_knots.clear()
+        cli._asked_once.clear()
+        answers = [_answer("normalize", text, "--format", fmt) for _ in range(3)]
+        for code, out, err in answers[::2]:  # cold, and warm from the kept knot
+            assert (code, err) == (0, "")
+            shown = json.loads(out)["input"]["knot"] if fmt == "json" else out.split("\n")[0]
+            assert shown == (own if fmt == "json" else f"knot: {own}")
+
+
 def test_a_text_asked_for_once_is_not_kept():
     cli._kept_knots.clear()
     cli._asked_once.clear()

@@ -288,8 +288,8 @@ def _s3_rows():
             continue
         for r, (_, _, rc) in analysis.table.items():
             if rc is not None:
-                lines += [f"{knot} {r} {n} | {cover}"
-                          for n, cover in analysis.surgeries_in_s3(r, S3_TWISTS, text=True)]
+                lines += [f"{knot} {r} {n} | {str(cover)}"
+                          for n, cover in analysis.surgeries_in_s3(r, S3_TWISTS)]
     lines.append("# knot n | twisted image, two-bridge fraction")
     for m in range(-6, 7):
         try:

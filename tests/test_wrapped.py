@@ -248,7 +248,8 @@ def test_cross_checks_survive_python_O(script):
 
 # Fill a cache with more keys than its bound: the S^3 covers by twist at one
 # cover slope, the restated class tables by twist of the Whitehead table, the
-# parsed slopes by the text i/7, and the row chunks by their first integer.
+# parsed slopes by the text i/7, the row chunks by their first integer, and
+# the S^3 rows by twist at one cover slope.
 _FILL_A_CACHE = """
 import importlib
 cached = importlib.import_module("wrapsurg.{module}").{cache}
@@ -304,6 +305,7 @@ _BOUNDED_CACHES = {
         '(c.Slope(2, 1),)), c.SlopeMap(1, i, 0)'),
     "slope_text": ("slopes", "_slope_memo", '"%d/7" % i, None'),
     "row_chunk": ("spans", "_row_chunk", '"%d", "\\n", i'),
+    "s3_row": ("spans", "_s3_row", '"  n=%s: %s", i, i, 7'),
 }
 
 
