@@ -247,7 +247,7 @@ for _arity in range(1, 10):
 
 
 @pytest.mark.parametrize("cls", _ARITY_CLASSES, ids=lambda cls: cls.__qualname__)
-def test_the_record_constructor_of_each_arity(cls):
+def test_a_fitted_constructor_of_each_arity(cls):
     _check_record_constructor(cls, tuple(range(len(cls.__slots__))))
 
 
