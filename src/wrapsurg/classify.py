@@ -30,18 +30,17 @@ call, so a caller with several questions keeps its `analysis_of(knot)` and
 asks that.
 
 The S^3 surgery of a twisted image depends only on the canonical twist nc
-and slope rc: `_s3_cover` keeps it once per (nc, rc), in an lru_cache of
-_S3_CACHE_SIZE (1024) entries, and `spans._s3_row` keeps each row the
-command line writes of it.  `seifert.pretzel_surgery` computes it with its
-torus-knot cross-check; `wrapsurg.seifert` is imported on first use.
+and slope rc.  `Analysis.surgeries_in_s3` builds it anew on every call with
+`seifert.pretzel_surgery` and its cross-checks; `wrapsurg.seifert` is
+imported on first use.  The command line keeps each cover's text in
+`spans._s3_cover`, once per (nc, rc).
 
 One keep-window bounds every cache keyed by integers: `_in_window` holds when
 |n| < _WINDOW (2**20) for each integer n, so a kept integer has at most 7
 digits.  `_class_table` keeps the tables whose twists and entries pass it,
-`_s3_cover` the covers of spans whose canonical twists do,
-`spans._row_chunk` the chunks whose middle integer does, and `spans._s3_row`
-the S^3 rows of spans whose twists and canonical twists do; the rest is
-kept nowhere.
+`spans._row_chunk` the chunks whose middle integer does, and
+`spans._s3_cover` the cover texts of spans whose canonical twists do; the
+rest is kept nowhere.
 """
 from __future__ import annotations
 
@@ -198,9 +197,6 @@ _WHITEHEAD_MATE_NOTES = (
     "single entry 2 closed with a = 1; the implemented moves "
     "do not identify it with the Whitehead closure",
 )
-# The S^3 covers `_s3_cover` keeps, by (canonical twist, canonical slope):
-# both cover slopes over 512 consecutive twists.
-_S3_CACHE_SIZE = 1024
 # The restated tables `_class_table` keeps, by (source, slope map).
 _TABLE_CACHE_SIZE = 1024
 # The keep-window of every cache keyed by integers (see `_in_window`).
@@ -286,18 +282,16 @@ class Analysis(Record):
 
     def surgeries_in_s3(self, r: Slope, ns: range) -> list[tuple[int, seifert.SFSClass | None]]:
         """The S^3 surgery at r of the n-twisted image for each n in `ns`,
-        when known (else None); the slope is looked up once.  The covers are
-        kept only if every canonical twist is in the window; one past the
-        digit limit has no text, but has its cover."""
+        when known (else None), built anew by `seifert.pretzel_surgery`; the
+        slope is looked up once.  A cover past the digit limit has no text,
+        but has its invariants."""
         rc = self.table.get(r, _NO_ENTRY)[2]
         if rc is None:
             return [(n, None) for n in ns]
-        nc = self.slope_map.canonical_twist
-        if ns and _in_window(nc(ns[0]), nc(ns[-1])):  # nc is monotone: the ends decide
-            return [(n, _s3_cover(nc(n), rc)) for n in ns]
-        from . import seifert
+        from .seifert import pretzel_surgery
 
-        return [(n, seifert.pretzel_surgery(nc(n), rc)) for n in ns]
+        nc = self.slope_map.canonical_twist
+        return [(n, pretzel_surgery(nc(n), rc)) for n in ns]
 
     def require_hyperbolic(self) -> None:
         """Raise `DegenerateKnotError` for a degenerate knot, never hyperbolic."""
@@ -307,15 +301,6 @@ class Analysis(Record):
 
 (_set_knot, _set_nf, _set_knot_class, _set_slope_map, _set_table, _set_analysis_notes, _set_moves,
  _set_exceptional) = Analysis._setters
-
-
-@lru_cache(maxsize=_S3_CACHE_SIZE)
-def _s3_cover(nc: int, rc: int) -> seifert.SFSClass:
-    """The S^3 surgery of the nc-twisted image of the canonical knot at
-    canonical slope rc (`seifert.pretzel_surgery`), built once per miss."""
-    from . import seifert
-
-    return seifert.pretzel_surgery(nc, rc)
 
 
 def _unit_fraction_shifts(frac: Slope) -> list[int]:
@@ -333,12 +318,9 @@ def _find_pretzel_pair(nf: NormalForm) -> tuple[int, int] | None:
     congruent to its fraction; 1/qi is the fraction less 1 when qi < 0."""
     if len(nf.fracs) != 2:
         return None
-    first, second = nf.fracs
-    if first.p != 1 != first.q - first.p or second.p != 1 != second.q - second.p:
-        return None  # not both 1/q or (q-1)/q
     found = None
-    for q1 in _unit_fraction_shifts(first):
-        for q2 in _unit_fraction_shifts(second):
+    for q1 in _unit_fraction_shifts(nf.fracs[0]):
+        for q2 in _unit_fraction_shifts(nf.fracs[1]):
             if (q1 < 0) + (q2 < 0) == -nf.e0:
                 pair = (q1, q2)
                 if found is not None and sorted(found) != sorted(pair):

@@ -31,27 +31,23 @@ builds the knot, answers and drops it, remembering only the text (in
 it again and keeps it, in an LRU of 8192 knots.  So a batch of knots each
 asked for once keeps none of them.  A text of more than 128 characters is
 analysed anew per request and not remembered.  A knot holds the text's
-analysis and the knot's own text: the request's own text when nothing
-surrounds the knot or its entries and each entry is its slope's own text,
-which `slopes.parse_slope`'s memo records beside the slope once per entry
-text, so the check reads the memo entries the parse has just filled; any
-other text (whitespace, leading zeros, `-0`, `2/4`, `3/1`, an entry of more
-than 64 characters) is written out anew from the knot.  A kept knot also
-holds the pieces of its answers, each rendered once per knot: from its
-first text answer on, the head of its text answers (knot, normal form and
-canonical entry lines); from its first text `slopes` or `table` answer on,
-its `exceptional` lines and its sweep rows at those slopes; from its first
-JSON answer on, its quoted text, normal form, moves,
+analysis and the knot's own text, `str(knot)`, written once per knot
+however the request wrote it (whitespace, leading zeros, `-0`, `2/4`,
+`3/1`).  A kept knot also holds the pieces of its answers, each rendered
+once per knot: from its first text answer on, the head of its text answers
+(knot, normal form and canonical entry lines); from its first text `slopes`
+or `table` answer on, its `exceptional` lines and its sweep rows at those
+slopes; from its first JSON answer on, its quoted text, normal form, moves,
 exceptional slopes and sweep rows as JSON, the classification and family of
 each table slope, and a template of its classification at a hyperbolic
 slope.  So a warm request, from the third for its text on, parses, analyses
 and writes out no knot, and the answer is the same either way.  `_answer`
 gives the records a request answers with, whatever its format, the span of
-`--n` S^3 rows and their canonical slope among them (each row is written once
-and kept in `spans._s3_row`); text is written straight from them, and a
-JSON answer is assembled (in `jsonwriter`) from one %-template per answer
-shape, its pieces, and one %-template per row of a `sweep` or `surgeries`
-list, so that a warm one builds no dict.  In both formats `spans.span_rows`
+`--n` S^3 rows and their canonical slope among them (each cover's text is
+written once and kept in `spans._s3_cover`); text is written straight from
+them, and a JSON answer is assembled (in `jsonwriter`) from one %-template
+per answer shape, its pieces, and one %-template per row of a `sweep` or
+`surgeries` list, so that a warm one builds no dict.  In both formats `spans.span_rows`
 gives the text of a span as a few slices of pre-joined chunks of 256 rows,
 centred on multiples of 256, with the knot's sweep rows spliced in between
 (the `wrapsurg.spans` docstring states the chunks and their bound); the
@@ -79,8 +75,7 @@ from .classify import (
     _NO_ENTRY,
     analysis_of,
 )
-from .slopes import _MEMO_TEXT_LENGTH, ParseError, Slope, _parse_int, _slope_memo, parse_slope
-from .tangles import _NOT_AN_ENTRY
+from .slopes import ParseError, Slope, _parse_int, parse_slope
 from .wrapped import NotAKnotError, parse_knot, twist, two_bridge_fraction
 
 # The flags each command takes; any other word starting "--" exits 2.  A batch takes none,
@@ -249,28 +244,18 @@ def _json_writer():
 
 
 class _Knot:
-    """A knot text's analysis and the knot's own text: the request's text
-    when nothing surrounds it or its entries and `parse_slope`'s memo holds
-    each entry as its slope's own text, else `str(knot)`.  The first text
-    answer fills `head` with its `_head`, the first text `slopes` or `table`
-    answer fills `slopes` with its exceptional lines and its sweep rows,
-    and the first JSON answer fills `json` with its `_fragments`.  A failed
-    parse raises."""
+    """A knot text's analysis and the knot's own text, `str(knot)`.  The
+    first text answer fills `head` with its `_head`, the first text `slopes`
+    or `table` answer fills `slopes` with its exceptional lines and its sweep
+    rows, and the first JSON answer fills `json` with its `_fragments`.  A
+    failed parse raises."""
 
     __slots__ = ("analysis", "text", "head", "slopes", "json")
 
     def __init__(self, knot_text: str) -> None:
         self.analysis = analysis = analysis_of(parse_knot(knot_text))
-        self.head = self.slopes = self.json = None
-        # The parse has just filled the memo with each entry text that fits it.
-        if knot_text[0] == "K" and knot_text[-1] == "]":
-            for entry in knot_text[3:-1].split(","):
-                if len(entry) > _MEMO_TEXT_LENGTH or not _slope_memo(entry, _NOT_AN_ENTRY)[1]:
-                    break
-            else:
-                self.text = knot_text
-                return
         self.text = str(analysis.knot)
+        self.head = self.slopes = self.json = None
 
 
 # `_knot`'s knots, by text, the least recently used first: those of texts of at

@@ -11,7 +11,7 @@ list, so that a warm answer other than `twist` builds no dict.  The rows of
 a span come as one text from `spans.span_rows`: slices of chunks of rows
 joined by _SEP, with the knot's sweep rows, rendered once into its `json`
 slot, spliced in between; the rows of known S^3 covers come from
-`spans.s3_rows`, each kept as written.
+`spans.s3_rows`, each cover's text kept as written.
 """
 from __future__ import annotations
 

@@ -6,11 +6,7 @@ arbitrary-precision integers.  `Slope` is the package's one rational type:
 its reciprocal, integer shifts, negation and order are all the arithmetic
 the package does, and no module imports `fractions`.  Slope texts are read
 by `parse_slope`, which keeps the slopes of the last 2048 short texts it
-parsed, so a text is read once while it stays among them.  Beside each
-slope the memo keeps whether the text is the slope's own text, `str(slope)`,
-found once per text: the command line reads that flag for each entry of a
-knot text it has just parsed, and writes a knot whose every entry is written
-as its own text, with nothing around the entries, as the text it was given.
+parsed, so a text is read once while it stays among them.
 
 `Record` is the base of the package's value types.  A record is built from
 its field values in `__slots__` order, positionally, `cls(*values)`: no
@@ -227,9 +223,8 @@ def stripped(text: str, offset: int) -> tuple[str, int]:
 
 
 # `parse_slope`'s memo holds at most _SLOPE_CACHE_SIZE texts of at most
-# _MEMO_TEXT_LENGTH characters with their slopes and own-text flags: under 1 MB
-# (2048 texts of 64 characters, digits or U+3000 padding, take at most 0.99 MB
-# in tracemalloc).
+# _MEMO_TEXT_LENGTH characters with their slopes: under 1 MB (2048 texts of 64
+# characters, digits or U+3000 padding, take at most 0.76 MB in tracemalloc).
 _SLOPE_CACHE_SIZE = 2048
 _MEMO_TEXT_LENGTH = 64
 
@@ -246,7 +241,7 @@ def parse_slope(text: str, offset: int = 0, meridian: str | None = None) -> Slop
     gives the same message and position either way."""
     if len(text) <= _MEMO_TEXT_LENGTH:
         try:
-            return _slope_memo(text, meridian)[0]
+            return _slope_memo(text, meridian)
         except ParseError:
             pass
     return _read_slope(text, offset, meridian)
@@ -272,13 +267,8 @@ def _read_slope(text: str, offset: int, meridian: str | None) -> Slope:
 
 
 @lru_cache(maxsize=_SLOPE_CACHE_SIZE)
-def _slope_memo(text: str, meridian: str | None) -> tuple[Slope, bool]:
-    """The text's slope, and whether the text is the slope's own text: not
-    so with whitespace, leading zeros, `-0`, a common factor or `p/1`."""
-    slope = _read_slope(text, 0, meridian)
-    # What `Slope.__str__` writes, without its call.
-    return slope, text == (f"{slope.p}/{slope.q}" if slope.q > 1 else
-                           str(slope.p) if slope.q else "inf")
+def _slope_memo(text: str, meridian: str | None) -> Slope:
+    return _read_slope(text, 0, meridian)
 
 
 def _parse_int(text: str, offset: int, allow_sign: bool) -> int:

@@ -22,28 +22,28 @@ not ask for.  A span's text is a few slices with the knot's sweep rows
 spliced in between, and its bytes are those of the rows written one by one
 and joined.
 
-A row of a known S^3 cover is kept as its writer writes it by `_s3_row`, by
-(row template, n, canonical twist, canonical slope), so it is written once
-while it stays among the last _S3_ROWS (2048) rows asked for: a text and a
-JSON row at both cover slopes over 512 consecutive twists.  Only the rows of
-spans whose twists and canonical twists are all in the keep-window are kept,
-and only those a request asks for; the 2048 rows of 7-digit twists take
-0.65 MB under tracemalloc.  A row kept here does not ask `classify._s3_cover`
-for its cover again.
+The text of a known S^3 cover is kept by `_s3_cover`, by (canonical twist,
+canonical slope), so `seifert.pretzel_surgery` builds it and str() writes it
+once while it stays among the last _S3_COVERS (1024) asked for: both cover
+slopes over 512 consecutive twists.  Both writers format each row from it,
+`template % (n, text)`.  Only the covers of spans whose canonical twists are
+all in the keep-window are kept; the 1024 texts of 7-digit twists take
+0.26 MB under tracemalloc.  `wrapsurg.seifert` is imported on the first
+miss.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
 
-from .classify import _WINDOW, _in_window, _s3_cover
+from .classify import _WINDOW, _in_window
 
 _CHUNK_ROWS = 256
 _HALF_CHUNK = _CHUNK_ROWS // 2
 _ROW_CHUNKS = 64
-# The S^3 rows `_s3_row` keeps: a text and a JSON row at both cover slopes
-# over 512 consecutive twists.
-_S3_ROWS = 2048
+# The S^3 cover texts `_s3_cover` keeps: both cover slopes over 512
+# consecutive twists.
+_S3_COVERS = 1024
 
 
 @lru_cache(maxsize=_ROW_CHUNKS)
@@ -83,24 +83,25 @@ def span_rows(template: str, sep: str, span: tuple[int, int], exceptional=()) ->
         lo = r + 1
 
 
-@lru_cache(maxsize=_S3_ROWS)
-def _s3_row(template: str, n: int, nc: int, rc: int) -> str:
-    """`template % (n, text)` for the text of the S^3 cover of the nc-twisted
-    image at canonical slope rc (`classify._s3_cover`)."""
-    return template % (n, _s3_cover(nc, rc))
+@lru_cache(maxsize=_S3_COVERS)
+def _s3_cover(nc: int, rc: int) -> str:
+    """The text of the S^3 surgery of the nc-twisted image of the canonical
+    knot at canonical slope rc (`seifert.pretzel_surgery`)."""
+    from .seifert import pretzel_surgery
+
+    return str(pretzel_surgery(nc, rc))
 
 
 def s3_rows(template: str, sep: str, span: tuple[int, int], slope_map, rc: int) -> str:
     """sep.join(template % (n, text of the S^3 cover of the n-twisted image))
     over the span, at canonical slope rc with the knot's `slope_map`: each
-    row kept by `_s3_row` inside the keep-window and written anew outside it."""
+    cover's text kept by `_s3_cover` inside the keep-window and written anew
+    outside it."""
     lo, hi = span
     nc = slope_map.canonical_twist
-    if _in_window(lo, hi, nc(lo), nc(hi)):  # nc is monotone: the ends decide
-        return sep.join([_s3_row(template, n, nc(n), rc) for n in range(lo, hi + 1)])
-    from .seifert import pretzel_surgery
-
-    return sep.join([template % (n, pretzel_surgery(nc(n), rc)) for n in range(lo, hi + 1)])
+    # nc is monotone: the ends decide.
+    cover = _s3_cover if _in_window(nc(lo), nc(hi)) else _s3_cover.__wrapped__
+    return sep.join([template % (n, cover(nc(n), rc)) for n in range(lo, hi + 1)])
 
 
 def sweep_rows(row: str, exceptional) -> tuple:

@@ -809,7 +809,7 @@ def test_json_answers_are_sorted_dumps_and_do_not_depend_on_the_warm_caches(
         assert _answer(*requests[-1]) == answers[-1]
     cli._kept_knots.clear()
     cli._asked_once.clear()
-    for cached in (spans._row_chunk, importlib.import_module("wrapsurg.classify")._s3_cover,
+    for cached in (spans._row_chunk, spans._s3_cover,
                    importlib.import_module("wrapsurg.slopes")._slope_memo):
         cached.cache_clear()
     assert [_answer(*args) for args in requests] == answers
@@ -979,11 +979,11 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
             assert imported == (fmt == "json"), args  # text never loads the writer
 
 
-def test_a_cold_request_writes_out_no_entry_of_its_knot_and_hashes_no_slope(monkeypatch):
+def test_a_cold_request_hashes_no_slope(monkeypatch):
     # K0[13/19,-1/7] is generic: it has no table, so neither `classify` nor
-    # `predict` looks its slope up.  The slopes written are its normal form's
-    # fractions, 13/19 (the first entry itself) and 6/7, and the slope 5:
-    # the knot line is the request's own text, and no entry is written for it.
+    # `predict` looks its slope up.  The slopes written are the knot's entries,
+    # 13/19 and -1/7, for its line; its normal form's fractions, 13/19 and
+    # 6/7; and the slope 5.
     slopes = importlib.import_module("wrapsurg.slopes")
     cli._kept_knots.clear()
     cli._asked_once.clear()
@@ -1000,8 +1000,8 @@ def test_a_cold_request_writes_out_no_entry_of_its_knot_and_hashes_no_slope(monk
     code, out, err = _answer("classify", "K0[13/19,-1/7]", "5")
     monkeypatch.undo()
     assert (code, err) == (0, "") and out.startswith("knot: K0[13/19,-1/7]\n")
-    nf = analysis_of(parse_knot("K0[13/19,-1/7]")).nf
-    assert written == [*nf.fracs, make_slope(5, 1)]
+    knot = parse_knot("K0[13/19,-1/7]")
+    assert written == [*knot.tangle.entries, *analysis_of(knot).nf.fracs, make_slope(5, 1)]
     assert calls == {}
 
 

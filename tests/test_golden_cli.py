@@ -47,13 +47,17 @@ with it: `_closure_mismatches` compares the parity rule `closure_facts` with
 `trace_closure` on every grid entry list, links included, and
 `_framing_mismatches` compares the spanning-surface rule
 `wrapped.pretzel_slope` with `pretzel_framing` on every pretzel-shaped knot
-of `_framing_shapes`.  Neither rests on assert statements, so both check
-under `python -O` too.
+of `_framing_shapes`.  Beside them `_homology_mismatches` pins the twist half
+of the slope map: on every S^3 row of a (-2, 3)-class grid knot, the first
+homology of a small Seifert cover has the order |r + n wind^2| of the knot's
+own slope r carried by n twists (`transport_slope`).  None rests on assert
+statements, so all three check under `python -O` too.
 
 The module imports neither pytest nor hypothesis, so the digests can be checked
 on an interpreter without them: `PYTHONPATH=src python tests/test_golden_cli.py`
 recomputes all sixteen, checks the JSON answers in them, the parity rule on
-the grid and the framing rule on its shapes, prints the unified diffs of the
+the grid, the framing rule on its shapes and the homology orders of the S^3
+rows, prints the unified diffs of the
 census and the S^3 rows against their files, and exits 1 on a mismatch.
 """
 import contextlib
@@ -77,9 +81,11 @@ from wrapsurg import (
     WrappedKnot,
     analysis_of,
     closure_facts,
+    SFSKind,
     make_slope,
     parse_knot,
     pretzel_slope,
+    transport_slope,
     twist,
     two_bridge_fraction,
 )
@@ -366,6 +372,31 @@ def _framing_mismatches():
     return mismatches, len(knots)
 
 
+def _homology_mismatches():
+    """The S^3 rows (knot, slope, n) of the (-2, 3)-class grid knots, at each
+    table slope r whose rows are known and each n of S3_TWISTS, whose cover
+    is small Seifert with |H1| other than |transport_slope(knot, r, n)|, and
+    how many small Seifert rows were compared."""
+    mismatches, compared = [], 0
+    for knot in _candidates():
+        try:
+            analysis = analysis_of(parse_knot(knot))
+        except NotAKnotError:
+            continue
+        if analysis.knot_class is not KnotClass.PRETZEL_2_3:
+            continue
+        for r, (_, _, rc) in analysis.table.items():
+            if rc is None:
+                continue
+            for n, cover in analysis.surgeries_in_s3(r, S3_TWISTS):
+                if cover.kind is SFSKind.SMALL_SEIFERT:
+                    compared += 1
+                    order = abs(transport_slope(analysis.knot, r, n).p)
+                    if cover.invariants.homology_order() != order:
+                        mismatches.append(f"{knot} {r} {n}")
+    return mismatches, compared
+
+
 def test_golden_oracle_digest():
     assert _oracle_digest() == ORACLE_GOLDEN
 
@@ -378,6 +409,12 @@ def test_framing_rule_equals_the_trace_on_every_pretzel_shape():
     mismatches, compared = _framing_mismatches()
     assert mismatches == []
     assert compared == 19222
+
+
+def test_every_small_seifert_s3_row_has_the_homology_of_its_knots_slope():
+    mismatches, compared = _homology_mismatches()
+    assert mismatches == []
+    assert compared == 464
 
 
 def test_census_matches_the_committed_file():
@@ -518,9 +555,13 @@ if __name__ == "__main__":
     framing, compared = _framing_mismatches()
     print(f"framing rule: {len(framing)} of {compared} closures disagree with pretzel_framing"
           + "".join(f"\nmismatch: framing rule on {text}" for text in framing[:10]))
+    homology, rows = _homology_mismatches()
+    print(f"homology: {len(homology)} of {rows} small Seifert S^3 rows have |H1| other than"
+          " the knot's own slope"
+          + "".join(f"\nmismatch: homology on {row}" for row in homology[:10]))
     diffs = []
     for name, path, text in (("census", CENSUS, _census()), ("s3 rows", S3_ROWS, _s3_rows())):
         diffs.append(_golden_diff(path, text))
         print(f"{name}: " + (f"differs from tests/golden/{path.name}\n{diffs[-1]}" if diffs[-1]
                              else f"matches tests/golden/{path.name}"), end="" if diffs[-1] else "\n")
-    sys.exit(1 if mismatches or disagreements or framing or any(diffs) else 0)
+    sys.exit(1 if mismatches or disagreements or framing or homology or any(diffs) else 0)

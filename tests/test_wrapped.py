@@ -298,14 +298,13 @@ assert list(batch._kept_answers)[-1] == lines[-1]
 # Every bounded lru_cache of the package, by its case below: its module, its
 # name and the key of its i-th entry.
 _BOUNDED_CACHES = {
-    "s3_cover": ("classify", "_s3_cover", "i, 7"),
+    "s3_cover": ("spans", "_s3_cover", "i, 7"),
     "class_table": (
         "classify", "_class_table",
         '((c := importlib.import_module("wrapsurg.classify")).KnotClass.WHITEHEAD, 0, '
         '(c.Slope(2, 1),)), c.SlopeMap(1, i, 0)'),
     "slope_text": ("slopes", "_slope_memo", '"%d/7" % i, None'),
     "row_chunk": ("spans", "_row_chunk", '"%d", "\\n", i'),
-    "s3_row": ("spans", "_s3_row", '"  n=%s: %s", i, i, 7'),
 }
 
 
@@ -342,7 +341,7 @@ import contextlib
 import importlib
 import io
 from wrapsurg.cli import main
-cover = importlib.import_module("wrapsurg.classify")._s3_cover
+cover = importlib.import_module("wrapsurg.spans")._s3_cover
 def predict(n):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
