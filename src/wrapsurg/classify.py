@@ -1,13 +1,15 @@
 """Classification of Dehn surgeries on wrapped Montesinos knots.
 
-One reduction, `_reduce`, names a knot's class from its normal form, lists
-the `Move` records that carry the knot to the canonical knot of its class,
-and composes them into one `SlopeMap`; `--moves`, the JSON
-`equivalence_moves` and `moves.equivalent` all read those records.  The
-class's table lists its exceptional surgeries at canonical slopes: the fixed
-`_WHITEHEAD_TABLE` and `_PRETZEL_2_3_TABLE`, or the one spanning-surface
-slope of a single integer entry or a genuine pretzel, `wrapped.pretzel_slope`
-of the canonical knot.  Every other slope is hyperbolic.  Each entry states
+One reduction, `_reduce`, names a knot's class from its normal form and
+states in one `SlopeMap` what the moves that carry the knot to the canonical
+knot of its class do to slopes.  It builds no `Move` record: `_moves`
+derives them from the map only when they are read (`Analysis.moves`), and
+`--moves`, the JSON `equivalence_moves` and `moves.equivalent` all read that
+one derivation.  The class's table lists its exceptional surgeries at
+canonical slopes: the fixed `_WHITEHEAD_TABLE` and `_PRETZEL_2_3_TABLE`, or
+the one spanning-surface slope of a single integer entry or a genuine
+pretzel, `wrapped.pretzel_slope` of the canonical knot.  Every other slope
+is hyperbolic.  Each entry states
 the `SurgeryClassification` at its canonical slope rc, the
 `FamilyPrediction` over every re-embedding (its n0 canonical), and whether
 the S^3 surgeries of the twisted images are known there.  This module states
@@ -231,8 +233,11 @@ _SHIFT, _MIRROR = Move("shift"), Move("mirror")
 
 
 class Analysis(Record):
-    """A knot's normal form, class, the `Move` records of its reduction and
-    the `SlopeMap` they compose to, and its exceptional table.
+    """A knot's normal form, class, the `SlopeMap` that carries its class's
+    canonical knot to it, and its exceptional table.  Its `moves` are derived
+    from the map when read, so they are not a field: `repr`, equality and
+    pickling leave them out, and equality loses nothing by it, the moves
+    being a function of the knot, normal form and slope map.
 
     `table` is the class's table at the knot's own slopes, ascending: each
     exceptional slope to its answer, its family and its canonical slope when
@@ -245,18 +250,21 @@ class Analysis(Record):
     members bound once as `_DEGENERATE` ... `_GENERIC`).
     """
 
-    __slots__ = ("knot", "nf", "knot_class", "slope_map", "table", "notes", "moves",
-                 "exceptional")
+    __slots__ = ("knot", "nf", "knot_class", "slope_map", "table", "notes", "exceptional")
 
-    def __init__(self, knot, nf, knot_class, slope_map, table, notes, moves, exceptional, /):
+    def __init__(self, knot, nf, knot_class, slope_map, table, notes, exceptional, /):
         _set_knot(self, knot)
         _set_nf(self, nf)
         _set_knot_class(self, knot_class)
         _set_slope_map(self, slope_map)
         _set_table(self, table)
         _set_analysis_notes(self, notes)
-        _set_moves(self, moves)
         _set_exceptional(self, exceptional)
+
+    @property
+    def moves(self) -> tuple[Move, ...]:
+        """The `Move` records of the reduction, as `--moves` prints them (`_moves`)."""
+        return _moves(self.knot.tangle.entries, self.nf, self.slope_map)
 
     def classify(self, r: Slope) -> SurgeryClassification:
         """Classify r-surgery: the table's answer at r, if any; a knot
@@ -299,7 +307,7 @@ class Analysis(Record):
             raise DegenerateKnotError(self.knot)
 
 
-(_set_knot, _set_nf, _set_knot_class, _set_slope_map, _set_table, _set_analysis_notes, _set_moves,
+(_set_knot, _set_nf, _set_knot_class, _set_slope_map, _set_table, _set_analysis_notes,
  _set_exceptional) = Analysis._setters
 
 
@@ -335,13 +343,13 @@ def _find_pretzel_pair(nf: NormalForm) -> tuple[int, int] | None:
 def _reduce(a: int, tangle: MontesinosTangle, winding: int) -> tuple:
     """The one reduction: the tangle's normal form, the class of its closure
     with `a` wrap crossings, the source of the class's table ((class, a,
-    canonical entries), or None), the `Move` records to the class's canonical
-    knot and the `SlopeMap` they compose to, its shift set from `winding`.
-    A genuine pretzel is not mirrored: for a = 1 a mirror moves slopes by
-    r -> -r + 4, which the map does not state yet.  The (-3, 2) pretzel is
-    mirrored (keeping that error in its answers), with no reverse."""
+    canonical entries), or None), and the `SlopeMap` that carries the class's
+    canonical knot to this one, its shift set from `winding`; `_moves` lists
+    the moves it composes.  A genuine pretzel is not mirrored: for a = 1 a
+    mirror moves slopes by r -> -r + 4, which the map does not state yet.
+    The (-3, 2) pretzel is mirrored (keeping that error in its answers), with
+    no reverse."""
     nf = normalize(tangle)
-    moves = [] if shift_reduced(tangle.entries, nf) else [_SHIFT]
     slope_map, entries = _IDENTITY, None
     if nf.degenerate:
         knot_class = _DEGENERATE
@@ -366,25 +374,35 @@ def _reduce(a: int, tangle: MontesinosTangle, winding: int) -> tuple:
         knot_class = _PRETZEL_2_3 if special else _PRETZEL
         if sorted(pair) == [-3, 2]:
             slope_map = _MIRRORED
+    source = None if entries is None else (knot_class, a, entries)
+    return nf, knot_class, source, slope_map
+
+
+def _moves(entries: tuple[Slope, ...], nf: NormalForm, slope_map: SlopeMap) -> tuple[Move, ...]:
+    """The `Move` records of a reduction, from the tangle's `entries`, their
+    normal form and the reduction's slope map: the integer shift unless the
+    entries are already reduced (`shift_reduced`), the mirror when the map
+    negates slopes, and the twist with the map's twists and shift."""
+    moves = [] if shift_reduced(entries, nf) else [_SHIFT]
     if slope_map.sigma < 0:
         moves.append(_MIRROR)
     if slope_map.twists:
         moves.append(Move("twist", slope_map.twists, slope_map.shift))
-    source = None if entries is None else (knot_class, a, entries)
-    return nf, knot_class, source, tuple(moves), slope_map
+    return tuple(moves)
 
 
 def analysis_of(knot: WrappedKnot) -> Analysis:
     """The knot's reduction (`_reduce`) and its exceptional table at its own
     slopes (from `_class_table`), built anew on every call."""
-    nf, knot_class, source, moves, slope_map = _reduce(knot.a, knot.tangle, knot.winding)
+    nf, knot_class, source, slope_map = _reduce(knot.a, knot.tangle, knot.winding)
     notes = _WHITEHEAD_MATE_NOTES if knot_class is _WHITEHEAD_MATE else ()
     table, exceptional = _NO_TABLE, ()
     if source is not None:
-        keep = _in_window(slope_map.twists, *(n for s in source[2] for n in (s.p, s.q)))
+        first, last = source[2][0], source[2][-1]  # the one or two canonical entries
+        keep = _in_window(slope_map.twists, first.p, first.q, last.p, last.q)
         build = _class_table if keep else _class_table.__wrapped__
         table, exceptional = build(source, slope_map)
-    return Analysis(knot, nf, knot_class, slope_map, table, notes, moves, exceptional)
+    return Analysis(knot, nf, knot_class, slope_map, table, notes, exceptional)
 
 
 def _in_window(*numbers: int) -> bool:

@@ -6,13 +6,14 @@ composition of four moves: entrywise integer shifts with fixed total sum
 mirror image (entrywise negation), and, for tangles reducible to a single
 rational entry, the meridional twist t -> 1/(2m + 1/t).  `equivalent`
 decides it from the classifier's reduction (`classify._reduce`) and returns
-a witness of the same `Move` records that `--moves` prints (`Move` is
+a witness that starts with the `Move` records `--moves` prints, derived from
+the reduction's slope map by the one helper `classify._moves` (`Move` is
 defined in `wrapsurg.tangles` and re-exported here).  No request applies a
 move, so this module loads only when one of its names is used.
 """
 from __future__ import annotations
 
-from .classify import _reduce as _classify_reduce
+from .classify import _moves, _reduce as _classify_reduce
 from .tangles import MontesinosTangle, Move, closure_facts
 
 
@@ -50,10 +51,12 @@ _VARIANT_MOVES = ((), (Move("reverse"),), (Move("mirror"),), (Move("mirror"), Mo
 def _reduce(tangle: MontesinosTangle) -> tuple[tuple, tuple[Move, ...]]:
     """The tangle's canonical signature, which two tangles share exactly when
     they are equivalent, and the moves that reduce it to canonical form: the
-    moves of the classifier's reduction (`classify._reduce`) and then, for
-    two or more fractional entries, the reverse/mirror step to the variant of
-    the reduced normal form with the smallest key."""
-    nf, _, _, moves, slope_map = _classify_reduce(0, tangle, closure_facts(tangle.entries, 0)[1])
+    moves of the classifier's reduction (`classify._reduce`, listed by
+    `classify._moves`) and then, for two or more fractional entries, the
+    reverse/mirror step to the variant of the reduced normal form with the
+    smallest key."""
+    nf, _, _, slope_map = _classify_reduce(0, tangle, closure_facts(tangle.entries, 0)[1])
+    moves = _moves(tangle.entries, nf, slope_map)
     if nf.degenerate:
         t = nf.as_tangle().entries[0]  # 0 or 1/q; the signature is q's parity
         return ("degenerate", t.q % 2 if t.p else "zero"), moves

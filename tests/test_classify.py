@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import random_knot
+from conftest import count_calls, random_knot
 from test_golden_cli import _grid_slopes
 from wrapsurg import (
     MERIDIAN,
@@ -40,6 +40,7 @@ from wrapsurg import (
     transport_slope,
     twist_tangle,
 )
+from wrapsurg import tangles
 from wrapsurg.classify import _FIXED_TABLES, SlopeMap, _class_table, _reduce
 from wrapsurg.cli import main
 from wrapsurg.tangles import closure_facts, twist_shift
@@ -524,6 +525,26 @@ def test_moves_text_json_and_witnesses_read_one_reduction_on_grid():
             assert equivalent(tangle, image)[:len(moves)] == list(moves), (text, str(image))
 
 
+def test_a_cold_analysis_builds_no_move_on_grid(monkeypatch):
+    # The moves are derived from the slope map when read (`Analysis.moves`):
+    # analysing the grid builds no `Move` and never asks `shift_reduced`.
+    calls = {}
+    count_calls(monkeypatch, calls, tangles, "shift_reduced")
+    init = Move.__init__
+
+    def counting(self, *values):
+        calls["Move"] = calls.get("Move", 0) + 1
+        init(self, *values)
+
+    monkeypatch.setattr(Move, "__init__", counting)
+    analyses = [analysis_of(knot) for knot in GRID]
+    assert calls == {}
+    # Reading the moves derives them, and the counters see it.
+    for analysis in analyses:
+        analysis.moves
+    assert calls["shift_reduced"] == len(GRID) and calls["Move"]
+
+
 def test_the_slope_map_sends_each_canonical_slope_to_the_knots_own_on_grid():
     for knot in GRID:
         analysis = analysis_of(knot)
@@ -581,7 +602,7 @@ def test_only_a_spanning_surface_table_builds_a_knot(monkeypatch):
     # A miss of `_class_table` on a fixed table restates it by the slope map
     # alone; a spanning-surface table traces the source's knot.
     reductions = [_reduce(knot.a, knot.tangle, knot.winding) for knot in GRID]
-    misses = [(source, slope_map) for _, _, source, _, slope_map in reductions if source]
+    misses = [(source, slope_map) for _, _, source, slope_map in reductions if source]
     built = []
     init = WrappedKnot.__init__
 
