@@ -8,9 +8,10 @@ machine-checkable certificates (Seifert invariants, pretzel slopes, and
 predictions for the surgery families of the twisted embeddings in S^3).
 
 Importing the package loads the modules every request runs (`slopes`,
-`tangles`, `wrapped` and `classify`).  The names of `seifert`, `moves` and
-the strand-tracing oracle `tracing` are given by `__getattr__`, which
-imports their module on the first use of one of them.
+`tangles`, `wrapped` and `classify`).  The names of `seifert`, of `moves`
+(the equivalence moves and their `Move` records) and of the strand-tracing
+oracle `tracing` are given by `__getattr__`, which imports their module on
+the first use of one of them.
 """
 from types import ModuleType as _ModuleType
 
@@ -44,7 +45,6 @@ from .slopes import (
 from .tangles import (
     LengthOneCanonical,
     MontesinosTangle,
-    Move,
     NormalForm,
     Pairing,
     closure_facts,
@@ -67,7 +67,7 @@ from .wrapped import (
 
 __version__ = "0.1.0"
 
-# The names of the three modules no request runs, by module: each is
+# The names of the three modules not every request runs, by module: each is
 # imported on the first use of one of its names (PEP 562).
 _LAZY = {
     "seifert": (
@@ -76,7 +76,7 @@ _LAZY = {
         "torus_knot_surgery",
     ),
     "moves": (
-        "equivalent", "mirror_tangle", "reverse_tangle", "shift_tangle", "twist_tangle",
+        "Move", "equivalent", "mirror_tangle", "reverse_tangle", "shift_tangle", "twist_tangle",
     ),
     "tracing": ("evaluate_continued_fraction", "expand", "trace_closure"),
 }

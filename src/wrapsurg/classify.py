@@ -2,14 +2,13 @@
 
 One reduction, `_reduce`, names a knot's class from its normal form and
 states in one `SlopeMap` what the moves that carry the knot to the canonical
-knot of its class do to slopes.  It builds no `Move` record: `_moves`
-derives them from the map only when they are read (`Analysis.moves`), and
-`--moves`, the JSON `equivalence_moves` and `moves.equivalent` all read that
-one derivation.  The class's table lists its exceptional surgeries at
-canonical slopes: the fixed `_WHITEHEAD_TABLE` and `_PRETZEL_2_3_TABLE`, or
-the one spanning-surface slope of a single integer entry or a genuine
-pretzel, `wrapped.pretzel_slope` of the canonical knot.  Every other slope
-is hyperbolic.  Each entry states
+knot of its class do to slopes.  It builds no `Move` record: the moves are
+`wrapsurg.moves`'s, which lists them from the map (`reduction_moves`) only
+when `Analysis.moves` is read.  The class's table lists its exceptional
+surgeries at canonical slopes: the fixed `_WHITEHEAD_TABLE` and
+`_PRETZEL_2_3_TABLE`, or the one spanning-surface slope of a single integer
+entry or a genuine pretzel, `wrapped.pretzel_slope` of the canonical knot.
+Every other slope is hyperbolic.  Each entry states
 the `SurgeryClassification` at its canonical slope rc, the
 `FamilyPrediction` over every re-embedding (its n0 canonical), and whether
 the S^3 surgeries of the twisted images are known there.  This module states
@@ -51,7 +50,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .slopes import InconsistentCrossCheckError, Record, Slope
-from .tangles import MontesinosTangle, Move, NormalForm, normalize, shift_reduced, twist_shift
+from .tangles import MontesinosTangle, NormalForm, normalize, twist_shift
 from .wrapped import WrappedKnot, pretzel_slope
 
 
@@ -227,9 +226,8 @@ class SlopeMap(Record):
         return self.sigma * n - self.twists
 
 
-# The slope maps of no move and of the mirror alone, and the moves but the twist.
+# The slope maps of no move and of the mirror alone.
 _IDENTITY, _MIRRORED = SlopeMap(1, 0, 0), SlopeMap(-1, 0, 0)
-_SHIFT, _MIRROR = Move("shift"), Move("mirror")
 
 
 class Analysis(Record):
@@ -262,9 +260,13 @@ class Analysis(Record):
         _set_exceptional(self, exceptional)
 
     @property
-    def moves(self) -> tuple[Move, ...]:
-        """The `Move` records of the reduction, as `--moves` prints them (`_moves`)."""
-        return _moves(self.knot.tangle.entries, self.nf, self.slope_map)
+    def moves(self) -> tuple[moves.Move, ...]:
+        """The `Move` records of the reduction, as `--moves` prints them,
+        listed by `moves.reduction_moves`; `wrapsurg.moves` is imported on
+        first use."""
+        from .moves import reduction_moves
+
+        return reduction_moves(self.knot.tangle.entries, self.nf, self.slope_map)
 
     def classify(self, r: Slope) -> SurgeryClassification:
         """Classify r-surgery: the table's answer at r, if any; a knot
@@ -344,11 +346,11 @@ def _reduce(a: int, tangle: MontesinosTangle, winding: int) -> tuple:
     """The one reduction: the tangle's normal form, the class of its closure
     with `a` wrap crossings, the source of the class's table ((class, a,
     canonical entries), or None), and the `SlopeMap` that carries the class's
-    canonical knot to this one, its shift set from `winding`; `_moves` lists
-    the moves it composes.  A genuine pretzel is not mirrored: for a = 1 a
-    mirror moves slopes by r -> -r + 4, which the map does not state yet.
-    The (-3, 2) pretzel is mirrored (keeping that error in its answers), with
-    no reverse."""
+    canonical knot to this one, its shift set from `winding`;
+    `moves.reduction_moves` lists the moves it composes.  A genuine pretzel
+    is not mirrored: for a = 1 a mirror moves slopes by r -> -r + 4, which
+    the map does not state yet.  The (-3, 2) pretzel is mirrored (keeping
+    that error in its answers), with no reverse."""
     nf = normalize(tangle)
     slope_map, entries = _IDENTITY, None
     if nf.degenerate:
@@ -376,19 +378,6 @@ def _reduce(a: int, tangle: MontesinosTangle, winding: int) -> tuple:
             slope_map = _MIRRORED
     source = None if entries is None else (knot_class, a, entries)
     return nf, knot_class, source, slope_map
-
-
-def _moves(entries: tuple[Slope, ...], nf: NormalForm, slope_map: SlopeMap) -> tuple[Move, ...]:
-    """The `Move` records of a reduction, from the tangle's `entries`, their
-    normal form and the reduction's slope map: the integer shift unless the
-    entries are already reduced (`shift_reduced`), the mirror when the map
-    negates slopes, and the twist with the map's twists and shift."""
-    moves = [] if shift_reduced(entries, nf) else [_SHIFT]
-    if slope_map.sigma < 0:
-        moves.append(_MIRROR)
-    if slope_map.twists:
-        moves.append(Move("twist", slope_map.twists, slope_map.shift))
-    return tuple(moves)
 
 
 def analysis_of(knot: WrappedKnot) -> Analysis:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from enum import Enum
-from math import prod
+from math import gcd, prod
 
 from .slopes import InconsistentCrossCheckError, Record, Slope, split_integer_parts
 
@@ -101,8 +101,6 @@ def torus_knot_surgery(p: int, q: int, r: Slope) -> SFSClass:
     Both orientations are accepted; a negative product pq mirrors the knot,
     which negates the surgery slope.
     """
-    from math import gcd
-
     if abs(p) < 2 or abs(q) < 2:
         raise NotATorusKnotError("torus knots need |p|, |q| >= 2")
     if gcd(p, q) != 1:

@@ -7,9 +7,8 @@ of an entry list (`wrapped.parse_knot` calls it too), each entry by
 `parse_slope` at its own position.  `normalize` reduces a tangle under the
 four equivalence moves (entrywise integer shifts with fixed sum, reversal,
 the mirror image, and the meridional twist of a single entry) to its normal
-form.  A `Move` records one move as `--moves` prints it; the moves on
-tangles, and `equivalent` with its witnesses, are in `wrapsurg.moves`, which
-no request loads.
+form.  The moves themselves, their `Move` records and `equivalent` with its
+witnesses are in `wrapsurg.moves`.
 
 How a tangle joins its four endpoints, and so whether its wrapped closure is
 a knot and how often that knot winds, depends only on the parities of its
@@ -111,25 +110,6 @@ def twist_shift(twists: int, winding: int) -> int:
     return twists * winding * winding
 
 
-class Move(Record):
-    """One equivalence move: `kind` is "shift", "reverse", "mirror" or
-    "twist"; a twist's `amount` is its m and its `shift` is
-    `twist_shift(m, wind)` (both 0 for the other kinds)."""
-
-    __slots__ = ("kind", "amount", "shift")
-    _defaults = (0, 0)
-
-    def __str__(self) -> str:
-        if self.kind == "shift":
-            return "integer shifts (sum preserved, zero entries dropped)"
-        if self.kind == "mirror":
-            return "mirror (surgery slopes negate)"
-        if self.kind != "twist":
-            return self.kind
-        shift = f"slopes shift by {self.shift}" if self.shift else "slopes unchanged, winding 0"
-        return f"meridional twist m={self.amount} ({shift})"
-
-
 class LengthOneCanonical(Record):
     """Canonical representative of a tangle reducible to a single entry.
 
@@ -174,15 +154,6 @@ class NormalForm(Record):
 
 
 _set_e0, _set_fracs, _set_degenerate, _set_k1 = NormalForm._setters
-
-
-def shift_reduced(entries: tuple[Slope, ...], nf: NormalForm) -> bool:
-    """Whether `entries` are already the entries of their normal form `nf`'s
-    `as_tangle`, so that reducing them takes no integer shift: one entry, or
-    no integral entry (a fractional part for each) and every entry but the
-    last in (0, 1) (its own fractional part)."""
-    fracs = nf.fracs
-    return len(entries) == 1 or (len(fracs) == len(entries) and fracs[:-1] == entries[:-1])
 
 
 def normalize(tangle: MontesinosTangle) -> NormalForm:

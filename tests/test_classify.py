@@ -17,6 +17,7 @@ from wrapsurg import (
     KnotClass,
     MontesinosTangle,
     Move,
+    NormalForm,
     NotAKnotError,
     Pairing,
     SFSKind,
@@ -40,7 +41,6 @@ from wrapsurg import (
     transport_slope,
     twist_tangle,
 )
-from wrapsurg import tangles
 from wrapsurg.classify import _FIXED_TABLES, SlopeMap, _class_table, _reduce
 from wrapsurg.cli import main
 from wrapsurg.tangles import closure_facts, twist_shift
@@ -59,6 +59,8 @@ def s(p, q=1):
 
 def test_trivial_filling():
     assert classify(K("K0[2]"), MERIDIAN).type is SurgeryType.TRIVIAL_FILLING
+    with pytest.raises(ValueError, match="the meridian filling is trivial"):
+        predict_s3_family(K("K0[2]"), MERIDIAN)
 
 
 def test_degenerate_knots_are_never_hyperbolic_inputs():
@@ -527,9 +529,9 @@ def test_moves_text_json_and_witnesses_read_one_reduction_on_grid():
 
 def test_a_cold_analysis_builds_no_move_on_grid(monkeypatch):
     # The moves are derived from the slope map when read (`Analysis.moves`):
-    # analysing the grid builds no `Move` and never asks `shift_reduced`.
+    # analysing the grid builds no `Move` and no normal form's tangle.
     calls = {}
-    count_calls(monkeypatch, calls, tangles, "shift_reduced")
+    count_calls(monkeypatch, calls, NormalForm, "as_tangle")
     init = Move.__init__
 
     def counting(self, *values):
@@ -542,7 +544,7 @@ def test_a_cold_analysis_builds_no_move_on_grid(monkeypatch):
     # Reading the moves derives them, and the counters see it.
     for analysis in analyses:
         analysis.moves
-    assert calls["shift_reduced"] == len(GRID) and calls["Move"]
+    assert calls["as_tangle"] == len(GRID) and calls["Move"]
 
 
 def test_the_slope_map_sends_each_canonical_slope_to_the_knots_own_on_grid():

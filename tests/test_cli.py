@@ -134,7 +134,7 @@ def test_moves_flag(capsys):
     assert "mirror" in out
 
 
-def test_parse_error_exit_code(capsys):
+def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "classify", "K1[-1/2,1/3x]", "7")
     assert code == 2
     assert "position" in err
@@ -144,6 +144,14 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "classify", "K0[inf]", "1")
     assert code == 2
+    for argv, message in (
+        (["batch", "a", "b"], "batch takes at most one file argument"),
+        (["twist", "K0[3]"], "twist needs --n"),
+        (["batch", str(tmp_path / "missing.txt")], "cannot read batch file"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err, argv
 
 
 def test_a_zero_denominator_entry_is_refused_as_the_meridian_it_writes(capsys):
@@ -499,9 +507,10 @@ def test_text_requests_import_neither_json_nor_shlex():
     request_path = sorted(["wrapsurg", *(f"wrapsurg.{name}" for name in (
         "classify", "cli", "slopes", "tangles", "wrapped"))])
     # A `slopes` answer loads the rows of spans and exceptional slopes, a
-    # JSON answer the JSON writer, and a known S^3 cover `seifert`.
+    # JSON answer the JSON writer and the equivalence moves it lists, and a
+    # known S^3 cover `seifert`.
     with_spans = sorted([*request_path, "wrapsurg.spans"])
-    with_writer = sorted([*with_spans, "wrapsurg.jsonwriter"])
+    with_writer = sorted([*with_spans, "wrapsurg.jsonwriter", "wrapsurg.moves"])
     with_seifert = sorted([*with_writer, "wrapsurg.seifert"])
     # The first batch loads the batch reader, which splits a printable line
     # with no " or \\ and its ' paired by str methods, loading neither `re`

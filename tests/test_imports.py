@@ -30,11 +30,11 @@ _NAMESPACE = {
         "ZeroZeroError", "distance", "make_slope", "parse_slope",
     ),
     "tangles": (
-        "LengthOneCanonical", "MontesinosTangle", "Move", "NormalForm", "Pairing",
-        "closure_facts", "normalize", "parse_tangle",
+        "LengthOneCanonical", "MontesinosTangle", "NormalForm", "Pairing", "closure_facts",
+        "normalize", "parse_tangle",
     ),
     "moves": (
-        "equivalent", "mirror_tangle", "reverse_tangle", "shift_tangle", "twist_tangle",
+        "Move", "equivalent", "mirror_tangle", "reverse_tangle", "shift_tangle", "twist_tangle",
     ),
     "tracing": ("evaluate_continued_fraction", "expand", "trace_closure"),
     "wrapped": (
@@ -63,7 +63,7 @@ _TOKEN_BUDGET = 4096
 # The tokens of every module `import wrapsurg.cli` loads: with bytecode
 # writing off, each process compiles them all before its first request.
 # From Python 3.12 on, tokenize splits each f-string into its parts.
-_IMPORT_PATH_TOKENS = 9423 if sys.version_info < (3, 12) else 9934
+_IMPORT_PATH_TOKENS = 9157 if sys.version_info < (3, 12) else 9649
 # The definitions of src/wrapsurg that no code in src/ reads, each with the
 # reason it stays.  Every other one must have a reader.
 _UNREAD = {
@@ -187,6 +187,9 @@ def test_python_m_loads_the_cli_module_once(argv, stdin, code, optimize, tmp_pat
                 if line.startswith("import time:")}
     assert "wrapsurg.cli" not in imported and "wrapsurg.tracing" not in imported
     assert ("wrapsurg.jsonwriter" in imported) == ("json" in argv or argv[0] == "batch")
+    # The equivalence moves load with a JSON answer, which lists them, or a
+    # `--moves` line (the batch has both); a text answer without one reads none.
+    assert ("wrapsurg.moves" in imported) == ("json" in argv or argv[0] == "batch")
     assert ("wrapsurg.batch" in imported) == (argv[0] == "batch")
     # The rows of spans and exceptional slopes load with their first answer.
     assert ("wrapsurg.spans" in imported) == (argv[0] != "classify" or "json" in argv)

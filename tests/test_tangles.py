@@ -6,7 +6,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import fraction_sum, random_slope, random_tangle
-from test_golden_cli import _entry_lists
 from wrapsurg import (
     LengthOneCanonical,
     MontesinosTangle,
@@ -24,7 +23,6 @@ from wrapsurg import (
     twist_tangle,
 )
 from wrapsurg.slopes import split_integer_parts
-from wrapsurg.tangles import shift_reduced
 
 T = parse_tangle
 
@@ -234,15 +232,6 @@ def test_closure_pairing_invariant_under_normalize_and_shifts():
             deltas.append(-sum(deltas))
             shifted = shift_tangle(tangle, deltas)
             assert _pairing(shifted.entries) is _pairing(tangle.entries)
-
-
-def test_shift_reduced_agrees_with_the_normal_form_tangle():
-    rng = random.Random(59)
-    lists = {entries for _, entries in _entry_lists()}
-    lists.update(random_tangle(rng, max_entries=4, bound=6).entries for _ in range(2000))
-    for entries in lists:
-        nf = normalize(MontesinosTangle(entries))
-        assert shift_reduced(entries, nf) is (entries == nf.as_tangle().entries), entries
 
 
 def test_closure_loops():
