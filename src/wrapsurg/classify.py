@@ -30,6 +30,11 @@ Nothing here keeps a knot: the module functions analyse the knot on every
 call, so a caller with several questions keeps its `analysis_of(knot)` and
 asks that.
 
+Each answer writes its own text: `str()` of a `SurgeryClassification` (with
+its `ToroidalCertificate`) and of a `FamilyPrediction` is the wording of the
+text answers, which the command line only lays out in lines, and `repr()`
+lists the fields.
+
 The S^3 surgery of a twisted image depends only on the canonical twist nc
 and slope rc.  `Analysis.surgeries_in_s3` builds it anew on every call with
 `seifert.pretzel_surgery` and its cross-checks; `wrapsurg.seifert` is
@@ -94,6 +99,9 @@ class ToroidalCertificate(Record):
 
     __slots__ = ("source", "slope", "piece_indices", "piece")
 
+    def __str__(self) -> str:
+        return f"{self.source._value_}: {self.piece or f'slope {self.slope}'}"
+
 
 class SurgeryClassification(Record):
     __slots__ = ("type", "slope", "certificate", "seifert_indices", "notes")
@@ -104,6 +112,14 @@ class SurgeryClassification(Record):
         _set_certificate(self, certificate)
         _set_seifert_indices(self, seifert_indices)
         _set_notes(self, notes)
+
+    def __str__(self) -> str:
+        text = self.type._value_
+        if self.seifert_indices:
+            text += " (fiber indices %s,%s)" % self.seifert_indices
+        if self.certificate is not None:
+            text += f" [{self.certificate}]"
+        return text
 
 
 _set_type, _set_slope, _set_certificate, _set_seifert_indices, _set_notes = (
@@ -133,6 +149,10 @@ class FamilyKind(Enum):
     HYPERBOLIC_INTERIOR = "hyperbolic-interior"
 
 
+# The members in definition order, bound once, as `KnotClass`'s are.
+_TOROIDAL_COFINITE, _SEIFERT_OR_REDUCIBLE, _HYPERBOLIC_INTERIOR = FamilyKind
+
+
 class FamilyPrediction(Record):
     """Behaviour of the surgeries on every re-embedding of the solid torus.
 
@@ -145,13 +165,23 @@ class FamilyPrediction(Record):
     __slots__ = ("kind", "n0", "fiber_indices")
     _defaults = (None, None)
 
+    def __str__(self) -> str:
+        if self.kind is _SEIFERT_OR_REDUCIBLE:
+            indices = self.fiber_indices
+            tail = f" with fiber indices {indices[0]},{indices[1]}" if indices else ""
+            return f"every embedding is reducible or small Seifert fibered{tail}"
+        if self.kind is _TOROIDAL_COFINITE:
+            window = "" if self.n0 is None else f" except within 1 of n0={self.n0}"
+            return f"toroidal for all but at most three embeddings{window}"
+        return "hyperbolic for all but finitely many embeddings"
+
 
 # The family of every slope outside a knot's table.
-_HYPERBOLIC_FAMILY = FamilyPrediction(FamilyKind.HYPERBOLIC_INTERIOR)
+_HYPERBOLIC_FAMILY = FamilyPrediction(_HYPERBOLIC_INTERIOR)
 
 
 def _toroidal(source, r, piece_indices=None, piece=None,
-              family=FamilyPrediction(FamilyKind.TOROIDAL_COFINITE), s3_cover=False):
+              family=FamilyPrediction(_TOROIDAL_COFINITE), s3_cover=False):
     """A table entry (answer, family, s3_cover) for a toroidal slope r."""
     slope = Slope(r, 1)
     certificate = ToroidalCertificate(source, slope, piece_indices, piece)
@@ -163,7 +193,7 @@ def _small_seifert(r, indices=None, notes=(), s3_cover=False):
     the family is reducible or small Seifert with the same indices."""
     answer = SurgeryClassification(SurgeryType.SMALL_SEIFERT, Slope(r, 1),
                                    None, indices, notes)
-    family = FamilyPrediction(FamilyKind.SEIFERT_OR_REDUCIBLE, None, indices)
+    family = FamilyPrediction(_SEIFERT_OR_REDUCIBLE, None, indices)
     return answer, family, s3_cover
 
 
@@ -184,7 +214,7 @@ _PRETZEL_2_3_TABLE = MappingProxyType({
         ToroidalSource.TORUS_PIECE, 8, None,
         "essential torus bounding a twisted I-bundle over the Klein bottle",
         # the torus-knot members n = 0, 1, 2 are the non-toroidal window
-        family=FamilyPrediction(FamilyKind.TOROIDAL_COFINITE, 1),
+        family=FamilyPrediction(_TOROIDAL_COFINITE, 1),
     ),
 })
 # The classes whose table is fixed, by class.

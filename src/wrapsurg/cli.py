@@ -10,10 +10,11 @@ text of json.dumps(payload, indent=2, sort_keys=True).  A batch file or stdin
 decodes as UTF-8 with surrogateescape, its lines end at LF, CRLF or CR only,
 and shlex.split splits each into words; it is read as its lines are answered,
 so a batch takes the memory of its longest line, not of its length.
-Importing this module loads only what every request runs: the text writer is
-here; `wrapsurg.jsonwriter`, the JSON writer, is imported by the first JSON
-answer (and bound to `_json_answer`), `wrapsurg.batch`, the batch reader,
-by the first `batch` request, and `wrapsurg.spans`, the rows of a span, by
+Importing this module loads only what every request runs: the text layout is
+here (each record writes its own text, its `str()`, and the layout puts each
+in its line); `wrapsurg.jsonwriter`, the JSON writer, is imported by the
+first JSON answer (and bound to `_json_answer`), `wrapsurg.batch`, the batch
+reader, by the first `batch` request, and `wrapsurg.spans`, the rows of a span, by
 the first answer with a span or a knot's exceptional slopes (and bound to
 `_spans`).  The first two import this module: under `python -m
 wrapsurg.cli`, where it runs as `__main__`, it first registers itself in
@@ -44,9 +45,9 @@ slope.  So a warm request, from the third for its text on, parses, analyses
 and writes out no knot, and the answer is the same either way.  `_answer`
 gives the records a request answers with, whatever its format, the span of
 `--n` S^3 rows and their canonical slope among them (each cover's text is
-written once and kept in `spans._s3_cover`); text is written straight from
-them, and a JSON answer is assembled (in `jsonwriter`) from one %-template
-per answer shape, its pieces, and one %-template per row of a `sweep` or
+written once and kept in `spans._s3_cover`); text is laid out straight from
+their `str()`, and a JSON answer is assembled (in `jsonwriter`) from one
+%-template per answer shape, its pieces, and one %-template per row of a `sweep` or
 `surgeries` list, so that a warm one builds no dict.  In both formats `spans.span_rows`
 gives the text of a span as a few slices of pre-joined chunks of 256 rows,
 centred on multiples of 256, with the knot's sweep rows spliced in between
@@ -66,15 +67,7 @@ import os
 import sys
 from collections import OrderedDict
 
-from .classify import (
-    DegenerateKnotError,
-    FamilyKind,
-    FamilyPrediction,
-    SurgeryClassification,
-    _HYPERBOLIC_FAMILY,
-    _NO_ENTRY,
-    analysis_of,
-)
+from .classify import DegenerateKnotError, _HYPERBOLIC_FAMILY, _NO_ENTRY, analysis_of
 from .slopes import ParseError, Slope, _parse_int, parse_slope
 from .wrapped import NotAKnotError, parse_knot, twist, two_bridge_fraction
 
@@ -353,11 +346,11 @@ def _text_answer(request: Request, knot: _Knot, answer: tuple) -> str:
         lines += [f"move: {move}" for move in knot.analysis.moves]
     if request.command in ("classify", "predict"):
         result, prediction, span, rc = answer
-        lines.append(f"classification: {_describe(result)} at slope {result.slope}")
+        lines.append(f"classification: {result} at slope {result.slope}")
         if prediction is _HYPERBOLIC_FAMILY:
             lines.append(_HYPERBOLIC_FAMILY_LINE)
         elif prediction is not None:
-            lines.append(_family_line(prediction))
+            lines.append(f"family: {prediction}")
         if span:
             spans = _spans or _spans_module()
             lines.append(spans.span_rows(_UNKNOWN_LINE, "\n", span) if rc is None else
@@ -367,7 +360,7 @@ def _text_answer(request: Request, knot: _Knot, answer: tuple) -> str:
         spans = _spans or _spans_module()
         slopes = knot.slopes
         if slopes is None:  # raises, keeping nothing: an integer too long to write
-            block = [f"exceptional {r}: {_describe(result)}" for r, result in exceptional]
+            block = [f"exceptional {r}: {result}" for r, result in exceptional]
             slopes = knot.slopes = ("\n".join(block) or "exceptional slopes: none",
                                     spans.sweep_rows(_SWEEP_LINE, exceptional))
         lines.append(slopes[0])
@@ -380,54 +373,16 @@ def _text_answer(request: Request, knot: _Knot, answer: tuple) -> str:
     return "\n".join(lines)
 
 
-# The lines every text answer for a knot starts with, but its canonical entry's.
-_HEAD = "knot: %s\nnormal form: e0=%s fracs=[%s]%s"
-
-
 def _head(knot: _Knot) -> str:
     """The lines every text answer for the knot starts with: the knot, its
     normal form and its canonical single entry."""
     nf = knot.analysis.nf
-    # Slope.__str__ itself: str() would reach it through the type.
-    head = _HEAD % (knot.text, nf.e0, ",".join(map(Slope.__str__, nf.fracs)),
-                    "  [degenerate]" if nf.degenerate else "")
-    if nf.k1 is None:
-        return head
-    extras = ["mirrored"] if nf.k1.mirrored else []
-    if nf.k1.twists:
-        extras.append(f"twists={nf.k1.twists}")
-    detail = f" ({', '.join(extras)})" if extras else ""
-    return f"{head}\ncanonical single entry: t={nf.k1.t}{detail}"
-
-
-def _describe(result: SurgeryClassification) -> str:
-    text = result.type._value_
-    if result.seifert_indices:
-        text += " (fiber indices %s,%s)" % result.seifert_indices
-    cert = result.certificate
-    if cert is not None:
-        text += f" [{cert.source._value_}: {cert.piece or f'slope {cert.slope}'}]"
-    return text
+    head = f"knot: {knot.text}\nnormal form: {nf}"
+    return head if nf.k1 is None else f"{head}\ncanonical single entry: {nf.k1}"
 
 
 # The family line of every slope outside a knot's table.
-_HYPERBOLIC_FAMILY_LINE = "family: hyperbolic for all but finitely many embeddings"
-# The members `_family_line` reads, bound once: on Python 3.11 a member read
-# off an Enum class costs about 0.1 us.
-_TOROIDAL_COFINITE = FamilyKind.TOROIDAL_COFINITE
-_SEIFERT_OR_REDUCIBLE = FamilyKind.SEIFERT_OR_REDUCIBLE
-
-
-def _family_line(prediction: FamilyPrediction) -> str:
-    if prediction.kind is _SEIFERT_OR_REDUCIBLE:
-        indices = prediction.fiber_indices
-        tail = f" with fiber indices {indices[0]},{indices[1]}" if indices else ""
-        return f"family: every embedding is reducible or small Seifert fibered{tail}"
-    if prediction.kind is _TOROIDAL_COFINITE:
-        n0 = prediction.n0
-        window = "" if n0 is None else f" except within 1 of n0={n0}"
-        return f"family: toroidal for all but at most three embeddings{window}"
-    return _HYPERBOLIC_FAMILY_LINE
+_HYPERBOLIC_FAMILY_LINE = f"family: {_HYPERBOLIC_FAMILY}"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -7,8 +7,10 @@ of an entry list (`wrapped.parse_knot` calls it too), each entry by
 `parse_slope` at its own position.  `normalize` reduces a tangle under the
 four equivalence moves (entrywise integer shifts with fixed sum, reversal,
 the mirror image, and the meridional twist of a single entry) to its normal
-form.  The moves themselves, their `Move` records and `equivalent` with its
-witnesses are in `wrapsurg.moves`.
+form; `str()` of a `NormalForm` and of its `LengthOneCanonical` is the text
+of the command's `normal form:` and `canonical single entry:` lines.  The
+moves themselves, their `Move` records and `equivalent` with its witnesses
+are in `wrapsurg.moves`.
 
 How a tangle joins its four endpoints, and so whether its wrapped closure is
 a knot and how often that knot winds, depends only on the parities of its
@@ -125,6 +127,13 @@ class LengthOneCanonical(Record):
         _set_mirrored(self, mirrored)
         _set_twists(self, twists)
 
+    def __str__(self) -> str:
+        extras = ["mirrored"] if self.mirrored else []
+        if self.twists:
+            extras.append(f"twists={self.twists}")
+        detail = f" ({', '.join(extras)})" if extras else ""
+        return f"t={self.t}{detail}"
+
 
 _set_t, _set_mirrored, _set_twists = LengthOneCanonical._setters
 
@@ -145,6 +154,11 @@ class NormalForm(Record):
         _set_fracs(self, fracs)
         _set_degenerate(self, degenerate)
         _set_k1(self, k1)
+
+    def __str__(self) -> str:
+        # Slope.__str__ itself: str() would reach it through the type.
+        fracs = ",".join(map(Slope.__str__, self.fracs))
+        return f"e0={self.e0} fracs=[{fracs}]{'  [degenerate]' if self.degenerate else ''}"
 
     def as_tangle(self) -> MontesinosTangle:
         """A shift-equivalent tangle realizing this normal form."""

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import count_calls
 import wrapsurg
-from wrapsurg import batch, cli
+from wrapsurg import FamilyPrediction, batch, cli
 from wrapsurg.cli import main
 
 
@@ -87,7 +87,7 @@ def test_failed_lines_are_not_kept_and_each_repeat_reports_its_own_line(monkeypa
     lines = ["classify K0[3] 1/0x", "classify K0[0] 1", "predict K0[5] 0"]
     assert _batch(["normalize K0[3]", "normalize K0[0]", "normalize K0[5]"] * 2)[0] == 0
     assert set(cli._kept_knots) == {"K0[3]", "K0[0]", "K0[5]"}
-    monkeypatch.setattr(cli, "_family_line", lambda prediction: str(10**5000))
+    monkeypatch.setattr(FamilyPrediction, "__str__", lambda prediction: str(10**5000))
     code, out, err = _batch(lines * 3)
     assert code == 2 and out == ""
     numbered = [line.split(": error: ")[0] for line in err.splitlines()]

@@ -43,6 +43,7 @@ from wrapsurg import (
 )
 from wrapsurg.classify import _FIXED_TABLES, SlopeMap, _class_table, _reduce
 from wrapsurg.cli import main
+from wrapsurg.slopes import Record
 from wrapsurg.tangles import closure_facts, twist_shift
 from wrapsurg.tracing import pretzel_framing
 
@@ -525,6 +526,61 @@ def test_moves_text_json_and_witnesses_read_one_reduction_on_grid():
         for image in (tangle, reverse_tangle(tangle), mirror_tangle(tangle),
                       normalize(tangle).as_tangle()):
             assert equivalent(tangle, image)[:len(moves)] == list(moves), (text, str(image))
+
+
+def _records_lines(knot, analysis, *slopes):
+    """The lines of a text answer, laid out from each record's `str()`."""
+    nf = analysis.nf
+    lines = [f"knot: {knot}", f"normal form: {nf}"]
+    if nf.k1 is not None:
+        lines.append(f"canonical single entry: {nf.k1}")
+    for r in slopes:
+        answer = analysis.classify(r)
+        lines += [f"classification: {answer} at slope {r}", f"family: {analysis.predict(r)}"]
+    return lines
+
+
+def test_each_text_line_is_a_records_str_on_grid():
+    for knot in GRID:
+        text, analysis = str(knot), analysis_of(knot)
+        head = _records_lines(text, analysis)
+        assert _cli("normalize", text).splitlines() == head, text
+        if analysis.nf.degenerate:
+            continue
+        exceptional = analysis.exceptional_slopes()
+        block = [f"exceptional {r}: {answer}" for r, answer in exceptional]
+        assert _cli("slopes", text).splitlines() == head + (block or ["exceptional slopes: none"])
+        for r in [r for r, _ in exceptional] + [s(5)]:
+            lines = _cli("predict", text, str(r)).splitlines()
+            assert lines == _records_lines(text, analysis, r), (text, str(r))
+        records = [analysis.nf, analysis.nf.k1, analysis.predict(s(5))]
+        for r, answer in exceptional:
+            records += [answer, answer.certificate, analysis.predict(r)]
+        for record in filter(None, records):
+            # `repr()` still lists the fields; `str()` is the text answers' wording.
+            assert repr(record) == Record.__repr__(record) != str(record), text
+
+
+def test_each_record_writes_the_papers_wording():
+    analysis = analysis_of(K("K1[-1/2,1/3]"))
+    assert [(str(answer), str(analysis.predict(r))) for r, answer in analysis.exceptional] == [
+        ("toroidal [torus-piece: essential torus bounding a small Seifert piece with fiber"
+         " indices {2,4}]", "toroidal for all but at most three embeddings"),
+        ("small-seifert (fiber indices 3,5)",
+         "every embedding is reducible or small Seifert fibered with fiber indices 3,5"),
+        ("toroidal [torus-piece: essential torus bounding a twisted I-bundle over the Klein"
+         " bottle]", "toroidal for all but at most three embeddings except within 1 of n0=1"),
+    ]
+    assert str(classify(K("K0[-1/3,-1/3]"), s(-12))) == "toroidal [pretzel-surface: slope -12]"
+    assert str(predict_s3_family(K("K0[2]"), s(5))) == (
+        "hyperbolic for all but finitely many embeddings")
+    forms = [normalize(T(text)) for text in ("[-5/3]", "[5/7]", "[1/3]", "[2]")]
+    assert [(str(nf), str(nf.k1)) for nf in forms] == [
+        ("e0=-2 fracs=[1/3]", "t=5/3 (mirrored)"),
+        ("e0=0 fracs=[5/7]", "t=5/3 (mirrored, twists=1)"),
+        ("e0=0 fracs=[1/3]  [degenerate]", "None"),
+        ("e0=2 fracs=[]", "t=2"),
+    ]
 
 
 def test_a_cold_analysis_builds_no_move_on_grid(monkeypatch):

@@ -762,6 +762,10 @@ def test_json_emitter_fails_past_the_digit_limit_as_dumps_does():
     with pytest.raises(ValueError) as theirs:
         json.dumps(value, indent=2, sort_keys=True)
     assert str(ours.value) == str(theirs.value)
+    # No answer holds a float: the emitter refuses one with the TypeError that
+    # json.dumps raises for a type it cannot write.
+    with pytest.raises(TypeError, match="^Object of type float is not JSON serializable$"):
+        jsonwriter._json(1.5, "")
 
 
 # Grid knots (entries p/q with |p|, q <= 6), the (-2, 3) pretzel and its
@@ -972,7 +976,7 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
                     count_calls(monkeypatch, calls, jsonwriter, name)
             if fmt == "text" and args[0] in ("slopes", "table"):
                 # The knot's exceptional lines and sweep rows are kept with it.
-                count_calls(monkeypatch, calls, cli, "_describe")
+                count_calls(monkeypatch, calls, classify.SurgeryClassification, "__str__")
             again = _answer(*args)
             imported = "wrapsurg.jsonwriter" in sys.modules
             monkeypatch.undo()
@@ -1094,6 +1098,20 @@ def test_a_text_asked_for_twice_is_kept(monkeypatch):
     third = _answer(*args)
     monkeypatch.undo()
     assert third == first and calls == {}
+
+
+def test_the_kept_knots_drop_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(cli, "_KNOT_CACHE_SIZE", 2)
+    cli._kept_knots.clear()
+    cli._asked_once.clear()
+    for knot in ("K0[3]", "K0[5]"):
+        for _ in range(2):
+            assert _answer("normalize", knot)[0] == 0
+    assert list(cli._kept_knots) == ["K0[3]", "K0[5]"]
+    assert _answer("normalize", "K0[3]")[0] == 0  # K0[5] is now the least recently used
+    for _ in range(2):
+        assert _answer("normalize", "K0[7]")[0] == 0
+    assert list(cli._kept_knots) == ["K0[3]", "K0[7]"]
 
 
 # One request per grid candidate (links included), the commands taking turns.

@@ -281,7 +281,8 @@ def _s3_rows():
     """The S^3 rows: after a header, for each hyperbolic grid knot in grid
     order, at each table slope whose twisted images have known S^3
     surgeries, one line per n of S3_TWISTS with the knot, slope, n and the
-    cover's text; then, after a second header, each a = 1 `twist` row of
+    cover's text, and for a small Seifert cover the order of its first
+    homology, `|H1|=m`; then, after a second header, each a = 1 `twist` row of
     K1[m] for |m| <= 6 (odd m closes to a link) with the knot, n, the
     twisted image and its two-bridge fraction."""
     lines = ["# knot slope n | S^3 surgery of the n-twisted image"]
@@ -293,9 +294,12 @@ def _s3_rows():
         if analysis.knot_class is KnotClass.DEGENERATE:
             continue
         for r, (_, _, rc) in analysis.table.items():
-            if rc is not None:
-                lines += [f"{knot} {r} {n} | {str(cover)}"
-                          for n, cover in analysis.surgeries_in_s3(r, S3_TWISTS)]
+            if rc is None:
+                continue
+            for n, cover in analysis.surgeries_in_s3(r, S3_TWISTS):
+                order = (f" |H1|={cover.invariants.homology_order()}"
+                         if cover.kind is SFSKind.SMALL_SEIFERT else "")
+                lines.append(f"{knot} {r} {n} | {cover}{order}")
     lines.append("# knot n | twisted image, two-bridge fraction")
     for m in range(-6, 7):
         try:

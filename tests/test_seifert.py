@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from wrapsurg import (
+    LENS,
     MERIDIAN,
+    REDUCIBLE,
     MontesinosLink,
     NotATorusKnotError,
     SeifertInvariants,
@@ -100,6 +102,7 @@ def test_torus_knot_surgery_known_instances():
     assert nine.invariants.indices() == (3, 3, 4)
     assert not sfs_equal(five, nine)
     assert torus_knot_surgery(3, 5, make_slope(15, 1)).kind is SFSKind.REDUCIBLE
+    assert not sfs_equal(LENS, REDUCIBLE)
 
 
 def test_torus_knot_surgery_lens_and_errors():
@@ -107,6 +110,8 @@ def test_torus_knot_surgery_lens_and_errors():
     assert torus_knot_surgery(2, 5, make_slope(19, 2)).kind is SFSKind.LENS
     with pytest.raises(NotATorusKnotError):
         torus_knot_surgery(1, 5, make_slope(3, 1))
+    with pytest.raises(NotATorusKnotError, match="coprime"):
+        torus_knot_surgery(2, 4, make_slope(1, 1))
     with pytest.raises(ValueError):
         torus_knot_surgery(2, 5, MERIDIAN)
 

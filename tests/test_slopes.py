@@ -180,13 +180,16 @@ def test_tangle_and_knot_parse_errors(parse, text, message, position):
 
 
 def test_slopes_order_only_against_slopes():
-    # Like +, < returns NotImplemented for a non-Slope, so Python raises TypeError.
-    for compare in (lambda: Slope(1, 2) < 3, lambda: 3 > Slope(1, 2), lambda: Slope(1, 2) < 0.5):
+    # Like +, < returns NotImplemented for a non-Slope, so Python raises TypeError;
+    # + takes integers only.
+    for compare in (lambda: Slope(1, 2) < 3, lambda: 3 > Slope(1, 2), lambda: Slope(1, 2) < 0.5,
+                    lambda: Slope(1, 2) + 0.5):
         with pytest.raises(TypeError):
             compare()
-    assert sorted([MERIDIAN, make_slope(1, 2), make_slope(-3, 1)]) == [
-        make_slope(-3, 1), make_slope(1, 2), MERIDIAN
-    ]
+    assert not MERIDIAN < Slope(3, 1)
+    for slopes in ([MERIDIAN, make_slope(1, 2), make_slope(-3, 1)],
+                   [make_slope(1, 2), MERIDIAN, make_slope(-3, 1)]):
+        assert sorted(slopes) == [make_slope(-3, 1), make_slope(1, 2), MERIDIAN]
 
 
 def test_oversized_integer_is_a_parse_error():

@@ -9,6 +9,7 @@ from conftest import fraction_sum, random_slope, random_tangle
 from wrapsurg import (
     LengthOneCanonical,
     MontesinosTangle,
+    Move,
     NormalForm,
     Pairing,
     Slope,
@@ -127,10 +128,15 @@ def test_normalize_idempotent():
 def test_equivalent_by_entrywise_shifts():
     witness = equivalent(T("[5/3,-2/3]"), T("[2/3,1/3]"))
     assert witness is not None
+    for move, refusal in ((lambda: shift_tangle(T("[5/3,-2/3]"), [1]), "shifts must match"),
+                          (lambda: twist_tangle(T("[5/3,-2/3]"), 1), "single-entry")):
+        with pytest.raises(ValueError, match=refusal):
+            move()
 
 
 def test_equivalent_by_reversal():
-    assert equivalent(T("[-1/2,1/3]"), T("[1/3,-1/2]")) is not None
+    witness = equivalent(T("[-1/2,1/3]"), T("[1/3,-1/2]"))
+    assert witness[-1] == Move("reverse") and str(witness[-1]) == "reverse"
 
 
 def test_equivalent_by_mirror():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from test_golden_cli import rule_disagrees_with_trace
-from wrapsurg import Pairing, make_slope
+from wrapsurg import MERIDIAN, Pairing, make_slope
 from wrapsurg.tracing import (
     HORIZONTAL,
     VERTICAL,
@@ -53,6 +53,11 @@ def test_twist_word_round_trip_is_exact(slope):
     word = twist_word(slope)
     assert _word_fraction(word) == (slope.p, slope.q)
     assert _as_fraction(_word_fraction(word)) == _reference_word_fraction(word)
+
+
+def test_twist_word_refuses_the_meridian():
+    with pytest.raises(ValueError, match="infinite tangle"):
+        twist_word(MERIDIAN)
 
 
 @given(

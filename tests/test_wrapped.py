@@ -550,6 +550,8 @@ def test_pretzel_slope_shape_errors():
         pretzel_slope(K("K1[-1/2,2/5]"))
     with pytest.raises(NoPretzelSurfaceError):
         pretzel_slope(K("K1[7/2]"))
+    with pytest.raises(NoPretzelSurfaceError):  # the strand-tracing oracle refuses it too
+        tracing.pretzel_framing((make_slope(2, 3),), 0)
 
 
 def test_parse_knot_returns_the_same_knot_for_the_same_text():
