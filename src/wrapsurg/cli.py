@@ -38,11 +38,14 @@ however the request wrote it (whitespace, leading zeros, `-0`, `2/4`,
 once per knot: from its first text answer on, the head of its text answers
 (knot, normal form and canonical entry lines); from its first text `slopes`
 or `table` answer on, its `exceptional` lines and its sweep rows at those
-slopes; from its first JSON answer on, its quoted text, normal form, moves,
-exceptional slopes and sweep rows as JSON, the classification and family of
-each table slope, and a template of its classification at a hyperbolic
-slope.  So a warm request, from the third for its text on, parses, analyses
-and writes out no knot, and the answer is the same either way.  `_answer`
+slopes; from its first JSON answer on, its quoted text, normal form and
+moves as JSON and a template of its classification at a hyperbolic slope;
+from its first JSON `slopes` or `table` answer on, its exceptional slopes
+and sweep rows as JSON; and from the first JSON `classify` or `predict` at
+a table slope or the meridian on, that slope's classification and family
+as JSON.  A piece whose render raises is not kept.  So a warm request,
+from the third for its text on, parses, analyses and writes out no knot,
+and the answer is the same either way.  `_answer`
 gives the records a request answers with, whatever its format, the span of
 `--n` S^3 rows and their canonical slope among them (each cover's text is
 written once and kept in `spans._s3_cover`); text is laid out straight from
@@ -240,8 +243,9 @@ class _Knot:
     """A knot text's analysis and the knot's own text, `str(knot)`.  The
     first text answer fills `head` with its `_head`, the first text `slopes`
     or `table` answer fills `slopes` with its exceptional lines and its sweep
-    rows, and the first JSON answer fills `json` with its `_fragments`.  A
-    failed parse raises."""
+    rows, and the first JSON answer fills `json` with its `_fragments`, whose
+    table pieces later JSON answers fill on first use.  A failed parse
+    raises."""
 
     __slots__ = ("analysis", "text", "head", "slopes", "json")
 

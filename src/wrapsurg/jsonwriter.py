@@ -4,13 +4,19 @@ records as the text of json.dumps(payload, indent=2, sort_keys=True).
 `wrapsurg.cli` imports this module on its first JSON answer, so a text
 request never loads it.  Strings are quoted by the C helper of
 `json.encoder`, from `_json`, and no request loads `json` itself.  The pieces
-of a knot's answers are rendered once, by `_fragments`, into the knot's
-`json` slot in `cli._knot`; an answer is then assembled from them, one
-%-template per answer shape and one per row of a `sweep` or `surgeries`
-list, so that a warm answer other than `twist` builds no dict.  The rows of
-a span come as one text from `spans.span_rows`: slices of chunks of rows
-joined by _SEP, with the knot's sweep rows, rendered once into its `json`
-slot, spliced in between; the rows of known S^3 covers come from
+of a knot's answers go into the knot's `json` slot in `cli._knot`, each
+rendered once: the first JSON answer renders, by `_fragments`, those every
+answer shows, and the first answer that shows a piece of the knot's table
+renders it there, as the text writer fills its `slopes` slot: the first
+`slopes` or `table` answer the exceptional slopes and their sweep rows, the
+first `classify` or `predict` at a table slope or the meridian that slope's
+classification and family.  A render that raises past the digit limit
+keeps nothing, so only the answers that show that integer fail.  An answer
+is assembled from the pieces, one %-template per answer shape and one per
+row of a `sweep` or `surgeries` list, so that a warm answer other than
+`twist` builds no dict.  The rows of a span come as one text from
+`spans.span_rows`: slices of chunks of rows joined by _SEP, with the knot's
+sweep rows spliced in between; the rows of known S^3 covers come from
 `spans.s3_rows`, each cover's text kept as written.
 """
 from __future__ import annotations
@@ -84,7 +90,7 @@ def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tupl
     pieces = knot.json
     if pieces is None:
         pieces = knot.json = _fragments(knot)
-    quoted, nf, moves, exceptional_fragment, sweep, table, hyperbolic = pieces
+    quoted, nf, moves, slopes, table, hyperbolic = pieces
     given = '{\n    "knot": ' + quoted
     if request.n_range is not None:
         given += _SPAN_JSON % ("n", *request.n_range)
@@ -97,13 +103,14 @@ def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tupl
     if command in ("classify", "predict"):
         result, prediction, span, rc = answer
         found = table.get(result.slope)
-        if found is not None:
-            classification, family = found
-        elif result.type is SurgeryType.HYPERBOLIC:
-            classification, family = hyperbolic % result.slope, _HYPERBOLIC_FAMILY_JSON
-        else:  # the meridian, or a knot whose table was too long to write
-            classification = _json(_classification_json(result), "  ")
-            family = "null" if prediction is None else _json(_prediction_json(prediction), "  ")
+        if found is None:
+            if result.type is SurgeryType.HYPERBOLIC:
+                found = hyperbolic % result.slope, _HYPERBOLIC_FAMILY_JSON
+            else:  # a table slope or the meridian; raises, keeping nothing, past the digit limit
+                found = table[result.slope] = (
+                    _json(_classification_json(result), "  "),
+                    "null" if prediction is None else _json(_prediction_json(prediction), "  "))
+        classification, family = found
         surgeries = ""
         if span is not None:
             surgeries = _rows("surgeries", span_rows(_NULL_ROW, _SEP, span) if rc is None else
@@ -111,49 +118,38 @@ def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tupl
         return _CLASSIFY_JSON % (classification, moves, family, given, nf, surgeries)
     if command in ("slopes", "table"):
         exceptional, span = answer
-        if exceptional_fragment is None:  # raises: an integer too long to write
-            exceptional_fragment = _json(_exceptional_json(exceptional), "  ")
-            sweep = sweep_rows(_SWEEP_ROW, exceptional)
+        if slopes is None:  # raises, keeping nothing, past the digit limit
+            slopes = pieces[3] = (_json(_exceptional_json(exceptional), "  "),
+                                  sweep_rows(_SWEEP_ROW, exceptional))
         rows = "" if span is None else _rows(
-            "sweep", span_rows(_HYPERBOLIC_ROW, _SEP, span, sweep))
-        return _SLOPES_JSON % (moves, exceptional_fragment, given, nf, rows)
+            "sweep", span_rows(_HYPERBOLIC_ROW, _SEP, span, slopes[1]))
+        return _SLOPES_JSON % (moves, slopes[0], given, nf, rows)
     if command == "twist":
         images = _json([_image_json(image, fraction) for image, fraction in answer], "  ")
         return _TWIST_JSON % (moves, images, given, nf)
     return _NORMALIZE_JSON % (moves, given, nf)
 
 
-def _fragments(knot: _Knot) -> tuple:
-    """The JSON pieces of every answer for the knot, each rendered at its
+def _fragments(knot: _Knot) -> list:
+    """The JSON pieces every answer for the knot shows, each rendered at its
     depth in an answer, for its `json` slot: its quoted text, its normal
-    form and its equivalence moves; for a hyperbolic knot its exceptional
-    slopes, its `sweep` rows at them (`spans.sweep_rows`) and, by table
-    slope, (classification, family prediction); and a %-template of its
-    classification at a hyperbolic slope.  A knot whose table holds an
-    integer too long to write gets None, None and an empty mapping, so that
-    only the answers that show that integer fail."""
+    form and its equivalence moves; then the pieces `json_answer` fills on
+    first use, None for (exceptional slopes, `sweep` rows at them,
+    `spans.sweep_rows`) and an empty mapping for (classification, family
+    prediction) by table slope or meridian; and a %-template of its
+    classification at a hyperbolic slope."""
     analysis = knot.analysis
-    try:
-        analysis.require_hyperbolic()
-        exceptional = _json(_exceptional_json(analysis.exceptional), "  ")
-        sweep = sweep_rows(_SWEEP_ROW, analysis.exceptional)
-        table = {r: (_json(_classification_json(answer), "  "),
-                     _json(_prediction_json(analysis.predict(r)), "  "))
-                 for r, answer in analysis.exceptional}
-    except ValueError:  # DegenerateKnotError, or past the digit limit
-        exceptional, sweep, table = None, None, {}
     # Notes are written with every % doubled, and the slope as "%s".
     notes = tuple(note.replace("%", "%%") for note in analysis.notes)
     hyperbolic = SurgeryClassification(SurgeryType.HYPERBOLIC, "%s", None, None, notes)
-    return (
+    return [
         _quote(knot.text),
         _json(_normal_form_json(analysis.nf), "  "),
         _json([str(move) for move in analysis.moves], "  "),
-        exceptional,
-        sweep,
-        table,
+        None,
+        {},
         _json(_classification_json(hyperbolic), "  "),
-    )
+    ]
 
 
 def _rows(key: str, rows: str) -> str:

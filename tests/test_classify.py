@@ -699,3 +699,45 @@ def test_the_map_carries_canonical_8_to_the_pretzel_framing(text):
     assert analysis_of(knot).knot_class is KnotClass.PRETZEL_2_3
     framing = pretzel_framing(knot.tangle.entries, knot.a)
     assert analysis_of(knot).slope_map.slope(8) == s(framing)
+
+
+# The (-2,3)-class grid knots, the ones whose tables reach known S^3 rows.
+_PRETZEL_2_3_GRID = [knot for knot in GRID
+                     if analysis_of(knot).knot_class is KnotClass.PRETZEL_2_3]
+# At canonical 6 the table's family says "toroidal for all but at most three
+# embeddings", but every known S^3 row is small Seifert with fibers 2 and 4,
+# or lens: ROADMAP item 1a.
+_FAMILY_AT_6 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1a: the family at 6")
+
+
+def _euclidean(indices):
+    """Whether a base orbifold S^2 with cone points of these indices is
+    Euclidean, so that a Seifert space over it holds an incompressible torus."""
+    return sum(1 - Fraction(1, a) for a in indices) == 2
+
+
+@pytest.mark.parametrize("canonical", [pytest.param(6, marks=_FAMILY_AT_6), 7])
+def test_each_family_holds_on_its_known_s3_rows_on_grid(canonical):
+    # The paper's dichotomy against the package's own S^3 rows, n in -8..8: a
+    # toroidal-cofinite family has at most three members that are not toroidal,
+    # and a seifert-or-reducible one has both its fiber indices in each small
+    # Seifert member.  No row is toroidal: lens and reducible rows are not, and
+    # no small Seifert row has a Euclidean base.
+    assert len(_PRETZEL_2_3_GRID) == 16
+    wrong = []
+    for knot in _PRETZEL_2_3_GRID:
+        analysis = analysis_of(knot)
+        [r] = [r for r, (_, _, rc) in analysis.table.items() if rc == canonical]
+        family = analysis.predict(r)
+        rows = [cover for _, cover in analysis.surgeries_in_s3(r, range(-8, 9))]
+        seifert = [cover.invariants.indices() for cover in rows
+                   if cover.kind is SFSKind.SMALL_SEIFERT]
+        assert not any(map(_euclidean, seifert)), knot
+        if family.kind is FamilyKind.TOROIDAL_COFINITE:
+            holds = len(rows) <= 3
+        else:
+            assert family.kind is FamilyKind.SEIFERT_OR_REDUCIBLE, knot
+            holds = all(set(family.fiber_indices) <= set(indices) for indices in seifert)
+        if not holds:
+            wrong.append(f"{knot} {r}: {family} against {list(map(str, rows))}")
+    assert not wrong, "\n".join(wrong)

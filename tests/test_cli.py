@@ -266,16 +266,44 @@ def test_oversized_answer_exits_2_naming_the_limit(capsys):
     assert code == 3 and "not hyperbolic" in err  # DegenerateKnotError keeps 3
 
 
+def test_run_raises_a_value_error_other_than_the_digit_limit(monkeypatch):
+    # Only the interpreter's own error for an integer too long to write is an
+    # answer that cannot be written (exit 2); any other ValueError, a subclass
+    # with the same words among them, is a fault and shows as a traceback.
+    class Fault(ValueError):
+        pass
+
+    def failing_with(error):
+        def failing(*args):
+            raise error
+
+        return failing
+
+    request = cli.parse(["classify", "K1[-1/2,1/3]", "7"])
+    limit = "Exceeds the limit (4300 digits) for integer string conversion"
+    for error in (ValueError("boom"), Fault(limit)):
+        monkeypatch.setattr(cli, "_answer", failing_with(error))
+        with pytest.raises(ValueError) as raised:
+            cli.run(request)
+        assert raised.value is error
+    monkeypatch.setattr(cli, "_answer", failing_with(ValueError(limit)))
+    with pytest.raises(cli.CommandError) as raised:
+        cli.run(request)
+    assert raised.value.code == 2 and "4300 digits" in str(raised.value)
+
+
 def test_only_the_answers_that_list_a_too_long_slope_fail(capsys):
     # The pretzel surface slope of K0[1/q,1/q] has 4301 digits, q none over 4300.
     knot = "K0[1/{0},1/{0}]".format("9" * 4300)
     for args in (["slopes", knot], ["table", knot, "--range", "0..1"]):
         for fmt in ("text", "json"):
-            code, out, err = run_cli(capsys, *args, "--format", fmt)
-            assert code == 2 and not out and "4300 digits" in err, (args, fmt)
+            for _ in range(2):  # a failed render keeps nothing
+                code, out, err = run_cli(capsys, *args, "--format", fmt)
+                assert code == 2 and not out and "4300 digits" in err, (args, fmt)
     for args in (["classify", knot, "5"], ["normalize", knot], ["predict", knot, "5"]):
         for fmt in ("text", "json"):
-            assert run_cli(capsys, *args, "--format", fmt)[0] == 0, (args, fmt)
+            for _ in range(2):
+                assert run_cli(capsys, *args, "--format", fmt)[0] == 0, (args, fmt)
 
 
 def test_batch_survives_an_oversized_answer(tmp_path, capsys):
@@ -990,6 +1018,55 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
             assert calls == {}, args
             assert built == {}, args  # text is written from the records
             assert imported == (fmt == "json"), args  # text never loads the writer
+
+
+def test_a_kept_knots_json_pieces_are_rendered_on_first_use(monkeypatch):
+    # K1[-1/2,1/3] has the table slopes 6, 7 and 8.  The first JSON answer for
+    # a knot renders only the pieces every answer shows, of which the hyperbolic
+    # template is a classification; each piece of the table, and the meridian's
+    # classification, is rendered by the first answer that shows it and kept.
+    knot = "K1[-1/2,1/3]"
+    one = {"_classification_json": 1}
+    steps = [(["normalize"], one),  # the first request drops its knot
+             (["normalize"], one),
+             (["classify", "6"], {**one, "_prediction_json": 1}),
+             (["classify", "6"], {}),
+             (["predict", "7"], {**one, "_prediction_json": 1}),
+             (["classify", "5"], {}),  # hyperbolic: the template
+             (["classify", "inf"], one),  # the meridian has no family
+             (["classify", "inf"], {}),
+             (["slopes"], {"_exceptional_json": 1, "_classification_json": 3}),
+             (["slopes"], {}),
+             (["table", "--range", "0..9"], {})]
+    cli._kept_knots.clear()
+    cli._asked_once.clear()
+    for args, expected in steps:
+        calls = {}
+        for name in ("_classification_json", "_prediction_json", "_exceptional_json"):
+            count_calls(monkeypatch, calls, jsonwriter, name)
+        code, out, err = _answer(args[0], knot, *args[1:], "--format", "json")
+        monkeypatch.undo()
+        assert (code, err) == (0, "") and json.loads(out)["input"]["knot"] == knot
+        assert calls == expected, args
+    # The table's slopes and the meridian, at most: no hyperbolic slope is kept.
+    pieces = cli._kept_knots[knot].json
+    assert set(pieces[4]) == {make_slope(6, 1), make_slope(7, 1), parse_slope("inf")}
+
+
+def test_a_failed_render_keeps_nothing(monkeypatch):
+    # A kept knot whose table holds an integer too long to write: each
+    # `slopes` answer fails and keeps no piece, in either format, and the
+    # answers that do not show that integer still succeed.
+    knot = "K0[1/{0},1/{0}]".format("9" * 4300)
+    monkeypatch.setattr(cli, "_KNOT_TEXT_LENGTH", len(knot))
+    cli._kept_knots.clear()
+    cli._asked_once.clear()
+    for fmt in ("text", "json", "text", "json"):
+        code, out, err = _answer("slopes", knot, "--format", fmt)
+        assert code == 2 and not out and "4300 digits" in err
+        assert _answer("classify", knot, "5", "--format", fmt)[0] == 0
+    kept = cli._kept_knots[knot]
+    assert kept.slopes is None and kept.json[3] is None and kept.json[4] == {}
 
 
 def test_a_cold_request_hashes_no_slope(monkeypatch):

@@ -10,13 +10,21 @@ line of its header runs (a `try` has no header of its own).  Code that runs
 only in a subprocess a test starts, such as the `python -m wrapsurg.cli`
 entry lines, is not seen.  Like the golden runner, pytest does not collect it:
 
-    python tests/untraced.py [PYTEST ARGS]
+    python tests/untraced.py [--check] [PYTEST ARGS]
 
 The default pytest arguments are the tier-1 ones, `-q
 --continue-on-collection-errors`, on the tests directory.  The exit code is
 pytest's.  The trace makes the suite run a few times slower.
+
+With `--check` the list is a gate: the statements, each as `MODULE.py:
+TEXT` without its line number (so an edit elsewhere in the module does not
+move it), must be, as a multiset, those of the committed
+tests/golden/untraced.txt, where each line also gives after `  # ` why no
+tier-1 test runs it.  On a mismatch the unified diff is printed and the exit
+code is 1 (or pytest's, when that is not 0).
 """
 import ast
+import difflib
 import sys
 import threading
 from pathlib import Path
@@ -25,6 +33,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "wrapsurg"
+GOLDEN = TESTS / "golden" / "untraced.txt"
 # Statements not listed: imports and declarations state no behaviour a test
 # checks, and a `try` has no line of its own (its body's statements are listed).
 _UNLISTED = (ast.Import, ast.ImportFrom, ast.Global, ast.Nonlocal, ast.Try)
@@ -95,9 +104,33 @@ def untraced(ran):
     return sorted(found)
 
 
+def committed():
+    """The `MODULE.py: TEXT` entries of GOLDEN, sorted, each without the
+    reason after its last `  # `; an entry without a reason raises."""
+    entries = []
+    for line in GOLDEN.read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            entry, _, reason = line.rpartition("  # ")
+            if not entry or not reason.strip():
+                raise ValueError(f"{GOLDEN.name}: no reason given for {line!r}")
+            entries.append(entry)
+    return sorted(entries)
+
+
 if __name__ == "__main__":
-    code, ran = _run_traced(sys.argv[1:] or ["-q", "--continue-on-collection-errors", str(TESTS)])
+    args = sys.argv[1:]
+    check = "--check" in args
+    args = [arg for arg in args if arg != "--check"]
+    code, ran = _run_traced(args or ["-q", "--continue-on-collection-errors", str(TESTS)])
     root = PACKAGE.parent.parent
-    for path, line, text in untraced(ran):
+    found = untraced(ran)
+    for path, line, text in found:
         print(f"{path.relative_to(root)}:{line}: {text}")
+    if check:
+        diff = list(difflib.unified_diff(
+            committed(), sorted(f"{path.name}: {text}" for path, _, text in found),
+            f"tests/golden/{GOLDEN.name}", "this run", lineterm=""))
+        if diff:
+            print("the untraced statements differ from the committed list:", *diff, sep="\n")
+            code = code or 1
     sys.exit(code)
