@@ -30,9 +30,10 @@ Nothing here keeps a knot: the module functions analyse the knot on every
 call, so a caller with several questions keeps its `analysis_of(knot)` and
 asks that.
 
-Each answer writes its own text: `str()` of a `SurgeryClassification` (with
-its `ToroidalCertificate`) and of a `FamilyPrediction` is the wording of the
-text answers, which the command line only lays out in lines, and `repr()`
+Each answer writes its own text and JSON: `str()` of a
+`SurgeryClassification` (with its `ToroidalCertificate`) and of a
+`FamilyPrediction` is the wording of the text answers, and `as_json()` the
+mapping of the JSON ones, which the command line only lays out, and `repr()`
 lists the fields.
 
 The S^3 surgery of a twisted image depends only on the canonical twist nc
@@ -102,6 +103,10 @@ class ToroidalCertificate(Record):
     def __str__(self) -> str:
         return f"{self.source._value_}: {self.piece or f'slope {self.slope}'}"
 
+    def as_json(self) -> dict:
+        return {"source": self.source._value_, "slope": str(self.slope),
+                "piece_indices": self.piece_indices or None, "piece": self.piece}
+
 
 class SurgeryClassification(Record):
     __slots__ = ("type", "slope", "certificate", "seifert_indices", "notes")
@@ -120,6 +125,15 @@ class SurgeryClassification(Record):
         if self.certificate is not None:
             text += f" [{self.certificate}]"
         return text
+
+    def as_json(self) -> dict:
+        """The answer's JSON record, with a `notes` key only when it has notes."""
+        record = {"type": self.type._value_, "slope": str(self.slope),
+                  "certificate": self.certificate and self.certificate.as_json(),
+                  "fiber_indices": self.seifert_indices or None}
+        if self.notes:
+            record["notes"] = self.notes
+        return record
 
 
 _set_type, _set_slope, _set_certificate, _set_seifert_indices, _set_notes = (
@@ -174,6 +188,10 @@ class FamilyPrediction(Record):
             window = "" if self.n0 is None else f" except within 1 of n0={self.n0}"
             return f"toroidal for all but at most three embeddings{window}"
         return "hyperbolic for all but finitely many embeddings"
+
+    def as_json(self) -> dict:
+        return {"kind": self.kind._value_, "n0": self.n0,
+                "fiber_indices": self.fiber_indices or None}
 
 
 # The family of every slope outside a knot's table.

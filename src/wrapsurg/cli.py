@@ -12,14 +12,15 @@ and shlex.split splits each into words; it is read as its lines are answered,
 so a batch takes the memory of its longest line, not of its length.
 Importing this module loads only what every request runs: the text layout is
 here (each record writes its own text, its `str()`, and the layout puts each
-in its line); `wrapsurg.jsonwriter`, the JSON writer, is imported by the
-first JSON answer (and bound to `_json_answer`), `wrapsurg.batch`, the batch
-reader, by the first `batch` request, and `wrapsurg.spans`, the rows of a span, by
-the first answer with a span or a knot's exceptional slopes (and bound to
-`_spans`).  The first two import this module: under `python -m
-wrapsurg.cli`, where it runs as `__main__`, it first registers itself in
-`sys.modules` as `wrapsurg.cli`, so that neither loads a second copy, with
-caches and an error class of its own.  No request loads `json` (the writer
+in its line); `wrapsurg.jsonwriter`, the JSON layout of the records' own
+`as_json()`, is imported by the first JSON answer (and bound to
+`_json_answer`), `wrapsurg.batch`, the batch reader, by the first `batch`
+request, and `wrapsurg.spans`, the rows of a span, by the first answer with
+a span or a knot's exceptional slopes (and bound to `_spans`).  The first
+two import this module: under `python -m wrapsurg.cli`, where it runs as
+`__main__`, it first registers itself in `sys.modules` as `wrapsurg.cli`,
+so that neither loads a second copy, with caches and an error class of its
+own.  No request loads `json` (the writer
 quotes strings with its C helper `_json`), and only a batch line that
 `batch._split` cannot split by str methods loads `shlex` (and with it `re`).
 A `--range` or `--n` span holds at most MAX_SPAN_ROWS (1,000,000) rows; a
@@ -39,19 +40,21 @@ once per knot: from its first text answer on, the head of its text answers
 (knot, normal form and canonical entry lines); from its first text `slopes`
 or `table` answer on, its `exceptional` lines and its sweep rows at those
 slopes; from its first JSON answer on, its quoted text, normal form and
-moves as JSON and a template of its classification at a hyperbolic slope;
-from its first JSON `slopes` or `table` answer on, its exceptional slopes
-and sweep rows as JSON; and from the first JSON `classify` or `predict` at
-a table slope or the meridian on, that slope's classification and family
-as JSON.  A piece whose render raises is not kept.  So a warm request,
-from the third for its text on, parses, analyses and writes out no knot,
-and the answer is the same either way.  `_answer`
-gives the records a request answers with, whatever its format, the span of
-`--n` S^3 rows and their canonical slope among them (each cover's text is
-written once and kept in `spans._s3_cover`); text is laid out straight from
-their `str()`, and a JSON answer is assembled (in `jsonwriter`) from one
-%-template per answer shape, its pieces, and one %-template per row of a `sweep` or
-`surgeries` list, so that a warm one builds no dict.  In both formats `spans.span_rows`
+moves as JSON; from its first JSON `slopes` or `table` answer on, its
+exceptional slopes and sweep rows as JSON; from the first JSON `classify`
+or `predict` at a table slope or the meridian on, that slope's
+classification and family as JSON; and from the first at a hyperbolic
+slope on, the template of its classification at every hyperbolic slope.  A
+piece whose render raises is not kept.  So a warm request, from the third
+for its text on, parses, analyses and writes out no knot, and the answer is
+the same either way.  `_answer` gives the records a request answers with,
+whatever its format, the span of `--n` S^3 rows and their canonical slope
+among them (each cover's text is written once and kept in
+`spans._s3_cover`); text is laid out straight from their `str()`, and a
+JSON answer is assembled (in `jsonwriter`) from one %-template per answer
+shape, its pieces, written from the records' `as_json()`, and one
+%-template per row of a `sweep` or `surgeries` list, so that a warm one
+builds no dict.  In both formats `spans.span_rows`
 gives the text of a span as a few slices of pre-joined chunks of 256 rows,
 centred on multiples of 256, with the knot's sweep rows spliced in between
 (the `wrapsurg.spans` docstring states the chunks and their bound); the
@@ -244,8 +247,8 @@ class _Knot:
     first text answer fills `head` with its `_head`, the first text `slopes`
     or `table` answer fills `slopes` with its exceptional lines and its sweep
     rows, and the first JSON answer fills `json` with its `_fragments`, whose
-    table pieces later JSON answers fill on first use.  A failed parse
-    raises."""
+    table pieces and hyperbolic template later JSON answers fill on first
+    use.  A failed parse raises."""
 
     __slots__ = ("analysis", "text", "head", "slopes", "json")
 

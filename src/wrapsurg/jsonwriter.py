@@ -1,16 +1,24 @@
-"""The JSON writer of the command line: `json_answer` writes an answer's
+"""The JSON layout of the command line: `json_answer` writes an answer's
 records as the text of json.dumps(payload, indent=2, sort_keys=True).
+
+Each record writes its own JSON mapping, its `as_json()`: the normal form,
+a classification with its certificate, a family prediction and a twisted
+image.  This module lays them out, and adds only what belongs to no
+record: the `slope` and `classification` pair of each exceptional slope,
+and the `two_bridge` fraction of an image row.
 
 `wrapsurg.cli` imports this module on its first JSON answer, so a text
 request never loads it.  Strings are quoted by the C helper of
 `json.encoder`, from `_json`, and no request loads `json` itself.  The pieces
 of a knot's answers go into the knot's `json` slot in `cli._knot`, each
 rendered once: the first JSON answer renders, by `_fragments`, those every
-answer shows, and the first answer that shows a piece of the knot's table
-renders it there, as the text writer fills its `slopes` slot: the first
-`slopes` or `table` answer the exceptional slopes and their sweep rows, the
-first `classify` or `predict` at a table slope or the meridian that slope's
-classification and family.  A render that raises past the digit limit
+answer shows (the knot's quoted text, normal form and moves), and the first
+answer that shows any other piece renders it there, as the text writer
+fills its `slopes` slot: the first `slopes` or `table` answer the
+exceptional slopes and their sweep rows, the first `classify` or `predict`
+at a table slope or the meridian that slope's classification and family,
+and the first at a hyperbolic slope the %-template of the knot's
+classification there.  A render that raises past the digit limit
 keeps nothing, so only the answers that show that integer fail.  An answer
 is assembled from the pieces, one %-template per answer shape and one per
 row of a `sweep` or `surgeries` list, so that a warm answer other than
@@ -23,12 +31,10 @@ from __future__ import annotations
 
 from _json import encode_basestring_ascii as _quote
 
-from .classify import FamilyPrediction, SurgeryClassification, SurgeryType, _HYPERBOLIC_FAMILY
+from .classify import _HYPERBOLIC, _HYPERBOLIC_FAMILY, SurgeryClassification
 from .cli import Request, _Knot
 from .slopes import Slope
 from .spans import s3_rows, span_rows, sweep_rows
-from .tangles import NormalForm
-from .wrapped import TwistedImage
 
 
 def _json(value, indent: str) -> str:
@@ -104,12 +110,17 @@ def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tupl
         result, prediction, span, rc = answer
         found = table.get(result.slope)
         if found is None:
-            if result.type is SurgeryType.HYPERBOLIC:
+            if result.type is _HYPERBOLIC:
+                if hyperbolic is None:
+                    # The notes are written with every % doubled, and the slope as "%s".
+                    notes = tuple(note.replace("%", "%%") for note in result.notes)
+                    hyperbolic = pieces[5] = _json(
+                        SurgeryClassification(_HYPERBOLIC, "%s", None, None, notes).as_json(), "  ")
                 found = hyperbolic % result.slope, _HYPERBOLIC_FAMILY_JSON
             else:  # a table slope or the meridian; raises, keeping nothing, past the digit limit
                 found = table[result.slope] = (
-                    _json(_classification_json(result), "  "),
-                    "null" if prediction is None else _json(_prediction_json(prediction), "  "))
+                    _json(result.as_json(), "  "),
+                    "null" if prediction is None else _json(prediction.as_json(), "  "))
         classification, family = found
         surgeries = ""
         if span is not None:
@@ -119,13 +130,17 @@ def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tupl
     if command in ("slopes", "table"):
         exceptional, span = answer
         if slopes is None:  # raises, keeping nothing, past the digit limit
-            slopes = pieces[3] = (_json(_exceptional_json(exceptional), "  "),
-                                  sweep_rows(_SWEEP_ROW, exceptional))
+            slopes = pieces[3] = (
+                _json([{"slope": str(r), "classification": c.as_json()} for r, c in exceptional],
+                      "  "),
+                sweep_rows(_SWEEP_ROW, exceptional))
         rows = "" if span is None else _rows(
             "sweep", span_rows(_HYPERBOLIC_ROW, _SEP, span, slopes[1]))
         return _SLOPES_JSON % (moves, slopes[0], given, nf, rows)
     if command == "twist":
-        images = _json([_image_json(image, fraction) for image, fraction in answer], "  ")
+        images = _json([image.as_json() if fraction is None else
+                        {**image.as_json(), "two_bridge": str(fraction)}
+                        for image, fraction in answer], "  ")
         return _TWIST_JSON % (moves, images, given, nf)
     return _NORMALIZE_JSON % (moves, given, nf)
 
@@ -135,20 +150,17 @@ def _fragments(knot: _Knot) -> list:
     depth in an answer, for its `json` slot: its quoted text, its normal
     form and its equivalence moves; then the pieces `json_answer` fills on
     first use, None for (exceptional slopes, `sweep` rows at them,
-    `spans.sweep_rows`) and an empty mapping for (classification, family
-    prediction) by table slope or meridian; and a %-template of its
-    classification at a hyperbolic slope."""
+    `spans.sweep_rows`), an empty mapping for (classification, family
+    prediction) by table slope or meridian, and None for the %-template of
+    its classification at a hyperbolic slope."""
     analysis = knot.analysis
-    # Notes are written with every % doubled, and the slope as "%s".
-    notes = tuple(note.replace("%", "%%") for note in analysis.notes)
-    hyperbolic = SurgeryClassification(SurgeryType.HYPERBOLIC, "%s", None, None, notes)
     return [
         _quote(knot.text),
-        _json(_normal_form_json(analysis.nf), "  "),
+        _json(analysis.nf.as_json(), "  "),
         _json([str(move) for move in analysis.moves], "  "),
         None,
         {},
-        _json(_classification_json(hyperbolic), "  "),
+        None,
     ]
 
 
@@ -158,70 +170,5 @@ def _rows(key: str, rows: str) -> str:
     return ',\n  "%s": [\n%s\n  ]' % (key, rows)
 
 
-def _normal_form_json(nf: NormalForm) -> dict:
-    record = {
-        "e0": nf.e0,
-        "fracs": [str(f) for f in nf.fracs],
-        "degenerate": nf.degenerate,
-        "canonical": None,
-    }
-    if nf.k1 is not None:
-        record["canonical"] = {
-            "t": str(nf.k1.t),
-            "mirrored": nf.k1.mirrored,
-            "twists": nf.k1.twists,
-        }
-    return record
-
-
-def _classification_json(result: SurgeryClassification) -> dict:
-    record: dict = {
-        "type": result.type.value,
-        "slope": str(result.slope),
-        "certificate": None,
-        "fiber_indices": result.seifert_indices or None,
-    }
-    if result.certificate is not None:
-        cert = result.certificate
-        record["certificate"] = {
-            "source": cert.source.value,
-            "slope": str(cert.slope),
-            "piece_indices": cert.piece_indices or None,
-            "piece": cert.piece,
-        }
-    if result.notes:
-        record["notes"] = result.notes
-    return record
-
-
-def _prediction_json(prediction: FamilyPrediction) -> dict:
-    return {
-        "kind": prediction.kind.value,
-        "n0": prediction.n0,
-        "fiber_indices": prediction.fiber_indices or None,
-    }
-
-
-def _exceptional_json(
-    exceptional: tuple[tuple[Slope, SurgeryClassification], ...],
-) -> list[dict]:
-    return [
-        {"slope": str(r), "classification": _classification_json(c)}
-        for r, c in exceptional
-    ]
-
-
-def _image_json(image: TwistedImage, fraction: Slope | None) -> dict:
-    record = {
-        "n": image.n,
-        "link": str(image),
-        "entries": [str(s) for s in image.entries],
-        "degenerate": image.degenerate,
-    }
-    if fraction is not None:
-        record["two_bridge"] = str(fraction)
-    return record
-
-
 # The family prediction at every slope outside a knot's table.
-_HYPERBOLIC_FAMILY_JSON = _json(_prediction_json(_HYPERBOLIC_FAMILY), "  ")
+_HYPERBOLIC_FAMILY_JSON = _json(_HYPERBOLIC_FAMILY.as_json(), "  ")

@@ -8,7 +8,8 @@ of an entry list (`wrapped.parse_knot` calls it too), each entry by
 four equivalence moves (entrywise integer shifts with fixed sum, reversal,
 the mirror image, and the meridional twist of a single entry) to its normal
 form; `str()` of a `NormalForm` and of its `LengthOneCanonical` is the text
-of the command's `normal form:` and `canonical single entry:` lines.  The
+of the command's `normal form:` and `canonical single entry:` lines, and
+`as_json()` the `normal_form` record of its JSON answers.  The
 moves themselves, their `Move` records and `equivalent` with its witnesses
 are in `wrapsurg.moves`.
 
@@ -134,6 +135,9 @@ class LengthOneCanonical(Record):
         detail = f" ({', '.join(extras)})" if extras else ""
         return f"t={self.t}{detail}"
 
+    def as_json(self) -> dict:
+        return {"t": str(self.t), "mirrored": self.mirrored, "twists": self.twists}
+
 
 _set_t, _set_mirrored, _set_twists = LengthOneCanonical._setters
 
@@ -159,6 +163,10 @@ class NormalForm(Record):
         # Slope.__str__ itself: str() would reach it through the type.
         fracs = ",".join(map(Slope.__str__, self.fracs))
         return f"e0={self.e0} fracs=[{fracs}]{'  [degenerate]' if self.degenerate else ''}"
+
+    def as_json(self) -> dict:
+        return {"e0": self.e0, "fracs": list(map(Slope.__str__, self.fracs)),
+                "degenerate": self.degenerate, "canonical": self.k1 and self.k1.as_json()}
 
     def as_tangle(self) -> MontesinosTangle:
         """A shift-equivalent tangle realizing this normal form."""

@@ -13,6 +13,10 @@ evident pretzel spanning surface from their signed crossings
 (`pretzel_slope`).  No request builds a diagram: the strand tracer of
 `wrapsurg.tracing` is the oracle of both rules, which the tests and the
 golden runner compare with it, also under `python -O`.
+
+A `TwistedImage` writes its own row of a `twist` answer: `str()` is the
+text of its link, and `as_json()` its JSON row, to which the command line
+adds only the two-bridge fraction of a single-entry knot.
 """
 from __future__ import annotations
 
@@ -81,6 +85,12 @@ class TwistedImage(Record):
         if self.degenerate:
             return f"closure[{inner}]"
         return f"M[{inner}]"
+
+    def as_json(self) -> dict:
+        """The image's row of a JSON `twist` answer, but its two-bridge
+        fraction, which the answer adds beside it."""
+        return {"n": self.n, "link": str(self), "entries": [str(s) for s in self.entries],
+                "degenerate": self.degenerate}
 
 
 def twist(knot: WrappedKnot, n: int) -> TwistedImage:

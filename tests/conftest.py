@@ -80,17 +80,18 @@ def run_python(script: str, *options: str) -> subprocess.CompletedProcess:
     )
 
 
-def count_calls(monkeypatch, calls, owner, name):
+def count_calls(monkeypatch, calls, owner, name, key=None):
     """Count the calls of owner.name, rebound in every module of the package
-    that holds it, into calls[name]."""
+    that holds it, into calls[key], by default calls[name]."""
     original = getattr(owner, name)
+    key = key or name
 
     def counting(*args, **kwargs):
-        calls[name] = calls.get(name, 0) + 1
+        calls[key] = calls.get(key, 0) + 1
         return original(*args, **kwargs)
 
-    holders = [owner] + [module for key, module in sys.modules.items()
-                         if key.partition(".")[0] == "wrapsurg"]
+    holders = [owner] + [module for module_name, module in sys.modules.items()
+                         if module_name.partition(".")[0] == "wrapsurg"]
     for holder in holders:
         if vars(holder).get(name) is original:
             monkeypatch.setattr(holder, name, counting)

@@ -39,7 +39,9 @@ from wrapsurg import (
     surgery_in_s3,
     trace_closure,
     transport_slope,
+    twist,
     twist_tangle,
+    two_bridge_fraction,
 )
 from wrapsurg.classify import _FIXED_TABLES, SlopeMap, _class_table, _reduce
 from wrapsurg.cli import main
@@ -559,6 +561,38 @@ def test_each_text_line_is_a_records_str_on_grid():
         for record in filter(None, records):
             # `repr()` still lists the fields; `str()` is the text answers' wording.
             assert repr(record) == Record.__repr__(record) != str(record), text
+
+
+def _dumped(value):
+    """`value` as json.loads reads it back from an answer: tuples as lists."""
+    return json.loads(json.dumps(value))
+
+
+def test_each_json_piece_is_a_records_as_json_on_grid():
+    # A JSON answer lays out the records' own `as_json()`: the normal form, the
+    # classification and family at each table slope, the meridian and a
+    # hyperbolic slope, and each twisted image of a single entry, beside which
+    # the answer puts only the exceptional slopes' pairs and the two-bridge
+    # fraction.
+    for knot in GRID:
+        text, analysis = str(knot), analysis_of(knot)
+        answer = json.loads(_cli("normalize", text, "--format", "json"))
+        assert answer["normal_form"] == _dumped(analysis.nf.as_json()), text
+        if analysis.nf.degenerate:
+            continue
+        answer = json.loads(_cli("slopes", text, "--format", "json"))
+        assert answer["exceptional_slopes"] == _dumped(
+            [{"slope": str(r), "classification": c.as_json()} for r, c in analysis.exceptional])
+        for r in [r for r, _ in analysis.exceptional] + [MERIDIAN, s(1, 2)]:
+            answer = json.loads(_cli("classify", text, str(r), "--format", "json"))
+            family = None if r == MERIDIAN else analysis.predict(r).as_json()
+            assert answer["classification"] == _dumped(analysis.classify(r).as_json()), (text, r)
+            assert answer["family_prediction"] == _dumped(family), (text, r)
+        if len(knot.tangle.entries) == 1:
+            answer = json.loads(_cli("twist", text, "--n", "-1..1", "--format", "json"))
+            rows = [{**twist(knot, n).as_json(), "two_bridge": str(two_bridge_fraction(knot, n))}
+                    for n in (-1, 0, 1)]
+            assert answer["images"] == _dumped(rows), text
 
 
 def test_each_record_writes_the_papers_wording():

@@ -23,8 +23,14 @@ from hypothesis import strategies as st
 
 from conftest import count_calls, python_env, run_python
 from wrapsurg import (
+    FamilyPrediction,
     KnotClass,
+    LengthOneCanonical,
+    NormalForm,
     NotAKnotError,
+    SurgeryClassification,
+    ToroidalCertificate,
+    TwistedImage,
     analysis_of,
     make_slope,
     normalize,
@@ -961,14 +967,22 @@ def test_long_knot_texts_are_analysed_per_request_and_not_kept():
     assert retained < 256 * 1024, retained
 
 
-# The functions of the JSON writer that build JSON, which a text request, cold or
-# warm, never calls (it never imports the writer); the row chunks both writers
-# slice are not among them.
-_JSON_BUILDERS = ("_normal_form_json", "_classification_json", "_prediction_json",
-                  "_exceptional_json", "_fragments", "_rows", "_json")
+# The functions that build JSON, each record's `as_json` and the JSON writer's
+# own, which a text request, cold or warm, never calls (it never imports the
+# writer); the row chunks both writers slice are not among them.
+_JSON_BUILDERS = (
+    *((record, "as_json") for record in (NormalForm, LengthOneCanonical, SurgeryClassification,
+                                         ToroidalCertificate, FamilyPrediction, TwistedImage)),
+    *((jsonwriter, name) for name in ("_fragments", "_rows", "_json")))
 # Of those, the ones a warm JSON answer other than `twist` never calls: it is
 # assembled from the knot's pieces and %-templates, and builds no dict.
-_KNOT_BUILDERS = tuple(name for name in _JSON_BUILDERS if name != "_rows")
+_KNOT_BUILDERS = tuple(builder for builder in _JSON_BUILDERS if builder[1] != "_rows")
+
+
+def _count_builders(monkeypatch, calls, builders):
+    """Count each builder's calls into calls["OWNER.NAME"]."""
+    for owner, name in builders:
+        count_calls(monkeypatch, calls, owner, name, f"{owner.__name__}.{name}")
 
 
 # A request is warm from its third on: the first drops its knot, the second keeps it.
@@ -987,8 +1001,7 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
             args = [*args, "--format", fmt, "--moves"]
             built = {}
             if fmt == "text":
-                for name in _JSON_BUILDERS:
-                    count_calls(monkeypatch, built, jsonwriter, name)
+                _count_builders(monkeypatch, built, _JSON_BUILDERS)
                 # As in a fresh process: the writer is not loaded.
                 monkeypatch.setattr(cli, "_json_answer", None)
                 monkeypatch.delitem(sys.modules, "wrapsurg.jsonwriter")
@@ -1000,8 +1013,7 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
             count_calls(monkeypatch, calls, classify, "analysis_of")
             count_calls(monkeypatch, calls, wrapped.WrappedKnot, "__str__")
             if fmt == "json" and args[0] != "twist":
-                for name in _KNOT_BUILDERS:
-                    count_calls(monkeypatch, calls, jsonwriter, name)
+                _count_builders(monkeypatch, calls, _KNOT_BUILDERS)
             if fmt == "text" and args[0] in ("slopes", "table"):
                 # The knot's exceptional lines and sweep rows are kept with it.
                 count_calls(monkeypatch, calls, classify.SurgeryClassification, "__str__")
@@ -1022,28 +1034,30 @@ def test_a_warm_request_parses_analyses_and_writes_out_no_knot(monkeypatch, fmt)
 
 def test_a_kept_knots_json_pieces_are_rendered_on_first_use(monkeypatch):
     # K1[-1/2,1/3] has the table slopes 6, 7 and 8.  The first JSON answer for
-    # a knot renders only the pieces every answer shows, of which the hyperbolic
-    # template is a classification; each piece of the table, and the meridian's
-    # classification, is rendered by the first answer that shows it and kept.
+    # a knot renders only the pieces every answer shows, none of them a
+    # classification; each piece of the table, the meridian's classification
+    # and the template of a hyperbolic slope's is rendered by the first answer
+    # that shows it and kept.
     knot = "K1[-1/2,1/3]"
-    one = {"_classification_json": 1}
-    steps = [(["normalize"], one),  # the first request drops its knot
-             (["normalize"], one),
-             (["classify", "6"], {**one, "_prediction_json": 1}),
+    one = {"SurgeryClassification": 1}
+    steps = [(["normalize"], {}),  # the first request drops its knot
+             (["normalize"], {}),
+             (["classify", "6"], {**one, "FamilyPrediction": 1}),
              (["classify", "6"], {}),
-             (["predict", "7"], {**one, "_prediction_json": 1}),
-             (["classify", "5"], {}),  # hyperbolic: the template
+             (["predict", "7"], {**one, "FamilyPrediction": 1}),
+             (["classify", "5"], one),  # hyperbolic: the template
+             (["predict", "9"], {}),  # the same template; the family is fixed
              (["classify", "inf"], one),  # the meridian has no family
              (["classify", "inf"], {}),
-             (["slopes"], {"_exceptional_json": 1, "_classification_json": 3}),
+             (["slopes"], {"SurgeryClassification": 3}),
              (["slopes"], {}),
              (["table", "--range", "0..9"], {})]
     cli._kept_knots.clear()
     cli._asked_once.clear()
     for args, expected in steps:
         calls = {}
-        for name in ("_classification_json", "_prediction_json", "_exceptional_json"):
-            count_calls(monkeypatch, calls, jsonwriter, name)
+        for record in (SurgeryClassification, FamilyPrediction):
+            count_calls(monkeypatch, calls, record, "as_json", record.__name__)
         code, out, err = _answer(args[0], knot, *args[1:], "--format", "json")
         monkeypatch.undo()
         assert (code, err) == (0, "") and json.loads(out)["input"]["knot"] == knot
@@ -1067,6 +1081,7 @@ def test_a_failed_render_keeps_nothing(monkeypatch):
         assert _answer("classify", knot, "5", "--format", fmt)[0] == 0
     kept = cli._kept_knots[knot]
     assert kept.slopes is None and kept.json[3] is None and kept.json[4] == {}
+    assert kept.json[5] is not None  # `classify 5` rendered the hyperbolic template
 
 
 def test_a_cold_request_hashes_no_slope(monkeypatch):

@@ -3,7 +3,9 @@
 Runs the tier-1 suite in this process under `sys.settrace` and
 `threading.settrace`, records each line of the package that runs, then
 prints, module by module, each statement that never ran, as
-`src/wrapsurg/MODULE.py:LINE: TEXT` (its first line).  The statements are
+`src/wrapsurg/MODULE.py:LINE: FUNCTION: TEXT`, with TEXT its first line and
+FUNCTION the qualified name of the function it is in (`Class.method`,
+`outer.inner`; `<module>` outside any).  The statements are
 read with `ast`; docstrings, `def` and `class` lines, imports and `global`
 statements are not listed, and a compound statement counts as run when a
 line of its header runs (a `try` has no header of its own).  Code that runs
@@ -16,12 +18,16 @@ The default pytest arguments are the tier-1 ones, `-q
 --continue-on-collection-errors`, on the tests directory.  The exit code is
 pytest's.  The trace makes the suite run a few times slower.
 
-With `--check` the list is a gate: the statements, each as `MODULE.py:
-TEXT` without its line number (so an edit elsewhere in the module does not
-move it), must be, as a multiset, those of the committed
+With `--check` the list is a gate: the statements, each as
+`MODULE.py:FUNCTION: TEXT` without its line number (so an edit elsewhere in
+the module does not move it), must be those of the committed
 tests/golden/untraced.txt, where each line also gives after `  # ` why no
-tier-1 test runs it.  On a mismatch the unified diff is printed and the exit
-code is 1 (or pytest's, when that is not 0).
+tier-1 test runs it.  Where a function holds several statements with the
+same text, the k-th of them in the source, from the second on, is keyed
+`FUNCTION[k]`, so that no two statements share a key and a reached one
+cannot trade places with an unreached one unseen.  On a mismatch the
+unified diff is printed and the exit code is 1 (or pytest's, when that is
+not 0).
 """
 import ast
 import difflib
@@ -84,29 +90,41 @@ def _own_lines(node):
     return range(node.lineno, max(last, node.lineno) + 1)
 
 
-def _statements(tree):
-    """The statements of a module that a run can be expected to reach."""
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.stmt) and not isinstance(node, _UNLISTED + _DEFINITIONS)
-                and not _is_docstring(node)):
-            yield node
+def _statements(node, function="<module>"):
+    """The statements under `node` that a run can be expected to reach, each
+    with the qualified name of the function (or class) it is in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, _DEFINITIONS):
+            yield from _statements(
+                child, child.name if function == "<module>" else f"{function}.{child.name}")
+            continue
+        if (isinstance(child, ast.stmt) and not isinstance(child, _UNLISTED)
+                and not _is_docstring(child)):
+            yield child, function
+        yield from _statements(child, function)
 
 
 def untraced(ran):
-    """The `(path, line, text)` of each statement that never ran."""
+    """The `(path, line, key)` of each statement that never ran, its key
+    `FUNCTION: TEXT` or, for the k-th statement with TEXT in FUNCTION from
+    the second on, `FUNCTION[k]: TEXT`."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         lines, text = ran.get(str(path), set()), source.splitlines()
-        for node in _statements(ast.parse(source)):
+        seen = {}
+        for node, function in sorted(_statements(ast.parse(source)),
+                                     key=lambda item: (item[0].lineno, item[0].col_offset)):
+            first = text[node.lineno - 1].strip()
+            k = seen[function, first] = seen.get((function, first), 0) + 1
             if lines.isdisjoint(_own_lines(node)):
-                found.append((path, node.lineno, text[node.lineno - 1].strip()))
+                found.append((path, node.lineno, f"{function}{f'[{k}]' if k > 1 else ''}: {first}"))
     return sorted(found)
 
 
 def committed():
-    """The `MODULE.py: TEXT` entries of GOLDEN, sorted, each without the
-    reason after its last `  # `; an entry without a reason raises."""
+    """The `MODULE.py:FUNCTION: TEXT` entries of GOLDEN, sorted, each without
+    the reason after its last `  # `; an entry without a reason raises."""
     entries = []
     for line in GOLDEN.read_text(encoding="utf-8").splitlines():
         if line and not line.startswith("#"):
@@ -124,11 +142,11 @@ if __name__ == "__main__":
     code, ran = _run_traced(args or ["-q", "--continue-on-collection-errors", str(TESTS)])
     root = PACKAGE.parent.parent
     found = untraced(ran)
-    for path, line, text in found:
-        print(f"{path.relative_to(root)}:{line}: {text}")
+    for path, line, key in found:
+        print(f"{path.relative_to(root)}:{line}: {key}")
     if check:
         diff = list(difflib.unified_diff(
-            committed(), sorted(f"{path.name}: {text}" for path, _, text in found),
+            committed(), sorted(f"{path.name}:{key}" for path, _, key in found),
             f"tests/golden/{GOLDEN.name}", "this run", lineterm=""))
         if diff:
             print("the untraced statements differ from the committed list:", *diff, sep="\n")
