@@ -15,12 +15,21 @@ here (each record writes its own text, its `str()`, and the layout puts each
 in its line); `wrapsurg.jsonwriter`, the JSON layout of the records' own
 `as_json()`, is imported by the first JSON answer (and bound to
 `_json_answer`), `wrapsurg.batch`, the batch reader, by the first `batch`
-request, and `wrapsurg.spans`, the rows of a span, by the first answer with
-a span or a knot's exceptional slopes (and bound to `_spans`).  The first
-two import this module: under `python -m wrapsurg.cli`, where it runs as
+request, and `wrapsurg.spans`, the rows of a span, by the first answer in
+either format with a span or a knot's exceptional slopes (and bound to
+`_spans`, through which `jsonwriter` reads it too).  The first two import
+this module: under `python -m wrapsurg.cli`, where it runs as the process's
 `__main__`, it first registers itself in `sys.modules` as `wrapsurg.cli`,
 so that neither loads a second copy, with caches and an error class of its
-own.  No request loads `json` (the writer
+own; run as another program's `__main__` (`python -m cProfile -m
+wrapsurg.cli`), it hands the run to the importable `wrapsurg.cli.main`.
+A one-shot run (`python -m wrapsurg.cli` and the `wrapsurg` command, both
+through `script`) ends once `main()` has flushed its answer: the atexit
+handlers run, stdout and stderr are flushed and the process exits with
+`os._exit`, without the interpreter's teardown, which no caller waits on.
+Under a trace or profile function, a `sys.monitoring` tool, pdb, `-i` or
+a foreign `__main__` it exits through `sys.exit`, teardown included;
+`main()` itself only returns the exit code.  No request loads `json` (the writer
 quotes strings with its C helper `_json`), and only a batch line that
 `batch._split` cannot split by str methods loads `shlex` (and with it `re`).
 A `--range` or `--n` span holds at most MAX_SPAN_ROWS (1,000,000) rows; a
@@ -328,8 +337,8 @@ _SWEEP_LINE = "  r=%s: %s"
 _SURGERY_LINE = "  n=%s: %s"
 _HYPERBOLIC_LINE = _SWEEP_LINE % ("%d", "hyperbolic")
 _UNKNOWN_LINE = _SURGERY_LINE % ("%d", "unknown")
-# `wrapsurg.spans`, bound by the first text answer with a span or a knot's
-# exceptional slopes.
+# `wrapsurg.spans`, bound by the first answer, text or JSON, with a span or a
+# knot's exceptional slopes.
 _spans = None
 
 
@@ -439,8 +448,46 @@ def _report(message: str) -> None:
             pass
 
 
+def script():
+    """The `wrapsurg` command and `python -m wrapsurg.cli`: answer the
+    process's arguments with `main()` and end the process with its exit
+    code; it never returns.  `main()` has flushed the answer, and no caller
+    waits on the interpreter's teardown, so the process runs its atexit
+    handlers, flushes stdout and stderr and ends at once, with `os._exit`.
+    Under a trace or profile function (or, from Python 3.12 on, a
+    `sys.monitoring` tool), whose report the teardown may write, with `bdb`
+    loaded (pdb drops its trace function on `continue`, and takes the
+    run's SystemExit to restart it), after `-i`, whose prompt follows the
+    run, or when a flush fails, it ends through `sys.exit`, teardown
+    included."""
+    code = main()
+    monitoring = getattr(sys, "monitoring", None)  # tool ids 0-5, from 3.12 on
+    if not (sys.flags.inspect or sys.gettrace() or sys.getprofile() or "bdb" in sys.modules
+            or monitoring and any(map(monitoring.get_tool, range(6)))):
+        import atexit
+
+        atexit._run_exitfuncs()
+        try:
+            for stream in sys.stdout, sys.stderr:
+                if stream is not None:
+                    stream.flush()
+        except OSError:
+            pass  # the teardown flushes again and reports it: a failed stdout exits 120
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
+    if vars(sys.modules[__name__]) is not globals():
+        # Another program's `__main__` runs this module (`python -m cProfile
+        # -m wrapsurg.cli`, `runpy.run_module` without alter_sys): answer
+        # through the importable module, so that `batch` and `jsonwriter`
+        # find the one copy of its caches and its `CommandError`.
+        from wrapsurg import cli
+
+        sys.exit(cli.main())
     # `python -m wrapsurg.cli`: `batch` and `jsonwriter` import this module
     # under its own name (see the module docstring).
     sys.modules["wrapsurg.cli"] = sys.modules[__name__]
-    sys.exit(main())
+    script()

@@ -25,16 +25,18 @@ row of a `sweep` or `surgeries` list, so that a warm answer other than
 `twist` builds no dict.  The rows of a span come as one text from
 `spans.span_rows`: slices of chunks of rows joined by _SEP, with the knot's
 sweep rows spliced in between; the rows of known S^3 covers come from
-`spans.s3_rows`, each cover's text kept as written.
+`spans.s3_rows`, each cover's text kept as written.  `wrapsurg.spans` is
+read through `cli._spans`, which the first answer in either format with a
+span or a knot's exceptional slopes binds, so a JSON answer without one
+(`classify`, `normalize`, `twist`) does not load it.
 """
 from __future__ import annotations
 
 from _json import encode_basestring_ascii as _quote
 
+from . import cli
 from .classify import _HYPERBOLIC, _HYPERBOLIC_FAMILY, SurgeryClassification
-from .cli import Request, _Knot
 from .slopes import Slope
-from .spans import s3_rows, span_rows, sweep_rows
 
 
 def _json(value, indent: str) -> str:
@@ -90,7 +92,7 @@ _COVER_ROW = _SURGERY_ROW % ("%s", '"%s"')
 _SEP = ",\n"
 
 
-def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tuple) -> str:
+def json_answer(request: cli.Request, knot: cli._Knot, slope: Slope | None, answer: tuple) -> str:
     """The JSON text of `answer`, the records `cli._answer` gives for the
     request."""
     pieces = knot.json
@@ -124,18 +126,21 @@ def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tupl
         classification, family = found
         surgeries = ""
         if span is not None:
-            surgeries = _rows("surgeries", span_rows(_NULL_ROW, _SEP, span) if rc is None else
-                              s3_rows(_COVER_ROW, _SEP, span, knot.analysis.slope_map, rc))
+            spans = cli._spans or cli._spans_module()
+            rows = (spans.span_rows(_NULL_ROW, _SEP, span) if rc is None else
+                    spans.s3_rows(_COVER_ROW, _SEP, span, knot.analysis.slope_map, rc))
+            surgeries = _rows("surgeries", rows)
         return _CLASSIFY_JSON % (classification, moves, family, given, nf, surgeries)
     if command in ("slopes", "table"):
         exceptional, span = answer
+        spans = cli._spans or cli._spans_module()
         if slopes is None:  # raises, keeping nothing, past the digit limit
             slopes = pieces[3] = (
                 _json([{"slope": str(r), "classification": c.as_json()} for r, c in exceptional],
                       "  "),
-                sweep_rows(_SWEEP_ROW, exceptional))
+                spans.sweep_rows(_SWEEP_ROW, exceptional))
         rows = "" if span is None else _rows(
-            "sweep", span_rows(_HYPERBOLIC_ROW, _SEP, span, slopes[1]))
+            "sweep", spans.span_rows(_HYPERBOLIC_ROW, _SEP, span, slopes[1]))
         return _SLOPES_JSON % (moves, slopes[0], given, nf, rows)
     if command == "twist":
         images = _json([image.as_json() if fraction is None else
@@ -145,7 +150,7 @@ def json_answer(request: Request, knot: _Knot, slope: Slope | None, answer: tupl
     return _NORMALIZE_JSON % (moves, given, nf)
 
 
-def _fragments(knot: _Knot) -> list:
+def _fragments(knot: cli._Knot) -> list:
     """The JSON pieces every answer for the knot shows, each rendered at its
     depth in an answer, for its `json` slot: its quoted text, its normal
     form and its equivalence moves; then the pieces `json_answer` fills on

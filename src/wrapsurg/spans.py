@@ -4,9 +4,10 @@ known S^3 covers, and `sweep_rows` a knot's `table` sweep rows at its
 exceptional slopes, which each writer renders once per knot and keeps with
 it.
 
-`wrapsurg.cli` imports this module on its first answer with a span or with
-a knot's exceptional slopes, so that `import wrapsurg.cli` compiles none of
-it; `wrapsurg.jsonwriter` imports it with itself.
+`wrapsurg.cli` imports this module on its first answer, text or JSON, with
+a span or with a knot's exceptional slopes, and binds it to `cli._spans`,
+through which both writers read it; so neither `import wrapsurg.cli` nor a
+JSON answer without a span or exceptional slopes compiles any of it.
 
 The rows of a span that are the same but for their integer (a hyperbolic
 sweep row, an unknown S^3 row) are sliced from `_row_chunk`'s chunks.  A

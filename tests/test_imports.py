@@ -9,11 +9,15 @@ submodules bind their names on the package are version-sensitive.
 from __future__ import annotations
 
 import ast
+import atexit
 import importlib
+import io
 import os
+import re
 import subprocess
 import sys
 import tokenize
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -133,7 +137,7 @@ def test_import_loads_the_request_path_and_the_rest_on_first_use():
         "      wrapsurg.equivalent(T('[5/3,-2/3]'), T('[2/3,1/3]'))[0] == wrapsurg.Move('shift'))\n"
         "print(package())\n"
         "from wrapsurg import *\n"
-        "import wrapsurg.jsonwriter\n"  # and with it `cli` and `spans`, which it reads
+        "import wrapsurg.jsonwriter\n"  # and with it `cli`, which it reads
         "print(package())\n"
         "print(callable(wrapsurg.classify), classify is wrapsurg.classify, len(wrapsurg.__all__))\n"
     )
@@ -142,7 +146,7 @@ def test_import_loads_the_request_path_and_the_rest_on_first_use():
         "None True",
         str(sorted([*_PACKAGE, "wrapsurg.moves"])),
         str(sorted([*_PACKAGE, "wrapsurg.cli", "wrapsurg.jsonwriter", "wrapsurg.moves",
-                    "wrapsurg.seifert", "wrapsurg.spans", "wrapsurg.tracing"])),
+                    "wrapsurg.seifert", "wrapsurg.tracing"])),
         "True True 61",
     ]
 
@@ -165,6 +169,10 @@ _PYTHON_M_CASES = {
     "pretzel-json": (["classify", "K1[1/3,-1/4]", "8", "--format", "json"], "", 0),
     "batch": (["batch"], _REPEATS, 2),
     "batch-file": (["batch", "repeats.txt"], "", 2),
+    "bad-knot": (["classify", "K1[-1/2,1/3", "7"], "", 2),
+    "link": (["classify", "K0[-1/2]", "7"], "", 3),
+    # About 4.4 MB through a pipe: the process ends once it is all written.
+    "megabytes": (["table", "K0[3]", "--range", "0..200000"], "", 0),
 }
 
 
@@ -191,8 +199,9 @@ def test_python_m_loads_the_cli_module_once(argv, stdin, code, optimize, tmp_pat
     # `--moves` line (the batch has both); a text answer without one reads none.
     assert ("wrapsurg.moves" in imported) == ("json" in argv or argv[0] == "batch")
     assert ("wrapsurg.batch" in imported) == (argv[0] == "batch")
-    # The rows of spans and exceptional slopes load with their first answer.
-    assert ("wrapsurg.spans" in imported) == (argv[0] != "classify" or "json" in argv)
+    # The rows of spans and exceptional slopes load with their first answer,
+    # text or JSON.
+    assert ("wrapsurg.spans" in imported) == (argv[0] != "classify")
     script = ("import io, sys\n"
               "from wrapsurg.cli import main\n"
               f"sys.stdin = io.TextIOWrapper(io.BytesIO({stdin.encode()!r}))\n"
@@ -204,6 +213,145 @@ def test_python_m_loads_the_cli_module_once(argv, stdin, code, optimize, tmp_pat
     assert done.returncode == in_process.returncode == code, errors
     assert done.stdout == in_process.stdout
     assert errors == in_process.stderr
+
+
+# A `table` answer of several MB, more than a pipe holds.
+_LONG = ["table", "K0[3]", "--range", "0..200000"]
+# In-process `main`, ended by sys.exit, teardown included.
+_MAIN = "import sys\nfrom wrapsurg.cli import main\nsys.exit(main())\n"
+
+
+@pytest.mark.parametrize("reader", ["closed", "head"])
+def test_python_m_exits_as_main_does_when_stdout_goes_away(reader):
+    # Stdout closed at start-up (`>&-`), or by its reader after one line (`|
+    # head -1`): `python -m wrapsurg.cli` and in-process `main` both exit 1
+    # without a traceback.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv in (["-m", "wrapsurg.cli", *_LONG], ["-c", _MAIN, *_LONG]):
+        if reader == "closed":
+            done = subprocess.run(["/bin/sh", "-c", 'exec "$0" "$@" >&-', sys.executable, *argv],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            code, err = done.returncode, done.stderr
+        else:
+            with subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True) as child:
+                assert child.stdout.readline() == "knot: K0[3]\n", argv
+                child.stdout.close()
+                err = child.stderr.read()
+                code = child.wait(timeout=60)
+        assert (code, err) == (1, ""), argv
+
+
+# The JSON answer the runs below give.
+_ANSWER = ["classify", "K1[-1/2,1/3]", "7", "--format", "json"]
+# The CLI started as bench/launch.py starts it, after registering an atexit
+# handler; without alter_sys the module runs as the `-c` script's `__main__`.
+_LAUNCHER = ("import atexit, runpy\n"
+             "atexit.register(print, 'atexit handler ran')\n"
+             "runpy.run_module('wrapsurg.cli', run_name='__main__', alter_sys=%s)\n")
+# The installed `wrapsurg` command, as pip writes it for the entry point in
+# pyproject.toml, with a `__main__` global whose finalizer the interpreter's
+# teardown would run.
+_ENTRY = re.search(r'^wrapsurg = "([\w.]+):(\w+)"$',
+                   (SRC.parent / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+_CONSOLE_SCRIPT = ("import sys\n"
+                   "class Teardown:\n"
+                   "    def __del__(self):\n"
+                   "        print('torn down')\n"
+                   "kept = Teardown()\n"
+                   "from %s import %s as entry\n"
+                   "sys.exit(entry())\n" % _ENTRY.groups())
+
+
+# What stdout holds around the answer, ANSWER, in each run below.
+_AFTER_ATEXIT = r"ANSWERatexit handler ran\n"
+_PDB = r"> .*?\(Pdb\) ANSWERThe program exited via sys\.exit\(\)\. Exit status: 0\n.*"
+
+
+@pytest.mark.parametrize("options, argv, stdin, code, stdout", [
+    (["-c", _CONSOLE_SCRIPT], _ANSWER, "", 0, "ANSWER"),
+    (["-c", _LAUNCHER % True], _ANSWER, "", 0, _AFTER_ATEXIT),
+    (["-c", _LAUNCHER % False], ["batch", "repeats.txt"], "", 2, _AFTER_ATEXIT),
+    (["-m", "cProfile", "-m", "wrapsurg.cli"], _ANSWER, "", 0, r"ANSWER\s+\d+ function calls .*"),
+    # The launcher, as the profiled program: the module is the process's
+    # `__main__` again, under the profiler (from 3.12 on a `sys.monitoring`
+    # tool, which `sys.getprofile()` does not show).
+    (["-m", "cProfile", "-m", "launcher"], _ANSWER, "", 0,
+     r"ANSWER\s+\d+ function calls .*atexit handler ran\n"),
+    # Python 3.13.0's pdb takes `--format` for its own option.
+    (["-m", "pdb", "-m", "wrapsurg.cli"], _ANSWER[:3], "continue\nquit\n", 0, _PDB),
+    (["-i", "-m", "wrapsurg.cli"], _ANSWER, "print('inspected')\n", 0, r"ANSWERinspected\n"),
+], ids=["console-script", "launcher", "foreign-main-batch", "cprofile", "profiled-launcher",
+        "pdb", "inspect"])
+def test_other_ways_of_running_the_module_answer_in_full(options, argv, stdin, code, stdout,
+                                                         tmp_path):
+    # The installed command ends without the teardown, so no finalizer of
+    # its `__main__` writes after the answer; the atexit handlers run after
+    # the answer; as another program's `__main__` (cProfile's, or the `-c`
+    # script's) the module answers through the importable `wrapsurg.cli`,
+    # JSON and batch lines included; the profile's stats follow the answer;
+    # pdb, which has dropped its trace function on `continue`, sees the run
+    # exit and restarts it; `-i`'s prompt reads stdin after the answer.
+    # ANSWER is in-process `main`'s stdout.
+    (tmp_path / "repeats.txt").write_text(_REPEATS, encoding="utf-8")
+    (tmp_path / "launcher.py").write_text(_LAUNCHER % True, encoding="utf-8")
+    from wrapsurg.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        main_code = main([str(tmp_path / word) if word.endswith(".txt") else word
+                          for word in argv])
+    done = subprocess.run([sys.executable, *options, *argv], input=stdin, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == main_code == code, done.stderr
+    pattern = stdout.replace("ANSWER", re.escape(out.getvalue()))
+    assert re.fullmatch(pattern, done.stdout, re.DOTALL), done.stdout
+    # `-i` shows the SystemExit and its prompts on stderr; pdb's restart
+    # (on 3.10, runpy's warning that `wrapsurg.cli` is already imported).
+    if "-i" not in options and "pdb" not in options:
+        assert done.stderr == err.getvalue()
+
+
+def test_script_ends_at_once_only_when_nothing_watches(monkeypatch, capsys):
+    # `script` runs the atexit handlers, flushes and calls os._exit with
+    # main's code; under a trace function or when a flush fails it leaves
+    # both to sys.exit.  os._exit is replaced, so the test process goes on
+    # to the sys.exit that follows it.
+    from wrapsurg.cli import script
+
+    ended = []
+    monkeypatch.setattr(sys, "argv", ["wrapsurg", "classify", "K0[-1/2]", "7"])
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: ended.append("atexit handlers"))
+    monkeypatch.setattr(os, "_exit", ended.append)
+    # Hide whatever trace or monitoring tool this suite itself runs under,
+    # and pytest's debugger.
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    monkeypatch.delitem(sys.modules, "bdb", raising=False)
+    if hasattr(sys, "monitoring"):
+        monkeypatch.setattr(sys.monitoring, "get_tool", lambda tool: None)
+    with pytest.raises(SystemExit, match="3"):
+        script()
+    assert ended == ["atexit handlers", 3]
+    assert "link" in capsys.readouterr().err
+
+    ended.clear()
+    monkeypatch.setattr(sys, "gettrace", lambda: print)
+    with pytest.raises(SystemExit, match="3"):
+        script()
+    assert ended == []
+
+    class FailingFlush(io.StringIO):
+        def flush(self):
+            raise OSError("fd 2 open for reading only")
+
+    ended.clear()
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "stderr", FailingFlush())
+    with pytest.raises(SystemExit, match="3"):
+        script()
+    assert ended == ["atexit handlers"]
 
 
 def _tokens(path: Path) -> int:
