@@ -7,25 +7,28 @@ hyperbolic, toroidal, small Seifert fibered, or reducible, with
 machine-checkable certificates (Seifert invariants, pretzel slopes, and
 predictions for the surgery families of the twisted embeddings in S^3).
 
-Importing the package loads the modules every request runs (`slopes`,
-`tangles`, `wrapped` and `classify`).  The names of `seifert`, of `moves`
-(the equivalence moves and their `Move` records) and of the strand-tracing
-oracle `tracing` are given by `__getattr__`, which imports their module on
-the first use of one of them.
+Importing the package loads the library modules every request runs
+(`slopes`, `tangles`, `wrapped`, `answers` and `classify`).  The names of
+`images` (the S^3 images of the twisted embeddings, which only a `twist`
+request writes), of `seifert`, of `moves` (the equivalence moves and their
+`Move` records) and of the strand-tracing oracle `tracing` are given by
+`__getattr__`, which imports their module on the first use of one of them.
 """
 from types import ModuleType as _ModuleType
 
-from .classify import (
-    Analysis,
-    DegenerateKnotError,
+from .answers import (
     FamilyKind,
     FamilyPrediction,
-    InconsistentCrossCheckError,
-    KnotClass,
     SurgeryClassification,
     SurgeryType,
     ToroidalCertificate,
     ToroidalSource,
+)
+from .classify import (
+    Analysis,
+    DegenerateKnotError,
+    InconsistentCrossCheckError,
+    KnotClass,
     analysis_of,
     classify,
     exceptional_slopes,
@@ -55,21 +58,18 @@ from .wrapped import (
     NoPretzelSurfaceError,
     NotAKnotError,
     NotLengthOneError,
-    TwistedImage,
     WrappedKnot,
     make_wrapped,
     parse_knot,
     pretzel_slope,
-    transport_slope,
-    twist,
-    two_bridge_fraction,
 )
 
 __version__ = "0.1.0"
 
-# The names of the three modules not every request runs, by module: each is
+# The names of the four modules not every request runs, by module: each is
 # imported on the first use of one of its names (PEP 562).
 _LAZY = {
+    "images": ("TwistedImage", "transport_slope", "twist", "two_bridge_fraction"),
     "seifert": (
         "LENS", "REDUCIBLE", "MontesinosLink", "NotATorusKnotError", "SeifertInvariants",
         "SFSClass", "SFSKind", "double_branched_cover", "pretzel_surgery_link", "sfs_equal",

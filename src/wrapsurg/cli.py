@@ -10,18 +10,23 @@ text of json.dumps(payload, indent=2, sort_keys=True).  A batch file or stdin
 decodes as UTF-8 with surrogateescape, its lines end at LF, CRLF or CR only,
 and shlex.split splits each into words; it is read as its lines are answered,
 so a batch takes the memory of its longest line, not of its length.
-Importing this module loads only what every request runs: the text layout is
-here (each record writes its own text, its `str()`, and the layout puts each
-in its line); `wrapsurg.jsonwriter`, the JSON layout of the records' own
-`as_json()`, is imported by the first JSON answer (and bound to
-`_json_answer`), `wrapsurg.batch`, the batch reader, by the first `batch`
-request, and `wrapsurg.spans`, the rows of a span, by the first answer in
-either format with a span or a knot's exceptional slopes (and bound to
-`_spans`, through which `jsonwriter` reads it too).  The first two import
-this module: under `python -m wrapsurg.cli`, where it runs as the process's
-`__main__`, it first registers itself in `sys.modules` as `wrapsurg.cli`,
-so that neither loads a second copy, with caches and an error class of its
-own; run as another program's `__main__` (`python -m cProfile -m
+Importing this module loads only what every request runs: the request
+reader, `wrapsurg.request`, whose `parse`, `Request`, `CommandError`, FLAGS,
+USAGE and MAX_SPAN_ROWS are imported here and named `cli.parse` and so on
+too, and the text layout, which is here (each record writes its own text,
+its `str()`, and the layout puts each in its line).  `wrapsurg.jsonwriter`,
+the JSON layout of the records' own `as_json()`, is imported by the first
+JSON answer (and bound to `_json_answer`), `wrapsurg.batch`, the batch
+reader, by the first `batch` request, `wrapsurg.images`, the S^3 images of
+the twisted embeddings, by the first `twist` request, and `wrapsurg.spans`,
+the rows of a span, by the first answer in either format with a span or a
+knot's exceptional slopes (and bound to `_spans`, through which
+`jsonwriter` reads it too).  The first two import this module: under
+`python -m wrapsurg.cli`, where it runs as the process's `__main__`, it
+first registers itself in `sys.modules` as `wrapsurg.cli`, so that neither
+loads a second copy, with caches and an error class of its own, and drops
+that name again when the run leaves through `sys.exit` (pdb restarts the
+run then); run as another program's `__main__` (`python -m cProfile -m
 wrapsurg.cli`), it hands the run to the importable `wrapsurg.cli.main`.
 A one-shot run (`python -m wrapsurg.cli` and the `wrapsurg` command, both
 through `script`) ends once `main()` has flushed its answer: the atexit
@@ -82,23 +87,12 @@ import os
 import sys
 from collections import OrderedDict
 
-from .classify import DegenerateKnotError, _HYPERBOLIC_FAMILY, _NO_ENTRY, analysis_of
-from .slopes import ParseError, Slope, _parse_int, parse_slope
-from .wrapped import NotAKnotError, parse_knot, twist, two_bridge_fraction
+from .answers import _HYPERBOLIC_FAMILY
+from .classify import DegenerateKnotError, _NO_ENTRY, analysis_of
+from .request import FLAGS, MAX_SPAN_ROWS, USAGE, CommandError, Request, parse
+from .slopes import ParseError, Slope, parse_slope
+from .wrapped import NotAKnotError, parse_knot
 
-# The flags each command takes; any other word starting "--" exits 2.  A batch takes none,
-# its request lines carry their own.
-FLAGS = {
-    "classify": ("--format", "--moves"),
-    "slopes": ("--format", "--moves"),
-    "normalize": ("--format", "--moves"),
-    "twist": ("--format", "--moves", "--n"),
-    "predict": ("--format", "--moves", "--n"),
-    "table": ("--format", "--moves", "--range"),
-    "batch": (),
-}
-# The most rows a --range or --n span may ask for.
-MAX_SPAN_ROWS = 1_000_000
 # The knots `_knot` keeps, and the texts it remembers as asked for once: all
 # 4512 of the k<=2 grid (links included) fit, and a long batch run uses bounded
 # memory, as only texts of at most _KNOT_TEXT_LENGTH characters are kept or
@@ -106,100 +100,6 @@ MAX_SPAN_ROWS = 1_000_000
 # tracemalloc, and 8192 remembered texts of 128 characters take 2.0 MB.
 _KNOT_CACHE_SIZE = 8192
 _KNOT_TEXT_LENGTH = 128
-USAGE = """\
-usage: wrapsurg COMMAND [ARGS] [--format text|json] [--moves]
-  classify  KNOT SLOPE        classify one surgery
-  slopes    KNOT              list all exceptional surgeries
-  normalize KNOT              show the normal form and canonical representative
-  twist     KNOT --n A..B     Montesinos images of the twisted embeddings
-  predict   KNOT SLOPE [--n A..B]
-                              surgery behaviour over all embeddings
-  table     KNOT --range A..B exceptional slopes plus an integral slope sweep
-  batch     [FILE]            run one request per line (default: stdin)
-"""
-
-
-class CommandError(Exception):
-    def __init__(self, message: str, code: int) -> None:
-        super().__init__(message)
-        self.code = code
-
-
-class Request:
-    knot_text: str | None = None
-    slope_text: str | None = None
-    n_range: tuple[int, int] | None = None
-    slope_range: tuple[int, int] | None = None
-    fmt: str = "text"
-    show_moves: bool = False
-    batch_file: str | None = None
-
-    def __init__(self, command: str) -> None:
-        self.command = command
-
-
-def parse(argv: list[str]) -> Request:
-    if not argv:
-        raise CommandError(USAGE.rstrip(), 2)
-    command = argv[0]
-    flags = FLAGS.get(command)
-    if flags is None:
-        raise CommandError(f"unknown command {command!r} (at position 0)", 2)
-    request = Request(command)
-    positionals: list[str] = []
-    words = iter(argv[1:])
-    for arg in words:
-        if not arg.startswith("--"):
-            positionals.append(arg)
-        elif arg not in flags:
-            takes = " ".join(flags) or "no flags; put flags on each request line"
-            raise CommandError(f"{command} does not take {arg}; it takes {takes}", 2)
-        elif arg == "--format":
-            request.fmt = next(words, "")
-            if request.fmt not in ("text", "json"):
-                raise CommandError("--format needs 'text' or 'json'", 2)
-        elif arg == "--moves":
-            request.show_moves = True
-        elif arg == "--n":
-            request.n_range = _parse_span(next(words, None), arg)
-        elif arg == "--range":
-            request.slope_range = _parse_span(next(words, None), arg)
-
-    if command == "batch":
-        if len(positionals) > 1:
-            raise CommandError("batch takes at most one file argument", 2)
-        request.batch_file = positionals[0] if positionals else None
-        return request
-    needs_slope = command in ("classify", "predict")
-    if len(positionals) != 1 + needs_slope:
-        raise CommandError(
-            f"{command} takes {1 + needs_slope} positional argument(s), got {len(positionals)}",
-            2,
-        )
-    request.knot_text = positionals[0]
-    if needs_slope:
-        request.slope_text = positionals[1]
-    if command == "table" and request.slope_range is None:
-        raise CommandError("table needs --range A..B", 2)
-    if command == "twist" and request.n_range is None:
-        raise CommandError("twist needs --n A..B or --n K", 2)
-    return request
-
-
-def _parse_span(text: str | None, flag: str) -> tuple[int, int]:
-    if text is None:
-        raise CommandError(f"{flag} needs a value A..B or a single integer", 2)
-    lo_text, dots, hi_text = text.partition("..")
-    try:
-        lo = _parse_int(lo_text, 0, True)
-        hi = _parse_int(hi_text, 0, True) if dots else lo
-    except ParseError:
-        raise CommandError(f"{flag} expects integers like -2..5, got {text!r}", 2)
-    if lo > hi:
-        raise CommandError(f"{flag} range is empty: {text!r}", 2)
-    if hi - lo >= MAX_SPAN_ROWS:
-        raise CommandError(f"{flag} range has more than {MAX_SPAN_ROWS} rows: {text!r}", 2)
-    return lo, hi
 
 
 def run(request: Request) -> str:
@@ -319,6 +219,8 @@ def _answer(request: Request, knot: _Knot, slope: Slope | None) -> tuple:
         rc = analysis.table.get(slope, _NO_ENTRY)[2] if span else None
         return result, analysis.predict(slope), span, rc
     if command == "twist":
+        from .images import twist, two_bridge_fraction
+
         wrapped = analysis.knot
         single = len(wrapped.tangle.entries) == 1
         lo, hi = request.n_range
@@ -488,6 +390,11 @@ if __name__ == "__main__":
 
         sys.exit(cli.main())
     # `python -m wrapsurg.cli`: `batch` and `jsonwriter` import this module
-    # under its own name (see the module docstring).
+    # under its own name (see the module docstring).  A run that leaves
+    # through `sys.exit` drops the name again: pdb restarts the run, and
+    # runpy would find `wrapsurg.cli` already imported.
     sys.modules["wrapsurg.cli"] = sys.modules[__name__]
-    script()
+    try:
+        script()
+    finally:
+        del sys.modules["wrapsurg.cli"]

@@ -35,7 +35,7 @@ from __future__ import annotations
 from _json import encode_basestring_ascii as _quote
 
 from . import cli
-from .classify import _HYPERBOLIC, _HYPERBOLIC_FAMILY, SurgeryClassification
+from .answers import _HYPERBOLIC, _HYPERBOLIC_FAMILY, SurgeryClassification
 from .slopes import Slope
 
 

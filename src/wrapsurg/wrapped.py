@@ -3,9 +3,7 @@
 A wrapped knot places a Montesinos tangle horizontally in a solid torus and
 joins the top endpoints to the bottom ones by two arcs running around the
 torus.  The arcs cross each other `a` times with a in {0, 1}; only closures
-with a single component are knots.  Re-embedding the solid torus with n full
-right-hand twists turns the knot into the Montesinos knot with the extra
-entry 1/(a + 2n), and transports a slope r to r + n * wind(K)^2.
+with a single component are knots.
 
 A knot's facts come from integer rules on its entries: its winding from
 their parities (`tangles.closure_facts`), and the boundary slope of its
@@ -14,14 +12,13 @@ evident pretzel spanning surface from their signed crossings
 `wrapsurg.tracing` is the oracle of both rules, which the tests and the
 golden runner compare with it, also under `python -O`.
 
-A `TwistedImage` writes its own row of a `twist` answer: `str()` is the
-text of its link, and `as_json()` its JSON row, to which the command line
-adds only the two-bridge fraction of a single-entry knot.
+The S^3 images K_n of the twisted embeddings, which only a `twist` request
+writes, are in `wrapsurg.images`, loaded on first use.
 """
 from __future__ import annotations
 
 from .slopes import ParseError, Record, Slope, stripped
-from .tangles import MontesinosTangle, closure_facts, knot_text, parse_tangle, twist_shift
+from .tangles import MontesinosTangle, closure_facts, knot_text, parse_tangle
 
 
 class NotAKnotError(ValueError):
@@ -67,59 +64,6 @@ _set_a, _set_tangle, _set_winding = WrappedKnot._setters
 def make_wrapped(a: int, tangle: MontesinosTangle) -> WrappedKnot:
     """Close the tangle with two wrap arcs; the same as `WrappedKnot(a, tangle)`."""
     return WrappedKnot(a, tangle)
-
-
-class TwistedImage(Record):
-    """Image of the knot after n full twists of the solid torus in S^3.
-
-    For a + 2n != 0 the image is the Montesinos knot whose entries extend the
-    tangle by 1/(a + 2n).  For a + 2n = 0 the wrap arcs close the tangle
-    directly; for a single entry, `two_bridge_fraction` gives the fraction of
-    that collapsed closure.
-    """
-
-    __slots__ = ("entries", "n", "degenerate")
-
-    def __str__(self) -> str:
-        inner = ",".join(str(s) for s in self.entries)
-        if self.degenerate:
-            return f"closure[{inner}]"
-        return f"M[{inner}]"
-
-    def as_json(self) -> dict:
-        """The image's row of a JSON `twist` answer, but its two-bridge
-        fraction, which the answer adds beside it."""
-        return {"n": self.n, "link": str(self), "entries": [str(s) for s in self.entries],
-                "degenerate": self.degenerate}
-
-
-def twist(knot: WrappedKnot, n: int) -> TwistedImage:
-    c = knot.a + 2 * n
-    slopes = knot.tangle.entries
-    if c == 0:
-        return TwistedImage(slopes, n, True)
-    return TwistedImage(slopes + (Slope(1, c),), n, False)
-
-
-def transport_slope(knot: WrappedKnot, r: Slope, n: int) -> Slope:
-    """Slope correspondence under n twists: r + n * wind^2 (`twist_shift`);
-    meridian is fixed."""
-    if r.is_meridian():
-        return r
-    return r + twist_shift(n, knot.winding)
-
-
-def two_bridge_fraction(knot: WrappedKnot, n: int) -> Slope:
-    """Two-bridge fraction 1/((a + 2n) + q/p) of the n-twisted image.
-
-    Stated for a = 0; the a = 1 value extends the same formula and should be
-    read as a convention rather than an established identity.
-    """
-    if len(knot.tangle.entries) != 1:
-        raise NotLengthOneError("two-bridge fractions need a single entry")
-    t = knot.tangle.entries[0]
-    c = knot.a + 2 * n
-    return Slope(t.p, c * t.p + t.q)
 
 
 def pretzel_slope(knot: WrappedKnot) -> Slope:

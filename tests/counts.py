@@ -5,7 +5,9 @@ exactly from run to run, so a change that moves the work shows here:
 
 - the modules `import wrapsurg.cli` loads and the tokens of the package's
   modules among them (Python `tokenize`, comments and blank lines not
-  counted), which every process without bytecode compiles;
+  counted), which every process without bytecode compiles: their sum, the
+  largest module, whose compile sets a one-shot process's peak RSS, and
+  each module's own count, so that a diff names the module that grew;
 - the modules each request kind loads beyond those, one request per
   interpreter;
 - the package calls per line of two batch files of FILE_LINES lines, the
@@ -178,8 +180,12 @@ def _loads(env, directory):
     loaded = _run(env, "-S", "-c", _IMPORT).split()
     files = [PACKAGE / f"{name.partition('.')[2] or '__init__'}.py"
              for name in loaded if name.partition(".")[0] == "wrapsurg"]
+    tokens = {path.name: _tokens(path) for path in files}
+    largest = max(tokens, key=tokens.get)
     lines = [f"import wrapsurg.cli loads: {' '.join(loaded)}",
-             f"import wrapsurg.cli: {sum(map(_tokens, files))} tokens in {len(files)} modules"]
+             f"import wrapsurg.cli: {sum(tokens.values())} tokens in {len(files)} modules,"
+             f" the largest {largest} with {tokens[largest]}",
+             *(f"tokens of {name}: {count}" for name, count in sorted(tokens.items()))]
     batch = Path(directory) / "batch.txt"
     batch.write_text(" ".join(REQUESTS["classify"]) + "\n")
     kinds = {f"{kind}{' json' * json}": [*argv, *["--format", "json"] * json]

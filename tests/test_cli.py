@@ -121,6 +121,23 @@ def test_predict_with_twist_range(capsys):
     assert "n=3: lens" in out
 
 
+def test_predict_at_the_meridian_answers_with_no_family_and_no_rows(capsys):
+    # The meridian filling is trivial for every embedding: the answer is its
+    # classification only, with no family line and no `--n` rows in text,
+    # and `family_prediction: null` and no `surgeries` in JSON.
+    code, out, err = run_cli(capsys, "predict", "K1[-1/2,1/3]", "inf", "--n", "-2..2")
+    assert (code, err) == (0, "")
+    assert out == ("knot: K1[-1/2,1/3]\nnormal form: e0=-1 fracs=[1/2,1/3]\n"
+                   "classification: trivial-filling at slope inf\n")
+    code, out, err = run_cli(capsys, "predict", "K1[-1/2,1/3]", "inf", "--n", "-2..2",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    answer = json.loads(out)
+    assert answer["family_prediction"] is None and "surgeries" not in answer
+    assert answer["classification"]["type"] == "trivial-filling"
+    assert answer["input"] == {"knot": "K1[-1/2,1/3]", "n": [-2, 2], "slope": "inf"}
+
+
 def test_twist_images(capsys):
     code, out, _ = run_cli(capsys, "twist", "K1[-1/2,1/3]", "--n", "0..2")
     assert code == 0
@@ -537,9 +554,10 @@ def test_text_requests_import_neither_json_nor_shlex():
     assert "exceptional 16: toroidal [pretzel-surface: slope 16]" in answers
     assert "exceptional 0: toroidal [pretzel-surface: slope 0]" in answers
     assert '"source": "pretzel-surface"' in answers
-    # Every request runs these six, and none the strand tracer.
+    # Every request runs these eight, and none the strand tracer or the
+    # twisted images.
     request_path = sorted(["wrapsurg", *(f"wrapsurg.{name}" for name in (
-        "classify", "cli", "slopes", "tangles", "wrapped"))])
+        "answers", "classify", "cli", "request", "slopes", "tangles", "wrapped"))])
     # A `slopes` answer loads the rows of spans and exceptional slopes, a
     # JSON answer the JSON writer and the equivalence moves it lists, and a
     # known S^3 cover `seifert`.

@@ -42,32 +42,45 @@ _NAMESPACE = {
     ),
     "tracing": ("evaluate_continued_fraction", "expand", "trace_closure"),
     "wrapped": (
-        "NoPretzelSurfaceError", "NotAKnotError", "NotLengthOneError", "TwistedImage",
-        "WrappedKnot", "make_wrapped", "parse_knot", "pretzel_slope", "transport_slope", "twist",
-        "two_bridge_fraction",
+        "NoPretzelSurfaceError", "NotAKnotError", "NotLengthOneError", "WrappedKnot",
+        "make_wrapped", "parse_knot", "pretzel_slope",
     ),
+    "images": ("TwistedImage", "transport_slope", "twist", "two_bridge_fraction"),
     "seifert": (
         "LENS", "MontesinosLink", "NotATorusKnotError", "REDUCIBLE", "SFSClass", "SFSKind",
         "SeifertInvariants", "double_branched_cover", "pretzel_surgery_link", "sfs_equal",
         "torus_knot_surgery",
     ),
-    "classify": (
-        "Analysis", "DegenerateKnotError", "FamilyKind", "FamilyPrediction", "KnotClass",
-        "SurgeryClassification", "SurgeryType", "ToroidalCertificate", "ToroidalSource",
-        "analysis_of", "classify", "exceptional_slopes", "predict_s3_family", "surgery_in_s3",
+    "answers": (
+        "FamilyKind", "FamilyPrediction", "SurgeryClassification", "SurgeryType",
+        "ToroidalCertificate", "ToroidalSource",
     ),
+    "classify": (
+        "Analysis", "DegenerateKnotError", "KnotClass", "analysis_of", "classify",
+        "exceptional_slopes", "predict_s3_family", "surgery_in_s3",
+    ),
+}
+# The names a module imports from the module that defines them, so that they
+# still resolve where they were defined before they moved: by defining module,
+# the importing module and the names.
+_REEXPORTED = {
+    "answers": ("classify", _NAMESPACE["answers"]),
+    "request": ("cli", ("CommandError", "FLAGS", "MAX_SPAN_ROWS", "Request", "USAGE", "parse")),
 }
 # What `import wrapsurg` loads: the package and the library modules every
 # request runs.
-_PACKAGE = ["wrapsurg", "wrapsurg.classify", "wrapsurg.slopes", "wrapsurg.tangles",
-            "wrapsurg.wrapped"]
-# CPython 3.11's parser grows its token array past 4096 tokens, which costs
-# every process that compiles the module about 0.3 MB of peak RSS.
-_TOKEN_BUDGET = 4096
+_PACKAGE = ["wrapsurg", "wrapsurg.answers", "wrapsurg.classify", "wrapsurg.slopes",
+            "wrapsurg.tangles", "wrapsurg.wrapped"]
+# CPython 3.11's parser grows its token array by doubling it, and a module
+# past 2048 tokens costs every process that compiles it a larger peak RSS:
+# the benchmark's one-shot `classify`, without bytecode, peaked at 14.71 MB
+# with `classify.py` at 2,690 and `cli.py` at 2,439 tokens, and at 14.33 MB
+# with every module under 2,048.
+_TOKEN_BUDGET = 2048
 # The tokens of every module `import wrapsurg.cli` loads: with bytecode
 # writing off, each process compiles them all before its first request.
 # From Python 3.12 on, tokenize splits each f-string into its parts.
-_IMPORT_PATH_TOKENS = 9157 if sys.version_info < (3, 12) else 9649
+_IMPORT_PATH_TOKENS = 8884 if sys.version_info < (3, 12) else 9380
 # The definitions of src/wrapsurg that no code in src/ reads, each with the
 # reason it stays.  Every other one must have a reader.
 _UNREAD = {
@@ -75,7 +88,7 @@ _UNREAD = {
     "classify.predict_s3_family": "bench/record_golden.py records the benchmark's answers with it",
     "classify.surgery_in_s3": "bench/record_golden.py records the benchmark's answers with it",
     "wrapped.make_wrapped": "bench/child.py and bench/record_golden.py build their knots with it",
-    "wrapped.transport_slope": "the public slope map under n twists; test_wrapped.py checks it",
+    "images.transport_slope": "the public slope map under n twists; test_wrapped.py checks it",
     "tangles.MontesinosTangle.from_slopes": "bench/child.py builds its anchor tangles with it",
     "moves.equivalent": "moves with witnesses; the move properties of test_classify.py read them",
     "moves.mirror_tangle": "an equivalence move; the move properties of test_classify.py read it",
@@ -106,11 +119,21 @@ def test_the_namespace_is_the_names_of_every_module():
     assert len(set(wrapsurg.__all__)) == len(wrapsurg.__all__) == 61
 
 
-@pytest.mark.parametrize("module", sorted(_NAMESPACE))
+@pytest.mark.parametrize("module", sorted({*_NAMESPACE, *_REEXPORTED}))
 def test_each_name_is_the_object_of_its_defining_module(module):
     defining = importlib.import_module(f"wrapsurg.{module}")
-    for name in _NAMESPACE[module]:
+    public = _NAMESPACE.get(module, ())
+    importer, reexported = _REEXPORTED.get(module, (module, ()))
+    importing = importlib.import_module(f"wrapsurg.{importer}")
+    for name in public:
         assert getattr(wrapsurg, name) is getattr(defining, name), name
+    for name in reexported:
+        assert getattr(importing, name) is getattr(defining, name), name
+    # Defined there, not imported from elsewhere: each class, function and
+    # record names the module as its own.
+    for name in {*public, *reexported}:
+        value = getattr(defining, name)
+        assert getattr(value, "__module__", defining.__name__) == defining.__name__, name
 
 
 def test_classify_is_the_function_not_the_submodule():
@@ -145,8 +168,9 @@ def test_import_loads_the_request_path_and_the_rest_on_first_use():
         str(_PACKAGE),
         "None True",
         str(sorted([*_PACKAGE, "wrapsurg.moves"])),
-        str(sorted([*_PACKAGE, "wrapsurg.cli", "wrapsurg.jsonwriter", "wrapsurg.moves",
-                    "wrapsurg.seifert", "wrapsurg.tracing"])),
+        str(sorted([*_PACKAGE, "wrapsurg.cli", "wrapsurg.images", "wrapsurg.jsonwriter",
+                    "wrapsurg.moves", "wrapsurg.request", "wrapsurg.seifert",
+                    "wrapsurg.tracing"])),
         "True True 61",
     ]
 
@@ -307,9 +331,10 @@ def test_other_ways_of_running_the_module_answer_in_full(options, argv, stdin, c
     assert done.returncode == main_code == code, done.stderr
     pattern = stdout.replace("ANSWER", re.escape(out.getvalue()))
     assert re.fullmatch(pattern, done.stdout, re.DOTALL), done.stdout
-    # `-i` shows the SystemExit and its prompts on stderr; pdb's restart
-    # (on 3.10, runpy's warning that `wrapsurg.cli` is already imported).
-    if "-i" not in options and "pdb" not in options:
+    # `-i` shows the SystemExit and its prompts on stderr.  pdb's restart
+    # adds nothing there: the run dropped its `wrapsurg.cli` name on exit, so
+    # runpy does not warn that the module is already imported.
+    if "-i" not in options:
         assert done.stderr == err.getvalue()
 
 

@@ -23,7 +23,8 @@ from wrapsurg import (
     parse_tangle,
 )
 from wrapsurg import slopes
-from wrapsurg.cli import CommandError, _parse_span, main
+from wrapsurg.cli import CommandError, main
+from wrapsurg.request import _parse_span
 from wrapsurg.slopes import _read_slope, split_integer_parts
 
 
